@@ -2,13 +2,14 @@ package sprout
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/snap"
 )
 
 // Snapshot implements snap.Snapshotter: the belief distribution and the
-// tick-accumulator state. Derived quantities (lambdaStep, sigmaBins, the
-// diffusion scratch) are functions of the config and are rebuilt.
+// tick-accumulator state. Derived quantities (lambdaStep, the diffusion
+// kernel, the scratch buffers) are functions of the config and are rebuilt.
 func (s *Sprout) Snapshot(e *snap.Encoder) {
 	e.Tag("sprout")
 	e.F64s(s.belief)
@@ -22,7 +23,10 @@ func (s *Sprout) Snapshot(e *snap.Encoder) {
 }
 
 // Restore implements snap.Snapshotter, cross-checking the belief resolution
-// against the rebuilt configuration.
+// against the rebuilt configuration. It fails closed: a belief that is not a
+// probability distribution, or a window below the probing minimum, is a state
+// no run of this controller can reach, and is rejected before any field is
+// overwritten.
 func (s *Sprout) Restore(d *snap.Decoder) {
 	d.Expect("sprout")
 	belief := d.F64s()
@@ -38,6 +42,22 @@ func (s *Sprout) Restore(d *snap.Decoder) {
 	}
 	if len(belief) != len(s.belief) {
 		d.Fail(fmt.Errorf("sprout: snapshot has %d belief bins, rebuild configured %d", len(belief), len(s.belief)))
+		return
+	}
+	var total float64
+	for i, p := range belief {
+		if !(p >= 0) || math.IsInf(p, 1) {
+			d.Fail(fmt.Errorf("sprout: snapshot belief bin %d is %v, not a probability", i, p))
+			return
+		}
+		total += p
+	}
+	if math.Abs(total-1) > 1e-9 {
+		d.Fail(fmt.Errorf("sprout: snapshot belief sums to %v, not 1", total))
+		return
+	}
+	if window < 1 {
+		d.Fail(fmt.Errorf("sprout: snapshot window %d is below the probing minimum 1", window))
 		return
 	}
 	copy(s.belief, belief)

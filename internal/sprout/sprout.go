@@ -102,12 +102,17 @@ type Sprout struct {
 	// belief[i] is the probability that the link delivers lambda(i)
 	// packets per tick.
 	belief []float64
-	// scratch buffer for diffusion.
-	next []float64
+	// next is diffuse's output buffer and dist the distribution forecast
+	// evolves; both are scratch, rebuilt from nothing on every use.
+	next, dist []float64
 	// lambdaStep is packets-per-tick per bin.
 	lambdaStep float64
-	// sigmaBins is the per-tick diffusion stddev in bins.
-	sigmaBins float64
+	// kern[k] is the weight one tick of Brownian motion gives a move of ±k
+	// bins: a Gaussian truncated at 3σ, normalized so the 2·radius+1 taps
+	// sum to 1. tail[i] = Σ kern[k≥i] is the share of a bin's mass that
+	// lands i or more bins to one side — what a bin i away from a boundary
+	// piles onto that boundary.
+	kern, tail []float64
 
 	arrivals int // acks observed in the current tick
 	window   int // cautious cumulative forecast, in packets
@@ -136,13 +141,29 @@ func New(cfg Config) *Sprout {
 		cfg:        cfg,
 		belief:     make([]float64, cfg.Bins),
 		next:       make([]float64, cfg.Bins),
+		dist:       make([]float64, cfg.Bins),
 		lambdaStep: maxPktPerTick / float64(cfg.Bins-1),
 	}
 	sigmaPkts := cfg.SigmaMbpsPerSqrtSec * 1e6 / 8 / float64(cfg.PacketBytes) *
 		cfg.Tick.Seconds() * math.Sqrt(cfg.Tick.Seconds())
-	s.sigmaBins = sigmaPkts / s.lambdaStep
-	if s.sigmaBins < 0.5 {
-		s.sigmaBins = 0.5
+	// Per-tick diffusion stddev in bins.
+	sigmaBins := sigmaPkts / s.lambdaStep
+	if sigmaBins < 0.5 {
+		sigmaBins = 0.5
+	}
+	radius := int(3*sigmaBins) + 1
+	s.kern = make([]float64, radius+1)
+	s.tail = make([]float64, radius+1)
+	ksum := -1.0 // the centre tap, exp(0), is counted once, not twice
+	for k := range s.kern {
+		s.kern[k] = math.Exp(-float64(k*k) / (2 * sigmaBins * sigmaBins))
+		ksum += 2 * s.kern[k]
+	}
+	var tail float64
+	for k := radius; k >= 0; k-- {
+		s.kern[k] /= ksum
+		tail += s.kern[k]
+		s.tail[k] = tail
 	}
 	s.resetBelief()
 	// A modest initial window lets the first ticks gather observations.
@@ -219,45 +240,84 @@ func (s *Sprout) Tick(now time.Duration) {
 }
 
 // diffuse applies one tick of Brownian evolution plus the escape process to
-// the given distribution in place.
-func (s *Sprout) diffuse(dist []float64) {
-	n := len(dist)
-	for i := range s.next {
-		s.next[i] = 0
+// d in place. Mass that would move past either end stays on the end bin.
+//
+// It gathers: output bin j sums kern[|i-j|]*d[i] over the sources i within
+// radius that exist, and the two end bins take, through tail, everything any
+// bin sends at or past them. No step assumes that 2·radius+1 fits in len(d).
+func (s *Sprout) diffuse(d []float64) {
+	n, r := len(d), len(s.kern)-1
+	kern, out := s.kern, s.next[:n]
+
+	var lo, hi float64
+	for i := 0; i <= r && i < n; i++ {
+		lo += s.tail[i] * d[i]
+		hi += s.tail[i] * d[n-1-i]
 	}
-	// Gaussian kernel truncated at 3σ.
-	radius := int(3*s.sigmaBins) + 1
-	var kernel []float64
-	var ksum float64
-	for k := -radius; k <= radius; k++ {
-		w := math.Exp(-float64(k) * float64(k) / (2 * s.sigmaBins * s.sigmaBins))
-		kernel = append(kernel, w)
-		ksum += w
-	}
-	for i, p := range dist {
-		if p == 0 {
-			continue
+	out[0], out[n-1] = lo, hi
+	sum := lo + hi
+
+	// Bins nearer than radius to an end. Bin j and its mirror image m have
+	// the same shape — j taps toward their own end, min(r, m) inward — so the
+	// pair runs as four independent chains. With a kernel wider than half of
+	// d, the pairs cover every bin and meet at the middle one (j == m).
+	j := 1
+	for ; j < r && j <= n-1-j; j++ {
+		m := n - 1 - j
+		a, b := kern[0]*d[j], kern[0]*d[m]
+		for k := 1; k <= j; k++ {
+			a += kern[k] * d[j-k]
+			b += kern[k] * d[m+k]
 		}
-		for k := -radius; k <= radius; k++ {
-			j := i + k
-			if j < 0 {
-				j = 0 // reflect mass at the boundaries
-			}
-			if j >= n {
-				j = n - 1
-			}
-			s.next[j] += p * kernel[k+radius] / ksum
+		var ai, bi float64
+		for k := min(r, m); k >= 1; k-- {
+			ai += kern[k] * d[j+k]
+			bi += kern[k] * d[m-k]
+		}
+		out[j], out[m] = a+ai, b+bi
+		sum += out[j]
+		if m != j {
+			sum += out[m]
 		}
 	}
+	// Bins with the full stencil: the symmetric taps fold into one multiply,
+	// kern[k]*(d[j-k]+d[j+k]), eight bins at a time so that the additions form
+	// eight independent chains; then what is left, one bin at a time.
+	for ; j+r+7 < n; j += 8 {
+		c := d[j : j+8]
+		a0, a1, a2, a3 := kern[0]*c[0], kern[0]*c[1], kern[0]*c[2], kern[0]*c[3]
+		a4, a5, a6, a7 := kern[0]*c[4], kern[0]*c[5], kern[0]*c[6], kern[0]*c[7]
+		for k := 1; k <= r; k++ {
+			w, below, above := kern[k], d[j-k:j-k+8], d[j+k:j+k+8]
+			a0 += w * (below[0] + above[0])
+			a1 += w * (below[1] + above[1])
+			a2 += w * (below[2] + above[2])
+			a3 += w * (below[3] + above[3])
+			a4 += w * (below[4] + above[4])
+			a5 += w * (below[5] + above[5])
+			a6 += w * (below[6] + above[6])
+			a7 += w * (below[7] + above[7])
+		}
+		o := out[j : j+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		sum += ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+	}
+	for ; j+r < n; j++ {
+		a := kern[0] * d[j]
+		for k := 1; k <= r; k++ {
+			a += kern[k] * (d[j-k] + d[j+k])
+		}
+		out[j] = a
+		sum += a
+	}
+
+	// Escape mix and renormalisation in one pass: the mixed distribution
+	// totals (1-esc)*sum + esc, so scale both terms by its reciprocal.
 	esc := s.cfg.EscapeProb
-	u := esc / float64(n)
-	var total float64
-	for i := range dist {
-		dist[i] = s.next[i]*(1-esc) + u
-		total += dist[i]
-	}
-	for i := range dist {
-		dist[i] /= total
+	inv := 1 / ((1-esc)*sum + esc)
+	keep, u := (1-esc)*inv, esc/float64(n)*inv
+	for i, p := range out {
+		d[i] = p*keep + u
 	}
 }
 
@@ -340,7 +400,7 @@ func (s *Sprout) forecast() int {
 			eff = rttTicks
 		}
 	}
-	dist := make([]float64, len(s.belief))
+	dist := s.dist
 	copy(dist, s.belief)
 	var cum float64
 	for h := 0; eff > 0; h++ {
