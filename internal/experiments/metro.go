@@ -239,7 +239,7 @@ func (r *metroHomeRecv) Receive(p *netsim.Packet) {
 		// The handover stall defers delivery; the wait is fault hold time,
 		// closed by the sink at the release instant.
 		p.MarkDelay(now, stats.DelayFaultHold)
-		r.sim.SchedulePacketAfter(st.stallUntil-now, st.sink, p)
+		r.sim.SchedulePacket(st.stallUntil, st.sink, p)
 		return
 	}
 	st.sink.Receive(p)

@@ -109,7 +109,73 @@ type outstanding struct {
 	sentAt     time.Duration
 	window     int
 	ackedAfter int // packets with higher seq acked since (dup-ack analogue)
-	lost       bool
+}
+
+// scoreboard is the sender's window of unacknowledged packets: a ring in
+// send order, which is seq order. Acks come back in send order too, so the
+// common ack pops the head, and an ack that overtook k older packets touches
+// those k entries only — never the whole window.
+//
+// Two invariants carry the prefix scan in detectLosses: seqs ascend strictly
+// from head to tail, and the entries with ackedAfter > 0 form a prefix (an
+// ack bumps exactly the entries before it, new entries join at the tail with
+// zero). Restore rejects a snapshot that breaks either.
+type scoreboard struct {
+	buf  []outstanding // power-of-two length; index with &(len-1)
+	head int
+	n    int
+}
+
+// at returns the i-th oldest entry.
+func (b *scoreboard) at(i int) *outstanding {
+	return &b.buf[(b.head+i)&(len(b.buf)-1)]
+}
+
+// push appends o at the tail, doubling the ring when full.
+func (b *scoreboard) push(o outstanding) {
+	if b.n == len(b.buf) {
+		buf := make([]outstanding, max(16, 2*len(b.buf)))
+		for i := 0; i < b.n; i++ {
+			buf[i] = *b.at(i)
+		}
+		b.buf, b.head = buf, 0
+	}
+	b.n++
+	*b.at(b.n - 1) = o
+}
+
+// closeGap removes entries [lo, hi) by sliding the lo entries before them up
+// against entry hi and advancing the head: the cost is the prefix, not the
+// window behind it.
+func (b *scoreboard) closeGap(lo, hi int) {
+	gap := hi - lo
+	for i := lo - 1; i >= 0; i-- {
+		*b.at(i + gap) = *b.at(i)
+	}
+	b.head = (b.head + gap) & (len(b.buf) - 1)
+	b.n -= gap
+}
+
+// clear empties the window, keeping the ring.
+func (b *scoreboard) clear() { b.head, b.n = 0, 0 }
+
+// admit reports why a decoded entry may not follow the entries restored so
+// far, or nil: it checks the invariants above, the range of each field, and
+// the retired lost flag, which no valid snapshot sets.
+func (b *scoreboard) admit(o outstanding, lost bool, nextSeq int64) error {
+	switch {
+	case o.seq < 0 || o.seq >= nextSeq:
+		return fmt.Errorf("seq %d outside [0, next seq %d)", o.seq, nextSeq)
+	case b.n > 0 && o.seq <= b.at(b.n-1).seq:
+		return fmt.Errorf("seq %d does not ascend past %d", o.seq, b.at(b.n-1).seq)
+	case o.ackedAfter < 0 || o.ackedAfter >= dupThresh:
+		return fmt.Errorf("ackedAfter %d outside [0, %d)", o.ackedAfter, dupThresh)
+	case b.n > 0 && o.ackedAfter > 0 && b.at(b.n-1).ackedAfter == 0:
+		return fmt.Errorf("acked past (ackedAfter %d) behind an entry no ack has passed", o.ackedAfter)
+	case lost:
+		return fmt.Errorf("lost flag set")
+	}
+	return nil
 }
 
 const (
@@ -139,7 +205,7 @@ type Source struct {
 	metrics *FlowMetrics
 
 	nextSeq  int64
-	inflight []outstanding // ordered by seq; by value, so tracking allocates nothing steady-state
+	inflight scoreboard // by value, so tracking allocates nothing steady-state
 	srtt     time.Duration
 	rttvar   time.Duration
 	lastProg time.Duration // last forward progress, for RTO
@@ -251,13 +317,13 @@ func (s *Source) trySend() {
 		return
 	}
 	now := s.sim.Now()
-	n := s.ctrl.Allowance(now, len(s.inflight))
+	n := s.ctrl.Allowance(now, s.inflight.n)
 	for i := 0; i < n; i++ {
 		p := s.sim.NewPacket(s.flow, s.nextSeq, s.mtu, now, s.ctrl.SendTag())
 		s.nextSeq++
-		s.inflight = append(s.inflight, outstanding{seq: p.Seq, sentAt: now, window: p.Window})
+		s.inflight.push(outstanding{seq: p.Seq, sentAt: now, window: p.Window})
 		s.metrics.Sent++
-		s.ctrl.OnSend(now, p.Seq, len(s.inflight))
+		s.ctrl.OnSend(now, p.Seq, s.inflight.n)
 		s.link.Send(p)
 	}
 }
@@ -268,21 +334,15 @@ func (s *Source) onAck(p *Packet) {
 		return
 	}
 	now := s.sim.Now()
-	idx := -1
-	for i, o := range s.inflight {
-		if o.seq == p.Seq {
-			idx = i
-			break
-		}
-		if o.seq > p.Seq {
-			break
-		}
+	idx := 0
+	for idx < s.inflight.n && s.inflight.at(idx).seq < p.Seq {
+		idx++
 	}
-	if idx < 0 {
+	if idx == s.inflight.n || s.inflight.at(idx).seq != p.Seq {
 		return // already declared lost or duplicate ack
 	}
-	o := s.inflight[idx]
-	s.inflight = append(s.inflight[:idx], s.inflight[idx+1:]...)
+	o := *s.inflight.at(idx)
+	s.inflight.closeGap(idx, idx+1)
 	rtt := now - o.sentAt
 	s.updateRTT(rtt)
 	s.lastProg = now
@@ -292,7 +352,7 @@ func (s *Source) onAck(p *Packet) {
 		Seq:        p.Seq,
 		RTT:        rtt,
 		SentWindow: o.window,
-		Inflight:   len(s.inflight),
+		Inflight:   s.inflight.n,
 		Bytes:      p.Bytes,
 	})
 
@@ -303,13 +363,21 @@ func (s *Source) onAck(p *Packet) {
 	s.trySend()
 }
 
+// detectLosses scans the entries an ack for ackedSeq has passed. It stops at
+// the first entry the ack did not pass and no earlier ack did either
+// (seq > ackedSeq, ackedAfter == 0): by the scoreboard invariants every entry
+// behind it is the same, and neither loss rule can fire on such an entry.
 func (s *Source) detectLosses(now time.Duration, ackedSeq int64) {
 	timerCut := 3 * s.srtt
-	kept := s.inflight[:0]
-	// Index iteration so ackedAfter++ mutates in place; the kept compaction
-	// writes at an index ≤ the read index, so the in-place append is safe.
-	for i := range s.inflight {
-		o := &s.inflight[i]
+	inflight := s.inflight.n - 1 // what OnLoss reports: the window as scanned, less the lost packet
+	// Survivors of the scanned prefix compact to its front (kept ≤ i); the
+	// gap the lost ones leave is closed once, after the scan.
+	kept, i := 0, 0
+	for ; i < s.inflight.n; i++ {
+		o := s.inflight.at(i)
+		if o.seq > ackedSeq && o.ackedAfter == 0 {
+			break
+		}
 		lost := false
 		if o.seq < ackedSeq {
 			o.ackedAfter++
@@ -322,12 +390,17 @@ func (s *Source) detectLosses(now time.Duration, ackedSeq int64) {
 		}
 		if lost {
 			s.metrics.LossDetected++
-			s.ctrl.OnLoss(now, cc.LossEvent{Seq: o.seq, SentWindow: o.window, Inflight: len(s.inflight) - 1})
+			s.ctrl.OnLoss(now, cc.LossEvent{Seq: o.seq, SentWindow: o.window, Inflight: inflight})
 			continue
 		}
-		kept = append(kept, *o)
+		if kept != i {
+			*s.inflight.at(kept) = *o
+		}
+		kept++
 	}
-	s.inflight = kept
+	if kept != i {
+		s.inflight.closeGap(kept, i)
+	}
 }
 
 func (s *Source) updateRTT(rtt time.Duration) {
@@ -365,7 +438,7 @@ func (s *Source) rto() time.Duration {
 }
 
 func (s *Source) checkRTO() {
-	if s.stopped || len(s.inflight) == 0 {
+	if s.stopped || s.inflight.n == 0 {
 		return
 	}
 	now := s.sim.Now()
@@ -374,7 +447,7 @@ func (s *Source) checkRTO() {
 	}
 	// Whole window presumed lost.
 	s.metrics.Timeouts++
-	s.inflight = s.inflight[:0]
+	s.inflight.clear()
 	s.lastProg = now
 	s.backoff++
 	s.ctrl.OnTimeout(now)
@@ -428,14 +501,14 @@ func (s *Source) Snapshot(e *snap.Encoder) {
 		return
 	}
 	e.I64(s.nextSeq)
-	e.U32(uint32(len(s.inflight)))
-	for i := range s.inflight {
-		o := &s.inflight[i]
+	e.U32(uint32(s.inflight.n))
+	for i := 0; i < s.inflight.n; i++ {
+		o := s.inflight.at(i)
 		e.I64(o.seq)
 		e.Dur(o.sentAt)
 		e.Int(o.window)
 		e.Int(o.ackedAfter)
-		e.Bool(o.lost)
+		e.Bool(false) // the retired per-entry lost flag: never set, its byte stays on the wire
 	}
 	e.Dur(s.srtt)
 	e.Dur(s.rttvar)
@@ -458,27 +531,42 @@ func (s *Source) Restore(d *snap.Decoder) {
 		d.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Snapshot/Restore)", s.ctrl))
 		return
 	}
-	s.nextSeq = d.I64()
-	n := int(d.U32())
-	s.inflight = s.inflight[:0]
-	for i := 0; i < n; i++ {
+	// Decode and validate the sender state whole before any field is written:
+	// the prefix scan in detectLosses is only correct on a scoreboard that
+	// keeps its invariants, so a snapshot that breaks them is refused, not
+	// run. The ring grows as entries decode; a hostile length prefix runs out
+	// of bytes long before it runs up memory.
+	nextSeq := d.I64()
+	n := d.U32()
+	var inflight scoreboard
+	for i := uint32(0); i < n; i++ {
 		var o outstanding
 		o.seq = d.I64()
 		o.sentAt = d.Dur()
 		o.window = d.Int()
 		o.ackedAfter = d.Int()
-		o.lost = d.Bool()
+		lost := d.Bool()
 		if d.Err() != nil {
 			return
 		}
-		s.inflight = append(s.inflight, o)
+		if err := inflight.admit(o, lost, nextSeq); err != nil {
+			d.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", s.flow, i, err))
+			return
+		}
+		inflight.push(o)
 	}
-	s.srtt = d.Dur()
-	s.rttvar = d.Dur()
-	s.lastProg = d.Dur()
-	s.backoff = d.Int()
-	s.stopped = d.Bool()
-	s.started = d.Bool()
+	srtt := d.Dur()
+	rttvar := d.Dur()
+	lastProg := d.Dur()
+	backoff := d.Int()
+	stopped := d.Bool()
+	started := d.Bool()
+	if d.Err() != nil {
+		return
+	}
+	s.nextSeq, s.inflight = nextSeq, inflight
+	s.srtt, s.rttvar, s.lastProg, s.backoff = srtt, rttvar, lastProg, backoff
+	s.stopped, s.started = stopped, started
 	s.metrics.Restore(d)
 	cs.Restore(d)
 	if d.Err() != nil {

@@ -156,3 +156,52 @@ func TestEveryStopFromCallback(t *testing.T) {
 		t.Errorf("ticks = %d, want 2 (stop from callback must halt rescheduling)", ticks)
 	}
 }
+
+// TestFixedDelayHopZeroAllocs pins the lane path: once its ring is warm a
+// fixed-delay packet hop — schedule, pop, deliver, recycle — allocates
+// nothing, whatever the standing depth of the lane.
+func TestFixedDelayHopZeroAllocs(t *testing.T) {
+	s := NewSim()
+	free := ReceiverFunc(func(p *Packet) { s.FreePacket(p) })
+	const hop = 10 * time.Millisecond
+	hopOnce := func() {
+		s.SchedulePacketAfter(hop, free, s.NewPacket(0, 0, 1400, s.Now(), 0))
+		s.Run(s.Now() + time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		hopOnce() // warm: the lane settles at a depth of ten
+	}
+	if allocs := testing.AllocsPerRun(1000, hopOnce); allocs != 0 {
+		t.Errorf("steady-state fixed-delay hop: %v allocs/run, want 0", allocs)
+	}
+	if len(s.events) != 0 {
+		t.Errorf("fixed-delay hops left %d events on the heap; the lane should carry them", len(s.events))
+	}
+}
+
+// TestSourceAckZeroAllocs pins the ack path at a window of 4096: the head
+// pop, the controller callback, the loss scan and the packet that refills the
+// window touch no allocator.
+func TestSourceAckZeroAllocs(t *testing.T) {
+	sim := NewSim()
+	link := &sinkholeLink{sim: sim}
+	src := &Source{sim: sim, ctrl: &fixedWindow{w: 4096}, link: link, mtu: 1400, metrics: NewFlowMetrics(0), started: true}
+	src.trySend()
+	next := int64(0)
+	ackOnce := func() {
+		link.sent = link.sent[:0]
+		sim.Run(sim.Now() + 100*time.Microsecond)
+		p := Packet{Seq: next, Bytes: 1400}
+		next++
+		src.onAck(&p)
+	}
+	for i := 0; i < 8192; i++ {
+		ackOnce() // warm: twice round the ring
+	}
+	if allocs := testing.AllocsPerRun(1000, ackOnce); allocs != 0 {
+		t.Errorf("ack at window 4096: %v allocs/run, want 0", allocs)
+	}
+	if src.inflight.n != 4096 || src.metrics.LossDetected != 0 {
+		t.Fatalf("window not held: %d in flight, %d losses", src.inflight.n, src.metrics.LossDetected)
+	}
+}

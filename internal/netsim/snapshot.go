@@ -214,6 +214,7 @@ func (s *Sim) RestoreState(d *snap.Decoder) {
 		s.events[i] = event{}
 	}
 	s.events = s.events[:0]
+	s.lanes, s.nlanes, s.minLane = [maxLanes]lane{}, 0, nil
 	s.outbox = s.outbox[:0]
 }
 
@@ -224,54 +225,73 @@ const (
 	snapEvPacket = 2
 )
 
-// SnapshotHeap serializes every pending event. Each entry keeps its exact
-// (time, order key) pair; callbacks serialize as registry ids, packet
-// deliveries as (receiver id, packet fields). An event whose callback or
-// receiver was never registered fails the snapshot with a named error — a
-// checkpoint either captures everything or nothing.
+// SnapshotHeap serializes every pending event as one list: the heap array,
+// then each lane from head to tail. Each entry keeps its exact (time, order
+// key) pair; callbacks serialize as registry ids, packet deliveries as
+// (receiver id, packet fields). An event whose callback or receiver was never
+// registered fails the snapshot with a named error — a checkpoint either
+// captures everything or nothing.
 func (s *Sim) SnapshotHeap(e *snap.Encoder) {
 	e.Tag("heap")
-	e.U32(uint32(len(s.events)))
+	e.U32(uint32(s.Pending()))
 	for i := range s.events {
-		ev := &s.events[i]
-		e.Dur(ev.at)
-		e.U64(ev.seq)
-		switch {
-		case ev.t != nil:
-			e.U8(snapEvTimer)
-			if ev.t.id == 0 {
-				e.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
+		if !s.snapshotEvent(e, &s.events[i]) {
+			return
+		}
+	}
+	for i := 0; i < s.nlanes; i++ {
+		l := &s.lanes[i]
+		for j := 0; j < l.n; j++ {
+			if !s.snapshotEvent(e, &l.buf[(l.head+j)&(len(l.buf)-1)]) {
 				return
 			}
-			e.I64(ev.t.id)
-		case ev.r != nil:
-			e.U8(snapEvPacket)
-			if !reflect.TypeOf(ev.r).Comparable() {
-				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
-				return
-			}
-			id, ok := s.reg.recvIDs[ev.r]
-			if !ok {
-				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
-				return
-			}
-			e.I64(id)
-			SnapshotPacket(e, ev.p)
-		default:
-			e.U8(snapEvFunc)
-			if ev.fid == 0 {
-				e.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
-				return
-			}
-			e.I64(ev.fid)
 		}
 	}
 }
 
-// RestoreHeap pushes the snapshot's events into the (cleared) heap,
+// snapshotEvent writes one pending event, reporting false after failing the
+// encoder on an event that cannot be serialized.
+func (s *Sim) snapshotEvent(e *snap.Encoder, ev *event) bool {
+	e.Dur(ev.at)
+	e.U64(ev.seq)
+	switch {
+	case ev.t != nil:
+		e.U8(snapEvTimer)
+		if ev.t.id == 0 {
+			e.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
+			return false
+		}
+		e.I64(ev.t.id)
+	case ev.r != nil:
+		e.U8(snapEvPacket)
+		if !reflect.TypeOf(ev.r).Comparable() {
+			e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
+			return false
+		}
+		id, ok := s.reg.recvIDs[ev.r]
+		if !ok {
+			e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
+			return false
+		}
+		e.I64(id)
+		SnapshotPacket(e, ev.p)
+	default:
+		e.U8(snapEvFunc)
+		if ev.fid == 0 {
+			e.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
+			return false
+		}
+		e.I64(ev.fid)
+	}
+	return true
+}
+
+// RestoreHeap pushes the snapshot's events into the (cleared) pending set,
 // resolving every id against the registry the rebuild and the component
-// restores populated. Pushing re-sifts, but since (time, key) is a strict
-// total order the pop sequence is independent of heap layout.
+// restores populated. Timer ticks rejoin the lane for their interval where
+// that keeps it sorted; everything else goes to the heap, whose pushes
+// re-sift. Since (time, key) is a strict total order the pop sequence is
+// independent of where an event sits.
 func (s *Sim) RestoreHeap(d *snap.Decoder) {
 	d.Expect("heap")
 	n := int(d.U32())
@@ -290,7 +310,7 @@ func (s *Sim) RestoreHeap(d *snap.Decoder) {
 				d.Fail(fmt.Errorf("netsim: heap references timer id %d, which no component restored", id))
 				return
 			}
-			s.push(event{at: at, seq: seq, t: t})
+			s.pushFixed(t.interval, event{at: at, seq: seq, t: t})
 		case snapEvPacket:
 			id := d.I64()
 			r, ok := s.reg.recvs[id]
