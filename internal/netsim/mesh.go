@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -20,12 +22,13 @@ import (
 //
 //   - RunSingle is the reference single-heap executor: one merged event
 //     order over every cell, popped strictly by (time, order key).
-//   - RunSharded is the conservative parallel executor: cells are grouped
-//     into shards, each shard executes lookahead-wide windows on its own
-//     goroutine, and cross-cell messages are exchanged at window barriers.
-//     An idle shard still advances its clock to each window edge — the
-//     null-message advance — so no shard ever stalls more than one
-//     lookahead behind its peers.
+//   - RunSharded is the conservative parallel executor: time advances in
+//     lookahead-wide windows, within a window every cell runs to the window
+//     edge independently — on whichever of the call's goroutines claims it
+//     first — and cross-cell messages are exchanged at the barrier between
+//     windows. An idle cell still advances its clock to each window edge —
+//     the null-message advance — so no cell is ever more than one lookahead
+//     behind its peers.
 //
 // The two are byte-identical, for any shard count, because of two
 // structural properties. First, every event's order key — (cell id,
@@ -43,14 +46,19 @@ type Mesh struct {
 	clock     time.Duration
 
 	// buffering is true while RunSharded windows execute: Send then appends
-	// to the source cell's outbox (owned by the executing shard goroutine)
-	// instead of pushing into the destination heap, and the coordinator
-	// drains outboxes at barriers. It is written only by the coordinating
-	// goroutine before workers start and after they join.
+	// to the source cell's outbox (owned by whichever goroutine is running
+	// that cell) instead of pushing into the destination heap, and the
+	// coordinator drains outboxes at barriers. It is written only by the
+	// coordinating goroutine before workers start and after they join.
 	buffering bool
 
 	windows        uint64 // completed sharded windows (barrier count)
 	crossDelivered uint64 // cross-cell messages delivered into a heap
+
+	// Window telemetry, see WindowStats. Deterministic, but not part of a
+	// snapshot: a resumed mesh counts from zero.
+	events     uint64 // events executed inside sharded windows
+	critEvents uint64 // Σ over windows of the busiest cell's event count
 
 	// windowHook, when non-nil, runs on the coordinating goroutine after
 	// each sharded window's barrier with that window's horizon — the
@@ -98,6 +106,16 @@ func (m *Mesh) Windows() uint64 { return m.windows }
 // CrossDelivered returns how many cross-cell messages have been delivered
 // into a destination heap so far.
 func (m *Mesh) CrossDelivered() uint64 { return m.crossDelivered }
+
+// WindowStats returns what RunSharded has executed so far: events, the
+// events run inside windows, and critEvents, the sum over windows of the
+// busiest cell's count — the events on the critical path if every cell had a
+// processor of its own. events/critEvents is therefore the parallelism the
+// topology admits at any worker count (cells cannot be split), before
+// barrier costs. Both are functions of the event order alone, identical for
+// every shard count; RunSingle has no windows and adds nothing. They are not
+// snapshotted and restart from zero on a resumed mesh.
+func (m *Mesh) WindowStats() (events, critEvents uint64) { return m.events, m.critEvents }
 
 // PendingCross returns the number of cross-cell messages sitting in
 // lookahead channels (sent but not yet delivered into a destination heap).
@@ -235,18 +253,20 @@ func (m *Mesh) RunSingle(until time.Duration) {
 	}
 }
 
-// RunSharded advances the mesh to `until` on the conservative executor with
-// the given shard count. Cells are assigned round-robin (cell i → shard
-// i%shards); each shard runs on its own goroutine. Execution proceeds in
-// lookahead-wide windows on a grid anchored at zero: within a window every
-// shard executes its cells' events strictly before the horizon, buffering
-// cross-cell sends; at the barrier the coordinator drains every channel in
-// cell-id order and all clocks advance to the horizon (the null-message
-// advance for idle shards). Events exactly at `until` run in a final
-// inclusive pass, mirroring Sim.Run's at<=until semantics.
+// RunSharded advances the mesh to `until` on the conservative executor.
+// shards is the number of goroutines that execute cells, the caller
+// included (clamped to the cell count); cells have no home among them.
+// Execution proceeds in lookahead-wide windows on a grid anchored at zero. A
+// window is a bag of independent cells: the caller resets a cursor, releases
+// the workers and claims cells beside them, and whoever claims a cell runs
+// its events strictly before the horizon, buffering cross-cell sends. Once
+// the last cell is done the caller drains every channel in cell-id order and
+// the next window opens; every clock has then reached the horizon (the
+// null-message advance for idle cells). Events exactly at `until` run in a
+// final inclusive pass, mirroring Sim.Run's at<=until semantics.
 //
 // Output is byte-identical to RunSingle for every shard count; see the type
-// comment for why.
+// comment for why. Which goroutine ran which cell never shows.
 func (m *Mesh) RunSharded(until time.Duration, shards int) {
 	if shards <= 0 {
 		panic("netsim: shard count must be positive")
@@ -255,54 +275,27 @@ func (m *Mesh) RunSharded(until time.Duration, shards int) {
 		shards = len(m.cells)
 	}
 	m.drain()
-	groups := make([][]*Sim, shards)
-	for i, c := range m.cells {
-		groups[i%shards] = append(groups[i%shards], c)
+	r := &shardRun{
+		cells:   m.cells,
+		events:  make([]uint64, len(m.cells)),
+		caller:  newParker(),
+		workers: make([]*parker, shards-1),
 	}
-
-	// Workers live for the whole call: one channel round-trip per shard per
-	// window instead of a goroutine spawn. Within a window the cells of a
-	// shard cannot interact (every cross-cell delay spans at least one
-	// window), so each cell runs to the horizon independently.
-	type winCmd struct {
-		horizon   time.Duration
-		inclusive bool
-	}
-	runGroup := func(g []*Sim, c winCmd) {
-		for _, cell := range g {
-			cell.runWindow(c.horizon, c.inclusive)
-		}
-	}
-	var starts []chan winCmd
-	var done chan struct{}
 	var wg sync.WaitGroup
-	if shards > 1 {
-		starts = make([]chan winCmd, shards)
-		done = make(chan struct{}, shards)
-		for w := range groups {
-			starts[w] = make(chan winCmd, 1)
-			wg.Add(1)
-			go func(g []*Sim, in chan winCmd) {
-				defer wg.Done()
-				for c := range in {
-					runGroup(g, c)
-					done <- struct{}{}
-				}
-			}(groups[w], starts[w])
-		}
+	for i := range r.workers {
+		p := newParker()
+		r.workers[i] = p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work(p)
+		}()
 	}
 	m.buffering = true
 	window := func(horizon time.Duration, inclusive bool) {
-		if shards == 1 {
-			runGroup(groups[0], winCmd{horizon, inclusive})
-		} else {
-			for _, ch := range starts {
-				ch <- winCmd{horizon, inclusive}
-			}
-			for range groups {
-				<-done
-			}
-		}
+		events, crit := r.window(horizon, inclusive)
+		m.events += events
+		m.critEvents += crit
 		m.drain()
 		m.windows++
 		if m.windowHook != nil {
@@ -322,18 +315,152 @@ func (m *Mesh) RunSharded(until time.Duration, shards int) {
 	// after `until`, so this pass needs no further barrier.
 	window(until, true)
 	m.buffering = false
-	if shards > 1 {
-		for _, ch := range starts {
-			close(ch)
+	r.stop()
+	wg.Wait()
+}
+
+// barrierSpin is how many times a waiter at the window barrier polls its word,
+// yielding the processor between polls, before it parks on its channel. An
+// iteration count, not a duration: the executor stays off the wall clock. A
+// yield that finds nothing else to run costs ~0.1 µs, so the budget is ~50 µs:
+// what a park and the wake-up after it cost, and about how long a worker
+// waits for its peer to finish a busy cell — the wait that made a channel
+// barrier cost as much as the work it fenced. Because every poll yields, a
+// waiter never keeps a processor from a goroutine with work to do, whether
+// workers outnumber processors or the collector wants one. Throughput is flat
+// from 2⁸ to 2¹² (DESIGN.md §12).
+const barrierSpin = 1 << 9
+
+// parker is one goroutine's seat at the window barrier. Its owner awaits a
+// change of an atomic word, polling first and parking on wake after
+// barrierSpin polls; whoever changes the word calls unpark afterwards. A
+// token is sent only by the side that flips parked from true to false and the
+// owner takes every token sent, so none is lost and at most one is in the
+// channel. A token can be late — the goroutine that closed window k may be
+// descheduled between the word and the unpark, and deliver it into the
+// owner's wait for window k+1 — so a woken owner checks the word again.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+func newParker() *parker { return &parker{wake: make(chan struct{}, 1)} }
+
+// await returns once word no longer holds old.
+func (p *parker) await(word *atomic.Uint32, old uint32) {
+	for {
+		for i := 0; i < barrierSpin; i++ {
+			if word.Load() != old {
+				return
+			}
+			runtime.Gosched()
 		}
-		wg.Wait()
+		p.parked.Store(true)
+		// The word may have changed, and unpark looked, before parked was
+		// set: re-check, and take the flag back unless unpark holds it.
+		if word.Load() != old && p.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-p.wake
 	}
 }
 
+// unpark wakes the owner if it is parked. Call it after changing the word.
+func (p *parker) unpark() {
+	if p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
+}
+
+// shardRun is the state the goroutines of one RunSharded call share. The
+// caller writes horizon and inclusive only while the cursor is exhausted, and
+// a claimer reads them only after drawing a valid index from it, so both are
+// ordered by the cursor; events[i] is ordered by left the same way.
+type shardRun struct {
+	cells     []*Sim
+	horizon   time.Duration
+	inclusive bool
+	events    []uint64 // events cell i executed in the current window
+
+	cursor  atomic.Int64  // next cell to claim
+	left    atomic.Int64  // cells of the current window not yet run to the horizon
+	opened  atomic.Uint32 // bumped when a window opens; workers await it
+	closed  atomic.Uint32 // bumped when a window's last cell is done; the caller awaits it
+	stopped atomic.Bool
+
+	caller  *parker
+	workers []*parker
+}
+
+// window runs every cell to the horizon and, once all are there, returns the
+// events they executed and the busiest cell's share of them.
+func (r *shardRun) window(horizon time.Duration, inclusive bool) (events, crit uint64) {
+	r.horizon, r.inclusive = horizon, inclusive
+	closed := r.closed.Load()
+	r.left.Store(int64(len(r.cells)))
+	r.cursor.Store(0)
+	r.release()
+	r.claim()
+	r.caller.await(&r.closed, closed)
+	for _, n := range r.events {
+		events += n
+		if n > crit {
+			crit = n
+		}
+	}
+	return events, crit
+}
+
+// release tells every worker that the cursor or the stop flag has changed.
+func (r *shardRun) release() {
+	r.opened.Add(1)
+	for _, p := range r.workers {
+		p.unpark()
+	}
+}
+
+// claim runs cells drawn from the cursor until none is left to draw. The
+// barrier counts cells, not goroutines: a worker that is scheduled late
+// finds the cursor exhausted — or, later still, the next window's cells —
+// and never holds a window open.
+func (r *shardRun) claim() {
+	for {
+		i := int(r.cursor.Add(1)) - 1
+		if i >= len(r.cells) {
+			return
+		}
+		r.events[i] = r.cells[i].runWindow(r.horizon, r.inclusive)
+		if r.left.Add(-1) == 0 {
+			r.closed.Add(1)
+			r.caller.unpark()
+		}
+	}
+}
+
+// work is a worker goroutine's life: claim whenever a window opens.
+func (r *shardRun) work(p *parker) {
+	var seen uint32
+	for {
+		p.await(&r.opened, seen)
+		seen = r.opened.Load()
+		if r.stopped.Load() {
+			return
+		}
+		r.claim()
+	}
+}
+
+// stop releases the workers for the last time.
+func (r *shardRun) stop() {
+	r.stopped.Store(true)
+	r.release()
+}
+
 // Instrument attaches passive observability: counters for delivered
-// cross-cell messages and completed windows, plus a gauge of messages
-// currently in lookahead channels. All instruments are updated by the
-// coordinating goroutine only, at barriers — never from shard workers.
+// cross-cell messages, completed windows and the WindowStats pair, plus a
+// gauge of messages currently in lookahead channels. All instruments are
+// updated by the coordinating goroutine only, at barriers — never from
+// workers.
 func (m *Mesh) Instrument(o *obs.Observer, run int64) {
 	if o == nil {
 		m.obs = nil
@@ -346,6 +473,8 @@ func (m *Mesh) Instrument(o *obs.Observer, run int64) {
 		cross:   o.Counter(label("netsim_mesh_cross_total")),
 		windows: o.Counter(label("netsim_mesh_windows_total")),
 		pending: o.Gauge(label("netsim_mesh_cross_pending")),
+		events:  o.Counter(label("netsim_mesh_events_total")),
+		crit:    o.Counter(label("netsim_mesh_window_crit_events_total")),
 	}
 }
 
@@ -354,9 +483,13 @@ type meshObs struct {
 	cross   *obs.Counter
 	windows *obs.Counter
 	pending *obs.Gauge
+	events  *obs.Counter
+	crit    *obs.Counter
 
 	lastCross   uint64
 	lastWindows uint64
+	lastEvents  uint64
+	lastCrit    uint64
 }
 
 // sync folds the mesh's monotone totals into the registry instruments.
@@ -366,6 +499,10 @@ func (mo *meshObs) sync(m *Mesh) {
 	mo.windows.Add(int64(m.windows - mo.lastWindows))
 	mo.lastWindows = m.windows
 	mo.pending.Set(float64(m.PendingCross()))
+	mo.events.Add(int64(m.events - mo.lastEvents))
+	mo.lastEvents = m.events
+	mo.crit.Add(int64(m.critEvents - mo.lastCrit))
+	mo.lastCrit = m.critEvents
 }
 
 // CellID returns this simulator's cell index within its mesh (0 when

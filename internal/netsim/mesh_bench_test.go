@@ -11,8 +11,11 @@ import (
 // train with synthetic per-event protocol work, and every fifth event sends
 // a pooled packet to the next cell over the mesh. Cross-cell traffic rides
 // SendPacket — receiver + pooled packet, no closures — so the steady state
-// exercises the PR 7 zero-alloc path end to end.
-func runMeshWorkload(b *testing.B, shards, work int) {
+// exercises the PR 7 zero-alloc path end to end. With phased set, cell c does
+// its per-event work only in windows w with w%4 == c%4, so cells {0,4},
+// {1,5}, {2,6} and {3,7} are busy in turn — the shape of a metro sweep, whose
+// controllers tick at a phase set by the sector number (DESIGN.md §12).
+func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 	const (
 		cells     = 8
 		lookahead = time.Millisecond
@@ -46,8 +49,10 @@ func runMeshWorkload(b *testing.B, shards, work int) {
 				// congestion-control arithmetic, so the benchmark measures
 				// more than bare heap churn.
 				x := float64(counts[c])
-				for k := 0; k < work; k++ {
-					x = x*1.0000001 + float64(k)
+				if !phased || int(sim.Now()/lookahead)%4 == c%4 {
+					for k := 0; k < work; k++ {
+						x = x*1.0000001 + float64(k)
+					}
 				}
 				if c == 0 {
 					sink += x // defeat dead-code elimination (single writer: cell 0)
@@ -80,19 +85,22 @@ func runMeshWorkload(b *testing.B, shards, work int) {
 // is barrier-dominated — windowed execution beats the single-heap scan but
 // extra workers do not pay; the "heavy" variant (2048 flops/event, the order
 // of a real Verus profile lookup + window computation) is where shard
-// parallelism shows through. The single-heap reference is the scaling
-// baseline; BENCH_pr6.json records the pre-pool trajectory and
+// parallelism shows through; the "phased" variant is heavy in two cells per
+// window, four windows to the round, which is what a placement of cells on
+// workers can get wrong and claiming cannot. The single-heap reference is the
+// scaling baseline; BENCH_pr6.json records the pre-pool trajectory and
 // BENCH_pr7.json the pooled one.
 func BenchmarkMeshSharded(b *testing.B) {
 	for _, w := range []struct {
-		name string
-		work int
-	}{{"light", 32}, {"heavy", 2048}} {
+		name   string
+		work   int
+		phased bool
+	}{{"light", 32, false}, {"heavy", 2048, false}, {"phased", 2048, true}} {
 		w := w
-		b.Run(w.name+"/single-heap", func(b *testing.B) { runMeshWorkload(b, 0, w.work) })
+		b.Run(w.name+"/single-heap", func(b *testing.B) { runMeshWorkload(b, 0, w.work, w.phased) })
 		for _, shards := range []int{1, 2, 4, 8} {
 			shards := shards
-			b.Run(fmt.Sprintf("%s/shards-%d", w.name, shards), func(b *testing.B) { runMeshWorkload(b, shards, w.work) })
+			b.Run(fmt.Sprintf("%s/shards-%d", w.name, shards), func(b *testing.B) { runMeshWorkload(b, shards, w.work, w.phased) })
 		}
 	}
 }
@@ -114,7 +122,7 @@ func TestMeshShardedAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-diff gate skipped in -short")
 	}
-	res := testing.Benchmark(func(b *testing.B) { runMeshWorkload(b, 0, 2048) })
+	res := testing.Benchmark(func(b *testing.B) { runMeshWorkload(b, 0, 2048, false) })
 	if a := res.AllocsPerOp(); a > meshAllocCeiling {
 		t.Fatalf("BenchmarkMeshSharded heavy/single-heap allocates %d/op, above the pinned ceiling %d (pre-pool baseline ~3300)", a, meshAllocCeiling)
 	}

@@ -3,9 +3,12 @@ package netsim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The mesh equivalence contract: for any topology and any workload, RunSingle
@@ -356,6 +359,115 @@ func TestMeshWatchdog(t *testing.T) {
 	}
 	if m.Now() != until {
 		t.Errorf("mesh clock %v after run, want %v", m.Now(), until)
+	}
+}
+
+// TestRunShardedOversubscribed is the liveness check for the spin-then-park
+// barrier when goroutines outnumber processors: 8 cells at shards=8 on one
+// and on two Ps, advanced in short segments as a checkpointing sweep does.
+// A waiter that only spun would hold the one P its peers need; the run must
+// finish inside the watchdog budget, execute what the single heap executes,
+// and every call must join its workers before it returns.
+func TestRunShardedOversubscribed(t *testing.T) {
+	const lookahead = time.Millisecond
+	const segment = 25 * time.Millisecond
+	const segments = 20
+	build := func() (*Mesh, []int) {
+		m := NewMesh(8, lookahead)
+		fired := make([]int, m.Cells())
+		for i := 0; i < m.Cells(); i++ {
+			cell := i
+			m.Cell(cell).Every(time.Duration(100+10*cell)*time.Microsecond, func() {
+				fired[cell]++
+				if fired[cell]%7 == 0 {
+					dst := (cell + 1) % m.Cells()
+					m.Send(cell, dst, lookahead, func() { fired[dst]++ })
+				}
+			})
+		}
+		return m, fired
+	}
+	ref, want := build()
+	ref.RunSingle(segments * segment)
+
+	for _, procs := range []int{1, 2} {
+		procs := procs
+		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m, fired := build()
+			before := runtime.NumGoroutine()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for seg := 1; seg <= segments; seg++ {
+					m.RunSharded(time.Duration(seg)*segment, 8)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Minute):
+				t.Fatal("RunSharded did not complete: the barrier spins where it should park")
+			}
+			if !reflect.DeepEqual(fired, want) {
+				t.Errorf("event counts %v, single heap ran %v", fired, want)
+			}
+			// wg.Wait returns as each worker's deferred Done runs, a few
+			// instructions before the goroutine is gone: allow it those.
+			for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after the run, %d before it: workers outlive RunSharded", n, before)
+			}
+		})
+	}
+}
+
+// TestMeshWindowStats pins the window telemetry as a function of the event
+// order alone: the storm workload executes one event per log line, so events
+// is the log length, critEvents lies between events/cells and events, and
+// the pair — and the two counters that export it — is the same at 1, 2 and
+// 8 workers.
+func TestMeshWindowStats(t *testing.T) {
+	var c meshCase
+	for _, mc := range meshCases() {
+		if mc.name == "storm" {
+			c = mc
+		}
+	}
+	type pair struct{ events, crit uint64 }
+	var want pair
+	for _, shards := range []int{1, 2, 8} {
+		reg := obs.NewRegistry()
+		var got pair
+		res := runMeshCase(c, func(m *Mesh) {
+			m.Instrument(obs.NewObserver(nil, reg), 7)
+			m.RunSharded(c.until/2, shards)
+			m.RunSharded(c.until, shards)
+			got.events, got.crit = m.WindowStats()
+		})
+		var logged uint64
+		for _, l := range res.logs {
+			logged += uint64(len(l))
+		}
+		if got.events != logged {
+			t.Errorf("shards %d: %d events counted, %d logged", shards, got.events, logged)
+		}
+		if got.crit > got.events || got.crit*uint64(c.cells) < got.events {
+			t.Errorf("shards %d: critEvents %d outside [events/cells, events] for %d events on %d cells", shards, got.crit, got.events, c.cells)
+		}
+		if shards == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("shards %d: window stats %+v, %+v at one shard", shards, got, want)
+		}
+		exported := pair{
+			uint64(reg.Counter(obs.Labeled("netsim_mesh_events_total", "run", "7")).Value()),
+			uint64(reg.Counter(obs.Labeled("netsim_mesh_window_crit_events_total", "run", "7")).Value()),
+		}
+		if exported != got {
+			t.Errorf("shards %d: counters export %+v, WindowStats %+v", shards, exported, got)
+		}
 	}
 }
 

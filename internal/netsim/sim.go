@@ -480,14 +480,17 @@ func (s *Sim) headKey() (time.Duration, uint64) {
 // runWindow executes every pending event strictly before horizon (or at/
 // below it when inclusive) and then advances the clock to the horizon — the
 // null-message advance: even an idle cell's clock reaches the window edge,
-// which is what tells its peers they may proceed past it.
-func (s *Sim) runWindow(horizon time.Duration, inclusive bool) {
+// which is what tells its peers they may proceed past it. It returns the
+// number of events executed.
+func (s *Sim) runWindow(horizon time.Duration, inclusive bool) (events uint64) {
 	for s.headBefore(horizon, inclusive) {
 		s.step()
+		events++
 	}
 	if horizon > s.now {
 		s.now = horizon
 	}
+	return events
 }
 
 // Pending returns the number of queued events (useful in tests).
