@@ -8,8 +8,9 @@ import (
 )
 
 // Snapshot implements snap.Snapshotter: the belief distribution and the
-// tick-accumulator state. Derived quantities (lambdaStep, the diffusion
-// kernel, the scratch buffers) are functions of the config and are rebuilt.
+// tick-accumulator state. Derived quantities (the config's tables, the scratch
+// buffers, the look-ahead) are functions of the config and the belief and are
+// rebuilt.
 func (s *Sprout) Snapshot(e *snap.Encoder) {
 	e.Tag("sprout")
 	e.F64s(s.belief)
@@ -24,9 +25,9 @@ func (s *Sprout) Snapshot(e *snap.Encoder) {
 
 // Restore implements snap.Snapshotter, cross-checking the belief resolution
 // against the rebuilt configuration. It fails closed: a belief that is not a
-// probability distribution, or a window below the probing minimum, is a state
-// no run of this controller can reach, and is rejected before any field is
-// overwritten.
+// probability distribution, a window below the probing minimum, a negative
+// count or duration, or an RTT sum over no samples is a state no run of this
+// controller can reach, and is rejected before any field is overwritten.
 func (s *Sprout) Restore(d *snap.Decoder) {
 	d.Expect("sprout")
 	belief := d.F64s()
@@ -60,7 +61,20 @@ func (s *Sprout) Restore(d *snap.Decoder) {
 		d.Fail(fmt.Errorf("sprout: snapshot window %d is below the probing minimum 1", window))
 		return
 	}
+	if arrivals < 0 || rttCntTick < 0 || ticks < 0 {
+		d.Fail(fmt.Errorf("sprout: snapshot counts arrivals %d, rtt samples %d, ticks %d; none may be negative", arrivals, rttCntTick, ticks))
+		return
+	}
+	if rttMin < 0 || rttSumTick < 0 || srtt < 0 {
+		d.Fail(fmt.Errorf("sprout: snapshot durations rttMin %v, rttSumTick %v, srtt %v; none may be negative", rttMin, rttSumTick, srtt))
+		return
+	}
+	if rttCntTick == 0 && rttSumTick != 0 {
+		d.Fail(fmt.Errorf("sprout: snapshot sums %v of RTT over no samples", rttSumTick))
+		return
+	}
 	copy(s.belief, belief)
+	s.aheadOK = false
 	s.arrivals = arrivals
 	s.window = window
 	s.rttMin = rttMin

@@ -22,6 +22,7 @@ package sprout
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cc"
@@ -95,16 +96,11 @@ func (e configError) Error() string { return "sprout: " + string(e) }
 
 func errf(s string) error { return configError(s) }
 
-// Sprout is the controller state. It implements cc.Controller.
-type Sprout struct {
+// tables is everything a controller derives from its Config alone. It is built
+// once per distinct Config and shared, read-only, by every controller New
+// hands out for it.
+type tables struct {
 	cfg Config
-
-	// belief[i] is the probability that the link delivers lambda(i)
-	// packets per tick.
-	belief []float64
-	// next is diffuse's output buffer and dist the distribution forecast
-	// evolves; both are scratch, rebuilt from nothing on every use.
-	next, dist []float64
 	// lambdaStep is packets-per-tick per bin.
 	lambdaStep float64
 	// kern[k] is the weight one tick of Brownian motion gives a move of ±k
@@ -113,6 +109,78 @@ type Sprout struct {
 	// lands i or more bins to one side — what a bin i away from a boundary
 	// piles onto that boundary.
 	kern, tail []float64
+	// expNeg[i] = exp(-λ(i)) and logLam[i] = log λ(i), observe's per-bin
+	// constants.
+	expNeg, logLam []float64
+}
+
+// lastTables remembers the tables of the Config New saw last. A sweep builds
+// all its controllers from one Config, concurrently across trials; a miss
+// only costs a rebuild.
+var lastTables atomic.Pointer[tables]
+
+func tablesFor(cfg Config) *tables {
+	if t := lastTables.Load(); t != nil && t.cfg == cfg {
+		return t
+	}
+	maxPktPerTick := cfg.MaxRateMbps * 1e6 / 8 / float64(cfg.PacketBytes) * cfg.Tick.Seconds()
+	t := &tables{
+		cfg:        cfg,
+		lambdaStep: maxPktPerTick / float64(cfg.Bins-1),
+		expNeg:     make([]float64, cfg.Bins),
+		logLam:     make([]float64, cfg.Bins),
+	}
+	for i := range t.expNeg {
+		lam := float64(i) * t.lambdaStep
+		t.expNeg[i], t.logLam[i] = math.Exp(-lam), math.Log(lam)
+	}
+	sigmaPkts := cfg.SigmaMbpsPerSqrtSec * 1e6 / 8 / float64(cfg.PacketBytes) *
+		cfg.Tick.Seconds() * math.Sqrt(cfg.Tick.Seconds())
+	// Per-tick diffusion stddev in bins.
+	sigmaBins := sigmaPkts / t.lambdaStep
+	if sigmaBins < 0.5 {
+		sigmaBins = 0.5
+	}
+	radius := int(3*sigmaBins) + 1
+	t.kern = make([]float64, radius+1)
+	t.tail = make([]float64, radius+1)
+	ksum := -1.0 // the centre tap, exp(0), is counted once, not twice
+	for k := range t.kern {
+		t.kern[k] = math.Exp(-float64(k*k) / (2 * sigmaBins * sigmaBins))
+		ksum += 2 * t.kern[k]
+	}
+	var tail float64
+	for k := radius; k >= 0; k-- {
+		t.kern[k] /= ksum
+		tail += t.kern[k]
+		t.tail[k] = tail
+	}
+	lastTables.Store(t)
+	return t
+}
+
+// Sprout is the controller state. It implements cc.Controller.
+type Sprout struct {
+	*tables
+
+	// belief[i] is the probability that the link delivers lambda(i)
+	// packets per tick.
+	belief []float64
+	// next is diffuse's output buffer, rebuilt from nothing on every use.
+	next []float64
+	// ahead is the belief diffused one tick on: the first level of the
+	// forecast and, while aheadOK, exactly what the next Tick's diffusion
+	// of belief would produce, so that Tick swaps it in instead. Nothing but
+	// OnTimeout and Restore touches belief between ticks; both clear aheadOK.
+	ahead   []float64
+	aheadOK bool
+	// hint is the percentile bin of the deepest forecast level last tick,
+	// where this tick's prefixes start from. It only decides how much is
+	// computed up front, never a value.
+	hint int
+	// spill is forecast's scratch for a Config whose deeper levels do not
+	// fit its stack buffer; nil until such a controller first ticks.
+	spill *levels
 
 	arrivals int // acks observed in the current tick
 	window   int // cautious cumulative forecast, in packets
@@ -136,34 +204,11 @@ func New(cfg Config) *Sprout {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	maxPktPerTick := cfg.MaxRateMbps * 1e6 / 8 / float64(cfg.PacketBytes) * cfg.Tick.Seconds()
 	s := &Sprout{
-		cfg:        cfg,
-		belief:     make([]float64, cfg.Bins),
-		next:       make([]float64, cfg.Bins),
-		dist:       make([]float64, cfg.Bins),
-		lambdaStep: maxPktPerTick / float64(cfg.Bins-1),
-	}
-	sigmaPkts := cfg.SigmaMbpsPerSqrtSec * 1e6 / 8 / float64(cfg.PacketBytes) *
-		cfg.Tick.Seconds() * math.Sqrt(cfg.Tick.Seconds())
-	// Per-tick diffusion stddev in bins.
-	sigmaBins := sigmaPkts / s.lambdaStep
-	if sigmaBins < 0.5 {
-		sigmaBins = 0.5
-	}
-	radius := int(3*sigmaBins) + 1
-	s.kern = make([]float64, radius+1)
-	s.tail = make([]float64, radius+1)
-	ksum := -1.0 // the centre tap, exp(0), is counted once, not twice
-	for k := range s.kern {
-		s.kern[k] = math.Exp(-float64(k*k) / (2 * sigmaBins * sigmaBins))
-		ksum += 2 * s.kern[k]
-	}
-	var tail float64
-	for k := radius; k >= 0; k-- {
-		s.kern[k] /= ksum
-		tail += s.kern[k]
-		s.tail[k] = tail
+		tables: tablesFor(cfg),
+		belief: make([]float64, cfg.Bins),
+		next:   make([]float64, cfg.Bins),
+		ahead:  make([]float64, cfg.Bins),
 	}
 	s.resetBelief()
 	// A modest initial window lets the first ticks gather observations.
@@ -176,6 +221,7 @@ func (s *Sprout) resetBelief() {
 	for i := range s.belief {
 		s.belief[i] = u
 	}
+	s.aheadOK = false
 }
 
 // lambda returns the packets-per-tick value of bin i.
@@ -232,7 +278,11 @@ func (s *Sprout) OnTimeout(time.Duration) {
 // Tick implements cc.Controller: evolve, observe, forecast.
 func (s *Sprout) Tick(now time.Duration) {
 	s.ticks++
-	s.diffuse(s.belief)
+	if s.aheadOK {
+		s.belief, s.ahead = s.ahead, s.belief
+	} else {
+		s.diffuse(s.belief)
+	}
 	s.observe(s.arrivals, s.saturatedTick())
 	s.arrivals = 0
 	s.rttSumTick, s.rttCntTick = 0, 0
@@ -321,6 +371,87 @@ func (s *Sprout) diffuse(d []float64) {
 	}
 }
 
+// diffusePrefix writes bins from…to of diffuse(d) into out without touching
+// d, which must hold bins 0…min(to+r, len(d)-1). Each bin sums its taps in
+// diffuse's order; the one difference is the escape mix, which takes the
+// stencil's total as the 1 it conserves instead of adding up bins that were
+// never computed, so a bin is within a few ulp of diffuse's.
+func (s *Sprout) diffusePrefix(out, d []float64, from, to int) {
+	n, r := len(d), len(s.kern)-1
+	kern := s.kern
+	esc := s.cfg.EscapeProb
+	keep, u := 1-esc, esc/float64(n)
+
+	j := from
+	if j == 0 {
+		var lo float64
+		for i := 0; i <= r && i < n; i++ {
+			lo += s.tail[i] * d[i]
+		}
+		out[0] = lo*keep + u
+		j = 1
+	}
+	// Bins nearer than radius to the low end, or below the middle of a d
+	// narrower than the kernel.
+	for ; j <= to && j < r && j <= n-1-j; j++ {
+		a := kern[0] * d[j]
+		for k := 1; k <= j; k++ {
+			a += kern[k] * d[j-k]
+		}
+		var ai float64
+		for k := min(r, n-1-j); k >= 1; k-- {
+			ai += kern[k] * d[j+k]
+		}
+		out[j] = (a+ai)*keep + u
+	}
+	// Bins with the full stencil, eight at a time and then singly.
+	for ; j+7 <= to && j+r+7 < n; j += 8 {
+		c := d[j : j+8]
+		a0, a1, a2, a3 := kern[0]*c[0], kern[0]*c[1], kern[0]*c[2], kern[0]*c[3]
+		a4, a5, a6, a7 := kern[0]*c[4], kern[0]*c[5], kern[0]*c[6], kern[0]*c[7]
+		for k := 1; k <= r; k++ {
+			w, below, above := kern[k], d[j-k:j-k+8], d[j+k:j+k+8]
+			a0 += w * (below[0] + above[0])
+			a1 += w * (below[1] + above[1])
+			a2 += w * (below[2] + above[2])
+			a3 += w * (below[3] + above[3])
+			a4 += w * (below[4] + above[4])
+			a5 += w * (below[5] + above[5])
+			a6 += w * (below[6] + above[6])
+			a7 += w * (below[7] + above[7])
+		}
+		o := out[j : j+8]
+		o[0], o[1], o[2], o[3] = a0*keep+u, a1*keep+u, a2*keep+u, a3*keep+u
+		o[4], o[5], o[6], o[7] = a4*keep+u, a5*keep+u, a6*keep+u, a7*keep+u
+	}
+	for ; j <= to && j+r < n; j++ {
+		a := kern[0] * d[j]
+		for k := 1; k <= r; k++ {
+			a += kern[k] * (d[j-k] + d[j+k])
+		}
+		out[j] = a*keep + u
+	}
+	// Bins nearer than radius to the high end, mirror images of the low ones.
+	for ; j <= to && j < n-1; j++ {
+		b := kern[0] * d[j]
+		for k := 1; k <= n-1-j; k++ {
+			b += kern[k] * d[j+k]
+		}
+		var bi float64
+		for k := min(r, j); k >= 1; k-- {
+			bi += kern[k] * d[j-k]
+		}
+		out[j] = (b+bi)*keep + u
+	}
+	if j <= to {
+		var hi float64
+		for i := 0; i <= r && i < n; i++ {
+			hi += s.tail[i] * d[n-1-i]
+		}
+		out[n-1] = hi*keep + u
+	}
+}
+
 // observe folds the tick's arrival count into the belief. When the link was
 // saturated, k arrivals is an exact Poisson observation of λ. Otherwise the
 // observation is censored: the link delivered everything offered, so k only
@@ -329,7 +460,8 @@ func (s *Sprout) diffuse(d []float64) {
 // evidence of a slow link and the forecast could never grow.
 func (s *Sprout) observe(k int, saturated bool) {
 	var total float64
-	if saturated {
+	switch {
+	case saturated:
 		lgk, _ := math.Lgamma(float64(k) + 1)
 		for i := range s.belief {
 			lam := s.lambda(i)
@@ -341,15 +473,19 @@ func (s *Sprout) observe(k int, saturated bool) {
 					like = 1e-12
 				}
 			} else {
-				like = math.Exp(float64(k)*math.Log(lam) - lam - lgk)
+				like = math.Exp(float64(k)*s.logLam[i] - lam - lgk)
 			}
 			s.belief[i] *= like
 			total += s.belief[i]
 		}
-	} else {
+	case k <= 0:
+		// Every rate survives zero arrivals with probability exactly 1.
+		for _, p := range s.belief {
+			total += p
+		}
+	default:
 		for i := range s.belief {
-			like := poissonSurvival(s.lambda(i), k)
-			s.belief[i] *= like
+			s.belief[i] *= s.survival(i, k)
 			total += s.belief[i]
 		}
 	}
@@ -357,21 +493,22 @@ func (s *Sprout) observe(k int, saturated bool) {
 		s.resetBelief()
 		return
 	}
+	if total == 1 {
+		return
+	}
 	for i := range s.belief {
 		s.belief[i] /= total
 	}
 }
 
-// poissonSurvival returns P(Poisson(lam) >= k).
-func poissonSurvival(lam float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
+// survival returns P(Poisson(λ(i)) >= k) for k ≥ 1.
+func (s *Sprout) survival(i, k int) float64 {
+	lam := s.lambda(i)
 	if lam <= 0 {
 		return 1e-12
 	}
 	// 1 - CDF(k-1), computed with an iterative pmf.
-	pmf := math.Exp(-lam)
+	pmf := s.expNeg[i]
 	cdf := pmf
 	for j := 1; j < k; j++ {
 		pmf *= lam / float64(j)
@@ -384,6 +521,19 @@ func poissonSurvival(lam float64, k int) float64 {
 	return surv
 }
 
+// levels is forecast's scratch: the forecast distributions two and more ticks
+// ahead, each computed from bin 0 only as far up as it has been read.
+type levels struct {
+	buf  []float64 // level h ≥ 2 is buf[(h-2)*Bins:][:Bins]
+	have []int     // have[h-2] is how many bins of level h are computed
+}
+
+func (lv *levels) level(h, n int) []float64 { return lv.buf[(h-2)*n:][:n] }
+
+// stackLevelFloats sizes the buffer forecast keeps on its stack: enough for
+// the default config's four deeper levels of 128 bins.
+const stackLevelFloats = 512
+
 // forecast returns the cautious cumulative delivery forecast. The in-flight
 // budget covers one RTT's worth of cautious deliveries (the amount the pipe
 // holds), bounded above by the delay-control horizon: Sprout's contract is
@@ -391,6 +541,10 @@ func poissonSurvival(lam float64, k int) float64 {
 // probability, so at short RTTs the window must not grow past what one RTT
 // clears — otherwise the sender's rate (window/RTT) would blow through the
 // modeled rate cap.
+//
+// The forecast reads each level only up to its percentile bin. The first
+// level is diffused whole into ahead, because it is also the next tick's
+// belief; the deeper ones exist only as the prefixes extend computes.
 func (s *Sprout) forecast() int {
 	// Effective horizon in (possibly fractional) ticks: one RTT's worth of
 	// deliveries, never more than the delay-control horizon.
@@ -400,12 +554,46 @@ func (s *Sprout) forecast() int {
 			eff = rttTicks
 		}
 	}
-	dist := s.dist
-	copy(dist, s.belief)
+	copy(s.ahead, s.belief)
+	s.diffuse(s.ahead)
+	s.aheadOK = true
+
+	n := len(s.belief)
+	var buf [stackLevelFloats]float64
+	var have [stackLevelFloats / 8]int // Validate: Bins ≥ 8
+	lv := levels{buf[:], have[:]}
+	if need := (s.cfg.HorizonTicks - 1) * n; need > len(buf) && s.spill == nil {
+		s.spill = &levels{make([]float64, need), make([]int, s.cfg.HorizonTicks-1)}
+	}
+	if s.spill != nil {
+		lv = *s.spill
+		clear(lv.have)
+	}
+	if top := int(math.Ceil(eff)); top >= 2 {
+		s.extend(&lv, top, s.hint)
+	}
+
+	target := s.cfg.Percentile / 100
 	var cum float64
-	for h := 0; eff > 0; h++ {
-		s.diffuse(dist)
-		p := s.percentileLambda(dist, s.cfg.Percentile)
+	for h := 1; eff > 0; h++ {
+		d, have := s.ahead, n
+		if h > 1 {
+			d, have = lv.level(h, n), lv.have[h-2]
+		}
+		// i is the first bin at which level h's running sum reaches target.
+		var acc float64
+		i := 0
+		for ; i < n-1; i++ {
+			if i >= have {
+				s.extend(&lv, h, i)
+				have = lv.have[h-2]
+			}
+			if acc += d[i]; acc >= target {
+				break
+			}
+		}
+		s.hint = i
+		p := s.lambda(i)
 		if eff >= 1 {
 			cum += p
 			eff--
@@ -421,17 +609,28 @@ func (s *Sprout) forecast() int {
 	return w
 }
 
-// percentileLambda returns the p-th percentile of λ under dist.
-func (s *Sprout) percentileLambda(dist []float64, p float64) float64 {
-	target := p / 100
-	var acc float64
-	for i, q := range dist {
-		acc += q
-		if acc >= target {
-			return s.lambda(i)
+// extend computes level h through bin m at least, and first as much of the
+// levels below it as that takes: one diffusion reaches radius bins up.
+func (s *Sprout) extend(lv *levels, h, m int) {
+	n, r := len(s.belief), len(s.kern)-1
+	from := lv.have[h-2]
+	if m < from {
+		return
+	}
+	// Full-stencil bins come eight at a time from bin r on, as in diffuse:
+	// finish the block m falls in.
+	if m >= r {
+		if end := r + (m-r)&^7 + 7; end+r < n {
+			m = end
 		}
 	}
-	return s.lambda(len(dist) - 1)
+	d := s.ahead
+	if h > 2 {
+		s.extend(lv, h-1, min(m+r, n-1))
+		d = lv.level(h-1, n)
+	}
+	s.diffusePrefix(lv.level(h, n), d, from, m)
+	lv.have[h-2] = m + 1
 }
 
 // Allowance implements cc.Controller.

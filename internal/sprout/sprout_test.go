@@ -1,9 +1,12 @@
 package sprout
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -379,20 +382,20 @@ func TestTickAndOnAckZeroAllocs(t *testing.T) {
 }
 
 // TestRestoreRejectsHostileSnapshot: a snapshot whose belief is not a
-// probability distribution, or whose window is below 1, must fail the
-// decoder and leave the controller as it was.
+// probability distribution, whose window is below 1, or whose accumulators
+// hold values no run reaches, must fail the decoder and leave the controller
+// as it was.
 func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	donor := New(DefaultConfig())
 	for tick := 0; tick < 20; tick++ {
 		saturatedAcks(donor, 7)
 		donor.Tick(0)
 	}
-	encode := func(mutate func(belief []float64, window *int)) *snap.Decoder {
-		belief := append([]float64(nil), donor.belief...)
-		window := donor.window
-		mutate(belief, &window)
+	saturatedAcks(donor, 3) // a tick in progress: every accumulator is nonzero
+	encode := func(mutate func(src *Sprout)) *snap.Decoder {
 		src := *donor
-		src.belief, src.window = belief, window
+		src.belief = append([]float64(nil), donor.belief...)
+		mutate(&src)
 		e := snap.NewEncoder()
 		src.Snapshot(e)
 		data, err := e.Encode(snap.Version)
@@ -407,32 +410,41 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	}
 
 	s := New(DefaultConfig())
-	d := encode(func([]float64, *int) {})
+	d := encode(func(*Sprout) {})
 	s.Restore(d)
 	if err := d.Done(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-	if s.window != donor.window || s.belief[10] != donor.belief[10] {
+	if s.window != donor.window || s.belief[10] != donor.belief[10] || s.rttSumTick != donor.rttSumTick {
 		t.Fatalf("valid snapshot not applied")
 	}
 
-	hostile := map[string]func(belief []float64, window *int){
-		"NaN bin":      func(b []float64, _ *int) { b[3] = math.NaN() },
-		"+Inf bin":     func(b []float64, _ *int) { b[3] = math.Inf(1) },
-		"-Inf bin":     func(b []float64, _ *int) { b[3] = math.Inf(-1) },
-		"negative bin": func(b []float64, _ *int) { b[3], b[4] = -0.25, b[4]+b[3]+0.25 },
-		"sums to 2": func(b []float64, _ *int) {
-			for i := range b {
-				b[i] *= 2
+	hostile := map[string]func(src *Sprout){
+		"NaN bin":      func(s *Sprout) { s.belief[3] = math.NaN() },
+		"+Inf bin":     func(s *Sprout) { s.belief[3] = math.Inf(1) },
+		"-Inf bin":     func(s *Sprout) { s.belief[3] = math.Inf(-1) },
+		"negative bin": func(s *Sprout) { s.belief[3], s.belief[4] = -0.25, s.belief[4]+s.belief[3]+0.25 },
+		"sums to 2": func(s *Sprout) {
+			for i := range s.belief {
+				s.belief[i] *= 2
 			}
 		},
-		"all zero": func(b []float64, _ *int) {
-			for i := range b {
-				b[i] = 0
+		"all zero": func(s *Sprout) {
+			for i := range s.belief {
+				s.belief[i] = 0
 			}
 		},
-		"window 0":  func(_ []float64, w *int) { *w = 0 },
-		"window -5": func(_ []float64, w *int) { *w = -5 },
+		"window 0":            func(s *Sprout) { s.window = 0 },
+		"window -5":           func(s *Sprout) { s.window = -5 },
+		"negative arrivals":   func(s *Sprout) { s.arrivals = -1 },
+		"negative rttCntTick": func(s *Sprout) { s.rttCntTick = -1 },
+		"negative ticks":      func(s *Sprout) { s.ticks = -1 },
+		"negative rttMin":     func(s *Sprout) { s.rttMin = -time.Millisecond },
+		"negative rttSumTick": func(s *Sprout) { s.rttSumTick = -time.Millisecond },
+		"negative srtt":       func(s *Sprout) { s.srtt = -time.Millisecond },
+		"rtt sum without count": func(s *Sprout) {
+			s.rttCntTick = 0
+		},
 	}
 	for name, mutate := range hostile {
 		s := New(DefaultConfig())
@@ -441,17 +453,462 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		if d.Err() == nil {
 			t.Errorf("%s: snapshot accepted", name)
 		}
-		if s.window != 4 || s.belief[3] != 1/float64(len(s.belief)) {
+		if s.window != 4 || s.belief[3] != 1/float64(len(s.belief)) || s.arrivals != 0 || s.srtt != 0 || s.ticks != 0 {
 			t.Errorf("%s: rejected snapshot still overwrote the controller", name)
 		}
 	}
 }
 
-// BenchmarkTick mirrors the committed benchmark's sprout.tick_ns rungs: one
-// flow fed at the metro's ~13 packets per second, and at a saturated 1600.
+// referenceTick is Tick as it stood before the look-ahead, with the observe,
+// poissonSurvival, forecast and percentileLambda it called, all verbatim (the
+// old dist field is ahead now; diffuse is the shipped one, which that change
+// left alone): every tick diffuses the belief, and forecast diffuses a copy of
+// it whole once per level. It is the oracle Tick is held to, bit for bit.
+func (s *Sprout) referenceTick(now time.Duration) {
+	s.ticks++
+	s.diffuse(s.belief)
+	s.referenceObserve(s.arrivals, s.saturatedTick())
+	s.arrivals = 0
+	s.rttSumTick, s.rttCntTick = 0, 0
+	s.window = s.referenceWholeForecast()
+}
+
+func (s *Sprout) referenceObserve(k int, saturated bool) {
+	var total float64
+	if saturated {
+		lgk, _ := math.Lgamma(float64(k) + 1)
+		for i := range s.belief {
+			lam := s.lambda(i)
+			var like float64
+			if lam <= 0 {
+				if k == 0 {
+					like = 1
+				} else {
+					like = 1e-12
+				}
+			} else {
+				like = math.Exp(float64(k)*math.Log(lam) - lam - lgk)
+			}
+			s.belief[i] *= like
+			total += s.belief[i]
+		}
+	} else {
+		for i := range s.belief {
+			like := referencePoissonSurvival(s.lambda(i), k)
+			s.belief[i] *= like
+			total += s.belief[i]
+		}
+	}
+	if total <= 0 || math.IsNaN(total) {
+		s.resetBelief()
+		return
+	}
+	for i := range s.belief {
+		s.belief[i] /= total
+	}
+}
+
+// referencePoissonSurvival returns P(Poisson(lam) >= k).
+func referencePoissonSurvival(lam float64, k int) float64 {
+	if k <= 0 {
+		return 1
+	}
+	if lam <= 0 {
+		return 1e-12
+	}
+	// 1 - CDF(k-1), computed with an iterative pmf.
+	pmf := math.Exp(-lam)
+	cdf := pmf
+	for j := 1; j < k; j++ {
+		pmf *= lam / float64(j)
+		cdf += pmf
+	}
+	surv := 1 - cdf
+	if surv < 1e-12 {
+		surv = 1e-12
+	}
+	return surv
+}
+
+func (s *Sprout) referenceWholeForecast() int {
+	// Effective horizon in (possibly fractional) ticks: one RTT's worth of
+	// deliveries, never more than the delay-control horizon.
+	eff := float64(s.cfg.HorizonTicks)
+	if s.srtt > 0 {
+		if rttTicks := s.srtt.Seconds() / s.cfg.Tick.Seconds(); rttTicks < eff {
+			eff = rttTicks
+		}
+	}
+	dist := s.ahead
+	copy(dist, s.belief)
+	var cum float64
+	for h := 0; eff > 0; h++ {
+		s.diffuse(dist)
+		p := s.percentileLambda(dist, s.cfg.Percentile)
+		if eff >= 1 {
+			cum += p
+			eff--
+		} else {
+			cum += p * eff
+			eff = 0
+		}
+	}
+	w := int(cum)
+	if w < 1 {
+		w = 1 // always keep probing minimally
+	}
+	return w
+}
+
+// percentileLambda returns the p-th percentile of λ under dist.
+func (s *Sprout) percentileLambda(dist []float64, p float64) float64 {
+	target := p / 100
+	var acc float64
+	for i, q := range dist {
+		acc += q
+		if acc >= target {
+			return s.lambda(i)
+		}
+	}
+	return s.lambda(len(dist) - 1)
+}
+
+// tickStep is what one tick feeds a controller: an OnTimeout first if set,
+// then acks acknowledgements of the given RTT (0: no RTT sample), then Tick.
+type tickStep struct {
+	timeout bool
+	acks    int
+	rtt     time.Duration
+}
+
+func (st tickStep) apply(s *Sprout, now time.Duration, tick func(time.Duration)) {
+	if st.timeout {
+		s.OnTimeout(now)
+	}
+	for i := 0; i < st.acks; i++ {
+		s.OnAck(now, cc.AckSample{RTT: st.rtt})
+	}
+	tick(now)
+}
+
+// oraclePair is a controller run by Tick beside one run by referenceTick.
+type oraclePair struct {
+	got, want *Sprout
+	now       time.Duration
+	tick      int
+	// swaps counts the ticks that took the look-ahead for their belief
+	// instead of diffusing; depths[h] the ticks whose forecast was h levels
+	// deep, and fractional those that scaled the last level.
+	swaps, fractional int
+	depths            [8]int
+	// When got keeps its deeper forecast levels in a spill buffer, where they
+	// outlive the tick: prefixes counts the levels computed, prefixBins their
+	// bins, whole those that ran to the last bin.
+	prefixes, prefixBins, whole int
+}
+
+func newOraclePair(cfg Config) *oraclePair {
+	return &oraclePair{got: New(cfg), want: New(cfg)}
+}
+
+// step feeds both controllers one tick and requires the same window and the
+// same belief, bit for bit.
+func (p *oraclePair) step(t testing.TB, st tickStep) {
+	t.Helper()
+	p.now += p.got.cfg.Tick
+	p.tick++
+	ahead := &p.got.ahead[0]
+	st.apply(p.got, p.now, p.got.Tick)
+	st.apply(p.want, p.now, p.want.referenceTick)
+	if &p.got.belief[0] == ahead {
+		p.swaps++
+	}
+	if eff := p.got.srtt.Seconds() / p.got.cfg.Tick.Seconds(); p.got.srtt > 0 && eff < float64(p.got.cfg.HorizonTicks) {
+		p.depths[min(int(math.Ceil(eff)), len(p.depths)-1)]++
+		if eff != math.Floor(eff) {
+			p.fractional++
+		}
+	} else {
+		p.depths[min(p.got.cfg.HorizonTicks, len(p.depths)-1)]++
+	}
+	if p.got.spill != nil {
+		for _, have := range p.got.spill.have {
+			if have > 0 {
+				p.prefixes++
+				p.prefixBins += have
+			}
+			if have == len(p.got.belief) {
+				p.whole++
+			}
+		}
+	}
+	if p.got.Window() != p.want.Window() {
+		t.Fatalf("tick %d (%+v): window %d, reference %d", p.tick, st, p.got.Window(), p.want.Window())
+	}
+	if i := firstBitDiff(p.got.belief, p.want.belief); i >= 0 {
+		t.Fatalf("tick %d (%+v): belief[%d] = %v, reference %v", p.tick, st, i, p.got.belief[i], p.want.belief[i])
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in any bit, or
+// -1 if there is none.
+func firstBitDiff(a, b []float64) int {
+	for i, q := range a {
+		if math.Float64bits(q) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// seededSteps draws ticks in streaks of one kind — idle, censored (RTTs at the
+// floor baseRTT) or saturated (RTTs showing queueing) — of 1 to 40 ticks, 0 to
+// 30 acks a tick, with an OnTimeout on about one tick in 200 wherever it
+// falls, mid-streak included.
+func seededSteps(rng *rand.Rand, baseRTT time.Duration, ticks int, step func(tickStep)) {
+	for done := 0; done < ticks; {
+		kind := rng.Intn(3)
+		for streak := 1 + rng.Intn(40); streak > 0 && done < ticks; streak-- {
+			st := tickStep{timeout: rng.Intn(200) == 0}
+			switch kind {
+			case 1:
+				st.acks, st.rtt = rng.Intn(31), baseRTT+time.Duration(rng.Intn(1000))*time.Microsecond
+			case 2:
+				st.acks, st.rtt = rng.Intn(31), 2*baseRTT+5*time.Millisecond+time.Duration(rng.Intn(1000))*time.Microsecond
+			}
+			step(st)
+			done++
+		}
+	}
+}
+
+// TestTickMatchesReference is the old-vs-new gate for the look-ahead tick:
+// 2×10⁵ seeded ticks at the default config, over base RTTs that put srtt
+// between 4 and 150 ms, so that the forecast runs one to five levels deep and
+// scales its last level by every kind of fraction.
+func TestTickMatchesReference(t *testing.T) {
+	cfg := DefaultConfig()
+	var swaps, fractional, ticks int
+	var depths [8]int
+	// Deeper levels live on forecast's stack at this config and are gone when
+	// Tick returns. Every other run gets a spill buffer to keep them in
+	// instead, so that how far each prefix went can be read afterwards.
+	var prefixes, prefixBins, whole int
+	for seed, baseRTT := range []time.Duration{4, 12, 18, 25, 35, 50, 70, 150} {
+		p := newOraclePair(cfg)
+		if seed%2 == 1 {
+			p.got.spill = &levels{make([]float64, (cfg.HorizonTicks-1)*cfg.Bins), make([]int, cfg.HorizonTicks-1)}
+		}
+		seededSteps(rand.New(rand.NewSource(int64(seed+1))), baseRTT*time.Millisecond, 25000, func(st tickStep) { p.step(t, st) })
+		swaps, fractional, ticks = swaps+p.swaps, fractional+p.fractional, ticks+p.tick
+		prefixes, prefixBins, whole = prefixes+p.prefixes, prefixBins+p.prefixBins, whole+p.whole
+		for h, n := range p.depths {
+			depths[h] += n
+		}
+	}
+	t.Logf("%d ticks, %d swapped the look-ahead in, forecast depths %v, %d with a fractional last level", ticks, swaps, depths, fractional)
+	t.Logf("%d deeper levels watched: %.1f bins each of %d, %d ran to the last bin", prefixes, float64(prefixBins)/float64(prefixes), cfg.Bins, whole)
+	// No vacuous pass: nearly every tick must have taken the look-ahead (all
+	// but the first and those after an OnTimeout), every depth occurred, and
+	// the deeper levels were prefixes.
+	if swaps < ticks*98/100 || swaps == ticks {
+		t.Errorf("%d of %d ticks swapped the look-ahead in; want nearly all, not all", swaps, ticks)
+	}
+	for h := 1; h <= cfg.HorizonTicks; h++ {
+		if depths[h] < ticks/100 {
+			t.Errorf("only %d of %d ticks forecast %d levels deep", depths[h], ticks, h)
+		}
+	}
+	if fractional < ticks/10 {
+		t.Errorf("only %d of %d ticks scaled a fractional last level", fractional, ticks)
+	}
+	if prefixes < ticks/2 || prefixBins > prefixes*cfg.Bins*3/4 || whole > prefixes/10 {
+		t.Errorf("%d deeper levels of %d bins: %d bins computed, %d levels whole; want prefixes", prefixes, cfg.Bins, prefixBins, whole)
+	}
+}
+
+// TestTickMatchesReferenceShapes holds Tick to referenceTick at each Bins × σ
+// shape of TestStencilNarrowAndWide — kernels wider than the belief, and
+// radius 2, where a prefix that rounds its end to a block of eight and then
+// reaches radius further is easiest to get wrong. The deeper levels of the
+// larger shapes do not fit forecast's stack buffer, so their extents outlive
+// the tick in spill: those must have stopped short of Bins.
+func TestTickMatchesReferenceShapes(t *testing.T) {
+	type shape struct {
+		bins  int
+		sigma float64
+	}
+	shapes := []shape{{8, 200}}
+	for _, bins := range []int{8, 16, 31, 128, 257} {
+		for _, sigma := range []float64{0.5, 5, 40} {
+			shapes = append(shapes, shape{bins, sigma})
+		}
+	}
+	for i, sh := range shapes {
+		t.Run(fmt.Sprintf("bins%d_sigma%g", sh.bins, sh.sigma), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Bins, cfg.SigmaMbpsPerSqrtSec = sh.bins, sh.sigma
+			p := newOraclePair(cfg)
+			seededSteps(rand.New(rand.NewSource(int64(100+i))), 50*time.Millisecond, 300, func(st tickStep) { p.step(t, st) })
+			if p.swaps < 280 {
+				t.Errorf("%d of 300 ticks swapped the look-ahead in", p.swaps)
+			}
+			if spills := (cfg.HorizonTicks-1)*cfg.Bins > stackLevelFloats; spills && p.prefixes-p.whole < 300 {
+				t.Errorf("%d level prefixes, %d of them ran to the last of %d bins; want most short", p.prefixes, p.whole, cfg.Bins)
+			}
+		})
+	}
+}
+
+// TestSnapshotDropsLookAhead: the look-ahead is derived state. A controller
+// restored from a snapshot taken after tick n — mid-idle-streak included —
+// diffuses its belief where the original swaps the look-ahead in, and the two
+// must stay identical in window, belief bits and snapshot bytes.
+func TestSnapshotDropsLookAhead(t *testing.T) {
+	encode := func(s *Sprout) []byte {
+		e := snap.NewEncoder()
+		s.Snapshot(e)
+		data, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var steps []tickStep
+	seededSteps(rand.New(rand.NewSource(7)), 45*time.Millisecond, 1600, func(st tickStep) { steps = append(steps, st) })
+	idle := 0
+	for n := 1; n <= 600; n++ {
+		// Every 37th tick, and every 7th of those inside an idle streak.
+		if steps[n-1].acks == 0 && steps[n].acks == 0 && !steps[n].timeout && n%7 == 0 {
+			idle++
+		} else if n%37 != 0 {
+			continue
+		}
+		orig := New(DefaultConfig())
+		var now time.Duration
+		for _, st := range steps[:n] {
+			now += orig.cfg.Tick
+			st.apply(orig, now, orig.Tick)
+		}
+		d, err := snap.Decode(encode(orig), snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := New(DefaultConfig())
+		resumed.Restore(d)
+		if err := d.Done(); err != nil {
+			t.Fatalf("n=%d: restore: %v", n, err)
+		}
+		if resumed.aheadOK || !orig.aheadOK {
+			t.Fatalf("n=%d: look-ahead valid: original %v, restored %v; want true, false", n, orig.aheadOK, resumed.aheadOK)
+		}
+		for k, st := range steps[n : n+1000] {
+			now += orig.cfg.Tick
+			st.apply(orig, now, orig.Tick)
+			st.apply(resumed, now, resumed.Tick)
+			if orig.Window() != resumed.Window() {
+				t.Fatalf("n=%d, %d ticks on: window %d, resumed %d", n, k+1, orig.Window(), resumed.Window())
+			}
+			if i := firstBitDiff(orig.belief, resumed.belief); i >= 0 {
+				t.Fatalf("n=%d, %d ticks on: belief[%d] = %v, resumed %v", n, k+1, i, orig.belief[i], resumed.belief[i])
+			}
+		}
+		if !bytes.Equal(encode(orig), encode(resumed)) {
+			t.Fatalf("n=%d: snapshots differ after 1000 further ticks", n)
+		}
+	}
+	if idle < 10 {
+		t.Fatalf("only %d snapshots fell inside an idle streak", idle)
+	}
+}
+
+// TestNewConcurrentSharesTables: New hands every controller of a Config the
+// same read-only tables, also when trials build controllers of two Configs
+// concurrently and keep evicting each other's; each controller must behave as
+// one built alone, and building one after the first allocates only the
+// controller, its belief and its two buffers.
+func TestNewConcurrentSharesTables(t *testing.T) {
+	cfgs := [2]Config{DefaultConfig(), DefaultConfig()}
+	cfgs[1].Bins, cfgs[1].SigmaMbpsPerSqrtSec = 64, 9
+	var steps []tickStep
+	seededSteps(rand.New(rand.NewSource(3)), 30*time.Millisecond, 200, func(st tickStep) { steps = append(steps, st) })
+	run := func(cfg Config) (*Sprout, []int) {
+		s := New(cfg)
+		windows := make([]int, 0, len(steps))
+		var now time.Duration
+		for _, st := range steps {
+			now += cfg.Tick
+			st.apply(s, now, s.Tick)
+			windows = append(windows, s.Window())
+		}
+		return s, windows
+	}
+	var alone [2]*Sprout
+	var aloneWindows [2][]int
+	for c, cfg := range cfgs {
+		alone[c], aloneWindows[c] = run(cfg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 6; rep++ {
+				c := (g + rep) % 2
+				s, windows := run(cfgs[c])
+				if !slices.Equal(windows, aloneWindows[c]) {
+					t.Errorf("goroutine %d, config %d: windows differ from a controller built alone", g, c)
+				}
+				if i := firstBitDiff(s.belief, alone[c].belief); i >= 0 {
+					t.Errorf("goroutine %d, config %d: belief[%d] = %v, alone %v", g, c, i, s.belief[i], alone[c].belief[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	first := New(DefaultConfig())
+	if second := New(DefaultConfig()); second.tables != first.tables {
+		t.Errorf("two controllers of one Config hold different tables")
+	}
+	if n := testing.AllocsPerRun(100, func() { New(DefaultConfig()) }); n > 4 {
+		t.Errorf("New: %v allocs/run after the first controller, want at most 4 (struct, belief, two buffers)", n)
+	}
+}
+
+// FuzzTickMatchesReference reads two bytes per tick — ack count in the low
+// five bits and an OnTimeout flag in the top bit of the first, the acks' RTT in
+// milliseconds in the second — and holds Tick to referenceTick on them. The seed
+// corpus is testdata/fuzz/FuzzTickMatchesReference.
+func FuzzTickMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := newOraclePair(DefaultConfig())
+		for ; len(data) >= 2; data = data[2:] {
+			p.step(t, tickStep{
+				timeout: data[0]&0x80 != 0,
+				acks:    int(data[0] & 31),
+				rtt:     time.Duration(data[1]) * time.Millisecond,
+			})
+		}
+	})
+}
+
+// BenchmarkTick mirrors the committed benchmark's sprout.tick_ns rungs — one
+// flow fed at the metro's ~13 packets per second, and at a saturated 1600,
+// both at RTT 40 ms = two forecast levels — and adds what a metro tick mostly
+// is: the same trickle at RTT 120 ms (five levels), and no acks at all.
 func BenchmarkTick(b *testing.B) {
-	for _, pps := range []float64{13, 1600} {
-		b.Run(fmt.Sprintf("pps%g", pps), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pps  float64
+		rtt  time.Duration
+	}{
+		{"pps13", 13, 40 * time.Millisecond},
+		{"pps1600", 1600, 40 * time.Millisecond},
+		{"pps13_rtt120", 13, 120 * time.Millisecond},
+		{"idle", 0, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			s := New(DefaultConfig())
 			iv := s.TickInterval()
 			var now time.Duration
@@ -460,8 +917,8 @@ func BenchmarkTick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += iv
-				for owed += pps * iv.Seconds(); owed >= 1; owed-- {
-					s.OnAck(now, cc.AckSample{RTT: 40 * time.Millisecond})
+				for owed += c.pps * iv.Seconds(); owed >= 1; owed-- {
+					s.OnAck(now, cc.AckSample{RTT: c.rtt})
 				}
 				s.Tick(now)
 			}
