@@ -55,8 +55,10 @@ func snapshotMetroPoint(e *snap.Encoder, p MetroPoint) {
 	}
 }
 
-// restoreMetroPoint is the inverse of snapshotMetroPoint.
-func restoreMetroPoint(d *snap.Decoder) MetroPoint {
+// restoreMetroPoint is the inverse of snapshotMetroPoint. sectors bounds the
+// per-cell attribution count before anything is allocated for it: a point
+// never carries more cells than the sweep has.
+func restoreMetroPoint(d *snap.Decoder, sectors int) MetroPoint {
 	var p MetroPoint
 	p.Protocol = d.Str()
 	p.Flows = d.Int()
@@ -66,7 +68,15 @@ func restoreMetroPoint(d *snap.Decoder) MetroPoint {
 	p.Handovers = d.I64()
 	p.CrossMsgs = d.U64()
 	p.Attrib.Restore(d)
-	if n := int(d.U32()); d.Err() == nil && n > 0 {
+	n := int(d.U32())
+	if d.Err() != nil {
+		return p
+	}
+	if n > sectors {
+		d.Fail(fmt.Errorf("experiments: checkpointed point has %d attribution cells, the sweep has %d sectors", n, sectors))
+		return p
+	}
+	if n > 0 {
 		p.CellAttrib = make([]stats.Attribution, n)
 		for i := range p.CellAttrib {
 			p.CellAttrib[i].Restore(d)
@@ -78,24 +88,32 @@ func restoreMetroPoint(d *snap.Decoder) MetroPoint {
 	return p
 }
 
-// writeMetroCheckpoint serializes the sweep state and atomically replaces
-// the checkpoint file. It returns the payload size for the observability
-// hooks.
-func writeMetroCheckpoint(opts MetroOptions, done []MetroPoint, job int, barrier time.Duration, m *metroSim) (int, error) {
-	e := snap.NewEncoder()
+// snapshotMetroConfig writes the config echo openMetroCheckpoint cross-checks
+// on resume. The flow counts are laid out as Encoder.I64s would — count, then
+// elements — without building the []int64 to hand it.
+func snapshotMetroConfig(e *snap.Encoder, opts MetroOptions) {
 	e.Tag("metro")
 	e.Int(opts.Sectors)
-	fc := make([]int64, len(opts.FlowCounts))
-	for i, n := range opts.FlowCounts {
-		fc[i] = int64(n)
+	e.U32(uint32(len(opts.FlowCounts)))
+	for _, n := range opts.FlowCounts {
+		e.I64(int64(n))
 	}
-	e.I64s(fc)
 	e.Dur(opts.Duration)
 	e.Int(opts.Shards)
 	e.Int(int(opts.Tech))
 	e.F64(opts.HandoverScale)
 	e.F64(opts.ChurnFrac)
 	e.I64(opts.Seed)
+}
+
+// writeMetroCheckpoint serializes the sweep state into e and atomically
+// replaces the checkpoint file. The encoder is the sweep's own: it is Reset
+// here, not replaced, so after the first barrier a snapshot is encoded into
+// the buffer the previous one left behind. It returns the payload size for
+// the observability hooks.
+func writeMetroCheckpoint(e *snap.Encoder, opts MetroOptions, done []MetroPoint, job int, barrier time.Duration, m *metroSim) (int, error) {
+	e.Reset()
+	snapshotMetroConfig(e, opts)
 	e.U32(uint32(len(done)))
 	for _, p := range done {
 		snapshotMetroPoint(e, p)
@@ -155,9 +173,22 @@ func openMetroCheckpoint(opts *MetroOptions) (done []MetroPoint, job int, barrie
 	}
 	opts.Shards = shards
 	opts.ChurnFrac = churn
+	// The counts below come from the file, and a well-framed file can still
+	// be hostile: bound each by what this sweep could have written before
+	// allocating for it, and stop at the first decode error.
 	n := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, 0, 0, nil, 0, err
+	}
+	if limit := len(metroJobs(*opts)); n > limit {
+		return nil, 0, 0, nil, 0, fmt.Errorf("experiments: checkpoint claims %d completed points in a sweep of %d trials", n, limit)
+	}
 	for i := 0; i < n; i++ {
-		done = append(done, restoreMetroPoint(d))
+		p := restoreMetroPoint(d, opts.Sectors)
+		if err := d.Err(); err != nil {
+			return nil, 0, 0, nil, 0, err
+		}
+		done = append(done, p)
 	}
 	job = d.Int()
 	barrier = d.Dur()
@@ -182,6 +213,7 @@ func metroCheckpointed(opts MetroOptions) (MetroResult, error) {
 	jobs := metroJobs(opts)
 	start := 0
 	ordinal := 0
+	enc := snap.NewEncoder() // one buffer for every snapshot of the sweep
 	var cur *metroSim
 	var curAt time.Duration
 	if opts.ResumeFrom != "" {
@@ -219,7 +251,7 @@ func metroCheckpointed(opts MetroOptions) (MetroResult, error) {
 			for next := at + opts.CheckpointEvery; next < opts.Duration; next += opts.CheckpointEvery {
 				m.runTo(next)
 				ordinal++
-				size, err := writeMetroCheckpoint(opts, out.Points, j, next, m)
+				size, err := writeMetroCheckpoint(enc, opts, out.Points, j, next, m)
 				if err != nil {
 					return MetroResult{}, err
 				}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/snap"
+	"repro/internal/stats"
 )
 
 // Checkpoint/resume contract (a) of ISSUE 9: run-straight ≡
@@ -156,7 +159,9 @@ func TestMetroCheckpointPoolConservation(t *testing.T) {
 // TestMetroCheckpointFailClosed pins the fail-closed contract: a truncated,
 // corrupted, wrong-version, mismatched-config, or absent snapshot file must
 // fail the resume with an error before any trial state is touched — never a
-// partial resume.
+// partial resume. The hostile-* files are well framed (valid CRC, matching
+// config echo) but carry element counts no sweep could have written; they
+// must fail before anything is allocated for those counts.
 func TestMetroCheckpointFailClosed(t *testing.T) {
 	opts := ckptOpts(4, 0)
 	_, copies := runCheckpointed(t, opts, 500*time.Millisecond)
@@ -185,11 +190,45 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// hostile writes a checkpoint that echoes opts faithfully and then claims
+	// `points` completed points. With cells >= 0 the first point follows,
+	// well formed up to its CellAttrib count (the field order is
+	// snapshotMetroPoint's), which claims `cells`.
+	hostile := func(name string, points uint32, cells int64) string {
+		h := snap.NewEncoder()
+		snapshotMetroConfig(h, opts)
+		h.U32(points)
+		if cells >= 0 {
+			h.Str("verus")
+			h.Int(16)
+			h.F64(0)
+			h.F64s(nil)
+			h.F64s(nil)
+			h.I64(0)
+			h.U64(0)
+			new(stats.Attribution).Snapshot(h)
+			h.U32(uint32(cells))
+		}
+		path := filepath.Join(dir, name+".bin")
+		if err := snap.WriteFile(path, h, snap.Version); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	hostilePoints := hostile("hostile-points", 20_000_000, -1)
+	hostilePointsMax := hostile("hostile-points-max", math.MaxUint32, -1)
+	hostileCells := hostile("hostile-cells", 1, 20_000_000)
+	hostileCellsMax := hostile("hostile-cells-max", 1, math.MaxUint32)
+
 	cases := []struct {
 		name string
 		mut  func(*MetroOptions)
 		want string
 	}{
+		{"hostile-points-count", func(o *MetroOptions) { o.ResumeFrom = hostilePoints }, "completed points"},
+		{"hostile-points-count-maxuint32", func(o *MetroOptions) { o.ResumeFrom = hostilePointsMax }, "completed points"},
+		{"hostile-cellattrib-count", func(o *MetroOptions) { o.ResumeFrom = hostileCells }, "attribution cells"},
+		{"hostile-cellattrib-count-maxuint32", func(o *MetroOptions) { o.ResumeFrom = hostileCellsMax }, "attribution cells"},
 		{"truncated", func(o *MetroOptions) { o.ResumeFrom = truncated }, ""},
 		{"corrupted", func(o *MetroOptions) { o.ResumeFrom = corruptedPath }, ""},
 		{"garbage", func(o *MetroOptions) { o.ResumeFrom = garbage }, ""},
@@ -204,9 +243,17 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := ckptOpts(4, 0)
 			tc.mut(&o)
-			res, err := Metro(o)
+			var res MetroResult
+			var err error
+			allocated := allocBytes(func() { res, err = Metro(o) })
 			if err == nil {
 				t.Fatal("resume from a bad snapshot succeeded")
+			}
+			// No rejected file here is over a few hundred KB, so nothing that
+			// refuses one has cause to allocate more than a small multiple of
+			// that — least of all a count read out of the file.
+			if allocated > 4<<20 {
+				t.Fatalf("rejecting the snapshot allocated %d bytes", allocated)
 			}
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -215,6 +262,110 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 				t.Fatalf("failed resume still produced %d points — partial resume", len(res.Points))
 			}
 		})
+	}
+}
+
+// allocBytes returns the bytes f allocated (process-wide TotalAlloc, so only
+// meaningful from a test that is not running in parallel with others).
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// ckptTrial builds a metro trial of the given size on the checkpoint tests'
+// base options, runs it to a mid-run barrier, and returns it with options
+// whose CheckpointPath points into a fresh temp directory.
+func ckptTrial(tb testing.TB, flows int, seed int64, barrier time.Duration) (MetroOptions, *metroSim) {
+	tb.Helper()
+	opts := ckptOpts(4, 0)
+	opts.FlowCounts = []int{flows}
+	opts.CheckpointPath = filepath.Join(tb.TempDir(), "snap.bin")
+	m := metroBuild(opts, metroProtocols()[0], flows, seed)
+	m.runTo(barrier)
+	return opts, m
+}
+
+// TestMetroCheckpointWriteReusesBuffer is the allocation guard behind the
+// benchmark: on one encoder, the second and later snapshots allocate nothing
+// proportional to the payload.
+func TestMetroCheckpointWriteReusesBuffer(t *testing.T) {
+	opts, m := ckptTrial(t, 256, 123, time.Second)
+	e := snap.NewEncoder()
+	size, err := writeMetroCheckpoint(e, opts, nil, 0, time.Second, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size < 200<<10 {
+		t.Fatalf("payload is %d bytes; the guard needs a multi-hundred-KB snapshot to mean anything", size)
+	}
+	const rounds = 4
+	total := allocBytes(func() {
+		for i := 0; i < rounds; i++ {
+			if _, err := writeMetroCheckpoint(e, opts, nil, 0, time.Second, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := total / rounds; per >= 64<<10 {
+		t.Fatalf("a repeat snapshot of %d bytes allocated %d bytes; the reused encoder should keep it under 64 KB", size, per)
+	}
+}
+
+// TestMetroCheckpointFileEqualsEncode pins the streamed framing: for a real
+// mid-run trial, the file WriteFile leaves behind is Encode's output byte
+// for byte.
+func TestMetroCheckpointFileEqualsEncode(t *testing.T) {
+	opts, m := ckptTrial(t, 16, 123, time.Second)
+	e := snap.NewEncoder()
+	if _, err := writeMetroCheckpoint(e, opts, nil, 0, time.Second, m); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Encode(snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("file on disk (%d bytes) differs from Encode (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestMetroCheckpointResetLeavesNoResidue pins encoder reuse: after
+// snapshotting trial A — and again after a Fail — a Reset encoder writes
+// trial B exactly as a fresh encoder does.
+func TestMetroCheckpointResetLeavesNoResidue(t *testing.T) {
+	optsA, a := ckptTrial(t, 32, 123, time.Second)
+	optsB, b := ckptTrial(t, 16, 456, 500*time.Millisecond)
+	write := func(e *snap.Encoder, opts MetroOptions, m *metroSim, at time.Duration) string {
+		t.Helper()
+		if _, err := writeMetroCheckpoint(e, opts, nil, 0, at, m); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(opts.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(file)
+	}
+	want := write(snap.NewEncoder(), optsB, b, 500*time.Millisecond)
+
+	reused := snap.NewEncoder()
+	write(reused, optsA, a, time.Second)
+	if got := write(reused, optsB, b, 500*time.Millisecond); got != want {
+		t.Fatal("encoder reused after trial A writes trial B differently from a fresh encoder")
+	}
+
+	reused.Reset()
+	reused.Tag("abandoned")
+	reused.Fail(os.ErrInvalid)
+	if got := write(reused, optsB, b, 500*time.Millisecond); got != want {
+		t.Fatal("encoder reused after a Fail writes trial B differently from a fresh encoder")
 	}
 }
 

@@ -1,81 +1,30 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/experiments/runner"
+	"repro/internal/snap"
 )
 
-// TestMetroCheckpointBench10k measures the checkpoint costs recorded in
-// BENCH_pr10.json: snapshot encode+write wall-clock, snapshot size on disk,
-// and open+overlay restore wall-clock, all on the DefaultMetroOptions
-// 10k-flow Verus trial at a 1 s barrier. Building 10k flows and running a
-// second of virtual city time takes real minutes on one core, so the test
-// only runs when METRO_CKPT_BENCH is set:
-//
-//	METRO_CKPT_BENCH=1 go test ./internal/experiments -run MetroCheckpointBench10k -v
-func TestMetroCheckpointBench10k(t *testing.T) {
-	if os.Getenv("METRO_CKPT_BENCH") == "" {
-		t.Skip("set METRO_CKPT_BENCH=1 to run the 10k-flow checkpoint cost benchmark")
-	}
-	opts := DefaultMetroOptions()
-	opts.FlowCounts = []int{10000}
-	opts.Parallel = 1
-	opts.CheckpointPath = filepath.Join(t.TempDir(), "snap.bin")
-	seed := runner.DeriveSeed(opts.Seed, 0)
-	barrier := time.Second
-
-	start := time.Now()
-	m := metroBuild(opts, metroProtocols()[0], opts.FlowCounts[0], seed)
-	buildWall := time.Since(start)
-
-	start = time.Now()
-	m.runTo(barrier)
-	runWall := time.Since(start)
-
-	start = time.Now()
-	size, err := writeMetroCheckpoint(opts, nil, 0, barrier, m)
-	writeWall := time.Since(start)
+// BenchmarkMetroCheckpointWrite is the steady-state cost of one barrier
+// snapshot of a 256-flow trial: Reset, encode into the sweep's buffer, stream
+// to the temp file, fsync, rename. The first write — the one that grows the
+// buffer — happens before the timer starts, so B/op is what every later
+// barrier of a sweep pays.
+func BenchmarkMetroCheckpointWrite(b *testing.B) {
+	opts, m := ckptTrial(b, 256, 123, time.Second)
+	e := snap.NewEncoder()
+	size, err := writeMetroCheckpoint(e, opts, nil, 0, time.Second, m)
 	if err != nil {
-		t.Fatalf("checkpoint write: %v", err)
+		b.Fatal(err)
 	}
-	onDisk, err := os.Stat(opts.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := writeMetroCheckpoint(e, opts, nil, 0, time.Second, m); err != nil {
+			b.Fatal(err)
+		}
 	}
-
-	// Resume cost splits into rebuilding the trial topology from the config
-	// echo (same work as a cold start) and overlaying the snapshot.
-	start = time.Now()
-	r := metroBuild(opts, metroProtocols()[0], opts.FlowCounts[0], seed)
-	rebuildWall := time.Since(start)
-
-	ropts := opts
-	ropts.ResumeFrom = opts.CheckpointPath
-	start = time.Now()
-	_, job, gotBarrier, d, _, err := openMetroCheckpoint(&ropts)
-	if err != nil {
-		t.Fatalf("checkpoint open: %v", err)
-	}
-	r.Restore(d)
-	if err := d.Err(); err != nil {
-		t.Fatalf("checkpoint restore: %v", err)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	restoreWall := time.Since(start)
-	if job != 0 || gotBarrier != barrier {
-		t.Fatalf("checkpoint decoded job %d at %v, want 0 at %v", job, gotBarrier, barrier)
-	}
-
-	t.Logf("10k-flow metro trial, barrier %v:", barrier)
-	t.Logf("  build            %v", buildWall)
-	t.Logf("  run to barrier   %v", runWall)
-	t.Logf("  snapshot write   %v (payload %d bytes, %d on disk)", writeWall, size, onDisk.Size())
-	t.Logf("  topology rebuild %v", rebuildWall)
-	t.Logf("  open+overlay     %v", restoreWall)
 }

@@ -26,10 +26,10 @@ import (
 
 // equivCell is the per-cell plumbing of one random topology.
 type equivCell struct {
-	link    netsim.Link         // fault-wrapped bottleneck
-	flink   *faults.Link        // the wrapper, for its counters (nil if no plan)
-	inner   *netsim.FixedLink   // the raw link, for Delivered/Lost
-	queue   netsim.Queue        //
+	link    netsim.Link       // fault-wrapped bottleneck
+	flink   *faults.Link      // the wrapper, for its counters (nil if no plan)
+	inner   *netsim.FixedLink // the raw link, for Delivered/Lost
+	queue   netsim.Queue      //
 	metrics []*netsim.FlowMetrics
 	log     []string
 }

@@ -20,12 +20,12 @@ type snapWindow struct {
 	acks int
 }
 
-func (f *snapWindow) Name() string                            { return "snapfixed" }
-func (f *snapWindow) OnAck(_ time.Duration, _ cc.AckSample)   { f.acks++ }
-func (f *snapWindow) OnLoss(_ time.Duration, _ cc.LossEvent)  {}
-func (f *snapWindow) OnTimeout(time.Duration)                 {}
-func (f *snapWindow) TickInterval() time.Duration             { return 0 }
-func (f *snapWindow) Tick(time.Duration)                      {}
+func (f *snapWindow) Name() string                           { return "snapfixed" }
+func (f *snapWindow) OnAck(_ time.Duration, _ cc.AckSample)  { f.acks++ }
+func (f *snapWindow) OnLoss(_ time.Duration, _ cc.LossEvent) {}
+func (f *snapWindow) OnTimeout(time.Duration)                {}
+func (f *snapWindow) TickInterval() time.Duration            { return 0 }
+func (f *snapWindow) Tick(time.Duration)                     {}
 func (f *snapWindow) Allowance(_ time.Duration, inflight int) int {
 	return f.w - inflight
 }

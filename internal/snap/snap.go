@@ -71,6 +71,15 @@ func (e *Encoder) Err() error { return e.err }
 // Len returns the current payload size in bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// Reset empties the encoder for the next snapshot: the payload is truncated,
+// the sticky error cleared, and the buffer's capacity kept, so a sweep that
+// snapshots at every barrier grows its buffer once rather than once per
+// snapshot.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	e.err = nil
+}
+
 // U8 writes one byte.
 func (e *Encoder) U8(v uint8) {
 	if e.err != nil {
@@ -163,18 +172,36 @@ func (e *Encoder) F64s(v []float64) {
 // it; a mismatch is a hard decode error naming both sides.
 func (e *Encoder) Tag(name string) { e.Str(name) }
 
-// Encode frames the payload into a complete snapshot: magic, version,
-// payload, CRC trailer. It returns the encoder's sticky error, if any.
+// headerLen and trailerLen are the framing around a payload: magic plus
+// version in front, the CRC behind.
+const (
+	headerLen  = len(Magic) + 4
+	trailerLen = 4
+)
+
+// frame is the one definition of the container format: it returns the header
+// and trailer that turn payload into a complete snapshot. The CRC runs over
+// header then payload, which is what Decode recomputes over the file body.
+func frame(version uint32, payload []byte) (hdr [headerLen]byte, trailer [trailerLen]byte) {
+	copy(hdr[:], Magic)
+	binary.LittleEndian.PutUint32(hdr[len(Magic):], version)
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(trailer[:], crc)
+	return hdr, trailer
+}
+
+// Encode frames the payload into a complete snapshot in memory: magic,
+// version, payload, CRC trailer. It returns the encoder's sticky error, if
+// any. WriteFile produces the same bytes without the copy.
 func (e *Encoder) Encode(version uint32) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	out := make([]byte, 0, len(Magic)+8+len(e.buf)+4)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	hdr, trailer := frame(version, e.buf)
+	out := make([]byte, 0, headerLen+len(e.buf)+trailerLen)
+	out = append(out, hdr[:]...)
 	out = append(out, e.buf...)
-	crc := crc32.ChecksumIEEE(out)
-	out = binary.LittleEndian.AppendUint32(out, crc)
+	out = append(out, trailer[:]...)
 	return out, nil
 }
 
@@ -189,10 +216,10 @@ type Decoder struct {
 // trailer — and returns a decoder positioned at the payload. Any framing
 // violation is an error before a single payload byte is exposed.
 func Decode(data []byte, wantVersion uint32) (*Decoder, error) {
-	if len(data) < len(Magic)+4+4 {
+	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("snap: file of %d bytes is too short to be a snapshot: %w", len(data), ErrTruncated)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("snap: CRC mismatch (file %08x, computed %08x): snapshot is corrupted or truncated", want, got)
 	}
@@ -202,7 +229,7 @@ func Decode(data []byte, wantVersion uint32) (*Decoder, error) {
 	if v := binary.LittleEndian.Uint32(body[len(Magic):]); v != wantVersion {
 		return nil, fmt.Errorf("snap: format version %d, this build reads version %d", v, wantVersion)
 	}
-	return &Decoder{buf: body[len(Magic)+4:]}, nil
+	return &Decoder{buf: body[headerLen:]}, nil
 }
 
 // Fail marks the decoder failed; subsequent reads return zero values.
@@ -360,6 +387,11 @@ func (d *Decoder) Expect(name string) {
 	}
 	got := d.Str()
 	if d.err == nil && got != name {
+		// Whatever sits where the tag should be may be any length; quote
+		// enough of it to recognise, not all of it.
+		if len(got) > 64 {
+			got = got[:64] + "..."
+		}
 		d.Fail(fmt.Errorf("snap: section tag mismatch: decoding %q, stream has %q", name, got))
 	}
 }
@@ -367,21 +399,25 @@ func (d *Decoder) Expect(name string) {
 // WriteFile frames the encoder's payload and writes it atomically: the bytes
 // land in a temp file in the destination directory, which is fsynced and
 // renamed over path. A crash mid-write leaves the previous complete
-// checkpoint in place, never a torn file.
+// checkpoint in place, never a torn file. The framing is streamed — header,
+// the encoder's own buffer, trailer — so the file holds exactly the bytes
+// Encode returns without a second copy of the payload being built.
 func WriteFile(path string, e *Encoder, version uint32) error {
-	data, err := e.Encode(version)
-	if err != nil {
-		return err
+	if e.err != nil {
+		return e.err
 	}
+	hdr, trailer := frame(version, e.buf)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	for _, part := range [][]byte{hdr[:], e.buf, trailer[:]} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -253,6 +253,33 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
+// TestEncoderReset pins the reuse contract at the codec: WriteFile refuses a
+// failed encoder and leaves nothing behind, and Reset empties the payload
+// and clears the sticky error but keeps the buffer. That a reused encoder
+// then frames and writes exactly what a fresh one does is pinned on real
+// trial snapshots in internal/experiments.
+func TestEncoderReset(t *testing.T) {
+	e := NewEncoder()
+	e.Tag("first")
+	e.Bytes(make([]byte, 4096))
+	grown := cap(e.buf)
+	e.Fail(errors.New("component refused"))
+	path := filepath.Join(t.TempDir(), "ckpt.snap")
+	if err := WriteFile(path, e, Version); err == nil {
+		t.Fatal("WriteFile framed a failed encoder")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left %s behind (stat: %v)", path, err)
+	}
+	e.Reset()
+	if e.Len() != 0 || e.Err() != nil {
+		t.Fatalf("after Reset: Len %d, Err %v", e.Len(), e.Err())
+	}
+	if cap(e.buf) != grown {
+		t.Fatalf("Reset changed the buffer capacity from %d to %d", grown, cap(e.buf))
+	}
+}
+
 // TestSourceStreamIdentity proves adopting Source inside a component cannot
 // change a digest: the rand.Rand value stream matches rand.NewSource exactly
 // across the full method surface components use.

@@ -189,7 +189,7 @@ func quantileEdge(buckets *[attribBuckets + 1]int64, count int64, q float64) flo
 			return attribBucketEdge(k).Seconds()
 		}
 	}
-	return (2 * attribBucketEdge(attribBuckets - 1)).Seconds()
+	return (2 * attribBucketEdge(attribBuckets-1)).Seconds()
 }
 
 // QuantileSeconds returns a bucket-resolution upper bound on the q-th
