@@ -37,11 +37,11 @@
 // checkpoint write; it exists for the crash-injection harness, which kills a
 // child mid-sweep and verifies the resumed digest.
 //
-// -trace, -chrometrace, and -metrics attach the internal/obs observability
-// layer: -trace writes the virtual-time event stream as JSONL, -chrometrace
-// writes the same stream in Chrome trace_event format (load in
-// chrome://tracing or Perfetto), and -metrics writes the metrics registry
-// as Prometheus text exposition. Observability is strictly passive —
+// -trace and -metrics attach the internal/obs observability layer: -trace
+// writes the virtual-time event stream as JSONL (verus-obs chrome converts
+// it to Chrome trace_event format for chrome://tracing or Perfetto), and
+// -metrics writes the metrics registry as Prometheus text exposition.
+// Observability is strictly passive —
 // enabling it never changes a rendered table (the golden-digest tests lock
 // this in). Output paths are validated up front, before any experiment
 // runs.
@@ -52,7 +52,7 @@
 //	            [-metro] [-shards N] [-churn F] [-parallel N] [-benchjson out.json]
 //	            [-checkpoint snap.bin] [-checkpoint-every D] [-resume snap.bin]
 //	            [-crash-after N]
-//	            [-trace out.jsonl] [-chrometrace out.json] [-metrics out.prom]
+//	            [-trace out.jsonl] [-metrics out.prom]
 //	            [-tracecap N]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -156,12 +156,12 @@ func fatalf(format string, args ...interface{}) {
 // before any experiment runs turns a bad path into an immediate exit 2
 // instead of an error after a multi-minute run.
 type obsOutputs struct {
-	trace, chrome, metrics *os.File
+	trace, metrics *os.File
 }
 
 // openObsOutputs creates each requested output file. An empty path leaves
 // its slot nil.
-func openObsOutputs(tracePath, chromePath, metricsPath string) (obsOutputs, error) {
+func openObsOutputs(tracePath, metricsPath string) (obsOutputs, error) {
 	var out obsOutputs
 	open := func(path, flagName string, dst **os.File) error {
 		if path == "" {
@@ -175,9 +175,6 @@ func openObsOutputs(tracePath, chromePath, metricsPath string) (obsOutputs, erro
 		return nil
 	}
 	if err := open(tracePath, "-trace", &out.trace); err != nil {
-		return out, err
-	}
-	if err := open(chromePath, "-chrometrace", &out.chrome); err != nil {
 		return out, err
 	}
 	if err := open(metricsPath, "-metrics", &out.metrics); err != nil {
@@ -216,15 +213,6 @@ func writeObsOutputs(files obsOutputs, tracer *obs.Tracer, registry *obs.Registr
 	}); err != nil {
 		return err
 	}
-	if err := export(files.chrome, "-chrometrace", func(f *os.File) error {
-		if err := obs.WriteChromeTrace(f, events); err != nil {
-			return err
-		}
-		fmt.Printf("[wrote Chrome trace of %d events to %s]\n", len(events), f.Name())
-		return nil
-	}); err != nil {
-		return err
-	}
 	return export(files.metrics, "-metrics", func(f *os.File) error {
 		// Publish the ring-overflow count so the exposition itself records
 		// whether the exported trace is complete (obs_trace_dropped_total).
@@ -252,7 +240,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker count (1 = serial)")
 	benchjson := flag.String("benchjson", "", "write per-harness wall-times as JSON to this file")
 	tracePath := flag.String("trace", "", "write the virtual-time event trace as JSONL to this file")
-	chromePath := flag.String("chrometrace", "", "write the event trace in Chrome trace_event format to this file")
 	metricsPath := flag.String("metrics", "", "write the metrics registry as Prometheus text exposition to this file")
 	traceCap := flag.Int("tracecap", obs.DefaultTraceCapacity, "event ring capacity; oldest events are overwritten beyond it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -275,7 +262,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "verus-bench: -tracecap must be positive (got %d)\n", *traceCap)
 		os.Exit(2)
 	}
-	obsFiles, err := openObsOutputs(*tracePath, *chromePath, *metricsPath)
+	obsFiles, err := openObsOutputs(*tracePath, *metricsPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verus-bench: %v\n", err)
 		os.Exit(2)
@@ -406,7 +393,7 @@ func main() {
 	// derived seed and flow, so even a full parallel sweep shares it safely.
 	var tracer *obs.Tracer
 	var registry *obs.Registry
-	if obsFiles.trace != nil || obsFiles.chrome != nil {
+	if obsFiles.trace != nil {
 		tracer = obs.NewTracer(*traceCap)
 	}
 	if obsFiles.metrics != nil {

@@ -115,11 +115,11 @@ func TestOpenObsOutputsValidatesUpFront(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.jsonl")
 	promPath := filepath.Join(dir, "m.prom")
-	files, err := openObsOutputs(tracePath, "", promPath)
+	files, err := openObsOutputs(tracePath, promPath)
 	if err != nil {
 		t.Fatalf("openObsOutputs: %v", err)
 	}
-	if files.trace == nil || files.metrics == nil || files.chrome != nil {
+	if files.trace == nil || files.metrics == nil {
 		t.Fatalf("wrong slots opened: %+v", files)
 	}
 	files.trace.Close()
@@ -132,18 +132,14 @@ func TestOpenObsOutputsValidatesUpFront(t *testing.T) {
 
 	// A bad path must fail before any experiment runs (main exits 2 on it),
 	// and the error must name the flag.
-	_, err = openObsOutputs(filepath.Join(dir, "no/such/dir/t.jsonl"), "", "")
+	_, err = openObsOutputs(filepath.Join(dir, "no/such/dir/t.jsonl"), "")
 	if err == nil {
 		t.Fatal("unwritable -trace path accepted")
 	}
 	if !strings.Contains(err.Error(), "-trace") {
 		t.Errorf("error does not name the flag: %v", err)
 	}
-	_, err = openObsOutputs("", filepath.Join(dir, "no/such/dir/c.json"), "")
-	if err == nil || !strings.Contains(err.Error(), "-chrometrace") {
-		t.Errorf("unwritable -chrometrace path: err = %v", err)
-	}
-	_, err = openObsOutputs("", "", filepath.Join(dir, "no/such/dir/m.prom"))
+	_, err = openObsOutputs("", filepath.Join(dir, "no/such/dir/m.prom"))
 	if err == nil || !strings.Contains(err.Error(), "-metrics") {
 		t.Errorf("unwritable -metrics path: err = %v", err)
 	}
@@ -156,8 +152,7 @@ func TestWriteObsOutputsRoundTrip(t *testing.T) {
 	registry := obs.NewRegistry()
 	registry.Counter("verus_epochs_total").Inc()
 
-	files, err := openObsOutputs(
-		filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "c.json"), filepath.Join(dir, "m.prom"))
+	files, err := openObsOutputs(filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +184,5 @@ func TestWriteObsOutputsRoundTrip(t *testing.T) {
 	}
 	if m.Values["verus_epochs_total"] != 1 {
 		t.Errorf("metrics values = %v", m.Values)
-	}
-
-	chrome, err := os.ReadFile(filepath.Join(dir, "c.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(chrome), "[") || !strings.HasSuffix(string(chrome), "]\n") {
-		t.Errorf("Chrome trace is not a JSON array:\n%s", chrome)
 	}
 }

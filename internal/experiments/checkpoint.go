@@ -39,71 +39,91 @@ func metroJobs(opts MetroOptions) []metroJob {
 	return jobs
 }
 
-// snapshotMetroPoint writes one completed sweep point.
-func snapshotMetroPoint(e *snap.Encoder, p MetroPoint) {
-	e.Str(p.Protocol)
-	e.Int(p.Flows)
-	e.F64(p.AggMbps)
-	e.F64s(p.CellJain)
-	e.F64s(p.DelayQuantiles)
-	e.I64(p.Handovers)
-	e.U64(p.CrossMsgs)
-	p.Attrib.Snapshot(e)
-	e.U32(uint32(len(p.CellAttrib)))
-	for i := range p.CellAttrib {
-		p.CellAttrib[i].Snapshot(e)
-	}
-}
-
-// restoreMetroPoint is the inverse of snapshotMetroPoint. sectors bounds the
-// per-cell attribution count before anything is allocated for it: a point
+// walkMetroPoint visits one completed sweep point. sectors bounds the
+// per-cell attribution count before a load allocates anything for it: a point
 // never carries more cells than the sweep has.
-func restoreMetroPoint(d *snap.Decoder, sectors int) MetroPoint {
-	var p MetroPoint
-	p.Protocol = d.Str()
-	p.Flows = d.Int()
-	p.AggMbps = d.F64()
-	p.CellJain = d.F64s()
-	p.DelayQuantiles = d.F64s()
-	p.Handovers = d.I64()
-	p.CrossMsgs = d.U64()
-	p.Attrib.Restore(d)
-	n := int(d.U32())
-	if d.Err() != nil {
-		return p
-	}
-	if n > sectors {
-		d.Fail(fmt.Errorf("experiments: checkpointed point has %d attribution cells, the sweep has %d sectors", n, sectors))
-		return p
-	}
-	if n > 0 {
-		p.CellAttrib = make([]stats.Attribution, n)
-		for i := range p.CellAttrib {
-			p.CellAttrib[i].Restore(d)
-			if d.Err() != nil {
-				break
-			}
+func walkMetroPoint(w snap.Walker, p *MetroPoint, sectors int) {
+	w.Str(&p.Protocol)
+	w.Int(&p.Flows)
+	w.F64(&p.AggMbps)
+	w.F64s(&p.CellJain)
+	w.F64s(&p.DelayQuantiles)
+	w.I64(&p.Handovers)
+	w.U64(&p.CrossMsgs)
+	p.Attrib.Walk(w)
+	n := w.Len(len(p.CellAttrib))
+	if w.Loading() && w.Err() == nil {
+		if n > sectors {
+			w.Fail(fmt.Errorf("experiments: checkpointed point has %d attribution cells, the sweep has %d sectors", n, sectors))
+			return
+		}
+		if n > 0 {
+			p.CellAttrib = make([]stats.Attribution, n)
 		}
 	}
-	return p
+	for i := range p.CellAttrib {
+		p.CellAttrib[i].Walk(w)
+	}
 }
 
-// snapshotMetroConfig writes the config echo openMetroCheckpoint cross-checks
-// on resume. The flow counts are laid out as Encoder.I64s would — count, then
-// elements — without building the []int64 to hand it.
-func snapshotMetroConfig(e *snap.Encoder, opts MetroOptions) {
-	e.Tag("metro")
-	e.Int(opts.Sectors)
-	e.U32(uint32(len(opts.FlowCounts)))
+// cfgMismatch prefixes what each identity-critical field of the config echo
+// is called when a resume disagrees with it.
+const cfgMismatch = "experiments: checkpoint was taken under a different metro configuration: "
+
+// walkMetroConfig visits the config echo. The snapshot fixes the topology:
+// the echoed Shards and ChurnFrac load into *opts rather than being
+// cross-checked, so a resume never has to restate them (the CLI rejects
+// -shards/-churn alongside -resume for the same reason). Everything else —
+// sectors, flow counts, duration, tech, handover scale, seed — is
+// identity-critical and must match exactly.
+func walkMetroConfig(w snap.Walker, opts *MetroOptions) {
+	w.Tag("metro")
+	w.SameInt(opts.Sectors, cfgMismatch+"sectors")
+	w.SameLen(len(opts.FlowCounts), cfgMismatch+"number of flow counts")
 	for _, n := range opts.FlowCounts {
-		e.I64(int64(n))
+		w.SameI64(int64(n), cfgMismatch+"flow count")
 	}
-	e.Dur(opts.Duration)
-	e.Int(opts.Shards)
-	e.Int(int(opts.Tech))
-	e.F64(opts.HandoverScale)
-	e.F64(opts.ChurnFrac)
-	e.I64(opts.Seed)
+	w.SameDur(opts.Duration, cfgMismatch+"duration")
+	w.Int(&opts.Shards)
+	w.SameInt(int(opts.Tech), cfgMismatch+"tech")
+	w.SameF64(opts.HandoverScale, cfgMismatch+"handover scale")
+	w.F64(&opts.ChurnFrac)
+	w.SameI64(opts.Seed, cfgMismatch+"seed")
+}
+
+// walkMetroSweep visits everything a checkpoint file holds ahead of the trial
+// snapshot: the config echo, the completed points, and the in-flight trial's
+// job index and barrier. A load leaves the decoder positioned for
+// metroSim.Walk, and any mismatch fails closed before a single component is
+// touched. The counts come from the file, and a well-framed file can still be
+// hostile: each is bounded by what this sweep could have written before a
+// load allocates for it.
+func walkMetroSweep(w snap.Walker, opts *MetroOptions, done *[]MetroPoint, job *int, barrier *time.Duration) {
+	walkMetroConfig(w, opts)
+	n := w.Len(len(*done))
+	if w.Loading() {
+		if w.Err() != nil {
+			return
+		}
+		if limit := len(metroJobs(*opts)); n > limit {
+			w.Fail(fmt.Errorf("experiments: checkpoint claims %d completed points in a sweep of %d trials", n, limit))
+			return
+		}
+		*done = make([]MetroPoint, n)
+	}
+	for i := range *done {
+		walkMetroPoint(w, &(*done)[i], opts.Sectors)
+	}
+	w.Int(job)
+	w.Dur(barrier)
+	if !w.Loading() || w.Err() != nil {
+		return
+	}
+	if *job < 0 || len(*done) != *job {
+		w.Fail(fmt.Errorf("experiments: checkpoint has %d completed points but claims job index %d", len(*done), *job))
+	} else if *barrier <= 0 || *barrier >= opts.Duration {
+		w.Fail(fmt.Errorf("experiments: checkpoint barrier %v outside (0, %v)", *barrier, opts.Duration))
+	}
 }
 
 // writeMetroCheckpoint serializes the sweep state into e and atomically
@@ -113,93 +133,27 @@ func snapshotMetroConfig(e *snap.Encoder, opts MetroOptions) {
 // the observability hooks.
 func writeMetroCheckpoint(e *snap.Encoder, opts MetroOptions, done []MetroPoint, job int, barrier time.Duration, m *metroSim) (int, error) {
 	e.Reset()
-	snapshotMetroConfig(e, opts)
-	e.U32(uint32(len(done)))
-	for _, p := range done {
-		snapshotMetroPoint(e, p)
-	}
-	e.Int(job)
-	e.Dur(barrier)
-	m.Snapshot(e)
+	w := snap.Save(e)
+	walkMetroSweep(w, &opts, &done, &job, &barrier)
+	m.Walk(w)
 	if err := e.Err(); err != nil {
 		return 0, err
 	}
 	return e.Len(), snap.WriteFile(opts.CheckpointPath, e, snap.Version)
 }
 
-// openMetroCheckpoint validates the container, cross-checks the config echo
-// against opts, and decodes everything up to (but not including) the trial
-// snapshot, leaving the decoder positioned for metroSim.Restore. Any
-// mismatch fails closed before a single component is touched.
-//
-// The snapshot fixes the topology: the echoed Shards and ChurnFrac are
-// adopted into *opts rather than cross-checked, so a resume never has to
-// restate them (the CLI rejects -shards/-churn alongside -resume for the
-// same reason). Everything else — sectors, flow counts, duration, tech,
-// handover scale, seed — is identity-critical and must match exactly.
+// openMetroCheckpoint validates the container and loads everything up to (but
+// not including) the trial snapshot, adopting the echoed Shards and ChurnFrac
+// into *opts. size is the payload size, for the observability hooks.
 func openMetroCheckpoint(opts *MetroOptions) (done []MetroPoint, job int, barrier time.Duration, d *snap.Decoder, size int, err error) {
 	d, err = snap.ReadFile(opts.ResumeFrom, snap.Version)
 	if err != nil {
 		return nil, 0, 0, nil, 0, err
 	}
 	size = d.Remaining()
-	d.Expect("metro")
-	sectors := d.Int()
-	fc := d.I64s()
-	dur := d.Dur()
-	shards := d.Int()
-	tech := d.Int()
-	hs := d.F64()
-	churn := d.F64()
-	seed := d.I64()
+	walkMetroSweep(snap.Load(d), opts, &done, &job, &barrier)
 	if err := d.Err(); err != nil {
-		return nil, 0, 0, nil, 0, err
-	}
-	same := sectors == opts.Sectors && dur == opts.Duration &&
-		tech == int(opts.Tech) && hs == opts.HandoverScale &&
-		seed == opts.Seed && len(fc) == len(opts.FlowCounts)
-	if same {
-		for i, n := range fc {
-			if int(n) != opts.FlowCounts[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
-		return nil, 0, 0, nil, 0, fmt.Errorf(
-			"experiments: checkpoint %s was taken under a different metro configuration (snapshot: %d sectors, flows %v, %v, %d shards, tech %d, handover %v, churn %v, seed %d)",
-			opts.ResumeFrom, sectors, fc, dur, shards, tech, hs, churn, seed)
-	}
-	opts.Shards = shards
-	opts.ChurnFrac = churn
-	// The counts below come from the file, and a well-framed file can still
-	// be hostile: bound each by what this sweep could have written before
-	// allocating for it, and stop at the first decode error.
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, 0, 0, nil, 0, err
-	}
-	if limit := len(metroJobs(*opts)); n > limit {
-		return nil, 0, 0, nil, 0, fmt.Errorf("experiments: checkpoint claims %d completed points in a sweep of %d trials", n, limit)
-	}
-	for i := 0; i < n; i++ {
-		p := restoreMetroPoint(d, opts.Sectors)
-		if err := d.Err(); err != nil {
-			return nil, 0, 0, nil, 0, err
-		}
-		done = append(done, p)
-	}
-	job = d.Int()
-	barrier = d.Dur()
-	if err := d.Err(); err != nil {
-		return nil, 0, 0, nil, 0, err
-	}
-	if job < 0 || len(done) != job {
-		return nil, 0, 0, nil, 0, fmt.Errorf("experiments: checkpoint has %d completed points but claims job index %d", len(done), job)
-	}
-	if barrier <= 0 || barrier >= opts.Duration {
-		return nil, 0, 0, nil, 0, fmt.Errorf("experiments: checkpoint barrier %v outside (0, %v)", barrier, opts.Duration)
+		return nil, 0, 0, nil, 0, fmt.Errorf("%s: %w", opts.ResumeFrom, err)
 	}
 	return done, job, barrier, d, size, nil
 }
@@ -225,10 +179,7 @@ func metroCheckpointed(opts MetroOptions) (MetroResult, error) {
 			return MetroResult{}, fmt.Errorf("experiments: checkpoint job index %d outside a sweep of %d trials", job, len(jobs))
 		}
 		m := metroBuild(opts, jobs[job].mk, jobs[job].flows, runner.DeriveSeed(opts.Seed, jobs[job].key))
-		m.Restore(d)
-		if err := d.Err(); err != nil {
-			return MetroResult{}, err
-		}
+		m.Walk(snap.Load(d))
 		if err := d.Done(); err != nil {
 			return MetroResult{}, err
 		}

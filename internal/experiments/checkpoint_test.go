@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cellular"
+	"repro/internal/experiments/runner"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/snap"
@@ -123,7 +125,7 @@ func TestMetroCheckpointPoolConservation(t *testing.T) {
 		t.Fatal("mid-run barrier has no live packets; the property would be vacuous")
 	}
 	e := snap.NewEncoder()
-	m.Snapshot(e)
+	m.Walk(snap.Save(e))
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestMetroCheckpointPoolConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := metroBuild(opts, metroProtocols()[0], 16, 123)
-	r.Restore(d)
+	r.Walk(snap.Load(d))
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +155,129 @@ func TestMetroCheckpointPoolConservation(t *testing.T) {
 	}
 	if netsim.PoolDebug {
 		t.Log("pooldebug poisoning armed through restore")
+	}
+}
+
+// TestCheckpointWalkRoundTrips: each component has one walk for both
+// directions, so save → load onto a rebuild → save again is byte-identical.
+// It runs over the golden dumbbell, a churned two-shard trial of each metro
+// protocol, and a whole sweep file, and requires every component kind's
+// section tag among the bytes it compared.
+//
+// The pending events are the exception the walk documents: they are a set,
+// written in the order heap and lanes happen to hold them, and a load
+// re-sifts. So the bytes ahead of the heap section must match at once, the
+// heap section must keep its size, and a second load and save must reproduce
+// the first one's bytes whole.
+func TestCheckpointWalkRoundTrips(t *testing.T) {
+	tagBytes := func(tag string) []byte {
+		e := snap.NewEncoder()
+		e.Tag(tag)
+		section, _ := e.Encode(snap.Version)
+		return section[8 : len(section)-4]
+	}
+	var seen []byte
+	compare := func(name string, first, second, third []byte) {
+		t.Helper()
+		heap := bytes.Index(first, tagBytes("meshheaps"))
+		if heap < 0 {
+			heap = bytes.Index(first, tagBytes("heap"))
+		}
+		if heap < 0 {
+			t.Fatalf("%s: no heap section", name)
+		}
+		if len(second) != len(first) || !bytes.Equal(second[:heap], first[:heap]) {
+			t.Errorf("%s: components saved after a load differ from the first save (%d vs %d bytes)", name, len(second), len(first))
+		}
+		if !bytes.Equal(third, second) {
+			t.Errorf("%s: a second load and save moved the bytes again", name)
+		}
+		seen = append(seen, first...)
+	}
+	roundTrip := func(name string, orig snap.Walkable, rebuild func() snap.Walkable) {
+		t.Helper()
+		save := func(c snap.Walkable) []byte {
+			e := snap.NewEncoder()
+			c.Walk(snap.Save(e))
+			blob, err := e.Encode(snap.Version)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return blob
+		}
+		reload := func(blob []byte) []byte {
+			d, err := snap.Decode(blob, snap.Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := rebuild()
+			loaded.Walk(snap.Load(d))
+			if err := d.Done(); err != nil {
+				t.Fatalf("%s: load: %v", name, err)
+			}
+			return save(loaded)
+		}
+		first := save(orig)
+		second := reload(first)
+		compare(name, first, second, reload(second))
+	}
+
+	d, _ := buildGoldenDumbbell()
+	d.Run(2890 * time.Millisecond)
+	roundTrip("dumbbell", d, func() snap.Walkable { r, _ := buildGoldenDumbbell(); return r })
+
+	opts := ckptOpts(2, 0.5)
+	for _, mk := range metroProtocols() {
+		m := metroBuild(opts, mk, 16, 123)
+		m.runTo(time.Second)
+		roundTrip("metro "+mk.Name, m, func() snap.Walkable { return metroBuild(opts, mk, 16, 123) })
+	}
+
+	// The sweep file: open the last checkpoint (two trials done, the third in
+	// flight), load it onto a rebuild, and write it back out.
+	_, copies := runCheckpointed(t, opts, 500*time.Millisecond)
+	rewrite := func(path string) string {
+		rs := opts
+		rs.ResumeFrom = path
+		done, job, barrier, dec, _, err := openMetroCheckpoint(&rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(done) != 2 || len(done[0].CellAttrib) != opts.Sectors {
+			t.Fatalf("checkpoint carries %d completed points; the sweep-file walk would go untested", len(done))
+		}
+		jobs := metroJobs(rs)
+		m := metroBuild(rs, jobs[job].mk, jobs[job].flows, runner.DeriveSeed(rs.Seed, jobs[job].key))
+		m.Walk(snap.Load(dec))
+		if err := dec.Done(); err != nil {
+			t.Fatal(err)
+		}
+		rs.CheckpointPath = filepath.Join(t.TempDir(), "again.bin")
+		if _, err := writeMetroCheckpoint(snap.NewEncoder(), rs, done, job, barrier, m); err != nil {
+			t.Fatal(err)
+		}
+		return rs.CheckpointPath
+	}
+	read := func(path string) []byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := copies[len(copies)-1]
+	second := rewrite(first)
+	compare("sweep file", read(first), read(second), read(rewrite(second)))
+
+	for _, tag := range []string{
+		"newreno", "cubic", "vegas", "verus", "profile", "sprout",
+		"summary", "tput", "wmean", "attrib", "flowmetrics", "source", "cbr",
+		"droptail", "red", "linkcore", "fixedlink", "tracelink", "faultlink",
+		"simcore", "heap", "mesh", "meshheaps", "dumbbell", "metrotrial", "metro",
+	} {
+		if !bytes.Contains(seen, tagBytes(tag)) {
+			t.Errorf("no round trip covered a %q section", tag)
+		}
 	}
 }
 
@@ -193,10 +318,10 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 	// hostile writes a checkpoint that echoes opts faithfully and then claims
 	// `points` completed points. With cells >= 0 the first point follows,
 	// well formed up to its CellAttrib count (the field order is
-	// snapshotMetroPoint's), which claims `cells`.
+	// walkMetroPoint's), which claims `cells`.
 	hostile := func(name string, points uint32, cells int64) string {
 		h := snap.NewEncoder()
-		snapshotMetroConfig(h, opts)
+		walkMetroConfig(snap.Save(h), &opts)
 		h.U32(points)
 		if cells >= 0 {
 			h.Str("verus")
@@ -206,7 +331,7 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 			h.F64s(nil)
 			h.I64(0)
 			h.U64(0)
-			new(stats.Attribution).Snapshot(h)
+			new(stats.Attribution).Walk(snap.Save(h))
 			h.U32(uint32(cells))
 		}
 		path := filepath.Join(dir, name+".bin")
@@ -311,6 +436,17 @@ func TestMetroCheckpointWriteReusesBuffer(t *testing.T) {
 	})
 	if per := total / rounds; per >= 64<<10 {
 		t.Fatalf("a repeat snapshot of %d bytes allocated %d bytes; the reused encoder should keep it under 64 KB", size, per)
+	}
+	// What is left above is the file write. The walk itself, saving into the
+	// warmed encoder, allocates nothing: no scratch slices, no boxed values,
+	// and no validation message, which only a failing load may build.
+	w := snap.Save(e)
+	if n := testing.AllocsPerRun(4, func() {
+		e.Reset()
+		walkMetroSweep(w, &opts, new([]MetroPoint), new(int), new(time.Duration))
+		m.Walk(w)
+	}); n != 0 || e.Err() != nil {
+		t.Fatalf("saving the %d-flow trial allocated %v times (err %v), want 0", m.flows, n, e.Err())
 	}
 }
 

@@ -458,84 +458,31 @@ func (m *metroSim) collect() MetroPoint {
 	return pt
 }
 
-// Snapshot implements snap.Snapshotter at a mesh barrier: mesh and cell core
-// state first, then every component in construction order, then the heaps —
-// mirroring the two-phase restore.
-func (m *metroSim) Snapshot(e *snap.Encoder) {
-	e.Tag("metrotrial")
-	m.mesh.Snapshot(e)
+// Walk implements snap.Walkable at a mesh barrier: mesh and cell core state
+// first, then every component in construction order, then the heaps — the
+// order the two-phase load depends on. A load runs over a freshly rebuilt
+// trial.
+func (m *metroSim) Walk(w snap.Walker) {
+	w.Tag("metrotrial")
+	m.mesh.Walk(w)
 	for _, l := range m.links {
-		l.Snapshot(e)
-		if e.Err() != nil {
-			return
-		}
+		l.Walk(w)
 	}
-	for id := 0; id < m.flows; id++ {
+	for id := 0; id < m.flows && w.Err() == nil; id++ {
 		st := m.states[id]
-		e.Int(st.cur)
-		e.Dur(st.stallUntil)
-		m.sources[id].Snapshot(e)
-		if e.Err() != nil {
+		w.Int(&st.cur)
+		w.Dur(&st.stallUntil)
+		if w.Loading() && w.Err() == nil && (st.cur < 0 || st.cur >= m.opts.Sectors) {
+			w.Fail(fmt.Errorf("experiments: flow %d checkpointed on sector %d of %d", id, st.cur, m.opts.Sectors))
 			return
 		}
+		m.sources[id].Walk(w)
 	}
-	e.I64s(m.handoversByCell)
+	w.FixedI64s(m.handoversByCell, "experiments: handover cells")
 	for _, a := range m.attrib {
-		a.Snapshot(e)
-		if e.Err() != nil {
-			return
-		}
+		a.Walk(w)
 	}
-	m.mesh.SnapshotHeaps(e)
-}
-
-// Restore implements snap.Snapshotter over a freshly rebuilt trial.
-func (m *metroSim) Restore(d *snap.Decoder) {
-	d.Expect("metrotrial")
-	m.mesh.Restore(d)
-	if d.Err() != nil {
-		return
-	}
-	for _, l := range m.links {
-		l.Restore(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-	for id := 0; id < m.flows; id++ {
-		st := m.states[id]
-		cur := d.Int()
-		stall := d.Dur()
-		if d.Err() != nil {
-			return
-		}
-		if cur < 0 || cur >= m.opts.Sectors {
-			d.Fail(fmt.Errorf("experiments: flow %d checkpointed on sector %d of %d", id, cur, m.opts.Sectors))
-			return
-		}
-		st.cur = cur
-		st.stallUntil = stall
-		m.sources[id].Restore(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-	hc := d.I64s()
-	if d.Err() != nil {
-		return
-	}
-	if len(hc) != len(m.handoversByCell) {
-		d.Fail(fmt.Errorf("experiments: checkpoint has %d handover cells, rebuild has %d", len(hc), len(m.handoversByCell)))
-		return
-	}
-	copy(m.handoversByCell, hc)
-	for _, a := range m.attrib {
-		a.Restore(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-	m.mesh.RestoreHeaps(d)
+	m.mesh.WalkHeaps(w)
 }
 
 // metroTrial builds and runs one full metro trial straight through — the

@@ -330,71 +330,47 @@ func (l *Link) endStall() {
 	}
 }
 
-// Snapshot implements snap.Snapshotter: the fault flags, the Gilbert-Elliott
-// chain state, the impairment RNG position, the held (stalled) packets, the
-// counter ledger, and the wrapped inner link. The pending window-begin and
-// window-end events are restored with the heap.
-func (l *Link) Snapshot(e *snap.Encoder) {
-	e.Tag("faultlink")
-	inner, ok := l.inner.(snap.Snapshotter)
+// Walk implements snap.Walkable: the fault flags, the Gilbert-Elliott chain
+// state, the impairment RNG position, the held (stalled) packets, the counter
+// ledger, and the wrapped inner link. The pending window-begin and window-end
+// events are restored with the heap.
+func (l *Link) Walk(w snap.Walker) {
+	w.Tag("faultlink")
+	inner, ok := l.inner.(snap.Walkable)
 	if !ok {
-		e.Fail(fmt.Errorf("faults: inner link %T is not checkpointable", l.inner))
+		w.Fail(fmt.Errorf("faults: inner link %T is not checkpointable", l.inner))
 		return
 	}
-	e.Bool(l.inOutage)
-	e.Bool(l.inStall)
-	e.Bool(l.geBad)
-	l.src.Snapshot(e)
-	e.U32(uint32(len(l.held)))
-	for _, p := range l.held {
-		netsim.SnapshotPacket(e, p)
+	w.Bool(&l.inOutage)
+	w.Bool(&l.inStall)
+	w.Bool(&l.geBad)
+	l.src.Walk(w)
+	n := w.Len(len(l.held))
+	if w.Loading() {
+		l.held = l.held[:0]
 	}
-	e.I64(l.SendDropped)
-	e.I64(l.QueueDrained)
-	e.I64(l.EgressDropped)
-	e.I64(l.BurstLost)
-	e.I64(l.Corrupted)
-	e.I64(l.Duplicated)
-	e.I64(l.Reordered)
-	e.I64(l.Released)
-	e.I64(l.Held)
-	e.I64(l.ReorderPending)
-	e.I64(l.Delivered)
-	inner.Snapshot(e)
-}
-
-// Restore implements snap.Snapshotter.
-func (l *Link) Restore(d *snap.Decoder) {
-	d.Expect("faultlink")
-	inner, ok := l.inner.(snap.Snapshotter)
-	if !ok {
-		d.Fail(fmt.Errorf("faults: inner link %T is not checkpointable", l.inner))
-		return
-	}
-	l.inOutage = d.Bool()
-	l.inStall = d.Bool()
-	l.geBad = d.Bool()
-	l.src.Restore(d)
-	n := int(d.U32())
-	l.held = l.held[:0]
-	for i := 0; i < n; i++ {
-		p := netsim.RestorePacket(d)
-		if d.Err() != nil {
-			return
+	for i := 0; i < n && w.Err() == nil; i++ {
+		var p *netsim.Packet
+		if !w.Loading() {
+			p = l.held[i]
 		}
-		l.held = append(l.held, p)
+		if netsim.WalkListedPacket(w, &p) {
+			l.held = append(l.held, p)
+		}
 	}
-	l.SendDropped = d.I64()
-	l.QueueDrained = d.I64()
-	l.EgressDropped = d.I64()
-	l.BurstLost = d.I64()
-	l.Corrupted = d.I64()
-	l.Duplicated = d.I64()
-	l.Reordered = d.I64()
-	l.Released = d.I64()
-	l.Held = d.I64()
-	l.ReorderPending = d.I64()
-	l.Delivered = d.I64()
-	inner.Restore(d)
-	l.updateFast()
+	w.I64(&l.SendDropped)
+	w.I64(&l.QueueDrained)
+	w.I64(&l.EgressDropped)
+	w.I64(&l.BurstLost)
+	w.I64(&l.Corrupted)
+	w.I64(&l.Duplicated)
+	w.I64(&l.Reordered)
+	w.I64(&l.Released)
+	w.I64(&l.Held)
+	w.I64(&l.ReorderPending)
+	w.I64(&l.Delivered)
+	inner.Walk(w)
+	if w.Loading() {
+		l.updateFast()
+	}
 }

@@ -54,7 +54,7 @@ func TestSnapshotPacketRoundTripsAttribution(t *testing.T) {
 	p.MarkDelay(6*time.Millisecond, stats.DelayFaultHold)
 
 	e := snap.NewEncoder()
-	SnapshotPacket(e, p)
+	WalkPacket(snap.Save(e), &p)
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,8 @@ func TestSnapshotPacketRoundTripsAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := RestorePacket(d)
+	var q *Packet
+	WalkPacket(snap.Load(d), &q)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -107,20 +107,12 @@ func (c *CBR) send() {
 	c.link.Send(p)
 }
 
-// Snapshot implements Snapshotter: sequence position, the stop flag, and the
+// Walk implements snap.Walkable: sequence position, the stop flag, and the
 // flow's metrics. The pending send (or ON-boundary wakeup) event is restored
 // with the heap.
-func (c *CBR) Snapshot(e *snap.Encoder) {
-	e.Tag("cbr")
-	e.I64(c.nextSeq)
-	e.Bool(c.stopped)
-	c.metrics.Snapshot(e)
-}
-
-// Restore implements Snapshotter.
-func (c *CBR) Restore(d *snap.Decoder) {
-	d.Expect("cbr")
-	c.nextSeq = d.I64()
-	c.stopped = d.Bool()
-	c.metrics.Restore(d)
+func (c *CBR) Walk(w snap.Walker) {
+	w.Tag("cbr")
+	w.I64(&c.nextSeq)
+	w.Bool(&c.stopped)
+	c.metrics.Walk(w)
 }

@@ -90,54 +90,31 @@ func NewDumbbell(sim *Sim, makeLink func(dst Receiver) Link, defaultMTU int, spe
 // Run advances the simulation to the given time.
 func (d *Dumbbell) Run(until time.Duration) { d.Sim.Run(until) }
 
-// Snapshot implements snap.Snapshotter: sim core, bottleneck, every flow (a
-// Source or CBR snapshot carries its metrics), then the event heap — the
-// order the two-phase restore depends on. The bottleneck link must itself be
-// a Snapshotter.
-func (d *Dumbbell) Snapshot(e *snap.Encoder) {
-	e.Tag("dumbbell")
-	d.Sim.SnapshotState(e)
-	l, ok := d.Link.(snap.Snapshotter)
+// Walk implements snap.Walkable: sim core, bottleneck, every flow (a Source or
+// CBR walk carries its metrics), then the event heap — the order the
+// two-phase load depends on. The bottleneck link must itself be Walkable, and
+// a load runs over a freshly rebuilt dumbbell.
+func (d *Dumbbell) Walk(w snap.Walker) {
+	w.Tag("dumbbell")
+	d.Sim.WalkState(w)
+	l, ok := d.Link.(snap.Walkable)
 	if !ok {
-		e.Fail(fmt.Errorf("netsim: dumbbell bottleneck %T is not checkpointable", d.Link))
+		w.Fail(fmt.Errorf("netsim: dumbbell bottleneck %T is not checkpointable", d.Link))
 		return
 	}
-	l.Snapshot(e)
+	l.Walk(w)
 	for i := range d.Sources {
 		if d.Sources[i] != nil {
-			d.Sources[i].Snapshot(e)
+			d.Sources[i].Walk(w)
 		} else {
-			d.CBRs[i].Snapshot(e)
-		}
-		if e.Err() != nil {
-			return
+			d.CBRs[i].Walk(w)
 		}
 	}
-	d.Sim.SnapshotHeap(e)
+	d.Sim.WalkHeap(w)
 }
 
-// Restore implements snap.Snapshotter over a freshly rebuilt dumbbell.
-func (d *Dumbbell) Restore(dec *snap.Decoder) {
-	dec.Expect("dumbbell")
-	d.Sim.RestoreState(dec)
-	if dec.Err() != nil {
-		return
-	}
-	l, ok := d.Link.(snap.Snapshotter)
-	if !ok {
-		dec.Fail(fmt.Errorf("netsim: dumbbell bottleneck %T is not checkpointable", d.Link))
-		return
-	}
-	l.Restore(dec)
-	for i := range d.Sources {
-		if d.Sources[i] != nil {
-			d.Sources[i].Restore(dec)
-		} else {
-			d.CBRs[i].Restore(dec)
-		}
-		if dec.Err() != nil {
-			return
-		}
-	}
-	d.Sim.RestoreHeap(dec)
-}
+// Snapshot saves the dumbbell into e.
+func (d *Dumbbell) Snapshot(e *snap.Encoder) { d.Walk(snap.Save(e)) }
+
+// Restore loads a freshly rebuilt dumbbell from dec.
+func (d *Dumbbell) Restore(dec *snap.Decoder) { d.Walk(snap.Load(dec)) }

@@ -119,7 +119,7 @@ type outstanding struct {
 // Two invariants carry the prefix scan in detectLosses: seqs ascend strictly
 // from head to tail, and the entries with ackedAfter > 0 form a prefix (an
 // ack bumps exactly the entries before it, new entries join at the tail with
-// zero). Restore rejects a snapshot that breaks either.
+// zero). A checkpoint load rejects a snapshot that breaks either.
 type scoreboard struct {
 	buf  []outstanding // power-of-two length; index with &(len-1)
 	head int
@@ -454,128 +454,91 @@ func (s *Source) checkRTO() {
 	s.trySend()
 }
 
-// Snapshot writes the flow's accumulated metrics.
-func (m *FlowMetrics) Snapshot(e *snap.Encoder) {
-	e.Tag("flowmetrics")
-	m.Throughput.Snapshot(e)
-	m.Delay.Snapshot(e)
-	m.DelayOverTime.Snapshot(e)
-	e.I64(m.Sent)
-	e.I64(m.Received)
-	e.I64(m.LossDetected)
-	e.I64(m.Timeouts)
-	e.I64s(m.AttribNs[:])
+// Walk visits the flow's accumulated metrics.
+func (m *FlowMetrics) Walk(w snap.Walker) {
+	w.Tag("flowmetrics")
+	m.Throughput.Walk(w)
+	m.Delay.Walk(w)
+	m.DelayOverTime.Walk(w)
+	w.I64(&m.Sent)
+	w.I64(&m.Received)
+	w.I64(&m.LossDetected)
+	w.I64(&m.Timeouts)
+	w.FixedI64s(m.AttribNs[:], "netsim: flow metrics attribution components")
 }
 
-// Restore replaces the flow's metrics with a snapshot.
-func (m *FlowMetrics) Restore(d *snap.Decoder) {
-	d.Expect("flowmetrics")
-	m.Throughput.Restore(d)
-	m.Delay.Restore(d)
-	m.DelayOverTime.Restore(d)
-	m.Sent = d.I64()
-	m.Received = d.I64()
-	m.LossDetected = d.I64()
-	m.Timeouts = d.I64()
-	attrib := d.I64s()
-	if d.Err() != nil {
-		return
+// walkSender visits the sender protocol state. A load validates each
+// in-flight entry as it decodes: the prefix scan in detectLosses is only
+// correct on a scoreboard that keeps its invariants, so a snapshot that
+// breaks them is refused, not run. The ring grows as entries decode; a
+// hostile length prefix runs out of bytes long before it runs up memory.
+func (s *Source) walkSender(w snap.Walker) {
+	w.I64(&s.nextSeq)
+	n := w.Len(s.inflight.n)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		var o outstanding
+		if !w.Loading() {
+			o = *s.inflight.at(i)
+		}
+		w.I64(&o.seq)
+		w.Dur(&o.sentAt)
+		w.Int(&o.window)
+		w.Int(&o.ackedAfter)
+		lost := false // the retired per-entry lost flag: never set, its byte stays on the wire
+		w.Bool(&lost)
+		if !w.Loading() || w.Err() != nil {
+			continue
+		}
+		if err := s.inflight.admit(o, lost, s.nextSeq); err != nil {
+			w.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", s.flow, i, err))
+			return
+		}
+		s.inflight.push(o)
 	}
-	if len(attrib) != stats.NumDelayComps {
-		d.Fail(fmt.Errorf("netsim: flow metrics snapshot has %d attribution components, this build has %d",
-			len(attrib), stats.NumDelayComps))
-		return
-	}
-	copy(m.AttribNs[:], attrib)
+	w.Dur(&s.srtt)
+	w.Dur(&s.rttvar)
+	w.Dur(&s.lastProg)
+	w.Int(&s.backoff)
+	w.Bool(&s.stopped)
+	w.Bool(&s.started)
 }
 
-// Snapshot implements Snapshotter: sender protocol state, the flow's metrics,
-// and the controller's state (the controller must itself be a Snapshotter).
+// Walk implements snap.Walkable: sender protocol state, the flow's metrics,
+// and the controller's state (the controller must itself be Walkable).
 // Pending ack deliveries, timer ticks, and the start/stop events live in the
 // heap snapshot, not here.
-func (s *Source) Snapshot(e *snap.Encoder) {
-	e.Tag("source")
-	cs, ok := s.ctrl.(snap.Snapshotter)
+//
+// A load walks the sender state into a scratch copy with a ring of its own
+// and commits it only once it decoded whole and valid, so a rejected snapshot
+// leaves the sender as it was. If the checkpoint was taken after the flow
+// started, the tick and RTO timers are then re-registered under their derived
+// ids (carrying the stopped flag) so the heap restore can resolve their
+// pending tick events.
+func (s *Source) Walk(w snap.Walker) {
+	w.Tag("source")
+	cs, ok := s.ctrl.(snap.Walkable)
 	if !ok {
-		e.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Snapshot/Restore)", s.ctrl))
+		w.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Walk)", s.ctrl))
 		return
 	}
-	e.I64(s.nextSeq)
-	e.U32(uint32(s.inflight.n))
-	for i := 0; i < s.inflight.n; i++ {
-		o := s.inflight.at(i)
-		e.I64(o.seq)
-		e.Dur(o.sentAt)
-		e.Int(o.window)
-		e.Int(o.ackedAfter)
-		e.Bool(false) // the retired per-entry lost flag: never set, its byte stays on the wire
-	}
-	e.Dur(s.srtt)
-	e.Dur(s.rttvar)
-	e.Dur(s.lastProg)
-	e.Int(s.backoff)
-	e.Bool(s.stopped)
-	e.Bool(s.started)
-	s.metrics.Snapshot(e)
-	cs.Snapshot(e)
-}
-
-// Restore implements Snapshotter. If the checkpoint was taken after the flow
-// started, the tick and RTO timers are re-registered under their derived ids
-// (carrying the stopped flag) so the heap restore can resolve their pending
-// tick events.
-func (s *Source) Restore(d *snap.Decoder) {
-	d.Expect("source")
-	cs, ok := s.ctrl.(snap.Snapshotter)
-	if !ok {
-		d.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Snapshot/Restore)", s.ctrl))
-		return
-	}
-	// Decode and validate the sender state whole before any field is written:
-	// the prefix scan in detectLosses is only correct on a scoreboard that
-	// keeps its invariants, so a snapshot that breaks them is refused, not
-	// run. The ring grows as entries decode; a hostile length prefix runs out
-	// of bytes long before it runs up memory.
-	nextSeq := d.I64()
-	n := d.U32()
-	var inflight scoreboard
-	for i := uint32(0); i < n; i++ {
-		var o outstanding
-		o.seq = d.I64()
-		o.sentAt = d.Dur()
-		o.window = d.Int()
-		o.ackedAfter = d.Int()
-		lost := d.Bool()
-		if d.Err() != nil {
+	if w.Loading() {
+		tmp := *s
+		tmp.inflight = scoreboard{}
+		tmp.walkSender(w)
+		if w.Err() != nil {
 			return
 		}
-		if err := inflight.admit(o, lost, nextSeq); err != nil {
-			d.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", s.flow, i, err))
-			return
-		}
-		inflight.push(o)
+		*s = tmp
+	} else {
+		s.walkSender(w)
 	}
-	srtt := d.Dur()
-	rttvar := d.Dur()
-	lastProg := d.Dur()
-	backoff := d.Int()
-	stopped := d.Bool()
-	started := d.Bool()
-	if d.Err() != nil {
+	s.metrics.Walk(w)
+	cs.Walk(w)
+	if !w.Loading() || w.Err() != nil || !s.started {
 		return
 	}
-	s.nextSeq, s.inflight = nextSeq, inflight
-	s.srtt, s.rttvar, s.lastProg, s.backoff = srtt, rttvar, lastProg, backoff
-	s.stopped, s.started = stopped, started
-	s.metrics.Restore(d)
-	cs.Restore(d)
-	if d.Err() != nil {
-		return
+	if iv := s.ctrl.TickInterval(); iv > 0 {
+		s.stopTick = s.sim.restoreTimer(derivedID(s.cid, slotSourceTick), iv, s.onTick, s.stopped)
 	}
-	if s.started {
-		if iv := s.ctrl.TickInterval(); iv > 0 {
-			s.stopTick = s.sim.restoreTimer(derivedID(s.cid, slotSourceTick), iv, s.onTick, s.stopped)
-		}
-		s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
-	}
+	s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
 }

@@ -281,8 +281,8 @@ func (m *laneModel) scheduleClosure() {
 // pending set must come back with every key intact, wherever each event sat.
 func (m *laneModel) checkpoint() {
 	e := snap.NewEncoder()
-	m.s.SnapshotState(e)
-	m.s.SnapshotHeap(e)
+	m.s.WalkState(snap.Save(e))
+	m.s.WalkHeap(snap.Save(e))
 	blob, err := e.Encode(snap.Version)
 	if err != nil {
 		m.t.Fatal(err)
@@ -292,11 +292,11 @@ func (m *laneModel) checkpoint() {
 		m.t.Fatal(err)
 	}
 	m.build()
-	m.s.RestoreState(d)
+	m.s.WalkState(snap.Load(d))
 	for _, lt := range m.timers {
 		lt.stop = m.s.restoreTimer(lt.id, lt.interval, lt.tick, lt.stopped)
 	}
-	m.s.RestoreHeap(d)
+	m.s.WalkHeap(snap.Load(d))
 	if err := d.Err(); err != nil {
 		m.t.Fatal(err)
 	}

@@ -319,77 +319,47 @@ func (l *TraceLink) peek() *Packet {
 	}
 }
 
-// snapshot writes the shared link state: tunable parameters (rate/delay/loss
+// walk visits the shared link state: tunable parameters (rate/delay/loss
 // experiments mutate them mid-run), the loss RNG position, the delivery
 // counters, and the queue contents.
-func (c *linkCore) snapshot(e *snap.Encoder) {
-	e.Tag("linkcore")
+func (c *linkCore) walk(w snap.Walker) {
+	w.Tag("linkcore")
 	if c.src == nil {
-		e.Fail(fmt.Errorf("netsim: link has no checkpointable RNG; construct with NewFixedLink/NewTraceLink"))
+		w.Fail(fmt.Errorf("netsim: link has no checkpointable RNG; construct with NewFixedLink/NewTraceLink"))
 		return
 	}
-	e.Dur(c.propDly)
-	e.F64(c.lossProb)
-	c.src.Snapshot(e)
-	e.I64(c.Delivered)
-	e.I64(c.Lost)
-	snapshotQueue(e, c.queue)
+	w.Dur(&c.propDly)
+	w.F64(&c.lossProb)
+	c.src.Walk(w)
+	w.I64(&c.Delivered)
+	w.I64(&c.Lost)
+	walkQueue(w, c.queue)
 }
 
-// restore consumes snapshot's fields into the rebuilt core.
-func (c *linkCore) restore(d *snap.Decoder) {
-	d.Expect("linkcore")
-	if c.src == nil {
-		d.Fail(fmt.Errorf("netsim: link has no checkpointable RNG; construct with NewFixedLink/NewTraceLink"))
-		return
-	}
-	c.propDly = d.Dur()
-	c.lossProb = d.F64()
-	c.src.Restore(d)
-	c.Delivered = d.I64()
-	c.Lost = d.I64()
-	restoreQueue(d, c.queue)
-}
-
-// Snapshot implements Snapshotter: the core state plus the serializer — the
+// Walk implements snap.Walkable: the core state plus the serializer — the
 // current rate, the busy flag, and the packet on the wire. The pending
 // serialization-complete event itself is restored with the heap.
-func (l *FixedLink) Snapshot(e *snap.Encoder) {
-	e.Tag("fixedlink")
-	l.linkCore.snapshot(e)
-	e.F64(l.rateBps)
-	e.Bool(l.busy)
-	SnapshotPacket(e, l.serving)
+func (l *FixedLink) Walk(w snap.Walker) {
+	w.Tag("fixedlink")
+	l.linkCore.walk(w)
+	w.F64(&l.rateBps)
+	w.Bool(&l.busy)
+	WalkPacket(w, &l.serving)
 }
 
-// Restore implements Snapshotter.
-func (l *FixedLink) Restore(d *snap.Decoder) {
-	d.Expect("fixedlink")
-	l.linkCore.restore(d)
-	l.rateBps = d.F64()
-	l.busy = d.Bool()
-	l.serving = RestorePacket(d)
-}
-
-// Snapshot implements Snapshotter: the core state plus trace replay
-// position — which opportunity is pending, the loop base offset, partial
-// service of the head packet, and wasted capacity. The pending opportunity
-// event itself is restored with the heap.
-func (l *TraceLink) Snapshot(e *snap.Encoder) {
-	e.Tag("tracelink")
-	l.linkCore.snapshot(e)
-	e.Int(l.headServed)
-	e.Int(l.opIdx)
-	e.Dur(l.opBase)
-	e.I64(l.WastedBytes)
-}
-
-// Restore implements Snapshotter.
-func (l *TraceLink) Restore(d *snap.Decoder) {
-	d.Expect("tracelink")
-	l.linkCore.restore(d)
-	l.headServed = d.Int()
-	l.opIdx = d.Int()
-	l.opBase = d.Dur()
-	l.WastedBytes = d.I64()
+// Walk implements snap.Walkable: the core state plus trace replay position —
+// which opportunity is pending, the loop base offset, partial service of the
+// head packet, and wasted capacity. The pending opportunity event itself is
+// restored with the heap. opIdx indexes the trace at the next opportunity, so
+// a load rejects one outside it.
+func (l *TraceLink) Walk(w snap.Walker) {
+	w.Tag("tracelink")
+	l.linkCore.walk(w)
+	w.Int(&l.headServed)
+	w.Int(&l.opIdx)
+	if w.Loading() && w.Err() == nil && (l.opIdx < 0 || l.opIdx >= len(l.tr.Ops) || l.headServed < 0) {
+		w.Fail(fmt.Errorf("netsim: trace link snapshot at opportunity %d of %d with %d head bytes served", l.opIdx, len(l.tr.Ops), l.headServed))
+	}
+	w.Dur(&l.opBase)
+	w.I64(&l.WastedBytes)
 }

@@ -44,7 +44,11 @@ func (st PacketPoolStats) Live() int64 { return int64(st.Gets) - int64(st.Frees)
 
 // packetPool is a LIFO free list of packets, owned by exactly one Sim.
 type packetPool struct {
-	free  []*Packet
+	free []*Packet
+	// owed is how many free-list entries a checkpoint load has not
+	// materialized: the snapshot carries the list's depth, not its packets,
+	// and get allocates each one only when the list would have supplied it.
+	owed  int
 	stats PacketPoolStats
 }
 
@@ -59,7 +63,11 @@ func (pp *packetPool) get() *Packet {
 		p.markLive()
 		return p
 	}
-	pp.stats.Allocated++
+	if pp.owed > 0 {
+		pp.owed-- // a reuse in the uninterrupted run, not a miss
+	} else {
+		pp.stats.Allocated++
+	}
 	//lint:poolrelease pool-internal -- the pool's own backing allocation: every other &Packet{} in sim code must go through NewPacket/ClonePacket
 	return &Packet{}
 }

@@ -309,157 +309,82 @@ func (q *RED) Bytes() int { return q.bytes }
 // AvgBytes returns RED's smoothed queue-size estimate.
 func (q *RED) AvgBytes() float64 { return q.avg }
 
-// snapshotRing writes the ring's packets in FIFO order.
-func (r *pktRing) snapshot(e *snap.Encoder) {
-	e.U32(uint32(r.n))
-	for i := 0; i < r.n; i++ {
-		SnapshotPacket(e, r.buf[(r.head+i)&(len(r.buf)-1)])
+// walk visits the ring's packets in FIFO order. A load rematerializes them
+// into a ring the rebuild left empty and returns their total size.
+func (r *pktRing) walk(w snap.Walker) (bytes int) {
+	if w.Loading() && r.n != 0 {
+		w.Fail(fmt.Errorf("netsim: restoring a queue ring that already holds %d packets", r.n))
+		return 0
 	}
-}
-
-// restoreRing rematerializes the ring's packets in FIFO order into a ring
-// the rebuild left empty.
-func (r *pktRing) restore(d *snap.Decoder) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if r.n != 0 {
-		d.Fail(fmt.Errorf("netsim: restoring a queue ring that already holds %d packets", r.n))
-		return
-	}
-	for i := 0; i < n; i++ {
-		p := RestorePacket(d)
-		if d.Err() != nil {
-			return
+	n := w.Len(r.n)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		var p *Packet
+		if !w.Loading() {
+			p = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
-		if p == nil {
-			d.Fail(fmt.Errorf("netsim: nil packet in queue ring snapshot"))
-			return
+		if WalkListedPacket(w, &p) {
+			r.push(p)
+			bytes += p.Bytes
 		}
-		r.push(p)
+	}
+	return bytes
+}
+
+// Walk implements snap.Walkable: the queued packets and drop counter. The
+// byte limit is configuration.
+func (q *DropTail) Walk(w snap.Walker) {
+	w.Tag("droptail")
+	w.SameInt(q.limit, "netsim: DropTail limit")
+	w.Int(&q.Drops)
+	if bytes := q.ring.walk(w); w.Loading() {
+		q.bytes = bytes
 	}
 }
 
-// Snapshot implements Snapshotter: the queued packets and drop counter. The
-// byte limit is configuration, written only as a cross-check.
-func (q *DropTail) Snapshot(e *snap.Encoder) {
-	e.Tag("droptail")
-	e.Int(q.limit)
-	e.Int(q.Drops)
-	q.ring.snapshot(e)
-}
-
-// Restore implements Snapshotter.
-func (q *DropTail) Restore(d *snap.Decoder) {
-	d.Expect("droptail")
-	limit := d.Int()
-	drops := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if limit != q.limit {
-		d.Fail(fmt.Errorf("netsim: DropTail limit %d in snapshot, %d rebuilt", limit, q.limit))
-		return
-	}
-	q.Drops = drops
-	q.ring.restore(d)
-	q.bytes = 0
-	for i := 0; i < q.ring.n; i++ {
-		q.bytes += q.ring.buf[(q.ring.head+i)&(len(q.ring.buf)-1)].Bytes
-	}
-}
-
-// Snapshot implements Snapshotter: queued packets, the RNG stream position,
-// and every piece of RED's drop-decision state (average, count, idle clock).
-// Thresholds are configuration, written only as a cross-check.
-func (q *RED) Snapshot(e *snap.Encoder) {
-	e.Tag("red")
+// Walk implements snap.Walkable: queued packets, the RNG stream position, and
+// every piece of RED's drop-decision state (average, count, idle clock).
+// Thresholds are configuration.
+func (q *RED) Walk(w snap.Walker) {
+	w.Tag("red")
 	if q.src == nil {
-		e.Fail(fmt.Errorf("netsim: RED queue was not built with NewRED and has no checkpointable RNG"))
+		w.Fail(fmt.Errorf("netsim: RED queue was not built with NewRED and has no checkpointable RNG"))
 		return
 	}
-	e.Int(q.MinBytes)
-	e.Int(q.MaxBytes)
-	e.F64(q.MaxP)
-	e.F64(q.Wq)
-	e.Int(q.HardLimitBytes)
-	q.src.Snapshot(e)
-	e.F64(q.avg)
-	e.Int(q.count)
-	e.Dur(q.idleAt)
-	e.Bool(q.idle)
-	e.Int(q.Drops)
-	e.Int(q.EarlyDrops)
-	q.ring.snapshot(e)
-}
-
-// Restore implements Snapshotter.
-func (q *RED) Restore(d *snap.Decoder) {
-	d.Expect("red")
-	if q.src == nil {
-		d.Fail(fmt.Errorf("netsim: RED queue was not built with NewRED and has no checkpointable RNG"))
-		return
-	}
-	minB, maxB := d.Int(), d.Int()
-	maxP, wq := d.F64(), d.F64()
-	hard := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if minB != q.MinBytes || maxB != q.MaxBytes || maxP != q.MaxP || wq != q.Wq || hard != q.HardLimitBytes {
-		d.Fail(fmt.Errorf("netsim: RED thresholds in snapshot differ from the rebuilt queue"))
-		return
-	}
-	q.src.Restore(d)
-	q.avg = d.F64()
-	q.count = d.Int()
-	q.idleAt = d.Dur()
-	q.idle = d.Bool()
-	q.Drops = d.Int()
-	q.EarlyDrops = d.Int()
-	q.ring.restore(d)
-	q.bytes = 0
-	for i := 0; i < q.ring.n; i++ {
-		q.bytes += q.ring.buf[(q.ring.head+i)&(len(q.ring.buf)-1)].Bytes
+	w.SameInt(q.MinBytes, "netsim: RED MinBytes")
+	w.SameInt(q.MaxBytes, "netsim: RED MaxBytes")
+	w.SameF64(q.MaxP, "netsim: RED MaxP")
+	w.SameF64(q.Wq, "netsim: RED Wq")
+	w.SameInt(q.HardLimitBytes, "netsim: RED HardLimitBytes")
+	q.src.Walk(w)
+	w.F64(&q.avg)
+	w.Int(&q.count)
+	w.Dur(&q.idleAt)
+	w.Bool(&q.idle)
+	w.Int(&q.Drops)
+	w.Int(&q.EarlyDrops)
+	if bytes := q.ring.walk(w); w.Loading() {
+		q.bytes = bytes
 	}
 }
 
-// snapshotQueue dispatches a Queue's snapshot through its concrete type, the
-// same closed set TraceLink.peek relies on.
-func snapshotQueue(e *snap.Encoder, q Queue) {
-	switch q := q.(type) {
+// walkQueue dispatches a Queue's walk through its concrete type, the same
+// closed set TraceLink.peek relies on. The kind byte on the wire must name
+// the type the rebuild produced.
+func walkQueue(w snap.Walker, q Queue) {
+	var kind uint8
+	switch q.(type) {
 	case *DropTail:
-		e.U8(0)
-		q.Snapshot(e)
+		kind = 0
 	case *RED:
-		e.U8(1)
-		q.Snapshot(e)
+		kind = 1
 	default:
-		e.Fail(fmt.Errorf("netsim: queue type %T is not checkpointable", q))
-	}
-}
-
-// restoreQueue mirrors snapshotQueue against the rebuilt queue.
-func restoreQueue(d *snap.Decoder, q Queue) {
-	kind := d.U8()
-	if d.Err() != nil {
+		w.Fail(fmt.Errorf("netsim: queue type %T is not checkpointable", q))
 		return
 	}
-	switch q := q.(type) {
-	case *DropTail:
-		if kind != 0 {
-			d.Fail(fmt.Errorf("netsim: snapshot queue kind %d, rebuilt a DropTail", kind))
-			return
-		}
-		q.Restore(d)
-	case *RED:
-		if kind != 1 {
-			d.Fail(fmt.Errorf("netsim: snapshot queue kind %d, rebuilt a RED", kind))
-			return
-		}
-		q.Restore(d)
-	default:
-		d.Fail(fmt.Errorf("netsim: queue type %T is not checkpointable", q))
+	got := kind
+	if w.U8(&got); w.Err() == nil && got != kind {
+		w.Fail(fmt.Errorf("netsim: snapshot queue kind %d, rebuilt a %T", got, q))
+		return
 	}
+	q.(snap.Walkable).Walk(w)
 }

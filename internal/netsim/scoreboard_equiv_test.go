@@ -128,7 +128,7 @@ func (s *refSource) checkRTO() {
 
 func (s *refSource) Snapshot(e *snap.Encoder) {
 	e.Tag("source")
-	cs := s.ctrl.(snap.Snapshotter)
+	cs := s.ctrl.(snap.Walkable)
 	e.I64(s.nextSeq)
 	e.U32(uint32(len(s.inflight)))
 	for i := range s.inflight {
@@ -145,8 +145,8 @@ func (s *refSource) Snapshot(e *snap.Encoder) {
 	e.Int(s.backoff)
 	e.Bool(s.stopped)
 	e.Bool(s.started)
-	s.metrics.Snapshot(e)
-	cs.Snapshot(e)
+	s.metrics.Walk(snap.Save(e))
+	cs.Walk(snap.Save(e))
 }
 
 // recCall is one call into the controller with every argument it carried.
@@ -181,8 +181,7 @@ func (c *recCtrl) OnTimeout(now time.Duration) {
 func (c *recCtrl) TickInterval() time.Duration { return 0 }
 func (c *recCtrl) Tick(time.Duration)          {}
 func (c *recCtrl) SendTag() int                { return c.w }
-func (c *recCtrl) Snapshot(e *snap.Encoder)    { e.Int(c.w) }
-func (c *recCtrl) Restore(d *snap.Decoder)     { c.w = d.Int() }
+func (c *recCtrl) Walk(w snap.Walker)          { w.Int(&c.w) }
 func (c *recCtrl) Allowance(now time.Duration, inflight int) int {
 	c.calls = append(c.calls, recCall{kind: 'w', now: now, inflight: inflight})
 	return c.w - inflight
@@ -209,10 +208,10 @@ func (l *sinkholeLink) Queue() Queue { return nil }
 
 const scoreboardMTU = 1400
 
-func sourceSnapshotBytes(t *testing.T, s snap.Snapshotter) []byte {
+func sourceSnapshotBytes(t *testing.T, save func(*snap.Encoder)) []byte {
 	t.Helper()
 	e := snap.NewEncoder()
-	s.Snapshot(e)
+	save(e)
 	blob, err := e.Encode(snap.Version)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +246,7 @@ func runScoreboardTrial(t *testing.T, seed int64, acks int) (delivered int, m *F
 	}
 	compareSnapshots := func() {
 		t.Helper()
-		if !bytes.Equal(sourceSnapshotBytes(t, src), sourceSnapshotBytes(t, ref)) {
+		if !bytes.Equal(sourceSnapshotBytes(t, func(e *snap.Encoder) { src.Walk(snap.Save(e)) }), sourceSnapshotBytes(t, ref.Snapshot)) {
 			t.Fatalf("seed %d step %d: snapshot bytes differ from the reference sender's", seed, step)
 		}
 	}
@@ -401,7 +400,7 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 
 	valid := []refOutstanding{{seq: 3, ackedAfter: 2}, {seq: 5, ackedAfter: 1}, {seq: 6}, {seq: 9}}
 	s, d := target(), encode(valid)
-	s.Restore(d)
+	s.Walk(snap.Load(d))
 	if err := d.Done(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
@@ -420,7 +419,7 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 		"lost flag set":                     {{seq: 3, lost: true}},
 	} {
 		s, d := target(), encode(inflight)
-		s.Restore(d)
+		s.Walk(snap.Load(d))
 		if d.Err() == nil {
 			t.Errorf("%s: snapshot accepted", name)
 		}
@@ -441,7 +440,7 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	e.Int(0)
 	e.Bool(false)
 	s, d = target(), decoder(e)
-	s.Restore(d)
+	s.Walk(snap.Load(d))
 	if d.Err() == nil {
 		t.Error("oversized length prefix: snapshot accepted")
 	}

@@ -17,9 +17,9 @@ import (
 // (same config, same seed), which re-creates every component, closure, and
 // receiver and re-registers them under the same stable ids — construction
 // order is deterministic, so the id sequence is too. The restore then clears
-// the rebuilt heaps and pushes the snapshot's events with their exact saved
-// (time, order key) pairs, resolving each callback/receiver/timer id through
-// the registry, and finally overwrites each component's mutable fields.
+// the rebuilt heaps, overwrites each component's mutable fields, and finally
+// pushes the snapshot's events with their exact saved (time, order key)
+// pairs, resolving each callback/receiver/timer id through the registry.
 // Heap array layout is irrelevant: (time, key) is a strict total order, so
 // any valid heap pops the identical event sequence.
 //
@@ -30,11 +30,6 @@ import (
 // would depend on event interleaving across components. They instead derive
 // ids from their owner's construction-time id and a fixed slot (derivedID),
 // making every id a pure function of the topology.
-
-// Snapshotter is the component checkpoint interface: Snapshot appends the
-// component's mutable state, Restore consumes the same fields in the same
-// order, recording failures on the decoder.
-type Snapshotter = snap.Snapshotter
 
 // simRegistry maps stable ids to the long-lived objects heap entries
 // reference. Receivers, callbacks, and timers live in separate namespaces,
@@ -149,8 +144,8 @@ func (s *Sim) AfterRegistered(d time.Duration, id int64) {
 	s.afterTagged(d, id, fn)
 }
 
-// restoreTimer re-creates a component's timer during Restore: the timer is
-// registered under id so heap restore can resolve pending tick events, but
+// restoreTimer re-creates a component's timer during a load: the timer is
+// registered under id so the heap load can resolve pending tick events, but
 // nothing is pushed — the pending tick, if any, arrives with the heap.
 func (s *Sim) restoreTimer(id int64, interval time.Duration, fn func(), stopped bool) (stop func()) {
 	t := &timer{interval: interval, fn: fn, stopped: stopped, id: id}
@@ -158,61 +153,36 @@ func (s *Sim) restoreTimer(id int64, interval time.Duration, fn func(), stopped 
 	return func() { t.stopped = true }
 }
 
-// SnapshotState writes this Sim's core mutable state: virtual clock, order-
-// key counter, registry id counter, and packet-pool accounting. The event
-// heap is snapshotted separately (SnapshotHeap) because restore must happen
-// in two phases: core state and components first — re-registering mid-run
-// timers — then the heap, which resolves ids against the registry.
-func (s *Sim) SnapshotState(e *snap.Encoder) {
-	e.Tag("simcore")
-	e.Dur(s.now)
-	e.U64(s.seq)
-	e.I64(s.reg.nextID)
-	st := s.pool.stats
-	e.U64(st.Allocated)
-	e.U64(st.Gets)
-	e.U64(st.Frees)
-	// Free-list depth: restore rematerializes this many recycled packets so
-	// the pool's miss/reuse trajectory — and therefore Allocated — continues
-	// exactly as the uninterrupted run's would.
-	e.U32(uint32(len(s.pool.free)))
-}
-
-// RestoreState consumes SnapshotState's fields, clears the rebuilt event
-// heap (its entries were all re-claimed by the deterministic rebuild and
-// will be replaced verbatim by RestoreHeap), and re-arms the pool
-// accounting: Gets/Frees are restored wholesale, so once RestoreHeap and the
-// component restores have rematerialized every live packet through the
-// non-counting path, Live() is conserved exactly.
-func (s *Sim) RestoreState(d *snap.Decoder) {
-	d.Expect("simcore")
-	now := d.Dur()
-	seq := d.U64()
-	nextID := d.I64()
-	alloc := d.U64()
-	gets := d.U64()
-	frees := d.U64()
-	freeDepth := int(d.U32())
-	if d.Err() != nil {
+// WalkState visits this Sim's core mutable state: virtual clock, order-key
+// counter, and packet-pool accounting. The registry id counter is fixed by
+// the topology construction, so a rebuild that drew a different number of ids
+// diverged from the checkpointed one. The event heap is walked separately
+// (WalkHeap) because a load happens in two phases: core state and components
+// first — re-registering mid-run timers — then the heap, which resolves ids
+// against the registry.
+//
+// Gets/Frees load wholesale, so once WalkHeap and the component walks have
+// rematerialized every live packet through the non-counting path, Live() is
+// conserved exactly. The free list loads as a depth only (packetPool.owed):
+// the pool's miss/reuse trajectory — and therefore Allocated — continues
+// exactly as the uninterrupted run's would, and a hostile depth costs
+// nothing. A load also clears the rebuilt event heap: its entries were all
+// re-claimed by the deterministic rebuild and WalkHeap replaces them verbatim.
+func (s *Sim) WalkState(w snap.Walker) {
+	w.Tag("simcore")
+	w.Dur(&s.now)
+	w.U64(&s.seq)
+	w.SameI64(s.reg.nextID, "netsim: registry ids drawn by the topology construction")
+	w.U64(&s.pool.stats.Allocated)
+	w.U64(&s.pool.stats.Gets)
+	w.U64(&s.pool.stats.Frees)
+	depth := w.Len(len(s.pool.free) + s.pool.owed)
+	if !w.Loading() {
 		return
 	}
-	if nextID != s.reg.nextID {
-		d.Fail(fmt.Errorf("netsim: rebuild registered %d ids, snapshot had %d — topology rebuild diverged from the checkpointed construction", s.reg.nextID, nextID))
-		return
-	}
-	s.now = now
-	s.seq = seq
-	s.pool.stats = PacketPoolStats{Allocated: alloc, Gets: gets, Frees: frees}
-	s.pool.free = s.pool.free[:0]
-	for i := 0; i < freeDepth; i++ {
-		//lint:poolrelease pool-internal -- rematerializing the checkpointed free list: each of these replaces a packet whose release was already counted in the restored Frees
-		p := &Packet{}
-		p.markFreed()
-		s.pool.free = append(s.pool.free, p)
-	}
-	for i := range s.events {
-		s.events[i] = event{}
-	}
+	clear(s.pool.free)
+	s.pool.free, s.pool.owed = s.pool.free[:0], depth
+	clear(s.events)
 	s.events = s.events[:0]
 	s.lanes, s.nlanes, s.minLane = [maxLanes]lane{}, 0, nil
 	s.outbox = s.outbox[:0]
@@ -225,244 +195,211 @@ const (
 	snapEvPacket = 2
 )
 
-// SnapshotHeap serializes every pending event as one list: the heap array,
-// then each lane from head to tail. Each entry keeps its exact (time, order
-// key) pair; callbacks serialize as registry ids, packet deliveries as
-// (receiver id, packet fields). An event whose callback or receiver was never
-// registered fails the snapshot with a named error — a checkpoint either
-// captures everything or nothing.
-func (s *Sim) SnapshotHeap(e *snap.Encoder) {
-	e.Tag("heap")
-	e.U32(uint32(s.Pending()))
+// WalkHeap visits every pending event as one list: the heap array, then each
+// lane from head to tail. Each entry keeps its exact (time, order key) pair;
+// callbacks serialize as registry ids, packet deliveries as (receiver id,
+// packet fields). Unlike a component's fields the two directions are not
+// mirror images — a save turns pointers into ids wherever the event sits, a
+// load resolves ids and re-sifts — so they stay a hand-written pair.
+func (s *Sim) WalkHeap(w snap.Walker) {
+	w.Tag("heap")
+	n := w.Len(s.Pending())
+	if w.Loading() {
+		s.loadHeap(w, n)
+		return
+	}
 	for i := range s.events {
-		if !s.snapshotEvent(e, &s.events[i]) {
-			return
-		}
+		s.saveEvent(w, &s.events[i])
 	}
 	for i := 0; i < s.nlanes; i++ {
 		l := &s.lanes[i]
 		for j := 0; j < l.n; j++ {
-			if !s.snapshotEvent(e, &l.buf[(l.head+j)&(len(l.buf)-1)]) {
-				return
-			}
+			s.saveEvent(w, &l.buf[(l.head+j)&(len(l.buf)-1)])
 		}
 	}
 }
 
-// snapshotEvent writes one pending event, reporting false after failing the
-// encoder on an event that cannot be serialized.
-func (s *Sim) snapshotEvent(e *snap.Encoder, ev *event) bool {
-	e.Dur(ev.at)
-	e.U64(ev.seq)
+// saveEvent writes one pending event. An event whose callback or receiver
+// was never registered fails the snapshot with a named error — a checkpoint
+// either captures everything or nothing.
+func (s *Sim) saveEvent(w snap.Walker, ev *event) {
+	if w.Err() != nil {
+		return
+	}
+	kind, id := uint8(snapEvFunc), ev.fid
 	switch {
 	case ev.t != nil:
-		e.U8(snapEvTimer)
-		if ev.t.id == 0 {
-			e.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
-			return false
+		kind, id = snapEvTimer, ev.t.id
+		if id == 0 {
+			w.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
+			return
 		}
-		e.I64(ev.t.id)
 	case ev.r != nil:
-		e.U8(snapEvPacket)
+		kind = snapEvPacket
 		if !reflect.TypeOf(ev.r).Comparable() {
-			e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
-			return false
+			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
+			return
 		}
-		id, ok := s.reg.recvIDs[ev.r]
-		if !ok {
-			e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
-			return false
+		var ok bool
+		if id, ok = s.reg.recvIDs[ev.r]; !ok {
+			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
+			return
 		}
-		e.I64(id)
-		SnapshotPacket(e, ev.p)
-	default:
-		e.U8(snapEvFunc)
-		if ev.fid == 0 {
-			e.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
-			return false
+	case id == 0:
+		w.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
+		return
+	}
+	w.Dur(&ev.at)
+	w.U64(&ev.seq)
+	w.U8(&kind)
+	w.I64(&id)
+	if kind == snapEvPacket {
+		WalkPacket(w, &ev.p)
+	}
+}
+
+// loadHeap pushes the snapshot's events into the (cleared) pending set,
+// resolving every id against the registry the rebuild and the component
+// loads populated. Timer ticks rejoin the lane for their interval where that
+// keeps it sorted; everything else goes to the heap, whose pushes re-sift.
+// Since (time, key) is a strict total order the pop sequence is independent
+// of where an event sits. Schedule clamps the past, so no run holds an event
+// earlier than its clock, and step would run the clock backwards on one: it
+// is rejected.
+func (s *Sim) loadHeap(w snap.Walker, n int) {
+	for i := 0; i < n; i++ {
+		var ev event
+		var kind uint8
+		var id int64
+		w.Dur(&ev.at)
+		w.U64(&ev.seq)
+		w.U8(&kind)
+		w.I64(&id)
+		if w.Err() != nil {
+			return
 		}
-		e.I64(ev.fid)
+		if ev.at < s.now {
+			w.Fail(fmt.Errorf("netsim: heap holds an event at %v, before the restored clock %v", ev.at, s.now))
+			return
+		}
+		var ok bool
+		switch kind {
+		case snapEvTimer:
+			if ev.t, ok = s.reg.timers[id]; !ok {
+				w.Fail(fmt.Errorf("netsim: heap references timer id %d, which no component restored", id))
+				return
+			}
+			s.pushFixed(ev.t.interval, ev)
+		case snapEvPacket:
+			if ev.r, ok = s.reg.recvs[id]; !ok {
+				w.Fail(fmt.Errorf("netsim: heap references receiver id %d, which the rebuild did not register", id))
+				return
+			}
+			if WalkPacket(w, &ev.p); w.Err() != nil {
+				return
+			}
+			s.push(ev)
+		case snapEvFunc:
+			if ev.fn, ok = s.reg.funcs[id]; !ok {
+				w.Fail(fmt.Errorf("netsim: heap references callback id %d, which the rebuild did not register", id))
+				return
+			}
+			ev.fid = id
+			s.push(ev)
+		default:
+			w.Fail(fmt.Errorf("netsim: unknown heap event kind %d", kind))
+			return
+		}
+	}
+}
+
+// WalkPacket visits a packet reference: a presence byte, then the packet's
+// wire fields and its in-flight delay attribution state. A load
+// rematerializes the packet, deliberately bypassing the counting pool path:
+// its original NewPacket/ClonePacket was already counted in the Gets that
+// WalkState loaded, so counting again would break the Live() conservation
+// identity. The fresh allocation is born live, which re-arms pooldebug
+// poisoning exactly — live packets are live, and freed packets are simply
+// never rematerialized.
+func WalkPacket(w snap.Walker, pp **Packet) {
+	present := *pp != nil
+	w.Bool(&present)
+	if !present {
+		*pp = nil
+		return
+	}
+	if w.Loading() {
+		//lint:poolrelease pool-internal -- checkpoint rematerialization: the packet this replaces was checked out through the counting pool path before the snapshot, and WalkState loaded that accounting wholesale
+		*pp = &Packet{}
+	}
+	p := *pp
+	w.Int(&p.Flow)
+	w.I64(&p.Seq)
+	w.Int(&p.Bytes)
+	w.Dur(&p.SentAt)
+	w.Int(&p.Window)
+	for i := range p.comps {
+		w.Dur(&p.comps[i])
+	}
+	w.Dur(&p.mark)
+	pend := uint8(p.pend)
+	w.U8(&pend)
+	if !w.Loading() || w.Err() != nil {
+		return
+	}
+	if int(pend) >= stats.NumDelayComps {
+		w.Fail(fmt.Errorf("netsim: packet snapshot pending component %d, this build has %d", pend, stats.NumDelayComps))
+		return
+	}
+	p.pend = stats.DelayComp(pend)
+	p.markLive()
+}
+
+// WalkListedPacket is WalkPacket for an element of a list that never holds
+// nil (a queue ring, a stall buffer). A save visits *pp; a load reports
+// whether *pp is a rematerialized packet to append, failing on an absent one.
+func WalkListedPacket(w snap.Walker, pp **Packet) (loaded bool) {
+	WalkPacket(w, pp)
+	if !w.Loading() || w.Err() != nil {
+		return false
+	}
+	if *pp == nil {
+		w.Fail(fmt.Errorf("netsim: nil packet in a packet list snapshot"))
+		return false
 	}
 	return true
 }
 
-// RestoreHeap pushes the snapshot's events into the (cleared) pending set,
-// resolving every id against the registry the rebuild and the component
-// restores populated. Timer ticks rejoin the lane for their interval where
-// that keeps it sorted; everything else goes to the heap, whose pushes
-// re-sift. Since (time, key) is a strict total order the pop sequence is
-// independent of where an event sits.
-func (s *Sim) RestoreHeap(d *snap.Decoder) {
-	d.Expect("heap")
-	n := int(d.U32())
-	for i := 0; i < n; i++ {
-		at := d.Dur()
-		seq := d.U64()
-		kind := d.U8()
-		if d.Err() != nil {
-			return
-		}
-		switch kind {
-		case snapEvTimer:
-			id := d.I64()
-			t, ok := s.reg.timers[id]
-			if !ok {
-				d.Fail(fmt.Errorf("netsim: heap references timer id %d, which no component restored", id))
-				return
-			}
-			s.pushFixed(t.interval, event{at: at, seq: seq, t: t})
-		case snapEvPacket:
-			id := d.I64()
-			r, ok := s.reg.recvs[id]
-			if !ok {
-				d.Fail(fmt.Errorf("netsim: heap references receiver id %d, which the rebuild did not register", id))
-				return
-			}
-			p := RestorePacket(d)
-			if d.Err() != nil {
-				return
-			}
-			s.push(event{at: at, seq: seq, r: r, p: p})
-		case snapEvFunc:
-			id := d.I64()
-			fn, ok := s.reg.funcs[id]
-			if !ok {
-				d.Fail(fmt.Errorf("netsim: heap references callback id %d, which the rebuild did not register", id))
-				return
-			}
-			s.push(event{at: at, seq: seq, fn: fn, fid: id})
-		default:
-			d.Fail(fmt.Errorf("netsim: unknown heap event kind %d", kind))
-			return
-		}
-	}
-}
-
-// SnapshotPacket writes a packet's wire fields and its in-flight delay
-// attribution state (nil-tolerant).
-func SnapshotPacket(e *snap.Encoder, p *Packet) {
-	if p == nil {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.Int(p.Flow)
-	e.I64(p.Seq)
-	e.Int(p.Bytes)
-	e.Dur(p.SentAt)
-	e.Int(p.Window)
-	for _, c := range p.comps {
-		e.Dur(c)
-	}
-	e.Dur(p.mark)
-	e.U8(uint8(p.pend))
-}
-
-// RestorePacket rematerializes a live packet from its snapshot. It
-// deliberately bypasses the counting pool path: the packet's original
-// NewPacket/ClonePacket was already counted in the Gets that RestoreState
-// re-armed, so counting again would break the Live() conservation identity.
-// The fresh allocation is born live, which re-arms pooldebug poisoning
-// exactly — live packets are live, and freed packets are simply never
-// rematerialized.
-func RestorePacket(d *snap.Decoder) *Packet {
-	if !d.Bool() {
-		return nil
-	}
-	//lint:poolrelease pool-internal -- checkpoint rematerialization: the packet this replaces was checked out through the counting pool path before the snapshot, and RestoreState restored that accounting wholesale
-	p := &Packet{}
-	p.Flow = d.Int()
-	p.Seq = d.I64()
-	p.Bytes = d.Int()
-	p.SentAt = d.Dur()
-	p.Window = d.Int()
-	for i := range p.comps {
-		p.comps[i] = d.Dur()
-	}
-	p.mark = d.Dur()
-	pend := d.U8()
-	if d.Err() != nil {
-		return p
-	}
-	if int(pend) >= stats.NumDelayComps {
-		d.Fail(fmt.Errorf("netsim: packet snapshot pending component %d, this build has %d", pend, stats.NumDelayComps))
-		return p
-	}
-	p.pend = stats.DelayComp(pend)
-	p.markLive()
-	return p
-}
-
-// Snapshot writes the mesh's synchronization state and every cell's core
-// state. It must be called at a barrier: the mesh quiescent, no sharded
-// window executing, every lookahead channel drained. Heaps are written by
-// SnapshotHeaps after the components, mirroring the two-phase restore.
-func (m *Mesh) Snapshot(e *snap.Encoder) {
-	e.Tag("mesh")
+// Walk visits the mesh's synchronization state and every cell's core state.
+// It must run at a barrier: the mesh quiescent, no sharded window executing,
+// every lookahead channel drained. The cell count and lookahead are the
+// rebuilt topology's shape. Heaps are walked by WalkHeaps after the
+// components, as the two-phase load requires.
+func (m *Mesh) Walk(w snap.Walker) {
+	w.Tag("mesh")
 	if m.buffering {
-		e.Fail(fmt.Errorf("netsim: mesh snapshot during a sharded window — snapshots are only valid at barriers"))
+		w.Fail(fmt.Errorf("netsim: mesh snapshot during a sharded window — snapshots are only valid at barriers"))
 		return
 	}
 	if n := m.PendingCross(); n != 0 {
-		e.Fail(fmt.Errorf("netsim: mesh snapshot with %d undelivered cross-cell messages — not at a quiescent barrier", n))
+		w.Fail(fmt.Errorf("netsim: mesh snapshot with %d undelivered cross-cell messages — not at a quiescent barrier", n))
 		return
 	}
-	e.Int(len(m.cells))
-	e.Dur(m.lookahead)
-	e.Dur(m.clock)
-	e.U64(m.windows)
-	e.U64(m.crossDelivered)
+	w.SameInt(len(m.cells), "netsim: mesh cells")
+	w.SameDur(m.lookahead, "netsim: mesh lookahead")
+	w.Dur(&m.clock)
+	w.U64(&m.windows)
+	w.U64(&m.crossDelivered)
 	for _, c := range m.cells {
-		c.SnapshotState(e)
+		c.WalkState(w)
 	}
 }
 
-// Restore consumes Snapshot's fields into a freshly rebuilt mesh,
-// cross-checking the rebuilt topology shape.
-func (m *Mesh) Restore(d *snap.Decoder) {
-	d.Expect("mesh")
-	cells := d.Int()
-	la := d.Dur()
-	clock := d.Dur()
-	windows := d.U64()
-	cross := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if cells != len(m.cells) || la != m.lookahead {
-		d.Fail(fmt.Errorf("netsim: snapshot is of a %d-cell mesh at lookahead %v, rebuild produced %d cells at %v", cells, la, len(m.cells), m.lookahead))
-		return
-	}
-	m.clock = clock
-	m.windows = windows
-	m.crossDelivered = cross
+// WalkHeaps visits every cell's pending events; on a load, call it after
+// every component's walk has re-registered its timers.
+func (m *Mesh) WalkHeaps(w snap.Walker) {
+	w.Tag("meshheaps")
 	for _, c := range m.cells {
-		c.RestoreState(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-}
-
-// SnapshotHeaps writes every cell's pending events.
-func (m *Mesh) SnapshotHeaps(e *snap.Encoder) {
-	e.Tag("meshheaps")
-	for _, c := range m.cells {
-		c.SnapshotHeap(e)
-		if e.Err() != nil {
-			return
-		}
-	}
-}
-
-// RestoreHeaps restores every cell's pending events; call it after every
-// component's Restore has re-registered its timers.
-func (m *Mesh) RestoreHeaps(d *snap.Decoder) {
-	d.Expect("meshheaps")
-	for _, c := range m.cells {
-		c.RestoreHeap(d)
-		if d.Err() != nil {
-			return
-		}
+		c.WalkHeap(w)
 	}
 }

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/snap"
+	"repro/internal/trace"
 )
 
 // Checkpoint equivalence and pool-conservation properties on the dumbbell
@@ -32,16 +34,10 @@ func (f *snapWindow) Allowance(_ time.Duration, inflight int) int {
 func (f *snapWindow) SendTag() int                     { return f.w }
 func (f *snapWindow) OnSend(time.Duration, int64, int) {}
 
-// Snapshot implements snap.Snapshotter.
-func (f *snapWindow) Snapshot(e *snap.Encoder) {
-	e.Tag("snapwin")
-	e.Int(f.acks)
-}
-
-// Restore implements snap.Snapshotter.
-func (f *snapWindow) Restore(d *snap.Decoder) {
-	d.Expect("snapwin")
-	f.acks = d.Int()
+// Walk implements snap.Walkable.
+func (f *snapWindow) Walk(w snap.Walker) {
+	w.Tag("snapwin")
+	w.Int(&f.acks)
 }
 
 // buildSnapDumbbell is the deterministic topology both sides of a
@@ -129,5 +125,86 @@ func TestSnapshotRejectsUntrackedEvents(t *testing.T) {
 	d.Snapshot(e)
 	if e.Err() == nil {
 		t.Fatal("snapshot of an untagged pending callback succeeded; checkpoints must capture everything or nothing")
+	}
+}
+
+// TestTraceLinkLoadRejectsHostileSnapshot: opIdx indexes the trace at the next
+// delivery opportunity, so a well-framed snapshot that puts it outside the
+// trace — or serves a negative share of the head packet — must fail the
+// load, not panic a resumed run.
+func TestTraceLinkLoadRejectsHostileSnapshot(t *testing.T) {
+	build := func() *TraceLink {
+		sim := NewSim()
+		tr := traceOf(
+			trace.Opportunity{At: 1 * time.Millisecond, Bytes: 1000},
+			trace.Opportunity{At: 2 * time.Millisecond, Bytes: 1000},
+			trace.Opportunity{At: 3 * time.Millisecond, Bytes: 1000},
+		)
+		return NewTraceLink(sim, NewDropTail(10_000), tr, time.Millisecond, &collector{sim: sim}, true, 1)
+	}
+	load := func(mutate func(*TraceLink)) error {
+		donor := build()
+		donor.opIdx, donor.headServed = 2, 400
+		mutate(donor)
+		e := snap.NewEncoder()
+		donor.Walk(snap.Save(e))
+		blob, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := snap.Decode(blob, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build().Walk(snap.Load(d))
+		return d.Done()
+	}
+	if err := load(func(*TraceLink) {}); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*TraceLink){
+		"opIdx at len(Ops)":   func(l *TraceLink) { l.opIdx = 3 },
+		"opIdx far past":      func(l *TraceLink) { l.opIdx = 1 << 40 },
+		"negative opIdx":      func(l *TraceLink) { l.opIdx = -1 },
+		"negative headServed": func(l *TraceLink) { l.headServed = -1 },
+	} {
+		if err := load(mutate); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+}
+
+// TestHeapLoadRejectsEventBeforeClock: Schedule clamps the past, so no run
+// holds an event earlier than its clock, and step would set now backwards on
+// one. A snapshot that carries one fails the load; the same event at the
+// clock is what a barrier legitimately leaves behind.
+func TestHeapLoadRejectsEventBeforeClock(t *testing.T) {
+	const barrier = 700 * time.Millisecond
+	load := func(shift time.Duration) error {
+		donor := buildSnapDumbbell()
+		donor.Run(barrier)
+		if donor.Sim.Pending() == 0 {
+			t.Fatal("barrier has no pending events; the test would be vacuous")
+		}
+		donor.Sim.events[0].at = barrier + shift
+		e := snap.NewEncoder()
+		donor.Snapshot(e)
+		blob, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := snap.Decode(blob, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildSnapDumbbell().Restore(d)
+		return d.Done()
+	}
+	if err := load(0); err != nil {
+		t.Fatalf("event at the restored clock rejected: %v", err)
+	}
+	err := load(-time.Nanosecond)
+	if err == nil || !strings.Contains(err.Error(), "before the restored clock") {
+		t.Fatalf("event before the restored clock: err = %v", err)
 	}
 }

@@ -59,25 +59,24 @@ func (s *Source) Seed(seed int64) {
 // Draws returns the number of state advances since the last seed.
 func (s *Source) Draws() uint64 { return s.draws }
 
-// Snapshot writes the stream position.
-func (s *Source) Snapshot(e *Encoder) {
-	e.I64(s.seed)
-	e.U64(s.draws)
-}
-
-// Restore reseeds and fast-forwards to the snapshotted position. Each
-// Int63 and Uint64 call advances the generator exactly one step, so
-// replaying with Uint64 reproduces the state no matter which methods
-// performed the original draws.
-func (s *Source) Restore(d *Decoder) {
-	seed := d.I64()
-	draws := d.U64()
-	if d.Err() != nil {
+// Walk visits the stream position (seed, draws). A load reseeds and
+// fast-forwards to it: each Int63 and Uint64 call advances the generator
+// exactly one step, so replaying with Uint64 reproduces the state no matter
+// which methods performed the original draws.
+func (s *Source) Walk(w Walker) {
+	seed, draws := s.seed, s.draws
+	w.I64(&seed)
+	w.U64(&draws)
+	if !w.Loading() || w.Err() != nil {
 		return
 	}
-	const maxReplay = 1 << 34 // ~17e9 draws; far beyond any simulated trial
+	// ~2.7e8 draws, under a second of replay. A component draws a handful of
+	// times per packet and the longest trials here move ~5e6 packets through
+	// one, so no run comes within 10x of it; a count past it is refused, not
+	// replayed, or a hostile snapshot could buy minutes of CPU with 8 bytes.
+	const maxReplay = 1 << 28
 	if draws > maxReplay {
-		d.Fail(fmt.Errorf("snap: RNG draw count %d exceeds replay bound", draws))
+		w.Fail(fmt.Errorf("snap: RNG draw count %d exceeds replay bound", draws))
 		return
 	}
 	s.Seed(seed)

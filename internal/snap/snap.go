@@ -13,8 +13,17 @@
 // Error handling is sticky on both sides. An Encoder that has failed ignores
 // further writes; a Decoder that has failed (short read, tag mismatch,
 // Fail()) returns zero values from then on and reports the first error from
-// Err. Callers check once, at the end, which keeps Snapshot/Restore
-// implementations free of per-field error plumbing.
+// Err. Callers check once, at the end, which keeps component code free of
+// per-field error plumbing.
+//
+// Components do not call the Encoder and Decoder themselves. Each implements
+// Walkable: one Walk that visits its checkpointed fields, in wire order,
+// through a Walker. Bound to an Encoder (Save) the Walker writes each field,
+// bound to a Decoder (Load) it overwrites it, so a component lists its fields
+// once and the two directions cannot disagree about order. What the rebuild
+// fixes (a window size, a table length) goes through the Same and Fixed
+// visits, which write it on save and require it on load; what only a load
+// does (validate, rematerialize, re-register) is guarded by Loading.
 //
 // A complete snapshot file is
 //
@@ -345,37 +354,32 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
+// count reads a u32 element count and checks that the payload still holds
+// that many elemSize-byte elements: a length prefix is a claim about bytes
+// present, never a size to allocate on trust. It returns 0 on failure.
+func (d *Decoder) count(elemSize int, elem string) int {
+	n := int(d.U32())
+	if d.err != nil {
+		return 0
+	}
+	if d.Remaining()/elemSize < n {
+		d.Fail(fmt.Errorf("snap: %s slice of %d elements overruns payload: %w", elem, n, ErrTruncated))
+		return 0
+	}
+	return n
+}
+
 // I64s reads a counted int64 slice. A zero count yields a nil slice.
 func (d *Decoder) I64s() []int64 {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.Remaining() < 8*n {
-		d.Fail(fmt.Errorf("snap: int64 slice of %d elements overruns payload: %w", n, ErrTruncated))
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
-	}
+	var out []int64
+	Load(d).I64s(&out)
 	return out
 }
 
 // F64s reads a counted float64 slice. A zero count yields a nil slice.
 func (d *Decoder) F64s() []float64 {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.Remaining() < 8*n {
-		d.Fail(fmt.Errorf("snap: float64 slice of %d elements overruns payload: %w", n, ErrTruncated))
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
+	var out []float64
+	Load(d).F64s(&out)
 	return out
 }
 
@@ -440,14 +444,4 @@ func ReadFile(path string, version uint32) (*Decoder, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
-}
-
-// Snapshotter is implemented by every component that participates in a
-// checkpoint: Snapshot appends the component's mutable state to the
-// encoder, Restore consumes the same fields in the same order. Restore
-// implementations record failures on the decoder (Fail) rather than
-// returning errors; the orchestrator checks Err once at the end.
-type Snapshotter interface {
-	Snapshot(*Encoder)
-	Restore(*Decoder)
 }

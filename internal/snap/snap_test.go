@@ -329,7 +329,7 @@ func TestSourceSnapshotRestore(t *testing.T) {
 		}
 	}
 	e := NewEncoder()
-	src.Snapshot(e)
+	src.Walk(Save(e))
 	data, err := e.Encode(Version)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestSourceSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	src2 := NewSource(0)
-	src2.Restore(d)
+	src2.Walk(Load(d))
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,79 +7,69 @@ import (
 	"repro/internal/snap"
 )
 
-// Snapshot implements snap.Snapshotter: the belief distribution and the
-// tick-accumulator state. Derived quantities (the config's tables, the scratch
-// buffers, the look-ahead) are functions of the config and the belief and are
-// rebuilt.
-func (s *Sprout) Snapshot(e *snap.Encoder) {
-	e.Tag("sprout")
-	e.F64s(s.belief)
-	e.Int(s.arrivals)
-	e.Int(s.window)
-	e.Dur(s.rttMin)
-	e.Dur(s.rttSumTick)
-	e.Int(s.rttCntTick)
-	e.Dur(s.srtt)
-	e.I64(s.ticks)
+// walk visits the checkpointed state: the belief distribution, whose
+// resolution the rebuilt configuration fixes, and the tick accumulators.
+// Derived quantities (the config's tables, the scratch buffers, the
+// look-ahead) are functions of the config and the belief and are rebuilt.
+func (s *Sprout) walk(w snap.Walker) {
+	w.Tag("sprout")
+	w.FixedF64s(s.belief, "sprout: belief bins")
+	w.Int(&s.arrivals)
+	w.Int(&s.window)
+	w.Dur(&s.rttMin)
+	w.Dur(&s.rttSumTick)
+	w.Int(&s.rttCntTick)
+	w.Dur(&s.srtt)
+	w.I64(&s.ticks)
 }
 
-// Restore implements snap.Snapshotter, cross-checking the belief resolution
-// against the rebuilt configuration. It fails closed: a belief that is not a
-// probability distribution, a window below the probing minimum, a negative
-// count or duration, or an RTT sum over no samples is a state no run of this
-// controller can reach, and is rejected before any field is overwritten.
-func (s *Sprout) Restore(d *snap.Decoder) {
-	d.Expect("sprout")
-	belief := d.F64s()
-	arrivals := d.Int()
-	window := d.Int()
-	rttMin := d.Dur()
-	rttSumTick := d.Dur()
-	rttCntTick := d.Int()
-	srtt := d.Dur()
-	ticks := d.I64()
-	if d.Err() != nil {
+// Walk implements snap.Walkable. A load fails closed: the snapshot is walked
+// into a scratch copy whose belief is the diffusion buffer, checked, and only
+// then committed, so a rejected snapshot leaves the controller as it was.
+func (s *Sprout) Walk(w snap.Walker) {
+	if !w.Loading() {
+		s.walk(w)
 		return
 	}
-	if len(belief) != len(s.belief) {
-		d.Fail(fmt.Errorf("sprout: snapshot has %d belief bins, rebuild configured %d", len(belief), len(s.belief)))
+	tmp := *s
+	tmp.belief = s.next
+	tmp.walk(w)
+	if w.Err() != nil {
 		return
 	}
+	if err := tmp.reachable(); err != nil {
+		w.Fail(err)
+		return
+	}
+	copy(s.belief, tmp.belief)
+	tmp.belief = s.belief
+	tmp.aheadOK = false
+	*s = tmp
+}
+
+// reachable reports why no run of this controller could hold the state s
+// does, or nil: a belief that is not a probability distribution, a window
+// below the probing minimum, a negative count or duration, or an RTT sum over
+// no samples.
+func (s *Sprout) reachable() error {
 	var total float64
-	for i, p := range belief {
+	for i, p := range s.belief {
 		if !(p >= 0) || math.IsInf(p, 1) {
-			d.Fail(fmt.Errorf("sprout: snapshot belief bin %d is %v, not a probability", i, p))
-			return
+			return fmt.Errorf("sprout: snapshot belief bin %d is %v, not a probability", i, p)
 		}
 		total += p
 	}
-	if math.Abs(total-1) > 1e-9 {
-		d.Fail(fmt.Errorf("sprout: snapshot belief sums to %v, not 1", total))
-		return
+	switch {
+	case math.Abs(total-1) > 1e-9:
+		return fmt.Errorf("sprout: snapshot belief sums to %v, not 1", total)
+	case s.window < 1:
+		return fmt.Errorf("sprout: snapshot window %d is below the probing minimum 1", s.window)
+	case s.arrivals < 0 || s.rttCntTick < 0 || s.ticks < 0:
+		return fmt.Errorf("sprout: snapshot counts arrivals %d, rtt samples %d, ticks %d; none may be negative", s.arrivals, s.rttCntTick, s.ticks)
+	case s.rttMin < 0 || s.rttSumTick < 0 || s.srtt < 0:
+		return fmt.Errorf("sprout: snapshot durations rttMin %v, rttSumTick %v, srtt %v; none may be negative", s.rttMin, s.rttSumTick, s.srtt)
+	case s.rttCntTick == 0 && s.rttSumTick != 0:
+		return fmt.Errorf("sprout: snapshot sums %v of RTT over no samples", s.rttSumTick)
 	}
-	if window < 1 {
-		d.Fail(fmt.Errorf("sprout: snapshot window %d is below the probing minimum 1", window))
-		return
-	}
-	if arrivals < 0 || rttCntTick < 0 || ticks < 0 {
-		d.Fail(fmt.Errorf("sprout: snapshot counts arrivals %d, rtt samples %d, ticks %d; none may be negative", arrivals, rttCntTick, ticks))
-		return
-	}
-	if rttMin < 0 || rttSumTick < 0 || srtt < 0 {
-		d.Fail(fmt.Errorf("sprout: snapshot durations rttMin %v, rttSumTick %v, srtt %v; none may be negative", rttMin, rttSumTick, srtt))
-		return
-	}
-	if rttCntTick == 0 && rttSumTick != 0 {
-		d.Fail(fmt.Errorf("sprout: snapshot sums %v of RTT over no samples", rttSumTick))
-		return
-	}
-	copy(s.belief, belief)
-	s.aheadOK = false
-	s.arrivals = arrivals
-	s.window = window
-	s.rttMin = rttMin
-	s.rttSumTick = rttSumTick
-	s.rttCntTick = rttCntTick
-	s.srtt = srtt
-	s.ticks = ticks
+	return nil
 }

@@ -171,7 +171,7 @@ type Sprout struct {
 	// ahead is the belief diffused one tick on: the first level of the
 	// forecast and, while aheadOK, exactly what the next Tick's diffusion
 	// of belief would produce, so that Tick swaps it in instead. Nothing but
-	// OnTimeout and Restore touches belief between ticks; both clear aheadOK.
+	// OnTimeout and a checkpoint load touches belief between ticks; both clear aheadOK.
 	ahead   []float64
 	aheadOK bool
 	// hint is the percentile bin of the deepest forecast level last tick,

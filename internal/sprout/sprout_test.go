@@ -397,7 +397,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		src.belief = append([]float64(nil), donor.belief...)
 		mutate(&src)
 		e := snap.NewEncoder()
-		src.Snapshot(e)
+		src.Walk(snap.Save(e))
 		data, err := e.Encode(snap.Version)
 		if err != nil {
 			t.Fatal(err)
@@ -411,7 +411,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 
 	s := New(DefaultConfig())
 	d := encode(func(*Sprout) {})
-	s.Restore(d)
+	s.Walk(snap.Load(d))
 	if err := d.Done(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
@@ -449,7 +449,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	for name, mutate := range hostile {
 		s := New(DefaultConfig())
 		d := encode(mutate)
-		s.Restore(d)
+		s.Walk(snap.Load(d))
 		if d.Err() == nil {
 			t.Errorf("%s: snapshot accepted", name)
 		}
@@ -767,7 +767,7 @@ func TestTickMatchesReferenceShapes(t *testing.T) {
 func TestSnapshotDropsLookAhead(t *testing.T) {
 	encode := func(s *Sprout) []byte {
 		e := snap.NewEncoder()
-		s.Snapshot(e)
+		s.Walk(snap.Save(e))
 		data, err := e.Encode(snap.Version)
 		if err != nil {
 			t.Fatal(err)
@@ -795,7 +795,7 @@ func TestSnapshotDropsLookAhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		resumed := New(DefaultConfig())
-		resumed.Restore(d)
+		resumed.Walk(snap.Load(d))
 		if err := d.Done(); err != nil {
 			t.Fatalf("n=%d: restore: %v", n, err)
 		}

@@ -6,145 +6,53 @@ import (
 	"repro/internal/snap"
 )
 
-// Checkpoint support (DESIGN.md §15). Accumulators snapshot their running
+// Checkpoint support (DESIGN.md §15). Accumulators checkpoint their running
 // state bit-exactly: float sums are stored as IEEE-754 bit patterns, never
 // recomputed from samples — re-summing in a different order would drift the
 // low bits and move a golden digest. Sample order is preserved verbatim for
 // the same reason (Summary.Percentile sorts lazily in place, so the
 // in-memory order at snapshot time is part of the observable state).
 
-// Snapshot writes the summary's samples and running moments.
-func (s *Summary) Snapshot(e *snap.Encoder) {
-	e.Tag("summary")
-	e.F64s(s.samples)
-	e.Bool(s.sorted)
-	e.F64(s.sum)
-	e.F64(s.sumSq)
+// Walk visits the summary's samples and running moments.
+func (s *Summary) Walk(w snap.Walker) {
+	w.Tag("summary")
+	w.F64s(&s.samples)
+	w.Bool(&s.sorted)
+	w.F64(&s.sum)
+	w.F64(&s.sumSq)
 }
 
-// Restore replaces the summary's state with a snapshot.
-func (s *Summary) Restore(d *snap.Decoder) {
-	d.Expect("summary")
-	samples := d.F64s()
-	sorted := d.Bool()
-	sum := d.F64()
-	sumSq := d.F64()
-	if d.Err() != nil {
-		return
-	}
-	s.samples = append(s.samples[:0], samples...)
-	s.sorted = sorted
-	s.sum = sum
-	s.sumSq = sumSq
+// Walk visits the per-window byte totals; the window size is configuration.
+func (s *ThroughputSeries) Walk(w snap.Walker) {
+	w.Tag("tput")
+	w.SameDur(s.window, "stats: throughput window")
+	w.I64s(&s.bytes)
 }
 
-// Snapshot writes the per-window byte totals.
-func (s *ThroughputSeries) Snapshot(e *snap.Encoder) {
-	e.Tag("tput")
-	e.Dur(s.window)
-	e.I64s(s.bytes)
+// Walk visits the per-window sums and counts; the window size is
+// configuration.
+func (s *WindowedMean) Walk(w snap.Walker) {
+	w.Tag("wmean")
+	w.SameDur(s.window, "stats: windowed-mean window")
+	w.F64s(&s.sums)
+	w.I64s(&s.counts)
+	if w.Loading() && w.Err() == nil && len(s.sums) != len(s.counts) {
+		w.Fail(fmt.Errorf("stats: windowed-mean snapshot has %d sums but %d counts", len(s.sums), len(s.counts)))
+	}
 }
 
-// Restore replaces the series' state with a snapshot, cross-checking the
-// configured window size against the rebuilt value.
-func (s *ThroughputSeries) Restore(d *snap.Decoder) {
-	d.Expect("tput")
-	w := d.Dur()
-	bytes := d.I64s()
-	if d.Err() != nil {
-		return
-	}
-	if w != s.window {
-		d.Fail(fmt.Errorf("stats: throughput window %v in snapshot, %v rebuilt", w, s.window))
-		return
-	}
-	s.bytes = append(s.bytes[:0], bytes...)
-}
-
-// Snapshot writes the per-window sums and counts.
-func (s *WindowedMean) Snapshot(e *snap.Encoder) {
-	e.Tag("wmean")
-	e.Dur(s.window)
-	e.F64s(s.sums)
-	e.I64s(s.counts)
-}
-
-// Restore replaces the series' state with a snapshot, cross-checking the
-// configured window size against the rebuilt value.
-func (s *WindowedMean) Restore(d *snap.Decoder) {
-	d.Expect("wmean")
-	w := d.Dur()
-	sums := d.F64s()
-	counts := d.I64s()
-	if d.Err() != nil {
-		return
-	}
-	if w != s.window {
-		d.Fail(fmt.Errorf("stats: windowed-mean window %v in snapshot, %v rebuilt", w, s.window))
-		return
-	}
-	if len(sums) != len(counts) {
-		d.Fail(fmt.Errorf("stats: windowed-mean snapshot has %d sums but %d counts", len(sums), len(counts)))
-		return
-	}
-	s.sums = append(s.sums[:0], sums...)
-	s.counts = append(s.counts[:0], counts...)
-}
-
-// Snapshot writes the attribution aggregate: component sums, the identity
-// ledger, and every histogram bucket — all integers, so the restore is
-// bit-exact by construction.
-func (a *Attribution) Snapshot(e *snap.Encoder) {
-	e.Tag("attrib")
-	e.I64s(a.CompNs[:])
-	e.I64(a.TotalNs)
-	e.I64(a.Count)
-	e.I64(a.Violations)
-	e.I64(a.Negatives)
+// Walk visits the attribution aggregate: component sums, the identity ledger,
+// and every histogram bucket — all integers, so a load is bit-exact by
+// construction.
+func (a *Attribution) Walk(w snap.Walker) {
+	w.Tag("attrib")
+	w.FixedI64s(a.CompNs[:], "stats: attribution components")
+	w.I64(&a.TotalNs)
+	w.I64(&a.Count)
+	w.I64(&a.Violations)
+	w.I64(&a.Negatives)
 	for c := range a.buckets {
-		e.I64s(a.buckets[c][:])
+		w.FixedI64s(a.buckets[c][:], "stats: attribution bucket row cells")
 	}
-	e.I64s(a.totBuckets[:])
-}
-
-// Restore replaces the aggregate's state with a snapshot.
-func (a *Attribution) Restore(d *snap.Decoder) {
-	d.Expect("attrib")
-	comps := d.I64s()
-	totalNs := d.I64()
-	count := d.I64()
-	violations := d.I64()
-	negatives := d.I64()
-	if d.Err() != nil {
-		return
-	}
-	if len(comps) != NumDelayComps {
-		d.Fail(fmt.Errorf("stats: attribution snapshot has %d components, this build has %d", len(comps), NumDelayComps))
-		return
-	}
-	copy(a.CompNs[:], comps)
-	a.TotalNs = totalNs
-	a.Count = count
-	a.Violations = violations
-	a.Negatives = negatives
-	for c := range a.buckets {
-		b := d.I64s()
-		if d.Err() != nil {
-			return
-		}
-		if len(b) != len(a.buckets[c]) {
-			d.Fail(fmt.Errorf("stats: attribution snapshot bucket row has %d cells, this build has %d", len(b), len(a.buckets[c])))
-			return
-		}
-		copy(a.buckets[c][:], b)
-	}
-	tb := d.I64s()
-	if d.Err() != nil {
-		return
-	}
-	if len(tb) != len(a.totBuckets) {
-		d.Fail(fmt.Errorf("stats: attribution snapshot total row has %d cells, this build has %d", len(tb), len(a.totBuckets)))
-		return
-	}
-	copy(a.totBuckets[:], tb)
+	w.FixedI64s(a.totBuckets[:], "stats: attribution total row cells")
 }

@@ -2,88 +2,47 @@ package tcp
 
 import "repro/internal/snap"
 
-// Checkpoint support (DESIGN.md §15): each controller serializes exactly its
-// mutable fields, in declaration order. Parameters are compile-time constants
-// here, so there is nothing to cross-check against the rebuild.
+// Checkpoint support (DESIGN.md §15): each controller's walk visits exactly
+// its mutable fields, in declaration order. Parameters are compile-time
+// constants here, so there is nothing to cross-check against the rebuild.
 
-// Snapshot implements snap.Snapshotter.
-func (t *NewReno) Snapshot(e *snap.Encoder) {
-	e.Tag("newreno")
-	e.F64(t.cwnd)
-	e.F64(t.ssthresh)
-	e.I64(t.lastSent)
-	e.I64(t.recoverSeq)
-	e.Bool(t.inRecovery)
+// Walk implements snap.Walkable.
+func (t *NewReno) Walk(w snap.Walker) {
+	w.Tag("newreno")
+	w.F64(&t.cwnd)
+	w.F64(&t.ssthresh)
+	w.I64(&t.lastSent)
+	w.I64(&t.recoverSeq)
+	w.Bool(&t.inRecovery)
 }
 
-// Restore implements snap.Snapshotter.
-func (t *NewReno) Restore(d *snap.Decoder) {
-	d.Expect("newreno")
-	t.cwnd = d.F64()
-	t.ssthresh = d.F64()
-	t.lastSent = d.I64()
-	t.recoverSeq = d.I64()
-	t.inRecovery = d.Bool()
+// Walk implements snap.Walkable.
+func (t *Cubic) Walk(w snap.Walker) {
+	w.Tag("cubic")
+	w.F64(&t.cwnd)
+	w.F64(&t.ssthresh)
+	w.F64(&t.wMax)
+	w.F64(&t.k)
+	w.Dur(&t.epochStart)
+	w.Bool(&t.haveEpoch)
+	w.Dur(&t.srtt)
+	w.I64(&t.lastSent)
+	w.I64(&t.recoverSeq)
+	w.Bool(&t.inRecovery)
 }
 
-// Snapshot implements snap.Snapshotter.
-func (t *Cubic) Snapshot(e *snap.Encoder) {
-	e.Tag("cubic")
-	e.F64(t.cwnd)
-	e.F64(t.ssthresh)
-	e.F64(t.wMax)
-	e.F64(t.k)
-	e.Dur(t.epochStart)
-	e.Bool(t.haveEpoch)
-	e.Dur(t.srtt)
-	e.I64(t.lastSent)
-	e.I64(t.recoverSeq)
-	e.Bool(t.inRecovery)
-}
-
-// Restore implements snap.Snapshotter.
-func (t *Cubic) Restore(d *snap.Decoder) {
-	d.Expect("cubic")
-	t.cwnd = d.F64()
-	t.ssthresh = d.F64()
-	t.wMax = d.F64()
-	t.k = d.F64()
-	t.epochStart = d.Dur()
-	t.haveEpoch = d.Bool()
-	t.srtt = d.Dur()
-	t.lastSent = d.I64()
-	t.recoverSeq = d.I64()
-	t.inRecovery = d.Bool()
-}
-
-// Snapshot implements snap.Snapshotter.
-func (t *Vegas) Snapshot(e *snap.Encoder) {
-	e.Tag("vegas")
-	e.F64(t.cwnd)
-	e.F64(t.ssthresh)
-	e.Dur(t.baseRTT)
-	e.Dur(t.rttSum)
-	e.Int(t.rttCnt)
-	e.I64(t.nextAdj)
-	e.I64(t.lastSent)
-	e.I64(t.recoverSeq)
-	e.Bool(t.inRecovery)
-	e.Bool(t.slowStart)
-	e.Bool(t.ssToggle)
-}
-
-// Restore implements snap.Snapshotter.
-func (t *Vegas) Restore(d *snap.Decoder) {
-	d.Expect("vegas")
-	t.cwnd = d.F64()
-	t.ssthresh = d.F64()
-	t.baseRTT = d.Dur()
-	t.rttSum = d.Dur()
-	t.rttCnt = d.Int()
-	t.nextAdj = d.I64()
-	t.lastSent = d.I64()
-	t.recoverSeq = d.I64()
-	t.inRecovery = d.Bool()
-	t.slowStart = d.Bool()
-	t.ssToggle = d.Bool()
+// Walk implements snap.Walkable.
+func (t *Vegas) Walk(w snap.Walker) {
+	w.Tag("vegas")
+	w.F64(&t.cwnd)
+	w.F64(&t.ssthresh)
+	w.Dur(&t.baseRTT)
+	w.Dur(&t.rttSum)
+	w.Int(&t.rttCnt)
+	w.I64(&t.nextAdj)
+	w.I64(&t.lastSent)
+	w.I64(&t.recoverSeq)
+	w.Bool(&t.inRecovery)
+	w.Bool(&t.slowStart)
+	w.Bool(&t.ssToggle)
 }

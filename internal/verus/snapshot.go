@@ -3,155 +3,100 @@ package verus
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/snap"
 )
 
-// Checkpoint support (DESIGN.md §15). The controller serializes every mutable
-// field of the state machine plus the delay profile; configuration and the
-// derived tick divisors are rebuilt. Infinities (the unprimed D_min, the
+// Checkpoint support (DESIGN.md §15). The controller's walk visits every
+// mutable field of the state machine plus the delay profile; configuration and
+// the derived tick divisors are rebuilt. Infinities (the unprimed D_min, the
 // unset ssthresh cap) round-trip bit-exactly through the F64 codec.
 
-// snapshot writes the profile's knots and, when a curve is fitted, the exact
+// walk visits the profile's knots and, when a curve is fitted, the exact
 // (xs, ys) inputs of the last successful refit. The spline itself is not
-// serialized: Restore re-runs RefitSorted on those inputs, which is
+// serialized: a load re-runs RefitSorted on those inputs, which is
 // deterministic, so the restored curve is bit-identical. Re-fitting from the
 // *current* knots instead would be wrong — knots updated since the last refit
 // (dirty profile) would produce a curve the live run does not have yet.
-func (p *delayProfile) snapshot(e *snap.Encoder) {
-	e.Tag("profile")
-	wins := make([]int64, len(p.wins))
-	for i, w := range p.wins {
-		wins[i] = int64(w)
+func (p *delayProfile) walk(w snap.Walker) {
+	w.Tag("profile")
+	w.Ints(&p.wins)
+	w.F64s(&p.delays)
+	w.I64s(&p.stamps)
+	w.Int(&p.maxW)
+	w.Bool(&p.dirty)
+	fitted := p.splReady
+	w.Bool(&fitted)
+	if w.Loading() {
+		p.splReady = false
+		if w.Err() == nil && (len(p.wins) != len(p.delays) || len(p.wins) != len(p.stamps)) {
+			w.Fail(fmt.Errorf("verus: profile snapshot has %d windows, %d delays, %d stamps", len(p.wins), len(p.delays), len(p.stamps)))
+		}
 	}
-	e.I64s(wins)
-	e.F64s(p.delays)
-	e.I64s(p.stamps)
-	e.Int(p.maxW)
-	e.Bool(p.dirty)
-	e.Bool(p.splReady)
-	if p.splReady {
-		e.F64s(p.xs)
-		e.F64s(p.ys)
-	}
-}
-
-// restore consumes snapshot's fields and re-interpolates the saved curve.
-func (p *delayProfile) restore(d *snap.Decoder) {
-	d.Expect("profile")
-	wins := d.I64s()
-	delays := d.F64s()
-	stamps := d.I64s()
-	maxW := d.Int()
-	dirty := d.Bool()
-	splReady := d.Bool()
-	if d.Err() != nil {
+	if !fitted || w.Err() != nil {
 		return
 	}
-	if len(wins) != len(delays) || len(wins) != len(stamps) {
-		d.Fail(fmt.Errorf("verus: profile snapshot has %d windows, %d delays, %d stamps", len(wins), len(delays), len(stamps)))
+	w.F64s(&p.xs)
+	w.F64s(&p.ys)
+	if !w.Loading() || w.Err() != nil {
 		return
 	}
-	p.wins = p.wins[:0]
-	for _, w := range wins {
-		p.wins = append(p.wins, int(w))
+	if err := p.spl.RefitSorted(p.xs, p.ys); err != nil {
+		w.Fail(fmt.Errorf("verus: re-interpolating checkpointed profile: %w", err))
+		return
 	}
-	p.delays = append(p.delays[:0], delays...)
-	p.stamps = append(p.stamps[:0], stamps...)
-	p.maxW = maxW
-	p.dirty = dirty
-	p.splReady = false
-	if splReady {
-		xs := d.F64s()
-		ys := d.F64s()
-		if d.Err() != nil {
-			return
-		}
-		p.xs = append(p.xs[:0], xs...)
-		p.ys = append(p.ys[:0], ys...)
-		if err := p.spl.RefitSorted(p.xs, p.ys); err != nil {
-			d.Fail(fmt.Errorf("verus: re-interpolating checkpointed profile: %w", err))
-			return
-		}
-		p.splReady = true
+	p.splReady = true
+}
+
+// walkCounter visits an observability counter's value; attachments (Observe)
+// are re-made by the rebuild, only the count carries over.
+func walkCounter(w snap.Walker, c *obs.Counter) {
+	n := c.Value()
+	w.I64(&n)
+	if w.Loading() {
+		c.Restore(n)
 	}
 }
 
-// Snapshot implements snap.Snapshotter.
-func (v *Verus) Snapshot(e *snap.Encoder) {
-	e.Tag("verus")
-	e.Int(int(v.st))
-	v.profile.snapshot(e)
-	e.F64(v.epochMax)
-	e.Bool(v.haveSample)
-	e.F64(v.dMax)
-	e.F64(v.dMaxPrev)
-	e.Bool(v.dMaxPrimed)
-	e.F64(v.dMin)
-	e.F64(v.dEst)
-	e.F64(v.dMinBuckets[0])
-	e.F64(v.dMinBuckets[1])
-	e.Int(v.dMinTicks)
-	e.F64(v.w)
-	e.F64(v.quota)
-	e.F64(v.ssW)
-	e.F64(v.ssCap)
-	e.Dur(v.srtt)
-	e.Int(v.wLossExit)
-	e.Int(v.tickCount)
-	e.F64(v.wAtRefit)
-	e.Int(v.maxWAtRefit)
-	e.Bool(v.frozen)
-	e.I64(v.epochNow)
-	e.Int(v.consecTimeouts)
-	e.Dur(v.timeoutAt)
-	e.Bool(v.timeoutOpen)
-	e.I64(v.epochs.Value())
-	e.I64(v.losses.Value())
-	e.I64(v.timeouts.Value())
-	e.I64(v.refits.Value())
-	e.I64(v.staleAcks.Value())
-	e.I64(v.relearns.Value())
-}
-
-// Restore implements snap.Snapshotter. Observability attachments (Observe)
-// are re-made by the rebuild; only the counter values carry over.
-func (v *Verus) Restore(d *snap.Decoder) {
-	d.Expect("verus")
-	st := d.Int()
+// Walk implements snap.Walkable.
+func (v *Verus) Walk(w snap.Walker) {
+	w.Tag("verus")
+	st := int(v.st)
+	w.Int(&st)
 	if st < int(stateSlowStart) || st > int(stateRecovery) {
-		d.Fail(fmt.Errorf("verus: snapshot has unknown protocol state %d", st))
+		w.Fail(fmt.Errorf("verus: snapshot has unknown protocol state %d", st))
 		return
 	}
 	v.st = state(st)
-	v.profile.restore(d)
-	v.epochMax = d.F64()
-	v.haveSample = d.Bool()
-	v.dMax = d.F64()
-	v.dMaxPrev = d.F64()
-	v.dMaxPrimed = d.Bool()
-	v.dMin = d.F64()
-	v.dEst = d.F64()
-	v.dMinBuckets[0] = d.F64()
-	v.dMinBuckets[1] = d.F64()
-	v.dMinTicks = d.Int()
-	v.w = d.F64()
-	v.quota = d.F64()
-	v.ssW = d.F64()
-	v.ssCap = d.F64()
-	v.srtt = d.Dur()
-	v.wLossExit = d.Int()
-	v.tickCount = d.Int()
-	v.wAtRefit = d.F64()
-	v.maxWAtRefit = d.Int()
-	v.frozen = d.Bool()
-	v.epochNow = d.I64()
-	v.consecTimeouts = d.Int()
-	v.timeoutAt = d.Dur()
-	v.timeoutOpen = d.Bool()
-	v.epochs.Restore(d.I64())
-	v.losses.Restore(d.I64())
-	v.timeouts.Restore(d.I64())
-	v.refits.Restore(d.I64())
-	v.staleAcks.Restore(d.I64())
-	v.relearns.Restore(d.I64())
+	v.profile.walk(w)
+	w.F64(&v.epochMax)
+	w.Bool(&v.haveSample)
+	w.F64(&v.dMax)
+	w.F64(&v.dMaxPrev)
+	w.Bool(&v.dMaxPrimed)
+	w.F64(&v.dMin)
+	w.F64(&v.dEst)
+	w.F64(&v.dMinBuckets[0])
+	w.F64(&v.dMinBuckets[1])
+	w.Int(&v.dMinTicks)
+	w.F64(&v.w)
+	w.F64(&v.quota)
+	w.F64(&v.ssW)
+	w.F64(&v.ssCap)
+	w.Dur(&v.srtt)
+	w.Int(&v.wLossExit)
+	w.Int(&v.tickCount)
+	w.F64(&v.wAtRefit)
+	w.Int(&v.maxWAtRefit)
+	w.Bool(&v.frozen)
+	w.I64(&v.epochNow)
+	w.Int(&v.consecTimeouts)
+	w.Dur(&v.timeoutAt)
+	w.Bool(&v.timeoutOpen)
+	walkCounter(w, &v.epochs)
+	walkCounter(w, &v.losses)
+	walkCounter(w, &v.timeouts)
+	walkCounter(w, &v.refits)
+	walkCounter(w, &v.staleAcks)
+	walkCounter(w, &v.relearns)
 }
