@@ -435,7 +435,11 @@ func (m *metroSim) collect() MetroPoint {
 		handovers += n
 	}
 	pt := MetroPoint{Protocol: m.mk.Name, Flows: m.flows, Handovers: handovers, CrossMsgs: m.mesh.CrossDelivered()}
-	delay := stats.NewSummary(4096)
+	samples := 0
+	for _, u := range m.topo.Users {
+		samples += m.metrics[u.ID].Delay.N()
+	}
+	delay := stats.NewSummary(samples)
 	perCell := make([][]float64, m.opts.Sectors)
 	for _, u := range m.topo.Users {
 		fm := m.metrics[u.ID]

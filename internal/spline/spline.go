@@ -6,10 +6,10 @@
 // endpoints, and extrapolate linearly beyond the knot range.
 //
 // The representation is optimized for the delay profiler's access pattern —
-// thousands of evaluations on a rising grid per 5 ms epoch, one refit per
-// second: all per-segment cubic coefficients are precomputed at fit time, a
-// cursor-style Evaluator advances the segment index incrementally across a
-// monotone scan (O(n + steps) instead of O(steps·log n)), and RefitSorted
+// a top-down grid scan per 5 ms epoch, one refit per second: all per-segment
+// cubic coefficients are precomputed at fit time, a cursor-style Evaluator
+// steps the segment index incrementally across a monotone scan in either
+// direction (O(n + steps) instead of O(steps·log n)), and RefitSorted
 // rebuilds a spline in place with zero allocations once its buffers are
 // warm. Every coefficient is computed with the exact floating-point
 // expressions the original per-call Eval used, so evaluation results are
@@ -18,6 +18,7 @@ package spline
 
 import (
 	"errors"
+	"math"
 	"sort"
 )
 
@@ -238,39 +239,90 @@ func (s *Spline) Eval(x float64) float64 {
 	return s.evalSegment(s.searchSegment(x), x)
 }
 
-// Evaluator is a segment cursor for evaluating the spline at many points.
-// For a non-decreasing sequence of x values the cursor advances segments
-// incrementally, making a full grid scan O(n + steps) rather than
-// O(steps·log n); a backwards jump falls back to a binary search, so results
-// equal Eval for any input order. The zero Evaluator is not usable; obtain
-// one from Spline.Evaluator. It is invalidated by a refit.
+// Evaluator is a cursor for evaluating the spline at many points. It keeps
+// the piece the last point fell on — one cubic segment or one extrapolation
+// ray — with its coefficients hoisted, so a point on the same piece costs no
+// search, call or bounds-checked load. A point elsewhere moves the cursor one
+// segment at a time, right or left; only the first interior point seeks by
+// binary search. A monotone scan in either direction is therefore
+// O(n + steps) rather than O(steps·log n), and results equal Eval for any
+// input order. The zero Evaluator is not usable; obtain one from
+// Spline.Evaluator. It is invalidated by a refit.
 type Evaluator struct {
 	s   *Spline
-	seg int
+	seg int // segment to walk from, or -1 before any point has been placed
+
+	// The cached piece covers from <= x < to (an empty range at first). On a
+	// ray it evaluates y + b*(x-x0); on a segment, the cubic of evalSegment.
+	from, to          float64
+	ray               bool
+	x0, h, y, b, c, d float64
 }
 
-// Evaluator returns a fresh segment cursor positioned at the first segment.
-func (s *Spline) Evaluator() Evaluator { return Evaluator{s: s} }
+// Evaluator returns a fresh, unpositioned cursor.
+func (s *Spline) Evaluator() Evaluator { return Evaluator{s: s, seg: -1, from: 1, to: 0} }
 
-// Eval evaluates the spline at x, identical in value to Spline.Eval.
+// Eval evaluates the spline at x, identical in value to Spline.Eval. It is
+// Seek then At. Go inlines each of those two but not their sum, so a hot loop
+// spells the pair out and pays a call only when the piece changes.
 func (e *Evaluator) Eval(x float64) float64 {
+	e.Seek(x)
+	return e.At(x)
+}
+
+// Seek places the cursor on the piece that holds x; it costs two comparisons
+// when the cursor is already there.
+func (e *Evaluator) Seek(x float64) {
+	if !(e.from <= x && x < e.to) {
+		e.move(x)
+	}
+}
+
+// At evaluates the cached piece at x, which the last Seek must have been for.
+func (e *Evaluator) At(x float64) float64 {
+	if e.ray {
+		return e.y + e.b*(x-e.x0)
+	}
+	dx := (x - e.x0) / e.h * e.h
+	return e.y + dx*(e.b+dx*(e.c+dx*e.d))
+}
+
+// move caches the piece that holds x: a ray outside the knots, else the
+// segment reached by walking from the last one.
+func (e *Evaluator) move(x float64) {
 	s := e.s
 	n := len(s.xs)
 	if x <= s.xs[0] {
-		return s.ys[0] + s.slopeLo*(x-s.xs[0])
+		// The left ray owns x == xs[0]; segment 0 starts just above it.
+		e.seg, e.ray = 0, true
+		e.from, e.to = math.Inf(-1), math.Nextafter(s.xs[0], math.Inf(1))
+		e.x0, e.y, e.b = s.xs[0], s.ys[0], s.slopeLo
+		return
 	}
 	if x >= s.xs[n-1] {
-		return s.ys[n-1] + s.slopeHi*(x-s.xs[n-1])
+		e.seg, e.ray = n-2, true
+		e.from, e.to = s.xs[n-1], math.Inf(1)
+		e.x0, e.y, e.b = s.xs[n-1], s.ys[n-1], s.slopeHi
+		return
 	}
-	if x < s.xs[e.seg] {
-		// Non-monotone use: re-seek instead of returning the wrong segment.
-		e.seg = s.searchSegment(x)
-		return s.evalSegment(e.seg, x)
+	seg := e.seg
+	if seg < 0 {
+		seg = s.searchSegment(x)
 	}
-	for e.seg < n-2 && x >= s.xs[e.seg+1] {
-		e.seg++
+	// xs[0] < x < xs[n-1] bounds both walks.
+	for x < s.xs[seg] {
+		seg--
 	}
-	return s.evalSegment(e.seg, x)
+	for x >= s.xs[seg+1] {
+		seg++
+	}
+	e.seg, e.ray = seg, false
+	e.from, e.to = s.xs[seg], s.xs[seg+1]
+	if seg == 0 {
+		e.from = math.Nextafter(s.xs[0], math.Inf(1))
+	}
+	e.x0, e.h, e.y = s.xs[seg], s.h[seg], s.ys[seg]
+	e.b, e.c, e.d = s.b[seg], s.c[seg], s.d[seg]
 }
 
 // EvalGrid evaluates the spline at the grid lo + k*step for

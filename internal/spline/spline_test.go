@@ -203,8 +203,9 @@ func TestSearchSegmentBoundaries(t *testing.T) {
 }
 
 // TestEvaluatorMatchesEval pins bit-identity between the cursor evaluator
-// and point-wise Eval, on rising grids (the intended use), on reversed
-// grids (the re-seek fallback), and across knot-exact points.
+// and point-wise Eval: on rising grids, on falling grids (the delay profile's
+// top-down lookup, from a warm cursor and from a fresh one), in shuffled
+// order, and across knot-exact points.
 func TestEvaluatorMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -238,10 +239,18 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 				t.Fatalf("trial %d: cursor Eval(%v) = %v, Eval = %v (must be bit-identical)", trial, g, got, want)
 			}
 		}
-		// Reverse order exercises the re-seek fallback.
-		for i := len(grid) - 1; i >= 0; i-- {
+		// Falling order steps the cursor left: first from where the rising
+		// scan left it, then from a fresh cursor's binary-search seek.
+		for _, ev := range []Evaluator{e, s.Evaluator()} {
+			for i := len(grid) - 1; i >= 0; i-- {
+				if got, want := ev.Eval(grid[i]), s.Eval(grid[i]); got != want {
+					t.Fatalf("trial %d: falling cursor Eval(%v) = %v, Eval = %v", trial, grid[i], got, want)
+				}
+			}
+		}
+		for _, i := range rng.Perm(len(grid)) {
 			if got, want := e.Eval(grid[i]), s.Eval(grid[i]); got != want {
-				t.Fatalf("trial %d: reversed cursor Eval(%v) = %v, Eval = %v", trial, grid[i], got, want)
+				t.Fatalf("trial %d: shuffled cursor Eval(%v) = %v, Eval = %v", trial, grid[i], got, want)
 			}
 		}
 		out := make([]float64, steps)

@@ -9,15 +9,20 @@ import (
 // Checkpoint support (DESIGN.md §15). Accumulators checkpoint their running
 // state bit-exactly: float sums are stored as IEEE-754 bit patterns, never
 // recomputed from samples — re-summing in a different order would drift the
-// low bits and move a golden digest. Sample order is preserved verbatim for
-// the same reason (Summary.Percentile sorts lazily in place, so the
-// in-memory order at snapshot time is part of the observable state).
+// low bits and move a golden digest. Sample order is preserved verbatim too:
+// Summary.Percentile permutes the samples in place, so the in-memory order at
+// snapshot time is observable in the next snapshot's bytes.
 
-// Walk visits the summary's samples and running moments.
+// Walk visits the summary's samples and running moments. The byte after the
+// samples was the "samples are sorted" flag of the sort-based Percentile. It
+// stays on the wire, written false, so snap.Version need not move; a load
+// accepts either value and drops it, because nothing reads sortedness any
+// more.
 func (s *Summary) Walk(w snap.Walker) {
 	w.Tag("summary")
 	w.F64s(&s.samples)
-	w.Bool(&s.sorted)
+	var wasSorted bool
+	w.Bool(&wasSorted)
 	w.F64(&s.sum)
 	w.F64(&s.sumSq)
 }

@@ -3,15 +3,16 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
 // Summary accumulates samples and reports mean, standard deviation, min, max,
-// and percentiles. Percentile queries sort a private copy lazily; the sorted
-// order is cached until the next Add.
+// and percentiles. A percentile query selects the one or two order statistics
+// it reads, permuting the samples in place; nothing is cached between
+// queries.
 type Summary struct {
 	samples []float64
-	sorted  bool
 	sum     float64
 	sumSq   float64
 }
@@ -26,7 +27,6 @@ func (s *Summary) Add(v float64) {
 	s.samples = append(s.samples, v)
 	s.sum += v
 	s.sumSq += v * v
-	s.sorted = false
 }
 
 // Merge folds every sample of o into s, leaving o untouched. The metro
@@ -39,7 +39,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.samples = append(s.samples, o.samples...)
 	s.sum += o.sum
 	s.sumSq += o.sumSq
-	s.sorted = false
 }
 
 // N returns the number of samples recorded.
@@ -68,26 +67,44 @@ func (s *Summary) Stddev() float64 {
 	return math.Sqrt(v)
 }
 
-// Min returns the smallest sample, or +Inf with no samples.
+// Min returns the smallest sample, or +Inf with no samples. A NaN sample
+// orders below every number, as in sort.Float64s, so any NaN makes Min NaN.
 func (s *Summary) Min() float64 {
 	if len(s.samples) == 0 {
 		return math.Inf(1)
 	}
-	s.ensureSorted()
-	return s.samples[0]
+	m := s.samples[0]
+	for _, v := range s.samples[1:] {
+		if v < m || v != v {
+			m = v
+		}
+	}
+	return m
 }
 
-// Max returns the largest sample, or -Inf with no samples.
+// Max returns the largest sample, or -Inf with no samples. NaN samples order
+// below every number, so Max is NaN only when every sample is.
 func (s *Summary) Max() float64 {
 	if len(s.samples) == 0 {
 		return math.Inf(-1)
 	}
-	s.ensureSorted()
-	return s.samples[len(s.samples)-1]
+	m := s.samples[0]
+	for _, v := range s.samples[1:] {
+		if v > m || m != m {
+			m = v
+		}
+	}
+	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 with no samples.
+//
+// The two ranks are found by selection, not by sorting: selectNth places the
+// lower rank's order statistic at its sorted position with nothing larger to
+// its left and nothing smaller to its right, so the upper rank is the minimum
+// of what lies to the right. Order statistics do not depend on how they were
+// found, so the result is the one a full sort gives, bit for bit.
 func (s *Summary) Percentile(p float64) float64 {
 	n := len(s.samples)
 	if n == 0 {
@@ -99,15 +116,26 @@ func (s *Summary) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.Max()
 	}
-	s.ensureSorted()
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	// NaNs go first, where sort.Float64s puts them, and the selection kernel
+	// compares numbers only. A rank inside the NaN prefix is already in place.
+	nans := nansFirst(s.samples)
+	if lo >= nans {
+		selectNth(s.samples[nans:], lo-nans)
+	}
 	if lo == hi {
 		return s.samples[lo]
 	}
+	vHi := s.samples[hi]
+	for _, v := range s.samples[hi+1:] {
+		if v < vHi {
+			vHi = v
+		}
+	}
 	frac := rank - float64(lo)
-	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
+	return s.samples[lo]*(1-frac) + vHi*frac
 }
 
 // Median returns the 50th percentile.
@@ -119,9 +147,72 @@ func (s *Summary) String() string {
 		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Median(), s.Percentile(95), s.Max())
 }
 
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
+// nansFirst moves every NaN in a to the front and returns how many there are.
+func nansFirst(a []float64) int {
+	n := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[n] = a[n], v
+			n++
+		}
 	}
+	return n
+}
+
+// selectNth permutes a, which must hold no NaN, so that a[k] is the element a
+// full sort would put there, with a[:k] <= a[k] <= a[k+1:]. It is an
+// introselect: quickselect on a median-of-three pivot, an insertion sort once
+// the live range is small, and, after 2*ceil(log2 n) partitions that failed
+// to shrink the range geometrically, a sort of what is left — so that no
+// input costs more than the full sort this replaces. It reports whether that
+// fallback ran.
+func selectNth(a []float64, k int) (fellBack bool) {
+	l, r := 0, len(a)-1
+	for depth := 2 * bits.Len(uint(len(a)-1)); r-l >= 12; depth-- {
+		if depth == 0 {
+			sort.Float64s(a[l : r+1])
+			return true
+		}
+		// Median of a[l], a[mid], a[r] goes to a[l+1] as the pivot, with the
+		// other two left as sentinels at both ends of the scan.
+		mid := int(uint(l+r) >> 1)
+		a[mid], a[l+1] = a[l+1], a[mid]
+		if a[l] > a[r] {
+			a[l], a[r] = a[r], a[l]
+		}
+		if a[l+1] > a[r] {
+			a[l+1], a[r] = a[r], a[l+1]
+		}
+		if a[l] > a[l+1] {
+			a[l], a[l+1] = a[l+1], a[l]
+		}
+		pivot := a[l+1]
+		i, j := l+1, r
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; a[j] > pivot; j-- {
+			}
+			if j < i {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		a[l+1], a[j] = a[j], pivot
+		if j >= k {
+			r = j - 1
+		}
+		if j <= k {
+			l = i
+		}
+		if k < l || r < k {
+			return false // a[k] equals the pivot and is in place
+		}
+	}
+	for i := l + 1; i <= r; i++ {
+		for j := i; j > l && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+	return false
 }

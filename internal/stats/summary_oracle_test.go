@@ -1,0 +1,534 @@
+package stats
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/snap"
+)
+
+// refSummary is the sort-based Summary that selection replaced, verbatim:
+// every query sorts the samples lazily and reads the ranks off the sorted
+// slice. It pins Percentile, Min and Max bit for bit, NaN-first order
+// included.
+type refSummary struct {
+	samples []float64
+	sorted  bool
+	sum     float64
+	sumSq   float64
+}
+
+func (s *refSummary) Add(v float64) {
+	s.samples = append(s.samples, v)
+	s.sum += v
+	s.sumSq += v * v
+	s.sorted = false
+}
+
+func (s *refSummary) Merge(o *refSummary) {
+	if o == nil || len(o.samples) == 0 {
+		return
+	}
+	s.samples = append(s.samples, o.samples...)
+	s.sum += o.sum
+	s.sumSq += o.sumSq
+	s.sorted = false
+}
+
+func (s *refSummary) Min() float64 {
+	if len(s.samples) == 0 {
+		return math.Inf(1)
+	}
+	s.ensureSorted()
+	return s.samples[0]
+}
+
+func (s *refSummary) Max() float64 {
+	if len(s.samples) == 0 {
+		return math.Inf(-1)
+	}
+	s.ensureSorted()
+	return s.samples[len(s.samples)-1]
+}
+
+func (s *refSummary) Percentile(p float64) float64 {
+	n := len(s.samples)
+	if n == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return s.Min()
+	}
+	if p >= 100 {
+		return s.Max()
+	}
+	s.ensureSorted()
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s.samples[lo]
+	}
+	frac := rank - float64(lo)
+	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
+}
+
+func (s *refSummary) ensureSorted() {
+	if !s.sorted {
+		sort.Float64s(s.samples)
+		s.sorted = true
+	}
+}
+
+// medianOfThreeKiller builds the input on which selectNth's pivot rule picks
+// the second-smallest element of the live range every time, so each partition
+// strips two elements and the depth limit is reached. It replays the moves
+// selectNth makes in that case — the middle element swapped into l+1, nothing
+// else — over a table of original positions, and hands the two smallest unused
+// values to the positions that will sit at l and l+1.
+func medianOfThreeKiller(n int) []float64 {
+	at := make([]int, n) // at[i]: original position of the element now at i
+	for i := range at {
+		at[i] = i
+	}
+	a := make([]float64, n)
+	next := 1.0
+	l, r := 0, n-1
+	for ; r-l >= 12; l += 2 {
+		mid := (l + r) / 2
+		at[mid], at[l+1] = at[l+1], at[mid]
+		a[at[l]], a[at[l+1]] = next, next+1
+		next += 2
+	}
+	for ; l <= r; l++ {
+		a[at[l]] = next
+		next++
+	}
+	return a
+}
+
+func organPipe(a []float64) {
+	for i := range a {
+		a[i] = float64(min(i, len(a)-1-i))
+	}
+}
+
+// The input shapes of the oracle. None produces -0: sort.Float64s leaves the
+// order of -0 and +0 to its algorithm, so which of the two a rank holds was
+// never defined.
+var oracleShapes = []struct {
+	name string
+	fill func(rng *rand.Rand, a []float64)
+}{
+	{"uniform", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = rng.Float64() * 1e3
+		}
+	}},
+	{"heavy_duplicates", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = float64(rng.Intn(7))
+		}
+	}},
+	{"all_equal", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = 42.5
+		}
+	}},
+	{"sorted", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = float64(i) * 0.5
+		}
+	}},
+	{"reverse_sorted", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = float64(len(a)-i) * 0.5
+		}
+	}},
+	{"organ_pipe", func(rng *rand.Rand, a []float64) { organPipe(a) }},
+	{"median_of_three_killer", func(rng *rand.Rand, a []float64) {
+		copy(a, medianOfThreeKiller(len(a)))
+	}},
+	{"infinities", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			switch rng.Intn(5) {
+			case 0:
+				a[i] = math.Inf(1)
+			case 1:
+				a[i] = math.Inf(-1)
+			default:
+				a[i] = rng.NormFloat64()
+			}
+		}
+	}},
+	{"some_nan", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			if a[i] = rng.NormFloat64(); rng.Intn(4) == 0 {
+				a[i] = math.NaN()
+			}
+		}
+	}},
+	{"mostly_nan", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			if a[i] = math.NaN(); rng.Intn(10) == 0 {
+				a[i] = float64(rng.Intn(3))
+			}
+		}
+	}},
+	{"all_nan", func(rng *rand.Rand, a []float64) {
+		for i := range a {
+			a[i] = math.NaN()
+		}
+	}},
+}
+
+// metroQuantiles are the percentiles asked of one Summary in a row: the
+// metro render's seven, plus both ends.
+var metroQuantiles = []float64{0, 5, 25, 50, 75, 90, 95, 99, 100}
+
+// summaryPair drives a Summary and its sort-based reference with the same
+// operations and compares every query's bits.
+type summaryPair struct {
+	t       *testing.T
+	name    string
+	got     *Summary
+	want    *refSummary
+	queries int
+}
+
+func (sp *summaryPair) add(vs []float64) {
+	for _, v := range vs {
+		sp.got.Add(v)
+		sp.want.Add(v)
+	}
+}
+
+func (sp *summaryPair) merge(vs []float64) {
+	og, ow := NewSummary(0), &refSummary{}
+	for _, v := range vs {
+		og.Add(v)
+		ow.Add(v)
+	}
+	sp.got.Merge(og)
+	sp.want.Merge(ow)
+}
+
+func (sp *summaryPair) check(what string, got, want float64) {
+	sp.t.Helper()
+	sp.queries++
+	if math.Float64bits(got) != math.Float64bits(want) {
+		sp.t.Fatalf("%s n=%d: %s = %v (%#x), sort reference %v (%#x)",
+			sp.name, sp.got.N(), what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func (sp *summaryPair) percentile(p float64) {
+	sp.t.Helper()
+	sp.check("Percentile", sp.got.Percentile(p), sp.want.Percentile(p))
+}
+
+func (sp *summaryPair) minMax() {
+	sp.t.Helper()
+	sp.check("Min", sp.got.Min(), sp.want.Min())
+	sp.check("Max", sp.got.Max(), sp.want.Max())
+}
+
+// TestSummaryMatchesSortReference drives selection-based and sort-based
+// summaries through more than 10⁵ identical seeded queries — every shape at
+// sizes 1 to 10⁵, Add and Merge interleaved between queries, the metro's
+// quantiles repeated on one Summary — and requires bit-identical answers. So
+// that the pass cannot be vacuous it also requires that a query left some
+// large Summary unsorted: selection ran, not a sort.
+func TestSummaryMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	queries, leftUnsorted := 0, 0
+	run := func(n, rounds, perRound int) {
+		for _, shape := range oracleShapes {
+			a := make([]float64, n)
+			shape.fill(rng, a)
+			sp := &summaryPair{t: t, name: shape.name, got: NewSummary(0), want: &refSummary{}}
+			sp.add(a)
+			for round := 0; round < rounds; round++ {
+				for _, p := range metroQuantiles {
+					sp.percentile(p)
+				}
+				for q := 0; q < perRound; q++ {
+					sp.percentile(rng.Float64() * 100)
+				}
+				sp.minMax()
+				if n >= 1000 && !sort.Float64sAreSorted(sp.got.samples) {
+					leftUnsorted++
+				}
+				// Grow by about a tenth, in the shape's own values, by Add
+				// and by Merge in turn.
+				extra := make([]float64, 1+n/10)
+				shape.fill(rng, extra)
+				if round%2 == 0 {
+					sp.add(extra)
+				} else {
+					sp.merge(extra)
+				}
+			}
+			sp.check("sum", sp.got.sum, sp.want.sum)
+			sp.check("sumSq", sp.got.sumSq, sp.want.sumSq)
+			queries += sp.queries
+		}
+	}
+	for n := 1; n <= 64; n++ {
+		run(n, 4, 16)
+	}
+	for _, n := range []int{65, 100, 255, 256, 257, 1000, 4096, 5000} {
+		run(n, 6, 40)
+	}
+	run(20000, 3, 20)
+	run(100000, 2, 5)
+	if queries < 100000 {
+		t.Fatalf("only %d queries compared, want at least 100000", queries)
+	}
+	if leftUnsorted == 0 {
+		t.Fatal("every large Summary was fully sorted after its queries: selection did not run")
+	}
+	t.Logf("%d queries bit-identical; %d rounds left a large Summary unsorted", queries, leftUnsorted)
+}
+
+// TestSelectNthDepthLimit is the guard on introselect's fallback: the killer
+// input reaches it, at every size where it can, and no random input does.
+func TestSelectNthDepthLimit(t *testing.T) {
+	for _, n := range []int{64, 1000, 100000} {
+		a := medianOfThreeKiller(n)
+		k := n * 95 / 100
+		if !selectNth(a, k) {
+			t.Errorf("killer n=%d: the depth limit was not reached", n)
+		}
+		if a[k] != float64(k+1) {
+			t.Errorf("killer n=%d: rank %d = %v, want %d", n, k, a[k], k+1)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(2000)
+		if trial%1000 == 0 {
+			n = 100000
+		}
+		a := make([]float64, n)
+		dup := trial%3 == 0
+		for i := range a {
+			if a[i] = rng.Float64(); dup {
+				a[i] = float64(rng.Intn(1 + n/8))
+			}
+		}
+		if selectNth(a, rng.Intn(n)) {
+			t.Fatalf("trial %d: random input of %d samples fell back to the sort", trial, n)
+		}
+	}
+}
+
+// checkSelectNth runs selectNth on a copy of a and requires the postcondition
+// Percentile relies on: rank k holds what a sort puts there, nothing larger
+// lies to its left and nothing smaller to its right.
+func checkSelectNth(t *testing.T, a []float64, k int) {
+	t.Helper()
+	got := append([]float64(nil), a...)
+	want := append([]float64(nil), a...)
+	sort.Float64s(want)
+	selectNth(got, k)
+	if got[k] != want[k] {
+		t.Fatalf("rank %d of %d = %v, sorted has %v", k, len(a), got[k], want[k])
+	}
+	for i, v := range got {
+		if (i < k && v > got[k]) || (i > k && v < got[k]) {
+			t.Fatalf("rank %d of %d: element %d = %v is on the wrong side of %v", k, len(a), i, v, got[k])
+		}
+	}
+	sort.Float64s(got)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d of %d: selection changed the multiset at sorted index %d", k, len(a), i)
+		}
+	}
+}
+
+// TestSelectNthEveryRank checks the postcondition at every rank of every
+// shape at the sizes around the insertion-sort cutoff, where each way out of
+// the partition loop — the rank left of, on, and right of the pivot, and
+// inside a run equal to it — is some (size, rank) pair.
+func TestSelectNthEveryRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for n := 1; n <= 80; n++ {
+		for _, shape := range oracleShapes {
+			a := make([]float64, n)
+			shape.fill(rng, a)
+			if a = a[nansFirst(a):]; len(a) == 0 {
+				continue
+			}
+			for k := range a {
+				checkSelectNth(t, a, k)
+			}
+		}
+	}
+}
+
+// fuzzSamples decodes a fuzz input into samples. Mode 0 reads one small
+// integer per byte, which makes duplicates and long runs cheap to reach; any
+// other mode reads raw float64 bit patterns, with every NaN made the one
+// math.NaN() and -0 made +0 (see oracleShapes).
+func fuzzSamples(mode uint8, data []byte) []float64 {
+	if mode == 0 {
+		a := make([]float64, len(data))
+		for i, b := range data {
+			a[i] = float64(b)
+		}
+		return a
+	}
+	a := make([]float64, 0, len(data)/8)
+	for ; len(data) >= 8; data = data[8:] {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		switch {
+		case v != v:
+			v = math.NaN()
+		case v == 0:
+			v = 0
+		}
+		a = append(a, v)
+	}
+	return a
+}
+
+// FuzzSelectNth checks selectNth's postcondition on the NaN-free samples and
+// Percentile, Min and Max against the sort reference on all of them.
+func FuzzSelectNth(f *testing.F) {
+	// The other shapes are in testdata/fuzz/FuzzSelectNth. The killer is built
+	// here so that it follows selectNth's pivot rule if that ever changes.
+	killer := medianOfThreeKiller(200)
+	seed := make([]byte, len(killer))
+	for i, v := range killer {
+		seed[i] = byte(v)
+	}
+	f.Add(uint8(0), seed, uint16(190))
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte, k uint16) {
+		a := fuzzSamples(mode, data)
+		if len(a) == 0 {
+			return
+		}
+		numbers := append([]float64(nil), a...)
+		numbers = numbers[nansFirst(numbers):]
+		if len(numbers) > 0 {
+			checkSelectNth(t, numbers, int(k)%len(numbers))
+		}
+		sp := &summaryPair{t: t, name: "fuzz", got: NewSummary(0), want: &refSummary{}}
+		sp.add(a)
+		sp.percentile(float64(k) / math.MaxUint16 * 100)
+		sp.percentile(float64(int(k)%len(a)) / float64(len(a)) * 100)
+		sp.minMax()
+		sp.percentile(95)
+	})
+}
+
+// saveSummary snapshots s the way a trial does.
+func saveSummary(t *testing.T, s *Summary) []byte {
+	t.Helper()
+	e := snap.NewEncoder()
+	s.Walk(snap.Save(e))
+	blob, err := e.Encode(snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func loadSummary(t *testing.T, blob []byte) *Summary {
+	t.Helper()
+	d, err := snap.Decode(blob, snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSummary(0)
+	s.Walk(snap.Load(d))
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSummaryWalkRoundTrip: save → load → save is byte-identical, the byte
+// that used to say "sorted" is written false even after a query has permuted
+// the samples, and the permuted order travels with the snapshot.
+func TestSummaryWalkRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	orig := NewSummary(0)
+	for i := 0; i < 500; i++ {
+		orig.Add(rng.Float64())
+	}
+	fresh := saveSummary(t, orig)
+	p95 := orig.Percentile(95)
+	blob := saveSummary(t, orig)
+	if bytes.Equal(blob, fresh) {
+		t.Fatal("a Percentile query left the snapshot bytes unchanged: sample order is no longer observable")
+	}
+
+	// The wire layout, as the sort-based Summary wrote it with sorted=false.
+	e := snap.NewEncoder()
+	e.Tag("summary")
+	e.F64s(orig.samples)
+	e.Bool(false)
+	e.F64(orig.sum)
+	e.F64(orig.sumSq)
+	want, err := e.Encode(snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("Walk wrote %d bytes, the parent's layout is %d", len(blob), len(want))
+	}
+
+	got := loadSummary(t, blob)
+	if again := saveSummary(t, got); !bytes.Equal(again, blob) {
+		t.Fatal("second save differs from the first")
+	}
+	if v := got.Percentile(95); v != p95 || got.N() != orig.N() || got.Mean() != orig.Mean() {
+		t.Fatalf("loaded summary reads p95=%v n=%d mean=%v, saved one %v %d %v", v, got.N(), got.Mean(), p95, orig.N(), orig.Mean())
+	}
+}
+
+// TestSummaryWalkIgnoresSortedByte: a snapshot that claims sorted samples
+// over unsorted ones — which the sort-based Summary would have believed —
+// loads cleanly and answers from the samples.
+func TestSummaryWalkIgnoresSortedByte(t *testing.T) {
+	samples := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
+	want := &refSummary{}
+	e := snap.NewEncoder()
+	e.Tag("summary")
+	e.F64s(samples)
+	e.Bool(true)
+	var sum, sumSq float64
+	for _, v := range samples {
+		want.Add(v)
+		sum += v
+		sumSq += v * v
+	}
+	e.F64(sum)
+	e.F64(sumSq)
+	blob, err := e.Encode(snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loadSummary(t, blob)
+	for _, p := range metroQuantiles {
+		if g, w := got.Percentile(p), want.Percentile(p); g != w {
+			t.Errorf("Percentile(%v) = %v after a load with the sorted byte set, want %v", p, g, w)
+		}
+	}
+	if again, err := snap.Decode(saveSummary(t, got), snap.Version); err != nil {
+		t.Fatal(err)
+	} else {
+		again.Expect("summary")
+		again.F64s()
+		if again.Bool() {
+			t.Error("the loaded sorted byte was written back as true")
+		}
+	}
+}

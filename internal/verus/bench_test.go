@@ -39,32 +39,32 @@ func BenchmarkProfileRefit(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileLookup measures the per-epoch window lookup at the steps
-// clamp (hi=2048 -> 4096 grid evaluations), the dominant cost of Tick.
-func BenchmarkProfileLookup(b *testing.B) {
+// BenchmarkLookup measures the per-epoch window lookup, the dominant cost of
+// Tick, by how far the top-down scan has to walk. hit_top is the steady
+// state: the answer sits a few grid points below hi. hit_mid walks half of a
+// 512-point grid. miss walks all 4096 points of the steps clamp and finds
+// nothing, which is what a forward pass over the whole grid always cost;
+// miss64 does the same on the 64-point floor, the grid a flow under faults
+// misses on.
+func BenchmarkLookup(b *testing.B) {
 	p := benchProfile(256)
-	target := p.delayAt(128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		w, _ := p.lookup(target, 2048)
-		sink += w
+	for _, bc := range []struct {
+		name       string
+		target, hi float64
+	}{
+		{"hit_top", p.delayAt(250), 256},
+		{"hit_mid", p.delayAt(128), 256},
+		{"miss", p.delayAt(1) / 2, 2048},
+		{"miss64", p.delayAt(1) / 2, 31},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				w, _ := p.lookup(bc.target, bc.hi)
+				sink += w
+			}
+			_ = sink
+		})
 	}
-	_ = sink
-}
-
-// BenchmarkProfileLookupSmall measures the lookup at the steps floor
-// (hi<32 -> 64 grid evaluations), the small-window regime.
-func BenchmarkProfileLookupSmall(b *testing.B) {
-	p := benchProfile(16)
-	target := p.delayAt(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		w, _ := p.lookup(target, 16)
-		sink += w
-	}
-	_ = sink
 }

@@ -45,8 +45,6 @@ type delayProfile struct {
 
 	// Refit scratch, reused across refits.
 	xs, ys []float64
-	// Lookup grid scratch, reused across lookups (at most 4096 entries).
-	grid []float64
 }
 
 func newDelayProfile(alpha float64) *delayProfile {
@@ -158,13 +156,21 @@ func (p *delayProfile) ready() bool { return p.splReady }
 // predicted delay instead of collapsing to one packet. Callers should treat
 // a not-found result as "do not grow".
 //
-// The curve is evaluated with spline.EvalGrid into a reused scratch buffer:
-// the grid is rising, so the whole evaluation pass costs O(knots + steps)
-// with the segment coefficients hoisted out of the inner loop, instead of a
-// binary search per step — bit-identical values to point-wise Eval.
+// The candidates are the grid x = 1 + k*step, k = 0..steps-1, with
+// steps = clamp(2*floor(hi), 64, 4096). Only the largest hit is wanted, so the
+// scan runs from k = steps-1 downward and stops at the first point within the
+// target; in steady state the answer sits a few points below hi. The spline
+// cursor steps left as x falls, so even a scan that finds nothing costs
+// O(knots + steps), each point bit-identical to point-wise Eval.
 func (p *delayProfile) lookup(target, hi float64) (w float64, found bool) {
+	w, found, _ = p.scan(target, hi)
+	return w, found
+}
+
+// scan is lookup, also reporting how many grid points it evaluated.
+func (p *delayProfile) scan(target, hi float64) (w float64, found bool, evals int) {
 	if !p.splReady {
-		return 1, false
+		return 1, false, 0
 	}
 	if hi < 1 {
 		hi = 1
@@ -176,7 +182,6 @@ func (p *delayProfile) lookup(target, hi float64) (w float64, found bool) {
 	if steps > 4096 {
 		steps = 4096
 	}
-	best := 1.0
 	argmin := 1.0
 	minDelay := math.Inf(1)
 	// The argmin fallback must stay within the observed knot range: beyond
@@ -194,30 +199,41 @@ func (p *delayProfile) lookup(target, hi float64) (w float64, found bool) {
 	// runaway.
 	dAtMaxW := p.spl.Eval(argminCeil)
 	step := (hi - 1) / float64(steps-1)
-	if cap(p.grid) < steps {
-		p.grid = make([]float64, steps)
-	}
-	grid := p.grid[:steps]
-	p.spl.EvalGrid(1, step, grid)
-	for k := 0; k < steps; k++ {
+	ev := p.spl.Evaluator()
+	k := steps - 1
+	// Two loops, not one with both tests in it: x falls with k, so the points
+	// above the observed range — the clamped tail, never argmin candidates —
+	// come first, and a scan that finds nothing runs as fast as the forward
+	// pass over a precomputed grid did.
+	for ; k >= 0; k-- {
 		x := 1 + float64(k)*step
-		d := grid[k]
-		if x > argminCeil && d < dAtMaxW {
+		if x <= argminCeil {
+			break
+		}
+		ev.Seek(x)
+		d := ev.At(x)
+		if d < dAtMaxW {
 			d = dAtMaxW
 		}
 		if d <= target {
-			best = x
-			found = true
+			return x, true, steps - k
 		}
-		if x <= argminCeil && d < minDelay {
+	}
+	for ; k >= 0; k-- {
+		x := 1 + float64(k)*step
+		ev.Seek(x)
+		d := ev.At(x)
+		if d <= target {
+			return x, true, steps - k
+		}
+		// <=, not <: walking down, a tie must still end on the smallest
+		// window.
+		if d <= minDelay {
 			minDelay = d
 			argmin = x
 		}
 	}
-	if !found {
-		return argmin, false
-	}
-	return best, true
+	return argmin, false, steps
 }
 
 // delayAt evaluates the interpolated curve at window w (clamped at >= 1).

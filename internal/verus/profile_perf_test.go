@@ -221,8 +221,9 @@ func TestProfileRefitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestProfileLookupZeroAllocs asserts the per-epoch lookup grid scan never
-// allocates (the Evaluator cursor lives on the stack).
+// TestProfileLookupZeroAllocs asserts the per-epoch lookup never allocates,
+// on a scan that walks most of the 4096-point grid (the Evaluator cursor
+// lives on the stack).
 func TestProfileLookupZeroAllocs(t *testing.T) {
 	p := benchProfile(128)
 	target := p.delayAt(64)
@@ -256,4 +257,203 @@ func TestProfileStaleAgingFloor(t *testing.T) {
 	if p.maxW != 10 {
 		t.Errorf("maxW = %d, want 10", p.maxW)
 	}
+}
+
+// referenceLookup is the forward-grid lookup that the top-down scan replaced,
+// verbatim but for the grid scratch, which was a field of the profile:
+// evaluate the whole grid with EvalGrid, walk it upward, keep the last hit.
+func referenceLookup(p *delayProfile, scratch *[]float64, target, hi float64) (w float64, found bool) {
+	if !p.splReady {
+		return 1, false
+	}
+	if hi < 1 {
+		hi = 1
+	}
+	steps := int(hi) * 2
+	if steps < 64 {
+		steps = 64
+	}
+	if steps > 4096 {
+		steps = 4096
+	}
+	best := 1.0
+	argmin := 1.0
+	minDelay := math.Inf(1)
+	argminCeil := float64(p.maxW)
+	if argminCeil < 1 {
+		argminCeil = 1
+	}
+	dAtMaxW := p.spl.Eval(argminCeil)
+	step := (hi - 1) / float64(steps-1)
+	if cap(*scratch) < steps {
+		*scratch = make([]float64, steps)
+	}
+	grid := (*scratch)[:steps]
+	p.spl.EvalGrid(1, step, grid)
+	for k := 0; k < steps; k++ {
+		x := 1 + float64(k)*step
+		d := grid[k]
+		if x > argminCeil && d < dAtMaxW {
+			d = dAtMaxW
+		}
+		if d <= target {
+			best = x
+			found = true
+		}
+		if x <= argminCeil && d < minDelay {
+			minDelay = d
+			argmin = x
+		}
+	}
+	if !found {
+		return argmin, false
+	}
+	return best, true
+}
+
+// oracleProfile builds one seeded profile for the lookup oracle: a random
+// subset of the windows 1..span as knots, under one of six delay shapes.
+func oracleProfile(rng *rand.Rand, shape, span int) *delayProfile {
+	p := newDelayProfile(0.875)
+	knots := 2 + rng.Intn(min(span-1, 300))
+	level := 0.01 + rng.Float64()*0.1
+	for _, i := range rng.Perm(span)[:knots] {
+		w := float64(i + 1)
+		var d float64
+		switch shape {
+		case 0: // the convex curve a queue draws, with measurement noise
+			d = level + 0.0004*math.Pow(w, 1.3) + rng.Float64()*0.002
+		case 1: // pure noise: the spline overshoots, dips and crosses itself
+			d = 0.01 + rng.Float64()*0.3
+		case 2: // flat: every grid point ties for the minimum
+			d = level
+		case 3: // two plateaus: ties inside each
+			if d = level; i >= span/2 {
+				d = 2 * level
+			}
+		case 4: // rises, then falls towards the top: a negative tail slope
+			d = level + 0.001*w*(1.2*float64(span)-w)/float64(span)
+		case 5: // steps down with the window: the minimum sits at the top
+			d = level + 0.2/(1+w)
+		}
+		p.update(i+1, d, 1)
+	}
+	p.refit(1)
+	if rng.Intn(4) == 0 {
+		// An ack for a window above every knot, not yet refitted: maxW moves
+		// past the curve's last knot.
+		p.update(p.maxW+1+rng.Intn(span), level, 2)
+	}
+	return p
+}
+
+// TestLookupMatchesForwardScan drives the top-down lookup and the forward-grid
+// reference over more than 10⁵ seeded (profile, target, hi) triples and
+// requires the same (w, found) bits. It counts the corners it is meant to
+// cover, so that a generator change cannot drop one silently, and it guards
+// the point of the change: on at least nine found lookups in ten the scan
+// must have stopped before evaluating the whole grid.
+func TestLookupMatchesForwardScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var scratch []float64
+	var triples, found, foundEarly, missTies, topHits, tailClamped, hiBelowOne, atFloor, atCeiling int
+	for trial := 0; trial < 300; trial++ {
+		shape := trial % 6
+		span := []int{2, 5, 16, 40, 150, 600, 3000}[trial%7]
+		p := oracleProfile(rng, shape, span)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, d := range p.delays {
+			lo, hi = math.Min(lo, d), math.Max(hi, d)
+		}
+		maxW := float64(p.maxW)
+		fallingTail := p.spl.Eval(maxW+10) < p.spl.Eval(maxW)
+		for q := 0; q < 350; q++ {
+			var target float64
+			switch rng.Intn(8) {
+			case 0:
+				target = lo / 2 // below the whole curve, unless the spline dips
+			case 1:
+				target = -1 // below the whole curve
+			case 2:
+				target = 10 // above it: the hit is the top grid point
+			case 3:
+				target = p.delays[rng.Intn(len(p.delays))] // equality at a knot
+			case 4:
+				target = p.spl.Eval(maxW) // equality with the tail clamp
+			default:
+				target = p.delayAt(1 + rng.Float64()*maxW*1.5)
+			}
+			var top float64
+			switch rng.Intn(8) {
+			case 0:
+				top = rng.Float64()*4 - 3 // below 1, mostly
+			case 1:
+				top = 1 + rng.Float64()*31 // the 64-step floor
+			case 2:
+				top = 2048 + rng.Float64()*4000 // the 4096-step ceiling
+			case 3:
+				top = maxW
+			case 4:
+				top = maxW * (1 + rng.Float64()*2) // past the observed range
+			default:
+				top = 1 + rng.Float64()*maxW*1.2
+			}
+			gw, gf, evals := p.scan(target, top)
+			ww, wf := referenceLookup(p, &scratch, target, top)
+			if math.Float64bits(gw) != math.Float64bits(ww) || gf != wf {
+				t.Fatalf("trial %d (shape %d, %d knots, maxW %d): lookup(%v, %v) = (%v, %v), forward scan (%v, %v)",
+					trial, shape, p.numPoints(), p.maxW, target, top, gw, gf, ww, wf)
+			}
+			if lw, lf := p.lookup(target, top); lw != gw || lf != gf {
+				t.Fatalf("trial %d: lookup and scan disagree", trial)
+			}
+			triples++
+			steps := min(max(2*int(math.Max(top, 1)), 64), 4096)
+			switch {
+			case !gf:
+				if evals != steps {
+					t.Fatalf("trial %d: a miss evaluated %d of %d grid points", trial, evals, steps)
+				}
+				if shape == 2 || shape == 3 {
+					missTies++
+				}
+			case evals < steps:
+				found++
+				foundEarly++
+			default:
+				found++
+			}
+			if gf && evals == 1 {
+				topHits++
+			}
+			if fallingTail && top > maxW {
+				tailClamped++
+			}
+			if top < 1 {
+				hiBelowOne++
+			}
+			if steps == 64 {
+				atFloor++
+			}
+			if steps == 4096 {
+				atCeiling++
+			}
+		}
+	}
+	if triples < 100000 {
+		t.Fatalf("only %d triples compared, want at least 100000", triples)
+	}
+	for name, n := range map[string]int{
+		"misses with tied minima": missTies, "hits at the top grid point": topHits,
+		"hi past maxW over a falling tail": tailClamped, "hi < 1": hiBelowOne,
+		"64-step grids": atFloor, "4096-step grids": atCeiling,
+	} {
+		if n < 1000 {
+			t.Errorf("only %d triples covered %s, want at least 1000", n, name)
+		}
+	}
+	if foundEarly*10 < found*9 {
+		t.Errorf("the scan stopped early on %d of %d found lookups, want at least 90%%: the top-down path is not what ran", foundEarly, found)
+	}
+	t.Logf("%d triples bit-identical; %d found, %d of them before the grid's end; %d misses", triples, found, foundEarly, triples-found)
 }
