@@ -106,15 +106,17 @@ func (so *sinkObs) onAttrib(now time.Duration, p *Packet, comps [stats.NumDelayC
 	if so == nil {
 		return
 	}
-	for c := 0; c < stats.NumDelayComps; c++ {
-		so.hist[c].Observe(comps[c].Seconds())
+	var secs [stats.NumDelayComps]float64
+	for c := range secs {
+		secs[c] = comps[c].Seconds()
+		so.hist[c].Observe(secs[c])
 	}
 	so.o.Emit(obs.Event{At: now, Kind: obs.KindNetAttrib, Flow: int32(p.Flow), Run: so.run,
-		V0: comps[stats.DelayQueue].Seconds(),
-		V1: comps[stats.DelaySerialize].Seconds(),
-		V2: comps[stats.DelayPropagate].Seconds(),
-		V3: comps[stats.DelayFaultHold].Seconds(),
-		V4: comps[stats.DelayDetour].Seconds(),
+		V0: secs[stats.DelayQueue],
+		V1: secs[stats.DelaySerialize],
+		V2: secs[stats.DelayPropagate],
+		V3: secs[stats.DelayFaultHold],
+		V4: secs[stats.DelayDetour],
 		V5: oneWay.Seconds(),
 	})
 }

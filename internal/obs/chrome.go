@@ -2,23 +2,129 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 )
 
-// chromeEvent is one entry of the Chrome trace_event JSON array format
-// (load chrome://tracing or https://ui.perfetto.dev). pid groups by run,
-// tid by flow, ts/dur are microseconds of virtual time.
-type chromeEvent struct {
-	Name string             `json:"name"`
-	Ph   string             `json:"ph"`
-	Ts   float64            `json:"ts"`
-	Dur  float64            `json:"dur,omitempty"`
-	Pid  int64              `json:"pid"`
-	Tid  int32              `json:"tid"`
-	S    string             `json:"s,omitempty"`
-	Args map[string]float64 `json:"args,omitempty"`
+// One entry of the Chrome trace_event JSON array format (load
+// chrome://tracing or https://ui.perfetto.dev) is
+//
+//	{"name":"…","ph":"X","ts":N,"dur":N,"pid":N,"tid":N,"s":"t","args":{…}}
+//
+// pid groups by run, tid by flow, ts/dur are microseconds of virtual time.
+// "dur" is left out when zero, "s" on everything but instants, and the args
+// are written in sorted-key order.
+
+// chromeArg is one member of an entry's "args" object.
+type chromeArg struct {
+	key string
+	val float64
+}
+
+// instantArg names one value slot of an instant.
+type instantArg struct {
+	key  string
+	slot int
+}
+
+// instantArgs lists, per kind, the value slots an instant carries, in the
+// sorted-key order the args are written in.
+var instantArgs = func() (out [numKinds][]instantArg) {
+	for k, meta := range kindMeta {
+		for slot, name := range meta.fields {
+			if name != "" {
+				out[k] = append(out[k], instantArg{name, slot})
+			}
+		}
+		sort.Slice(out[k], func(i, j int) bool { return out[k][i].key < out[k][j].key })
+	}
+	return out
+}()
+
+// chromeWriter appends one entry at a time into a reused buffer.
+type chromeWriter struct {
+	bw      *bufio.Writer
+	buf     []byte
+	entries int
+}
+
+// name starts an entry: the separator from the one before, then the name,
+// prefix+str, left open so the caller can append more to it.
+func (c *chromeWriter) name(prefix, str string) {
+	c.buf = c.buf[:0]
+	if c.entries > 0 {
+		c.buf = append(c.buf, ",\n"...)
+	}
+	c.entries++
+	c.buf = append(c.buf, `{"name":"`...)
+	c.buf = appendJSONStringBody(c.buf, prefix)
+	c.buf = appendJSONStringBody(c.buf, str)
+}
+
+// finish closes the name, appends the other members and writes the entry
+// out. src is the event being rendered, named if a value cannot be written.
+func (c *chromeWriter) finish(src *Event, ph byte, ts, dur float64, args []chromeArg) error {
+	var ok bool
+	b := append(c.buf, `","ph":"`...)
+	b = append(b, ph)
+	b = append(b, `","ts":`...)
+	if b, ok = appendJSONFloat(b, ts); !ok {
+		return chromeErr(src, "ts", ts)
+	}
+	if dur != 0 {
+		b = append(b, `,"dur":`...)
+		if b, ok = appendJSONFloat(b, dur); !ok {
+			return chromeErr(src, "dur", dur)
+		}
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, src.Run, 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(src.Flow), 10)
+	if ph == 'i' {
+		b = append(b, `,"s":"t"`...)
+	}
+	for i, a := range args {
+		if i == 0 {
+			b = append(b, `,"args":{`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, a.key)
+		b = append(b, ':')
+		if b, ok = appendJSONFloat(b, a.val); !ok {
+			return chromeErr(src, a.key, a.val)
+		}
+	}
+	if len(args) > 0 {
+		b = append(b, '}')
+	}
+	c.buf = append(b, '}')
+	_, err := c.bw.Write(c.buf)
+	return err
+}
+
+// chromeErr reports a NaN or ±Inf that stopped the export.
+func chromeErr(src *Event, what string, x float64) error {
+	return fmt.Errorf("obs: chrome: event seq %d (%v): %s is %s", src.Seq, src.Kind, what, nonFinite(x))
+}
+
+// instant renders e as an "i" marker carrying its named value slots.
+func (c *chromeWriter) instant(e *Event, ts float64) error {
+	c.name(e.Kind.String(), "")
+	if e.Str != "" {
+		c.buf = append(c.buf, ' ')
+		c.buf = appendJSONStringBody(c.buf, e.Str)
+	}
+	v := e.values()
+	var args [6]chromeArg
+	order := instantArgs[e.Kind]
+	for i, a := range order {
+		args[i] = chromeArg{a.key, v[a.slot]}
+	}
+	return c.finish(e, 'i', ts, 0, args[:len(order)])
 }
 
 // WriteChromeTrace renders events in Chrome trace_event format:
@@ -33,27 +139,15 @@ type chromeEvent struct {
 //   - everything else becomes an "i" (instant) marker.
 //
 // Events must be in emission order (as returned by Tracer.Snapshot); fault
-// windows still open at the end of the trace are emitted as instants.
+// windows still open at the end of the trace are emitted as instants. A
+// value that comes out NaN or ±Inf cannot be written; the error names the
+// event.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
 		return err
 	}
-	first := true
-	emit := func(ce chromeEvent) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		b, err := json.Marshal(ce)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
+	c := chromeWriter{bw: bw, buf: make([]byte, 0, 256)}
 
 	// Open fault windows, keyed by (run, flow, kind string).
 	type faultKey struct {
@@ -61,25 +155,22 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		flow int32
 		str  string
 	}
-	open := make(map[faultKey]Event)
+	open := make(map[faultKey]*Event)
 
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		ts := float64(e.At) / 1e3 // ns -> µs
+		var err error
 		switch e.Kind {
 		case KindVerusEpoch:
-			ce := chromeEvent{
-				Name: fmt.Sprintf("verus flow %d", e.Flow),
-				Ph:   "C", Ts: ts, Pid: e.Run, Tid: e.Flow,
-				Args: map[string]float64{
-					"dmax_ms": e.V0 * 1e3,
-					"dest_ms": e.V1 * 1e3,
-					"w_pkts":  e.V2,
-					"quota":   e.V3,
-				},
-			}
-			if err := emit(ce); err != nil {
-				return err
-			}
+			c.name("verus flow ", "")
+			c.buf = strconv.AppendInt(c.buf, int64(e.Flow), 10)
+			err = c.finish(e, 'C', ts, 0, []chromeArg{
+				{"dest_ms", e.V1 * 1e3},
+				{"dmax_ms", e.V0 * 1e3},
+				{"quota", e.V3},
+				{"w_pkts", e.V2},
+			})
 		case KindNetAttrib:
 			// Reconstruct the packet's lifetime span backward from the sink
 			// time: components are laid end-to-end in enum order, which also
@@ -92,20 +183,16 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 				{"fault", e.V3}, {"detour", e.V4},
 			}
 			start := ts - e.V5*1e6 // s -> µs
-			for _, c := range comps {
-				if c.secs <= 0 {
+			total := []chromeArg{{"total_ms", e.V5 * 1e3}}
+			for _, comp := range comps {
+				if comp.secs <= 0 {
 					continue
 				}
-				ce := chromeEvent{
-					Name: "delay " + c.name,
-					Ph:   "X", Ts: start, Dur: c.secs * 1e6,
-					Pid: e.Run, Tid: e.Flow,
-					Args: map[string]float64{"total_ms": e.V5 * 1e3},
+				c.name("delay ", comp.name)
+				if err = c.finish(e, 'X', start, comp.secs*1e6, total); err != nil {
+					break
 				}
-				if err := emit(ce); err != nil {
-					return err
-				}
-				start += c.secs * 1e6
+				start += comp.secs * 1e6
 			}
 		case KindFaultBegin:
 			open[faultKey{e.Run, e.Flow, e.Str}] = e
@@ -113,37 +200,36 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			k := faultKey{e.Run, e.Flow, e.Str}
 			if b, ok := open[k]; ok {
 				delete(open, k)
-				ce := chromeEvent{
-					Name: "fault " + b.Str,
-					Ph:   "X", Ts: float64(b.At) / 1e3, Dur: ts - float64(b.At)/1e3,
-					Pid: e.Run, Tid: e.Flow,
-					Args: map[string]float64{"drained": b.V1, "released": e.V0},
-				}
-				if err := emit(ce); err != nil {
-					return err
-				}
-			} else if err := emit(instant(e, ts)); err != nil {
-				return err
+				begin := float64(b.At) / 1e3
+				c.name("fault ", b.Str)
+				err = c.finish(e, 'X', begin, ts-begin, []chromeArg{
+					{"drained", b.V1},
+					{"released", e.V0},
+				})
+			} else {
+				err = c.instant(e, ts)
 			}
 		default:
-			if err := emit(instant(e, ts)); err != nil {
-				return err
-			}
+			err = c.instant(e, ts)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Unclosed fault windows degrade to instants at their open time.
 	// Deterministic order: events arrived ordered, and at most a handful of
 	// windows stay open, so sweep the original slice rather than the map.
-	for _, e := range events {
-		k := faultKey{e.Run, e.Flow, e.Str}
+	for i := range events {
+		e := &events[i]
 		if e.Kind != KindFaultBegin {
 			continue
 		}
+		k := faultKey{e.Run, e.Flow, e.Str}
 		if _, ok := open[k]; !ok {
 			continue
 		}
 		delete(open, k)
-		if err := emit(instant(e, float64(e.At)/1e3)); err != nil {
+		if err := c.instant(e, float64(e.At)/1e3); err != nil {
 			return err
 		}
 	}
@@ -151,19 +237,4 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-func instant(e Event, ts float64) chromeEvent {
-	name := e.Kind.String()
-	if e.Str != "" {
-		name += " " + e.Str
-	}
-	args := make(map[string]float64, 6)
-	meta := kindMeta[e.Kind]
-	for i, v := range [6]float64{e.V0, e.V1, e.V2, e.V3, e.V4, e.V5} {
-		if meta.fields[i] != "" {
-			args[meta.fields[i]] = v
-		}
-	}
-	return chromeEvent{Name: name, Ph: "i", Ts: ts, Pid: e.Run, Tid: e.Flow, S: "t", Args: args}
 }

@@ -143,3 +143,8 @@ type Event struct {
 	V4   float64
 	V5   float64
 }
+
+// values returns the six value slots in order.
+func (e *Event) values() [6]float64 {
+	return [6]float64{e.V0, e.V1, e.V2, e.V3, e.V4, e.V5}
+}

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,16 +53,87 @@ func TestJSONLDeterministicBytes(t *testing.T) {
 }
 
 func TestReadJSONLStrict(t *testing.T) {
+	const good = `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`
 	cases := []struct{ name, in string }{
-		{"garbage", "not json\n"},
-		{"unknown kind", `{"seq":0,"at_ns":0,"kind":"bogus.kind","flow":0,"run":1}` + "\n"},
-		{"unknown field", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"extra":true}` + "\n"},
-		{"too many values", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1,2,3,4,5,6,7]}` + "\n"},
+		{"garbage", "not json"},
+		{"unknown kind", `{"seq":0,"at_ns":0,"kind":"bogus.kind","flow":0,"run":1}`},
+		{"unknown field", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"extra":true}`},
+		{"too many values", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1,2,3,4,5,6,7]}`},
+		// What encoding/json let through.
+		{"trailing bytes", good + ` trailing junk`},
+		{"two objects on one line", good + good},
+		{"upper-case key", `{"SEQ":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"mixed-case key", `{"seq":0,"At_Ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"duplicate key", `{"seq":0,"seq":1,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"null field", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":null,"run":1}`},
+		{"null str", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":null}`},
+		{"null v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":null}`},
+		{"null inside v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1,null]}`},
+		{"seq missing", `{"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"at_ns missing", `{"seq":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"kind missing", `{"seq":0,"at_ns":0,"flow":0,"run":1}`},
+		{"flow missing", `{"seq":0,"at_ns":0,"kind":"verus.epoch","run":1}`},
+		{"run missing", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0}`},
+		{"only a kind", `{"kind":"verus.epoch"}`},
+		{"empty object", `{}`},
+		// Numbers that are not the field's.
+		{"fraction for an integer", `{"seq":1.0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"exponent for an integer", `{"seq":0,"at_ns":1e3,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"flow = 2^31", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":2147483648,"run":1}`},
+		{"flow = -2^31-1", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":-2147483649,"run":1}`},
+		{"seq = -1", `{"seq":-1,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"seq = 2^64", `{"seq":18446744073709551616,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"run = 2^63", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":9223372036854775808}`},
+		{"leading zero", `{"seq":01,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
+		{"string in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":["1"]}`},
+		{"bare point in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1.]}`},
+		{"bare exponent in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1e]}`},
+		{"overflow in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1e999]}`},
+		{"NaN in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[NaN]}`},
+		{"trailing comma in v", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"v":[1,]}`},
+		{"trailing comma", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,}`},
+		// Strings that are not text.
+		{"lone high surrogate", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"\ud800"}`},
+		{"lone low surrogate", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"\udc00\ud800"}`},
+		{"invalid UTF-8", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"` + "a\xffb" + `"}`},
+		{"raw control byte", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"` + "a\x01b" + `"}`},
+		{"bad escape", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"\x41"}`},
+		{"unterminated string", `{"seq":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1,"str":"abc`},
+		{"escaped key", `{"s\u0065q":0,"at_ns":0,"kind":"verus.epoch","flow":0,"run":1}`},
 	}
 	for _, tc := range cases {
-		if _, err := ReadJSONL(strings.NewReader(tc.in)); err == nil {
+		// A good line first, so the error has a line number to get right.
+		_, err := ReadJSONL(strings.NewReader(good + "\n" + tc.in + "\n"))
+		if err == nil {
 			t.Errorf("%s: ReadJSONL accepted %q", tc.name, tc.in)
+		} else if !strings.HasPrefix(err.Error(), "obs: jsonl line 2: ") {
+			t.Errorf("%s: error %q does not name line 2", tc.name, err)
 		}
+	}
+}
+
+// What the grammar allows beyond WriteJSONL's own output: any key order,
+// RFC 8259 whitespace, every string escape, "-0", an empty "str" or "v".
+func TestReadJSONLAcceptsTheGrammar(t *testing.T) {
+	in := " \t{ \"v\" : [ 1.5 , -0 , 2E+3 ] ,\"run\":-0,\"str\":\"a\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\ud83d\\ude00z\"," +
+		"\"flow\":-2147483648,\"kind\":\"net.dr\\u006fp\",\"at_ns\":-9223372036854775808,\"seq\":18446744073709551615 } \r\n" +
+		"\n" +
+		`{"seq":1,"at_ns":2,"kind":"transport.stall","flow":3,"run":4,"str":"","v":[]}` + "\n"
+	want := []Event{
+		{Seq: math.MaxUint64, At: math.MinInt64, Kind: KindNetDrop, Flow: math.MinInt32,
+			Str: "a\"\\/\b\f\n\r\té\U0001F600z", V0: 1.5, V1: math.Copysign(0, -1), V2: 2000},
+		{Seq: 1, At: 2, Kind: KindStall, Flow: 3, Run: 4},
+	}
+	got, err := ReadJSONL(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("ReadJSONL: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || !math.Signbit(got[0].V1) {
+		t.Fatalf("got %+v\nwant %+v", got, want)
+	}
+	ref, err := refReadJSONL(strings.NewReader(in))
+	if err != nil || !reflect.DeepEqual(ref, got) {
+		t.Fatalf("the encoding/json reader disagrees: %+v, %v", ref, err)
 	}
 }
 
@@ -201,5 +275,54 @@ func TestMergeLabels(t *testing.T) {
 	}
 	if got := mergeLabels(`{flow="0"}`, `le="+Inf"`); got != `{flow="0",le="+Inf"}` {
 		t.Fatalf("mergeLabels = %q", got)
+	}
+}
+
+// The exporters used to allocate per event (a marshalled struct, a map of
+// args, a decoder); now only per call. The ceilings are per whole export of
+// 4096 events, with room for a bufio.Writer, the line buffer and a map of
+// open fault windows, and none for anything that grows with the trace.
+func TestExportAllocCeilings(t *testing.T) {
+	events := cityLossShapedEvents(4096)
+	withStr := 0
+	for _, e := range events {
+		if e.Str != "" {
+			withStr++
+		}
+	}
+	if withStr == 0 {
+		t.Fatal("the trace has no event with a str: the reader's ceiling would not cover one")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := WriteJSONL(io.Discard, events); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("WriteJSONL of %d events allocates %v times, want <= 8", len(events), n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := WriteChromeTrace(io.Discard, events); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("WriteChromeTrace of %d events allocates %v times, want <= 8", len(events), n)
+	}
+
+	var jsonl bytes.Buffer
+	if err := WriteJSONL(&jsonl, events); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(nil)
+	// One string per event that has one; the scanner and its buffer; a chunk
+	// per readChunk events, the list of them doubling as it grows; the result.
+	chunks := len(events)/readChunk + 1
+	ceiling := float64(withStr + 4 + chunks + bits.Len(uint(chunks)) + 1)
+	if n := testing.AllocsPerRun(10, func() {
+		r.Reset(jsonl.Bytes())
+		if back, err := ReadJSONL(r); err != nil || len(back) != len(events) {
+			t.Fatalf("ReadJSONL: %d events, %v", len(back), err)
+		}
+	}); n > ceiling {
+		t.Errorf("ReadJSONL of %d events (%d with a str) allocates %v times, want <= %v", len(events), withStr, n, ceiling)
 	}
 }

@@ -75,7 +75,6 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; counts[i] covers (bounds[i-1], bounds[i]]
 	sum    atomic.Int64   // fixed-point, sumScale units
-	total  atomic.Int64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -94,18 +93,27 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	// The first bound >= v, as sort.SearchFloat64s finds it; a handful of
+	// bounds are scanned faster than they are bisected through a closure.
+	// Written as !(bound >= v) so that NaN lands in +Inf, as it does there.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	h.sum.Add(int64(v * sumScale))
-	h.total.Add(1)
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.total.Load()
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observations (fixed-point accumulated).
@@ -274,7 +282,6 @@ func (r *Registry) Snapshot() []Sample {
 			smp.Value = s.gau.Value()
 		case KindHistogram:
 			h := s.his
-			smp.Count = h.Count()
 			smp.Sum = h.Sum()
 			smp.BucketBounds = append([]float64(nil), h.bounds...)
 			smp.Buckets = make([]int64, len(h.bounds))
@@ -283,6 +290,7 @@ func (r *Registry) Snapshot() []Sample {
 				cum += h.counts[i].Load()
 				smp.Buckets[i] = cum
 			}
+			smp.Count = cum + h.counts[len(h.bounds)].Load()
 		}
 		out = append(out, smp)
 	}

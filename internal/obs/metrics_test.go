@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -80,6 +81,28 @@ func TestHistogramBucketsAndFixedPointSum(t *testing.T) {
 			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, s.Buckets[i], w, s.Buckets)
 		}
 	}
+
+	// Observe's scan must pick the bucket sort.SearchFloat64s picks: on
+	// every bound, between them, off both ends, and for NaN, which is below
+	// no bound and so belongs to +Inf.
+	bounds := DelayBuckets
+	values := []float64{math.Inf(-1), -1, 0, bounds[0] / 2, bounds[len(bounds)-1] * 2, math.Inf(1), math.NaN()}
+	for _, b := range bounds {
+		values = append(values, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+	}
+	for _, v := range values {
+		h := newHistogram(bounds)
+		h.Observe(v)
+		wantBucket := sort.SearchFloat64s(bounds, v)
+		for i := range h.counts {
+			if got := h.counts[i].Load(); (got == 1) != (i == wantBucket) || got > 1 {
+				t.Fatalf("Observe(%v): bucket %d holds %d, want the one observation in bucket %d", v, i, got, wantBucket)
+			}
+		}
+		if h.Count() != 1 {
+			t.Fatalf("Observe(%v): Count() = %d, want 1", v, h.Count())
+		}
+	}
 }
 
 func TestHistogramBadBoundsPanic(t *testing.T) {
@@ -131,6 +154,11 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	}
+	// Count() is the sum of the buckets, which is what the exposition
+	// writes as the +Inf bucket.
+	if smp := r.Snapshot()[1]; smp.Count != h.Count() || smp.Buckets[0] != h.Count() {
+		t.Fatalf("snapshot count = %d, buckets %v, want Count() = %d in both", smp.Count, smp.Buckets, h.Count())
 	}
 	// Fixed-point accumulation: the sum is exact regardless of interleaving.
 	if got, want := h.Sum(), float64(workers*per)*0.5; got != want {

@@ -16,8 +16,12 @@
 // Cost contract: the disabled path is a nil check. Instrumented code holds a
 // *Observer and guards every instrumentation point with `if o != nil`,
 // mirroring the PR 4 egress fast path; with no observer attached the epoch
-// hot path pays one predictable branch and zero allocations (see
-// BENCH_pr5.json and the AllocsPerRun tests).
+// hot path pays one predictable branch and zero allocations. Enabled, an
+// event costs a mutex, one copy into its ring slot and a cursor increment; a
+// histogram observation a short scan of the bounds and two atomic adds. The
+// exporters append their bytes by hand and the JSONL reader is one pass over
+// a fixed grammar (see ReadJSONL), so neither allocates per event; the
+// AllocsPerRun tests pin all of it, and DESIGN.md §11 has the numbers.
 package obs
 
 // Observer bundles the event tracer and the metrics registry handed to
@@ -59,7 +63,7 @@ func (o *Observer) Emit(e Event) {
 	if o == nil || o.tracer == nil {
 		return
 	}
-	o.tracer.Emit(e)
+	o.tracer.emit(&e)
 }
 
 // Counter returns the registry counter with the given full name, or a

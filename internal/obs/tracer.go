@@ -12,12 +12,14 @@ const DefaultTraceCapacity = 1 << 16
 // events the ring no longer holds.
 //
 // The ring is a flat []Event slab allocated once at construction: emitting
-// into it is a mutex acquire and a struct copy, with no steady-state
-// allocation. A nil *Tracer is a valid disabled tracer.
+// into it is a mutex acquire, one struct copy into the slot and a cursor
+// increment, with no steady-state allocation. A nil *Tracer is a valid
+// disabled tracer.
 type Tracer struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []Event // the slots written so far; cap(buf) == limit
 	limit   int
+	next    int // the slot the next event takes; wraps at limit
 	emitted uint64
 }
 
@@ -36,13 +38,22 @@ func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
+	t.emit(&e)
+}
+
+// emit copies *e into the next slot and stamps the slot's Seq. It does not
+// keep e, so a caller's literal can stay on its stack.
+func (t *Tracer) emit(e *Event) {
 	t.mu.Lock()
-	e.Seq = t.emitted
-	t.emitted++
 	if len(t.buf) < t.limit {
-		t.buf = append(t.buf, e)
-	} else {
-		t.buf[int(e.Seq)%t.limit] = e
+		t.buf = t.buf[:len(t.buf)+1] // still filling: next == the old len
+	}
+	slot := &t.buf[t.next]
+	*slot = *e
+	slot.Seq = t.emitted
+	t.emitted++
+	if t.next++; t.next == t.limit {
+		t.next = 0
 	}
 	t.mu.Unlock()
 }
@@ -59,9 +70,8 @@ func (t *Tracer) Snapshot() []Event {
 		copy(out, t.buf)
 		return out
 	}
-	start := int(t.emitted) % t.limit
-	n := copy(out, t.buf[start:])
-	copy(out[n:], t.buf[:start])
+	n := copy(out, t.buf[t.next:])
+	copy(out[n:], t.buf[:t.next])
 	return out
 }
 

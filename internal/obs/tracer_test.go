@@ -25,26 +25,42 @@ func TestTracerRecordsInOrder(t *testing.T) {
 }
 
 func TestTracerRingOverwritesOldest(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 11; i++ {
-		tr.Emit(Event{Kind: KindNetDeliver, V0: float64(i)})
-	}
-	got := tr.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(got))
-	}
-	// The ring must hold the last 4 events, oldest first.
-	for i, e := range got {
-		want := uint64(7 + i)
-		if e.Seq != want || e.V0 != float64(want) {
-			t.Fatalf("event %d = {Seq:%d V0:%v}, want Seq=V0=%d", i, e.Seq, e.V0, want)
+	// Capacities that divide nothing evenly, the degenerate one, and one
+	// large enough that a wrong wrap is far from either end; each is
+	// wrapped at least three times, and checked while filling and at every
+	// step of the first wraps.
+	for _, tc := range []struct{ capacity, emit int }{
+		{4, 11}, {1, 4}, {3, 11}, {5, 17}, {1000, 3500},
+	} {
+		tr := NewTracer(tc.capacity)
+		for i := 0; i < tc.emit; i++ {
+			tr.Emit(Event{Kind: KindNetDeliver, V0: float64(i)})
+			if i > 3*tc.capacity+2 && i != tc.emit-1 {
+				continue
+			}
+			got := tr.Snapshot()
+			held := i + 1
+			if held > tc.capacity {
+				held = tc.capacity
+			}
+			if len(got) != held {
+				t.Fatalf("capacity %d after %d: snapshot len = %d, want %d", tc.capacity, i+1, len(got), held)
+			}
+			// The ring must hold the last events, oldest first.
+			for j, e := range got {
+				want := uint64(i + 1 - held + j)
+				if e.Seq != want || e.V0 != float64(want) {
+					t.Fatalf("capacity %d after %d: event %d = {Seq:%d V0:%v}, want Seq=V0=%d",
+						tc.capacity, i+1, j, e.Seq, e.V0, want)
+				}
+			}
 		}
-	}
-	if tr.Emitted() != 11 {
-		t.Fatalf("emitted = %d, want 11", tr.Emitted())
-	}
-	if tr.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", tr.Dropped())
+		if tr.Emitted() != uint64(tc.emit) {
+			t.Fatalf("capacity %d: emitted = %d, want %d", tc.capacity, tr.Emitted(), tc.emit)
+		}
+		if want := uint64(tc.emit - tc.capacity); tr.Dropped() != want {
+			t.Fatalf("capacity %d: dropped = %d, want %d", tc.capacity, tr.Dropped(), want)
+		}
 	}
 }
 
