@@ -6,12 +6,16 @@
 //	verus-trace gen  -tech lte -scenario city-driving -dur 2m -out chan.trace
 //	verus-trace info -in chan.trace [-window 100ms]
 //	verus-trace conv -in chan.trace -out chan.mahi -format mahimahi
+//
+// Exit status: 0 on success, 1 on bad input or I/O failure, 2 on usage
+// errors.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,29 +24,48 @@ import (
 	"repro/internal/trace"
 )
 
+// errUsage reports a usage error, whose message the flag set has printed.
+var errUsage = errors.New("usage error")
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run dispatches the subcommand; it is the testable core of the command.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func([]string, io.Writer, io.Writer) error{"gen": gen, "info": info, "conv": conv}
+	if len(args) < 1 || cmds[args[0]] == nil {
+		fmt.Fprintln(stderr, "usage: verus-trace gen|info|conv [flags]")
+		return 2
 	}
-	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
-	case "info":
-		info(os.Args[2:])
-	case "conv":
-		conv(os.Args[2:])
+	switch err := cmds[args[0]](args[1:], stdout, stderr); {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	default:
-		usage()
+		fmt.Fprintf(stderr, "verus-trace %s: %v\n", args[0], err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: verus-trace gen|info|conv [flags]")
-	os.Exit(2)
+// parse parses args into fs, reporting flag errors on stderr.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if fs.Parse(args) != nil {
+		return errUsage
+	}
+	return nil
 }
 
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+// required reports a missing mandatory flag as a usage error.
+func required(stderr io.Writer, name string) error {
+	fmt.Fprintf(stderr, "-%s required\n", name)
+	return errUsage
+}
+
+func gen(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	tech := fs.String("tech", "3g", "3g|lte")
 	op := fs.String("operator", "b", "a|b")
 	scName := fs.String("scenario", "campus-stationary", "mobility scenario")
@@ -50,7 +73,9 @@ func gen(args []string) {
 	dur := fs.Duration("dur", time.Minute, "trace duration")
 	seed := fs.Int64("seed", 1, "random seed")
 	out := fs.String("out", "", "output file (default stdout)")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 
 	var sc cellular.Scenario
 	for _, s := range cellular.Scenarios() {
@@ -59,7 +84,7 @@ func gen(args []string) {
 		}
 	}
 	if sc.Name == "" {
-		log.Fatalf("unknown scenario %q", *scName)
+		return fmt.Errorf("unknown scenario %q", *scName)
 	}
 	cfg := cellular.Config{Scenario: sc, MeanMbps: *mbps, Seed: *seed}
 	if strings.EqualFold(*tech, "lte") {
@@ -72,30 +97,34 @@ func gen(args []string) {
 	}
 	tr := cellular.NewModel(cfg).Trace(*dur)
 	if *out == "" {
-		if err := tr.Write(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return tr.Write(stdout)
 	}
 	if err := tr.Save(*out); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s: %d opportunities, %.2f Mbps mean over %v\n", *out, len(tr.Ops), tr.MeanMbps(), tr.Duration)
+	fmt.Fprintf(stdout, "wrote %s: %d opportunities, %.2f Mbps mean over %v\n", *out, len(tr.Ops), tr.MeanMbps(), tr.Duration)
+	return nil
 }
 
-func info(args []string) {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
+func info(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	in := fs.String("in", "", "trace file")
 	window := fs.Duration("window", 100*time.Millisecond, "throughput window")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" {
-		log.Fatal("info: -in required")
+		return required(stderr, "in")
 	}
 	tr, err := trace.Load(*in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("name: %s\nduration: %v\nopportunities: %d\nbytes: %d\nmean: %.3f Mbps\n",
+	w := tr.WindowedMbps(*window)
+	if len(w) == 0 {
+		return fmt.Errorf("no throughput windows: window %v over a trace of duration %v", *window, tr.Duration)
+	}
+	fmt.Fprintf(stdout, "name: %s\nduration: %v\nopportunities: %d\nbytes: %d\nmean: %.3f Mbps\n",
 		tr.Name, tr.Duration, len(tr.Ops), tr.TotalBytes(), tr.MeanMbps())
 	sizes, gaps := cellular.BurstStats(tr, 200*time.Microsecond)
 	var sMean float64
@@ -112,8 +141,7 @@ func info(args []string) {
 	if len(gaps) > 0 {
 		gMean /= time.Duration(len(gaps))
 	}
-	fmt.Printf("bursts: %d (mean %.0f B, mean gap %v)\n", len(sizes), sMean, gMean)
-	w := tr.WindowedMbps(*window)
+	fmt.Fprintf(stdout, "bursts: %d (mean %.0f B, mean gap %v)\n", len(sizes), sMean, gMean)
 	lo, hi := w[0], w[0]
 	for _, v := range w {
 		if v < lo {
@@ -123,22 +151,25 @@ func info(args []string) {
 			hi = v
 		}
 	}
-	fmt.Printf("windowed (%v): min %.2f, max %.2f Mbps over %d windows\n", *window, lo, hi, len(w))
+	fmt.Fprintf(stdout, "windowed (%v): min %.2f, max %.2f Mbps over %d windows\n", *window, lo, hi, len(w))
+	return nil
 }
 
-func conv(args []string) {
-	fs := flag.NewFlagSet("conv", flag.ExitOnError)
-	in := fs.String("in", "", "input trace (CSV or mahimahi; auto-detected by -informat)")
+func conv(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("conv", flag.ContinueOnError)
+	in := fs.String("in", "", "input trace (CSV or mahimahi, as -informat says)")
 	inFormat := fs.String("informat", "csv", "csv|mahimahi")
 	out := fs.String("out", "", "output file (default stdout)")
 	outFormat := fs.String("format", "mahimahi", "csv|mahimahi")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" {
-		log.Fatal("conv: -in required")
+		return required(stderr, "in")
 	}
 	f, err := os.Open(*in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	var tr *trace.Trace
@@ -148,22 +179,23 @@ func conv(args []string) {
 		tr, err = trace.Read(f)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		w, err = os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-	}
+	write := tr.Write
 	if *outFormat == "mahimahi" {
-		err = tr.WriteMahimahi(w)
-	} else {
-		err = tr.Write(w)
+		write = tr.WriteMahimahi
 	}
+	if *out == "" {
+		return write(stdout)
+	}
+	w, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	if err := write(w); err != nil {
+		w.Close()
+		return err
+	}
+	// A failed flush to disk surfaces only here.
+	return w.Close()
 }

@@ -1,7 +1,7 @@
 // Package crossshard verifies the mesh sharding invariant at compile
 // time: a callback scheduled on one cell's Sim runs inside that cell's
 // shard and may touch other cells only through the Mesh outbox/barrier
-// API (Mesh.Send / Mesh.SendPacket), never by calling into another
+// API (Mesh.SendPacket), never by calling into another
 // cell's Sim directly. RunSharded executes cells on separate goroutines
 // between barriers, so a direct cross-cell touch is a data race and a
 // serial≡sharded divergence — the exact class of bug the
@@ -282,7 +282,7 @@ func (cf *cellFlow) checkWorkerBody(s origins, body *ast.BlockStmt, home int64, 
 		}
 		if o, tracked := s[obj]; tracked && o.known && o.cell != home {
 			pass.Reportf(id.Pos(),
-				"worker scheduled on cell %d touches cell %d's Sim directly; cross-cell effects must go through Mesh.Send/Mesh.SendPacket (the outbox respects the lookahead barrier, a direct call races)",
+				"worker scheduled on cell %d touches cell %d's Sim directly; cross-cell effects must go through Mesh.SendPacket (the outbox respects the lookahead barrier, a direct call races)",
 				home, o.cell)
 		}
 		return true

@@ -26,7 +26,7 @@ func LoopWiring(m *Mesh, n int) {
 func OutboxDetour(m *Mesh) {
 	src := m.Cell(0)
 	src.Schedule(5, func() {
-		m.Send(0, 1, 7, func() {})
+		m.SendPacket(0, 1, 7, &Packet{})
 	})
 }
 

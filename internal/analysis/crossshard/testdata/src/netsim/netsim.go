@@ -24,8 +24,5 @@ type Mesh struct{ cells []*Sim }
 // Cell returns cell i's Sim.
 func (m *Mesh) Cell(i int) *Sim { return m.cells[i] }
 
-// Send routes a cross-cell effect through the outbox.
-func (m *Mesh) Send(src, dst int, delay int64, fn func()) {}
-
 // SendPacket routes a packet through the outbox.
 func (m *Mesh) SendPacket(src, dst int, delay int64, p *Packet) {}

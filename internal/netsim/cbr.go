@@ -25,8 +25,9 @@ type CBR struct {
 	offFor   time.Duration
 	nextSeq  int64
 	stopped  bool
-	runFn    func() // the one self-rescheduling callback, bound once
-	runID    int64  // runFn's registry id, so pending sends checkpoint
+	// runCB is the one self-rescheduling send event and haltCB the stop
+	// event, both registered so pending ones checkpoint.
+	runCB, haltCB callback
 }
 
 // NewCBR creates a constant-rate flow of rateMbps using mtu-sized packets,
@@ -54,12 +55,11 @@ func NewCBR(sim *Sim, flow int, link Link, mtu int, rateMbps float64,
 	}
 	c.sink = &Sink{sim: sim, metrics: m} // no src: CBR needs no ACKs
 	sim.RegisterReceiver(c.sink)
-	c.runFn = c.run
-	c.runID = sim.RegisterFunc(c.runFn)
-	sim.scheduleTagged(start, c.runID, c.runFn)
+	sim.register(&c.runCB, c.run)
+	sim.SchedulePacket(start, &c.runCB, nil)
 	if stop > 0 {
-		haltID := sim.RegisterFunc(c.halt)
-		sim.scheduleTagged(stop, haltID, c.halt)
+		sim.register(&c.haltCB, c.halt)
+		sim.SchedulePacket(stop, &c.haltCB, nil)
 	}
 	return c, m
 }
@@ -92,12 +92,12 @@ func (c *CBR) run() {
 		phase := c.sim.Now() % cycle
 		if phase >= c.onFor {
 			// In an OFF period: sleep until the next ON boundary.
-			c.sim.afterTagged(cycle-phase, c.runID, c.runFn)
+			c.sim.SchedulePacket(c.sim.Now()+cycle-phase, &c.runCB, nil)
 			return
 		}
 	}
 	c.send()
-	c.sim.afterTagged(c.interval, c.runID, c.runFn)
+	c.sim.SchedulePacket(c.sim.Now()+c.interval, &c.runCB, nil)
 }
 
 func (c *CBR) send() {

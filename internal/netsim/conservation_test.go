@@ -268,10 +268,10 @@ func buildConservationMesh(rng *rand.Rand, m *Mesh, stop time.Duration) (
 				dst := (i + 1) % n
 				pkt := p
 				led.forwards[i]++
-				m.Send(i, dst, m.Lookahead()+2*time.Millisecond, func() {
+				m.send(i, dst, m.Lookahead()+2*time.Millisecond, thunk(func() {
 					led.arrivals[dst]++
 					links[dst].Send(pkt)
-				})
+				}), nil)
 			}
 		})
 		links[i] = NewFixedLink(sim, queues[i], rate, time.Duration(rng.Intn(20))*time.Millisecond, recv, rng.Int63())

@@ -215,9 +215,10 @@ type Source struct {
 	stopTick func()
 	stopRTO  func()
 	sink     *Sink
-	// cid is the source's construction-order registry id; the timers armed
-	// when the start event fires derive their ids from it (see snapshot.go).
-	cid int64
+	// startCB and stopCB are the registered start and stop events. The
+	// timers armed when start fires derive their ids from startCB's
+	// construction-order id (see snapshot.go).
+	startCB, stopCB callback
 }
 
 // Derived-id slots for the timers a Source arms mid-run.
@@ -238,13 +239,13 @@ func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 	m := NewFlowMetrics(flow)
 	s := &Source{sim: sim, flow: flow, ctrl: ctrl, link: link, mtu: mtu, metrics: m}
 	s.sink = &Sink{sim: sim, metrics: m, ackDelay: ackDelay, src: s}
-	s.cid = sim.RegisterFunc(s.start)
+	sim.register(&s.startCB, s.start)
 	sim.RegisterReceiver(s)
 	sim.RegisterReceiver(s.sink)
-	sim.scheduleTagged(start, s.cid, s.start)
+	sim.SchedulePacket(start, &s.startCB, nil)
 	if stop > 0 {
-		stopID := sim.RegisterFunc(s.Stop)
-		sim.scheduleTagged(stop, stopID, s.Stop)
+		sim.register(&s.stopCB, s.Stop)
+		sim.SchedulePacket(stop, &s.stopCB, nil)
 	}
 	return s, m
 }
@@ -256,9 +257,9 @@ func (s *Source) start() {
 	s.started = true
 	s.lastProg = s.sim.Now()
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.stopTick = s.sim.everyTagged(derivedID(s.cid, slotSourceTick), iv, s.onTick)
+		s.stopTick = s.sim.everyTagged(derivedID(s.startCB.id, slotSourceTick), iv, s.onTick)
 	}
-	s.stopRTO = s.sim.everyTagged(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
+	s.stopRTO = s.sim.everyTagged(derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
 	s.trySend()
 }
 
@@ -538,7 +539,7 @@ func (s *Source) Walk(w snap.Walker) {
 		return
 	}
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.stopTick = s.sim.restoreTimer(derivedID(s.cid, slotSourceTick), iv, s.onTick, s.stopped)
+		s.stopTick = s.sim.restoreTimer(derivedID(s.startCB.id, slotSourceTick), iv, s.onTick, s.stopped)
 	}
-	s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
+	s.stopRTO = s.sim.restoreTimer(derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
 }

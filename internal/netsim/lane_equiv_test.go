@@ -64,7 +64,7 @@ type laneTimer struct {
 type laneFunc struct {
 	m       *laneModel
 	label   int64
-	id      int64
+	cb      Receiver
 	pending bool
 }
 
@@ -75,7 +75,7 @@ func (m *laneModel) build() {
 	m.recv = &laneRecv{m}
 	m.s.RegisterReceiver(m.recv)
 	for _, f := range m.funcs {
-		f.id = m.s.RegisterFunc(f.run)
+		f.cb = m.s.RegisterFunc(f.run)
 	}
 }
 
@@ -170,7 +170,7 @@ func (m *laneModel) sendPacket() {
 		m.foreign[side]++
 		key := orderKey(uint32(2*side), m.foreign[side])
 		at := s.now + time.Duration(1+m.rng.Intn(8))*time.Millisecond
-		s.pushKeyedPacket(at, key, m.recv, p)
+		s.push(event{at: at, seq: key, r: m.recv, p: p})
 		m.expect(at, key, p.Seq)
 	case 2: // a negative delay clamps to now
 		s.SchedulePacketAfter(-time.Millisecond, m.recv, p)
@@ -198,7 +198,7 @@ func (r *laneRecv) Receive(p *Packet) {
 }
 
 func (m *laneModel) addTimer(interval time.Duration) {
-	lt := &laneTimer{m: m, label: laneTimerLabel - int64(len(m.timers)), id: 1000 + int64(len(m.timers)), interval: interval}
+	lt := &laneTimer{m: m, label: laneTimerLabel - int64(len(m.timers)), id: -1 - int64(len(m.timers)), interval: interval}
 	m.timers = append(m.timers, lt)
 	if m.tagged {
 		lt.stop = m.s.everyTagged(lt.id, interval, lt.tick)
@@ -248,15 +248,14 @@ func (m *laneModel) scheduleFunc() {
 			continue
 		}
 		f.pending = true
+		var at time.Duration
 		if m.rng.Intn(2) == 0 {
-			d := time.Duration(m.rng.Intn(7000)) * time.Microsecond // computed per event, like a serialization time
-			m.s.AfterRegistered(d, f.id)
-			m.expect(m.s.now+d, m.localKey(), f.label)
+			at = m.s.now + time.Duration(m.rng.Intn(7000))*time.Microsecond // computed per event, like a serialization time
 		} else {
-			at := m.s.now + time.Duration(m.rng.Intn(12)-2)*time.Millisecond
-			m.s.scheduleTagged(at, f.id, f.run)
-			m.expect(at, m.localKey(), f.label)
+			at = m.s.now + time.Duration(m.rng.Intn(12)-2)*time.Millisecond
 		}
+		m.s.SchedulePacket(at, f.cb, nil)
+		m.expect(at, m.localKey(), f.label)
 		return
 	}
 }

@@ -126,12 +126,11 @@ type FixedLink struct {
 
 	rateBps float64
 	busy    bool
-	// serving is the packet currently on the wire; servedFn is the one
-	// serialization-complete callback reused for every packet, so serving a
-	// packet schedules no closures. servedID is its registry id.
-	serving  *Packet
-	servedFn func()
-	servedID int64
+	// serving is the packet currently on the wire; served is the one
+	// registered serialization-complete event reused for every packet, so
+	// serving a packet schedules no closures.
+	serving *Packet
+	served  callback
 }
 
 // NewFixedLink returns a link serving q at rateMbps with the given one-way
@@ -152,8 +151,7 @@ func NewFixedLink(sim *Sim, q Queue, rateMbps float64, prop time.Duration, dst R
 		},
 		rateBps: rateMbps * 1e6,
 	}
-	l.servedFn = l.onServed
-	l.servedID = sim.RegisterFunc(l.servedFn)
+	sim.register(&l.served, l.onServed)
 	return l
 }
 
@@ -189,7 +187,7 @@ func (l *FixedLink) serveNext() {
 	l.serving = p
 	p.MarkDelay(l.sim.Now(), stats.DelaySerialize)
 	ser := time.Duration(float64(p.Bytes*8) / l.rateBps * float64(time.Second))
-	l.sim.afterTagged(ser, l.servedID, l.servedFn)
+	l.sim.SchedulePacket(l.sim.Now()+ser, &l.served, nil)
 }
 
 // onServed fires when the serving packet's last bit leaves the sender:
@@ -216,13 +214,12 @@ type TraceLink struct {
 	// served by earlier opportunities (RLC-style segmentation: a packet may
 	// span several transmission opportunities).
 	headServed int
-	// opIdx/opBase locate the pending delivery opportunity; opFn is the one
-	// callback reused for every opportunity, so trace replay schedules no
-	// closures. opID is its registry id.
+	// opIdx/opBase locate the pending delivery opportunity; op is the one
+	// registered event reused for every opportunity, so trace replay
+	// schedules no closures.
 	opIdx  int
 	opBase time.Duration
-	opFn   func()
-	opID   int64
+	op     callback
 
 	// WastedBytes counts unused opportunity capacity.
 	WastedBytes int64
@@ -248,8 +245,7 @@ func NewTraceLink(sim *Sim, q Queue, tr *trace.Trace, prop time.Duration, dst Re
 		tr:   tr,
 		loop: loop,
 	}
-	l.opFn = l.runOp
-	l.opID = sim.RegisterFunc(l.opFn)
+	sim.register(&l.op, l.runOp)
 	l.scheduleOp(0, 0)
 	return l
 }
@@ -268,7 +264,7 @@ func (l *TraceLink) scheduleOp(idx int, base time.Duration) {
 		base += l.tr.Duration
 	}
 	l.opIdx, l.opBase = idx, base
-	l.sim.scheduleTagged(base+l.tr.Ops[idx].At, l.opID, l.opFn)
+	l.sim.SchedulePacket(base+l.tr.Ops[idx].At, &l.op, nil)
 }
 
 // runOp serves the pending delivery opportunity and schedules the next one.

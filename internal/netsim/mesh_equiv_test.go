@@ -117,8 +117,7 @@ func buildEquivTopology(rng *rand.Rand, m *Mesh, stop time.Duration) []*equivCel
 			ec.log = append(ec.log, fmt.Sprintf("f%d s%d @%v", p.Flow, p.Seq, sim.Now()))
 			if n > 1 && p.Flow/100 == i && p.Seq%3 == 0 {
 				dst := (i + 1 + int(p.Seq)%(n-1)) % n
-				pkt := p
-				m.Send(i, dst, fwdDelay[i], func() { cells[dst].link.Send(pkt) })
+				m.SendPacket(i, dst, fwdDelay[i], netsim.ReceiverFunc(func(p *netsim.Packet) { cells[dst].link.Send(p) }), p)
 			}
 		})
 		plan := randomFaultPlan(rng, stop)

@@ -95,7 +95,7 @@ func buildFuzzWorkload(m *Mesh, rng *rand.Rand, until time.Duration, add func(ce
 				m.Cell(cell).After(hop.delay, func() { walk(cell, rest[1:]) })
 				return
 			}
-			m.Send(cell, hop.dst, hop.delay, func() { walk(hop.dst, rest[1:]) })
+			m.send(cell, hop.dst, hop.delay, thunk(func() { walk(hop.dst, rest[1:]) }), nil)
 		}
 		m.Cell(src).Schedule(start, func() { walk(src, hops) })
 	}

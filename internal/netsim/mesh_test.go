@@ -50,7 +50,7 @@ func meshCases() []meshCase {
 						return
 					}
 					next := (cell + 1) % m.Cells()
-					m.Send(cell, next, m.Lookahead(), func() { hop(next, n+1) })
+					m.send(cell, next, m.Lookahead(), thunk(func() { hop(next, n+1) }), nil)
 				}
 				m.Cell(0).Schedule(0, func() { hop(0, 0) })
 				for k := 1; k <= 9; k++ {
@@ -73,8 +73,8 @@ func meshCases() []meshCase {
 					add(0, "fan")
 					for d := 1; d < m.Cells(); d++ {
 						dst := d
-						m.Send(0, dst, m.Lookahead()+time.Duration(dst)*time.Millisecond,
-							func() { add(dst, "leaf") })
+						m.send(0, dst, m.Lookahead()+time.Duration(dst)*time.Millisecond,
+							thunk(func() { add(dst, "leaf") }), nil)
 					}
 				})
 			},
@@ -93,9 +93,9 @@ func meshCases() []meshCase {
 					m.Cell(cell).Schedule(until, func() {
 						add(cell, "at-until")
 						// Arrival beyond `until`: must stay pending, not run.
-						m.Send(cell, (cell+1)%m.Cells(), m.Lookahead(), func() {
+						m.send(cell, (cell+1)%m.Cells(), m.Lookahead(), thunk(func() {
 							add((cell+1)%m.Cells(), "beyond-until")
-						})
+						}), nil)
 					})
 					m.Cell(cell).Schedule(0, func() { add(cell, "at-zero") })
 				}
@@ -119,8 +119,8 @@ func meshCases() []meshCase {
 							dst := (cell + tick) % m.Cells()
 							if dst != cell {
 								n := tick
-								m.Send(cell, dst, m.Lookahead()+time.Millisecond,
-									func() { add(dst, fmt.Sprintf("from%d#%d", cell, n)) })
+								m.send(cell, dst, m.Lookahead()+time.Millisecond,
+									thunk(func() { add(dst, fmt.Sprintf("from%d#%d", cell, n)) }), nil)
 							}
 						}
 					})
@@ -141,9 +141,9 @@ func meshCases() []meshCase {
 					m.Cell(src).Schedule(10*time.Millisecond, func() {
 						for j := 0; j < 3; j++ {
 							n := j
-							m.Send(src, 0, 2*m.Lookahead(), func() {
+							m.send(src, 0, 2*m.Lookahead(), thunk(func() {
 								add(0, fmt.Sprintf("src%d#%d", src, n))
-							})
+							}), nil)
 						}
 					})
 				}
@@ -281,15 +281,15 @@ func TestMeshConstructionRejections(t *testing.T) {
 	mustPanic("negative-lookahead", "zero-delay", func() { NewMesh(2, -time.Second) })
 	mustPanic("sub-lookahead-delay", "below mesh lookahead", func() {
 		m := NewMesh(2, 10*time.Millisecond)
-		m.Send(0, 1, 9*time.Millisecond, func() {})
+		m.send(0, 1, 9*time.Millisecond, thunk(func() {}), nil)
 	})
 	mustPanic("unknown-dst", "unknown cell", func() {
 		m := NewMesh(2, time.Millisecond)
-		m.Send(0, 2, time.Millisecond, func() {})
+		m.send(0, 2, time.Millisecond, thunk(func() {}), nil)
 	})
 	mustPanic("negative-dst", "unknown cell", func() {
 		m := NewMesh(2, time.Millisecond)
-		m.Send(0, -1, time.Millisecond, func() {})
+		m.send(0, -1, time.Millisecond, thunk(func() {}), nil)
 	})
 	mustPanic("zero-shards", "shard count", func() {
 		NewMesh(2, time.Millisecond).RunSharded(time.Second, 0)
@@ -313,7 +313,7 @@ func TestMeshWatchdog(t *testing.T) {
 			n++
 			if n%5 == 0 {
 				dst := (cell + 1) % m.Cells()
-				m.Send(cell, dst, lookahead, func() {})
+				m.send(cell, dst, lookahead, thunk(func() {}), nil)
 			}
 		})
 	}
@@ -381,7 +381,7 @@ func TestRunShardedOversubscribed(t *testing.T) {
 				fired[cell]++
 				if fired[cell]%7 == 0 {
 					dst := (cell + 1) % m.Cells()
-					m.Send(cell, dst, lookahead, func() { fired[dst]++ })
+					m.send(cell, dst, lookahead, thunk(func() { fired[dst]++ }), nil)
 				}
 			})
 		}

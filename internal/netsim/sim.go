@@ -11,10 +11,11 @@ package netsim
 
 import "time"
 
-// event is a scheduled callback. One-shot events carry fn; recurring events
-// carry a timer and reschedule themselves when they fire, so an Every tick
-// reuses one timer allocation for the lifetime of the timer instead of
-// growing a closure chain.
+// event is one pending delivery: when it fires the Sim calls r.Receive(p).
+// A packet hop carries its packet; every other event is a receiver that
+// ignores its nil packet — a plain Schedule closure (thunk), a registered
+// callback (callback) or a recurring timer (timer) — so the pending set
+// holds one shape and step dispatches one way.
 type event struct {
 	at time.Duration
 	// seq is the same-time tiebreaker: FIFO among same-time events. In a
@@ -26,21 +27,32 @@ type event struct {
 	// merged single-heap run and the sharded run order every event by the
 	// exact same (at, seq) pair.
 	seq uint64
-	fn  func()
-	// fid is the registry id of fn when the callback was scheduled through
-	// a tagged path (see snapshot.go). Zero means unregistered: the event
-	// still fires normally, but a checkpoint cannot serialize it. Only the
-	// snapshot encoder reads fid — the hot path never touches it.
-	fid int64
-	t   *timer // non-nil for recurring events; fn is nil then
-	// r/p carry a packet delivery without boxing a closure: the event fires
-	// as r.Receive(p). Packet deliveries dominate the hot path, so giving
-	// them a closure-free representation is what makes the steady state
-	// allocation-free (the pooled Packet is recycled, the Receiver is a
-	// long-lived component).
+	// r is a long-lived component, callback or timer, or a pointer-shaped
+	// thunk, so scheduling boxes nothing: the steady state is
+	// allocation-free.
 	r Receiver
 	p *Packet
 }
+
+// thunk is a plain Schedule closure as a receiver. A func value is
+// pointer-shaped, so boxing it into an event allocates nothing. It is not
+// registered, so a checkpoint cannot serialize it.
+type thunk func()
+
+// Receive implements Receiver.
+func (f thunk) Receive(*Packet) { f() }
+
+// callback is a long-lived callback registered under id, so a pending event
+// that fires it checkpoints (see snapshot.go). Its owner embeds it, or
+// RegisterFunc carves it from the registry's arena, and the registry keeps a
+// pointer to it: registering boxes nothing.
+type callback struct {
+	fn func()
+	id int64
+}
+
+// Receive implements Receiver.
+func (c *callback) Receive(*Packet) { c.fn() }
 
 // cellSeqBits is the width of the cell-local counter inside a composite
 // order key: 2^44 ≈ 1.7e13 events per cell before overflow, with the
@@ -71,14 +83,27 @@ func orderKeyParts(key uint64) (cell uint32, seq uint64) {
 	return uint32(key >> cellSeqBits), key & cellSeqMask
 }
 
-// timer is the Sim-owned state of one Every registration. id is the
-// registry id under which snapshot-aware components registered the timer
-// (zero for plain Every registrations, which cannot be checkpointed).
+// timer is the Sim-owned state of one Every registration: a receiver that
+// runs fn and re-arms itself one interval on, claiming a fresh order key
+// after fn returns, so one timer serves the registration's lifetime. id is
+// its registry id (zero for plain Every, which cannot be checkpointed).
 type timer struct {
+	s        *Sim
 	interval time.Duration
 	fn       func()
 	stopped  bool
 	id       int64
+}
+
+// Receive implements Receiver.
+func (t *timer) Receive(*Packet) {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.s.pushFixed(t.interval, event{at: t.s.now + t.interval, seq: t.s.nextKey(), r: t})
+	}
 }
 
 // eventLess orders events by (time, insertion sequence) — a strict total
@@ -148,10 +173,10 @@ type Sim struct {
 	// pool is this Sim's packet free list (see pool.go). Owned per cell, so
 	// sharded mesh execution recycles packets with no synchronization.
 	pool packetPool
-	// reg maps stable ids to the long-lived callbacks, receivers, and timers
-	// a checkpoint needs to serialize heap entries (see snapshot.go). All
-	// maps are touched at construction and restore time only — never on the
-	// event hot path.
+	// reg maps stable ids to the long-lived receivers — packet receivers,
+	// callbacks, timers — a checkpoint needs to serialize heap entries (see
+	// snapshot.go). It is touched at construction and restore time only —
+	// never on the event hot path.
 	reg simRegistry
 }
 
@@ -177,7 +202,7 @@ func (s *Sim) push(e event) {
 
 // pop removes and returns the heap's earliest event, sifting the displaced tail
 // element down. The vacated slot is zeroed so the slice does not pin the
-// callback (and whatever it closes over) after the event has fired.
+// receiver (and whatever it closes over) after the event has fired.
 func (s *Sim) pop() event {
 	ev := s.events[0]
 	last := len(s.events) - 1
@@ -313,23 +338,10 @@ func (s *Sim) nextKey() uint64 {
 	return orderKey(s.id, s.seq)
 }
 
-// pushKeyed inserts an externally-created event (a cross-cell arrival) whose
-// order key was already claimed by the sending cell. The key travels with
-// the message, so the insertion moment — immediate in the merged reference
-// executor, barrier-deferred in the sharded one — never affects ordering.
-func (s *Sim) pushKeyed(at time.Duration, key uint64, fn func()) {
-	s.push(event{at: at, seq: key, fn: fn})
-}
-
-// pushKeyedPacket is pushKeyed for a packet delivery: the event fires as
-// r.Receive(p) with no closure.
-func (s *Sim) pushKeyedPacket(at time.Duration, key uint64, r Receiver, p *Packet) {
-	s.push(event{at: at, seq: key, r: r, p: p})
-}
-
 // SchedulePacket delivers p to r at the given absolute simulated time,
 // without allocating a closure. Times in the past are clamped to now, same
-// as Schedule.
+// as Schedule. p is nil for a receiver that is a callback: one RegisterFunc
+// returned is scheduled as SchedulePacket(at, r, nil).
 func (s *Sim) SchedulePacket(at time.Duration, r Receiver, p *Packet) {
 	if at < s.now {
 		at = s.now
@@ -349,65 +361,37 @@ func (s *Sim) SchedulePacketAfter(d time.Duration, r Receiver, p *Packet) {
 
 // Schedule runs fn at the given absolute simulated time. Times in the past
 // are clamped to now (the event runs next).
-func (s *Sim) Schedule(at time.Duration, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{at: at, seq: s.nextKey(), fn: fn})
-}
+func (s *Sim) Schedule(at time.Duration, fn func()) { s.SchedulePacket(at, thunk(fn), nil) }
 
 // After runs fn d from now. Its callers compute d per event (serialization
 // times), so it stays on the heap.
 func (s *Sim) After(d time.Duration, fn func()) { s.Schedule(s.now+d, fn) }
-
-// scheduleTagged is Schedule with the callback's registry id attached, so a
-// checkpoint can serialize the pending event. Key claiming is identical to
-// Schedule — tagging never moves a digest.
-func (s *Sim) scheduleTagged(at time.Duration, id int64, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{at: at, seq: s.nextKey(), fn: fn, fid: id})
-}
-
-// afterTagged is After with the callback's registry id attached.
-func (s *Sim) afterTagged(d time.Duration, id int64, fn func()) {
-	s.scheduleTagged(s.now+d, id, fn)
-}
 
 // Every runs fn every interval, starting one interval from now, until the
 // returned stop function is called. The registration is one timer object
 // for its whole lifetime: each firing reschedules the same entry, so
 // steady-state ticking allocates nothing.
 func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
-	if interval <= 0 {
-		panic("netsim: Every interval must be positive")
-	}
-	t := &timer{interval: interval, fn: fn}
-	s.pushFixed(interval, event{at: s.now + interval, seq: s.nextKey(), t: t})
-	return func() { t.stopped = true }
+	return s.everyTagged(0, interval, fn)
 }
 
 // everyTagged is Every with the timer registered under id in this Sim's
-// snapshot registry, making its pending tick serializable. Key claiming is
-// identical to Every.
+// snapshot registry, making its pending tick serializable; id zero leaves it
+// unregistered. Key claiming is identical to Every.
 func (s *Sim) everyTagged(id int64, interval time.Duration, fn func()) (stop func()) {
 	if interval <= 0 {
 		panic("netsim: Every interval must be positive")
 	}
-	t := &timer{interval: interval, fn: fn, id: id}
-	s.reg.registerTimer(id, t)
-	s.pushFixed(interval, event{at: s.now + interval, seq: s.nextKey(), t: t})
+	t := &timer{s: s, interval: interval, fn: fn, id: id}
+	if id != 0 {
+		s.reg.add(id, t)
+	}
+	s.pushFixed(interval, event{at: s.now + interval, seq: s.nextKey(), r: t})
 	return func() { t.stopped = true }
 }
 
 // Run processes events in time order until the queue empties or the next
 // event is beyond `until`, then advances the clock to `until`.
-//
-// A recurring event fires its timer's callback first and reschedules after,
-// claiming a fresh sequence number at that point — the same ordering the
-// previous closure-chain Every produced, so same-time FIFO behavior is
-// unchanged.
 func (s *Sim) Run(until time.Duration) {
 	for s.headBefore(until, true) {
 		s.step()
@@ -418,8 +402,6 @@ func (s *Sim) Run(until time.Duration) {
 }
 
 // step pops and executes the earliest event, advancing the clock to it.
-// Recurring timers reschedule themselves with a fresh order key, exactly as
-// the inline loop in Run used to.
 func (s *Sim) step() {
 	var e event
 	if s.laneFirst() {
@@ -428,22 +410,7 @@ func (s *Sim) step() {
 		e = s.pop()
 	}
 	s.now = e.at
-	if e.t != nil {
-		t := e.t
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			s.pushFixed(t.interval, event{at: s.now + t.interval, seq: s.nextKey(), t: t})
-		}
-		return
-	}
-	if e.r != nil {
-		e.r.Receive(e.p)
-		return
-	}
-	e.fn()
+	e.r.Receive(e.p)
 }
 
 // headBefore reports whether the earliest pending event falls strictly

@@ -205,3 +205,47 @@ func TestSourceAckZeroAllocs(t *testing.T) {
 		t.Fatalf("window not held: %d in flight, %d losses", src.inflight.n, src.metrics.LossDetected)
 	}
 }
+
+// TestRegisteredCallbackZeroAllocs pins the registered-callback path: a
+// FixedLink serving back-to-back packets re-arms its embedded served callback
+// through SchedulePacket(…, nil) once per packet, and allocates nothing.
+func TestRegisteredCallbackZeroAllocs(t *testing.T) {
+	sim := NewSim()
+	release := ReceiverFunc(func(p *Packet) { sim.FreePacket(p) })
+	link := NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, release, 1)
+	const ser = 112 * time.Microsecond // 1400 B at 100 Mbps
+	serveOnce := func() {
+		link.Send(sim.NewPacket(1, 0, 1400, sim.Now(), 0))
+		sim.Run(sim.Now() + ser)
+	}
+	for i := 0; i < 16; i++ {
+		link.Send(sim.NewPacket(1, 0, 1400, sim.Now(), 0)) // a standing queue: service never idles
+	}
+	for i := 0; i < 64; i++ {
+		serveOnce() // warm the heap, the lane and the pool
+	}
+	before := link.Delivered
+	if allocs := testing.AllocsPerRun(1000, serveOnce); allocs != 0 {
+		t.Errorf("steady-state served callback: %v allocs/run, want 0", allocs)
+	}
+	if served := link.Delivered - before; served < 1000 {
+		t.Fatalf("link delivered %d packets over 1001 serialization times; the callback did not re-arm", served)
+	}
+}
+
+// TestConstructionAllocCeiling pins what building a flow and its link
+// allocates at the count measured before callbacks were embedded in their
+// owners, so a registered callback cannot quietly turn back into a box of its
+// own per registration.
+func TestConstructionAllocCeiling(t *testing.T) {
+	sim := NewSim()
+	q := NewDropTail(1 << 20)
+	release := ReceiverFunc(func(p *Packet) { sim.FreePacket(p) })
+	allocs := testing.AllocsPerRun(100, func() {
+		link := NewFixedLink(sim, q, 100, time.Millisecond, release, 1)
+		NewSource(sim, 1, &fixedWindow{w: 4}, link, 1400, time.Millisecond, time.Second, 2*time.Second)
+	})
+	if allocs > 17 {
+		t.Errorf("NewFixedLink + NewSource: %v allocs, ceiling 17", allocs)
+	}
+}

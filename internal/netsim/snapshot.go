@@ -11,17 +11,17 @@ import (
 
 // Checkpoint/restore for the simulation core (DESIGN.md §15).
 //
-// The event heap holds closures and interface values, which no codec can
-// serialize. The snapshot subsystem therefore uses a rebuild-and-patch
-// scheme: a restore first re-runs the deterministic topology construction
-// (same config, same seed), which re-creates every component, closure, and
-// receiver and re-registers them under the same stable ids — construction
-// order is deterministic, so the id sequence is too. The restore then clears
-// the rebuilt heaps, overwrites each component's mutable fields, and finally
-// pushes the snapshot's events with their exact saved (time, order key)
-// pairs, resolving each callback/receiver/timer id through the registry.
-// Heap array layout is irrelevant: (time, key) is a strict total order, so
-// any valid heap pops the identical event sequence.
+// The event heap holds receivers — components, callbacks, timers — which no
+// codec can serialize. The snapshot subsystem therefore uses a
+// rebuild-and-patch scheme: a restore first re-runs the deterministic
+// topology construction (same config, same seed), which re-creates every
+// component, closure, and receiver and re-registers them under the same
+// stable ids — construction order is deterministic, so the id sequence is
+// too. The restore then clears the rebuilt heaps, overwrites each
+// component's mutable fields, and finally pushes the snapshot's events with
+// their exact saved (time, order key) pairs, resolving each id through the
+// one registry. Heap array layout is irrelevant: (time, key) is a strict
+// total order, so any valid heap pops the identical event sequence.
 //
 // Id discipline: construction-time registrations draw ids from a per-Sim
 // counter (nextID), which both the original run and the rebuild advance
@@ -31,15 +31,18 @@ import (
 // ids from their owner's construction-time id and a fixed slot (derivedID),
 // making every id a pure function of the topology.
 
-// simRegistry maps stable ids to the long-lived objects heap entries
-// reference. Receivers, callbacks, and timers live in separate namespaces,
-// so ids may repeat across kinds but never within one.
+// simRegistry maps stable ids to the long-lived receivers heap entries
+// reference: packet receivers, callbacks and timers share one id space.
+// Counter-drawn ids are positive and derived ids negative, so the two never
+// collide. recvIDs is the reverse map for packet receivers only; a callback
+// or timer carries its own id.
 type simRegistry struct {
 	nextID  int64
-	funcs   map[int64]func()
 	recvs   map[int64]Receiver
 	recvIDs map[Receiver]int64
-	timers  map[int64]*timer
+	// cbs is the arena RegisterFunc carves callbacks from. A registered
+	// callback must not move, so a full chunk is replaced, never grown.
+	cbs []callback
 }
 
 // derivedID composes an owner's construction-time id with a fixed slot into
@@ -52,42 +55,14 @@ func derivedID(owner, slot int64) int64 {
 	return -(owner<<4 | slot)
 }
 
-func (r *simRegistry) registerFunc(id int64, fn func()) {
-	if r.funcs == nil {
-		r.funcs = make(map[int64]func())
-	}
-	if _, dup := r.funcs[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate callback registration id %d", id))
-	}
-	r.funcs[id] = fn
-}
-
-func (r *simRegistry) registerTimer(id int64, t *timer) {
-	if id == 0 {
-		return // plain Every: unregistered, not checkpointable
-	}
-	if r.timers == nil {
-		r.timers = make(map[int64]*timer)
-	}
-	if _, dup := r.timers[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate timer registration id %d", id))
-	}
-	r.timers[id] = t
-}
-
-func (r *simRegistry) registerRecv(id int64, rcv Receiver) {
-	if !reflect.TypeOf(rcv).Comparable() {
-		panic(fmt.Sprintf("netsim: receiver %T is not comparable and cannot be registered; use a pointer receiver, not a func adapter", rcv))
-	}
+func (r *simRegistry) add(id int64, rcv Receiver) {
 	if r.recvs == nil {
 		r.recvs = make(map[int64]Receiver)
-		r.recvIDs = make(map[Receiver]int64)
 	}
 	if _, dup := r.recvs[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate receiver registration id %d", id))
+		panic(fmt.Sprintf("netsim: duplicate registration id %d", id))
 	}
 	r.recvs[id] = rcv
-	r.recvIDs[rcv] = id
 }
 
 // nextID draws the next construction-order id. Draw ids only during
@@ -103,53 +78,60 @@ func (s *Sim) nextID() int64 {
 // ReceiverFunc adapters are rejected. Registration is what lets a pending
 // packet delivery to r survive a checkpoint.
 func (s *Sim) RegisterReceiver(r Receiver) int64 {
-	if reflect.TypeOf(r).Comparable() {
-		if id, ok := s.reg.recvIDs[r]; ok {
-			return id
-		}
+	if !reflect.TypeOf(r).Comparable() {
+		panic(fmt.Sprintf("netsim: receiver %T is not comparable and cannot be registered; use a pointer receiver, not a func adapter", r))
+	}
+	if id, ok := s.reg.recvIDs[r]; ok {
+		return id
 	}
 	id := s.nextID()
-	s.reg.registerRecv(id, r)
+	s.reg.add(id, r)
+	if s.reg.recvIDs == nil {
+		s.reg.recvIDs = make(map[Receiver]int64)
+	}
+	s.reg.recvIDs[r] = id
 	return id
 }
 
+// register binds the callback c, embedded in its long-lived owner, to fn
+// under a fresh construction-order id. The registry keeps c itself, so
+// registering allocates nothing beyond fn.
+func (s *Sim) register(c *callback, fn func()) {
+	c.fn, c.id = fn, s.nextID()
+	s.reg.add(c.id, c)
+}
+
 // RegisterFunc registers a long-lived callback under a construction-order id
-// and returns the id for use with AfterRegistered. Call it once per callback
-// at construction time and keep the id — each call draws a fresh id.
-func (s *Sim) RegisterFunc(fn func()) int64 {
-	id := s.nextID()
-	s.reg.registerFunc(id, fn)
-	return id
+// and returns it as a Receiver: SchedulePacket(at, r, nil) then schedules it
+// checkpointably. Call it once per callback at construction time and keep
+// the receiver — each call draws a fresh id. The callback comes from a
+// per-Sim arena, so a call allocates nothing beyond fn: ScheduleTracked
+// registers one per metro handover, where a box each would show.
+func (s *Sim) RegisterFunc(fn func()) Receiver {
+	r := &s.reg
+	if len(r.cbs) == cap(r.cbs) {
+		r.cbs = make([]callback, 0, max(16, 2*cap(r.cbs)))
+	}
+	r.cbs = r.cbs[:len(r.cbs)+1]
+	c := &r.cbs[len(r.cbs)-1]
+	s.register(c, fn)
+	return c
 }
 
 // ScheduleTracked is Schedule for setup-time one-shot closures that must
 // survive a checkpoint: the closure is registered under a fresh
-// construction-order id and scheduled tagged with it. Key claiming is
+// construction-order id and scheduled as that callback. Key claiming is
 // identical to Schedule.
 func (s *Sim) ScheduleTracked(at time.Duration, fn func()) {
-	id := s.nextID()
-	s.reg.registerFunc(id, fn)
-	s.scheduleTagged(at, id, fn)
-}
-
-// AfterRegistered schedules the callback previously registered under id to
-// run d from now. It is the mid-run scheduling primitive for snapshot-aware
-// components: the callback was registered at construction, so the pending
-// event serializes by id.
-func (s *Sim) AfterRegistered(d time.Duration, id int64) {
-	fn, ok := s.reg.funcs[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: AfterRegistered with unknown callback id %d", id))
-	}
-	s.afterTagged(d, id, fn)
+	s.SchedulePacket(at, s.RegisterFunc(fn), nil)
 }
 
 // restoreTimer re-creates a component's timer during a load: the timer is
 // registered under id so the heap load can resolve pending tick events, but
 // nothing is pushed — the pending tick, if any, arrives with the heap.
 func (s *Sim) restoreTimer(id int64, interval time.Duration, fn func(), stopped bool) (stop func()) {
-	t := &timer{interval: interval, fn: fn, stopped: stopped, id: id}
-	s.reg.registerTimer(id, t)
+	t := &timer{s: s, interval: interval, fn: fn, stopped: stopped, id: id}
+	s.reg.add(id, t)
 	return func() { t.stopped = true }
 }
 
@@ -219,35 +201,40 @@ func (s *Sim) WalkHeap(w snap.Walker) {
 	}
 }
 
-// saveEvent writes one pending event. An event whose callback or receiver
-// was never registered fails the snapshot with a named error — a checkpoint
-// either captures everything or nothing.
+// saveEvent writes one pending event. Its kind byte follows from the
+// receiver's type: a callback or timer writes the id it carries, a packet
+// receiver the id the reverse map holds. An event the registry cannot name
+// fails the snapshot with a named error — a checkpoint either captures
+// everything or nothing.
 func (s *Sim) saveEvent(w snap.Walker, ev *event) {
 	if w.Err() != nil {
 		return
 	}
-	kind, id := uint8(snapEvFunc), ev.fid
-	switch {
-	case ev.t != nil:
-		kind, id = snapEvTimer, ev.t.id
+	var kind uint8
+	var id int64
+	switch r := ev.r.(type) {
+	case *callback:
+		kind, id = snapEvFunc, r.id
+	case *timer:
+		kind, id = snapEvTimer, r.id
 		if id == 0 {
 			w.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
 			return
 		}
-	case ev.r != nil:
+	case thunk:
+		w.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
+		return
+	default:
 		kind = snapEvPacket
-		if !reflect.TypeOf(ev.r).Comparable() {
-			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
+		if !reflect.TypeOf(r).Comparable() {
+			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, r))
 			return
 		}
 		var ok bool
-		if id, ok = s.reg.recvIDs[ev.r]; !ok {
-			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
+		if id, ok = s.reg.recvIDs[r]; !ok {
+			w.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, r))
 			return
 		}
-	case id == 0:
-		w.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
-		return
 	}
 	w.Dur(&ev.at)
 	w.U64(&ev.seq)
@@ -260,12 +247,14 @@ func (s *Sim) saveEvent(w snap.Walker, ev *event) {
 
 // loadHeap pushes the snapshot's events into the (cleared) pending set,
 // resolving every id against the registry the rebuild and the component
-// loads populated. Timer ticks rejoin the lane for their interval where that
-// keeps it sorted; everything else goes to the heap, whose pushes re-sift.
-// Since (time, key) is a strict total order the pop sequence is independent
-// of where an event sits. Schedule clamps the past, so no run holds an event
-// earlier than its clock, and step would run the clock backwards on one: it
-// is rejected.
+// loads populated. The id must resolve to a receiver of the saved kind — a
+// callback for a callback, a timer for a timer, neither for a packet — or the
+// load fails rather than resume into a Receive(nil) its target cannot take.
+// Timer ticks rejoin the lane for their interval where that keeps it sorted;
+// everything else goes to the heap, whose pushes re-sift. Since (time, key)
+// is a strict total order the pop sequence is independent of where an event
+// sits. Schedule clamps the past, so no run holds an event earlier than its
+// clock, and step would run the clock backwards on one: it is rejected.
 func (s *Sim) loadHeap(w snap.Walker, n int) {
 	for i := 0; i < n; i++ {
 		var ev event
@@ -282,33 +271,34 @@ func (s *Sim) loadHeap(w snap.Walker, n int) {
 			w.Fail(fmt.Errorf("netsim: heap holds an event at %v, before the restored clock %v", ev.at, s.now))
 			return
 		}
-		var ok bool
+		r, ok := s.reg.recvs[id]
+		t, isTimer := r.(*timer)
+		_, isCallback := r.(*callback)
 		switch kind {
-		case snapEvTimer:
-			if ev.t, ok = s.reg.timers[id]; !ok {
-				w.Fail(fmt.Errorf("netsim: heap references timer id %d, which no component restored", id))
-				return
-			}
-			s.pushFixed(ev.t.interval, ev)
-		case snapEvPacket:
-			if ev.r, ok = s.reg.recvs[id]; !ok {
-				w.Fail(fmt.Errorf("netsim: heap references receiver id %d, which the rebuild did not register", id))
-				return
-			}
-			if WalkPacket(w, &ev.p); w.Err() != nil {
-				return
-			}
-			s.push(ev)
 		case snapEvFunc:
-			if ev.fn, ok = s.reg.funcs[id]; !ok {
-				w.Fail(fmt.Errorf("netsim: heap references callback id %d, which the rebuild did not register", id))
-				return
-			}
-			ev.fid = id
-			s.push(ev)
+			ok = isCallback
+		case snapEvTimer:
+			ok = isTimer
+		case snapEvPacket:
+			ok = ok && !isCallback && !isTimer
 		default:
 			w.Fail(fmt.Errorf("netsim: unknown heap event kind %d", kind))
 			return
+		}
+		if !ok {
+			w.Fail(fmt.Errorf("netsim: heap references id %d as a kind-%d event, which the rebuild did not register as one", id, kind))
+			return
+		}
+		ev.r = r
+		if kind == snapEvPacket {
+			if WalkPacket(w, &ev.p); w.Err() != nil {
+				return
+			}
+		}
+		if isTimer {
+			s.pushFixed(t.interval, ev)
+		} else {
+			s.push(ev)
 		}
 	}
 }

@@ -208,3 +208,71 @@ func TestHeapLoadRejectsEventBeforeClock(t *testing.T) {
 		t.Fatalf("event before the restored clock: err = %v", err)
 	}
 }
+
+// TestHeapLoadRejectsKindMismatch: one registry holds packet receivers,
+// callbacks and timers, so an id found there does not by itself vouch for
+// the saved kind byte. An id that resolves to the wrong kind of receiver, or
+// a kind byte no build writes, fails the load instead of resuming into a
+// Receive(nil) its target cannot take.
+func TestHeapLoadRejectsKindMismatch(t *testing.T) {
+	build := func() (s *Sim, recvID, cbID, timerID int64) {
+		s = NewSim()
+		recvID = s.RegisterReceiver(&collector{sim: s})
+		cbID = s.RegisterFunc(func() {}).(*callback).id
+		timerID = derivedID(cbID, 1)
+		s.restoreTimer(timerID, time.Millisecond, func() {}, false)
+		return s, recvID, cbID, timerID
+	}
+	load := func(kind uint8, id int64) (*Sim, error) {
+		e := snap.NewEncoder()
+		w := snap.Save(e)
+		w.Tag("heap")
+		w.Len(1)
+		at, seq := time.Millisecond, uint64(1)
+		w.Dur(&at)
+		w.U64(&seq)
+		w.U8(&kind)
+		w.I64(&id)
+		if kind == snapEvPacket {
+			p := &Packet{Seq: 7, Bytes: 100}
+			WalkPacket(w, &p)
+		}
+		blob, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := snap.Decode(blob, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, _, _ := build()
+		s.WalkHeap(snap.Load(d))
+		return s, d.Done()
+	}
+	_, recvID, cbID, timerID := build()
+	for _, good := range []struct {
+		kind uint8
+		id   int64
+	}{{snapEvPacket, recvID}, {snapEvFunc, cbID}, {snapEvTimer, timerID}} {
+		if s, err := load(good.kind, good.id); err != nil || s.Pending() != 1 {
+			t.Fatalf("kind %d, id %d: err %v, %d pending; want it loaded", good.kind, good.id, err, s.Pending())
+		}
+	}
+	for name, bad := range map[string]struct {
+		kind uint8
+		id   int64
+	}{
+		"receiver id as callback": {snapEvFunc, recvID},
+		"callback id as timer":    {snapEvTimer, cbID},
+		"timer id as packet":      {snapEvPacket, timerID},
+		"unknown kind":            {7, recvID},
+	} {
+		s, err := load(bad.kind, bad.id)
+		if err == nil || !strings.Contains(err.Error(), "kind") {
+			t.Errorf("%s: err = %v, want a kind error", name, err)
+		}
+		if s.Pending() != 0 {
+			t.Errorf("%s: %d events pending after a failed load", name, s.Pending())
+		}
+	}
+}
