@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // BenchmarkSingleFlowEpochRate is the end-to-end hot-path benchmark: one
@@ -17,13 +19,12 @@ func BenchmarkSingleFlowEpochRate(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		FixedRun{
-			RateMbps: 20,
-			Maker:    VerusMaker(2),
-			Flows:    1,
-			Duration: simDur,
-			Seed:     42,
-		}.Run()
+		Dumbbell{
+			RateMbps:   20,
+			QueueBytes: 1_000_000,
+			Flows:      []netsim.FlowSpec{{Ctrl: VerusMaker(2).New()}},
+			Seed:       42,
+		}.Run(simDur)
 	}
 	elapsed := time.Since(start).Seconds()
 	b.ReportMetric(epochs*float64(b.N)/elapsed, "epochs/s")

@@ -126,186 +126,110 @@ func (r RunResult) MeanDelay() float64 {
 	return s / float64(len(r.Flows))
 }
 
-// TraceRun describes a trace-driven dumbbell run: n identical flows of one
-// protocol over a shared queue drained by a recorded channel.
-type TraceRun struct {
-	Trace    *trace.Trace
-	Maker    Maker
-	Flows    int
-	Duration time.Duration
-	// QueueBytes sizes a DropTail buffer; ignored when UseRED is set.
+// Dumbbell describes one run of the evaluation's canonical topology: flows
+// share one bottleneck queue drained by a recorded channel or a fixed-rate
+// link. It is the single place the harnesses wire that topology; Build returns
+// it wired but not yet run, so a caller can reach into it first (Fig. 11
+// re-draws the link's parameters, Figs. 5 and 7 read their own controller).
+type Dumbbell struct {
+	// Trace drives the bottleneck; nil selects a fixed-rate link at RateMbps.
+	Trace *trace.Trace
+	// Loop replays Trace from its start when it runs out; otherwise the
+	// channel goes silent.
+	Loop     bool
+	RateMbps float64
+	// QueueBytes sizes a DropTail buffer (default 1.5 MB); ignored when RED is
+	// set.
 	QueueBytes int
-	// UseRED selects the paper's OPNET RED configuration (3/9 Mbit, 10%).
-	UseRED bool
-	// BaseOneWay is the propagation delay each way (default 10 ms).
-	BaseOneWay time.Duration
-	Seed       int64
+	// RED selects the paper's OPNET RED configuration (3/9 Mbit, 10%).
+	RED bool
+	// OneWay is the bottleneck's propagation delay (default 10 ms).
+	OneWay time.Duration
+	// Flows are the senders in flow order, each with its controller (or CBR
+	// rate), reverse delay and start. A zero AckDelay means OneWay.
+	Flows []netsim.FlowSpec
 	// Faults, when non-nil, wraps the bottleneck link in the fault-injection
-	// decorator (internal/faults), seeded from Seed. Nil leaves the link
-	// untouched — the exact pre-fault packet arithmetic, which is what keeps
-	// the committed golden digests stable.
+	// decorator (internal/faults). Nil leaves the link untouched — the exact
+	// pre-fault packet arithmetic, which is what keeps the committed golden
+	// digests stable.
 	Faults *faults.Plan
+	// Seed seeds the RED queue, the link's loss draws (Seed for a fixed link,
+	// Seed+1 for a trace link) and the fault layer (Seed+2).
+	Seed int64
 	// Obs, when non-nil, attaches the observability layer: the bottleneck
 	// link traces the packet life cycle, fault windows emit begin/end events,
-	// and observable controllers register their counters — all labeled with
-	// run=Seed, flow=index. Nil keeps every instrumentation point on its
-	// zero-cost fast path.
+	// observable controllers register their counters and sinks emit delay
+	// attributions — all labeled with run=Seed, flow=index. Nil keeps every
+	// instrumentation point on its zero-cost fast path.
 	Obs *obs.Observer
 }
 
-// Run executes the trace-driven dumbbell and collects per-flow results.
-func (tr TraceRun) Run() RunResult {
-	if tr.BaseOneWay == 0 {
-		tr.BaseOneWay = 10 * time.Millisecond
+// Build wires the dumbbell at time zero without running it, in a fixed
+// order: sim, dispatcher, inner link, fault wrap, sources in flow order, sink
+// instrumentation.
+func (s Dumbbell) Build() *netsim.Dumbbell {
+	if s.OneWay == 0 {
+		s.OneWay = 10 * time.Millisecond
 	}
-	if tr.QueueBytes == 0 {
-		tr.QueueBytes = 1_500_000
+	if s.QueueBytes == 0 {
+		s.QueueBytes = 1_500_000
 	}
 	sim := netsim.NewSim()
-	specs := make([]netsim.FlowSpec, tr.Flows)
-	for i := range specs {
-		ctrl := tr.Maker.New()
-		observe(tr.Obs, ctrl, tr.Seed, i)
-		specs[i] = netsim.FlowSpec{Ctrl: ctrl, AckDelay: tr.BaseOneWay}
-	}
-	mkInner := func(dst netsim.Receiver) netsim.Link {
-		var q netsim.Queue
-		if tr.UseRED {
-			q = netsim.PaperRED(tr.Seed)
-		} else {
-			q = netsim.NewDropTail(tr.QueueBytes)
+	flows := make([]netsim.FlowSpec, len(s.Flows))
+	for i, f := range s.Flows {
+		if f.AckDelay == 0 {
+			f.AckDelay = s.OneWay
 		}
-		l := netsim.NewTraceLink(sim, q, tr.Trace, tr.BaseOneWay, dst, true, tr.Seed+1)
-		l.Instrument(tr.Obs, tr.Seed)
+		observe(s.Obs, f.Ctrl, s.Seed, i)
+		flows[i] = f
+	}
+	inner := func(dst netsim.Receiver) netsim.Link {
+		var q netsim.Queue
+		if s.RED {
+			q = netsim.PaperRED(s.Seed)
+		} else {
+			q = netsim.NewDropTail(s.QueueBytes)
+		}
+		if s.Trace == nil {
+			l := netsim.NewFixedLink(sim, q, s.RateMbps, s.OneWay, dst, s.Seed)
+			l.Instrument(s.Obs, s.Seed)
+			return l
+		}
+		l := netsim.NewTraceLink(sim, q, s.Trace, s.OneWay, dst, s.Loop, s.Seed+1)
+		l.Instrument(s.Obs, s.Seed)
 		return l
 	}
-	var flink *faults.Link
 	d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
-		if tr.Faults == nil {
-			return mkInner(dst)
+		if s.Faults == nil {
+			return inner(dst)
 		}
-		flink = faults.Wrap(sim, tr.Faults, tr.Seed+2, dst, mkInner)
-		if tr.Obs != nil {
-			flink.Instrument(tr.Obs, tr.Seed)
+		fl := faults.Wrap(sim, s.Faults, s.Seed+2, dst, inner)
+		if s.Obs != nil {
+			fl.Instrument(s.Obs, s.Seed)
 		}
-		return flink
-	}, MTU, specs)
-	instrumentSinks(d, tr.Obs, tr.Seed)
-	d.Run(tr.Duration)
-	res := collect(d, tr.Duration)
-	if flink != nil {
-		c := flink.Counters
-		res.Faults = &c
-	}
-	return res
-}
-
-// FixedRun describes a fixed-rate dumbbell run (the §7 micro-evaluations).
-type FixedRun struct {
-	RateMbps   float64
-	Maker      Maker
-	Flows      int
-	Duration   time.Duration
-	QueueBytes int
-	BaseOneWay time.Duration
-	// Stagger starts flow i at i×Stagger.
-	Stagger time.Duration
-	// AckDelays overrides per-flow reverse delays (Fig. 13's RTT mix).
-	AckDelays []time.Duration
-	Seed      int64
-	// Mutate, when non-nil, is invoked every MutateEvery with the link and
-	// an iteration counter (Fig. 11's 5-second parameter re-draws).
-	Mutate      func(l *netsim.FixedLink, flows []*netsim.Source, iter int)
-	MutateEvery time.Duration
-	// ExtraMakers appends differently-controlled flows after the first
-	// Flows (Fig. 14's Verus-vs-Cubic mix); they continue the stagger.
-	ExtraMakers []Maker
-	// Obs attaches the observability layer, as in TraceRun.
-	Obs *obs.Observer
-}
-
-// Run executes the fixed-rate dumbbell.
-func (fr FixedRun) Run() RunResult {
-	if fr.BaseOneWay == 0 {
-		fr.BaseOneWay = 10 * time.Millisecond
-	}
-	if fr.QueueBytes == 0 {
-		fr.QueueBytes = 1_000_000
-	}
-	sim := netsim.NewSim()
-	var specs []netsim.FlowSpec
-	add := func(m Maker, idx int) {
-		ackDelay := fr.BaseOneWay
-		if idx < len(fr.AckDelays) {
-			ackDelay = fr.AckDelays[idx]
-		}
-		ctrl := m.New()
-		observe(fr.Obs, ctrl, fr.Seed, idx)
-		specs = append(specs, netsim.FlowSpec{
-			Ctrl:     ctrl,
-			AckDelay: ackDelay,
-			Start:    time.Duration(idx) * fr.Stagger,
-		})
-	}
-	idx := 0
-	for i := 0; i < fr.Flows; i++ {
-		add(fr.Maker, idx)
-		idx++
-	}
-	for _, m := range fr.ExtraMakers {
-		add(m, idx)
-		idx++
-	}
-	var link *netsim.FixedLink
-	d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
-		link = netsim.NewFixedLink(sim, netsim.NewDropTail(fr.QueueBytes), fr.RateMbps, fr.BaseOneWay, dst, fr.Seed)
-		link.Instrument(fr.Obs, fr.Seed)
-		return link
-	}, MTU, specs)
-	instrumentSinks(d, fr.Obs, fr.Seed)
-	if fr.Mutate != nil && fr.MutateEvery > 0 {
-		iter := 0
-		sim.Every(fr.MutateEvery, func() {
-			iter++
-			fr.Mutate(link, d.Sources, iter)
-		})
-	}
-	d.Run(fr.Duration)
-	return collect(d, fr.Duration)
-}
-
-// observe attaches an observer to a controller when both sides agree: the
-// observer is live and the controller implements obs.Observable (Verus does;
-// the TCP and Sprout baselines run uninstrumented).
-func observe(o *obs.Observer, ctrl cc.Controller, run int64, flow int) {
-	if o == nil {
-		return
-	}
-	if ob, ok := ctrl.(obs.Observable); ok {
-		ob.Observe(o, run, flow)
-	}
-}
-
-// instrumentSinks attaches the observer to every flow sink of a dumbbell so
-// deliveries emit net.attrib decomposition events. Safe with a nil observer:
-// the sink attachment stays nil and the per-delivery path keeps its single
-// branch.
-func instrumentSinks(d *netsim.Dumbbell, o *obs.Observer, run int64) {
-	if o == nil {
-		return
-	}
-	for _, s := range d.Sources {
-		if s != nil {
-			s.Instrument(o, run)
+		return fl
+	}, MTU, flows)
+	if s.Obs != nil {
+		for i, src := range d.Sources {
+			if src != nil {
+				src.Instrument(s.Obs, s.Seed)
+			} else {
+				d.CBRs[i].Instrument(s.Obs, s.Seed)
+			}
 		}
 	}
-	for _, c := range d.CBRs {
-		if c != nil {
-			c.Instrument(o, run)
-		}
-	}
+	return d
 }
 
+// Run builds the dumbbell, runs it to horizon and collects per-flow results.
+func (s Dumbbell) Run(horizon time.Duration) RunResult {
+	d := s.Build()
+	d.Run(horizon)
+	return collect(d, horizon)
+}
+
+// collect summarizes a dumbbell run to horizon, with the fault layer's
+// counters when the bottleneck carries one.
 func collect(d *netsim.Dumbbell, horizon time.Duration) RunResult {
 	var out RunResult
 	for i, m := range d.Metrics {
@@ -320,7 +244,55 @@ func collect(d *netsim.Dumbbell, horizon time.Duration) RunResult {
 		out.PerSecondMbps = append(out.PerSecondMbps, m.Throughput.Mbps())
 		out.PerSecondDelay = append(out.PerSecondDelay, m.DelayOverTime.Means())
 	}
+	if fl, ok := d.Link.(*faults.Link); ok {
+		c := fl.Counters
+		out.Faults = &c
+	}
 	return out
+}
+
+// TraceRun describes a trace-driven dumbbell run: n identical flows of one
+// protocol over a shared queue drained by a looping recorded channel. It is
+// shorthand for the Dumbbell it runs; Seed, Faults and Obs mean what they
+// mean there.
+type TraceRun struct {
+	Trace    *trace.Trace
+	Maker    Maker
+	Flows    int
+	Duration time.Duration
+	// QueueBytes sizes a DropTail buffer; ignored when UseRED is set.
+	QueueBytes int
+	// UseRED selects the paper's OPNET RED configuration (3/9 Mbit, 10%).
+	UseRED bool
+	// BaseOneWay is the propagation delay each way (default 10 ms).
+	BaseOneWay time.Duration
+	Seed       int64
+	Faults     *faults.Plan
+	Obs        *obs.Observer
+}
+
+// Run executes the trace-driven dumbbell and collects per-flow results.
+func (tr TraceRun) Run() RunResult {
+	flows := make([]netsim.FlowSpec, tr.Flows)
+	for i := range flows {
+		flows[i].Ctrl = tr.Maker.New()
+	}
+	return Dumbbell{
+		Trace: tr.Trace, Loop: true, QueueBytes: tr.QueueBytes, RED: tr.UseRED,
+		OneWay: tr.BaseOneWay, Flows: flows, Faults: tr.Faults, Seed: tr.Seed, Obs: tr.Obs,
+	}.Run(tr.Duration)
+}
+
+// observe attaches an observer to a controller when both sides agree: the
+// observer is live and the controller implements obs.Observable (Verus does;
+// the TCP and Sprout baselines run uninstrumented).
+func observe(o *obs.Observer, ctrl cc.Controller, run int64, flow int) {
+	if o == nil {
+		return
+	}
+	if ob, ok := ctrl.(obs.Observable); ok {
+		ob.Observe(o, run, flow)
+	}
 }
 
 // cellTrace generates a shared-cell capacity trace for the given technology

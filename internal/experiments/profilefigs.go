@@ -24,12 +24,11 @@ type Figure5Result struct {
 // delay profile (long enough for slow-start pollution to age out).
 func Figure5(seed int64) Figure5Result {
 	tr := cellTrace(cellular.Tech3G, cellular.CampusStationary, 10, 60*time.Second, seed)
-	sim := netsim.NewSim()
 	v := verus.New(verus.DefaultConfig())
-	d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
-		return netsim.NewTraceLink(sim, netsim.NewDropTail(2_000_000), tr, 10*time.Millisecond, dst, true, seed)
-	}, MTU, []netsim.FlowSpec{{Ctrl: v, AckDelay: 10 * time.Millisecond}})
-	d.Run(60 * time.Second)
+	Dumbbell{
+		Trace: tr, Loop: true, QueueBytes: 2_000_000,
+		Flows: []netsim.FlowSpec{{Ctrl: v}}, Seed: seed,
+	}.Build().Run(60 * time.Second)
 	wins, pts, curve := v.ProfileSnapshot()
 	return Figure5Result{Windows: wins, Points: pts, Curve: curve}
 }
@@ -67,19 +66,16 @@ func Figure7(d time.Duration, seed int64) Figure7Result {
 		Scenario: cellular.CityDriving, MeanMbps: 20, Seed: seed,
 	})
 	tr := m.Trace(d)
-	sim := netsim.NewSim()
 	v := verus.New(verus.DefaultConfig())
-	db := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
-		return netsim.NewTraceLink(sim, netsim.NewDropTail(2_000_000), tr, 10*time.Millisecond, dst, false, seed)
-	}, MTU, []netsim.FlowSpec{{Ctrl: v, AckDelay: 10 * time.Millisecond}})
+	db := Dumbbell{Trace: tr, QueueBytes: 2_000_000, Flows: []netsim.FlowSpec{{Ctrl: v}}, Seed: seed}.Build()
 
 	out := Figure7Result{ChannelMbps: tr.WindowedMbps(time.Second)}
-	sim.Every(5*time.Second, func() {
+	db.Sim.Every(5*time.Second, func() {
 		_, _, curve := v.ProfileSnapshot()
 		if curve == nil {
 			return
 		}
-		out.SnapshotAt = append(out.SnapshotAt, sim.Now())
+		out.SnapshotAt = append(out.SnapshotAt, db.Sim.Now())
 		cp := make([]float64, len(curve))
 		copy(cp, curve)
 		out.Curves = append(out.Curves, cp)

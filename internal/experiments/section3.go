@@ -181,7 +181,7 @@ type Figure3Result struct {
 // shared 3G cell near saturation (the paper's combined rates "almost equal
 // to the 3G channel capacity"). Each of user 1's rates is one trial on a
 // pool of `parallel` workers (0 = GOMAXPROCS, 1 = serial). A non-nil o
-// attaches the observability layer to each trial's bottleneck link.
+// attaches the observability layer to each trial's bottleneck link and sinks.
 func Figure3(seed int64, parallel int, o *obs.Observer) Figure3Result {
 	const cellMbps = 18 // HSPA+ sector capacity: both users ON ≈ saturation
 	out := Figure3Result{Rates: []float64{1, 5, 10}}
@@ -193,15 +193,14 @@ func Figure3(seed int64, parallel int, o *obs.Observer) Figure3Result {
 			Key: int64(i),
 			Run: func(trialSeed int64) onOff {
 				tr := cellTrace(cellular.Tech3G, cellular.CampusStationary, cellMbps, 6*time.Minute, trialSeed)
-				sim := netsim.NewSim()
-				d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
-					l := netsim.NewTraceLink(sim, netsim.NewDropTail(2_000_000), tr, 15*time.Millisecond, dst, false, trialSeed+1)
-					l.Instrument(o, trialSeed)
-					return l
-				}, MTU, []netsim.FlowSpec{
-					{CBRMbps: rate},
-					{CBRMbps: 10, OnFor: time.Minute, OffFor: time.Minute},
-				})
+				d := Dumbbell{
+					Trace: tr, QueueBytes: 2_000_000, OneWay: 15 * time.Millisecond,
+					Flows: []netsim.FlowSpec{
+						{CBRMbps: rate},
+						{CBRMbps: 10, OnFor: time.Minute, OffFor: time.Minute},
+					},
+					Seed: trialSeed, Obs: o,
+				}.Build()
 				d.Run(6 * time.Minute)
 				delays := d.Metrics[0].DelayOverTime.Means()
 				var onSum, offSum float64
