@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cc"
 )
 
 // These tests run scaled-down versions of each harness and assert the
@@ -262,6 +264,37 @@ func TestFigure13RTTIndependenceApprox(t *testing.T) {
 	}
 	if total < 25 {
 		t.Errorf("aggregate %.1f Mbps of 60; link badly underused", total)
+	}
+}
+
+// minRTT records the smallest RTT sample its controller is handed.
+type minRTT struct {
+	cc.Controller
+	min time.Duration
+}
+
+func (m *minRTT) OnAck(now time.Duration, a cc.AckSample) {
+	if m.min == 0 || a.RTT < m.min {
+		m.min = a.RTT
+	}
+	m.Controller.OnAck(now, a)
+}
+
+// TestFigure13RunsLabeledRTTs checks that each Fig. 13 flow runs the RTT it
+// is labeled with: the smallest RTT its controller sees is its propagation
+// RTT plus one serialization, within 1 ms of the label.
+func TestFigure13RunsLabeledRTTs(t *testing.T) {
+	rtts := Figure13(MicroOptions{Duration: time.Second, Seed: 7, Parallel: 1}).RTTs
+	spec := figure13Dumbbell(rtts, 7, nil)
+	for i := range spec.Flows {
+		spec.Flows[i].Ctrl = &minRTT{Controller: spec.Flows[i].Ctrl}
+	}
+	spec.Run(5 * time.Second)
+	for i, f := range spec.Flows {
+		got := f.Ctrl.(*minRTT).min
+		if d := got - rtts[i]; d < 0 || d > time.Millisecond {
+			t.Errorf("flow labeled %v: smallest RTT sample %v", rtts[i], got)
+		}
 	}
 }
 
