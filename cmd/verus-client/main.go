@@ -11,14 +11,18 @@
 //
 //	verus-client -server 127.0.0.1:9000 -proto verus -r 2 -dur 30s
 //	             [-debug-addr 127.0.0.1:6061]
+//
+// Exit status: 0 on success, 1 when the transfer fails, 2 on a bad flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
+	"os"
 	"strings"
 	"time"
 
@@ -50,18 +54,39 @@ func controller(proto string, r float64) (cc.Controller, error) {
 }
 
 func main() {
-	server := flag.String("server", "127.0.0.1:9000", "server UDP address")
-	proto := flag.String("proto", "verus", "verus|cubic|newreno|vegas|sprout")
-	r := flag.Float64("r", 2, "Verus R parameter")
-	dur := flag.Duration("dur", 30*time.Second, "transfer duration")
-	report := flag.Duration("report", 2*time.Second, "stats report interval")
-	debugAddr := flag.String("debug-addr", "", "serve Prometheus /metrics and /debug/pprof on this HTTP address (empty disables)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run parses args, runs the transfer and prints its reports; it is the
+// testable core of the command. Every flag is checked before any socket is
+// opened. It exits 2 on a bad flag and 1 when the transfer fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("verus-client", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	server := fs.String("server", "127.0.0.1:9000", "server UDP address")
+	proto := fs.String("proto", "verus", "verus|cubic|newreno|vegas|sprout")
+	r := fs.Float64("r", 2, "Verus R parameter")
+	dur := fs.Duration("dur", 30*time.Second, "transfer duration")
+	report := fs.Duration("report", 2*time.Second, "stats report interval")
+	debugAddr := fs.String("debug-addr", "", "serve Prometheus /metrics and /debug/pprof on this HTTP address (empty disables)")
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "verus-client: %v\n", err)
+		return 2
+	}
 	ctrl, err := controller(*proto, *r)
 	if err != nil {
-		log.Fatal(err)
+		return usage(err)
 	}
+	switch {
+	case *dur <= 0:
+		return usage(fmt.Errorf("-dur %v: must be positive", *dur))
+	case *report <= 0:
+		return usage(fmt.Errorf("-report %v: must be positive", *report))
+	}
+
 	cfg := transport.DefaultSenderConfig()
 	if *debugAddr != "" {
 		registry := obs.NewRegistry()
@@ -70,15 +95,16 @@ func main() {
 		cfg.Obs = obs.NewObserver(nil, registry)
 		http.Handle("/metrics", obs.MetricsHandler(registry))
 		go func() {
-			fmt.Printf("debug server (pprof + /metrics) on http://%s\n", *debugAddr)
+			fmt.Fprintf(stdout, "debug server (pprof + /metrics) on http://%s\n", *debugAddr)
 			log.Fatal(http.ListenAndServe(*debugAddr, nil))
 		}()
 	}
 	s, err := transport.Dial(*server, ctrl, cfg)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "verus-client: %v\n", err)
+		return 1
 	}
-	fmt.Printf("verus-client: %s -> %s for %v\n", ctrl.Name(), *server, *dur)
+	fmt.Fprintf(stdout, "verus-client: %s -> %s for %v\n", ctrl.Name(), *server, *dur)
 
 	deadline := time.After(*dur)
 	ticker := time.NewTicker(*report)
@@ -91,18 +117,19 @@ func main() {
 			st := s.Stats()
 			rate := float64(st.Acked-lastAcked) * 1400 * 8 / report.Seconds() / 1e6
 			lastAcked = st.Acked
-			fmt.Printf("tx: sent=%d acked=%d retx=%d loss=%d to=%d  %.2f Mbps  rtt p50=%.1fms p95=%.1fms\n",
-				st.Sent, st.Acked, st.Retransmits, st.Losses, st.Timeouts,
+			fmt.Fprintf(stdout, "tx: sent=%d acked=%d loss=%d to=%d  %.2f Mbps  rtt p50=%.1fms p95=%.1fms\n",
+				st.Sent, st.Acked, st.Losses, st.Timeouts,
 				rate, st.RTT.Median()*1000, st.RTT.Percentile(95)*1000)
 		case <-deadline:
 			if err := s.Close(); err != nil {
-				log.Fatal(err)
+				fmt.Fprintf(stderr, "verus-client: %v\n", err)
+				return 1
 			}
 			st := s.Stats()
 			elapsed := time.Since(start).Seconds()
-			fmt.Printf("done: %d acked (%.2f Mbps goodput), rtt mean %.1f ms\n",
+			fmt.Fprintf(stdout, "done: %d acked (%.2f Mbps goodput), rtt mean %.1f ms\n",
 				st.Acked, float64(st.Acked)*1400*8/elapsed/1e6, st.RTT.Mean()*1000)
-			return
+			return 0
 		}
 	}
 }

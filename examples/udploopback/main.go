@@ -38,8 +38,8 @@ func main() {
 
 	ss := s.Stats()
 	rs := r.Stats()
-	fmt.Printf("sender:   %d sent, %d acked, %d retransmits, %d losses\n",
-		ss.Sent, ss.Acked, ss.Retransmits, ss.Losses)
+	fmt.Printf("sender:   %d sent, %d acked, %d losses\n",
+		ss.Sent, ss.Acked, ss.Losses)
 	fmt.Printf("rtt:      p50 %.2f ms, p95 %.2f ms (n=%d)\n",
 		ss.RTT.Median()*1000, ss.RTT.Percentile(95)*1000, ss.RTT.N())
 	fmt.Printf("receiver: %d packets (%d unique), %.2f Mbps goodput\n",

@@ -15,7 +15,7 @@
 // variable assigned `mesh.Cell(3)` has origin cell 3; copies propagate
 // the origin; joining paths that disagree, reassignment, or a
 // non-constant cell index degrade the origin to unknown. A function
-// literal passed to a scheduling method (Schedule, After, Every,
+// literal passed to a scheduling method (Schedule, Every,
 // SchedulePacket, SchedulePacketAfter) of a Sim with known origin N is a
 // worker context for cell N: any reference inside it to a Sim variable
 // whose origin is a *known, different* cell M is reported.
@@ -53,7 +53,6 @@ var Analyzer = &analysis.Analyzer{
 // inside that Sim's shard.
 var schedulingMethods = map[string]bool{
 	"Schedule":            true,
-	"After":               true,
 	"Every":               true,
 	"SchedulePacket":      true,
 	"SchedulePacketAfter": true,

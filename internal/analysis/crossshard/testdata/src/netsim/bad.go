@@ -6,7 +6,7 @@ func CrossTouch(m *Mesh) {
 	a := m.Cell(0)
 	b := m.Cell(1)
 	a.Schedule(5, func() {
-		b.After(1, func() {}) // want `touches cell 1`
+		b.Schedule(1, func() {}) // want `touches cell 1`
 	})
 }
 
@@ -26,7 +26,7 @@ func CopiedOrigin(m *Mesh) {
 	a := m.Cell(0)
 	b := m.Cell(1)
 	alias := b
-	a.After(2, func() {
+	a.Schedule(2, func() {
 		alias.Schedule(9, func() {}) // want `touches cell 1`
 	})
 }

@@ -4,7 +4,7 @@ package netsim
 func SameCell(m *Mesh) {
 	sim := m.Cell(0)
 	sim.Schedule(5, func() {
-		sim.After(1, func() {})
+		sim.Schedule(1, func() {})
 	})
 }
 

@@ -12,9 +12,6 @@ type Sim struct{ now int64 }
 // Schedule runs fn inside this cell's shard at the given virtual time.
 func (s *Sim) Schedule(at int64, fn func()) {}
 
-// After is Schedule with a relative deadline.
-func (s *Sim) After(d int64, fn func()) {}
-
 // Now returns the cell's virtual clock.
 func (s *Sim) Now() int64 { return s.now }
 

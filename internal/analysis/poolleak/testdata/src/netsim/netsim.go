@@ -51,8 +51,8 @@ func (s *Sim) SchedulePacketAfter(d int64, p *Packet) {
 	s.heap = append(s.heap, p)
 }
 
-// After schedules a callback.
-func (s *Sim) After(d int64, fn func()) {}
+// Schedule runs a callback at the given virtual time.
+func (s *Sim) Schedule(at int64, fn func()) {}
 
 // Mesh mirrors the multi-cell router.
 type Mesh struct{}

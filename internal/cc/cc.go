@@ -4,6 +4,11 @@
 // simulator internals, so the same implementation runs unchanged inside the
 // discrete-event simulator (internal/netsim) and the real UDP transport
 // (internal/transport).
+//
+// The host that calls a Controller is one implementation too: netsim.Host
+// does the sequencing, RTT estimation, loss detection and retransmission
+// timeout on both paths (netsim.Source embeds it, transport.Sender holds
+// one), so the two feed a controller the same calls with the same arguments.
 package cc
 
 import "time"
@@ -19,8 +24,9 @@ type AckSample struct {
 	// was sent (see Controller.SendTag). Verus uses it to attribute delays
 	// to the window size that caused them.
 	SentWindow int
-	// Inflight is the number of unacknowledged packets after processing
-	// this acknowledgement.
+	// Inflight is the number of unacknowledged packets once this
+	// acknowledgement's packet has left the window, before any loss it
+	// reveals is removed.
 	Inflight int
 	// Bytes is the size of the acknowledged packet.
 	Bytes int
@@ -33,8 +39,10 @@ type LossEvent struct {
 	// SentWindow is the tag recorded when the lost packet was sent: the
 	// paper's W_loss, "the sending window in which the loss occurred".
 	SentWindow int
-	// Inflight is the number of unacknowledged packets after removing the
-	// lost one.
+	// Inflight is the number of unacknowledged packets when the loss scan
+	// that found this loss began (the acknowledged packet that triggered it
+	// already removed), less one. Every loss one scan finds reports the same
+	// value.
 	Inflight int
 }
 

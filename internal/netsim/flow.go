@@ -181,7 +181,7 @@ func (b *scoreboard) admit(o outstanding, lost bool, nextSeq int64) error {
 const (
 	// dupThresh is the number of later acknowledgements after which a
 	// missing packet is declared lost (TCP's three duplicate ACKs; the
-	// Verus prototype uses a 3×delay timer — the source also applies a
+	// Verus prototype uses a 3×delay timer — the host also applies a
 	// per-packet timer of 3×SRTT for tail losses).
 	dupThresh = 3
 	// minRTO and maxRTO clamp the retransmission timeout. maxRTO must
@@ -191,25 +191,218 @@ const (
 	maxRTO = 60 * time.Second
 )
 
-// Source is a full-buffer sender driven by a cc.Controller. It performs the
-// host duties the controller interface leaves out: sequencing, per-packet
-// send tags, RTT estimation, duplicate-ack and timer loss detection, and the
-// retransmission timeout.
-type Source struct {
-	sim  *Sim
-	flow int
-	ctrl cc.Controller
-	link Link
-	mtu  int
-
-	metrics *FlowMetrics
-
+// Host performs the host duties the cc.Controller interface leaves out, for a
+// full-buffer sender: sequencing, per-packet send tags, RTT estimation,
+// duplicate-ack and timer loss detection, and the retransmission timeout. It
+// never retransmits: a lost packet is reported to the controller and the
+// sequence moves on. Host does no I/O and reads no clock, so the simulator's
+// Source and the UDP transport's Sender run the same one; only the timers that
+// call it differ.
+type Host struct {
+	ctrl     cc.Controller
 	nextSeq  int64
 	inflight scoreboard // by value, so tracking allocates nothing steady-state
 	srtt     time.Duration
 	rttvar   time.Duration
 	lastProg time.Duration // last forward progress, for RTO
 	backoff  int           // consecutive RTOs without progress (exponential backoff)
+}
+
+// NewHost returns a host for ctrl with nothing in flight; the first RTO
+// interval counts from now.
+func NewHost(ctrl cc.Controller, now time.Duration) Host {
+	return Host{ctrl: ctrl, lastProg: now}
+}
+
+// Allowance is how many packets the controller lets the host send now.
+func (h *Host) Allowance(now time.Duration) int { return h.ctrl.Allowance(now, h.inflight.n) }
+
+// NextSeq is the sequence number the next recorded send takes.
+func (h *Host) NextSeq() int64 { return h.nextSeq }
+
+// Sent records that packet NextSeq left now, stamped with window, the
+// controller's SendTag, and tells the controller.
+func (h *Host) Sent(now time.Duration, window int) {
+	seq := h.nextSeq
+	h.nextSeq++
+	h.inflight.push(outstanding{seq: seq, sentAt: now, window: window})
+	h.ctrl.OnSend(now, seq, h.inflight.n)
+}
+
+// Ack takes the acknowledgement of seq, a packet of the given size, arriving
+// now. An ack that matches nothing in flight (a duplicate, or one for a packet
+// already declared lost or cleared by a timeout) changes nothing and returns
+// ok false. Otherwise the host updates its RTT estimate, feeds the controller
+// the ack, and applies the loss rules to the packets the ack passed. It
+// returns the RTT sample and the number of losses declared.
+func (h *Host) Ack(now time.Duration, seq int64, bytes int) (rtt time.Duration, losses int, ok bool) {
+	idx := 0
+	for idx < h.inflight.n && h.inflight.at(idx).seq < seq {
+		idx++
+	}
+	if idx == h.inflight.n || h.inflight.at(idx).seq != seq {
+		return 0, 0, false
+	}
+	o := *h.inflight.at(idx)
+	h.inflight.closeGap(idx, idx+1)
+	rtt = now - o.sentAt
+	h.updateRTT(rtt)
+	h.lastProg = now
+	h.backoff = 0
+
+	h.ctrl.OnAck(now, cc.AckSample{
+		Seq:        seq,
+		RTT:        rtt,
+		SentWindow: o.window,
+		Inflight:   h.inflight.n,
+		Bytes:      bytes,
+	})
+
+	// Dup-ack analogue: everything older than the acked packet has now been
+	// "acked past" once more; declare losses at the threshold. Also run the
+	// per-packet 3×SRTT timer the Verus prototype uses.
+	return rtt, h.detectLosses(now, seq), true
+}
+
+// detectLosses scans the entries an ack for ackedSeq has passed and returns
+// how many it declared lost. It stops at the first entry the ack did not pass
+// and no earlier ack did either (seq > ackedSeq, ackedAfter == 0): by the
+// scoreboard invariants every entry behind it is the same, and neither loss
+// rule can fire on such an entry.
+func (h *Host) detectLosses(now time.Duration, ackedSeq int64) int {
+	timerCut := 3 * h.srtt
+	inflight := h.inflight.n - 1 // what OnLoss reports: the window as scanned, less the lost packet
+	// Survivors of the scanned prefix compact to its front (kept ≤ i); the
+	// gap the lost ones leave is closed once, after the scan.
+	kept, i := 0, 0
+	for ; i < h.inflight.n; i++ {
+		o := h.inflight.at(i)
+		if o.seq > ackedSeq && o.ackedAfter == 0 {
+			break
+		}
+		lost := false
+		if o.seq < ackedSeq {
+			o.ackedAfter++
+			if o.ackedAfter >= dupThresh {
+				lost = true
+			}
+		}
+		if !lost && h.srtt > 0 && now-o.sentAt > timerCut && o.ackedAfter > 0 {
+			lost = true
+		}
+		if lost {
+			h.ctrl.OnLoss(now, cc.LossEvent{Seq: o.seq, SentWindow: o.window, Inflight: inflight})
+			continue
+		}
+		if kept != i {
+			*h.inflight.at(kept) = *o
+		}
+		kept++
+	}
+	if kept != i {
+		h.inflight.closeGap(kept, i)
+	}
+	return i - kept
+}
+
+func (h *Host) updateRTT(rtt time.Duration) {
+	if h.srtt == 0 {
+		h.srtt = rtt
+		h.rttvar = rtt / 2
+		return
+	}
+	// RFC 6298 smoothing.
+	diff := h.srtt - rtt
+	if diff < 0 {
+		diff = -diff
+	}
+	h.rttvar = (3*h.rttvar + diff) / 4
+	h.srtt = (7*h.srtt + rtt) / 8
+}
+
+func (h *Host) rto() time.Duration {
+	r := time.Second
+	if h.srtt != 0 {
+		// 2×srtt tolerates the RTT doubling within one round that slow
+		// start over a filling buffer produces; rttvar alone lags it.
+		r = 2*h.srtt + 4*h.rttvar
+	}
+	for i := 0; i < h.backoff && r < maxRTO; i++ {
+		r *= 2 // exponential backoff after consecutive timeouts
+	}
+	if r < minRTO {
+		r = minRTO
+	}
+	if r > maxRTO {
+		r = maxRTO
+	}
+	return r
+}
+
+// CheckTimeout fires the retransmission timeout when packets are in flight
+// and none has been acked for an RTO: the whole window is presumed lost, the
+// backoff grows, and the controller hears OnTimeout. It reports whether the
+// timeout fired.
+func (h *Host) CheckTimeout(now time.Duration) bool {
+	if h.inflight.n == 0 || now-h.lastProg < h.rto() {
+		return false
+	}
+	h.inflight.clear()
+	h.lastProg = now
+	h.backoff++
+	h.ctrl.OnTimeout(now)
+	return true
+}
+
+// Backoff returns the number of consecutive timeouts without an ack, and the
+// timeout the next check applies.
+func (h *Host) Backoff() (n int, next time.Duration) { return h.backoff, h.rto() }
+
+// walk visits the host state. A load validates each in-flight entry as it
+// decodes: the prefix scan in detectLosses is only correct on a scoreboard
+// that keeps its invariants, so a snapshot that breaks them is refused, not
+// run. The ring grows as entries decode; a hostile length prefix runs out of
+// bytes long before it runs up memory.
+func (h *Host) walk(w snap.Walker, flow int) {
+	w.I64(&h.nextSeq)
+	n := w.Len(h.inflight.n)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		var o outstanding
+		if !w.Loading() {
+			o = *h.inflight.at(i)
+		}
+		w.I64(&o.seq)
+		w.Dur(&o.sentAt)
+		w.Int(&o.window)
+		w.Int(&o.ackedAfter)
+		lost := false // the retired per-entry lost flag: never set, its byte stays on the wire
+		w.Bool(&lost)
+		if !w.Loading() || w.Err() != nil {
+			continue
+		}
+		if err := h.inflight.admit(o, lost, h.nextSeq); err != nil {
+			w.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", flow, i, err))
+			return
+		}
+		h.inflight.push(o)
+	}
+	w.Dur(&h.srtt)
+	w.Dur(&h.rttvar)
+	w.Dur(&h.lastProg)
+	w.Int(&h.backoff)
+}
+
+// Source is a full-buffer sender in the simulation: a Host driven by the
+// simulator's timers, sending on a link and acked by its Sink.
+type Source struct {
+	Host
+	sim  *Sim
+	flow int
+	link Link
+	mtu  int
+
+	metrics *FlowMetrics
+
 	stopped  bool
 	started  bool
 	stopTick func()
@@ -237,7 +430,7 @@ func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 		panic("netsim: MTU must be positive")
 	}
 	m := NewFlowMetrics(flow)
-	s := &Source{sim: sim, flow: flow, ctrl: ctrl, link: link, mtu: mtu, metrics: m}
+	s := &Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu, metrics: m}
 	s.sink = &Sink{sim: sim, metrics: m, ackDelay: ackDelay, src: s}
 	sim.register(&s.startCB, s.start)
 	sim.RegisterReceiver(s)
@@ -318,13 +511,11 @@ func (s *Source) trySend() {
 		return
 	}
 	now := s.sim.Now()
-	n := s.ctrl.Allowance(now, s.inflight.n)
+	n := s.Allowance(now)
 	for i := 0; i < n; i++ {
 		p := s.sim.NewPacket(s.flow, s.nextSeq, s.mtu, now, s.ctrl.SendTag())
-		s.nextSeq++
-		s.inflight.push(outstanding{seq: p.Seq, sentAt: now, window: p.Window})
+		s.Sent(now, p.Window)
 		s.metrics.Sent++
-		s.ctrl.OnSend(now, p.Seq, s.inflight.n)
 		s.link.Send(p)
 	}
 }
@@ -334,124 +525,17 @@ func (s *Source) onAck(p *Packet) {
 	if s.stopped {
 		return
 	}
-	now := s.sim.Now()
-	idx := 0
-	for idx < s.inflight.n && s.inflight.at(idx).seq < p.Seq {
-		idx++
+	if _, losses, ok := s.Ack(s.sim.Now(), p.Seq, p.Bytes); ok {
+		s.metrics.LossDetected += int64(losses)
+		s.trySend()
 	}
-	if idx == s.inflight.n || s.inflight.at(idx).seq != p.Seq {
-		return // already declared lost or duplicate ack
-	}
-	o := *s.inflight.at(idx)
-	s.inflight.closeGap(idx, idx+1)
-	rtt := now - o.sentAt
-	s.updateRTT(rtt)
-	s.lastProg = now
-	s.backoff = 0
-
-	s.ctrl.OnAck(now, cc.AckSample{
-		Seq:        p.Seq,
-		RTT:        rtt,
-		SentWindow: o.window,
-		Inflight:   s.inflight.n,
-		Bytes:      p.Bytes,
-	})
-
-	// Dup-ack analogue: everything older than the acked packet has now been
-	// "acked past" once more; declare losses at the threshold. Also run the
-	// per-packet 3×SRTT timer the Verus prototype uses.
-	s.detectLosses(now, p.Seq)
-	s.trySend()
-}
-
-// detectLosses scans the entries an ack for ackedSeq has passed. It stops at
-// the first entry the ack did not pass and no earlier ack did either
-// (seq > ackedSeq, ackedAfter == 0): by the scoreboard invariants every entry
-// behind it is the same, and neither loss rule can fire on such an entry.
-func (s *Source) detectLosses(now time.Duration, ackedSeq int64) {
-	timerCut := 3 * s.srtt
-	inflight := s.inflight.n - 1 // what OnLoss reports: the window as scanned, less the lost packet
-	// Survivors of the scanned prefix compact to its front (kept ≤ i); the
-	// gap the lost ones leave is closed once, after the scan.
-	kept, i := 0, 0
-	for ; i < s.inflight.n; i++ {
-		o := s.inflight.at(i)
-		if o.seq > ackedSeq && o.ackedAfter == 0 {
-			break
-		}
-		lost := false
-		if o.seq < ackedSeq {
-			o.ackedAfter++
-			if o.ackedAfter >= dupThresh {
-				lost = true
-			}
-		}
-		if !lost && s.srtt > 0 && now-o.sentAt > timerCut && o.ackedAfter > 0 {
-			lost = true
-		}
-		if lost {
-			s.metrics.LossDetected++
-			s.ctrl.OnLoss(now, cc.LossEvent{Seq: o.seq, SentWindow: o.window, Inflight: inflight})
-			continue
-		}
-		if kept != i {
-			*s.inflight.at(kept) = *o
-		}
-		kept++
-	}
-	if kept != i {
-		s.inflight.closeGap(kept, i)
-	}
-}
-
-func (s *Source) updateRTT(rtt time.Duration) {
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		return
-	}
-	// RFC 6298 smoothing.
-	diff := s.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	s.rttvar = (3*s.rttvar + diff) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
-func (s *Source) rto() time.Duration {
-	r := time.Second
-	if s.srtt != 0 {
-		// 2×srtt tolerates the RTT doubling within one round that slow
-		// start over a filling buffer produces; rttvar alone lags it.
-		r = 2*s.srtt + 4*s.rttvar
-	}
-	for i := 0; i < s.backoff && r < maxRTO; i++ {
-		r *= 2 // exponential backoff after consecutive timeouts
-	}
-	if r < minRTO {
-		r = minRTO
-	}
-	if r > maxRTO {
-		r = maxRTO
-	}
-	return r
 }
 
 func (s *Source) checkRTO() {
-	if s.stopped || s.inflight.n == 0 {
+	if s.stopped || !s.CheckTimeout(s.sim.Now()) {
 		return
 	}
-	now := s.sim.Now()
-	if now-s.lastProg < s.rto() {
-		return
-	}
-	// Whole window presumed lost.
 	s.metrics.Timeouts++
-	s.inflight.clear()
-	s.lastProg = now
-	s.backoff++
-	s.ctrl.OnTimeout(now)
 	s.trySend()
 }
 
@@ -468,38 +552,10 @@ func (m *FlowMetrics) Walk(w snap.Walker) {
 	w.FixedI64s(m.AttribNs[:], "netsim: flow metrics attribution components")
 }
 
-// walkSender visits the sender protocol state. A load validates each
-// in-flight entry as it decodes: the prefix scan in detectLosses is only
-// correct on a scoreboard that keeps its invariants, so a snapshot that
-// breaks them is refused, not run. The ring grows as entries decode; a
-// hostile length prefix runs out of bytes long before it runs up memory.
+// walkSender visits the sender protocol state: the host's, then the
+// Source's own flags.
 func (s *Source) walkSender(w snap.Walker) {
-	w.I64(&s.nextSeq)
-	n := w.Len(s.inflight.n)
-	for i := 0; i < n && w.Err() == nil; i++ {
-		var o outstanding
-		if !w.Loading() {
-			o = *s.inflight.at(i)
-		}
-		w.I64(&o.seq)
-		w.Dur(&o.sentAt)
-		w.Int(&o.window)
-		w.Int(&o.ackedAfter)
-		lost := false // the retired per-entry lost flag: never set, its byte stays on the wire
-		w.Bool(&lost)
-		if !w.Loading() || w.Err() != nil {
-			continue
-		}
-		if err := s.inflight.admit(o, lost, s.nextSeq); err != nil {
-			w.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", s.flow, i, err))
-			return
-		}
-		s.inflight.push(o)
-	}
-	w.Dur(&s.srtt)
-	w.Dur(&s.rttvar)
-	w.Dur(&s.lastProg)
-	w.Int(&s.backoff)
+	s.Host.walk(w, s.flow)
 	w.Bool(&s.stopped)
 	w.Bool(&s.started)
 }

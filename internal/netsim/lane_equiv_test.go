@@ -267,7 +267,7 @@ func (m *laneModel) scheduleClosure() {
 	fn := func() { m.fire(label) }
 	if m.rng.Intn(2) == 0 {
 		d := time.Duration(m.rng.Intn(5)) * time.Millisecond
-		m.s.After(d, fn)
+		m.s.Schedule(m.s.now+d, fn)
 		m.expect(m.s.now+d, m.localKey(), label)
 	} else {
 		at := m.s.now + time.Duration(m.rng.Intn(12)-2)*time.Millisecond

@@ -63,10 +63,10 @@ func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 					m.SendPacket(c, dst, lookahead, recvs[dst], p)
 				}
 				if sim.Now()+tick <= until {
-					sim.After(tick, step)
+					sim.Schedule(sim.Now()+tick, step)
 				}
 			}
-			sim.After(tick, step)
+			sim.Schedule(sim.Now()+tick, step)
 		}
 		if shards == 0 {
 			m.RunSingle(until)

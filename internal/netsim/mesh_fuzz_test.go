@@ -92,7 +92,8 @@ func buildFuzzWorkload(m *Mesh, rng *rand.Rand, until time.Duration, add func(ce
 			if hop.dst == cell {
 				// Same-cell step: a local event at exactly the lookahead
 				// horizon, racing any cross arrivals at that instant.
-				m.Cell(cell).After(hop.delay, func() { walk(cell, rest[1:]) })
+				sim := m.Cell(cell)
+				sim.Schedule(sim.Now()+hop.delay, func() { walk(cell, rest[1:]) })
 				return
 			}
 			m.send(cell, hop.dst, hop.delay, thunk(func() { walk(hop.dst, rest[1:]) }), nil)

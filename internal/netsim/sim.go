@@ -363,10 +363,6 @@ func (s *Sim) SchedulePacketAfter(d time.Duration, r Receiver, p *Packet) {
 // are clamped to now (the event runs next).
 func (s *Sim) Schedule(at time.Duration, fn func()) { s.SchedulePacket(at, thunk(fn), nil) }
 
-// After runs fn d from now. Its callers compute d per event (serialization
-// times), so it stays on the heap.
-func (s *Sim) After(d time.Duration, fn func()) { s.Schedule(s.now+d, fn) }
-
 // Every runs fn every interval, starting one interval from now, until the
 // returned stop function is called. The registration is one timer object
 // for its whole lifetime: each firing reschedules the same entry, so

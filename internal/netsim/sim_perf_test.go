@@ -185,7 +185,7 @@ func TestFixedDelayHopZeroAllocs(t *testing.T) {
 func TestSourceAckZeroAllocs(t *testing.T) {
 	sim := NewSim()
 	link := &sinkholeLink{sim: sim}
-	src := &Source{sim: sim, ctrl: &fixedWindow{w: 4096}, link: link, mtu: 1400, metrics: NewFlowMetrics(0), started: true}
+	src := &Source{Host: Host{ctrl: &fixedWindow{w: 4096}}, sim: sim, link: link, mtu: 1400, metrics: NewFlowMetrics(0), started: true}
 	src.trySend()
 	next := int64(0)
 	ackOnce := func() {

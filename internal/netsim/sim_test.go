@@ -70,16 +70,16 @@ func TestSimPastClampKeepsFIFO(t *testing.T) {
 }
 
 // TestSimSameTimeSeqOrderAcrossSources checks FIFO among same-timestamp
-// events regardless of how they were scheduled (Schedule, After, Every all
-// share the seq counter).
+// events regardless of when they were scheduled: every entry point shares
+// the seq counter.
 func TestSimSameTimeSeqOrderAcrossSources(t *testing.T) {
 	s := NewSim()
 	var order []int
 	s.Schedule(5*time.Millisecond, func() { order = append(order, 0) })
-	s.After(5*time.Millisecond, func() { order = append(order, 1) })
+	s.Schedule(s.Now()+5*time.Millisecond, func() { order = append(order, 1) })
 	s.Schedule(5*time.Millisecond, func() {
 		order = append(order, 2)
-		s.After(0, func() { order = append(order, 3) }) // same instant, fresh seq
+		s.Schedule(s.Now(), func() { order = append(order, 3) }) // same instant, fresh seq
 	})
 	s.Schedule(5*time.Millisecond, func() { order = append(order, 4) })
 	s.Run(time.Second)
@@ -120,18 +120,6 @@ func TestSimRunStopsAtLimit(t *testing.T) {
 	s.Run(3 * time.Second)
 	if !fired {
 		t.Fatal("event not fired on second run")
-	}
-}
-
-func TestSimAfter(t *testing.T) {
-	s := NewSim()
-	var at time.Duration
-	s.Schedule(10*time.Millisecond, func() {
-		s.After(5*time.Millisecond, func() { at = s.Now() })
-	})
-	s.Run(time.Second)
-	if at != 15*time.Millisecond {
-		t.Fatalf("After fired at %v, want 15ms", at)
 	}
 }
 

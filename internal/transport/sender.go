@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -21,9 +22,6 @@ type SenderConfig struct {
 	PayloadBytes int
 	// Flow tags packets of this sender (0-255).
 	Flow byte
-	// Housekeep bounds how often loss/RTO checks run when the controller
-	// is purely ack-clocked. Default 5 ms.
-	Housekeep time.Duration
 	// Clock supplies timestamps and the event-loop ticker. nil selects
 	// SystemClock (the real-UDP path); simulated transports inject a
 	// SimClock so the sender runs on netsim virtual time.
@@ -50,11 +48,14 @@ type SenderConfig struct {
 	ObsRun int64
 }
 
-// DefaultSenderConfig returns the paper's packet size with 5 ms
-// housekeeping.
+// DefaultSenderConfig returns the paper's packet size.
 func DefaultSenderConfig() SenderConfig {
-	return SenderConfig{PayloadBytes: 1400 - headerSize, Housekeep: 5 * time.Millisecond}
+	return SenderConfig{PayloadBytes: 1400 - headerSize}
 }
+
+// housekeep is the event loop's period when the controller is purely
+// ack-clocked: how often the retransmission timeout is checked.
+const housekeep = 5 * time.Millisecond
 
 // ErrHandshakeFailed is wrapped by Dial when the receiver never answers the
 // control-channel handshake within the retry budget. Before PR 4 this
@@ -63,7 +64,7 @@ var ErrHandshakeFailed = errors.New("transport: handshake failed")
 
 // SenderStats summarizes a sender's run.
 type SenderStats struct {
-	Sent, Retransmits, Acked, Losses, Timeouts int64
+	Sent, Acked, Losses, Timeouts int64
 	// HandshakeRetries counts SYN probes beyond the first during Dial.
 	HandshakeRetries int64
 	// Stalls counts no-progress episodes: stretches where repeated RTOs
@@ -79,11 +80,14 @@ type SenderStats struct {
 // instruments with a metrics registry; Stats snapshots their values into
 // the legacy SenderStats struct.
 type senderCounters struct {
-	sent, retransmits, acked, losses, timeouts obs.Counter
-	handshakeRetries, stalls                   obs.Counter
+	sent, acked, losses, timeouts obs.Counter
+	handshakeRetries, stalls      obs.Counter
 }
 
-// Sender drives a cc.Controller over a real UDP socket. All controller
+// Sender drives a cc.Controller over a real UDP socket. Sequencing, RTT
+// estimation, loss detection and the retransmission timeout are a
+// netsim.Host, the same one the simulator's Source runs; the Sender adds the
+// wire, the handshake, its counters and stall reports. All controller
 // interaction happens on the internal event-loop goroutine, matching the
 // single-threaded contract of cc.Controller.
 type Sender struct {
@@ -106,27 +110,14 @@ type Sender struct {
 	doneCh chan struct{}
 
 	// Event-loop state (not locked; loop-owned).
-	nextSeq  int64
-	pending  []*pendingPkt
-	srtt     time.Duration
-	rttvar   time.Duration
-	lastProg time.Duration
-	backoff  int  // consecutive RTOs without progress
-	stalled  bool // a stall episode is open (reported once)
+	host    netsim.Host
+	stalled bool // a stall episode is open (reported once)
 }
 
 // stallReportAfter is how many consecutive no-progress RTOs open a stall
 // episode. Three back-to-back timeouts with exponential backoff means
 // seconds of silence — long past ordinary loss recovery.
 const stallReportAfter = 3
-
-type pendingPkt struct {
-	seq        int64
-	sentAt     time.Duration
-	window     int
-	ackedAfter int
-	retx       int
-}
 
 // Dial connects a sender to the receiver at addr, verifies liveness with a
 // bounded-retry control handshake, and starts the event loop. A receiver
@@ -143,9 +134,6 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 	}
 	if cfg.PayloadBytes <= 0 {
 		cfg.PayloadBytes = 1400 - headerSize
-	}
-	if cfg.Housekeep <= 0 {
-		cfg.Housekeep = 5 * time.Millisecond
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = SystemClock()
@@ -177,7 +165,6 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 			return obs.Labeled(name, "flow", strconv.Itoa(int(cfg.Flow)), "run", strconv.FormatInt(cfg.ObsRun, 10))
 		}
 		s.obs.RegisterCounter(label("transport_sent_total"), &s.ctrs.sent)
-		s.obs.RegisterCounter(label("transport_retransmits_total"), &s.ctrs.retransmits)
 		s.obs.RegisterCounter(label("transport_acked_total"), &s.ctrs.acked)
 		s.obs.RegisterCounter(label("transport_losses_total"), &s.ctrs.losses)
 		s.obs.RegisterCounter(label("transport_timeouts_total"), &s.ctrs.timeouts)
@@ -305,14 +292,15 @@ func (s *Sender) pushErr(err error) {
 
 // Stats returns a snapshot of the sender's counters. It is a thin adapter
 // over the obs instruments Dial registers with a metrics registry when
-// SenderConfig.Obs is set. RTT is shared — do not mutate it.
+// SenderConfig.Obs is set. RTT is a copy the caller owns: a percentile query
+// permutes a Summary's samples, so the live one never leaves the lock.
 func (s *Sender) Stats() SenderStats {
 	s.mu.Lock()
-	rtt := s.rtt
+	rtt := stats.NewSummary(s.rtt.N())
+	rtt.Merge(s.rtt)
 	s.mu.Unlock()
 	return SenderStats{
 		Sent:             s.ctrs.sent.Value(),
-		Retransmits:      s.ctrs.retransmits.Value(),
 		Acked:            s.ctrs.acked.Value(),
 		Losses:           s.ctrs.losses.Value(),
 		Timeouts:         s.ctrs.timeouts.Value(),
@@ -364,11 +352,11 @@ func (s *Sender) run() {
 	interval := s.ctrl.TickInterval()
 	hasTick := interval > 0
 	if !hasTick {
-		interval = s.cfg.Housekeep
+		interval = housekeep
 	}
 	ticker := s.clock.NewTicker(interval)
 	defer ticker.Stop()
-	s.lastProg = s.now()
+	s.host = netsim.NewHost(s.ctrl, s.now())
 	s.trySend()
 	for {
 		select {
@@ -376,7 +364,6 @@ func (s *Sender) run() {
 			return
 		case h := <-s.ackCh:
 			s.handleAck(h)
-			s.trySend()
 		case <-ticker.C():
 			now := s.now()
 			if hasTick {
@@ -390,15 +377,16 @@ func (s *Sender) run() {
 
 func (s *Sender) trySend() {
 	now := s.now()
-	n := s.ctrl.Allowance(now, len(s.pending))
+	n := s.host.Allowance(now)
 	buf := make([]byte, 0, headerSize+s.cfg.PayloadBytes)
 	for i := 0; i < n; i++ {
+		window := s.ctrl.SendTag()
 		h := Header{
 			Type:      typeData,
 			Flow:      s.cfg.Flow,
-			Seq:       s.nextSeq,
+			Seq:       s.host.NextSeq(),
 			SentNanos: s.clock.Now().UnixNano(),
-			Window:    uint32(s.ctrl.SendTag()),
+			Window:    uint32(window),
 			Length:    uint16(s.cfg.PayloadBytes),
 		}
 		buf = h.Marshal(buf[:0])
@@ -407,171 +395,45 @@ func (s *Sender) trySend() {
 			s.pushErr(fmt.Errorf("transport: send of seq %d failed: %w", h.Seq, err))
 			return
 		}
-		s.pending = append(s.pending, &pendingPkt{seq: h.Seq, sentAt: now, window: int(h.Window)})
-		s.nextSeq++
+		s.host.Sent(now, window)
 		s.ctrs.sent.Inc()
-		s.ctrl.OnSend(now, h.Seq, len(s.pending))
 	}
 }
 
+// handleAck feeds an acknowledgement to the host and, when it matched a
+// packet in flight, sends what the controller now allows. The ack echoes only
+// a header, so the size reported is that of the data packet it acknowledges.
 func (s *Sender) handleAck(h Header) {
-	now := s.now()
-	idx := -1
-	for i, p := range s.pending {
-		if p.seq == h.Seq {
-			idx = i
-			break
-		}
-		if p.seq > h.Seq {
-			break
-		}
-	}
-	if idx < 0 {
+	rtt, losses, ok := s.host.Ack(s.now(), h.Seq, headerSize+s.cfg.PayloadBytes)
+	if !ok {
 		return
 	}
-	p := s.pending[idx]
-	s.pending = append(s.pending[:idx], s.pending[idx+1:]...)
-	rtt := now - p.sentAt
-	s.updateRTT(rtt)
-	s.lastProg = now
-	s.backoff = 0
 	s.stalled = false // ack progress closes any open stall episode
-
 	s.ctrs.acked.Inc()
+	s.ctrs.losses.Add(int64(losses))
 	s.mu.Lock()
 	s.rtt.Add(rtt.Seconds())
 	s.mu.Unlock()
-
-	s.ctrl.OnAck(now, cc.AckSample{
-		Seq:        h.Seq,
-		RTT:        rtt,
-		SentWindow: p.window,
-		Inflight:   len(s.pending),
-		Bytes:      int(h.Length) + headerSize,
-	})
-	s.detectLosses(now, h.Seq)
-}
-
-// detectLosses mirrors the prototype's policy (§5.2): a missing sequence is
-// declared lost after three later acknowledgements or a 3×delay timer, and
-// the missing packet is retransmitted.
-func (s *Sender) detectLosses(now time.Duration, ackedSeq int64) {
-	timerCut := 3 * s.srtt
-	kept := s.pending[:0]
-	var lost []*pendingPkt
-	for _, p := range s.pending {
-		isLost := false
-		if p.seq < ackedSeq {
-			p.ackedAfter++
-			if p.ackedAfter >= 3 {
-				isLost = true
-			}
-		}
-		if !isLost && s.srtt > 0 && now-p.sentAt > timerCut && p.ackedAfter > 0 {
-			isLost = true
-		}
-		if isLost {
-			lost = append(lost, p)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	s.pending = kept
-	for _, p := range lost {
-		s.ctrs.losses.Inc()
-		s.ctrl.OnLoss(now, cc.LossEvent{Seq: p.seq, SentWindow: p.window, Inflight: len(s.pending)})
-		s.retransmit(p, now)
-	}
-}
-
-func (s *Sender) retransmit(p *pendingPkt, now time.Duration) {
-	if p.retx >= 3 {
-		return // give up; the stream is a full-buffer source anyway
-	}
-	h := Header{
-		Type:      typeData,
-		Flow:      s.cfg.Flow,
-		Seq:       p.seq,
-		SentNanos: s.clock.Now().UnixNano(),
-		Window:    uint32(s.ctrl.SendTag()),
-		Length:    uint16(s.cfg.PayloadBytes),
-	}
-	buf := h.Marshal(make([]byte, 0, headerSize+s.cfg.PayloadBytes))
-	buf = append(buf, make([]byte, s.cfg.PayloadBytes)...)
-	if _, err := s.conn.Write(buf); err != nil {
-		s.pushErr(fmt.Errorf("transport: retransmit of seq %d failed: %w", p.seq, err))
-		return
-	}
-	np := &pendingPkt{seq: p.seq, sentAt: now, window: int(h.Window), retx: p.retx + 1}
-	// Re-insert in seq order.
-	pos := len(s.pending)
-	for i, q := range s.pending {
-		if q.seq > np.seq {
-			pos = i
-			break
-		}
-	}
-	s.pending = append(s.pending, nil)
-	copy(s.pending[pos+1:], s.pending[pos:])
-	s.pending[pos] = np
-	s.ctrs.retransmits.Inc()
-}
-
-func (s *Sender) updateRTT(rtt time.Duration) {
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		return
-	}
-	diff := s.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	s.rttvar = (3*s.rttvar + diff) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
-func (s *Sender) rto() time.Duration {
-	r := time.Second
-	if s.srtt != 0 {
-		// 2×srtt tolerates the RTT doubling within one round that slow
-		// start over a filling buffer produces; rttvar alone lags it.
-		r = 2*s.srtt + 4*s.rttvar
-	}
-	for i := 0; i < s.backoff && r < 60*time.Second; i++ {
-		r *= 2 // exponential backoff after consecutive timeouts
-	}
-	if r < 200*time.Millisecond {
-		r = 200 * time.Millisecond
-	}
-	if r > 60*time.Second {
-		r = 60 * time.Second
-	}
-	return r
+	s.trySend()
 }
 
 func (s *Sender) checkTimers(now time.Duration) {
-	if len(s.pending) == 0 {
+	if !s.host.CheckTimeout(now) {
 		return
 	}
-	if now-s.lastProg < s.rto() {
-		return
-	}
-	s.pending = s.pending[:0]
-	s.lastProg = now
-	s.backoff++
 	s.ctrs.timeouts.Inc()
-	openStall := s.backoff >= stallReportAfter && !s.stalled
+	backoff, next := s.host.Backoff()
+	openStall := backoff >= stallReportAfter && !s.stalled
 	if openStall {
 		s.stalled = true
 		s.ctrs.stalls.Inc()
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
-			Run: s.cfg.ObsRun, V0: float64(s.backoff), V1: s.rto().Seconds()})
+			Run: s.cfg.ObsRun, V0: float64(backoff), V1: next.Seconds()})
 		if openStall {
 			s.obs.Emit(obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow),
-				Run: s.cfg.ObsRun, V0: float64(s.backoff)})
+				Run: s.cfg.ObsRun, V0: float64(backoff)})
 		}
 	}
 	if openStall {
@@ -579,7 +441,6 @@ func (s *Sender) checkTimers(now time.Duration) {
 		// probing (the RTO backoff continues), but the application learns
 		// the path is dark and can decide to tear down.
 		s.pushErr(fmt.Errorf("transport: flow %d stalled: no ack progress through %d consecutive RTOs (next backoff %v); still probing",
-			s.cfg.Flow, s.backoff, s.rto()))
+			s.cfg.Flow, backoff, next))
 	}
-	s.ctrl.OnTimeout(now)
 }

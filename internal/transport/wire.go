@@ -5,16 +5,15 @@
 // every packet.
 //
 // The congestion-control logic itself is any cc.Controller (Verus, the TCP
-// models, Sprout), driven by the same OnAck/OnLoss/Tick contract as in the
-// simulator — the transport supplies real timers, real sockets, and real
-// retransmission handling (§5.2: per-missing-sequence timers of 3×delay).
+// models, Sprout). The host duties around it (sequencing, RTT estimation, the
+// §5.2 loss rules and the retransmission timeout) are a netsim.Host, the one
+// the simulator runs; the transport supplies real timers and real sockets.
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Packet types on the wire.
@@ -89,9 +88,4 @@ func ParseHeader(data []byte) (Header, error) {
 		return Header{}, fmt.Errorf("transport: negative sequence %d", h.Seq)
 	}
 	return h, nil
-}
-
-// rttFrom computes the round-trip time from an ack's echoed timestamp.
-func rttFrom(h Header, now time.Time) time.Duration {
-	return now.Sub(time.Unix(0, h.SentNanos))
 }
