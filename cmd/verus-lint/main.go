@@ -1,8 +1,10 @@
 // Command verus-lint statically enforces the repository's determinism,
 // purity, and ownership contracts (DESIGN.md §9, §14). It runs the
 // internal/analysis suite — crossshard, floatorder, maprange,
-// nofaultsinprod, noglobalrand, nowalltime, poolleak, poolrelease,
-// unusedsuppress — over the given package patterns and exits non-zero on
+// nofaultsinprod, noglobalrand, nowalltime, poolleak, unusedsuppress;
+// floatorder, nofaultsinprod, noglobalrand and nowalltime are the rows of
+// one forbidden-API table (internal/analysis/forbid) — over the given
+// package patterns and exits non-zero on
 // any violation, including malformed or stale //lint: suppression
 // directives (reported by the "directive" pseudo-analyzer). The list
 // above mirrors all.Analyzers(); TestDocCommentListsAllAnalyzers keeps

@@ -69,6 +69,51 @@ func Draw() float64 { return rand.Float64() }
 	}
 }
 
+// TestLintFlagsEveryForbidRow trips each row of the forbidden-API table,
+// and poolleak's bare-literal check, once in a scratch module: the binary
+// must report exactly one diagnostic per row under the row's analyzer.
+func TestLintFlagsEveryForbidRow(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":              "module scratch\n\ngo 1.22\n",
+		"faults/faults.go":    "package faults\n\nfunc Names() []string { return nil }\n",
+		"netsim/clock.go":     "package netsim\n\nimport \"time\"\n\nfunc Now() time.Time { return time.Now() }\n",
+		"netsim/rand.go":      "package netsim\n\nimport \"math/rand\"\n\nfunc Draw() float64 { return rand.Float64() }\n",
+		"netsim/fma.go":       "package netsim\n\nimport \"math\"\n\nfunc Fused(a, b, c float64) float64 { return math.FMA(a, b, c) }\n",
+		"netsim/packet.go":    "package netsim\n\ntype Packet struct{ Seq int64 }\n\nfunc Bare() *Packet { return &Packet{} }\n",
+		"experiments/rng.go":  "package experiments\n\nimport \"math/rand\"\n\nfunc New(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }\n",
+		"transport/impair.go": "package transport\n\nimport \"scratch/faults\"\n\nfunc Plans() []string { return faults.Names() }\n",
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	count, err := Lint(&out, dir, []string{"./..."}, all.Analyzers())
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	want := map[string]int{"[nowalltime]": 1, "[noglobalrand]": 2, "[floatorder]": 1, "[nofaultsinprod]": 1, "[poolleak]": 1}
+	total := 0
+	for name, n := range want {
+		total += n
+		if got := bytes.Count(out.Bytes(), []byte(name)); got != n {
+			t.Errorf("%s reported %d time(s), want %d", name, got, n)
+		}
+	}
+	if count != total {
+		t.Errorf("count = %d, want %d", count, total)
+	}
+	if t.Failed() {
+		t.Logf("output:\n%s", out.String())
+	}
+}
+
 // TestLintErrorOnBadPattern pins the operational-error path (exit 2 in the
 // binary): an unloadable pattern is an error, not a clean run.
 func TestLintErrorOnBadPattern(t *testing.T) {

@@ -3,31 +3,26 @@
 package all
 
 import (
+	"sort"
+
 	"repro/internal/analysis"
 	"repro/internal/analysis/crossshard"
-	"repro/internal/analysis/floatorder"
+	"repro/internal/analysis/forbid"
 	"repro/internal/analysis/maprange"
-	"repro/internal/analysis/nofaultsinprod"
-	"repro/internal/analysis/noglobalrand"
-	"repro/internal/analysis/nowalltime"
 	"repro/internal/analysis/poolleak"
-	"repro/internal/analysis/poolrelease"
 	"repro/internal/analysis/unusedsuppress"
 )
 
-// Analyzers returns the full suite in stable order. Analyzers with
-// AfterSuite set (unusedsuppress) sort last in every ordering the driver
-// uses, because they read state the ordinary analyzers write.
+// Analyzers returns the full suite sorted by name. The driver runs
+// AfterSuite analyzers (unusedsuppress) after the rest whatever their
+// place, because they read state the ordinary analyzers write.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+	as := append(forbid.Analyzers(),
 		crossshard.Analyzer,
-		floatorder.Analyzer,
 		maprange.Analyzer,
-		nofaultsinprod.Analyzer,
-		noglobalrand.Analyzer,
-		nowalltime.Analyzer,
 		poolleak.Analyzer,
-		poolrelease.Analyzer,
 		unusedsuppress.Analyzer,
-	}
+	)
+	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
+	return as
 }

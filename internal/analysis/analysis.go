@@ -3,11 +3,13 @@
 // determinism linters (cmd/verus-lint).
 //
 // Why not the real thing: the module is intentionally stdlib-only, and the
-// x/tools framework is a large dependency for the four small analyzers we
-// need. The subset here keeps the same shape — an Analyzer with a Run
-// function over a Pass carrying parsed files and type information — so the
-// analyzers port to the upstream framework mechanically if the project ever
-// takes the dependency.
+// x/tools framework is a large dependency for a suite this size: a table of
+// forbidden imports and functions (package forbid), a map-range check, two
+// dataflow checks over a small CFG engine (package flow) and a
+// stale-suppression check. The subset here keeps the same shape — an
+// Analyzer with a Run function over a Pass carrying parsed files and type
+// information — so the analyzers port to the upstream framework
+// mechanically if the project ever takes the dependency.
 //
 // # Suppression directives
 //
@@ -74,12 +76,6 @@ type Pass struct {
 	directives *Index
 }
 
-// NewPass assembles a pass with a private directive index, built from the
-// files' comments for this (package, analyzer) pair alone.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *Pass {
-	return NewPassShared(a, fset, files, pkg, info, NewIndex(fset, files))
-}
-
 // NewPassShared assembles a pass against a caller-owned directive index,
 // shared by every analyzer in a suite over the same package. Sharing is
 // what lets suppression usage accumulate across passes — the raw material
@@ -97,8 +93,8 @@ func NewPassShared(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 	}
 }
 
-// SuiteIndex returns the directive index this pass consults (shared when
-// the pass was built with NewPassShared).
+// SuiteIndex returns the directive index this pass consults, shared with
+// every other pass over the same package.
 func (p *Pass) SuiteIndex() *Index { return p.directives }
 
 // Reportf records a diagnostic at pos unless a valid directive for this
@@ -343,24 +339,4 @@ func PkgSymbol(info *types.Info, sel *ast.SelectorExpr) (pkgPath, name string, o
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
-}
-
-// UsesSymbol reports whether the expression tree contains a reference to the
-// given package-level symbol (e.g. a time.Now call nested in a seed
-// expression).
-func UsesSymbol(info *types.Info, root ast.Node, pkgPath, name string) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if p, s, ok := PkgSymbol(info, sel); ok && p == pkgPath && s == name {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

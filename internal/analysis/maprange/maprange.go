@@ -39,33 +39,48 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
+		// Every range sits in a function declaration or, at package level,
+		// in a function literal (`var total = func() float64 {...}()`).
+		// Either is the outermost body, the one sortedCollect searches.
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkRanges(pass, fn.Body)
 				}
-				tv, ok := pass.TypesInfo.Types[rng.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if orderInsensitive(pass, rng.Body.List) || sortedCollect(pass, rng, fn.Body) {
-					return true
-				}
-				pass.Reportf(rng.Pos(),
-					"map iteration order is randomized and this body is not a provably commutative accumulation; iterate sorted keys, or annotate `//lint:maprange ordered-elsewhere -- <reason>`")
+			case *ast.FuncLit:
+				checkRanges(pass, fn.Body)
+			default:
 				return true
-			})
-		}
+			}
+			return false
+		})
 	}
 	return nil
+}
+
+// checkRanges flags every map range in body whose loop is not provably
+// order-insensitive.
+func checkRanges(pass *analysis.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
+			return true
+		}
+		tv, ok := pass.TypesInfo.Types[rng.X]
+		if !ok {
+			return true
+		}
+		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+			return true
+		}
+		if orderInsensitive(pass, rng.Body.List) || sortedCollect(pass, rng, body) {
+			return true
+		}
+		pass.Reportf(rng.Pos(),
+			"map iteration order is randomized and this body is not a provably commutative accumulation; iterate sorted keys, or annotate `//lint:maprange ordered-elsewhere -- <reason>`")
+		return true
+	})
 }
 
 // sortedCollect recognizes the canonical fix idiom: the loop body is

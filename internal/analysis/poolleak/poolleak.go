@@ -41,6 +41,17 @@
 // packet parked in a struct the caller frees):
 //
 //	//lint:poolleak released-elsewhere -- <who releases this packet, and on which event>
+//
+// # Bare literals
+//
+// A packet that never came from the pool has no custody to track: a raw
+// `&Packet{...}` (or value `Packet{...}`) literal of netsim's Packet type
+// can never be recycled, drifts the pool's leak accounting, and escapes
+// the -tags pooldebug poison bookkeeping. Every such literal in a
+// simulation package is flagged. The one sanctioned literal is the pool's
+// own growth path, which carries:
+//
+//	//lint:poolleak pool-internal -- <why this literal is the pool's own growth path>
 package poolleak
 
 import (
@@ -56,8 +67,8 @@ import (
 // Analyzer is the poolleak pass.
 var Analyzer = &analysis.Analyzer{
 	Name:   "poolleak",
-	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return",
-	Claims: []string{"released-elsewhere"},
+	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal outside the pool",
+	Claims: []string{"released-elsewhere", "pool-internal"},
 	Run:    run,
 }
 
@@ -98,6 +109,11 @@ func run(pass *analysis.Pass) error {
 				// variables it captures are excluded from the outer
 				// function's tracking).
 				analyze(pass, n.Body)
+			case *ast.CompositeLit:
+				if tv, ok := pass.TypesInfo.Types[n]; ok && isNetsimPacket(tv.Type) {
+					pass.Reportf(n.Pos(),
+						"netsim.Packet composite literal bypasses the packet pool; allocate with Sim.NewPacket (or ClonePacket) so the packet can be released and recycled")
+				}
 			}
 			return true
 		})
@@ -429,10 +445,13 @@ func (lf *leakFlow) isSource(call *ast.CallExpr) bool {
 
 func isNetsimPacketPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
+	return ok && isNetsimPacket(ptr.Elem())
+}
+
+// isNetsimPacket reports whether t is the pooled Packet type: a named type
+// called Packet defined in a netsim package.
+func isNetsimPacket(t types.Type) bool {
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}

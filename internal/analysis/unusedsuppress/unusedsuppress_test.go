@@ -5,12 +5,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/poolrelease"
+	"repro/internal/analysis/poolleak"
 	"repro/internal/analysis/unusedsuppress"
 )
 
 func TestUnusedSuppress(t *testing.T) {
 	analysistest.RunSuite(t, "testdata",
-		[]*analysis.Analyzer{poolrelease.Analyzer, unusedsuppress.Analyzer},
+		[]*analysis.Analyzer{poolleak.Analyzer, unusedsuppress.Analyzer},
 		"netsim")
 }

@@ -68,13 +68,13 @@ func (pp *packetPool) get() *Packet {
 	} else {
 		pp.stats.Allocated++
 	}
-	//lint:poolrelease pool-internal -- the pool's own backing allocation: every other &Packet{} in sim code must go through NewPacket/ClonePacket
+	//lint:poolleak pool-internal -- the pool's own backing allocation: every other &Packet{} in sim code must go through NewPacket/ClonePacket
 	return &Packet{}
 }
 
 // NewPacket checks a packet out of this Sim's pool with every field set.
 // It is the only sanctioned way for simulation code to create a Packet
-// (enforced by the poolrelease analyzer); the packet must eventually be
+// (enforced by the poolleak analyzer); the packet must eventually be
 // handed back with FreePacket by whichever component ends its life.
 func (s *Sim) NewPacket(flow int, seq int64, bytes int, sentAt time.Duration, window int) *Packet {
 	p := s.pool.get()

@@ -319,7 +319,7 @@ func WalkPacket(w snap.Walker, pp **Packet) {
 		return
 	}
 	if w.Loading() {
-		//lint:poolrelease pool-internal -- checkpoint rematerialization: the packet this replaces was checked out through the counting pool path before the snapshot, and WalkState loaded that accounting wholesale
+		//lint:poolleak pool-internal -- checkpoint rematerialization: the packet this replaces was checked out through the counting pool path before the snapshot, and WalkState loaded that accounting wholesale
 		*pp = &Packet{}
 	}
 	p := *pp
