@@ -7,9 +7,9 @@
 // pool sized by -parallel; output is byte-identical at every setting, and
 // -parallel 1 reproduces the serial path.
 //
-// -benchjson writes per-harness wall-times to a JSON file, the format the
-// repo's BENCH_*.json perf-trajectory files use; -cpuprofile/-memprofile
-// write pprof profiles of the run for local hot-path work.
+// Performance is measured by the committed benchmark (bash bench/run.sh),
+// not here; -cpuprofile/-memprofile write pprof profiles of the run for
+// local hot-path work.
 //
 // -faults runs the canned fault-injection scenarios (internal/faults)
 // against the hardened Verus and the baselines: pass a scenario name
@@ -49,7 +49,7 @@
 // Usage:
 //
 //	verus-bench [-quick] [-only fig8,table1,...] [-faults name|all] [-seed N]
-//	            [-metro] [-shards N] [-churn F] [-parallel N] [-benchjson out.json]
+//	            [-metro] [-shards N] [-churn F] [-parallel N]
 //	            [-checkpoint snap.bin] [-checkpoint-every D] [-resume snap.bin]
 //	            [-crash-after N]
 //	            [-trace out.jsonl] [-metrics out.prom]
@@ -58,7 +58,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -117,34 +116,6 @@ func parseOnly(s string) (map[string]bool, error) {
 		want[id] = true
 	}
 	return want, nil
-}
-
-// harnessTiming is one harness's wall time within a bench report.
-type harnessTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-// benchReport is the -benchjson output: enough run metadata to make the
-// numbers comparable across commits, plus per-harness wall times. The
-// committed BENCH_*.json trajectory files embed reports of this shape.
-type benchReport struct {
-	GoVersion    string          `json:"go_version"`
-	GOMAXPROCS   int             `json:"gomaxprocs"`
-	Quick        bool            `json:"quick"`
-	Seed         int64           `json:"seed"`
-	Parallel     int             `json:"parallel"`
-	Harnesses    []harnessTiming `json:"harnesses"`
-	TotalSeconds float64         `json:"total_seconds"`
-}
-
-// marshalReport renders the report as indented JSON with a trailing newline.
-func marshalReport(r benchReport) ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 func fatalf(format string, args ...interface{}) {
@@ -238,7 +209,6 @@ func main() {
 	crashAfter := flag.Int("crash-after", 0, "metro: kill the process with SIGKILL right after the Nth checkpoint write (crash-injection testing; requires -checkpoint)")
 	seed := flag.Int64("seed", 42, "base random seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker count (1 = serial)")
-	benchjson := flag.String("benchjson", "", "write per-harness wall-times as JSON to this file")
 	tracePath := flag.String("trace", "", "write the virtual-time event trace as JSONL to this file")
 	metricsPath := flag.String("metrics", "", "write the metrics registry as Prometheus text exposition to this file")
 	traceCap := flag.Int("tracecap", obs.DefaultTraceCapacity, "event ring capacity; oldest events are overwritten beyond it")
@@ -409,14 +379,6 @@ func main() {
 
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
-	report := benchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
-		Seed:       *seed,
-		Parallel:   *parallel,
-	}
-
 	run := func(id, note string, f func() string) {
 		if !sel(id) {
 			return
@@ -424,10 +386,7 @@ func main() {
 		start := time.Now()
 		fmt.Printf("==== %s (%s) ====\n", strings.ToUpper(id), note)
 		fmt.Println(f())
-		elapsed := time.Since(start)
-		fmt.Printf("[%s took %v]\n\n", id, elapsed.Round(time.Millisecond))
-		report.Harnesses = append(report.Harnesses, harnessTiming{ID: id, Seconds: elapsed.Seconds()})
-		report.TotalSeconds += elapsed.Seconds()
+		fmt.Printf("[%s took %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
 	run("fig1", "LTE burst arrivals", func() string { return experiments.Figure1(*seed).Render() })
@@ -484,17 +443,6 @@ func main() {
 
 	if err := writeObsOutputs(obsFiles, tracer, registry); err != nil {
 		fatalf("%v", err)
-	}
-
-	if *benchjson != "" {
-		b, err := marshalReport(report)
-		if err != nil {
-			fatalf("benchjson: %v", err)
-		}
-		if err := os.WriteFile(*benchjson, b, 0o644); err != nil {
-			fatalf("benchjson: %v", err)
-		}
-		fmt.Printf("[wrote %d harness timings to %s]\n", len(report.Harnesses), *benchjson)
 	}
 
 	if *memprofile != "" {

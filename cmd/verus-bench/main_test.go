@@ -50,34 +50,6 @@ func TestParseOnlyRejectsTypoBeforeAnyWork(t *testing.T) {
 	}
 }
 
-func TestMarshalReportShape(t *testing.T) {
-	r := benchReport{
-		GoVersion:  "go1.22",
-		GOMAXPROCS: 8,
-		Quick:      true,
-		Seed:       42,
-		Parallel:   8,
-		Harnesses: []harnessTiming{
-			{ID: "fig8", Seconds: 1.5},
-			{ID: "fig9", Seconds: 0.25},
-		},
-		TotalSeconds: 1.75,
-	}
-	b, err := marshalReport(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(b)
-	for _, frag := range []string{`"go_version"`, `"harnesses"`, `"id": "fig8"`, `"total_seconds"`, `"parallel": 8`} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("report JSON missing %s:\n%s", frag, s)
-		}
-	}
-	if !strings.HasSuffix(s, "\n") {
-		t.Error("report JSON must end with a newline")
-	}
-}
-
 func TestParseFaults(t *testing.T) {
 	if got, err := parseFaults(""); err != nil || got != nil {
 		t.Errorf("parseFaults(\"\") = %v, %v; want nil, nil", got, err)

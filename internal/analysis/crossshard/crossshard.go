@@ -15,10 +15,10 @@
 // variable assigned `mesh.Cell(3)` has origin cell 3; copies propagate
 // the origin; joining paths that disagree, reassignment, or a
 // non-constant cell index degrade the origin to unknown. A function
-// literal passed to a scheduling method (Schedule, Every,
-// SchedulePacket, SchedulePacketAfter) of a Sim with known origin N is a
-// worker context for cell N: any reference inside it to a Sim variable
-// whose origin is a *known, different* cell M is reported.
+// literal passed to a scheduling method (Schedule, Every) of a Sim with
+// known origin N is a worker context for cell N: any reference inside it
+// to a Sim variable whose origin is a *known, different* cell M is
+// reported.
 //
 // Unknown origins are never reported — the check is deliberately
 // one-sided. Loop-driven topology wiring (`sim := mesh.Cell(s)` for a
@@ -50,12 +50,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // schedulingMethods are the Sim methods whose func-literal argument runs
-// inside that Sim's shard.
+// inside that Sim's shard. SchedulePacket and SchedulePacketAfter take a
+// Receiver, never a func literal, so they cannot match.
 var schedulingMethods = map[string]bool{
-	"Schedule":            true,
-	"Every":               true,
-	"SchedulePacket":      true,
-	"SchedulePacketAfter": true,
+	"Schedule": true,
+	"Every":    true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -2,7 +2,7 @@
 // control-flow path: a packet checked out with Sim.NewPacket or
 // Sim.ClonePacket must, on every path from the allocation to the
 // function's return, either be released with FreePacket or handed to a
-// recognized ownership-transfer call. PR 7's runtime accounting
+// call that takes custody of it. PR 7's runtime accounting
 // (PoolStats.Live, -tags pooldebug poisoning) only catches a leak on
 // paths a test actually executes; this analyzer walks the CFG
 // (analysis/flow) and a forward may-own dataflow instead, so the
@@ -14,16 +14,17 @@
 // source (NewPacket/ClonePacket). A tracked packet stops being this
 // function's responsibility when it reaches:
 //
-//   - a release:   FreePacket
-//   - a transfer:  SchedulePacket, SchedulePacketAfter (event-heap
-//     custody), Mesh.SendPacket (outbox custody), Link Send / Receiver
-//     Receive (datapath custody), queue Enqueue / ring push
-//   - an escape:   any other call taking the pointer, storing it into a
-//     field, slice, map, channel, or aggregate, returning it, aliasing
-//     it to another name, taking its address, or capturing it in a
-//     closure. Escapes hand custody to code this function cannot see, so
-//     they end tracking without a diagnostic — the conservative
-//     direction that keeps the analyzer quiet rather than wrong.
+//   - a call taking the pointer, other than the borrowing calls below:
+//     a release (FreePacket), a transfer (SchedulePacket and
+//     SchedulePacketAfter to the event heap, Mesh.SendPacket to an
+//     outbox, Link Send / Receiver Receive along the datapath, queue
+//     Enqueue / ring push), or any other callee
+//   - an escape:   storing it into a field, slice, map, channel, or
+//     aggregate, returning it, aliasing it to another name, taking its
+//     address, or capturing it in a closure. Escapes hand custody to
+//     code this function cannot see, so they end tracking without a
+//     diagnostic — the conservative direction that keeps the analyzer
+//     quiet rather than wrong.
 //
 // A diagnostic is reported when some path reaches the function's exit
 // with the packet still owned, when a source's result is discarded
@@ -70,20 +71,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal outside the pool",
 	Claims: []string{"released-elsewhere", "pool-internal"},
 	Run:    run,
-}
-
-// transferCalls take custody of a *netsim.Packet argument: the packet is
-// someone else's to release from here on. The table is the DESIGN.md §14
-// transfer-call table.
-var transferCalls = map[string]bool{
-	"FreePacket":          true, // released into the pool
-	"SchedulePacket":      true, // event-heap custody until delivery
-	"SchedulePacketAfter": true,
-	"SendPacket":          true, // Mesh outbox: packet migrates cells
-	"Send":                true, // Link ingress
-	"Receive":             true, // Receiver hand-off
-	"Enqueue":             true, // queue custody
-	"push":                true, // pktRing (netsim-internal)
 }
 
 // borrowCalls inspect a packet without taking custody.
@@ -397,9 +384,9 @@ func (lf *leakFlow) call(s ownMap, call *ast.CallExpr, report reportFn) {
 		if borrowCalls[name] {
 			continue
 		}
-		// transferCalls: recognized custody transfer. Anything else: the
-		// pointer escapes into the callee, which now owns it as far as
-		// this function can see. Both end tracking.
+		// A release, a custody transfer, or an escape into a callee that
+		// now owns the packet as far as this function can see: all end
+		// tracking.
 		delete(s, obj)
 	}
 }

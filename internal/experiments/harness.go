@@ -7,7 +7,8 @@
 //
 // Every harness is deterministic given its options (seeded randomness only)
 // and scales down gracefully so the same code backs both the full
-// reproduction (cmd/verus-bench) and the quick benchmarks (bench_test.go).
+// reproduction (cmd/verus-bench) and its quick-scale tests. Performance is
+// measured by the committed benchmark (bash bench/run.sh).
 package experiments
 
 import (

@@ -65,12 +65,18 @@ func figure8Protocols() []Maker {
 	return []Maker{CubicMaker(), VegasMaker(), VerusMaker(6), SproutMaker()}
 }
 
-// Figure8 runs the real-world macro comparison on modeled 3G and LTE cells:
-// "Three phones each running three <protocol> flows" → nine flows sharing
-// the cell, averaged across flows and repetitions. Every (cell, protocol,
-// repetition) triple is one independent trial on the options' worker pool.
+// Figure8 runs the real-world macro comparison on modeled 3G and LTE cells.
 func Figure8(opts MacroOptions) Figure8Result {
-	out := Figure8Result{}
+	tech, points := macroSweep(opts, figure8Protocols())
+	return Figure8Result{Tech: tech, Points: points}
+}
+
+// macroSweep runs the Fig. 8/9 setup for each maker on modeled 3G and LTE
+// cells: "Three phones each running three <protocol> flows" → nine flows
+// sharing the cell, averaged across flows and repetitions. Every (cell,
+// maker, repetition) triple is one independent trial on the options' worker
+// pool. It returns the cell names and, per cell, one point per maker.
+func macroSweep(opts MacroOptions, protos []Maker) (tech []string, points [][]ProtocolPoint) {
 	cells := []struct {
 		name  string
 		tech  cellular.Tech
@@ -79,7 +85,6 @@ func Figure8(opts MacroOptions) Figure8Result {
 		{"3G", cellular.Tech3G, 16},
 		{"LTE", cellular.TechLTE, 40},
 	}
-	protos := figure8Protocols()
 	var jobs []runner.Job[RunResult]
 	for ci, cell := range cells {
 		for pi, mk := range protos {
@@ -102,7 +107,7 @@ func Figure8(opts MacroOptions) Figure8Result {
 	results := runner.Map(opts.pool(), opts.Seed, jobs)
 	k := 0
 	for _, cell := range cells {
-		var points []ProtocolPoint
+		var row []ProtocolPoint
 		for _, mk := range protos {
 			var mbps, delay, p95 float64
 			for rep := 0; rep < opts.Reps; rep++ {
@@ -117,14 +122,14 @@ func Figure8(opts MacroOptions) Figure8Result {
 				p95 += pp / float64(len(res.Flows))
 			}
 			n := float64(opts.Reps)
-			points = append(points, ProtocolPoint{
+			row = append(row, ProtocolPoint{
 				Protocol: mk.Name, Mbps: mbps / n, DelaySec: delay / n, DelayP95: p95 / n,
 			})
 		}
-		out.Tech = append(out.Tech, cell.name)
-		out.Points = append(out.Points, points)
+		tech = append(tech, cell.name)
+		points = append(points, row)
 	}
-	return out
+	return tech, points
 }
 
 // Render prints Fig. 8 rows.
@@ -156,54 +161,8 @@ type Figure9Result struct {
 // on the value of R, the Verus protocol can be tuned to achieve a trade-off
 // between a higher throughput or lower delay."
 func Figure9(opts MacroOptions) Figure9Result {
-	out := Figure9Result{}
-	cells := []struct {
-		name  string
-		tech  cellular.Tech
-		total float64
-	}{
-		{"3G", cellular.Tech3G, 16},
-		{"LTE", cellular.TechLTE, 40},
-	}
-	rs := []float64{2, 4, 6}
-	var jobs []runner.Job[RunResult]
-	for ci, cell := range cells {
-		for pi, rv := range rs {
-			for rep := 0; rep < opts.Reps; rep++ {
-				cell, mk := cell, VerusMaker(rv)
-				jobs = append(jobs, runner.Job[RunResult]{
-					Key: int64(1000*ci + 100*pi + rep),
-					Run: func(seed int64) RunResult {
-						tr := cellTrace(cell.tech, cellular.CityStationary, cell.total, opts.Duration, seed)
-						return TraceRun{
-							Trace: tr, Maker: mk, Flows: 9,
-							Duration: opts.Duration, QueueBytes: bloatBytes, Seed: seed,
-							Obs: opts.Obs,
-						}.Run()
-					},
-				})
-			}
-		}
-	}
-	results := runner.Map(opts.pool(), opts.Seed, jobs)
-	k := 0
-	for _, cell := range cells {
-		var points []ProtocolPoint
-		for _, rv := range rs {
-			var mbps, delay float64
-			for rep := 0; rep < opts.Reps; rep++ {
-				res := results[k]
-				k++
-				mbps += res.MeanMbps()
-				delay += res.MeanDelay()
-			}
-			n := float64(opts.Reps)
-			points = append(points, ProtocolPoint{Protocol: VerusMaker(rv).Name, Mbps: mbps / n, DelaySec: delay / n})
-		}
-		out.Tech = append(out.Tech, cell.name)
-		out.Points = append(out.Points, points)
-	}
-	return out
+	tech, points := macroSweep(opts, []Maker{VerusMaker(2), VerusMaker(4), VerusMaker(6)})
+	return Figure9Result{Tech: tech, Points: points}
 }
 
 // Render prints Fig. 9 rows.

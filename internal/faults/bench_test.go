@@ -8,11 +8,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// The -2% budget of ISSUE 4: wrapping a link in a zero plan must cost at
-// most a few branch tests per packet. BenchmarkFixedLinkBare vs
-// BenchmarkFixedLinkNoopWrapped is the pair BENCH_pr4.json reports; both
-// run the identical 10-second, two-CBR-flow dumbbell, differing only in
-// whether the decorator sits on the path.
+// The 2% budget: wrapping a link in a zero plan must cost at most a few
+// branch tests per packet. BenchmarkFixedLinkBare vs
+// BenchmarkFixedLinkNoopWrapped is the pair that prices it; both run the
+// identical 10-second, two-CBR-flow dumbbell, differing only in whether the
+// decorator sits on the path.
 
 func benchRun(b *testing.B, wrap bool) {
 	const horizon = 10 * time.Second

@@ -50,7 +50,8 @@ type Link struct {
 	passive bool
 	// fast caches passive && !inOutage && !inStall — the egress fast path
 	// that keeps a zero plan's per-packet cost to one branch (the ≤2%
-	// no-fault budget, BENCH_pr4.json). Recomputed on every event toggle.
+	// no-fault budget, BenchmarkFixedLinkNoopWrapped). Recomputed on every
+	// event toggle.
 	fast bool
 
 	// Observability: fault-window events only (begin/end), never per-packet
@@ -82,8 +83,8 @@ func (l *Link) emitFault(kind obs.Kind, str string, v0, v1 float64) {
 // Wrap builds the inner link via mk — pointed at the decorator's egress tap
 // instead of dst — schedules the plan's timed events on sim, and returns the
 // decorated link. A nil or zero plan yields a passthrough decorator whose
-// per-packet cost is a few branch tests (benchmarked ≤2% end to end, see
-// BENCH_pr4.json).
+// per-packet cost is a few branch tests (≤2% end to end: compare
+// BenchmarkFixedLinkBare with BenchmarkFixedLinkNoopWrapped).
 //
 // Event times in the plan are measured from the moment Wrap is called
 // (normally simulation time zero). Wrap panics on an invalid plan, matching

@@ -88,8 +88,9 @@ func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 // parallelism shows through; the "phased" variant is heavy in two cells per
 // window, four windows to the round, which is what a placement of cells on
 // workers can get wrong and claiming cannot. The single-heap reference is the
-// scaling baseline; BENCH_pr6.json records the pre-pool trajectory and
-// BENCH_pr7.json the pooled one.
+// scaling baseline. README.md "Benchmarks" keeps the numbers from before and
+// after the packet pool; the committed benchmark's netsim.mesh.* rungs
+// measure the mesh today.
 func BenchmarkMeshSharded(b *testing.B) {
 	for _, w := range []struct {
 		name   string

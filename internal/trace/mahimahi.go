@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -16,34 +15,32 @@ const MTU = 1500
 
 // ReadMahimahi parses a mahimahi-style trace: one integer per line, the
 // millisecond at which one MTU of data can cross the link. Repeated
-// timestamps mean multiple MTUs in that millisecond. Lines must be
-// non-decreasing.
+// timestamps mean multiple MTUs in that millisecond. The trace must pass
+// Validate, so lines must be non-negative and non-decreasing.
 func ReadMahimahi(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	tr := &Trace{Name: "mahimahi"}
 	lineNo := 0
-	prev := int64(-1)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		ms, err := strconv.ParseInt(line, 10, 64)
+		at, err := parseDuration(line, time.Millisecond)
 		if err != nil {
 			return nil, fmt.Errorf("trace: mahimahi line %d: %v", lineNo, err)
 		}
-		if ms < prev {
-			return nil, fmt.Errorf("trace: mahimahi line %d: timestamp %d before %d", lineNo, ms, prev)
-		}
-		prev = ms
-		tr.Ops = append(tr.Ops, Opportunity{At: time.Duration(ms) * time.Millisecond, Bytes: MTU})
+		tr.Ops = append(tr.Ops, Opportunity{At: at, Bytes: MTU})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if len(tr.Ops) > 0 {
 		tr.Duration = tr.Ops[len(tr.Ops)-1].At + time.Millisecond
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -36,6 +37,9 @@ type Trace struct {
 
 // Validate checks ordering and bounds invariants.
 func (tr *Trace) Validate() error {
+	if tr.Duration < 0 {
+		return fmt.Errorf("trace: negative duration %v", tr.Duration)
+	}
 	var prev time.Duration = -1
 	for i, op := range tr.Ops {
 		if op.At < 0 {
@@ -176,7 +180,21 @@ func (tr *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses the CSV format produced by Write.
+// parseDuration parses s as a decimal count of unit, failing when the count
+// does not fit a Duration.
+func parseDuration(s string, unit time.Duration) (time.Duration, error) {
+	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if n > math.MaxInt64/int64(unit) || n < math.MinInt64/int64(unit) {
+		return 0, fmt.Errorf("%d×%v overflows a duration", n, unit)
+	}
+	return time.Duration(n) * unit, nil
+}
+
+// Read parses the CSV format produced by Write. It fails on any trace
+// that does not pass Validate.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -189,17 +207,21 @@ func Read(r io.Reader) (*Trace, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if i := strings.Index(line, "duration_us="); i >= 0 {
-				us, err := strconv.ParseInt(strings.TrimSpace(line[i+len("duration_us="):]), 10, 64)
-				if err == nil {
-					tr.Duration = time.Duration(us) * time.Microsecond
-				}
-			}
+			// The name comes first and is cut off, so a name that contains
+			// "duration_us=" cannot shadow the field after it.
 			if i := strings.Index(line, "trace \""); i >= 0 {
 				rest := line[i+len("trace \""):]
 				if j := strings.Index(rest, "\""); j >= 0 {
 					tr.Name = rest[:j]
+					line = rest[j+1:]
 				}
+			}
+			if i := strings.Index(line, "duration_us="); i >= 0 {
+				d, err := parseDuration(line[i+len("duration_us="):], time.Microsecond)
+				if err != nil {
+					return nil, fmt.Errorf("trace: line %d: bad duration: %v", lineNo, err)
+				}
+				tr.Duration = d
 			}
 			continue
 		}
@@ -207,7 +229,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("trace: line %d: want 2 fields, got %d", lineNo, len(parts))
 		}
-		us, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
+		at, err := parseDuration(parts[0], time.Microsecond)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad time: %v", lineNo, err)
 		}
@@ -215,7 +237,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad size: %v", lineNo, err)
 		}
-		tr.Ops = append(tr.Ops, Opportunity{At: time.Duration(us) * time.Microsecond, Bytes: b})
+		tr.Ops = append(tr.Ops, Opportunity{At: at, Bytes: b})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -49,6 +49,11 @@ func TestValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("negative time accepted")
 	}
+	bad = sample()
+	bad.Duration = -ms(1)
+	if bad.Validate() == nil {
+		t.Error("negative duration accepted")
+	}
 }
 
 func TestTotalsAndMean(t *testing.T) {
@@ -167,6 +172,11 @@ func TestReadErrors(t *testing.T) {
 		"1,2,3\n",
 		"abc,100\n",
 		"100,xyz\n",
+		"# trace \"x\" duration_us=-5\n0,10\n", // negative duration
+		"18446744073709552,1\n",                // µs → ns overflows
+		"9223372036854775,1\n",                 // inferred duration overflows
+		"# duration_us=9223372036854776\n",     // header µs → ns overflows
+		"# duration_us=1ms\n",                  // header not a count
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -228,11 +238,17 @@ func TestMahimahiRoundTrip(t *testing.T) {
 }
 
 func TestMahimahiRejectsDisorder(t *testing.T) {
-	if _, err := ReadMahimahi(strings.NewReader("5\n3\n")); err == nil {
-		t.Fatal("decreasing timestamps accepted")
+	cases := []string{
+		"5\n3\n", // decreasing timestamps
+		"x\n",
+		"-1\n",            // negative timestamp
+		"9223372036855\n", // ms → ns overflows
+		"9223372036854\n", // inferred duration overflows
 	}
-	if _, err := ReadMahimahi(strings.NewReader("x\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, c := range cases {
+		if _, err := ReadMahimahi(strings.NewReader(c)); err == nil {
+			t.Errorf("ReadMahimahi(%q) should fail", c)
+		}
 	}
 }
 
