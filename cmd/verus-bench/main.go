@@ -71,11 +71,13 @@ import (
 	"repro/internal/obs"
 )
 
-// knownExperiments lists every -only id, in run order.
-func knownExperiments() []string {
-	return []string{"fig1", "fig2", "fig3", "fig4", "predictors", "fig5", "fig7", "fig8",
-		"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14", "fig15", "sensitivity",
-		"faults", "metro"}
+// figureIDs lists every -only id, in run order.
+func figureIDs() []string {
+	ids := make([]string, len(experiments.Figures))
+	for i, f := range experiments.Figures {
+		ids[i] = f.ID
+	}
+	return ids
 }
 
 // parseFaults validates the -faults flag value into the scenario list to
@@ -100,8 +102,8 @@ func parseFaults(s string) ([]string, error) {
 // value selects everything via the callers' "empty set = all" convention.
 func parseOnly(s string) (map[string]bool, error) {
 	known := map[string]bool{}
-	for _, k := range knownExperiments() {
-		known[k] = true
+	for _, id := range figureIDs() {
+		known[id] = true
 	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(s, ",") {
@@ -111,7 +113,7 @@ func parseOnly(s string) (map[string]bool, error) {
 		}
 		if !known[id] {
 			return nil, fmt.Errorf("unknown experiment %q (known: %s)",
-				id, strings.Join(knownExperiments(), ","))
+				id, strings.Join(figureIDs(), ","))
 		}
 		want[id] = true
 	}
@@ -198,7 +200,7 @@ func writeObsOutputs(files obsOutputs, tracer *obs.Tracer, registry *obs.Registr
 
 func main() {
 	quick := flag.Bool("quick", false, "run at reduced scale")
-	only := flag.String("only", "", "comma-separated experiment ids (fig1..fig15,predictors,table1,sensitivity,faults)")
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(figureIDs(), ",")+")")
 	faultsFlag := flag.String("faults", "", "fault scenario to run (tunnel-outage, highway-handover, city-loss, or 'all'); alone it runs only the fault scenarios")
 	metroFlag := flag.Bool("metro", false, "run the city-scale metro sweep (thousands of flows across sharded cell sectors); alone it runs only the metro sweep")
 	shardsFlag := flag.Int("shards", -1, "metro mesh shard count (0 = single-heap reference executor, -1 = harness default)")
@@ -239,14 +241,9 @@ func main() {
 	}
 	if len(faultScenarios) > 0 {
 		// -faults alone narrows the run to the fault harness; combined with
-		// -only it joins the selection.
-		if len(want) == 0 {
-			want = map[string]bool{}
-		}
+		// -only it joins the selection. "-only faults" (or a default full
+		// run) uses every canned scenario.
 		want["faults"] = true
-	} else {
-		// "-only faults" (or a default full run) uses every canned scenario.
-		faultScenarios = faults.Names()
 	}
 	if *shardsFlag < -1 {
 		fmt.Fprintf(os.Stderr, "verus-bench: -shards must be >= -1 (got %d)\n", *shardsFlag)
@@ -259,14 +256,8 @@ func main() {
 	if *metroFlag {
 		// Like -faults: alone it narrows the run to the metro sweep, with
 		// -only it joins the selection.
-		if len(want) == 0 {
-			want = map[string]bool{}
-		}
 		want["metro"] = true
 	}
-	// The metro sweep is opt-in even on full runs — it is the one harness
-	// whose default scale is an order of magnitude beyond the rest.
-	metroSelected := want["metro"]
 
 	// Metro-only flags outside a metro run are a usage error (exit 2, like
 	// -only/-faults), not a silent no-op.
@@ -280,7 +271,7 @@ func main() {
 		{"-resume", *resumeFlag != ""},
 		{"-crash-after", *crashAfter > 0},
 	} {
-		if f.set && !metroSelected {
+		if f.set && !want["metro"] {
 			fmt.Fprintf(os.Stderr, "verus-bench: %s only applies to the metro sweep; add -metro (or -only metro)\n", f.name)
 			os.Exit(2)
 		}
@@ -291,6 +282,12 @@ func main() {
 	}
 	if *crashAfter > 0 && *checkpointFlag == "" {
 		fmt.Fprintf(os.Stderr, "verus-bench: -crash-after requires -checkpoint\n")
+		os.Exit(2)
+	}
+	everySet := false
+	flag.Visit(func(f *flag.Flag) { everySet = everySet || f.Name == "checkpoint-every" })
+	if everySet && *checkpointFlag == "" {
+		fmt.Fprintf(os.Stderr, "verus-bench: -checkpoint-every requires -checkpoint\n")
 		os.Exit(2)
 	}
 	if *checkpointFlag != "" && *checkpointEvery <= 0 {
@@ -310,22 +307,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	macro := experiments.DefaultMacroOptions()
-	micro := experiments.DefaultMicroOptions()
-	fig2Dur := 5 * time.Minute
-	fig7Dur := 200 * time.Second
-	sensDur := 60 * time.Second
+	scale, metroOpts := experiments.Full, experiments.DefaultMetroOptions()
 	if *quick {
-		macro = experiments.QuickMacroOptions()
-		micro = experiments.QuickMicroOptions()
-		micro.Duration = 100 * time.Second
-		fig2Dur = 45 * time.Second
-		fig7Dur = 60 * time.Second
-		sensDur = 20 * time.Second
-	}
-	metroOpts := experiments.DefaultMetroOptions()
-	if *quick {
-		metroOpts = experiments.QuickMetroOptions()
+		scale, metroOpts = experiments.Quick, experiments.QuickMetroOptions()
 	}
 	if *shardsFlag >= 0 {
 		metroOpts.Shards = *shardsFlag
@@ -333,9 +317,6 @@ func main() {
 	if *churnFlag >= 0 {
 		metroOpts.ChurnFrac = *churnFlag
 	}
-	macro.Seed = *seed
-	micro.Seed = *seed
-	metroOpts.Seed = *seed
 	metroOpts.CheckpointPath = *checkpointFlag
 	if *checkpointFlag != "" {
 		metroOpts.CheckpointEvery = *checkpointEvery
@@ -355,9 +336,6 @@ func main() {
 			}
 		}
 	}
-	macro.Parallel = *parallel
-	micro.Parallel = *parallel
-	metroOpts.Parallel = *parallel
 
 	// One observer serves the whole run: trials label their series by
 	// derived seed and flow, so even a full parallel sweep shares it safely.
@@ -373,72 +351,28 @@ func main() {
 	if tracer != nil || registry != nil {
 		observer = obs.NewObserver(tracer, registry)
 	}
-	macro.Obs = observer
-	micro.Obs = observer
-	metroOpts.Obs = observer
+	setup := experiments.Setup{Scale: scale, Seed: *seed, Parallel: *parallel, Obs: observer,
+		Faults: faultScenarios, Metro: metroOpts}
 
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	run := func(id, note string, f func() string) {
-		if !sel(id) {
-			return
+	for _, f := range experiments.Figures {
+		if !want[f.ID] && (len(want) > 0 || f.OptIn) {
+			continue
 		}
 		start := time.Now()
-		fmt.Printf("==== %s (%s) ====\n", strings.ToUpper(id), note)
-		fmt.Println(f())
-		fmt.Printf("[%s took %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("fig1", "LTE burst arrivals", func() string { return experiments.Figure1(*seed).Render() })
-	run("fig2", "burst PDFs", func() string { return experiments.Figure2(fig2Dur, *seed, *parallel).Render() })
-	run("fig3", "competing traffic", func() string { return experiments.Figure3(*seed, *parallel, observer).Render() })
-	run("fig4", "windowed throughput", func() string { return experiments.Figure4(*seed).Render() })
-	run("predictors", "§3 predictability", func() string { return experiments.PredictorStudy(*seed).Render() })
-	run("fig5", "delay profile", func() string { return experiments.Figure5(*seed).Render() })
-	run("fig7", "profile evolution", func() string { return experiments.Figure7(fig7Dur, *seed).Render() })
-	run("fig8", "macro comparison", func() string { return experiments.Figure8(macro).Render() })
-	run("fig9", "R sweep", func() string { return experiments.Figure9(macro).Render() })
-	run("fig10", "trace-driven contention", func() string { return experiments.Figure10(macro).Render() })
-	run("table1", "Jain fairness", func() string { return experiments.Table1(macro).Render() })
-	run("fig11", "rapidly changing nets", func() string {
-		return experiments.Figure11(micro, false).Render() + "\n" + experiments.Figure11(micro, true).Render()
-	})
-	run("fig12", "newly arriving flows", func() string { return experiments.Figure12(micro).Render() })
-	run("fig13", "mixed RTTs", func() string { return experiments.Figure13(micro).Render() })
-	run("fig14", "Verus vs Cubic", func() string { return experiments.Figure14(micro).Render() })
-	run("fig15", "static vs updating profile", func() string { return experiments.Figure15(micro).Render() })
-	run("sensitivity", "§5.3 parameters", func() string {
-		return experiments.Sensitivity(sensDur, *seed, *parallel, observer).Render()
-	})
-	run("faults", "fault-injection scenarios", func() string {
-		var b strings.Builder
-		for i, name := range faultScenarios {
-			res, err := experiments.FaultScenario(name, macro)
-			if err != nil {
-				fatalf("faults: %v", err)
+		fmt.Printf("==== %s (%s) ====\n", strings.ToUpper(f.ID), f.Title)
+		renders, err := f.Run(setup)
+		if err != nil {
+			// A bad snapshot (truncated, corrupted, wrong version, or a
+			// config mismatch) is a usage-class failure: fail closed before
+			// any state is touched, exit 2 like flag validation.
+			if f.ID == "metro" && (*resumeFlag != "" || *checkpointFlag != "") {
+				fmt.Fprintf(os.Stderr, "verus-bench: metro: %v\n", err)
+				os.Exit(2)
 			}
-			if i > 0 {
-				b.WriteByte('\n')
-			}
-			b.WriteString(res.Render())
+			fatalf("%s: %v", f.ID, err)
 		}
-		return b.String()
-	})
-	if metroSelected {
-		run("metro", "city-scale sharded multi-cell sweep", func() string {
-			res, err := experiments.Metro(metroOpts)
-			if err != nil {
-				// A bad snapshot (truncated, corrupted, wrong version, or a
-				// config mismatch) is a usage-class failure: fail closed
-				// before any state is touched, exit 2 like flag validation.
-				if *resumeFlag != "" || *checkpointFlag != "" {
-					fmt.Fprintf(os.Stderr, "verus-bench: metro: %v\n", err)
-					os.Exit(2)
-				}
-				fatalf("metro: %v", err)
-			}
-			return res.Render()
-		})
+		fmt.Println(strings.Join(renders, "\n"))
+		fmt.Printf("[%s took %v]\n\n", f.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if err := writeObsOutputs(obsFiles, tracer, registry); err != nil {

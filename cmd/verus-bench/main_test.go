@@ -70,19 +70,6 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
-func TestKnownExperimentsUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, id := range knownExperiments() {
-		if seen[id] {
-			t.Errorf("duplicate id %q", id)
-		}
-		seen[id] = true
-	}
-	if !seen["fig1"] || !seen["sensitivity"] || !seen["predictors"] {
-		t.Errorf("known set incomplete: %v", knownExperiments())
-	}
-}
-
 func TestOpenObsOutputsValidatesUpFront(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.jsonl")

@@ -3,226 +3,194 @@ package experiments
 import (
 	"bufio"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cellular"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
 // These golden tests lock in the runner's determinism contract for every
-// converted harness: at a fixed seed, a serial run (-parallel 1), a parallel
-// run (-parallel 8), and a second identically-seeded parallel run must all
-// render byte-identical tables. Scheduling order, worker count, and
-// completion order must never leak into results.
-
-// goldenCases enumerates every harness that submits trials through
-// runner.Pool, each at the smallest scale its clamps allow. A non-nil o is
-// attached to every harness — the observability-passivity test uses it to
-// prove a live tracer and registry leave each digest untouched.
-func goldenCases(o *obs.Observer) []struct {
-	name   string
-	render func(parallel int) string
-} {
-	macro := func(parallel int) MacroOptions {
-		return MacroOptions{Duration: 8 * time.Second, Reps: 2, Seed: 123, Parallel: parallel, Obs: o}
-	}
-	micro := func(parallel int) MicroOptions {
-		return MicroOptions{Duration: 12 * time.Second, Seed: 123, Parallel: parallel, Obs: o}
-	}
-	// Fault scenarios run longer than the other golden cases so the timed
-	// impairments end well inside the run and the recovery column is real.
-	fault := func(name string, parallel int) string {
-		res, err := FaultScenario(name, MacroOptions{
-			Duration: 30 * time.Second, Reps: 1, Seed: 123, Parallel: parallel, Obs: o,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return res.Render()
-	}
-	// The two metro cases pin the sharded multi-cell harness from both sides
-	// of its executor split: one runs every trial's mesh sharded across 4
-	// workers, the other on the single-heap reference. Their renders are
-	// digested independently, and TestMetroExecutorEquivalence additionally
-	// proves the executors agree byte-for-byte at equal settings.
-	metroRes := func(tech cellular.Tech, shards, parallel int, churn float64) MetroResult {
-		res, err := Metro(MetroOptions{
-			Sectors: 4, FlowCounts: []int{32}, Duration: 4 * time.Second,
-			Shards: shards, Tech: tech, HandoverScale: 0.05, ChurnFrac: churn,
-			Seed: 123, Parallel: parallel, Obs: o,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return res
-	}
-	metro := func(tech cellular.Tech, shards, parallel int, churn float64) string {
-		return metroRes(tech, shards, parallel, churn).Render()
-	}
-	return []struct {
-		name   string
-		render func(parallel int) string
-	}{
-		{"Figure2", func(p int) string { return Figure2(10*time.Second, 123, p).Render() }},
-		{"Figure3", func(p int) string { return Figure3(123, p, o).Render() }},
-		{"Figure8", func(p int) string { return Figure8(macro(p)).Render() }},
-		{"Figure9", func(p int) string { return Figure9(macro(p)).Render() }},
-		{"Figure10", func(p int) string { return Figure10(macro(p)).Render() }},
-		{"Table1", func(p int) string { return Table1(macro(p)).Render() }},
-		{"Figure11-I", func(p int) string { return Figure11(micro(p), false).Render() }},
-		{"Figure11-II", func(p int) string { return Figure11(micro(p), true).Render() }},
-		{"Figure12", func(p int) string { return Figure12(micro(p)).Render() }},
-		{"Figure13", func(p int) string { return Figure13(micro(p)).Render() }},
-		{"Figure14", func(p int) string { return Figure14(micro(p)).Render() }},
-		{"Figure15", func(p int) string { return Figure15(micro(p)).Render() }},
-		{"Sensitivity", func(p int) string { return Sensitivity(8*time.Second, 123, p, o).Render() }},
-		{"FaultTunnelOutage", func(p int) string { return fault(faults.ScenarioTunnelOutage, p) }},
-		{"FaultHighwayHandover", func(p int) string { return fault(faults.ScenarioHighwayHandover, p) }},
-		{"FaultCityLoss", func(p int) string { return fault(faults.ScenarioCityLoss, p) }},
-		{"MetroLTE-sharded4", func(p int) string { return metro(cellular.TechLTE, 4, p, 0) }},
-		{"Metro3G-singleheap", func(p int) string { return metro(cellular.Tech3G, 0, p, 0) }},
-		// PR 7: user churn active — half the users arrive/depart mid-run. The
-		// digest locks the churn schedule derivation (draw order, window
-		// arithmetic) exactly as the two churn-free metro digests lock the
-		// handover schedule.
-		{"MetroChurnLTE-sharded4", func(p int) string { return metro(cellular.TechLTE, 4, p, 0.5) }},
-		// PR 10: the delay-attribution figure, digested from both executor
-		// sides like the throughput/fairness renders above. The viol column
-		// golden-pins the accounting identity at zero for every sweep point.
-		{"MetroAttribLTE-sharded4", func(p int) string {
-			return metroRes(cellular.TechLTE, 4, p, 0).RenderAttribution()
-		}},
-		{"MetroAttrib3G-singleheap", func(p int) string {
-			return metroRes(cellular.Tech3G, 0, p, 0).RenderAttribution()
-		}},
-	}
-}
-
-func TestGoldenSerialParallelEquivalence(t *testing.T) {
-	for _, tc := range goldenCases(nil) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			serial := tc.render(1)
-			parallel := tc.render(8)
-			if parallel != serial {
-				t.Errorf("parallel output diverges from serial.\n-- serial --\n%s\n-- parallel 8 --\n%s", serial, parallel)
-			}
-			again := tc.render(8)
-			if again != parallel {
-				t.Errorf("two identically-seeded parallel runs diverge.\n-- first --\n%s\n-- second --\n%s", parallel, again)
-			}
-			if len(serial) < 20 {
-				t.Errorf("suspiciously short render: %q", serial)
-			}
-		})
-	}
-}
+// Figures row that names golden digests: at a fixed seed, each row renders
+// three times — serially with a live observer, on 8 workers without one, and
+// on 8 workers with one — and every render must match the SHA-256 digest
+// committed for it. Equal digests prove serial ≡ parallel, that two
+// identically-seeded parallel runs agree, and that observability is passive:
+// scheduling order, worker count, completion order and instrumentation must
+// never leak into results.
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_digests.txt from the current implementation")
 
 const goldenDigestPath = "testdata/golden_digests.txt"
 
-// TestGoldenReferenceDigests compares every harness render against SHA-256
-// digests committed in-repo. The digests were captured before the PR 2
-// hot-path optimizations (spline segment precomputation, sorted-slice knot
-// store, 4-ary event heap): those rewrites restructure data layout and
-// control flow but must not reorder a single floating-point operation, so
-// the rendered tables stay byte-identical forever. A digest mismatch means
-// some change silently altered the arithmetic — which the serial-vs-parallel
-// equivalence test alone cannot see, since both sides would drift together.
+// goldenFailureDir is where a digest mismatch dumps its evidence: the
+// mismatching render and both digests. CI uploads the directory as an
+// artifact, so a red golden run can be diagnosed without reproducing it.
+const goldenFailureDir = "golden-failure"
+
+var goldenConfigs = [...]struct {
+	label    string
+	parallel int
+	observed bool
+}{{"serial-observed", 1, true}, {"parallel8", 8, false}, {"parallel8-observed", 8, true}}
+
+const serialObserved, parallel8, parallel8Observed = 0, 1, 2
+
+// golden holds every golden digest name in table order and, per
+// goldenConfigs entry, its renders; computed once per test binary and shared
+// by the three golden tests.
+var golden struct {
+	once    sync.Once
+	names   []string
+	renders [len(goldenConfigs)][]string
+	obs     *obs.Observer
+	err     error
+}
+
+// goldenRenders runs every golden Figures row in each configuration at the
+// Golden scale and seed 123.
+func goldenRenders(t *testing.T) {
+	t.Helper()
+	golden.once.Do(func() {
+		os.RemoveAll(goldenFailureDir) // evidence of this run only
+		golden.obs = obs.NewObserver(obs.NewTracer(1<<14), obs.NewRegistry())
+		for _, f := range Figures {
+			if len(f.Golden) == 0 {
+				continue
+			}
+			golden.names = append(golden.names, f.Golden...)
+			for c, cfg := range goldenConfigs {
+				s := Setup{Scale: Golden, Seed: 123, Parallel: cfg.parallel}
+				if cfg.observed {
+					s.Obs = golden.obs
+				}
+				r, err := f.Run(s)
+				if err == nil && len(r) != len(f.Golden) {
+					err = fmt.Errorf("%d renders for %d golden names", len(r), len(f.Golden))
+				}
+				if err != nil {
+					golden.err = fmt.Errorf("%s (%s): %v", f.ID, cfg.label, err)
+					return
+				}
+				golden.renders[c] = append(golden.renders[c], r...)
+			}
+		}
+	})
+	if golden.err != nil {
+		t.Fatal(golden.err)
+	}
+}
+
+func digest(render string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(render))) }
+
+// checkGolden compares golden render i of configuration c with its committed
+// digest, saving the evidence under goldenFailureDir on a mismatch.
+func checkGolden(t *testing.T, want map[string]string, c, i int) {
+	t.Helper()
+	name, label, render := golden.names[i], goldenConfigs[c].label, golden.renders[c][i]
+	w, ok := want[name]
+	if !ok {
+		t.Errorf("%s: no committed digest (run with -update-golden to add)", name)
+		return
+	}
+	if got := digest(render); got != w {
+		t.Errorf("%s (%s): render digest %.16s != committed %.16s — output changed from the reference",
+			name, label, got, w)
+		base := filepath.Join(goldenFailureDir, name+"-"+label)
+		if err := errors.Join(os.MkdirAll(goldenFailureDir, 0o755),
+			os.WriteFile(base+".txt", []byte(render), 0o644),
+			os.WriteFile(base+".digests", []byte("committed "+w+"\ncomputed  "+got+"\n"), 0o644)); err != nil {
+			t.Logf("golden-failure artifacts: %v", err)
+		}
+	}
+}
+
+// TestGoldenReferenceDigests compares every golden render on 8 workers
+// against the SHA-256 digests committed in-repo. The digests were captured
+// before the hot-path optimizations (spline segment precomputation,
+// sorted-slice knot store, 4-ary event heap): those rewrites restructure data
+// layout and control flow but must not reorder a single floating-point
+// operation, so the rendered tables stay byte-identical forever. A digest
+// mismatch means some change silently altered the arithmetic — which a
+// serial-vs-parallel comparison alone cannot see, since both sides would
+// drift together.
 //
 // After an *intentional* output change (new harness behavior, changed
-// clamps), regenerate with:
+// clamps), regenerate from the unobserved 8-worker renders with:
 //
 //	go test ./internal/experiments -run TestGoldenReferenceDigests -update-golden
 func TestGoldenReferenceDigests(t *testing.T) {
-	got := make(map[string]string)
-	renders := make(map[string]string)
-	var order []string
-	for _, tc := range goldenCases(nil) {
-		r := tc.render(8)
-		sum := sha256.Sum256([]byte(r))
-		got[tc.name] = fmt.Sprintf("%x", sum)
-		renders[tc.name] = r
-		order = append(order, tc.name)
-	}
+	goldenRenders(t)
 	if *updateGolden {
 		var b strings.Builder
-		for _, name := range order {
-			fmt.Fprintf(&b, "%s %s\n", name, got[name])
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenDigestPath), 0o755); err != nil {
-			t.Fatal(err)
+		for i, name := range golden.names {
+			fmt.Fprintf(&b, "%s %s\n", name, digest(golden.renders[parallel8][i]))
 		}
 		if err := os.WriteFile(goldenDigestPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", goldenDigestPath, len(order))
+		t.Logf("rewrote %s with %d digests", goldenDigestPath, len(golden.names))
 		return
 	}
 	want := readGoldenDigests(t)
-	var mismatched []string
-	for _, name := range order {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no committed digest (run with -update-golden to add)", name)
-			continue
+	got := make(map[string]bool)
+	for i, name := range golden.names {
+		got[name] = true
+		if r := golden.renders[parallel8][i]; len(r) < 20 {
+			t.Errorf("%s: suspiciously short render: %q", name, r)
 		}
-		if got[name] != w {
-			t.Errorf("%s: render digest %s != committed %s — output changed from the pre-optimization reference",
-				name, got[name][:16], w[:16])
-			mismatched = append(mismatched, name)
-		}
+		checkGolden(t, want, parallel8, i)
 	}
-	if len(mismatched) > 0 {
-		writeGoldenFailureArtifacts(t, mismatched, renders, got, want)
-	}
-	// Stale entries signal a renamed/removed harness whose digest should go.
+	// Stale entries signal a renamed/removed row whose digest should go.
 	var stale []string
 	for name := range want {
-		if _, ok := got[name]; !ok {
+		if !got[name] {
 			stale = append(stale, name)
 		}
 	}
 	sort.Strings(stale)
 	for _, name := range stale {
-		t.Errorf("%s: committed digest has no matching golden case", name)
+		t.Errorf("%s: committed digest has no matching Figures row", name)
 	}
 }
 
-// goldenFailureDir is where a digest mismatch dumps its evidence: the full
-// rendered figure for every mismatching case plus a digest diff. CI uploads
-// the directory as an artifact, so a red golden run can be diagnosed without
-// reproducing it locally.
-const goldenFailureDir = "golden-failure"
+// TestGoldenSerialParallelEquivalence requires each serial render to match
+// the committed digest the 8-worker render matches: serial ≡ parallel.
+func TestGoldenSerialParallelEquivalence(t *testing.T) {
+	goldenRenders(t)
+	want := readGoldenDigests(t)
+	for i, name := range golden.names {
+		t.Run(name, func(t *testing.T) { checkGolden(t, want, serialObserved, i) })
+	}
+}
 
-func writeGoldenFailureArtifacts(t *testing.T, mismatched []string, renders, got, want map[string]string) {
-	t.Helper()
-	if err := os.MkdirAll(goldenFailureDir, 0o755); err != nil {
-		t.Logf("golden-failure artifacts: %v", err)
-		return
+// TestGoldenDigestsWithObservability is the observability-passivity
+// contract: with a live tracer AND a live metrics registry attached, the
+// 8-worker renders still match their committed digests (the serial renders
+// above ran observed too). Tracing and metrics must never feed back into
+// protocol arithmetic, read the wall clock, or draw randomness. The test also
+// asserts the observer actually saw traffic, so it cannot pass vacuously with
+// unwired hooks.
+func TestGoldenDigestsWithObservability(t *testing.T) {
+	goldenRenders(t)
+	want := readGoldenDigests(t)
+	for i, name := range golden.names {
+		t.Run(name, func(t *testing.T) { checkGolden(t, want, parallel8Observed, i) })
 	}
-	var diff strings.Builder
-	for _, name := range mismatched {
-		fmt.Fprintf(&diff, "%s\n  committed %s\n  computed  %s\n", name, want[name], got[name])
-		file := filepath.Join(goldenFailureDir, name+".txt")
-		if err := os.WriteFile(file, []byte(renders[name]), 0o644); err != nil {
-			t.Logf("golden-failure artifacts: %v", err)
-		}
+	if golden.obs.Tracer().Emitted() == 0 {
+		t.Error("tracer saw no events across every golden row; instrumentation is not wired")
 	}
-	if err := os.WriteFile(filepath.Join(goldenFailureDir, "digest-diff.txt"), []byte(diff.String()), 0o644); err != nil {
-		t.Logf("golden-failure artifacts: %v", err)
+	if len(golden.obs.Registry().Snapshot()) == 0 {
+		t.Error("registry holds no series across every golden row; instrumentation is not wired")
 	}
-	t.Logf("wrote mismatching renders and digest diff to %s/ for artifact upload", goldenFailureDir)
 }
 
 func readGoldenDigests(t *testing.T) map[string]string {
@@ -245,43 +213,6 @@ func readGoldenDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	return want
-}
-
-// TestGoldenDigestsWithObservability is the observability-passivity
-// contract: with a live tracer AND a live metrics registry attached to every
-// harness, all committed digests still match — serial and parallel-8 alike.
-// Tracing and metrics must never feed back into protocol arithmetic, read
-// the wall clock, or draw randomness; a digest shift here means some
-// instrumentation point broke that rule. The test also asserts the observer
-// actually saw traffic, so it cannot pass vacuously with unwired hooks.
-func TestGoldenDigestsWithObservability(t *testing.T) {
-	want := readGoldenDigests(t)
-	o := obs.NewObserver(obs.NewTracer(1<<14), obs.NewRegistry())
-	for _, tc := range goldenCases(o) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			w, ok := want[tc.name]
-			if !ok {
-				t.Fatalf("no committed digest for %s", tc.name)
-			}
-			serial := fmt.Sprintf("%x", sha256.Sum256([]byte(tc.render(1))))
-			parallel := fmt.Sprintf("%x", sha256.Sum256([]byte(tc.render(8))))
-			if serial != w {
-				t.Errorf("serial render with observability attached digests %s != committed %s — tracing/metrics perturbed the run",
-					serial[:16], w[:16])
-			}
-			if parallel != w {
-				t.Errorf("parallel-8 render with observability attached digests %s != committed %s — tracing/metrics perturbed the run",
-					parallel[:16], w[:16])
-			}
-		})
-	}
-	if o.Tracer().Emitted() == 0 {
-		t.Error("tracer saw no events across every golden case; instrumentation is not wired")
-	}
-	if len(o.Registry().Snapshot()) == 0 {
-		t.Error("registry holds no series across every golden case; instrumentation is not wired")
-	}
 }
 
 // TestGoldenSeedSensitivity guards against the trivial way the equivalence

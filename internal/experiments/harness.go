@@ -1,14 +1,14 @@
 // Package experiments contains one harness per table and figure of the
-// paper's evaluation (§3, §6, §7). Each harness builds its workload from the
-// repository's substrates (cellular channel model, network simulator,
-// protocol implementations), runs it, and renders the same rows or series
-// the paper reports. DESIGN.md carries the experiment index; EXPERIMENTS.md
-// records paper-vs-measured outcomes.
+// paper's evaluation (§3, §6, §7), plus the fault scenarios and the metro
+// sweep. Each harness builds its workload from the repository's substrates
+// (cellular channel model, network simulator, protocol implementations),
+// runs it, and renders the same rows or series the paper reports. Figures is
+// the one table of them, read by cmd/verus-bench and the golden tests at
+// each Scale; DESIGN.md §3 indexes it and EXPERIMENTS.md records
+// paper-vs-measured outcomes.
 //
-// Every harness is deterministic given its options (seeded randomness only)
-// and scales down gracefully so the same code backs both the full
-// reproduction (cmd/verus-bench) and its quick-scale tests. Performance is
-// measured by the committed benchmark (bash bench/run.sh).
+// Every harness is deterministic given its options (seeded randomness only).
+// Performance is measured by the committed benchmark (bash bench/run.sh).
 package experiments
 
 import (

@@ -29,16 +29,6 @@ type MacroOptions struct {
 // pool returns the trial executor for these options.
 func (o MacroOptions) pool() *runner.Pool { return runner.New(o.Parallel) }
 
-// DefaultMacroOptions returns the paper's scale.
-func DefaultMacroOptions() MacroOptions {
-	return MacroOptions{Duration: 2 * time.Minute, Reps: 5, Seed: 42}
-}
-
-// QuickMacroOptions returns a fast configuration for tests and benchmarks.
-func QuickMacroOptions() MacroOptions {
-	return MacroOptions{Duration: 20 * time.Second, Reps: 1, Seed: 42}
-}
-
 // bloatBytes sizes the Fig. 8/9 cell buffer. Carriers over-dimension base
 // station buffers (the "bufferbloat" of §2: "multi-second delays"); 8 MB at
 // a 16 Mbps cell is ~4 s of queue, which is what lets loss-based TCP build

@@ -26,17 +26,6 @@ type MicroOptions struct {
 // pool returns the trial executor for these options.
 func (o MicroOptions) pool() *runner.Pool { return runner.New(o.Parallel) }
 
-// DefaultMicroOptions returns the paper's scale (500 s for Fig. 11, shorter
-// figures clamp internally).
-func DefaultMicroOptions() MicroOptions {
-	return MicroOptions{Duration: 500 * time.Second, Seed: 7}
-}
-
-// QuickMicroOptions returns a fast configuration.
-func QuickMicroOptions() MicroOptions {
-	return MicroOptions{Duration: 60 * time.Second, Seed: 7}
-}
-
 // Figure11Result holds the rapidly-changing-network comparison.
 type Figure11Result struct {
 	Scenario  string
