@@ -222,3 +222,43 @@ func TestDocCommentListsAllAnalyzers(t *testing.T) {
 		t.Error("main.go doc comment does not mention the directive pseudo-analyzer")
 	}
 }
+
+// TestDesignAnalyzerTable keeps DESIGN.md §9's analyzer table in sync with
+// all.Analyzers(): every row whose first cell is one backticked name names an
+// analyzer, and every analyzer has exactly one such row. The forbid table's
+// own row ("the `forbid` table") introduces its rows and is not one.
+func TestDesignAnalyzerTable(t *testing.T) {
+	src, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	start := strings.Index(doc, "\n## 9.")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §9")
+	}
+	sec := doc[start+1:]
+	if end := strings.Index(sec, "\n## "); end >= 0 {
+		sec = sec[:end]
+	}
+	rows := map[string]int{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if name := strings.Trim(first, "`"); len(first) > 2 && first == "`"+name+"`" && !strings.Contains(name, "`") {
+			rows[name]++
+		}
+	}
+	for _, a := range all.Analyzers() {
+		if n := rows[a.Name]; n != 1 {
+			t.Errorf("DESIGN.md §9 table has %d rows for analyzer %q, want 1", n, a.Name)
+		}
+		delete(rows, a.Name)
+	}
+	for name := range rows {
+		t.Errorf("DESIGN.md §9 table has a row for %q, which all.Analyzers() does not register", name)
+	}
+}

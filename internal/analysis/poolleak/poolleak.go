@@ -49,10 +49,12 @@
 // `&Packet{...}` (or value `Packet{...}`) literal of netsim's Packet type
 // can never be recycled, drifts the pool's leak accounting, and escapes
 // the -tags pooldebug poison bookkeeping. Every such literal in a
-// simulation package is flagged. The one sanctioned literal is the pool's
-// own growth path, which carries:
+// simulation package is flagged, and so are the two builtins that make
+// packets without a literal, `new(Packet)` and `make([]Packet, n)`. The
+// sanctioned exceptions are the pool's own growth path (its slab) and the
+// checkpoint's rematerialization, which carry:
 //
-//	//lint:poolleak pool-internal -- <why this literal is the pool's own growth path>
+//	//lint:poolleak pool-internal -- <why this packet is the pool's own allocation>
 package poolleak
 
 import (
@@ -68,7 +70,7 @@ import (
 // Analyzer is the poolleak pass.
 var Analyzer = &analysis.Analyzer{
 	Name:   "poolleak",
-	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal outside the pool",
+	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal, new or make outside the pool",
 	Claims: []string{"released-elsewhere", "pool-internal"},
 	Run:    run,
 }
@@ -98,14 +100,50 @@ func run(pass *analysis.Pass) error {
 				analyze(pass, n.Body)
 			case *ast.CompositeLit:
 				if tv, ok := pass.TypesInfo.Types[n]; ok && isNetsimPacket(tv.Type) {
-					pass.Reportf(n.Pos(),
-						"netsim.Packet composite literal bypasses the packet pool; allocate with Sim.NewPacket (or ClonePacket) so the packet can be released and recycled")
+					pass.Reportf(n.Pos(), bareMsg, "composite literal")
+				}
+			case *ast.CallExpr:
+				if name := bareAlloc(pass, n); name != "" {
+					pass.Reportf(n.Pos(), bareMsg, name)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// bareMsg is the diagnostic for a Packet that never came from the pool; the
+// %s names the construct that made it.
+const bareMsg = "netsim.Packet %s bypasses the packet pool; allocate with Sim.NewPacket (or ClonePacket) so the packet can be released and recycled"
+
+// bareAlloc names the builtin when call is new(Packet) or make([]Packet, …) of
+// netsim's Packet type, and returns "" otherwise. A slice of pointers, such
+// as a queue's ring, allocates no packets and is not flagged.
+func bareAlloc(pass *analysis.Pass, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	if !ok {
+		return ""
+	}
+	tv, ok := pass.TypesInfo.Types[call]
+	if !ok {
+		return ""
+	}
+	switch t := tv.Type.(type) {
+	case *types.Pointer:
+		if b.Name() == "new" && isNetsimPacket(t.Elem()) {
+			return "new(Packet)"
+		}
+	case *types.Slice:
+		if b.Name() == "make" && isNetsimPacket(t.Elem()) {
+			return "make([]Packet)"
+		}
+	}
+	return ""
 }
 
 // analyze checks one function body.

@@ -32,17 +32,29 @@ type FlowMetrics struct {
 	AttribNs [stats.NumDelayComps]int64
 }
 
-// NewFlowMetrics returns zeroed metrics for a flow.
+// flowMetricsBlock is a flow's metrics and the three series they point at,
+// laid out as one object so a flow's metrics cost one allocation, not four.
+type flowMetricsBlock struct {
+	m   FlowMetrics
+	tp  stats.ThroughputSeries
+	d   stats.Summary
+	dot stats.WindowedMean
+}
+
+// NewFlowMetrics returns zeroed metrics for a flow: one allocation for the
+// metrics and their series, one for the delay summary's sample buffer. The
+// constructors inline, so copying their results into the block allocates
+// nothing of its own (TestNewFlowMetricsAllocs pins the two).
 func NewFlowMetrics(flow int) *FlowMetrics {
-	return &FlowMetrics{
-		Flow:       flow,
-		Throughput: stats.NewThroughputSeries(time.Second),
-		// A modest capacity hint: at 100k-flow metro scale each flow sees few
-		// packets, and Summary grows on demand anyway — a large hint here
-		// multiplies into hundreds of MB of idle preallocation.
-		Delay:         stats.NewSummary(64),
-		DelayOverTime: stats.NewWindowedMean(time.Second),
-	}
+	b := &flowMetricsBlock{}
+	b.tp = *stats.NewThroughputSeries(time.Second)
+	// A modest capacity hint: at 100k-flow metro scale each flow sees few
+	// packets, and Summary grows on demand anyway — a large hint here
+	// multiplies into hundreds of MB of idle preallocation.
+	b.d = *stats.NewSummary(64)
+	b.dot = *stats.NewWindowedMean(time.Second)
+	b.m = FlowMetrics{Flow: flow, Throughput: &b.tp, Delay: &b.d, DelayOverTime: &b.dot}
+	return &b.m
 }
 
 // MeanMbps returns the flow's average delivered rate over the given horizon.
@@ -403,11 +415,12 @@ type Source struct {
 
 	metrics *FlowMetrics
 
-	stopped  bool
-	started  bool
-	stopTick func()
-	stopRTO  func()
-	sink     *Sink
+	stopped bool
+	started bool
+	// tickTimer and rtoTimer are the controller tick and the RTO poll, armed
+	// in place when start fires.
+	tickTimer, rtoTimer timer
+	sink                *Sink
 	// startCB and stopCB are the registered start and stop events. The
 	// timers armed when start fires derive their ids from startCB's
 	// construction-order id (see snapshot.go).
@@ -450,9 +463,9 @@ func (s *Source) start() {
 	s.started = true
 	s.lastProg = s.sim.Now()
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.stopTick = s.sim.everyTagged(derivedID(s.startCB.id, slotSourceTick), iv, s.onTick)
+		s.sim.arm(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, s.onTick)
 	}
-	s.stopRTO = s.sim.everyTagged(derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
+	s.sim.arm(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
 	s.trySend()
 }
 
@@ -468,12 +481,8 @@ func (s *Source) onTick() {
 // Stop halts the flow (no further transmissions).
 func (s *Source) Stop() {
 	s.stopped = true
-	if s.stopTick != nil {
-		s.stopTick()
-	}
-	if s.stopRTO != nil {
-		s.stopRTO()
-	}
+	s.tickTimer.stopped = true
+	s.rtoTimer.stopped = true
 }
 
 // Metrics returns the flow's metric sink.
@@ -595,7 +604,7 @@ func (s *Source) Walk(w snap.Walker) {
 		return
 	}
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.stopTick = s.sim.restoreTimer(derivedID(s.startCB.id, slotSourceTick), iv, s.onTick, s.stopped)
+		s.sim.restoreTimer(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, s.onTick, s.stopped)
 	}
-	s.stopRTO = s.sim.restoreTimer(derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
+	s.sim.restoreTimer(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
 }

@@ -27,8 +27,9 @@ type laneModel struct {
 	t   *testing.T
 	rng *rand.Rand
 	s   *Sim
-	// tagged selects the checkpointable surface only (everyTagged, registered
-	// callbacks), which is what lets a trial snapshot and restore mid-run.
+	// tagged selects the checkpointable surface only (timers armed in place
+	// under an id, registered callbacks), which is what lets a trial snapshot
+	// and restore mid-run.
 	tagged bool
 
 	ref    refHeap
@@ -56,9 +57,12 @@ type laneTimer struct {
 	label    int64
 	id       int64
 	interval time.Duration
-	stop     func()
-	stopped  bool
-	key      uint64 // the pending tick's key
+	// tm is the timer itself when the model is tagged; stop ends it either
+	// way.
+	tm      timer
+	stop    func()
+	stopped bool
+	key     uint64 // the pending tick's key
 }
 
 type laneFunc struct {
@@ -201,7 +205,8 @@ func (m *laneModel) addTimer(interval time.Duration) {
 	lt := &laneTimer{m: m, label: laneTimerLabel - int64(len(m.timers)), id: -1 - int64(len(m.timers)), interval: interval}
 	m.timers = append(m.timers, lt)
 	if m.tagged {
-		lt.stop = m.s.everyTagged(lt.id, interval, lt.tick)
+		m.s.arm(&lt.tm, lt.id, interval, lt.tick)
+		lt.stop = func() { lt.tm.stopped = true }
 	} else {
 		lt.stop = m.s.Every(interval, lt.tick)
 	}
@@ -293,7 +298,7 @@ func (m *laneModel) checkpoint() {
 	m.build()
 	m.s.WalkState(snap.Load(d))
 	for _, lt := range m.timers {
-		lt.stop = m.s.restoreTimer(lt.id, lt.interval, lt.tick, lt.stopped)
+		m.s.restoreTimer(&lt.tm, lt.id, lt.interval, lt.tick, lt.stopped)
 	}
 	m.s.WalkHeap(snap.Load(d))
 	if err := d.Err(); err != nil {

@@ -436,10 +436,10 @@ func (r *shardRun) stop() {
 }
 
 // Instrument attaches passive observability: counters for delivered
-// cross-cell messages, completed windows and the WindowStats pair, plus a
-// gauge of messages currently in lookahead channels. All instruments are
-// updated by the coordinating goroutine only, at barriers — never from
-// workers.
+// cross-cell messages, completed windows, the WindowStats pair and the
+// summed PoolStats gets and misses (Allocated), plus a gauge of messages
+// currently in lookahead channels. All instruments are updated by the
+// coordinating goroutine only, at barriers — never from workers.
 func (m *Mesh) Instrument(o *obs.Observer, run int64) {
 	if o == nil {
 		m.obs = nil
@@ -454,6 +454,8 @@ func (m *Mesh) Instrument(o *obs.Observer, run int64) {
 		pending: o.Gauge(label("netsim_mesh_cross_pending")),
 		events:  o.Counter(label("netsim_mesh_events_total")),
 		crit:    o.Counter(label("netsim_mesh_window_crit_events_total")),
+		gets:    o.Counter(label("netsim_pool_gets_total")),
+		misses:  o.Counter(label("netsim_pool_misses_total")),
 	}
 }
 
@@ -464,11 +466,14 @@ type meshObs struct {
 	pending *obs.Gauge
 	events  *obs.Counter
 	crit    *obs.Counter
+	gets    *obs.Counter
+	misses  *obs.Counter
 
 	lastCross   uint64
 	lastWindows uint64
 	lastEvents  uint64
 	lastCrit    uint64
+	lastPool    PacketPoolStats
 }
 
 // sync folds the mesh's monotone totals into the registry instruments.
@@ -482,6 +487,10 @@ func (mo *meshObs) sync(m *Mesh) {
 	mo.lastEvents = m.events
 	mo.crit.Add(int64(m.critEvents - mo.lastCrit))
 	mo.lastCrit = m.critEvents
+	pool := m.PoolStats()
+	mo.gets.Add(int64(pool.Gets - mo.lastPool.Gets))
+	mo.misses.Add(int64(pool.Allocated - mo.lastPool.Allocated))
+	mo.lastPool = pool
 }
 
 // CellID returns this simulator's cell index within its mesh (0 when

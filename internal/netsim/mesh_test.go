@@ -427,8 +427,38 @@ func TestRunShardedOversubscribed(t *testing.T) {
 // order alone: the storm workload executes one event per log line, so events
 // is the log length, critEvents lies between events/cells and events, and
 // the pair — and the two counters that export it — is the same at 1, 2 and
-// 8 workers.
+// 8 workers. The pool counters export the summed PoolStats on the single
+// heap (shards 0) and on 2 shards.
 func TestMeshWindowStats(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		reg := obs.NewRegistry()
+		m := NewMesh(4, time.Millisecond)
+		m.Instrument(obs.NewObserver(nil, reg), 7)
+		for c := 0; c < m.Cells(); c++ {
+			c, sim, dst := c, m.Cell(c), m.Cell((c+1)%m.Cells())
+			free := ReceiverFunc(func(p *Packet) { dst.FreePacket(p) })
+			sim.Every(time.Duration(100+10*c)*time.Microsecond, func() {
+				m.SendPacket(c, dst.CellID(), time.Millisecond, free, sim.NewPacket(c, 0, 1400, sim.Now(), 0))
+			})
+		}
+		for _, until := range []time.Duration{20 * time.Millisecond, 50 * time.Millisecond} {
+			if shards == 0 {
+				m.RunSingle(until)
+			} else {
+				m.RunSharded(until, shards)
+			}
+			st := m.PoolStats()
+			gets := uint64(reg.Counter(obs.Labeled("netsim_pool_gets_total", "run", "7")).Value())
+			misses := uint64(reg.Counter(obs.Labeled("netsim_pool_misses_total", "run", "7")).Value())
+			if gets != st.Gets || misses != st.Allocated {
+				t.Errorf("shards %d at %v: counters export gets %d misses %d, PoolStats %+v", shards, until, gets, misses, st)
+			}
+			if st.Allocated == 0 || st.Gets <= st.Allocated {
+				t.Fatalf("shards %d at %v: pool never missed or never reused (%+v); the check is vacuous", shards, until, st)
+			}
+		}
+	}
+
 	var c meshCase
 	for _, mc := range meshCases() {
 		if mc.name == "storm" {

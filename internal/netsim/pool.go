@@ -28,7 +28,8 @@ import "time"
 
 // PacketPoolStats is a snapshot of one Sim's pool counters.
 type PacketPoolStats struct {
-	// Allocated counts fresh heap allocations (pool misses).
+	// Allocated counts pool misses: gets the free list could not serve, each
+	// a fresh packet from the pool's current slab.
 	Allocated uint64
 	// Gets counts every packet handed out (NewPacket + ClonePacket).
 	Gets uint64
@@ -42,9 +43,17 @@ type PacketPoolStats struct {
 // leak count.
 func (st PacketPoolStats) Live() int64 { return int64(st.Gets) - int64(st.Frees) }
 
+// slabSize is how many packets the pool allocates at once: a miss takes the
+// next packet of the current slab, so warming a pool up costs one heap
+// allocation per slabSize misses instead of one per miss.
+const slabSize = 256
+
 // packetPool is a LIFO free list of packets, owned by exactly one Sim.
 type packetPool struct {
 	free []*Packet
+	// slab is the unused rest of the last block of packets the pool
+	// allocated; misses take from its front.
+	slab []Packet
 	// owed is how many free-list entries a checkpoint load has not
 	// materialized: the snapshot carries the list's depth, not its packets,
 	// and get allocates each one only when the list would have supplied it.
@@ -68,8 +77,13 @@ func (pp *packetPool) get() *Packet {
 	} else {
 		pp.stats.Allocated++
 	}
-	//lint:poolleak pool-internal -- the pool's own backing allocation: every other &Packet{} in sim code must go through NewPacket/ClonePacket
-	return &Packet{}
+	if len(pp.slab) == 0 {
+		//lint:poolleak pool-internal -- the pool's own backing allocation: every other Packet in sim code must go through NewPacket/ClonePacket
+		pp.slab = make([]Packet, slabSize)
+	}
+	p := &pp.slab[0]
+	pp.slab = pp.slab[1:]
+	return p
 }
 
 // NewPacket checks a packet out of this Sim's pool with every field set.

@@ -83,10 +83,13 @@ func orderKeyParts(key uint64) (cell uint32, seq uint64) {
 	return uint32(key >> cellSeqBits), key & cellSeqMask
 }
 
-// timer is the Sim-owned state of one Every registration: a receiver that
-// runs fn and re-arms itself one interval on, claiming a fresh order key
-// after fn returns, so one timer serves the registration's lifetime. id is
-// its registry id (zero for plain Every, which cannot be checkpointed).
+// timer is the state of one recurring registration: a receiver that runs fn
+// and re-arms itself one interval on, claiming a fresh order key after fn
+// returns, so one timer serves the registration's lifetime. A component
+// holds its timers by value and arms them in place (arm), so arming
+// allocates nothing; Every allocates one for callers that own none. id is
+// its registry id (zero for Every, which cannot be checkpointed). Setting
+// stopped ends the registration: a pending tick drains without firing.
 type timer struct {
 	s        *Sim
 	interval time.Duration
@@ -368,22 +371,24 @@ func (s *Sim) Schedule(at time.Duration, fn func()) { s.SchedulePacket(at, thunk
 // for its whole lifetime: each firing reschedules the same entry, so
 // steady-state ticking allocates nothing.
 func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
-	return s.everyTagged(0, interval, fn)
+	t := &timer{}
+	s.arm(t, 0, interval, fn)
+	return func() { t.stopped = true }
 }
 
-// everyTagged is Every with the timer registered under id in this Sim's
-// snapshot registry, making its pending tick serializable; id zero leaves it
-// unregistered. Key claiming is identical to Every.
-func (s *Sim) everyTagged(id int64, interval time.Duration, fn func()) (stop func()) {
+// arm starts the caller-owned timer t, overwriting whatever it held: its
+// first tick is one interval from now. A nonzero id registers t in this
+// Sim's snapshot registry, making its pending tick serializable; zero leaves
+// it unregistered. t must not move while it is armed.
+func (s *Sim) arm(t *timer, id int64, interval time.Duration, fn func()) {
 	if interval <= 0 {
 		panic("netsim: Every interval must be positive")
 	}
-	t := &timer{s: s, interval: interval, fn: fn, id: id}
+	*t = timer{s: s, interval: interval, fn: fn, id: id}
 	if id != 0 {
 		s.reg.add(id, t)
 	}
 	s.pushFixed(interval, event{at: s.now + interval, seq: s.nextKey(), r: t})
-	return func() { t.stopped = true }
 }
 
 // Run processes events in time order until the queue empties or the next

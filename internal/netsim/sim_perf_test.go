@@ -233,10 +233,57 @@ func TestRegisteredCallbackZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestArmTimersAllocs pins the Source's timers inside their owner: starting
+// a flow arms its tick and RTO timers in place, so the only allocations left
+// are the two method values the timers call. The registry map and the lanes
+// are sized beforehand, so their amortized growth stays out of the count.
+func TestArmTimersAllocs(t *testing.T) {
+	const runs = 100
+	sim := NewSim()
+	sim.reg.recvs = make(map[int64]Receiver, 8*(runs+1))
+	for _, iv := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond} {
+		for i := 0; i <= runs; i++ {
+			sim.Every(iv, func() {})() // open and size the lane, then stop
+		}
+	}
+	sim.Run(time.Second)
+	link := NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, ReceiverFunc(sim.FreePacket), 1)
+	srcs := make([]*Source, runs+1)
+	for i := range srcs {
+		// Window zero: start arms the timers and sends nothing.
+		srcs[i], _ = NewSource(sim, i, &fixedWindow{tick: 5 * time.Millisecond}, link, 1400, time.Millisecond, time.Hour, 0)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		srcs[next].start()
+		next++
+	})
+	if allocs > 2 {
+		t.Errorf("arming a Source's two timers: %v allocs, want at most its 2 method values", allocs)
+	}
+	if n := sim.Pending(); n < 2*(runs+1) {
+		t.Fatalf("%d events pending after %d starts; the timers did not arm", n, runs+1)
+	}
+}
+
+// flowMetricsSink keeps NewFlowMetrics' result on the heap under AllocsPerRun.
+var flowMetricsSink *FlowMetrics
+
+// TestNewFlowMetricsAllocs pins a flow's metrics at two allocations: the
+// block holding the metrics and their three series, and the delay summary's
+// sample buffer.
+func TestNewFlowMetricsAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() { flowMetricsSink = NewFlowMetrics(1) })
+	if allocs > 2 {
+		t.Errorf("NewFlowMetrics: %v allocs, want at most 2", allocs)
+	}
+}
+
 // TestConstructionAllocCeiling pins what building a flow and its link
-// allocates at the count measured before callbacks were embedded in their
-// owners, so a registered callback cannot quietly turn back into a box of its
-// own per registration.
+// allocates, so a registered callback cannot quietly turn back into a box of
+// its own per registration, nor a flow's metrics into one object per series.
+// The count was 17 before callbacks were embedded in their owners, 15 before
+// a flow's metrics became one block, and is 12 now; the ceiling is 13.
 func TestConstructionAllocCeiling(t *testing.T) {
 	sim := NewSim()
 	q := NewDropTail(1 << 20)
@@ -245,7 +292,7 @@ func TestConstructionAllocCeiling(t *testing.T) {
 		link := NewFixedLink(sim, q, 100, time.Millisecond, release, 1)
 		NewSource(sim, 1, &fixedWindow{w: 4}, link, 1400, time.Millisecond, time.Second, 2*time.Second)
 	})
-	if allocs > 17 {
-		t.Errorf("NewFixedLink + NewSource: %v allocs, ceiling 17", allocs)
+	if allocs > 13 {
+		t.Errorf("NewFixedLink + NewSource: %v allocs, ceiling 13", allocs)
 	}
 }

@@ -126,13 +126,12 @@ func (s *Sim) ScheduleTracked(at time.Duration, fn func()) {
 	s.SchedulePacket(at, s.RegisterFunc(fn), nil)
 }
 
-// restoreTimer re-creates a component's timer during a load: the timer is
+// restoreTimer re-creates a component's timer t in place during a load: t is
 // registered under id so the heap load can resolve pending tick events, but
 // nothing is pushed — the pending tick, if any, arrives with the heap.
-func (s *Sim) restoreTimer(id int64, interval time.Duration, fn func(), stopped bool) (stop func()) {
-	t := &timer{s: s, interval: interval, fn: fn, stopped: stopped, id: id}
+func (s *Sim) restoreTimer(t *timer, id int64, interval time.Duration, fn func(), stopped bool) {
+	*t = timer{s: s, interval: interval, fn: fn, stopped: stopped, id: id}
 	s.reg.add(id, t)
-	return func() { t.stopped = true }
 }
 
 // WalkState visits this Sim's core mutable state: virtual clock, order-key
