@@ -80,7 +80,6 @@ func run(pass *analysis.Pass) error {
 }
 
 func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
-	cf := &cellFlow{pass: pass}
 	if !bodyMentionsCell(body) {
 		return
 	}
@@ -90,14 +89,19 @@ func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
 		// would be unknown anyway, and unknown is never reported.
 		return
 	}
-	res := flow.Fixpoint(g, cf)
-	for _, b := range g.Blocks {
-		in := res.In[b]
-		if in == nil {
-			continue
+	cf := &cellFlow{info: pass.TypesInfo}
+	res := flow.Fixpoint(g, cf.step, func(a, b origin) origin {
+		if a != b {
+			return unknown // paths disagree
 		}
-		cf.transfer(b, in.(origins), pass)
-	}
+		return a
+	})
+	// Reporting pass: check every worker literal registered in a block
+	// against the state at the registration point.
+	res.Replay(func(s origins, n ast.Node) {
+		cf.step(s, n)
+		cf.checkWorkers(s, n, pass)
+	})
 }
 
 // origin is one variable's provenance: the mesh cell it was obtained
@@ -107,70 +111,23 @@ type origin struct {
 	known bool
 }
 
-// origins is the lattice element: *Sim-typed object → provenance.
-type origins map[types.Object]origin
+// origins is the dataflow state: *Sim-typed object → provenance.
+type origins = flow.Facts[types.Object, origin]
 
 var unknown = origin{}
 
-// cellFlow implements flow.Transfers for the cell-origin analysis.
+// cellFlow is the cell-origin analysis of one function body.
 type cellFlow struct {
-	pass *analysis.Pass
+	info *types.Info
 }
 
-func (cf *cellFlow) Entry() any { return origins{} }
-
-func (cf *cellFlow) Join(a, b any) any {
-	am, bm := a.(origins), b.(origins)
-	out := make(origins, len(am)+len(bm))
-	for k, v := range am {
-		out[k] = v
-	}
-	for k, v := range bm {
-		if old, ok := out[k]; ok && (old.known != v.known || old.cell != v.cell) {
-			out[k] = unknown // paths disagree
-			continue
-		}
-		out[k] = v
-	}
-	return out
-}
-
-func (cf *cellFlow) Equal(a, b any) bool {
-	am, bm := a.(origins), b.(origins)
-	if len(am) != len(bm) {
-		return false
-	}
-	for k, v := range am {
-		if w, ok := bm[k]; !ok || w != v {
-			return false
+// step applies one node's assignments to the origin state.
+func (cf *cellFlow) step(s origins, n ast.Node) {
+	if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+		for i := range as.Lhs {
+			cf.assignOne(s, as.Lhs[i], as.Rhs[i])
 		}
 	}
-	return true
-}
-
-func (cf *cellFlow) Transfer(b *flow.Block, in any) any {
-	return cf.transfer(b, in.(origins), nil)
-}
-
-// transfer executes one block over a copy of the in-state; with a non-nil
-// pass it also checks every worker literal registered in the block
-// against the state at the registration point.
-func (cf *cellFlow) transfer(b *flow.Block, in origins, report *analysis.Pass) origins {
-	s := make(origins, len(in))
-	for k, v := range in {
-		s[k] = v
-	}
-	for _, n := range b.Nodes {
-		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-			for i := range as.Lhs {
-				cf.assignOne(s, as.Lhs[i], as.Rhs[i])
-			}
-		}
-		if report != nil {
-			cf.checkWorkers(s, n, report)
-		}
-	}
-	return s
 }
 
 // assignOne updates the origin of a *Sim-typed identifier destination.
@@ -179,8 +136,8 @@ func (cf *cellFlow) assignOne(s origins, lhs, rhs ast.Expr) {
 	if !ok || id.Name == "_" {
 		return
 	}
-	obj := cf.objOf(id)
-	if obj == nil || !isNetsimSimPtr(obj.Type()) {
+	obj := cf.info.ObjectOf(id)
+	if obj == nil || !isSimPtr(obj.Type()) {
 		return
 	}
 	if o, ok := cf.originOf(s, rhs); ok {
@@ -195,7 +152,7 @@ func (cf *cellFlow) assignOne(s origins, lhs, rhs ast.Expr) {
 func (cf *cellFlow) originOf(s origins, e ast.Expr) (origin, bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if obj := cf.objOf(e); obj != nil {
+		if obj := cf.info.ObjectOf(e); obj != nil {
 			if o, ok := s[obj]; ok {
 				return o, true
 			}
@@ -216,10 +173,10 @@ func (cf *cellFlow) cellCall(call *ast.CallExpr) (origin, bool) {
 	if !ok || sel.Sel.Name != "Cell" || len(call.Args) != 1 {
 		return unknown, false
 	}
-	if !isNetsimSimPtr(cf.exprType(call)) {
+	if !isSimPtr(cf.info.TypeOf(call)) {
 		return unknown, false
 	}
-	tv, ok := cf.pass.TypesInfo.Types[call.Args[0]]
+	tv, ok := cf.info.Types[call.Args[0]]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
 		return unknown, true // Cell of a runtime index: tracked but unknown
 	}
@@ -246,8 +203,8 @@ func (cf *cellFlow) checkWorkers(s origins, n ast.Node, pass *analysis.Pass) {
 		if !ok {
 			return true
 		}
-		obj := cf.objOf(recv)
-		if obj == nil || !isNetsimSimPtr(obj.Type()) {
+		obj := cf.info.ObjectOf(recv)
+		if obj == nil || !isSimPtr(obj.Type()) {
 			return true
 		}
 		home, tracked := s[obj]
@@ -274,8 +231,8 @@ func (cf *cellFlow) checkWorkerBody(s origins, body *ast.BlockStmt, home int64, 
 		if !ok {
 			return true
 		}
-		obj := cf.pass.TypesInfo.Uses[id]
-		if obj == nil || !isNetsimSimPtr(obj.Type()) {
+		obj := cf.info.Uses[id]
+		if obj == nil || !isSimPtr(obj.Type()) {
 			return true
 		}
 		if o, tracked := s[obj]; tracked && o.known && o.cell != home {
@@ -287,35 +244,10 @@ func (cf *cellFlow) checkWorkerBody(s origins, body *ast.BlockStmt, home int64, 
 	})
 }
 
-func (cf *cellFlow) objOf(id *ast.Ident) types.Object {
-	if obj := cf.pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return cf.pass.TypesInfo.Uses[id]
-}
-
-func (cf *cellFlow) exprType(e ast.Expr) types.Type {
-	if tv, ok := cf.pass.TypesInfo.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// isNetsimSimPtr reports whether t is *Sim for netsim's Sim type.
-func isNetsimSimPtr(t types.Type) bool {
+// isSimPtr reports whether t is *Sim for netsim's Sim type.
+func isSimPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Name() == "Sim" && analysis.IsNetsimPackage(obj.Pkg().Path())
+	return ok && analysis.IsNetsimType(ptr.Elem(), "Sim")
 }
 
 // bodyMentionsCell is the cheap pre-filter: no Cell selector, no

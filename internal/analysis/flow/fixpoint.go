@@ -1,40 +1,37 @@
 package flow
 
-// Forward worklist fixpoint over a Graph. The lattice is the analyzer's:
-// states are opaque values joined and compared through the Transfers
-// interface, with nil as the implicit bottom ("path not reached") — the
-// engine never passes nil to Transfer, and Join is only called on non-nil
-// pairs. Analyzers keep their states immutable: Transfer must return a
-// fresh (or unchanged) value rather than mutating its input, because the
-// input is shared with the predecessor's cached out-state.
+import (
+	"go/ast"
+	"maps"
+)
 
-// Transfers is a forward dataflow problem over one graph.
-type Transfers interface {
-	// Entry returns the state at function entry. Must be non-nil.
-	Entry() any
-	// Transfer computes the block's out-state from its in-state, without
-	// mutating the input.
-	Transfer(b *Block, in any) any
-	// Join merges two reachable states (both non-nil).
-	Join(a, b any) any
-	// Equal reports whether two states are the same lattice element; the
-	// fixpoint terminates when every block's out-state stops changing.
-	Equal(a, b any) bool
-}
+// Forward worklist fixpoint over a Graph. The lattice is a map from tracked
+// key to fact, with nil as the implicit bottom ("path not reached"). The
+// analyzer supplies only a per-node step and a per-key merge; the engine
+// owns the empty entry state, the join (a key on one path is kept, a key on
+// both takes merge), the equality test and the copy before each block, so
+// step may write to the state it is given.
+
+// Facts is one program point's dataflow state: the fact for each tracked
+// key. A nil Facts is bottom, a point no path reaches.
+type Facts[K, V comparable] map[K]V
 
 // Result carries the converged per-block states. In[b] is nil for blocks
 // no path reaches.
-type Result struct {
-	In, Out map[*Block]any
+type Result[K, V comparable] struct {
+	In, Out map[*Block]Facts[K, V]
+	g       *Graph
 }
 
-// Fixpoint runs the problem to convergence in reverse post-order and
-// returns the per-block in/out states. The iteration count is capped as a
-// backstop against a non-monotone Transfers implementation; the lattices
-// the verus-lint analyzers use are finite and converge far below it.
-func Fixpoint(g *Graph, t Transfers) *Result {
+// Fixpoint runs step over every node of every reachable block to
+// convergence in reverse post-order and returns the per-block in/out
+// states. merge combines the facts two joining paths hold for one key. The
+// iteration count is capped as a backstop against a non-monotone step; the
+// lattices the verus-lint analyzers use are finite and converge far below
+// it.
+func Fixpoint[K, V comparable](g *Graph, step func(Facts[K, V], ast.Node), merge func(a, b V) V) *Result[K, V] {
 	order := reversePostorder(g)
-	res := &Result{In: map[*Block]any{}, Out: map[*Block]any{}}
+	res := &Result[K, V]{In: map[*Block]Facts[K, V]{}, Out: map[*Block]Facts[K, V]{}, g: g}
 	inList := map[*Block]bool{}
 	var work []*Block
 	push := func(b *Block) {
@@ -53,16 +50,16 @@ func Fixpoint(g *Graph, t Transfers) *Result {
 		work = work[1:]
 		inList[b] = false
 
-		var in any
+		var in Facts[K, V]
 		if b == g.Entry {
-			in = t.Entry()
+			in = Facts[K, V]{}
 		}
 		for _, p := range b.Preds {
 			if o := res.Out[p]; o != nil {
 				if in == nil {
 					in = o
 				} else {
-					in = t.Join(in, o)
+					in = join(in, o, merge)
 				}
 			}
 		}
@@ -70,8 +67,8 @@ func Fixpoint(g *Graph, t Transfers) *Result {
 			continue // unreachable
 		}
 		res.In[b] = in
-		out := t.Transfer(b, in)
-		if old, ok := res.Out[b]; ok && t.Equal(old, out) {
+		out := run(b, in, step)
+		if old, ok := res.Out[b]; ok && maps.Equal(old, out) {
 			continue
 		}
 		res.Out[b] = out
@@ -80,6 +77,40 @@ func Fixpoint(g *Graph, t Transfers) *Result {
 		}
 	}
 	return res
+}
+
+// Replay runs step once more over every reachable block, in block order,
+// starting from each converged in-state: the reporting pass, with a step
+// that may report what the fixpoint's step only tracked. The stored states
+// are left unchanged.
+func (r *Result[K, V]) Replay(step func(Facts[K, V], ast.Node)) {
+	for _, b := range r.g.Blocks {
+		if in := r.In[b]; in != nil {
+			run(b, in, step)
+		}
+	}
+}
+
+// run applies step to a copy of in for each of the block's nodes.
+func run[K, V comparable](b *Block, in Facts[K, V], step func(Facts[K, V], ast.Node)) Facts[K, V] {
+	s := maps.Clone(in)
+	for _, n := range b.Nodes {
+		step(s, n)
+	}
+	return s
+}
+
+// join returns a new state holding every key of a and b, merging the facts
+// of keys present in both.
+func join[K, V comparable](a, b Facts[K, V], merge func(a, b V) V) Facts[K, V] {
+	out := maps.Clone(a)
+	for k, v := range b {
+		if old, ok := out[k]; ok {
+			v = merge(old, v)
+		}
+		out[k] = v
+	}
+	return out
 }
 
 // reversePostorder orders blocks so predecessors tend to precede

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -303,16 +304,8 @@ func TestBuildPanicEndsPath(t *testing.T) {
 // assignedVars is a toy may-analysis: the set of variable names that may
 // have been assigned on some path. It exercises gen, join, and loop
 // convergence.
-type assignedVars struct{}
-
-func (assignedVars) Entry() any { return map[string]bool{} }
-
-func (assignedVars) Transfer(b *Block, in any) any {
-	s := map[string]bool{}
-	for k := range in.(map[string]bool) {
-		s[k] = true
-	}
-	for _, n := range b.Nodes {
+func assignedVars(g *Graph) *Result[string, bool] {
+	return Fixpoint(g, func(s Facts[string, bool], n ast.Node) {
 		if as, ok := n.(*ast.AssignStmt); ok {
 			for _, l := range as.Lhs {
 				if id, ok := l.(*ast.Ident); ok {
@@ -320,32 +313,7 @@ func (assignedVars) Transfer(b *Block, in any) any {
 				}
 			}
 		}
-	}
-	return s
-}
-
-func (assignedVars) Join(a, b any) any {
-	s := map[string]bool{}
-	for k := range a.(map[string]bool) {
-		s[k] = true
-	}
-	for k := range b.(map[string]bool) {
-		s[k] = true
-	}
-	return s
-}
-
-func (assignedVars) Equal(a, b any) bool {
-	am, bm := a.(map[string]bool), b.(map[string]bool)
-	if len(am) != len(bm) {
-		return false
-	}
-	for k := range am {
-		if !bm[k] {
-			return false
-		}
-	}
-	return true
+	}, func(a, b bool) bool { return a || b })
 }
 
 func TestFixpointJoinsBranches(t *testing.T) {
@@ -361,8 +329,7 @@ func TestFixpointJoinsBranches(t *testing.T) {
 	e := 4
 	_ = e
 }`))
-	res := Fixpoint(g, assignedVars{})
-	out := res.Out[g.Exit].(map[string]bool)
+	out := assignedVars(g).Out[g.Exit]
 	for _, want := range []string{"a", "b", "d", "e"} {
 		if !out[want] {
 			t.Errorf("exit state missing %q (may-assigned on some path)", want)
@@ -379,8 +346,7 @@ func TestFixpointLoopConverges(t *testing.T) {
 	y := 1
 	_ = y
 }`))
-	res := Fixpoint(g, assignedVars{})
-	out := res.Out[g.Exit].(map[string]bool)
+	out := assignedVars(g).Out[g.Exit]
 	for _, want := range []string{"i", "x", "y"} {
 		if !out[want] {
 			t.Errorf("exit state missing %q after loop fixpoint", want)
@@ -394,7 +360,7 @@ func TestFixpointUnreachableStaysNil(t *testing.T) {
 	x := 2
 	_ = x
 }`))
-	res := Fixpoint(g, assignedVars{})
+	res := assignedVars(g)
 	for _, b := range g.Blocks {
 		if b == g.Entry {
 			continue
@@ -403,7 +369,85 @@ func TestFixpointUnreachableStaysNil(t *testing.T) {
 			t.Errorf("unreachable block %d has non-nil in-state", b.Index)
 		}
 	}
-	if out, ok := res.Out[g.Exit].(map[string]bool); !ok || out["x"] {
-		t.Errorf("dead assignment leaked into exit state: %v", res.Out[g.Exit])
+	if out := res.Out[g.Exit]; out == nil || out["x"] {
+		t.Errorf("dead assignment leaked into exit state: %v", out)
+	}
+}
+
+// Replay must start every reachable block from its converged in-state, skip
+// unreachable blocks, and leave the stored states alone however step writes
+// to the state it is handed.
+func TestReplayVisitsReachableAndKeepsStates(t *testing.T) {
+	g := Build(parseBody(t, `func f(c bool) int {
+	a := 1
+	if c {
+		b := a
+		return b
+	}
+	for i := 0; i < a; i++ {
+		a = i
+	}
+	return a
+	d := 2
+	return d
+}`))
+	res := assignedVars(g)
+	snapshot := func(states map[*Block]Facts[string, bool]) map[*Block]Facts[string, bool] {
+		out := map[*Block]Facts[string, bool]{}
+		for b, s := range states {
+			out[b] = maps.Clone(s)
+		}
+		return out
+	}
+	in, out := snapshot(res.In), snapshot(res.Out)
+
+	first := map[ast.Node]*Block{}
+	owner := map[ast.Node]*Block{}
+	for _, b := range g.Blocks {
+		for i, n := range b.Nodes {
+			owner[n] = b
+			if i == 0 {
+				first[n] = b
+			}
+		}
+	}
+	visited := map[*Block]bool{}
+	res.Replay(func(s Facts[string, bool], n ast.Node) {
+		b := owner[n]
+		visited[b] = true
+		if fb := first[n]; fb != nil && !maps.Equal(s, in[fb]) {
+			t.Errorf("block %d replayed from %v, want its in-state %v", fb.Index, s, in[fb])
+		}
+		clear(s)
+		s["replayed"] = true
+	})
+
+	unreachable := 0
+	for _, b := range g.Blocks {
+		if len(b.Nodes) == 0 {
+			continue
+		}
+		if reached := in[b] != nil; visited[b] != reached {
+			t.Errorf("block %d: replayed %v, reachable %v", b.Index, visited[b], reached)
+		}
+		if in[b] == nil {
+			unreachable++
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("fixture has no unreachable block with nodes")
+	}
+	if len(res.In) != len(in) || len(res.Out) != len(out) {
+		t.Fatalf("Replay changed the set of stored states")
+	}
+	for b := range in {
+		if !maps.Equal(res.In[b], in[b]) {
+			t.Errorf("block %d in-state changed by Replay: %v, was %v", b.Index, res.In[b], in[b])
+		}
+	}
+	for b := range out {
+		if !maps.Equal(res.Out[b], out[b]) {
+			t.Errorf("block %d out-state changed by Replay: %v, was %v", b.Index, res.Out[b], out[b])
+		}
 	}
 }

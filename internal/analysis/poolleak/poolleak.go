@@ -148,8 +148,7 @@ func bareAlloc(pass *analysis.Pass, call *ast.CallExpr) string {
 
 // analyze checks one function body.
 func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
-	lf := &leakFlow{pass: pass, excluded: excludedObjects(pass, body)}
-	if !bodyAllocates(pass, body) {
+	if !bodyAllocates(pass.TypesInfo, body) {
 		return // nothing to track; skip the CFG entirely
 	}
 	g := flow.Build(body)
@@ -158,7 +157,11 @@ func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
 			"cannot verify packet custody: goto/labeled control flow defeats the CFG builder; restructure, or annotate the allocation `//lint:poolleak released-elsewhere -- <reason>`")
 		return
 	}
-	res := flow.Fixpoint(g, lf)
+	lf := &leakFlow{pass: pass, excluded: excludedObjects(pass, body)}
+	// May-own: owned on either path counts; keep the earliest allocation
+	// site for a stable diagnostic position.
+	res := flow.Fixpoint(g, func(s ownMap, n ast.Node) { lf.step(s, n, nil) },
+		func(a, b token.Pos) token.Pos { return min(a, b) })
 
 	// Reporting pass over the converged states: walk each reachable block
 	// once more with the report sink attached, then flag whatever is
@@ -172,26 +175,19 @@ func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
 		seen[key] = true
 		pass.Reportf(pos, format, args...)
 	}
-	for _, b := range g.Blocks {
-		in := res.In[b]
-		if in == nil {
-			continue
-		}
-		lf.transfer(b, in.(ownMap), report)
-	}
-	if out, ok := res.Out[g.Exit].(ownMap); ok {
-		for _, obj := range sortedOwners(out) {
-			report(out[obj],
-				"packet allocated here may leak: a path to return reaches neither FreePacket nor an ownership transfer (SchedulePacket/SchedulePacketAfter/Mesh.SendPacket/Send/Receive/Enqueue)")
-		}
+	res.Replay(func(s ownMap, n ast.Node) { lf.step(s, n, report) })
+	out := res.Out[g.Exit]
+	for _, obj := range sortedOwners(out) {
+		report(out[obj],
+			"packet allocated here may leak: a path to return reaches neither FreePacket nor an ownership transfer (SchedulePacket/SchedulePacketAfter/Mesh.SendPacket/Send/Receive/Enqueue)")
 	}
 }
 
-// ownMap is the lattice element: tracked variable → allocation position,
+// ownMap is the dataflow state: tracked variable → allocation position,
 // present while some path may still own the packet.
-type ownMap map[types.Object]token.Pos
+type ownMap = flow.Facts[types.Object, token.Pos]
 
-// leakFlow implements flow.Transfers for the may-own analysis.
+// leakFlow is the may-own analysis of one function body.
 type leakFlow struct {
 	pass *analysis.Pass
 	// excluded are objects never tracked: captured by a closure or
@@ -199,57 +195,10 @@ type leakFlow struct {
 	excluded map[types.Object]bool
 }
 
-func (lf *leakFlow) Entry() any { return ownMap{} }
-
-func (lf *leakFlow) Join(a, b any) any {
-	am, bm := a.(ownMap), b.(ownMap)
-	out := make(ownMap, len(am)+len(bm))
-	for k, v := range am {
-		out[k] = v
-	}
-	for k, v := range bm {
-		// May-own: owned on either path counts; keep the earliest
-		// allocation site for a stable diagnostic position.
-		if old, ok := out[k]; !ok || v < old {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func (lf *leakFlow) Equal(a, b any) bool {
-	am, bm := a.(ownMap), b.(ownMap)
-	if len(am) != len(bm) {
-		return false
-	}
-	for k, v := range am {
-		if w, ok := bm[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (lf *leakFlow) Transfer(b *flow.Block, in any) any {
-	return lf.transfer(b, in.(ownMap), nil)
-}
-
-// transfer executes one block's nodes over a copy of the in-state. The
-// report sink is nil during fixpoint iteration and live during the final
-// reporting pass.
-func (lf *leakFlow) transfer(b *flow.Block, in ownMap, report reportFn) ownMap {
-	s := make(ownMap, len(in))
-	for k, v := range in {
-		s[k] = v
-	}
-	for _, n := range b.Nodes {
-		lf.step(s, n, report)
-	}
-	return s
-}
-
 type reportFn func(pos token.Pos, format string, args ...any)
 
+// step applies one node's custody effects to the state. The report sink is
+// nil during fixpoint iteration and live during the reporting pass.
 func (lf *leakFlow) step(s ownMap, n ast.Node, report reportFn) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
@@ -266,7 +215,7 @@ func (lf *leakFlow) step(s ownMap, n ast.Node, report reportFn) {
 			}
 		}
 	case *ast.ExprStmt:
-		if call, ok := n.X.(*ast.CallExpr); ok && lf.isSource(call) {
+		if call, ok := n.X.(*ast.CallExpr); ok && isSource(lf.pass.TypesInfo, call) {
 			if report != nil {
 				report(call.Pos(), "result of %s is discarded: the packet can never be released or recycled", calleeName(call))
 			}
@@ -322,10 +271,10 @@ func (lf *leakFlow) assign(s ownMap, as *ast.AssignStmt, report reportFn) {
 // assignOne applies `lhs = rhs` to the state.
 func (lf *leakFlow) assignOne(s ownMap, lhs, rhs ast.Expr, report reportFn) {
 	call, isCall := rhs.(*ast.CallExpr)
-	src := isCall && lf.isSource(call)
+	src := isCall && isSource(lf.pass.TypesInfo, call)
 	id, isIdent := lhs.(*ast.Ident)
 	if isIdent && id.Name != "_" {
-		obj := lf.objOf(id)
+		obj := lf.pass.TypesInfo.ObjectOf(id)
 		if obj == nil {
 			return
 		}
@@ -351,7 +300,7 @@ func (lf *leakFlow) overwrite(s ownMap, lhs ast.Expr, report reportFn) {
 	if !ok {
 		return
 	}
-	obj := lf.objOf(id)
+	obj := lf.pass.TypesInfo.ObjectOf(id)
 	if obj == nil {
 		return
 	}
@@ -436,7 +385,7 @@ func (lf *leakFlow) trackedIdent(s ownMap, e ast.Expr) types.Object {
 	if !ok {
 		return nil
 	}
-	obj := lf.objOf(id)
+	obj := lf.pass.TypesInfo.ObjectOf(id)
 	if obj == nil {
 		return nil
 	}
@@ -446,46 +395,20 @@ func (lf *leakFlow) trackedIdent(s ownMap, e ast.Expr) types.Object {
 	return obj
 }
 
-func (lf *leakFlow) objOf(id *ast.Ident) types.Object {
-	if obj := lf.pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return lf.pass.TypesInfo.Uses[id]
-}
-
 // isSource reports whether call checks a packet out of the pool: a method
 // named NewPacket or ClonePacket whose result is a pointer to netsim's
 // Packet type.
-func (lf *leakFlow) isSource(call *ast.CallExpr) bool {
+func isSource(info *types.Info, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	if name != "NewPacket" && name != "ClonePacket" {
 		return false
 	}
-	tv, ok := lf.pass.TypesInfo.Types[ast.Expr(call)]
-	if !ok {
-		return false
-	}
-	return isNetsimPacketPtr(tv.Type)
-}
-
-func isNetsimPacketPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
+	ptr, ok := info.TypeOf(call).(*types.Pointer)
 	return ok && isNetsimPacket(ptr.Elem())
 }
 
-// isNetsimPacket reports whether t is the pooled Packet type: a named type
-// called Packet defined in a netsim package.
-func isNetsimPacket(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Name() == "Packet" && analysis.IsNetsimPackage(obj.Pkg().Path())
-}
+// isNetsimPacket reports whether t is the pooled Packet type.
+func isNetsimPacket(t types.Type) bool { return analysis.IsNetsimType(t, "Packet") }
 
 func calleeName(call *ast.CallExpr) string {
 	switch f := call.Fun.(type) {
@@ -499,7 +422,7 @@ func calleeName(call *ast.CallExpr) string {
 
 // bodyAllocates reports whether the body (excluding nested closures)
 // contains a pool source call at all.
-func bodyAllocates(pass *analysis.Pass, body *ast.BlockStmt) bool {
+func bodyAllocates(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -508,14 +431,9 @@ func bodyAllocates(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			name := calleeName(call)
-			if name == "NewPacket" || name == "ClonePacket" {
-				if tv, ok := pass.TypesInfo.Types[ast.Expr(call)]; ok && isNetsimPacketPtr(tv.Type) {
-					found = true
-					return false
-				}
-			}
+		if call, ok := n.(*ast.CallExpr); ok && isSource(info, call) {
+			found = true
+			return false
 		}
 		return true
 	})

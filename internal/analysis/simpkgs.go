@@ -1,6 +1,9 @@
 package analysis
 
-import "regexp"
+import (
+	"go/types"
+	"regexp"
+)
 
 // The determinism contract (DESIGN.md §7-9) applies to the packages that run
 // inside a netsim.Sim event loop: everything a simulated experiment
@@ -34,6 +37,13 @@ var (
 // determinism contract.
 func IsSimPackage(path string) bool { return simPkgRe.MatchString(path) }
 
-// IsNetsimPackage reports whether the import path is the simulator core,
-// the home of the pooled Packet type.
-func IsNetsimPackage(path string) bool { return netsimPkgRe.MatchString(path) }
+// IsNetsimType reports whether t is the named type called name that the
+// simulator core defines, such as its Sim or its pooled Packet.
+func IsNetsimType(t types.Type, name string) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && netsimPkgRe.MatchString(obj.Pkg().Path())
+}

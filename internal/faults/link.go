@@ -142,10 +142,6 @@ func (t *reorderTap) Receive(p *netsim.Packet) {
 	t.l.arrive(p)
 }
 
-// Inner returns the wrapped link (for instrumentation: TraceLink counters,
-// rate changes on a FixedLink).
-func (l *Link) Inner() netsim.Link { return l.inner }
-
 // Queue implements netsim.Link by exposing the inner link's buffer.
 func (l *Link) Queue() netsim.Queue { return l.inner.Queue() }
 

@@ -98,6 +98,7 @@ func (p *Proxy) Stats() Counters {
 	s.Duplicated = atomic.LoadInt64(&p.c.Duplicated)
 	s.Reordered = atomic.LoadInt64(&p.c.Reordered)
 	s.Released = atomic.LoadInt64(&p.c.Released)
+	s.Held = atomic.LoadInt64(&p.c.Held)
 	s.Delivered = atomic.LoadInt64(&p.c.Delivered)
 	return s
 }
@@ -151,6 +152,7 @@ func (p *Proxy) gate(pkt []byte, held [][]byte) (out [][]byte, newHeld [][]byte)
 		if pkt != nil {
 			atomic.AddInt64(&p.c.SendDropped, 1)
 		}
+		atomic.AddInt64(&p.c.Held, -int64(len(held)))
 		atomic.AddInt64(&p.c.EgressDropped, int64(len(held)))
 		return nil, held[:0]
 	}

@@ -142,14 +142,6 @@ func (a *Attribution) Merge(o *Attribution) {
 	}
 }
 
-// MeanSeconds returns the mean per-packet duration of component c.
-func (a *Attribution) MeanSeconds(c DelayComp) float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return float64(a.CompNs[c]) / float64(a.Count) / 1e9
-}
-
 // MeanTotalSeconds returns the mean measured one-way delay.
 func (a *Attribution) MeanTotalSeconds() float64 {
 	if a.Count == 0 {
@@ -192,13 +184,8 @@ func quantileEdge(buckets *[attribBuckets + 1]int64, count int64, q float64) flo
 	return (2 * attribBucketEdge(attribBuckets-1)).Seconds()
 }
 
-// QuantileSeconds returns a bucket-resolution upper bound on the q-th
-// percentile (0..100) of component c's per-packet duration.
-func (a *Attribution) QuantileSeconds(c DelayComp, q float64) float64 {
-	return quantileEdge(&a.buckets[c], a.Count, q/100)
-}
-
-// TotalQuantileSeconds is QuantileSeconds over the measured one-way delay.
+// TotalQuantileSeconds returns a bucket-resolution upper bound on the q-th
+// percentile (0..100) of the measured one-way delay.
 func (a *Attribution) TotalQuantileSeconds(q float64) float64 {
 	return quantileEdge(&a.totBuckets, a.Count, q/100)
 }

@@ -18,32 +18,21 @@ const (
 // a cubic curve anchored at the pre-loss maximum (concave approach, plateau,
 // convex probe), with a TCP-friendly lower bound for low-BDP regimes.
 type Cubic struct {
-	cwnd     float64
-	ssthresh float64
-
+	window
 	wMax       float64
 	k          float64       // time to return to wMax, seconds
 	epochStart time.Duration // when the current growth epoch began
 	haveEpoch  bool
 	srtt       time.Duration
-
-	lastSent   int64
-	recoverSeq int64
-	inRecovery bool
 }
 
 var _ cc.Controller = (*Cubic)(nil)
 
 // NewCubic returns a Cubic controller with initial window 2.
-func NewCubic() *Cubic {
-	return &Cubic{cwnd: 2, ssthresh: 1 << 30, recoverSeq: -1}
-}
+func NewCubic() *Cubic { return &Cubic{window: newWindow()} }
 
 // Name implements cc.Controller.
 func (t *Cubic) Name() string { return "cubic" }
-
-// Cwnd returns the current congestion window in packets.
-func (t *Cubic) Cwnd() float64 { return t.cwnd }
 
 // OnAck implements cc.Controller.
 func (t *Cubic) OnAck(now time.Duration, ack cc.AckSample) {
@@ -52,12 +41,8 @@ func (t *Cubic) OnAck(now time.Duration, ack cc.AckSample) {
 	} else {
 		t.srtt = (7*t.srtt + ack.RTT) / 8
 	}
-	if t.inRecovery {
-		if ack.Seq >= t.recoverSeq {
-			t.inRecovery = false
-		} else {
-			return
-		}
+	if t.recovering(ack.Seq) {
+		return
 	}
 	if t.cwnd < t.ssthresh {
 		t.cwnd++
@@ -101,16 +86,11 @@ func (t *Cubic) congestionAvoidance(now time.Duration) {
 
 // OnLoss implements cc.Controller.
 func (t *Cubic) OnLoss(now time.Duration, loss cc.LossEvent) {
-	if t.inRecovery {
+	if !t.enterRecovery() {
 		return
 	}
-	t.inRecovery = true
-	t.recoverSeq = t.lastSent
 	t.wMax = t.cwnd
-	t.cwnd *= cubicBeta
-	if t.cwnd < 2 {
-		t.cwnd = 2
-	}
+	t.cwnd = math.Max(2, t.cwnd*cubicBeta)
 	t.ssthresh = t.cwnd
 	t.haveEpoch = false
 }
@@ -122,25 +102,4 @@ func (t *Cubic) OnTimeout(now time.Duration) {
 	t.cwnd = 1
 	t.haveEpoch = false
 	t.inRecovery = false
-}
-
-// TickInterval implements cc.Controller (ack-clocked).
-func (t *Cubic) TickInterval() time.Duration { return 0 }
-
-// Tick implements cc.Controller.
-func (t *Cubic) Tick(time.Duration) {}
-
-// Allowance implements cc.Controller.
-func (t *Cubic) Allowance(_ time.Duration, inflight int) int {
-	return int(t.cwnd) - inflight
-}
-
-// SendTag implements cc.Controller.
-func (t *Cubic) SendTag() int { return int(t.cwnd) }
-
-// OnSend implements cc.Controller.
-func (t *Cubic) OnSend(_ time.Duration, seq int64, _ int) {
-	if seq > t.lastSent {
-		t.lastSent = seq
-	}
 }

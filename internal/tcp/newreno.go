@@ -11,6 +11,7 @@
 package tcp
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cc"
@@ -20,39 +21,23 @@ import (
 // additive increase of one packet per RTT, halving on loss with
 // one-reduction-per-window fast recovery, and a collapse to one packet on
 // timeout.
-type NewReno struct {
-	cwnd     float64
-	ssthresh float64
-
-	lastSent   int64 // highest sequence transmitted
-	recoverSeq int64 // recovery ends when this sequence is acked
-	inRecovery bool
-}
+type NewReno struct{ window }
 
 var _ cc.Controller = (*NewReno)(nil)
 
 // NewNewReno returns a NewReno controller with initial window 2.
-func NewNewReno() *NewReno {
-	return &NewReno{cwnd: 2, ssthresh: 1 << 30, recoverSeq: -1}
-}
+func NewNewReno() *NewReno { return &NewReno{newWindow()} }
 
 // Name implements cc.Controller.
 func (t *NewReno) Name() string { return "newreno" }
-
-// Cwnd returns the current congestion window in packets.
-func (t *NewReno) Cwnd() float64 { return t.cwnd }
 
 // InSlowStart reports whether the window is below ssthresh.
 func (t *NewReno) InSlowStart() bool { return t.cwnd < t.ssthresh }
 
 // OnAck implements cc.Controller.
 func (t *NewReno) OnAck(now time.Duration, ack cc.AckSample) {
-	if t.inRecovery {
-		if ack.Seq >= t.recoverSeq {
-			t.inRecovery = false
-		} else {
-			return // no growth while recovering
-		}
+	if t.recovering(ack.Seq) {
+		return // no growth while recovering
 	}
 	if t.cwnd < t.ssthresh {
 		t.cwnd++
@@ -63,45 +48,16 @@ func (t *NewReno) OnAck(now time.Duration, ack cc.AckSample) {
 
 // OnLoss implements cc.Controller.
 func (t *NewReno) OnLoss(now time.Duration, loss cc.LossEvent) {
-	if t.inRecovery {
+	if !t.enterRecovery() {
 		return
 	}
-	t.inRecovery = true
-	t.recoverSeq = t.lastSent
-	t.ssthresh = t.cwnd / 2
-	if t.ssthresh < 2 {
-		t.ssthresh = 2
-	}
+	t.ssthresh = math.Max(2, t.cwnd/2)
 	t.cwnd = t.ssthresh
 }
 
 // OnTimeout implements cc.Controller.
 func (t *NewReno) OnTimeout(now time.Duration) {
-	t.ssthresh = t.cwnd / 2
-	if t.ssthresh < 2 {
-		t.ssthresh = 2
-	}
+	t.ssthresh = math.Max(2, t.cwnd/2)
 	t.cwnd = 1
 	t.inRecovery = false
-}
-
-// TickInterval implements cc.Controller (ack-clocked).
-func (t *NewReno) TickInterval() time.Duration { return 0 }
-
-// Tick implements cc.Controller.
-func (t *NewReno) Tick(time.Duration) {}
-
-// Allowance implements cc.Controller.
-func (t *NewReno) Allowance(_ time.Duration, inflight int) int {
-	return int(t.cwnd) - inflight
-}
-
-// SendTag implements cc.Controller.
-func (t *NewReno) SendTag() int { return int(t.cwnd) }
-
-// OnSend implements cc.Controller.
-func (t *NewReno) OnSend(_ time.Duration, seq int64, _ int) {
-	if seq > t.lastSent {
-		t.lastSent = seq
-	}
 }

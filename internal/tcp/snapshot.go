@@ -3,8 +3,9 @@ package tcp
 import "repro/internal/snap"
 
 // Checkpoint support (DESIGN.md §15): each controller's walk visits exactly
-// its mutable fields, in declaration order. Parameters are compile-time
-// constants here, so there is nothing to cross-check against the rebuild.
+// its mutable fields, the shared window's among them, in a fixed order that
+// checkpoint files depend on. Parameters are compile-time constants here, so
+// there is nothing to cross-check against the rebuild.
 
 // Walk implements snap.Walkable.
 func (t *NewReno) Walk(w snap.Walker) {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cc"
@@ -22,33 +23,22 @@ const (
 // the classic delay-based protocol from which Verus "draws inspiration"
 // (paper §2) and one of the paper's real-world baselines (Fig. 8).
 type Vegas struct {
-	cwnd     float64
-	ssthresh float64
-
-	baseRTT time.Duration // minimum observed RTT
-	rttSum  time.Duration
-	rttCnt  int
-	nextAdj int64 // adjust once per RTT: when this seq is acked
-
-	lastSent   int64
-	recoverSeq int64
-	inRecovery bool
-	slowStart  bool
-	ssToggle   bool // Vegas doubles every *other* RTT during slow start
+	window
+	baseRTT   time.Duration // minimum observed RTT
+	rttSum    time.Duration
+	rttCnt    int
+	nextAdj   int64 // adjust once per RTT: when this seq is acked
+	slowStart bool
+	ssToggle  bool // Vegas doubles every *other* RTT during slow start
 }
 
 var _ cc.Controller = (*Vegas)(nil)
 
 // NewVegas returns a Vegas controller with initial window 2.
-func NewVegas() *Vegas {
-	return &Vegas{cwnd: 2, ssthresh: 1 << 30, recoverSeq: -1, slowStart: true}
-}
+func NewVegas() *Vegas { return &Vegas{window: newWindow(), slowStart: true} }
 
 // Name implements cc.Controller.
 func (t *Vegas) Name() string { return "vegas" }
-
-// Cwnd returns the current congestion window in packets.
-func (t *Vegas) Cwnd() float64 { return t.cwnd }
 
 // OnAck implements cc.Controller.
 func (t *Vegas) OnAck(now time.Duration, ack cc.AckSample) {
@@ -58,12 +48,8 @@ func (t *Vegas) OnAck(now time.Duration, ack cc.AckSample) {
 	t.rttSum += ack.RTT
 	t.rttCnt++
 
-	if t.inRecovery {
-		if ack.Seq >= t.recoverSeq {
-			t.inRecovery = false
-		} else {
-			return
-		}
+	if t.recovering(ack.Seq) {
+		return
 	}
 	// Once-per-RTT adjustment: wait until a packet sent after the previous
 	// adjustment is acknowledged.
@@ -81,10 +67,7 @@ func (t *Vegas) OnAck(now time.Duration, ack cc.AckSample) {
 	if t.slowStart {
 		if diff > vegasGamma || t.cwnd >= t.ssthresh {
 			t.slowStart = false
-			t.cwnd-- // leave slow start one packet lighter, per Vegas
-			if t.cwnd < 2 {
-				t.cwnd = 2
-			}
+			t.cwnd = math.Max(2, t.cwnd-1) // leave slow start one packet lighter, per Vegas
 			return
 		}
 		// Double every other RTT.
@@ -98,56 +81,24 @@ func (t *Vegas) OnAck(now time.Duration, ack cc.AckSample) {
 	case diff < vegasAlpha:
 		t.cwnd++
 	case diff > vegasBeta:
-		t.cwnd--
-		if t.cwnd < 2 {
-			t.cwnd = 2
-		}
+		t.cwnd = math.Max(2, t.cwnd-1)
 	}
 }
 
 // OnLoss implements cc.Controller. Vegas retains Reno's halving on loss.
 func (t *Vegas) OnLoss(now time.Duration, loss cc.LossEvent) {
-	if t.inRecovery {
+	if !t.enterRecovery() {
 		return
 	}
-	t.inRecovery = true
-	t.recoverSeq = t.lastSent
-	t.cwnd /= 2
-	if t.cwnd < 2 {
-		t.cwnd = 2
-	}
+	t.cwnd = math.Max(2, t.cwnd/2)
 	t.ssthresh = t.cwnd
 	t.slowStart = false
 }
 
 // OnTimeout implements cc.Controller.
 func (t *Vegas) OnTimeout(now time.Duration) {
-	t.ssthresh = t.cwnd / 2
-	if t.ssthresh < 2 {
-		t.ssthresh = 2
-	}
+	t.ssthresh = math.Max(2, t.cwnd/2)
 	t.cwnd = 2
 	t.slowStart = true
 	t.inRecovery = false
-}
-
-// TickInterval implements cc.Controller (ack-clocked).
-func (t *Vegas) TickInterval() time.Duration { return 0 }
-
-// Tick implements cc.Controller.
-func (t *Vegas) Tick(time.Duration) {}
-
-// Allowance implements cc.Controller.
-func (t *Vegas) Allowance(_ time.Duration, inflight int) int {
-	return int(t.cwnd) - inflight
-}
-
-// SendTag implements cc.Controller.
-func (t *Vegas) SendTag() int { return int(t.cwnd) }
-
-// OnSend implements cc.Controller.
-func (t *Vegas) OnSend(_ time.Duration, seq int64, _ int) {
-	if seq > t.lastSent {
-		t.lastSent = seq
-	}
 }
