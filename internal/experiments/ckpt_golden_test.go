@@ -24,32 +24,32 @@ import (
 // single-heap executor and on two shards.
 var goldenMetroCkpt = map[int][]string{
 	0: {
-		"e84853c30ba450aa61559cc9bae6a18ff1aedea722c8b2ecddc792e6a21017dd",
-		"f947bfe32e6d17a7f0a7001dbe18e20e663067dd22a4f9b2fce381881855db14",
-		"b34bda4b60215bb46543f791c5071062832534ddb89e03b05ae2140eaf812bea",
-		"2fa032730fe69a32f3e03eb344863b19196aa0e94f346aecbd2fa8f57942d7d7",
-		"d984257a54fc19d9957587dc08cb54c3c869abc6e677ff5161b42cbaddcf2aa4",
-		"5f8412990b24932fbd57f0278a14a538411cb3bb8277c2347447eddb8f61137e",
-		"54cf57025406762b97d5ee6a6502567b2744d37d065156c12c2c4639653a3b33",
-		"5b9666b2d9cd41180e36472d3b9a1596445ce8c5ca200bd52d2112cf6ea66260",
-		"b9bd69426dfbfaa7833bfa19a03afe6ce3b9b79290df7311233e21e4aca8928e",
+		"1f322a3dfe8f2326d96fea861e956dc26fe07fb3a0c6157b2c1efe846d8d97cb",
+		"2a35cb03028786472e62b1dcb1d89c0ae65d488a18c8a73a5c07e2979e839c80",
+		"57d097a4bdf81848914e566f238999ccbcffe81895a2541ed2e2106a8898632a",
+		"89ef28589b5191734000d816acd6027d6328cded0f1c9da2d4aa3b4139adb27a",
+		"2e6fc3209d70d75336edbf88db7fa6903bc7c88f051e31bb347423d25bab6175",
+		"69ec1ad787b0332bb447e9dd13a17a78d2a758ac66482dc0768354cfb84c905d",
+		"aafc487577b22ee70ef4b606921772c6dcbe8f1a55a9de1a96919c335d796861",
+		"649c8ad3853e7a147a0d7de5dba219de187b4f30c5cbc844019b7e57c9f4a39d",
+		"c2e0b2e22d40d07df897fec18795965fc954deb4447ef07511bde9d667dec276",
 	},
 	2: {
-		"3367ba5c0366e74fe96162195a1d7ee3bf5bf8560d7f7b10f34f7dcc5dd480aa",
-		"d243f5c4fbd0e643eaf0618aa0ebc8bc21c3cb4515ca7647c8bbc67c27d55348",
-		"749bc5fe4a4f23cb7b054fa6551d54de69274d6d353aa2335f02174be44bc739",
-		"67a52ad7c3ddb818e6aea4d397df02a438cb5a158982fab010595e3967f1295b",
-		"3e6e9057ea61b484ac49fb35bc4945f304bfa2aae9cd90a5739c0c9d574b7999",
-		"e218350c23326d773c3d4e807f7fcbdeb018ed75178edebda5b74319a64876cc",
-		"d60fafd32edb88098a873834882d53d209bf5b8ecaf52690b98fa7876d2c2594",
-		"f2e13f92f62c5e4ce76cc46280c38f613573d23c3349fd538ccb1e6674dfae08",
-		"ccd3fc34b5109937d7b48805a045f5e97f061cd522a186c3203b64bcaab88d13",
+		"7852b96ba5b374160e427188df2936314fff2a2089e5feb1a83f474ec06fb091",
+		"8d9477e5956bde77ffaca66695a70c02f597e03498cd4c1f1ed6869fe75e3474",
+		"b65473d0d8975134792b740d08d5ac7a764988ca37691928555d55398d801441",
+		"41cd98d897d9d9dd61ab0e2be20eeecc11874fc93f5b1625be0f58c33ec1c54a",
+		"06b6a529f23790cfdfa3f4ac46fb945ab8bb32a5a7c6454136e7d62cdc086415",
+		"47cad64d16ae44ab769670d803d6fcecfd1eab12ca3e46387d8afeda431b5ba8",
+		"f2d85dec97aa7c6c7fd6e3611415a251a0f32da1b3172778b9ab093d3534e276",
+		"c9bfb70204b9ed11d2f91aacce2b871081d2c7997cb18cf3668855414dc65b35",
+		"3adebb49610e108a6fa58e7275cf26958ffd96f9c44f2db2e949c699c417ee6e",
 	},
 }
 
 // goldenDumbbellCkpt is the SHA-256 of the mid-run dumbbell snapshot
 // buildGoldenDumbbell produces.
-const goldenDumbbellCkpt = "e18dba425636de3e76f73e8bedd6d3ccbda11e8cf7ddb4f3540acc18417b4def"
+const goldenDumbbellCkpt = "aacb9552e973726e98f3c96dd56ae145f95bbea932a668b922ae45313f10317c"
 
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)

@@ -24,12 +24,6 @@ type FlowMetrics struct {
 	DelayOverTime *stats.WindowedMean
 	// Sent, Received, LossDetected, Timeouts count packets and events.
 	Sent, Received, LossDetected, Timeouts int64
-	// AttribNs[c] is the delivered packets' summed delay attributable to
-	// component c, in nanoseconds — the compact per-flow rollup (full
-	// histograms live in per-cell stats.Attribution aggregates, because a
-	// histogram per flow at 100k-flow metro scale would cost tens of MB).
-	// Integer accumulation keeps the totals executor-independent.
-	AttribNs [stats.NumDelayComps]int64
 }
 
 // flowMetricsBlock is a flow's metrics and the three series they point at,
@@ -95,9 +89,6 @@ func (k *Sink) Receive(p *Packet) {
 	k.metrics.Delay.Add(oneWay.Seconds())
 	k.metrics.DelayOverTime.Add(now, oneWay.Seconds())
 	comps := p.DelayComps()
-	for c := 0; c < stats.NumDelayComps; c++ {
-		k.metrics.AttribNs[c] += int64(comps[c])
-	}
 	if k.attrib != nil {
 		k.attrib.Record(comps, oneWay)
 	}
@@ -172,9 +163,8 @@ func (b *scoreboard) closeGap(lo, hi int) {
 func (b *scoreboard) clear() { b.head, b.n = 0, 0 }
 
 // admit reports why a decoded entry may not follow the entries restored so
-// far, or nil: it checks the invariants above, the range of each field, and
-// the retired lost flag, which no valid snapshot sets.
-func (b *scoreboard) admit(o outstanding, lost bool, nextSeq int64) error {
+// far, or nil: it checks the invariants above and the range of each field.
+func (b *scoreboard) admit(o outstanding, nextSeq int64) error {
 	switch {
 	case o.seq < 0 || o.seq >= nextSeq:
 		return fmt.Errorf("seq %d outside [0, next seq %d)", o.seq, nextSeq)
@@ -184,8 +174,6 @@ func (b *scoreboard) admit(o outstanding, lost bool, nextSeq int64) error {
 		return fmt.Errorf("ackedAfter %d outside [0, %d)", o.ackedAfter, dupThresh)
 	case b.n > 0 && o.ackedAfter > 0 && b.at(b.n-1).ackedAfter == 0:
 		return fmt.Errorf("acked past (ackedAfter %d) behind an entry no ack has passed", o.ackedAfter)
-	case lost:
-		return fmt.Errorf("lost flag set")
 	}
 	return nil
 }
@@ -387,12 +375,10 @@ func (h *Host) walk(w snap.Walker, flow int) {
 		w.Dur(&o.sentAt)
 		w.Int(&o.window)
 		w.Int(&o.ackedAfter)
-		lost := false // the retired per-entry lost flag: never set, its byte stays on the wire
-		w.Bool(&lost)
 		if !w.Loading() || w.Err() != nil {
 			continue
 		}
-		if err := h.inflight.admit(o, lost, h.nextSeq); err != nil {
+		if err := h.inflight.admit(o, h.nextSeq); err != nil {
 			w.Fail(fmt.Errorf("netsim: source snapshot, flow %d, in-flight entry %d: %w", flow, i, err))
 			return
 		}
@@ -558,7 +544,6 @@ func (m *FlowMetrics) Walk(w snap.Walker) {
 	w.I64(&m.Received)
 	w.I64(&m.LossDetected)
 	w.I64(&m.Timeouts)
-	w.FixedI64s(m.AttribNs[:], "netsim: flow metrics attribution components")
 }
 
 // walkSender visits the sender protocol state: the host's, then the

@@ -24,7 +24,6 @@ type refOutstanding struct {
 	sentAt     time.Duration
 	window     int
 	ackedAfter int
-	lost       bool
 }
 
 type refSource struct {
@@ -137,7 +136,6 @@ func (s *refSource) Snapshot(e *snap.Encoder) {
 		e.Dur(o.sentAt)
 		e.Int(o.window)
 		e.Int(o.ackedAfter)
-		e.Bool(o.lost)
 	}
 	e.Dur(s.srtt)
 	e.Dur(s.rttvar)
@@ -416,7 +414,6 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 		"ackedAfter at dupThresh":           {{seq: 3, ackedAfter: dupThresh}},
 		"negative ackedAfter":               {{seq: 3, ackedAfter: -1}},
 		"acked past behind an unpassed one": {{seq: 3}, {seq: 5, ackedAfter: 1}},
-		"lost flag set":                     {{seq: 3, lost: true}},
 	} {
 		s, d := target(), encode(inflight)
 		s.Walk(snap.Load(d))
@@ -438,7 +435,6 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	e.Dur(0)
 	e.Int(4)
 	e.Int(0)
-	e.Bool(false)
 	s, d = target(), decoder(e)
 	s.Walk(snap.Load(d))
 	if d.Err() == nil {

@@ -20,7 +20,6 @@ func (s *Sprout) walk(w snap.Walker) {
 	w.Dur(&s.rttSumTick)
 	w.Int(&s.rttCntTick)
 	w.Dur(&s.srtt)
-	w.I64(&s.ticks)
 }
 
 // Walk implements snap.Walkable. A load fails closed: the snapshot is walked
@@ -64,8 +63,8 @@ func (s *Sprout) reachable() error {
 		return fmt.Errorf("sprout: snapshot belief sums to %v, not 1", total)
 	case s.window < 1:
 		return fmt.Errorf("sprout: snapshot window %d is below the probing minimum 1", s.window)
-	case s.arrivals < 0 || s.rttCntTick < 0 || s.ticks < 0:
-		return fmt.Errorf("sprout: snapshot counts arrivals %d, rtt samples %d, ticks %d; none may be negative", s.arrivals, s.rttCntTick, s.ticks)
+	case s.arrivals < 0 || s.rttCntTick < 0:
+		return fmt.Errorf("sprout: snapshot counts arrivals %d, rtt samples %d; neither may be negative", s.arrivals, s.rttCntTick)
 	case s.rttMin < 0 || s.rttSumTick < 0 || s.srtt < 0:
 		return fmt.Errorf("sprout: snapshot durations rttMin %v, rttSumTick %v, srtt %v; none may be negative", s.rttMin, s.rttSumTick, s.srtt)
 	case s.rttCntTick == 0 && s.rttSumTick != 0:

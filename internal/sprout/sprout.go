@@ -193,8 +193,6 @@ type Sprout struct {
 	rttSumTick time.Duration
 	rttCntTick int
 	srtt       time.Duration
-
-	ticks int64
 }
 
 var _ cc.Controller = (*Sprout)(nil)
@@ -277,7 +275,6 @@ func (s *Sprout) OnTimeout(time.Duration) {
 
 // Tick implements cc.Controller: evolve, observe, forecast.
 func (s *Sprout) Tick(now time.Duration) {
-	s.ticks++
 	if s.aheadOK {
 		s.belief, s.ahead = s.ahead, s.belief
 	} else {

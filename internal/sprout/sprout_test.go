@@ -204,7 +204,6 @@ func newReference(cfg Config) *reference {
 
 // Tick shadows (*Sprout).Tick step for step.
 func (s *reference) Tick(time.Duration) {
-	s.ticks++
 	s.referenceDiffuse(s.belief)
 	s.observe(s.arrivals, s.saturatedTick())
 	s.arrivals = 0
@@ -438,7 +437,6 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		"window -5":           func(s *Sprout) { s.window = -5 },
 		"negative arrivals":   func(s *Sprout) { s.arrivals = -1 },
 		"negative rttCntTick": func(s *Sprout) { s.rttCntTick = -1 },
-		"negative ticks":      func(s *Sprout) { s.ticks = -1 },
 		"negative rttMin":     func(s *Sprout) { s.rttMin = -time.Millisecond },
 		"negative rttSumTick": func(s *Sprout) { s.rttSumTick = -time.Millisecond },
 		"negative srtt":       func(s *Sprout) { s.srtt = -time.Millisecond },
@@ -453,7 +451,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		if d.Err() == nil {
 			t.Errorf("%s: snapshot accepted", name)
 		}
-		if s.window != 4 || s.belief[3] != 1/float64(len(s.belief)) || s.arrivals != 0 || s.srtt != 0 || s.ticks != 0 {
+		if s.window != 4 || s.belief[3] != 1/float64(len(s.belief)) || s.arrivals != 0 || s.srtt != 0 {
 			t.Errorf("%s: rejected snapshot still overwrote the controller", name)
 		}
 	}
@@ -465,7 +463,6 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 // left alone): every tick diffuses the belief, and forecast diffuses a copy of
 // it whole once per level. It is the oracle Tick is held to, bit for bit.
 func (s *Sprout) referenceTick(now time.Duration) {
-	s.ticks++
 	s.diffuse(s.belief)
 	s.referenceObserve(s.arrivals, s.saturatedTick())
 	s.arrivals = 0

@@ -11,8 +11,8 @@ import (
 // stamps the transitions), so their sum telescopes exactly — in integer
 // arithmetic, not floating point — to the measured send→sink delay. The
 // Attribution aggregate here is the per-cell/per-class rollup: component
-// totals, an identity-violation ledger, and fixed log-spaced histograms of
-// per-packet component durations.
+// totals, an identity-violation ledger, and a fixed log-spaced histogram of
+// the measured one-way delay.
 
 // DelayComp identifies one component of a packet's one-way delay.
 type DelayComp uint8
@@ -49,7 +49,7 @@ func (c DelayComp) String() string {
 	return fmt.Sprintf("DelayComp(%d)", uint8(c))
 }
 
-// attribBuckets is the per-component histogram resolution: log-spaced bucket
+// attribBuckets is the total-delay histogram resolution: log-spaced bucket
 // edges at 1 ms · 2^k, mirroring obs.DelayBuckets (1 ms .. ~33 s), plus an
 // implicit zero/underflow bucket below and an overflow bucket above.
 const attribBuckets = 16
@@ -60,7 +60,7 @@ func attribBucketEdge(k int) time.Duration {
 }
 
 // Attribution aggregates per-packet delay decompositions: integer component
-// sums (exact, order-independent), per-component duration histograms, and the
+// sums (exact, order-independent), a one-way delay histogram, and the
 // accounting-identity ledger. The zero value is ready to use. Attribution is
 // not goroutine-safe; in the metro mesh each instance is owned by one cell
 // timeline.
@@ -80,11 +80,10 @@ type Attribution struct {
 	// stamp (marks must be monotone in virtual time).
 	Negatives int64
 
-	// buckets[c][k] counts packets whose component c fell in bucket k:
-	// k=0 holds d < 1 ms (including exact zeros), k=1..attribBuckets-1 hold
-	// edge(k-1) <= d < edge(k), and k=attribBuckets holds the overflow.
-	buckets [NumDelayComps][attribBuckets + 1]int64
-	// totBuckets is the same layout over the measured one-way delay.
+	// totBuckets[k] counts packets whose measured one-way delay d fell in
+	// bucket k: k=0 holds d < 1 ms (including exact zeros),
+	// k=1..attribBuckets-1 hold edge(k-1) <= d < edge(k), and
+	// k=attribBuckets holds the overflow.
 	totBuckets [attribBuckets + 1]int64
 }
 
@@ -110,9 +109,7 @@ func (a *Attribution) Record(comps [NumDelayComps]time.Duration, total time.Dura
 		a.CompNs[c] += int64(d)
 		if d < 0 {
 			a.Negatives++
-			continue
 		}
-		a.buckets[c][attribBucketOf(d)]++
 	}
 	if sum != total {
 		a.Violations++
@@ -133,9 +130,6 @@ func (a *Attribution) Merge(o *Attribution) {
 	a.Negatives += o.Negatives
 	for c := 0; c < NumDelayComps; c++ {
 		a.CompNs[c] += o.CompNs[c]
-		for k := range a.buckets[c] {
-			a.buckets[c][k] += o.buckets[c][k]
-		}
 	}
 	for k := range a.totBuckets {
 		a.totBuckets[k] += o.totBuckets[k]
@@ -159,33 +153,25 @@ func (a *Attribution) Share(c DelayComp) float64 {
 	return float64(a.CompNs[c]) / float64(a.TotalNs)
 }
 
-// quantileEdge walks a cumulative bucket array to the bucket containing the
-// q-th (0..1) packet and returns that bucket's upper edge in seconds — a
-// deterministic upper bound on the true quantile at the histogram's
-// resolution. The overflow bucket reports the last finite edge doubled.
-func quantileEdge(buckets *[attribBuckets + 1]int64, count int64, q float64) float64 {
-	if count == 0 {
+// TotalQuantileSeconds returns a bucket-resolution upper bound on the q-th
+// percentile (0..100) of the measured one-way delay: it walks the cumulative
+// histogram to the bucket holding that packet and returns the bucket's upper
+// edge in seconds, deterministic at the histogram's resolution. The overflow
+// bucket reports the last finite edge doubled.
+func (a *Attribution) TotalQuantileSeconds(q float64) float64 {
+	if a.Count == 0 {
 		return 0
 	}
-	want := int64(q * float64(count))
-	if want >= count {
-		want = count - 1
+	want := int64(q / 100 * float64(a.Count))
+	if want >= a.Count {
+		want = a.Count - 1
 	}
 	var cum int64
-	for k := 0; k <= attribBuckets; k++ {
-		cum += buckets[k]
+	for k := 0; k < attribBuckets; k++ {
+		cum += a.totBuckets[k]
 		if cum > want {
-			if k >= attribBuckets {
-				return (2 * attribBucketEdge(attribBuckets-1)).Seconds()
-			}
 			return attribBucketEdge(k).Seconds()
 		}
 	}
 	return (2 * attribBucketEdge(attribBuckets-1)).Seconds()
-}
-
-// TotalQuantileSeconds returns a bucket-resolution upper bound on the q-th
-// percentile (0..100) of the measured one-way delay.
-func (a *Attribution) TotalQuantileSeconds(q float64) float64 {
-	return quantileEdge(&a.totBuckets, a.Count, q/100)
 }

@@ -13,16 +13,10 @@ import (
 // Summary.Percentile permutes the samples in place, so the in-memory order at
 // snapshot time is observable in the next snapshot's bytes.
 
-// Walk visits the summary's samples and running moments. The byte after the
-// samples was the "samples are sorted" flag of the sort-based Percentile. It
-// stays on the wire, written false, so snap.Version need not move; a load
-// accepts either value and drops it, because nothing reads sortedness any
-// more.
+// Walk visits the summary's samples and running moments.
 func (s *Summary) Walk(w snap.Walker) {
 	w.Tag("summary")
 	w.F64s(&s.samples)
-	var wasSorted bool
-	w.Bool(&wasSorted)
 	w.F64(&s.sum)
 	w.F64(&s.sumSq)
 }
@@ -47,7 +41,7 @@ func (s *WindowedMean) Walk(w snap.Walker) {
 }
 
 // Walk visits the attribution aggregate: component sums, the identity ledger,
-// and every histogram bucket — all integers, so a load is bit-exact by
+// and the total-delay histogram — all integers, so a load is bit-exact by
 // construction.
 func (a *Attribution) Walk(w snap.Walker) {
 	w.Tag("attrib")
@@ -56,8 +50,5 @@ func (a *Attribution) Walk(w snap.Walker) {
 	w.I64(&a.Count)
 	w.I64(&a.Violations)
 	w.I64(&a.Negatives)
-	for c := range a.buckets {
-		w.FixedI64s(a.buckets[c][:], "stats: attribution bucket row cells")
-	}
 	w.FixedI64s(a.totBuckets[:], "stats: attribution total row cells")
 }

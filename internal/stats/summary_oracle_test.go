@@ -454,9 +454,9 @@ func loadSummary(t *testing.T, blob []byte) *Summary {
 	return s
 }
 
-// TestSummaryWalkRoundTrip: save → load → save is byte-identical, the byte
-// that used to say "sorted" is written false even after a query has permuted
-// the samples, and the permuted order travels with the snapshot.
+// TestSummaryWalkRoundTrip: save → load → save is byte-identical, the wire
+// layout is the samples and the two running moments, nothing more, and the
+// order a query has permuted the samples into travels with the snapshot.
 func TestSummaryWalkRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	orig := NewSummary(0)
@@ -470,11 +470,10 @@ func TestSummaryWalkRoundTrip(t *testing.T) {
 		t.Fatal("a Percentile query left the snapshot bytes unchanged: sample order is no longer observable")
 	}
 
-	// The wire layout, as the sort-based Summary wrote it with sorted=false.
+	// The wire layout: tag, samples in their current order, sum, sum of squares.
 	e := snap.NewEncoder()
 	e.Tag("summary")
 	e.F64s(orig.samples)
-	e.Bool(false)
 	e.F64(orig.sum)
 	e.F64(orig.sumSq)
 	want, err := e.Encode(snap.Version)
@@ -482,7 +481,7 @@ func TestSummaryWalkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(blob, want) {
-		t.Fatalf("Walk wrote %d bytes, the parent's layout is %d", len(blob), len(want))
+		t.Fatalf("Walk wrote %d bytes, the layout is %d", len(blob), len(want))
 	}
 
 	got := loadSummary(t, blob)
@@ -491,44 +490,5 @@ func TestSummaryWalkRoundTrip(t *testing.T) {
 	}
 	if v := got.Percentile(95); v != p95 || got.N() != orig.N() || got.Mean() != orig.Mean() {
 		t.Fatalf("loaded summary reads p95=%v n=%d mean=%v, saved one %v %d %v", v, got.N(), got.Mean(), p95, orig.N(), orig.Mean())
-	}
-}
-
-// TestSummaryWalkIgnoresSortedByte: a snapshot that claims sorted samples
-// over unsorted ones — which the sort-based Summary would have believed —
-// loads cleanly and answers from the samples.
-func TestSummaryWalkIgnoresSortedByte(t *testing.T) {
-	samples := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
-	want := &refSummary{}
-	e := snap.NewEncoder()
-	e.Tag("summary")
-	e.F64s(samples)
-	e.Bool(true)
-	var sum, sumSq float64
-	for _, v := range samples {
-		want.Add(v)
-		sum += v
-		sumSq += v * v
-	}
-	e.F64(sum)
-	e.F64(sumSq)
-	blob, err := e.Encode(snap.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := loadSummary(t, blob)
-	for _, p := range metroQuantiles {
-		if g, w := got.Percentile(p), want.Percentile(p); g != w {
-			t.Errorf("Percentile(%v) = %v after a load with the sorted byte set, want %v", p, g, w)
-		}
-	}
-	if again, err := snap.Decode(saveSummary(t, got), snap.Version); err != nil {
-		t.Fatal(err)
-	} else {
-		again.Expect("summary")
-		again.F64s()
-		if again.Bool() {
-			t.Error("the loaded sorted byte was written back as true")
-		}
 	}
 }
