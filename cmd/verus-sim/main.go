@@ -40,30 +40,6 @@ func maker(proto string, r float64) (experiments.Maker, error) {
 	}
 }
 
-func scenario(name string) (cellular.Scenario, error) {
-	for _, s := range cellular.Scenarios() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	var names []string
-	for _, s := range cellular.Scenarios() {
-		names = append(names, s.Name)
-	}
-	return cellular.Scenario{}, fmt.Errorf("unknown scenario %q (one of %s)", name, strings.Join(names, ", "))
-}
-
-func technology(name string) (cellular.Tech, error) {
-	switch strings.ToLower(name) {
-	case "3g":
-		return cellular.Tech3G, nil
-	case "lte":
-		return cellular.TechLTE, nil
-	default:
-		return 0, fmt.Errorf("unknown technology %q (3g|lte)", name)
-	}
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -95,11 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	tech, err := technology(*techName)
+	tech, err := cellular.ParseTech(*techName)
 	if err != nil {
 		return usage(err)
 	}
-	sc, err := scenario(*scName)
+	sc, err := cellular.ParseScenario(*scName)
 	if err != nil {
 		return usage(err)
 	}

@@ -90,10 +90,16 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"info"},
 		{"conv"},
 		{"gen", "-no-such-flag"},
+		{"gen", "-tech", "5g"},
+		{"gen", "-operator", "z"},
+		{"gen", "-scenario", "moon"},
 	} {
 		var out, errBuf bytes.Buffer
 		if code := run(args, &out, &errBuf); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: wrote %d bytes to stdout, want none", args, out.Len())
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/trace"
@@ -57,6 +58,18 @@ func (t Tech) String() string {
 	}
 }
 
+// ParseTech returns the technology named "3g" or "lte", in any case.
+func ParseTech(name string) (Tech, error) {
+	switch strings.ToLower(name) {
+	case "3g":
+		return Tech3G, nil
+	case "lte":
+		return TechLTE, nil
+	default:
+		return 0, fmt.Errorf("unknown technology %q (3g|lte)", name)
+	}
+}
+
 // Operator selects one of the two modeled carriers. They differ slightly in
 // mean rate and burstiness, standing in for the Du/Etisalat differences in
 // paper Fig. 2.
@@ -78,6 +91,18 @@ func (o Operator) String() string {
 		return "OpB"
 	default:
 		return fmt.Sprintf("Operator(%d)", int(o))
+	}
+}
+
+// ParseOperator returns the operator named "a" or "b", in any case.
+func ParseOperator(name string) (Operator, error) {
+	switch strings.ToLower(name) {
+	case "a":
+		return OperatorA, nil
+	case "b":
+		return OperatorB, nil
+	default:
+		return 0, fmt.Errorf("unknown operator %q (a|b)", name)
 	}
 }
 
@@ -124,6 +149,18 @@ func Scenarios() []Scenario {
 		CampusStationary, CampusPedestrian, CityStationary,
 		CityDriving, HighwayDriving, ShoppingMall, CityWaterfront,
 	}
+}
+
+// ParseScenario returns the §5.3 scenario with the given name.
+func ParseScenario(name string) (Scenario, error) {
+	var names []string
+	for _, s := range Scenarios() {
+		if s.Name == name {
+			return s, nil
+		}
+		names = append(names, s.Name)
+	}
+	return Scenario{}, fmt.Errorf("unknown scenario %q (one of %s)", name, strings.Join(names, ", "))
 }
 
 // Config fully describes a channel to generate.

@@ -20,6 +20,35 @@ func TestTechAndOperatorStrings(t *testing.T) {
 	}
 }
 
+func TestParseNames(t *testing.T) {
+	for _, sc := range Scenarios() {
+		if got, err := ParseScenario(sc.Name); err != nil || got != sc {
+			t.Errorf("ParseScenario(%q) = %v, %v", sc.Name, got.Name, err)
+		}
+	}
+	if tech, err := ParseTech("LTE"); err != nil || tech != TechLTE {
+		t.Errorf("ParseTech(LTE) = %v, %v", tech, err)
+	}
+	if tech, err := ParseTech("3g"); err != nil || tech != Tech3G {
+		t.Errorf("ParseTech(3g) = %v, %v", tech, err)
+	}
+	if op, err := ParseOperator("A"); err != nil || op != OperatorA {
+		t.Errorf("ParseOperator(A) = %v, %v", op, err)
+	}
+	if op, err := ParseOperator("b"); err != nil || op != OperatorB {
+		t.Errorf("ParseOperator(b) = %v, %v", op, err)
+	}
+	if _, err := ParseScenario("moon"); err == nil {
+		t.Error("ParseScenario accepted an unknown name")
+	}
+	if _, err := ParseTech("5g"); err == nil {
+		t.Error("ParseTech accepted an unknown name")
+	}
+	if _, err := ParseOperator("z"); err == nil {
+		t.Error("ParseOperator accepted an unknown name")
+	}
+}
+
 func TestScenarioList(t *testing.T) {
 	scs := Scenarios()
 	if len(scs) != 7 {

@@ -19,9 +19,10 @@ import (
 // continues the sweep; the result is byte-identical to a run that was never
 // interrupted.
 
-// metroJob is one (flow count, protocol) cell of the serial checkpointed
-// sweep. Key mirrors the runner.Map job keys exactly, so the derived trial
-// seeds — and therefore the rendered points — match the parallel path.
+// metroJob is one (flow count, protocol) cell of the sweep. Both the runner
+// path and the serial checkpointed path take their jobs from metroJobs, so
+// the keys, the derived trial seeds and the rendered points are the same on
+// both.
 type metroJob struct {
 	key   int64
 	flows int

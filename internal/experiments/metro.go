@@ -199,18 +199,12 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 		return metroCheckpointed(opts)
 	}
 	out := MetroResult{Sectors: opts.Sectors, Duration: opts.Duration, Tech: opts.Tech}
-	protos := metroProtocols()
 	var jobs []runner.Job[MetroPoint]
-	for fi, flows := range opts.FlowCounts {
-		for pi, mk := range protos {
-			flows, mk := flows, mk
-			jobs = append(jobs, runner.Job[MetroPoint]{
-				Key: int64(100*fi + pi),
-				Run: func(seed int64) MetroPoint {
-					return metroTrial(opts, mk, flows, seed)
-				},
-			})
-		}
+	for _, j := range metroJobs(opts) {
+		jobs = append(jobs, runner.Job[MetroPoint]{
+			Key: j.key,
+			Run: func(seed int64) MetroPoint { return metroTrial(opts, j.mk, j.flows, seed) },
+		})
 	}
 	points := runner.Map(opts.pool(), opts.Seed, jobs)
 	out.Points = append(out.Points, points...)

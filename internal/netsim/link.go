@@ -276,7 +276,7 @@ func (l *TraceLink) runOp() {
 
 func (l *TraceLink) serve(budget int) {
 	for budget > 0 {
-		head := l.peek()
+		head := l.queue.Peek()
 		if head == nil {
 			// Idle channel: this opportunity's capacity is lost, the
 			// non-work-conserving property of a cellular scheduler.
@@ -299,19 +299,6 @@ func (l *TraceLink) serve(budget int) {
 		budget -= need
 		l.headServed = 0
 		l.finish(l.queue.Dequeue(l.sim.Now()))
-	}
-}
-
-// peek returns the head packet without removing it. Queue has no Peek, so
-// TraceLink relies on the concrete types used in this package.
-func (l *TraceLink) peek() *Packet {
-	switch q := l.queue.(type) {
-	case *DropTail:
-		return q.Peek()
-	case *RED:
-		return q.Peek()
-	default:
-		panic("netsim: TraceLink requires a DropTail or RED queue")
 	}
 }
 

@@ -72,6 +72,9 @@ func (p *Packet) resetAttrib(sentAt time.Duration) {
 type Queue interface {
 	Enqueue(p *Packet, now time.Duration) bool
 	Dequeue(now time.Duration) *Packet
+	// Peek returns the head-of-line packet without dequeuing it (nil when
+	// empty).
+	Peek() *Packet
 	// Len returns the number of queued packets.
 	Len() int
 	// Bytes returns the total queued bytes.
@@ -166,7 +169,7 @@ func (q *DropTail) Dequeue(_ time.Duration) *Packet {
 	return p
 }
 
-// Peek returns the head-of-line packet without dequeuing it (nil when empty).
+// Peek implements Queue.
 func (q *DropTail) Peek() *Packet { return q.ring.peek() }
 
 // Len implements Queue.
@@ -297,7 +300,7 @@ func (q *RED) Dequeue(now time.Duration) *Packet {
 	return p
 }
 
-// Peek returns the head-of-line packet without dequeuing it (nil when empty).
+// Peek implements Queue.
 func (q *RED) Peek() *Packet { return q.ring.peek() }
 
 // Len implements Queue.
@@ -367,9 +370,8 @@ func (q *RED) Walk(w snap.Walker) {
 	}
 }
 
-// walkQueue dispatches a Queue's walk through its concrete type, the same
-// closed set TraceLink.peek relies on. The kind byte on the wire must name
-// the type the rebuild produced.
+// walkQueue dispatches a Queue's walk through its concrete type. The kind
+// byte on the wire must name the type the rebuild produced.
 func walkQueue(w snap.Walker, q Queue) {
 	var kind uint8
 	switch q.(type) {

@@ -1,3 +1,10 @@
+// Package stats provides the statistical primitives used throughout the
+// repository: running summaries, log-binned probability densities, windowed
+// throughput series, delay attribution, and Jain's fairness index.
+//
+// All types are plain values with no hidden goroutines; they are safe for use
+// from a single goroutine (the simulator event loop or a transport's ack
+// loop). Wrap them in a mutex if shared.
 package stats
 
 import (

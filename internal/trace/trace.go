@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -97,17 +96,6 @@ func (tr *Trace) WindowedMbps(window time.Duration) []float64 {
 	return out
 }
 
-// Clip returns a copy truncated to [0, d).
-func (tr *Trace) Clip(d time.Duration) *Trace {
-	out := &Trace{Name: tr.Name, Duration: d}
-	for _, op := range tr.Ops {
-		if op.At < d {
-			out.Ops = append(out.Ops, op)
-		}
-	}
-	return out
-}
-
 // Loop returns a copy of the trace repeated end-to-end until it covers at
 // least d, then clipped to d. A trace with no duration cannot be looped.
 func (tr *Trace) Loop(d time.Duration) (*Trace, error) {
@@ -139,30 +127,6 @@ func (tr *Trace) Scale(factor float64) *Trace {
 		out.Ops[i] = Opportunity{At: op.At, Bytes: b}
 	}
 	return out
-}
-
-// FromArrivals builds a trace from observed packet arrivals (time, size),
-// the procedure the paper uses to turn receiver-side measurements into
-// channel traces. Arrivals are sorted; duration is the last arrival time
-// rounded up to the next millisecond.
-func FromArrivals(times []time.Duration, sizes []int) (*Trace, error) {
-	if len(times) != len(sizes) {
-		return nil, errors.New("trace: times and sizes length mismatch")
-	}
-	ops := make([]Opportunity, len(times))
-	for i := range times {
-		ops[i] = Opportunity{At: times[i], Bytes: sizes[i]}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
-	tr := &Trace{Ops: ops}
-	if len(ops) > 0 {
-		last := ops[len(ops)-1].At
-		tr.Duration = (last/time.Millisecond + 1) * time.Millisecond
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
 // Write serializes the trace as CSV: a header line, then

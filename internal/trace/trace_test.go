@@ -87,12 +87,8 @@ func TestWindowedMbps(t *testing.T) {
 	}
 }
 
-func TestClipAndLoop(t *testing.T) {
+func TestLoop(t *testing.T) {
 	tr := sample()
-	c := tr.Clip(ms(20))
-	if len(c.Ops) != 3 || c.Duration != ms(20) {
-		t.Fatalf("Clip: %d ops, duration %v", len(c.Ops), c.Duration)
-	}
 	l, err := tr.Loop(ms(250))
 	if err != nil {
 		t.Fatal(err)
@@ -126,24 +122,6 @@ func TestScale(t *testing.T) {
 		if op.Bytes != 0 {
 			t.Fatal("negative scale should clamp to 0")
 		}
-	}
-}
-
-func TestFromArrivals(t *testing.T) {
-	times := []time.Duration{ms(30), ms(10), ms(20)}
-	sizes := []int{3, 1, 2}
-	tr, err := FromArrivals(times, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Ops[0].Bytes != 1 || tr.Ops[2].Bytes != 3 {
-		t.Fatal("arrivals not sorted by time")
-	}
-	if tr.Duration != ms(31) {
-		t.Fatalf("duration = %v, want 31ms", tr.Duration)
-	}
-	if _, err := FromArrivals(times, sizes[:2]); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 
