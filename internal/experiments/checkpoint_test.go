@@ -16,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/snap"
-	"repro/internal/stats"
 )
 
 // Checkpoint/resume contract (a) of ISSUE 9: run-straight ≡
@@ -172,7 +171,7 @@ func TestMetroCheckpointPoolConservation(t *testing.T) {
 func TestCheckpointWalkRoundTrips(t *testing.T) {
 	tagBytes := func(tag string) []byte {
 		e := snap.NewEncoder()
-		e.Tag(tag)
+		snap.Save(e).Tag(tag)
 		section, _ := e.Encode(snap.Version)
 		return section[8 : len(section)-4]
 	}
@@ -310,7 +309,7 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 
 	wrongVer := filepath.Join(dir, "wrongver.bin")
 	e := snap.NewEncoder()
-	e.Tag("metro")
+	snap.Save(e).Tag("metro")
 	if err := snap.WriteFile(wrongVer, e, snap.Version+1); err != nil {
 		t.Fatal(err)
 	}
@@ -321,18 +320,20 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 	// walkMetroPoint's), which claims `cells`.
 	hostile := func(name string, points uint32, cells int64) string {
 		h := snap.NewEncoder()
-		walkMetroConfig(snap.Save(h), &opts)
-		h.U32(points)
+		w := snap.Save(h)
+		walkMetroConfig(w, &opts)
+		w.Len(int(points))
 		if cells >= 0 {
-			h.Str("verus")
-			h.Int(16)
-			h.F64(0)
-			h.F64s(nil)
-			h.F64s(nil)
-			h.I64(0)
-			h.U64(0)
-			new(stats.Attribution).Walk(snap.Save(h))
-			h.U32(uint32(cells))
+			p := MetroPoint{Protocol: "verus", Flows: 16}
+			w.Str(&p.Protocol)
+			w.Int(&p.Flows)
+			w.F64(&p.AggMbps)
+			w.F64s(&p.CellJain)
+			w.F64s(&p.DelayQuantiles)
+			w.I64(&p.Handovers)
+			w.U64(&p.CrossMsgs)
+			p.Attrib.Walk(w)
+			w.Len(int(cells))
 		}
 		path := filepath.Join(dir, name+".bin")
 		if err := snap.WriteFile(path, h, snap.Version); err != nil {
@@ -498,7 +499,7 @@ func TestMetroCheckpointResetLeavesNoResidue(t *testing.T) {
 	}
 
 	reused.Reset()
-	reused.Tag("abandoned")
+	snap.Save(reused).Tag("abandoned")
 	reused.Fail(os.ErrInvalid)
 	if got := write(reused, optsB, b, 500*time.Millisecond); got != want {
 		t.Fatal("encoder reused after a Fail writes trial B differently from a fresh encoder")

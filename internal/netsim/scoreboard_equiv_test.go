@@ -126,25 +126,25 @@ func (s *refSource) checkRTO() {
 }
 
 func (s *refSource) Snapshot(e *snap.Encoder) {
-	e.Tag("source")
-	cs := s.ctrl.(snap.Walkable)
-	e.I64(s.nextSeq)
-	e.U32(uint32(len(s.inflight)))
+	w := snap.Save(e)
+	w.Tag("source")
+	w.I64(&s.nextSeq)
+	w.Len(len(s.inflight))
 	for i := range s.inflight {
 		o := &s.inflight[i]
-		e.I64(o.seq)
-		e.Dur(o.sentAt)
-		e.Int(o.window)
-		e.Int(o.ackedAfter)
+		w.I64(&o.seq)
+		w.Dur(&o.sentAt)
+		w.Int(&o.window)
+		w.Int(&o.ackedAfter)
 	}
-	e.Dur(s.srtt)
-	e.Dur(s.rttvar)
-	e.Dur(s.lastProg)
-	e.Int(s.backoff)
-	e.Bool(s.stopped)
-	e.Bool(s.started)
-	s.metrics.Walk(snap.Save(e))
-	cs.Walk(snap.Save(e))
+	w.Dur(&s.srtt)
+	w.Dur(&s.rttvar)
+	w.Dur(&s.lastProg)
+	w.Int(&s.backoff)
+	w.Bool(&s.stopped)
+	w.Bool(&s.started)
+	s.metrics.Walk(w)
+	s.ctrl.(snap.Walkable).Walk(w)
 }
 
 // recCall is one call into the controller with every argument it carried.
@@ -428,13 +428,15 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	// A length prefix far past the payload: the decoder runs dry after the one
 	// entry present, and the ring never grew towards the claimed 2³¹.
 	e := snap.NewEncoder()
-	e.Tag("source")
-	e.I64(nextSeq)
-	e.U32(1 << 31)
-	e.I64(3)
-	e.Dur(0)
-	e.Int(4)
-	e.Int(0)
+	w := snap.Save(e)
+	w.Tag("source")
+	next, entry := int64(nextSeq), refOutstanding{seq: 3, window: 4}
+	w.I64(&next)
+	w.Len(1 << 31)
+	w.I64(&entry.seq)
+	w.Dur(&entry.sentAt)
+	w.Int(&entry.window)
+	w.Int(&entry.ackedAfter)
 	s, d = target(), decoder(e)
 	s.Walk(snap.Load(d))
 	if d.Err() == nil {

@@ -3,37 +3,47 @@ package snap
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
-// decodeScript is every Decoder read primitive. Each entry reports how many
-// bytes of result it handed back, which can never exceed what it consumed.
-var decodeScript = []struct {
+// visitScript is every Walker visit. Each entry reports how many bytes of
+// result a load handed back, which can never exceed what it consumed. Run
+// over a Save walker, the script writes a payload its own load accepts:
+// each Same and Fixed visit is handed the value it saved.
+var visitScript = []struct {
 	name string
-	run  func(*Decoder) int
+	run  func(Walker) int
 }{
-	{"Expect", func(d *Decoder) int { d.Expect("section"); return 0 }},
-	{"U8", func(d *Decoder) int { d.U8(); return 1 }},
-	{"U32", func(d *Decoder) int { d.U32(); return 4 }},
-	{"U64", func(d *Decoder) int { d.U64(); return 8 }},
-	{"I64", func(d *Decoder) int { d.I64(); return 8 }},
-	{"Int", func(d *Decoder) int { d.Int(); return 8 }},
-	{"Bool", func(d *Decoder) int { d.Bool(); return 1 }},
-	{"F64", func(d *Decoder) int { d.F64(); return 8 }},
-	{"Dur", func(d *Decoder) int { d.Dur(); return 8 }},
-	{"Bytes", func(d *Decoder) int { return len(d.Bytes()) }},
-	{"Str", func(d *Decoder) int { return len(d.Str()) }},
-	{"I64s", func(d *Decoder) int { return 8 * len(d.I64s()) }},
-	{"F64s", func(d *Decoder) int { return 8 * len(d.F64s()) }},
+	{"Tag", func(w Walker) int { w.Tag("section"); return 0 }},
+	{"U8", func(w Walker) int { v := uint8(1); w.U8(&v); return 1 }},
+	{"Len", func(w Walker) int { w.Len(2); return 4 }},
+	{"U64", func(w Walker) int { v := uint64(3); w.U64(&v); return 8 }},
+	{"I64", func(w Walker) int { v := int64(-4); w.I64(&v); return 8 }},
+	{"Int", func(w Walker) int { v := 5; w.Int(&v); return 8 }},
+	{"Bool", func(w Walker) int { v := true; w.Bool(&v); return 1 }},
+	{"F64", func(w Walker) int { v := 6.5; w.F64(&v); return 8 }},
+	{"Dur", func(w Walker) int { v := 7 * time.Nanosecond; w.Dur(&v); return 8 }},
+	{"Str", func(w Walker) int { v := "ten"; w.Str(&v); return len(v) }},
+	{"I64s", func(w Walker) int { v := []int64{11, 12}; w.I64s(&v); return 8 * len(v) }},
+	{"F64s", func(w Walker) int { v := []float64{13}; w.F64s(&v); return 8 * len(v) }},
+	{"Ints", func(w Walker) int { v := []int{14, 15}; w.Ints(&v); return 8 * len(v) }},
+	{"FixedF64s", func(w Walker) int { a := []float64{16}; w.FixedF64s(a, "fixed float64s"); return 8 * len(a) }},
+	{"FixedI64s", func(w Walker) int { a := []int64{17, 18}; w.FixedI64s(a, "fixed int64s"); return 8 * len(a) }},
+	{"SameLen", func(w Walker) int { w.SameLen(19, "same len"); return 0 }},
+	{"SameInt", func(w Walker) int { w.SameInt(20, "same int"); return 0 }},
+	{"SameI64", func(w Walker) int { w.SameI64(-21, "same int64"); return 0 }},
+	{"SameF64", func(w Walker) int { w.SameF64(22.5, "same float64"); return 0 }},
+	{"SameDur", func(w Walker) int { w.SameDur(23, "same duration"); return 0 }},
 }
 
-// FuzzSnapDecode aims arbitrary payload bytes at the Decoder. The payload is
-// framed with a correct header and CRC first, so the checksum cannot shield
-// the primitives from hostile input the way it shields them from bit rot.
-// The script then runs once from every starting primitive — each gets a turn
-// at the raw bytes before a sticky error can silence it. Nothing may panic, a
-// read may not return more than it consumed, a failed decoder may not
-// consume at all, and a pass may not allocate more than a small multiple of
-// the input: a length prefix is a claim about bytes present, never a size to
+// FuzzSnapDecode aims arbitrary payload bytes at the Walker's load visits.
+// The payload is framed with a correct header and CRC first, so the checksum
+// cannot shield the visits from hostile input the way it shields them from
+// bit rot. The script then runs once from every starting visit — each gets a
+// turn at the raw bytes before a sticky error can silence it. Nothing may
+// panic, a visit may not return more than it consumed, a failed decoder may
+// not consume at all, and a pass may not allocate more than twice the input
+// plus 8 KB: a length prefix is a claim about bytes present, never a size to
 // allocate on trust.
 func FuzzSnapDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -45,17 +55,18 @@ func FuzzSnapDecode(f *testing.F) {
 		}
 		budget := uint64(2*len(framed) + 8<<10)
 		var before, after runtime.MemStats
-		for start := range decodeScript {
+		for start := range visitScript {
 			runtime.ReadMemStats(&before)
 			d, err := Decode(framed, Version)
 			if err != nil {
 				t.Fatalf("correctly framed payload rejected: %v", err)
 			}
-			for i := range decodeScript {
-				op := decodeScript[(start+i)%len(decodeScript)]
+			w := Load(d)
+			for i := range visitScript {
+				op := visitScript[(start+i)%len(visitScript)]
 				failed := d.Err() != nil
 				had := d.Remaining()
-				got := op.run(d)
+				got := op.run(w)
 				used := had - d.Remaining()
 				switch {
 				case used < 0 || d.Remaining() < 0:
@@ -71,29 +82,20 @@ func FuzzSnapDecode(f *testing.F) {
 			}
 			runtime.ReadMemStats(&after)
 			if n := after.TotalAlloc - before.TotalAlloc; n > budget {
-				t.Fatalf("decoding %d payload bytes from %s allocated %d bytes", len(payload), decodeScript[start].name, n)
+				t.Fatalf("decoding %d payload bytes from %s allocated %d bytes", len(payload), visitScript[start].name, n)
 			}
 		}
 	})
 }
 
-// wellFormedScriptPayload is a payload the script decodes to the end from
-// its first entry, so the fuzzer starts with one input that reaches every
-// primitive's success path.
+// wellFormedScriptPayload is the script's own save: a payload the script
+// loads to the end from its first entry, so the fuzzer starts with one input
+// that reaches every visit's success path.
 func wellFormedScriptPayload() []byte {
 	e := NewEncoder()
-	e.Tag("section")
-	e.U8(1)
-	e.U32(2)
-	e.U64(3)
-	e.I64(-4)
-	e.Int(5)
-	e.Bool(true)
-	e.F64(6.5)
-	e.Dur(7)
-	e.Bytes([]byte{8, 9})
-	e.Str("ten")
-	e.I64s([]int64{11, 12})
-	e.F64s([]float64{13})
+	w := Save(e)
+	for _, op := range visitScript {
+		op.run(w)
+	}
 	return e.buf
 }

@@ -3,27 +3,29 @@
 // (DESIGN.md §15).
 //
 // The format is deliberately dumb. Every value is written little-endian at a
-// fixed width (or with an explicit u32 length prefix for byte strings), so
-// an encoding is a pure function of the value sequence — no maps, no
+// fixed width (or with an explicit u32 length prefix for strings and lists),
+// so an encoding is a pure function of the value sequence — no maps, no
 // reflection, no varints whose width depends on the platform. Section tags
-// (Tag/Expect) are part of the byte stream: they cost a few bytes per
-// component but turn an encode/decode order skew — the classic snapshot bug
-// — into an immediate, named error instead of a silently corrupt restore.
+// are part of the byte stream: they cost a few bytes per component but turn
+// an encode/decode order skew — the classic snapshot bug — into an immediate,
+// named error instead of a silently corrupt restore.
+//
+// Walker is the one byte API. Each component implements Walkable: one Walk
+// that visits its checkpointed fields, in wire order, through a Walker.
+// Bound to an Encoder (Save) each visit writes its field, bound to a Decoder
+// (Load) it overwrites it, so a component lists its fields once and the two
+// directions cannot disagree about order. What the rebuild fixes (a window
+// size, a table length) goes through the Same and Fixed visits, which write
+// it on save and require it on load; what only a load does (validate,
+// rematerialize, re-register) is guarded by Loading. Encoder and Decoder are
+// the containers a walk runs over: they hold the payload, frame it, and
+// carry the error.
 //
 // Error handling is sticky on both sides. An Encoder that has failed ignores
 // further writes; a Decoder that has failed (short read, tag mismatch,
-// Fail()) returns zero values from then on and reports the first error from
-// Err. Callers check once, at the end, which keeps component code free of
-// per-field error plumbing.
-//
-// Components do not call the Encoder and Decoder themselves. Each implements
-// Walkable: one Walk that visits its checkpointed fields, in wire order,
-// through a Walker. Bound to an Encoder (Save) the Walker writes each field,
-// bound to a Decoder (Load) it overwrites it, so a component lists its fields
-// once and the two directions cannot disagree about order. What the rebuild
-// fixes (a window size, a table length) goes through the Same and Fixed
-// visits, which write it on save and require it on load; what only a load
-// does (validate, rematerialize, re-register) is guarded by Loading.
+// Fail()) hands every later visit a zero value and reports the first error
+// from Err. Callers check once, at the end, which keeps component code free
+// of per-field error plumbing.
 //
 // A complete snapshot file is
 //
@@ -39,10 +41,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Magic identifies a snapshot file.
@@ -60,7 +60,8 @@ const Version uint32 = 3
 // ErrTruncated reports a payload that ended mid-value.
 var ErrTruncated = errors.New("snap: truncated snapshot")
 
-// Encoder accumulates a snapshot payload. The zero value is ready to use.
+// Encoder accumulates the payload a Save walk writes. The zero value is ready
+// to use.
 type Encoder struct {
 	buf []byte
 	err error
@@ -91,97 +92,32 @@ func (e *Encoder) Reset() {
 	e.err = nil
 }
 
-// U8 writes one byte.
-func (e *Encoder) U8(v uint8) {
-	if e.err != nil {
-		return
-	}
-	e.buf = append(e.buf, v)
-}
-
-// U32 writes a little-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	if e.err != nil {
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-
-// U64 writes a little-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	if e.err != nil {
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-// I64 writes an int64 as its two's-complement uint64 image.
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// Int writes a platform int as int64.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
-// Bool writes a bool as one byte (0 or 1).
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
+// put8, put32 and put64 append one little-endian value, and raw appends
+// bytes as they are. Like every write, they do nothing once the encoder has
+// failed.
+func (e *Encoder) put8(v uint8) {
+	if e.err == nil {
+		e.buf = append(e.buf, v)
 	}
 }
 
-// F64 writes a float64 as its IEEE-754 bit pattern — bit-exact, including
-// NaN payloads and signed zeros.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Dur writes a time.Duration as int64 nanoseconds.
-func (e *Encoder) Dur(v time.Duration) { e.I64(int64(v)) }
-
-// Bytes writes a u32 length prefix followed by the raw bytes.
-func (e *Encoder) Bytes(v []byte) {
-	if len(v) > math.MaxUint32 {
-		e.Fail(fmt.Errorf("snap: byte string of %d bytes exceeds u32 length prefix", len(v)))
-		return
-	}
-	e.U32(uint32(len(v)))
-	if e.err != nil {
-		return
-	}
-	e.buf = append(e.buf, v...)
-}
-
-// Str writes a string as Bytes.
-func (e *Encoder) Str(v string) {
-	if len(v) > math.MaxUint32 {
-		e.Fail(fmt.Errorf("snap: string of %d bytes exceeds u32 length prefix", len(v)))
-		return
-	}
-	e.U32(uint32(len(v)))
-	if e.err != nil {
-		return
-	}
-	e.buf = append(e.buf, v...)
-}
-
-// I64s writes a u32 count followed by each element.
-func (e *Encoder) I64s(v []int64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(x)
+func (e *Encoder) put32(v uint32) {
+	if e.err == nil {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 	}
 }
 
-// F64s writes a u32 count followed by each element's bit pattern.
-func (e *Encoder) F64s(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
+func (e *Encoder) put64(v uint64) {
+	if e.err == nil {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
 }
 
-// Tag writes a section marker. Decoder.Expect with the same name consumes
-// it; a mismatch is a hard decode error naming both sides.
-func (e *Encoder) Tag(name string) { e.Str(name) }
+func (e *Encoder) raw(s string) {
+	if e.err == nil {
+		e.buf = append(e.buf, s...)
+	}
+}
 
 // headerLen and trailerLen are the framing around a payload: magic plus
 // version in front, the CRC behind.
@@ -216,7 +152,7 @@ func (e *Encoder) Encode(version uint32) ([]byte, error) {
 	return out, nil
 }
 
-// Decoder consumes a snapshot payload produced by Encoder.
+// Decoder holds a snapshot payload for a Load walk to consume.
 type Decoder struct {
 	buf []byte
 	off int
@@ -243,7 +179,7 @@ func Decode(data []byte, wantVersion uint32) (*Decoder, error) {
 	return &Decoder{buf: body[headerLen:]}, nil
 }
 
-// Fail marks the decoder failed; subsequent reads return zero values.
+// Fail marks the decoder failed; later visits load zero values.
 func (d *Decoder) Fail(err error) {
 	if d.err == nil && err != nil {
 		d.err = err
@@ -257,7 +193,7 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 // Done verifies the payload was consumed exactly: no sticky error and no
-// trailing bytes. Call it once after the last field.
+// trailing bytes. Call it once after the last visit.
 func (d *Decoder) Done() error {
 	if d.err != nil {
 		return d.err
@@ -282,85 +218,34 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// get8, get32 and get64 read one little-endian value, or return 0 once the
+// decoder has failed.
+func (d *Decoder) get8() uint8 {
+	if b := d.take(1); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+func (d *Decoder) get32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
-// U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+func (d *Decoder) get64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int written by Encoder.Int.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// Bool reads a bool, rejecting any byte other than 0 or 1.
-func (d *Decoder) Bool() bool {
-	switch v := d.U8(); v {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.Fail(fmt.Errorf("snap: invalid bool byte %d", v))
-		return false
-	}
-}
-
-// F64 reads a float64 bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Dur reads a time.Duration.
-func (d *Decoder) Dur() time.Duration { return time.Duration(d.I64()) }
-
-// Bytes reads a length-prefixed byte string into a fresh slice.
-func (d *Decoder) Bytes() []byte {
-	n := int(d.U32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := int(d.U32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+	return 0
 }
 
 // count reads a u32 element count and checks that the payload still holds
 // that many elemSize-byte elements: a length prefix is a claim about bytes
 // present, never a size to allocate on trust. It returns 0 on failure.
 func (d *Decoder) count(elemSize int, elem string) int {
-	n := int(d.U32())
+	n := int(d.get32())
 	if d.err != nil {
 		return 0
 	}
@@ -369,37 +254,6 @@ func (d *Decoder) count(elemSize int, elem string) int {
 		return 0
 	}
 	return n
-}
-
-// I64s reads a counted int64 slice. A zero count yields a nil slice.
-func (d *Decoder) I64s() []int64 {
-	var out []int64
-	Load(d).I64s(&out)
-	return out
-}
-
-// F64s reads a counted float64 slice. A zero count yields a nil slice.
-func (d *Decoder) F64s() []float64 {
-	var out []float64
-	Load(d).F64s(&out)
-	return out
-}
-
-// Expect consumes a section tag written by Encoder.Tag and fails the decode
-// if it does not match — the guard against encode/decode order skew.
-func (d *Decoder) Expect(name string) {
-	if d.err != nil {
-		return
-	}
-	got := d.Str()
-	if d.err == nil && got != name {
-		// Whatever sits where the tag should be may be any length; quote
-		// enough of it to recognise, not all of it.
-		if len(got) > 64 {
-			got = got[:64] + "..."
-		}
-		d.Fail(fmt.Errorf("snap: section tag mismatch: decoding %q, stream has %q", name, got))
-	}
 }
 
 // WriteFile frames the encoder's payload and writes it atomically: the bytes

@@ -6,107 +6,88 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestRoundTrip drives every codec primitive through an encode/decode cycle
-// and requires exact recovery, including float bit patterns.
-func TestRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.Tag("header")
-	e.U8(7)
-	e.U32(0xDEADBEEF)
-	e.U64(math.MaxUint64)
-	e.I64(-42)
-	e.Int(123456)
-	e.Bool(true)
-	e.Bool(false)
-	e.F64(-0.0)
-	e.F64(math.Inf(-1))
-	e.F64(3.14159)
-	e.Dur(1500 * time.Millisecond)
-	e.Bytes([]byte{1, 2, 3})
-	e.Bytes(nil)
-	e.Str("hello")
-	e.I64s([]int64{-1, 0, 1})
-	e.F64s([]float64{0.5, -0.25})
-	e.Tag("trailer")
-	data, err := e.Encode(Version)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
+// walkFunc makes a list of visits a Walkable.
+type walkFunc func(Walker)
 
-	d, err := Decode(data, Version)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+func (f walkFunc) Walk(w Walker) { f(w) }
+
+// body is a one-section payload: a tag and one uint64.
+func body(w Walker) {
+	w.Tag("body")
+	v := uint64(12345)
+	w.U64(&v)
+}
+
+// TestRoundTrip drives every plain visit through a save and a load and
+// requires exact recovery, including float bit patterns.
+func TestRoundTrip(t *testing.T) {
+	type values struct {
+		u8           uint8
+		n            int
+		u64          uint64
+		i64          int64
+		i            int
+		yes, no      bool
+		negZero, nan float64
+		negInf, pi   float64
+		d            time.Duration
+		s, empty     string
+		is           []int64
+		fs           []float64
 	}
-	d.Expect("header")
-	if v := d.U8(); v != 7 {
-		t.Errorf("U8 = %d", v)
+	walk := func(w Walker, v *values) {
+		w.Tag("header")
+		w.U8(&v.u8)
+		v.n = w.Len(v.n)
+		w.U64(&v.u64)
+		w.I64(&v.i64)
+		w.Int(&v.i)
+		w.Bool(&v.yes)
+		w.Bool(&v.no)
+		w.F64(&v.negZero)
+		w.F64(&v.nan)
+		w.F64(&v.negInf)
+		w.F64(&v.pi)
+		w.Dur(&v.d)
+		w.Str(&v.s)
+		w.Str(&v.empty)
+		w.I64s(&v.is)
+		w.F64s(&v.fs)
+		w.Tag("trailer")
 	}
-	if v := d.U32(); v != 0xDEADBEEF {
-		t.Errorf("U32 = %#x", v)
+	in := values{
+		u8: 7, n: 0xDEADBEEF, u64: math.MaxUint64, i64: -42, i: 123456, yes: true,
+		negZero: math.Copysign(0, -1), nan: math.Float64frombits(0x7ff8000000000001),
+		negInf: math.Inf(-1), pi: 3.14159, d: 1500 * time.Millisecond, s: "hello",
+		is: []int64{-1, 0, 1}, fs: []float64{0.5, -0.25},
 	}
-	if v := d.U64(); v != math.MaxUint64 {
-		t.Errorf("U64 = %d", v)
-	}
-	if v := d.I64(); v != -42 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.Int(); v != 123456 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := d.Bool(); v != true {
-		t.Errorf("Bool = %v", v)
-	}
-	if v := d.Bool(); v != false {
-		t.Errorf("Bool = %v", v)
-	}
-	if v := d.F64(); math.Float64bits(v) != math.Float64bits(-0.0) {
-		t.Errorf("F64 negative zero lost: %v", v)
-	}
-	if v := d.F64(); !math.IsInf(v, -1) {
-		t.Errorf("F64 -Inf lost: %v", v)
-	}
-	if v := d.F64(); v != 3.14159 {
-		t.Errorf("F64 = %v", v)
-	}
-	if v := d.Dur(); v != 1500*time.Millisecond {
-		t.Errorf("Dur = %v", v)
-	}
-	if v := d.Bytes(); len(v) != 3 || v[0] != 1 || v[2] != 3 {
-		t.Errorf("Bytes = %v", v)
-	}
-	if v := d.Bytes(); len(v) != 0 {
-		t.Errorf("nil Bytes = %v", v)
-	}
-	if v := d.Str(); v != "hello" {
-		t.Errorf("Str = %q", v)
-	}
-	if v := d.I64s(); len(v) != 3 || v[0] != -1 || v[2] != 1 {
-		t.Errorf("I64s = %v", v)
-	}
-	if v := d.F64s(); len(v) != 2 || v[0] != 0.5 || v[1] != -0.25 {
-		t.Errorf("F64s = %v", v)
-	}
-	d.Expect("trailer")
-	if err := d.Done(); err != nil {
+	data := saveWalked(t, walkFunc(func(w Walker) { walk(w, &in) }))
+	var out values
+	if err := loadWalked(t, data, walkFunc(func(w Walker) { walk(w, &out) })).Done(); err != nil {
 		t.Fatalf("Done: %v", err)
+	}
+	for _, f := range [][2]float64{{out.negZero, in.negZero}, {out.nan, in.nan}, {out.negInf, in.negInf}} {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			t.Errorf("F64 bits %#x, saved %#x", math.Float64bits(f[0]), math.Float64bits(f[1]))
+		}
+	}
+	// NaN equals nothing, itself included; the bits are checked above.
+	out.nan, in.nan = 0, 0
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("loaded %+v, saved %+v", out, in)
 	}
 }
 
 // TestFramingRejections proves the fail-closed framing contract: truncation,
 // corruption, wrong version, and bad magic all refuse to decode.
 func TestFramingRejections(t *testing.T) {
-	e := NewEncoder()
-	e.Tag("body")
-	e.U64(12345)
-	data, err := e.Encode(Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	data := saveWalked(t, walkFunc(body))
 	if _, err := Decode(data, Version); err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
@@ -131,71 +112,71 @@ func TestFramingRejections(t *testing.T) {
 	}
 	// Wrong-version detection must win over a generic CRC story when the
 	// file is otherwise intact: re-frame at a future version.
-	e2 := NewEncoder()
-	e2.Tag("body")
-	e2.U64(12345)
-	future, err := e2.Encode(Version + 9)
+	e := NewEncoder()
+	body(Save(e))
+	future, err := e.Encode(Version + 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(future, Version); err == nil || !contains(err.Error(), "version") {
+	if _, err := Decode(future, Version); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version file: got %v, want version error", err)
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestStickyErrors locks in the sticky-error contract: a failed decoder
-// returns zero values and keeps the first error.
+// loads zero values and keeps the first error.
 func TestStickyErrors(t *testing.T) {
-	e := NewEncoder()
-	e.U8(1)
-	data, err := e.Encode(Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decode(data, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.U8()
-	if v := d.U64(); v != 0 {
-		t.Errorf("overread returned %d, want 0", v)
+	one := uint8(1)
+	d := loadWalked(t, saveWalked(t, walkFunc(func(w Walker) { w.U8(&one) })), walkFunc(func(Walker) {}))
+	w := Load(d)
+	var u8 uint8
+	w.U8(&u8)
+	v := uint64(99)
+	if w.U64(&v); v != 0 {
+		t.Errorf("overread loaded %d, want 0", v)
 	}
 	first := d.Err()
 	if first == nil {
 		t.Fatal("overread did not set error")
 	}
-	_ = d.Str()
-	if d.Err() != first {
-		t.Error("second failure replaced the first error")
+	s := "stale"
+	if w.Str(&s); s != "" || d.Err() != first {
+		t.Errorf("after a failure Str loaded %q and error %v, want \"\" and the first error", s, d.Err())
 	}
 	if err := d.Done(); err != first {
 		t.Errorf("Done = %v, want first error", err)
 	}
 
-	// Tag mismatch names both sides.
-	e2 := NewEncoder()
-	e2.Tag("mesh")
-	data2, _ := e2.Encode(Version)
-	d2, _ := Decode(data2, Version)
-	d2.Expect("heap")
-	if err := d2.Err(); err == nil || !contains(err.Error(), "mesh") || !contains(err.Error(), "heap") {
-		t.Errorf("tag mismatch error %v does not name both tags", err)
+	// A tag mismatch names both sides, and quotes a long impostor only in part.
+	long := strings.Repeat("m", 100)
+	for _, stream := range []string{"mesh", long} {
+		d := loadWalked(t, saveWalked(t, walkFunc(func(w Walker) { w.Tag(stream) })), walkFunc(func(w Walker) { w.Tag("heap") }))
+		want := `snap: section tag mismatch: decoding "heap", stream has "mesh"`
+		if stream == long {
+			want = `snap: section tag mismatch: decoding "heap", stream has "` + long[:64] + `..."`
+		}
+		if err := d.Err(); err == nil || err.Error() != want {
+			t.Errorf("tag mismatch error %v, want %s", err, want)
+		}
+	}
+
+	// A bool is one byte, 0 or 1; anything else fails the load.
+	two := uint8(2)
+	d = loadWalked(t, saveWalked(t, walkFunc(func(w Walker) { w.U8(&two) })), walkFunc(func(w Walker) {
+		b := true
+		if w.Bool(&b); b {
+			t.Error("invalid bool byte loaded true")
+		}
+	}))
+	if err := d.Err(); err == nil || err.Error() != "snap: invalid bool byte 2" {
+		t.Errorf("bool byte 2: err %v", err)
 	}
 
 	// A failed encoder refuses to frame.
-	e3 := NewEncoder()
-	e3.Fail(errors.New("component refused"))
-	e3.U64(1)
-	if _, err := e3.Encode(Version); err == nil {
+	e := NewEncoder()
+	e.Fail(errors.New("component refused"))
+	body(Save(e))
+	if _, err := e.Encode(Version); err == nil {
 		t.Error("failed encoder framed a payload")
 	}
 }
@@ -206,8 +187,7 @@ func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.snap")
 	e := NewEncoder()
-	e.Tag("file")
-	e.I64(-7)
+	body(Save(e))
 	if err := WriteFile(path, e, Version); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
@@ -215,8 +195,10 @@ func TestWriteReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	d.Expect("file")
-	if v := d.I64(); v != -7 {
+	var v uint64
+	w := Load(d)
+	w.Tag("body")
+	if w.U64(&v); v != 12345 {
 		t.Errorf("payload = %d", v)
 	}
 	if err := d.Done(); err != nil {
@@ -260,8 +242,10 @@ func TestWriteReadFile(t *testing.T) {
 // trial snapshots in internal/experiments.
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder()
-	e.Tag("first")
-	e.Bytes(make([]byte, 4096))
+	w := Save(e)
+	w.Tag("first")
+	big := strings.Repeat("x", 4096)
+	w.Str(&big)
 	grown := cap(e.buf)
 	e.Fail(errors.New("component refused"))
 	path := filepath.Join(t.TempDir(), "ckpt.snap")
@@ -328,20 +312,8 @@ func TestSourceSnapshotRestore(t *testing.T) {
 			r.Uint64()
 		}
 	}
-	e := NewEncoder()
-	src.Walk(Save(e))
-	data, err := e.Encode(Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := Decode(data, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src2 := NewSource(0)
-	src2.Walk(Load(d))
-	if err := d.Done(); err != nil {
+	if err := loadWalked(t, saveWalked(t, src), src2).Done(); err != nil {
 		t.Fatal(err)
 	}
 	r2 := rand.New(src2)

@@ -472,10 +472,11 @@ func TestSummaryWalkRoundTrip(t *testing.T) {
 
 	// The wire layout: tag, samples in their current order, sum, sum of squares.
 	e := snap.NewEncoder()
-	e.Tag("summary")
-	e.F64s(orig.samples)
-	e.F64(orig.sum)
-	e.F64(orig.sumSq)
+	w := snap.Save(e)
+	w.Tag("summary")
+	w.F64s(&orig.samples)
+	w.F64(&orig.sum)
+	w.F64(&orig.sumSq)
 	want, err := e.Encode(snap.Version)
 	if err != nil {
 		t.Fatal(err)
