@@ -219,16 +219,13 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	// Unclosed fault windows degrade to instants at their open time.
 	// Deterministic order: events arrived ordered, and at most a handful of
 	// windows stay open, so sweep the original slice rather than the map.
+	// A key's earlier begins were closed or superseded: only the one the map
+	// still holds is open.
 	for i := range events {
 		e := &events[i]
-		if e.Kind != KindFaultBegin {
+		if e.Kind != KindFaultBegin || open[faultKey{e.Run, e.Flow, e.Str}] != e {
 			continue
 		}
-		k := faultKey{e.Run, e.Flow, e.Str}
-		if _, ok := open[k]; !ok {
-			continue
-		}
-		delete(open, k)
 		if err := c.instant(e, float64(e.At)/1e3); err != nil {
 			return err
 		}

@@ -242,7 +242,7 @@ func refWriteChromeTrace(w io.Writer, events []Event) error {
 		if e.Kind != KindFaultBegin {
 			continue
 		}
-		if _, ok := open[k]; !ok {
+		if b, ok := open[k]; !ok || b.Seq != e.Seq {
 			continue
 		}
 		delete(open, k)

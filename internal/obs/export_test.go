@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -176,19 +177,36 @@ func TestChromeTraceFormat(t *testing.T) {
 }
 
 func TestChromeTraceUnclosedFaultDegradesToInstant(t *testing.T) {
-	events := []Event{
-		{At: time.Second, Kind: KindFaultBegin, Flow: -1, Run: 1, Str: "handover", V0: 2},
+	begin := func(at time.Duration) Event {
+		return Event{At: at, Kind: KindFaultBegin, Flow: -1, Run: 1, Str: "handover", V0: 2}
 	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
-		t.Fatal(err)
+	end := func(at time.Duration) Event {
+		return Event{At: at, Kind: KindFaultEnd, Flow: -1, Run: 1, Str: "handover"}
 	}
-	var entries []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(entries) != 1 || entries[0]["ph"] != "i" {
-		t.Fatalf("entries = %v, want one instant", entries)
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   []string // "ph@ts" per entry, ts in µs
+	}{
+		{"never closed", []Event{begin(time.Second)}, []string{"i@1e+06"}},
+		// The instant sits at the begin still open, not at the key's first one.
+		{"closed then reopened", []Event{begin(time.Microsecond), end(2 * time.Microsecond), begin(5 * time.Microsecond)}, []string{"X@1", "i@5"}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, tc.events); err != nil {
+			t.Fatal(err)
+		}
+		var entries []map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
+			t.Fatalf("%s: invalid JSON: %v", tc.name, err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, fmt.Sprintf("%v@%v", e["ph"], e["ts"]))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: entries %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
