@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Metro topology builder: N sectors × M users for the city-scale experiments
-// the ROADMAP north-star calls for. A Metro is pure data — which sector each
+// Metro topology builder: N sectors × M users for the city-scale sweeps of
+// experiments.Metro (verus-bench -metro). A Metro is pure data — which sector each
 // user calls home, which §5.3 scenario drives their channel and mobility,
 // and a deterministic inter-cell handover schedule derived from that
 // scenario's HandoverEvery/HandoverStall. The experiments harness maps each

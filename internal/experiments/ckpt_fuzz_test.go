@@ -69,9 +69,9 @@ func frameSnapshot(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
-// FuzzTrialRestore aims mutated trial snapshots at a whole-trial restore
-// (ROADMAP 5c): every component's load, the packet rematerialization and the
-// heap's id resolution, over a freshly rebuilt topology. Whatever the bytes,
+// FuzzTrialRestore aims mutated trial snapshots at a whole-trial restore:
+// every component's load, the packet rematerialization and the heap's id
+// resolution, over a freshly rebuilt topology. Whatever the bytes,
 // the restore may fail but not panic, and may not allocate more than a small
 // multiple of the input: a count in the file is a claim about bytes present,
 // never a size to allocate on trust. The seeds are each topology's valid
