@@ -186,7 +186,7 @@ func metroCheckpointed(opts MetroOptions) (MetroResult, error) {
 		}
 		out.Points = append(out.Points, done...)
 		start, cur, curAt = job, m, barrier
-		opts.Obs.Emit(obs.Event{At: barrier, Kind: obs.KindCheckpointRestore, Flow: -1, Run: m.seed,
+		opts.Obs.Emit(&obs.Event{At: barrier, Kind: obs.KindCheckpointRestore, Flow: -1, Run: m.seed,
 			V0: float64(size), V1: barrier.Seconds()})
 		if opts.Obs != nil {
 			opts.Obs.Counter("ckpt_restores_total").Inc()
@@ -207,7 +207,7 @@ func metroCheckpointed(opts MetroOptions) (MetroResult, error) {
 				if err != nil {
 					return MetroResult{}, err
 				}
-				opts.Obs.Emit(obs.Event{At: next, Kind: obs.KindCheckpointWrite, Flow: -1, Run: m.seed,
+				opts.Obs.Emit(&obs.Event{At: next, Kind: obs.KindCheckpointWrite, Flow: -1, Run: m.seed,
 					V0: float64(size), V1: float64(ordinal), V2: next.Seconds()})
 				if opts.Obs != nil {
 					opts.Obs.Counter("ckpt_writes_total").Inc()

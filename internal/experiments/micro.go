@@ -86,9 +86,9 @@ func Figure11(opts MicroOptions, scenarioII bool) Figure11Result {
 				d := Dumbbell{
 					RateMbps: lo, QueueBytes: 2_000_000,
 					Flows: []netsim.FlowSpec{{Ctrl: mk.New()}}, Seed: seed, Obs: opts.Obs,
-				}.Build()
-				d.Sim.Every(5*time.Second, figure11Mutator(d.Link.(*netsim.FixedLink), seed, lo, hi, &capSeries))
-				d.Run(opts.Duration)
+				}.run(opts.Duration, func(d *netsim.Dumbbell) {
+					d.Sim.Every(5*time.Second, figure11Mutator(d.Link.(*netsim.FixedLink), seed, lo, hi, &capSeries))
+				})
 				return trial{res: collect(d, opts.Duration), capacity: capSeries}
 			},
 		})

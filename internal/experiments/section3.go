@@ -200,8 +200,7 @@ func Figure3(seed int64, parallel int, o *obs.Observer) Figure3Result {
 						{CBRMbps: 10, OnFor: time.Minute, OffFor: time.Minute},
 					},
 					Seed: trialSeed, Obs: o,
-				}.Build()
-				d.Run(6 * time.Minute)
+				}.run(6*time.Minute, nil)
 				delays := d.Metrics[0].DelayOverTime.Means()
 				var onSum, offSum float64
 				var onN, offN int

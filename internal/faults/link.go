@@ -76,7 +76,7 @@ func (l *Link) emitFault(kind obs.Kind, str string, v0, v1 float64) {
 	if l.obs == nil {
 		return
 	}
-	l.obs.Emit(obs.Event{At: l.sim.Now(), Kind: kind, Flow: -1, Run: l.obsRun,
+	l.obs.Emit(&obs.Event{At: l.sim.Now(), Kind: kind, Flow: -1, Run: l.obsRun,
 		Str: str, V0: v0, V1: v1})
 }
 

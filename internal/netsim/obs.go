@@ -50,7 +50,7 @@ func (lo *linkObs) onEnqueue(now time.Duration, p *Packet, qlen, qbytes int) {
 		return
 	}
 	lo.enqueued.Inc()
-	lo.o.Emit(obs.Event{At: now, Kind: obs.KindNetEnqueue, Flow: int32(p.Flow), Run: lo.run,
+	lo.o.Emit(&obs.Event{At: now, Kind: obs.KindNetEnqueue, Flow: int32(p.Flow), Run: lo.run,
 		V0: float64(p.Bytes), V1: float64(qlen), V2: float64(qbytes)})
 }
 
@@ -59,7 +59,7 @@ func (lo *linkObs) onDrop(now time.Duration, p *Packet, cause string) {
 		return
 	}
 	lo.dropped.Inc()
-	lo.o.Emit(obs.Event{At: now, Kind: obs.KindNetDrop, Flow: int32(p.Flow), Run: lo.run,
+	lo.o.Emit(&obs.Event{At: now, Kind: obs.KindNetDrop, Flow: int32(p.Flow), Run: lo.run,
 		Str: cause, V0: float64(p.Bytes)})
 }
 
@@ -70,7 +70,7 @@ func (lo *linkObs) onDeliver(now time.Duration, p *Packet) {
 	lo.delivered.Inc()
 	soj := (now - p.SentAt).Seconds()
 	lo.sojourn.Observe(soj)
-	lo.o.Emit(obs.Event{At: now, Kind: obs.KindNetDeliver, Flow: int32(p.Flow), Run: lo.run,
+	lo.o.Emit(&obs.Event{At: now, Kind: obs.KindNetDeliver, Flow: int32(p.Flow), Run: lo.run,
 		V0: float64(p.Bytes), V1: soj})
 }
 
@@ -111,7 +111,7 @@ func (so *sinkObs) onAttrib(now time.Duration, p *Packet, comps [stats.NumDelayC
 		secs[c] = comps[c].Seconds()
 		so.hist[c].Observe(secs[c])
 	}
-	so.o.Emit(obs.Event{At: now, Kind: obs.KindNetAttrib, Flow: int32(p.Flow), Run: so.run,
+	so.o.Emit(&obs.Event{At: now, Kind: obs.KindNetAttrib, Flow: int32(p.Flow), Run: so.run,
 		V0: secs[stats.DelayQueue],
 		V1: secs[stats.DelaySerialize],
 		V2: secs[stats.DelayPropagate],

@@ -149,7 +149,7 @@ func TestPrometheusAttribRoundTrip(t *testing.T) {
 	o := NewObserver(tr, r)
 	// Overflow the ring so the drop counter is nonzero.
 	for i := 0; i < 5; i++ {
-		o.Emit(Event{Seq: uint64(i), Kind: KindNetAttrib, Run: 1})
+		o.Emit(&Event{Seq: uint64(i), Kind: KindNetAttrib, Run: 1})
 	}
 	o.SyncTraceDropped()
 	for c := 0; c < 5; c++ {

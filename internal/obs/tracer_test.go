@@ -82,7 +82,7 @@ func TestNilTracerAndObserverAreInert(t *testing.T) {
 	}
 
 	var o *Observer
-	o.Emit(Event{Kind: KindVerusEpoch})
+	o.Emit(&Event{Kind: KindVerusEpoch})
 	if o.Tracer() != nil || o.Registry() != nil {
 		t.Fatal("nil observer must expose nil halves")
 	}
@@ -97,7 +97,7 @@ func TestNilTracerAndObserverAreInert(t *testing.T) {
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var o *Observer
 	e := Event{At: time.Second, Kind: KindVerusEpoch, V0: 1, V1: 2, V2: 3, V3: 4}
-	if n := testing.AllocsPerRun(1000, func() { o.Emit(e) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { o.Emit(&e) }); n != 0 {
 		t.Fatalf("nil Observer.Emit allocates %v per run, want 0", n)
 	}
 
@@ -130,7 +130,7 @@ func TestEnabledTracerSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		tr.Emit(e)
 	}
-	if n := testing.AllocsPerRun(1000, func() { o.Emit(e) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { o.Emit(&e) }); n != 0 {
 		t.Fatalf("steady-state Emit allocates %v per run, want 0", n)
 	}
 }

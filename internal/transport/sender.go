@@ -252,7 +252,7 @@ func (s *Sender) emitHandshake(phase string, attempt int) {
 	if s.obs == nil {
 		return
 	}
-	s.obs.Emit(obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow),
+	s.obs.Emit(&obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow),
 		Run: s.cfg.ObsRun, Str: phase, V0: float64(attempt)})
 }
 
@@ -429,10 +429,10 @@ func (s *Sender) checkTimers(now time.Duration) {
 		s.ctrs.stalls.Inc()
 	}
 	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
+		s.obs.Emit(&obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
 			Run: s.cfg.ObsRun, V0: float64(backoff), V1: next.Seconds()})
 		if openStall {
-			s.obs.Emit(obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow),
+			s.obs.Emit(&obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow),
 				Run: s.cfg.ObsRun, V0: float64(backoff)})
 		}
 	}

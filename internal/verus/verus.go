@@ -342,7 +342,7 @@ func (v *Verus) OnAck(now time.Duration, ack cc.AckSample) {
 		}
 		v.timeoutOpen = false
 		if v.o != nil {
-			v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusTimeoutEpoch, Flow: v.obsFlow, Run: v.obsRun,
+			v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusTimeoutEpoch, Flow: v.obsFlow, Run: v.obsRun,
 				Str: "close", V0: float64(v.staleAcks.Value())})
 		}
 	}
@@ -429,7 +429,7 @@ func (v *Verus) emitState(now time.Duration) {
 	if v.o == nil {
 		return
 	}
-	v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusState, Flow: v.obsFlow, Run: v.obsRun,
+	v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusState, Flow: v.obsFlow, Run: v.obsRun,
 		Str: v.st.String(), V0: v.Window(), V1: v.dEst})
 }
 
@@ -482,10 +482,10 @@ func (v *Verus) OnTimeout(now time.Duration) {
 	v.epochMax = 0
 	v.haveSample = false
 	if v.o != nil {
-		v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusTimeout, Flow: v.obsFlow, Run: v.obsRun,
+		v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusTimeout, Flow: v.obsFlow, Run: v.obsRun,
 			V0: float64(v.consecTimeouts), V1: v.ssCap})
 		if v.cfg.TimeoutEpochs {
-			v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusTimeoutEpoch, Flow: v.obsFlow, Run: v.obsRun,
+			v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusTimeoutEpoch, Flow: v.obsFlow, Run: v.obsRun,
 				Str: "open", V0: float64(v.staleAcks.Value())})
 		}
 	}
@@ -503,7 +503,7 @@ func (v *Verus) OnTimeout(now time.Duration) {
 func (v *Verus) relearn(now time.Duration) {
 	v.relearns.Inc()
 	if v.o != nil {
-		v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusRelearn, Flow: v.obsFlow, Run: v.obsRun,
+		v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusRelearn, Flow: v.obsFlow, Run: v.obsRun,
 			V0: float64(v.relearns.Value())})
 	}
 	v.consecTimeouts = 0
@@ -543,7 +543,7 @@ func (v *Verus) Tick(now time.Duration) {
 			v.profile.refit(v.epochNow)
 			v.refits.Inc()
 			if v.o != nil {
-				v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusRefit, Flow: v.obsFlow, Run: v.obsRun,
+				v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusRefit, Flow: v.obsFlow, Run: v.obsRun,
 					V0: float64(v.profile.numPoints()), V1: float64(v.profile.maxW)})
 			}
 			if v.cfg.StaticProfile && v.profile.ready() {
@@ -596,7 +596,7 @@ func (v *Verus) Tick(now time.Duration) {
 		v.quota = 1
 	}
 	if v.o != nil {
-		v.o.Emit(obs.Event{At: now, Kind: obs.KindVerusEpoch, Flow: v.obsFlow, Run: v.obsRun,
+		v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusEpoch, Flow: v.obsFlow, Run: v.obsRun,
 			V0: v.dMax, V1: v.dEst, V2: v.w, V3: v.quota})
 		v.gWindow.Set(v.w)
 		v.gTarget.Set(v.dEst)
