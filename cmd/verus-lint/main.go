@@ -1,19 +1,17 @@
 // Command verus-lint statically enforces the repository's determinism,
 // purity, and ownership contracts (DESIGN.md §9, §14). It runs the
 // internal/analysis suite — crossshard, floatorder, maprange,
-// nofaultsinprod, noglobalrand, nowalltime, poolleak, unusedsuppress;
-// floatorder, nofaultsinprod, noglobalrand and nowalltime are the rows of
-// one forbidden-API table (internal/analysis/forbid) — over the given
-// package patterns and exits non-zero on
-// any violation, including malformed or stale //lint: suppression
-// directives (reported by the "directive" pseudo-analyzer). The list
-// above mirrors all.Analyzers(); TestDocCommentListsAllAnalyzers keeps
-// it honest.
+// nofaultsinprod, noglobalrand, nowalltime, poolleak; floatorder,
+// nofaultsinprod, noglobalrand and nowalltime are the rows of one
+// forbidden-API table (internal/analysis/forbid) — over the given package
+// patterns and exits non-zero on any violation. The list above mirrors
+// all.Analyzers(); TestDocCommentListsAllAnalyzers keeps it honest.
 //
-// Ordinary analyzers run concurrently, one goroutine per analyzer over a
-// single shared package load; AfterSuite analyzers (unusedsuppress) run
-// once the rest have finished, because they read the suppression hits
-// the others recorded. Output order is deterministic regardless.
+// Each package is loaded once and checked by analysis.Run: the analyzers
+// run serially, in order, then every //lint: directive is audited once. A
+// malformed directive is reported as the "directive" pseudo-analyzer, a
+// well-formed one that suppressed nothing as "unusedsuppress". Output
+// order is deterministic.
 //
 // Usage:
 //
@@ -33,7 +31,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -46,10 +43,15 @@ func main() {
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: verus-lint [-C dir] [-sarif file] [-timing] [packages...]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Analyzers:\n")
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "usage: verus-lint [-C dir] [-sarif file] [-timing] [packages...]\n\n")
+		fmt.Fprintf(out, "Analyzers:\n")
 		for _, a := range all.Analyzers() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(out, "  %-14s %s\n", a.Name, a.Doc)
+		}
+		fmt.Fprintf(out, "Directive audit (after the analyzers, per package):\n")
+		for _, r := range auditRules {
+			fmt.Fprintf(out, "  %-14s %s\n", r.ID, r.ShortDescription.Text)
 		}
 		flag.PrintDefaults()
 	}
@@ -138,74 +140,28 @@ func Lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Anal
 	return len(res.Diags), nil
 }
 
-// Run loads the patterns once, runs every ordinary analyzer in its own
-// goroutine over the shared load, then runs AfterSuite analyzers against
-// the accumulated suppression state, and finally validates directives.
-// Diagnostics are merged and sorted, so the output is identical to a
-// serial run.
+// Run loads the patterns once and runs the suite over each package with
+// analysis.Run, which audits the //lint: directives as well. Diagnostics
+// are sorted across packages; each analyzer's time is summed over them.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) (*Result, error) {
 	pkgs, fset, err := load.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	// One shared directive index per package: every analyzer's pass over
-	// pkgs[i] records suppression hits in indexes[i], which is what lets
-	// unusedsuppress see the whole suite's usage afterwards.
-	indexes := make([]*analysis.Index, len(pkgs))
-	for i, pkg := range pkgs {
-		indexes[i] = analysis.NewIndex(fset, pkg.Files)
+	res := &Result{Fset: fset}
+	for _, a := range analyzers {
+		res.Timing = append(res.Timing, AnalyzerTiming{Name: a.Name})
 	}
-
-	perAnalyzer := make([][]analysis.Diagnostic, len(analyzers))
-	timing := make([]time.Duration, len(analyzers))
-	errs := make([]error, len(analyzers))
-	runOne := func(i int, a *analysis.Analyzer) {
-		start := time.Now()
-		for pi, pkg := range pkgs {
-			pass := analysis.NewPassShared(a, fset, pkg.Files, pkg.Types, pkg.Info, indexes[pi])
-			if err := a.Run(pass); err != nil {
-				errs[i] = fmt.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
-				return
-			}
-			perAnalyzer[i] = append(perAnalyzer[i], pass.Diagnostics()...)
-		}
-		timing[i] = time.Since(start)
-	}
-
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		if a.AfterSuite {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, a *analysis.Analyzer) {
-			defer wg.Done()
-			runOne(i, a)
-		}(i, a)
-	}
-	wg.Wait()
-	for i, a := range analyzers {
-		if a.AfterSuite {
-			runOne(i, a)
-		}
-	}
-	for _, err := range errs {
+	for _, pkg := range pkgs {
+		diags, elapsed, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
 		if err != nil {
 			return nil, err
 		}
+		res.Diags = append(res.Diags, diags...)
+		for i, d := range elapsed {
+			res.Timing[i].Elapsed += d
+		}
 	}
-
-	var diags []analysis.Diagnostic
-	for _, d := range perAnalyzer {
-		diags = append(diags, d...)
-	}
-	for _, pkg := range pkgs {
-		diags = append(diags, analysis.CheckDirectives(fset, pkg.Files, analyzers)...)
-	}
-	analysis.SortDiagnostics(fset, diags)
-	res := &Result{Fset: fset, Diags: diags}
-	for i, a := range analyzers {
-		res.Timing = append(res.Timing, AnalyzerTiming{Name: a.Name, Elapsed: timing[i]})
-	}
+	analysis.SortDiagnostics(fset, res.Diags)
 	return res, nil
 }

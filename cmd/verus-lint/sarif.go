@@ -2,8 +2,8 @@ package main
 
 // SARIF 2.1.0 output for code-scanning upload. Only the subset GitHub's
 // code-scanning ingestion reads is emitted: tool.driver with one
-// reportingDescriptor per analyzer (plus the "directive" pseudo-analyzer
-// that owns malformed-suppression diagnostics), and one result per
+// reportingDescriptor per analyzer (plus the directive audit's
+// "unusedsuppress" and "directive" pseudo-analyzers), and one result per
 // diagnostic with a physical location.
 
 import (
@@ -69,18 +69,21 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn"`
 }
 
+// auditRules are the pseudo-analyzers of analysis.Run's directive audit.
+var auditRules = []sarifRule{
+	{ID: "unusedsuppress", ShortDescription: sarifText{Text: "flag //lint: directives that no longer suppress any diagnostic"}},
+	{ID: "directive", ShortDescription: sarifText{Text: "//lint: suppression directives must be well-formed"}},
+}
+
 // WriteSARIF serializes the diagnostics as one SARIF run. Results keep
 // the deterministic sort the text output uses, so the report is
 // byte-stable for identical inputs.
 func WriteSARIF(w io.Writer, fset *token.FileSet, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analyzers)+1)
+	rules := make([]sarifRule, 0, len(analyzers)+len(auditRules))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
-	rules = append(rules, sarifRule{
-		ID:               "directive",
-		ShortDescription: sarifText{Text: "//lint: suppression directives must be well-formed"},
-	})
+	rules = append(rules, auditRules...)
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)

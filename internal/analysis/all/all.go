@@ -10,18 +10,14 @@ import (
 	"repro/internal/analysis/forbid"
 	"repro/internal/analysis/maprange"
 	"repro/internal/analysis/poolleak"
-	"repro/internal/analysis/unusedsuppress"
 )
 
-// Analyzers returns the full suite sorted by name. The driver runs
-// AfterSuite analyzers (unusedsuppress) after the rest whatever their
-// place, because they read state the ordinary analyzers write.
+// Analyzers returns the full suite sorted by name.
 func Analyzers() []*analysis.Analyzer {
 	as := append(forbid.Analyzers(),
 		crossshard.Analyzer,
 		maprange.Analyzer,
 		poolleak.Analyzer,
-		unusedsuppress.Analyzer,
 	)
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as

@@ -4,12 +4,12 @@
 //
 // Why not the real thing: the module is intentionally stdlib-only, and the
 // x/tools framework is a large dependency for a suite this size: a table of
-// forbidden imports and functions (package forbid), a map-range check, two
-// dataflow checks over a small CFG engine (package flow) and a
-// stale-suppression check. The subset here keeps the same shape — an
-// Analyzer with a Run function over a Pass carrying parsed files and type
-// information — so the analyzers port to the upstream framework
-// mechanically if the project ever takes the dependency.
+// forbidden imports and functions (package forbid), a map-range check and
+// two dataflow checks over a small CFG engine (package flow). The subset
+// here keeps the same shape — an Analyzer with a Run function over a Pass
+// carrying parsed files and type information — so the analyzers port to
+// the upstream framework mechanically if the project ever takes the
+// dependency.
 //
 // # Suppression directives
 //
@@ -22,8 +22,9 @@
 // accepts "ordered-elsewhere") and <reason> is free text explaining why the
 // claim holds at this site. The reason is mandatory: a suppression without a
 // justification is itself reported as a violation, as is a directive naming
-// an unknown analyzer or claim. See DESIGN.md §9 for the grammar and the
-// review bar for each claim.
+// an unknown analyzer or claim ("directive"), and so is a well-formed
+// directive that suppressed nothing ("unusedsuppress"). See DESIGN.md §9
+// for the grammar and the review bar for each claim.
 package analysis
 
 import (
@@ -32,9 +33,10 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 )
 
 // Analyzer describes one static check.
@@ -50,11 +52,6 @@ type Analyzer struct {
 	// Run reports violations on the pass. Diagnostics suppressed by a
 	// valid directive are dropped by the Pass, not by the analyzer.
 	Run func(*Pass) error
-	// AfterSuite marks a suite-level analyzer: the driver runs it only
-	// after every ordinary analyzer has finished its pass over the
-	// package, against the same shared Index, so its Run can observe
-	// which suppression directives actually fired (unusedsuppress).
-	AfterSuite bool
 }
 
 // Diagnostic is one reported violation.
@@ -72,36 +69,14 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags      []Diagnostic
-	directives *Index
+	diags []Diagnostic
+	ix    *index
 }
-
-// NewPassShared assembles a pass against a caller-owned directive index,
-// shared by every analyzer in a suite over the same package. Sharing is
-// what lets suppression usage accumulate across passes — the raw material
-// of the unusedsuppress analyzer — and the index is safe for the driver's
-// one-goroutine-per-analyzer parallelism.
-func NewPassShared(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, ix *Index) *Pass {
-	ix.register(a)
-	return &Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		directives: ix,
-	}
-}
-
-// SuiteIndex returns the directive index this pass consults, shared with
-// every other pass over the same package.
-func (p *Pass) SuiteIndex() *Index { return p.directives }
 
 // Reportf records a diagnostic at pos unless a valid directive for this
 // analyzer covers the line (or the line above).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.suppressed(position) {
+	if p.ix.suppress(p.Analyzer.Name, p.Fset.Position(pos)) {
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{
@@ -111,45 +86,40 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostics returns the pass's surviving diagnostics in source order.
-func (p *Pass) Diagnostics() []Diagnostic {
-	SortDiagnostics(p.Fset, p.diags)
-	return p.diags
-}
-
-// suppressed reports whether a well-formed directive for this analyzer
-// covers the given position, marking the directive used in the index.
-// Malformed directives never suppress; they are themselves flagged by
-// CheckDirectives.
-func (p *Pass) suppressed(pos token.Position) bool {
-	return p.directives.suppress(p.Analyzer, pos)
-}
-
-// Directive is one parsed //lint: comment.
-type Directive struct {
-	Pos      token.Pos
-	Analyzer string
-	Claim    string
-	Reason   string
-	// Raw is the full comment text, for error messages.
-	Raw string
-
-	// used records that the directive suppressed at least one diagnostic;
-	// guarded by the owning Index's mutex.
-	used bool
-}
-
-// wellFormed reports whether the directive is a valid suppression for a.
-func (d Directive) wellFormed(a *Analyzer) bool {
-	if d.Reason == "" {
-		return false
-	}
-	for _, c := range a.Claims {
-		if c == d.Claim {
-			return true
+// Run is the suite's one execution model, shared by verus-lint and
+// analysistest. Over one type-checked package it runs the analyzers
+// serially, in order, against one directive index; then it audits every
+// //lint: directive once: a malformed one is reported under the
+// pseudo-analyzer "directive", a well-formed one that suppressed nothing
+// under "unusedsuppress". The diagnostics come back sorted, with each
+// analyzer's elapsed time in the analyzers' order.
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, []time.Duration, error) {
+	ix := newIndex(fset, files, analyzers)
+	var diags []Diagnostic
+	elapsed := make([]time.Duration, len(analyzers))
+	for i, a := range analyzers {
+		start := time.Now()
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, ix: ix}
+		if err := a.Run(pass); err != nil {
+			return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.Path(), err)
 		}
+		diags = append(diags, pass.diags...)
+		elapsed[i] = time.Since(start)
 	}
-	return false
+	diags = append(diags, ix.audit()...)
+	SortDiagnostics(fset, diags)
+	return diags, elapsed, nil
+}
+
+// directive is one parsed //lint: comment.
+type directive struct {
+	pos                     token.Pos
+	analyzer, claim, reason string
+	raw                     string // the comment text, for messages
+	// problem says why the directive may not suppress anything under
+	// the suite; empty for a well-formed directive.
+	problem string
+	used    bool // it suppressed at least one diagnostic
 }
 
 // directiveRe matches "//lint:<analyzer> <claim> -- <reason>"; the reason
@@ -157,22 +127,16 @@ func (d Directive) wellFormed(a *Analyzer) bool {
 // message.
 var directiveRe = regexp.MustCompile(`^//lint:([a-z][a-z0-9]*)\s+([A-Za-z0-9-]+)\s*(?:--\s*(.*\S))?\s*$`)
 
-// Index holds one package's parsed //lint: directives plus the suite
-// bookkeeping built on them: which analyzers consulted the index (ran)
-// and which directives suppressed at least one diagnostic (used). A
-// single Index is shared by every pass over a package — including passes
-// running on different goroutines under the parallel driver — so all
-// mutation happens under its mutex.
-type Index struct {
-	mu     sync.Mutex
-	byLine map[string]map[int][]*Directive // filename → line → directives
-	all    []*Directive                    // source order
-	ran    map[string]*Analyzer            // analyzers registered via NewPassShared
+// index holds one package's //lint: directives, each parsed and
+// validated against the suite once, by filename and line.
+type index struct {
+	byLine map[string]map[int][]*directive
+	all    []*directive // source order
 }
 
-// NewIndex parses every //lint: comment in the files into a fresh index.
-func NewIndex(fset *token.FileSet, files []*ast.File) *Index {
-	ix := &Index{byLine: map[string]map[int][]*Directive{}, ran: map[string]*Analyzer{}}
+// newIndex parses and validates every //lint: comment in the files.
+func newIndex(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) *index {
+	ix := &index{byLine: map[string]map[int][]*directive{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -180,35 +144,27 @@ func NewIndex(fset *token.FileSet, files []*ast.File) *Index {
 					continue
 				}
 				d := parseDirective(c)
+				d.problem = d.validate(analyzers)
 				pos := fset.Position(c.Pos())
 				byLine := ix.byLine[pos.Filename]
 				if byLine == nil {
-					byLine = map[int][]*Directive{}
+					byLine = map[int][]*directive{}
 					ix.byLine[pos.Filename] = byLine
 				}
-				byLine[pos.Line] = append(byLine[pos.Line], &d)
-				ix.all = append(ix.all, &d)
+				byLine[pos.Line] = append(byLine[pos.Line], d)
+				ix.all = append(ix.all, d)
 			}
 		}
 	}
 	return ix
 }
 
-// register records that analyzer a is running against this index.
-func (ix *Index) register(a *Analyzer) {
-	ix.mu.Lock()
-	ix.ran[a.Name] = a
-	ix.mu.Unlock()
-}
-
 // suppress reports whether a well-formed directive for the analyzer
 // covers pos (the flagged line or the line above), marking it used.
-func (ix *Index) suppress(a *Analyzer, pos token.Position) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+func (ix *index) suppress(analyzer string, pos token.Position) bool {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, d := range ix.byLine[pos.Filename][line] {
-			if d.Analyzer == a.Name && d.wellFormed(a) {
+			if d.analyzer == analyzer && d.problem == "" {
 				d.used = true
 				return true
 			}
@@ -217,95 +173,57 @@ func (ix *Index) suppress(a *Analyzer, pos token.Position) bool {
 	return false
 }
 
-// UnusedSuppressions returns the well-formed directives that name an
-// analyzer registered against this index yet suppressed no diagnostic —
-// suppression debt. Directives naming `except` (the reporting analyzer
-// itself, which has not finished running) and directives for analyzers
-// that did not run this invocation are skipped, as are malformed ones
-// (CheckDirectives owns those). The result is in source order.
-func (ix *Index) UnusedSuppressions(except string) []*Directive {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	var out []*Directive
+// audit reports, in source order, every malformed directive and every
+// well-formed one that suppressed no diagnostic: suppression debt that
+// would silently pre-forgive a future regression on its line.
+func (ix *index) audit() []Diagnostic {
+	var diags []Diagnostic
 	for _, d := range ix.all {
-		if d.used || d.Analyzer == except {
-			continue
+		switch {
+		case d.problem != "":
+			diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "directive", Message: d.problem})
+		case !d.used:
+			diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "unusedsuppress", Message: fmt.Sprintf(
+				"suppression %q matches no diagnostic: the code it excused is fixed or gone; delete the directive",
+				strings.TrimSpace(d.raw))})
 		}
-		a, ranHere := ix.ran[d.Analyzer]
-		if !ranHere || !d.wellFormed(a) {
-			continue
-		}
-		out = append(out, d)
 	}
-	return out
+	return diags
 }
 
 // parseDirective decodes one //lint: comment; an unparsable comment yields a
-// Directive with empty Analyzer, which CheckDirectives flags. A trailing
+// directive with empty analyzer, which validate rejects. A trailing
 // "// want" clause is ignored so analysistest fixtures can assert on the
 // directive's own line.
-func parseDirective(c *ast.Comment) Directive {
+func parseDirective(c *ast.Comment) *directive {
 	text := c.Text
 	if i := strings.Index(text, "// want "); i > 0 {
 		text = strings.TrimSpace(text[:i])
 	}
 	m := directiveRe.FindStringSubmatch(text)
 	if m == nil {
-		return Directive{Pos: c.Pos(), Raw: text}
+		return &directive{pos: c.Pos(), raw: text}
 	}
-	return Directive{Pos: c.Pos(), Analyzer: m[1], Claim: m[2], Reason: m[3], Raw: text}
+	return &directive{pos: c.Pos(), analyzer: m[1], claim: m[2], reason: m[3], raw: text}
 }
 
-// CheckDirectives validates every //lint: comment in the files against the
-// analyzer set: the named analyzer must exist, the claim must be one the
-// analyzer accepts, and the reason must be non-empty. Violations come back
-// as diagnostics attributed to the pseudo-analyzer "directive".
-func CheckDirectives(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) []Diagnostic {
-	byName := map[string]*Analyzer{}
-	for _, a := range analyzers {
-		byName[a.Name] = a
+// validate checks the directive against the analyzer set: the named
+// analyzer must exist, the claim must be one the analyzer accepts, and the
+// reason must be non-empty. It returns the problem, or "" if there is none.
+func (d *directive) validate(analyzers []*Analyzer) string {
+	i := slices.IndexFunc(analyzers, func(a *Analyzer) bool { return a.Name == d.analyzer })
+	switch {
+	case d.analyzer == "":
+		return fmt.Sprintf("malformed lint directive %q: want //lint:<analyzer> <claim> -- <reason>", d.raw)
+	case i < 0:
+		return fmt.Sprintf("lint directive names unknown analyzer %q", d.analyzer)
+	case !slices.Contains(analyzers[i].Claims, d.claim):
+		return fmt.Sprintf("analyzer %s does not accept claim %q (accepted: %s)",
+			d.analyzer, d.claim, strings.Join(analyzers[i].Claims, ", "))
+	case d.reason == "":
+		return fmt.Sprintf("lint directive %q is missing its justification: append ` -- <reason>`", strings.TrimSpace(d.raw))
 	}
-	var diags []Diagnostic
-	report := func(pos token.Pos, format string, args ...any) {
-		diags = append(diags, Diagnostic{Pos: pos, Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
-	}
-	for _, d := range allDirectives(fset, files) {
-		switch a, ok := byName[d.Analyzer]; {
-		case d.Analyzer == "":
-			report(d.Pos, "malformed lint directive %q: want //lint:<analyzer> <claim> -- <reason>", d.Raw)
-		case !ok:
-			report(d.Pos, "lint directive names unknown analyzer %q", d.Analyzer)
-		case !hasClaim(a, d.Claim):
-			report(d.Pos, "analyzer %s does not accept claim %q (accepted: %s)",
-				d.Analyzer, d.Claim, strings.Join(a.Claims, ", "))
-		case d.Reason == "":
-			report(d.Pos, "lint directive %q is missing its justification: append ` -- <reason>`", strings.TrimSpace(d.Raw))
-		}
-	}
-	return diags
-}
-
-func hasClaim(a *Analyzer, claim string) bool {
-	for _, c := range a.Claims {
-		if c == claim {
-			return true
-		}
-	}
-	return false
-}
-
-func allDirectives(fset *token.FileSet, files []*ast.File) []Directive {
-	var out []Directive
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//lint:") {
-					out = append(out, parseDirective(c))
-				}
-			}
-		}
-	}
-	return out
+	return ""
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, then analyzer —

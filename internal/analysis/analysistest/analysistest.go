@@ -19,7 +19,6 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -33,92 +32,24 @@ import (
 // wantRe matches one backquoted expectation inside a // want comment.
 var wantRe = regexp.MustCompile("`([^`]+)`")
 
-// RunSuite analyzes each fixture package under testdata/src with the
-// analyzers sharing one directive index per package — the driver's own
-// execution model, so AfterSuite analyzers (unusedsuppress) see the
-// suppression hits the ordinary analyzers recorded. Ordinary analyzers run
-// first, AfterSuite ones last; diagnostics from all of them plus directive
-// validation are checked against the fixtures' want comments together.
+// RunSuite analyzes each fixture package under testdata/src with
+// analysis.Run, the driver's own execution model, and checks the
+// diagnostics, directive audit included, against the fixtures' want
+// comments.
 func RunSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	for _, pkg := range pkgs {
-		dir := filepath.Join(testdata, "src", pkg)
-		loaded, err := loadFixture(fset, pkg, dir)
+		loaded, err := load.Dir(fset, pkg, filepath.Join(testdata, "src", pkg))
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", pkg, err)
 		}
-		ix := analysis.NewIndex(fset, loaded.Files)
-		var diags []analysis.Diagnostic
-		runOne := func(a *analysis.Analyzer) {
-			pass := analysis.NewPassShared(a, fset, loaded.Files, loaded.Types, loaded.Info, ix)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, pkg, err)
-			}
-			diags = append(diags, pass.Diagnostics()...)
+		diags, _, err := analysis.Run(fset, loaded.Files, loaded.Types, loaded.Info, analyzers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, a := range analyzers {
-			if !a.AfterSuite {
-				runOne(a)
-			}
-		}
-		for _, a := range analyzers {
-			if a.AfterSuite {
-				runOne(a)
-			}
-		}
-		diags = append(diags, analysis.CheckDirectives(fset, loaded.Files, analyzers)...)
 		checkWants(t, fset, pkg, loaded.Files, diags)
 	}
-}
-
-// loadFixture type-checks one fixture directory against the stdlib packages
-// its files import.
-func loadFixture(fset *token.FileSet, pkg, dir string) (*load.Package, error) {
-	imports, err := fixtureImports(dir)
-	if err != nil {
-		return nil, err
-	}
-	imp, err := load.StdImporter(fset, dir, imports...)
-	if err != nil {
-		return nil, err
-	}
-	return load.CheckDir(fset, imp, pkg, dir)
-}
-
-// fixtureImports collects the import paths of every fixture file so the
-// std importer can be scoped to exactly what the fixture needs.
-func fixtureImports(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(matches) == 0 {
-		return nil, fmt.Errorf("no fixture files in %s: %v", dir, err)
-	}
-	seen := map[string]bool{}
-	var out []string
-	fset := token.NewFileSet()
-	for _, m := range matches {
-		f, err := parserImportsOnly(fset, m)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			if !seen[path] {
-				seen[path] = true
-				out = append(out, path)
-			}
-		}
-	}
-	if len(out) == 0 {
-		// go list needs at least one root; "errors" is a tiny stdlib leaf.
-		out = append(out, "errors")
-	}
-	return out, nil
-}
-
-// parserImportsOnly parses just the import clause of one file.
-func parserImportsOnly(fset *token.FileSet, path string) (*ast.File, error) {
-	return parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 }
 
 // expectation is one want regexp and whether a diagnostic matched it.

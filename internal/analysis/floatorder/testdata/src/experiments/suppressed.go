@@ -1,11 +1,10 @@
 package experiments
 
-// Annotated suppresses the accumulation diagnostic with a justified claim.
-func Annotated(samples map[int]float64) float64 {
-	var sum float64
-	for _, v := range samples {
-		//lint:floatorder order-invariant -- fixture: pretend this sum is only logged, never digested
-		sum += v
-	}
-	return sum
+import "math"
+
+// Annotated suppresses the fused multiply-add diagnostic with a justified
+// claim.
+func Annotated(a, b, c float64) float64 {
+	//lint:floatorder order-invariant -- fixture: pretend this value is only logged, never digested
+	return math.FMA(a, b, c)
 }

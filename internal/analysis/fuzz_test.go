@@ -4,14 +4,15 @@ package analysis
 // text — malformed analyzer names, missing "--" reason separators,
 // multi-directive lines, stray whitespace. Two properties are pinned:
 //
-//  1. parseDirective never panics and parses all-or-nothing: a Directive
+//  1. parseDirective never panics and parses all-or-nothing: a directive
 //     either carries an analyzer and a claim or carries neither.
-//  2. The binary-facing classification: a comment starting //lint: either
-//     validates cleanly against the analyzer set or yields diagnostics
-//     attributed only to the "directive" pseudo-analyzer — the class
-//     verus-lint maps to exit 2 — and a non-directive comment yields
-//     none. A malformed suppression can therefore never pass silently or
-//     masquerade as an ordinary violation.
+//  2. The directive audit's classification: a comment starting //lint:
+//     yields exactly one diagnostic — "directive" (verus-lint exit 2) if
+//     it is malformed against the analyzer set, "unusedsuppress" (exit 1)
+//     if it is well-formed, since nothing in the file is there for it to
+//     suppress — and any other comment yields none. A malformed
+//     suppression can therefore never pass silently or masquerade as an
+//     ordinary violation.
 
 import (
 	"go/ast"
@@ -44,11 +45,11 @@ func FuzzDirectiveParser(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		d := parseDirective(&ast.Comment{Slash: 1, Text: text})
-		if d.Analyzer == "" && d.Claim != "" {
-			t.Fatalf("partial parse of %q: claim %q without analyzer", text, d.Claim)
+		if d.analyzer == "" && d.claim != "" {
+			t.Fatalf("partial parse of %q: claim %q without analyzer", text, d.claim)
 		}
-		if d.Analyzer != "" && d.Claim == "" {
-			t.Fatalf("partial parse of %q: analyzer %q without claim", text, d.Analyzer)
+		if d.analyzer != "" && d.claim == "" {
+			t.Fatalf("partial parse of %q: analyzer %q without claim", text, d.analyzer)
 		}
 
 		// The classification pin needs the text to survive as a real
@@ -61,19 +62,21 @@ func FuzzDirectiveParser(f *testing.F) {
 		if err != nil {
 			return
 		}
-		diags := CheckDirectives(fset, []*ast.File{file}, checkers)
-		for _, dg := range diags {
-			if dg.Analyzer != "directive" {
-				t.Fatalf("directive validation attributed to %q, want \"directive\": %s", dg.Analyzer, dg.Message)
-			}
-		}
+		diags := newIndex(fset, []*ast.File{file}, checkers).audit()
 		if !strings.HasPrefix(text, "//lint:") {
 			if len(diags) > 0 {
-				t.Fatalf("non-directive comment %q produced %d directive diagnostic(s)", text, len(diags))
+				t.Fatalf("non-directive comment %q produced %d diagnostic(s)", text, len(diags))
 			}
 			return
 		}
-		if len(diags) == 0 && (d.Analyzer == "" || d.Reason == "") {
+		want := "unusedsuppress"
+		if d.validate(checkers) != "" {
+			want = "directive"
+		}
+		if len(diags) != 1 || diags[0].Analyzer != want {
+			t.Fatalf("directive %q (%+v): audit gave %+v, want one %q diagnostic", text, d, diags, want)
+		}
+		if want == "unusedsuppress" && (d.analyzer == "" || d.reason == "") {
 			t.Fatalf("malformed directive %q passed validation: %+v", text, d)
 		}
 	})

@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package is one parsed and type-checked target package.
@@ -58,36 +59,63 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	exports := map[string]string{}
-	var targets []listPkg
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, pkgs)
+	var out []*Package
 	for _, p := range pkgs {
 		if p.Error != nil {
 			return nil, nil, fmt.Errorf("go list: package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
+		if p.DepOnly || p.Standard {
+			continue
 		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
+		files, err := parse(fset, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	var out []*Package
-	for _, t := range targets {
-		pkg, err := check(fset, imp, t.ImportPath, t.Dir, t.GoFiles, nil)
+		pkg, err := check(fset, imp, p.ImportPath, p.Dir, files)
 		if err != nil {
 			return nil, nil, err
 		}
 		out = append(out, pkg)
 	}
 	return out, fset, nil
+}
+
+// Dir parses every .go file directly under dir as one package with the
+// given import path and type-checks it against the standard library
+// packages its files import. analysistest loads its fixtures with it:
+// they live in testdata, outside the module's package graph.
+func Dir(fset *token.FileSet, importPath, dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	files, err := parse(fset, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	// go list needs at least one root; "errors" is a tiny stdlib leaf.
+	imports := []string{"errors"}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			imports = append(imports, strings.Trim(spec.Path.Value, `"`))
+		}
+	}
+	pkgs, err := goList(dir, imports)
+	if err != nil {
+		return nil, err
+	}
+	return check(fset, exportImporter(fset, pkgs), importPath, dir, files)
 }
 
 // goList runs `go list -export -deps -json` on the patterns.
@@ -118,15 +146,9 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 	return pkgs, nil
 }
 
-// StdImporter returns an importer resolving the transitive dependency
-// closure of the given stdlib packages from build-cache export data. The
-// analysistest harness uses it to type-check fixture files, which may import
-// anything from the standard library.
-func StdImporter(fset *token.FileSet, dir string, paths ...string) (types.Importer, error) {
-	pkgs, err := goList(dir, paths)
-	if err != nil {
-		return nil, err
-	}
+// exportImporter resolves imports from the build-cache export data that
+// `go list -export` reported for the listed packages.
+func exportImporter(fset *token.FileSet, pkgs []listPkg) types.Importer {
 	exports := map[string]string{}
 	for _, p := range pkgs {
 		if p.Export != "" {
@@ -136,34 +158,14 @@ func StdImporter(fset *token.FileSet, dir string, paths ...string) (types.Import
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("no export data for %q (is it imported by the listed roots?)", path)
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(f)
-	}), nil
+	})
 }
 
-// CheckDir parses every .go file directly under dir as one package with the
-// given import path and type-checks it with imp. Used for analysistest
-// fixtures, which live outside the module's package graph.
-func CheckDir(fset *token.FileSet, imp types.Importer, importPath, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	return check(fset, imp, importPath, dir, files, nil)
-}
-
-// check parses the named files and type-checks them as one package.
-func check(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string, typeErr func(error)) (*Package, error) {
+// parse parses the named files in dir, with comments.
+func parse(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -172,13 +174,18 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, name
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// check type-checks the files as one package.
+func check(fset *token.FileSet, imp types.Importer, importPath, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: imp, Error: typeErr}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)

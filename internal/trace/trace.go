@@ -11,7 +11,6 @@ package trace
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -94,25 +93,6 @@ func (tr *Trace) WindowedMbps(window time.Duration) []float64 {
 		out[i] = out[i] * 8 / secs / 1e6
 	}
 	return out
-}
-
-// Loop returns a copy of the trace repeated end-to-end until it covers at
-// least d, then clipped to d. A trace with no duration cannot be looped.
-func (tr *Trace) Loop(d time.Duration) (*Trace, error) {
-	if tr.Duration <= 0 {
-		return nil, errors.New("trace: cannot loop a zero-duration trace")
-	}
-	out := &Trace{Name: tr.Name, Duration: d}
-	for base := time.Duration(0); base < d; base += tr.Duration {
-		for _, op := range tr.Ops {
-			at := base + op.At
-			if at >= d {
-				break
-			}
-			out.Ops = append(out.Ops, Opportunity{At: at, Bytes: op.Bytes})
-		}
-	}
-	return out, nil
 }
 
 // Scale returns a copy with every opportunity size multiplied by factor

@@ -87,27 +87,6 @@ func TestWindowedMbps(t *testing.T) {
 	}
 }
 
-func TestLoop(t *testing.T) {
-	tr := sample()
-	l, err := tr.Loop(ms(250))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Duration != ms(250) {
-		t.Fatalf("Loop duration = %v", l.Duration)
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatalf("looped trace invalid: %v", err)
-	}
-	// 2 full copies (8 ops) + ops at 200,210,210 = 11.
-	if len(l.Ops) != 11 {
-		t.Fatalf("looped ops = %d, want 11", len(l.Ops))
-	}
-	if _, err := (&Trace{}).Loop(ms(10)); err == nil {
-		t.Error("looping empty trace should error")
-	}
-}
-
 func TestScale(t *testing.T) {
 	tr := sample()
 	s := tr.Scale(0.5)

@@ -29,16 +29,16 @@ func (s ReceiverStats) MeanMbps() float64 {
 	return float64(s.Bytes) * 8 / d / 1e6
 }
 
-// Receiver is the paper's receiver application: it accepts data packets on a
-// UDP socket and echoes an acknowledgement (with the sender's timestamp and
-// window tag) for every packet, from which the sender derives delay
-// measurements.
 // receiverCounters are the receiver's telemetry instruments — obs counters
 // so Observe can register the same instruments with a metrics registry.
 type receiverCounters struct {
 	packets, bytes, unique, syns obs.Counter
 }
 
+// Receiver is the paper's receiver application: it accepts data packets on a
+// UDP socket and echoes an acknowledgement (with the sender's timestamp and
+// window tag) for every packet, from which the sender derives delay
+// measurements.
 type Receiver struct {
 	conn  *net.UDPConn
 	clock Clock
