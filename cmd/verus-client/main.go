@@ -113,6 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	for {
 		select {
+		case err := <-s.Errors():
+			fmt.Fprintf(stderr, "verus-client: %v\n", err)
 		case <-ticker.C:
 			st := s.Stats()
 			rate := float64(st.Acked-lastAcked) * 1400 * 8 / report.Seconds() / 1e6

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -74,5 +75,24 @@ func TestVerusClientSmoke(t *testing.T) {
 	}
 	if acked, _ := strconv.Atoi(m[1]); acked == 0 {
 		t.Errorf("nothing acked over loopback: %q", m[0])
+	}
+}
+
+// TestVerusClientReportsStall closes the receiver once the transfer is
+// under way and checks that the sender's stall report reaches stderr. The
+// report needs three consecutive RTOs. Loopback's RTT keeps each one on the
+// 200 ms floor, so it comes about 0.6 s after the last ack.
+func TestVerusClientReportsStall(t *testing.T) {
+	r, err := transport.NewReceiver("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { r.Close() })
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-server", r.Addr().String(), "-dur", "1200ms", "-report", "1s"}, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "verus-client: transport: flow 0 stalled") {
+		t.Errorf("stderr does not report the stall:\n%s", errBuf.String())
 	}
 }
