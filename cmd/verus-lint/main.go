@@ -65,9 +65,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "verus-lint: %v\n", err)
 		os.Exit(2)
 	}
-	for _, d := range res.Diags {
-		fmt.Fprintf(os.Stdout, "%s: [%s] %s\n", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
+	writeDiags(os.Stdout, res)
 	if *timing {
 		for _, tm := range res.Timing {
 			fmt.Fprintf(os.Stderr, "verus-lint: timing %-16s %7.1fms\n", tm.Name, float64(tm.Elapsed)/float64(time.Millisecond))
@@ -82,6 +80,13 @@ func main() {
 	if len(res.Diags) > 0 {
 		fmt.Fprintf(os.Stderr, "verus-lint: %d violation(s)\n", len(res.Diags))
 		os.Exit(exitCode(res.Diags))
+	}
+}
+
+// writeDiags prints one "position: [analyzer] message" line per diagnostic.
+func writeDiags(w io.Writer, res *Result) {
+	for _, d := range res.Diags {
+		fmt.Fprintf(w, "%s: [%s] %s\n", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 }
 
@@ -124,20 +129,6 @@ type Result struct {
 	Fset   *token.FileSet
 	Diags  []analysis.Diagnostic
 	Timing []AnalyzerTiming
-}
-
-// Lint runs the suite and prints diagnostics to w in deterministic
-// order, returning the count. It is the single-writer convenience the
-// tests (and older callers) use; Run is the full-fat entry point.
-func Lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (int, error) {
-	res, err := Run(dir, patterns, analyzers)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range res.Diags {
-		fmt.Fprintf(w, "%s: [%s] %s\n", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	return len(res.Diags), nil
 }
 
 // Run loads the patterns once and runs the suite over each package with

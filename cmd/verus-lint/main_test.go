@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,12 +13,23 @@ import (
 	"repro/internal/analysis/all"
 )
 
+// lint runs the suite and prints its diagnostics to w as the binary does,
+// returning the count.
+func lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (int, error) {
+	res, err := Run(dir, patterns, analyzers)
+	if err != nil {
+		return 0, err
+	}
+	writeDiags(w, res)
+	return len(res.Diags), nil
+}
+
 // TestRepoIsLintClean is the acceptance smoke test: the full analyzer suite
 // over the whole module must report nothing. Every suppression in the tree
 // is therefore a reviewed //lint: directive with a justification.
 func TestRepoIsLintClean(t *testing.T) {
 	var out bytes.Buffer
-	count, err := Lint(&out, "../..", []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, "../..", []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -56,7 +67,7 @@ import "math/rand"
 func Draw() float64 { return rand.Float64() }
 `)
 	var out bytes.Buffer
-	count, err := Lint(&out, dir, []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, dir, []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -95,7 +106,7 @@ func TestLintFlagsEveryForbidRow(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	count, err := Lint(&out, dir, []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, dir, []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -119,7 +130,7 @@ func TestLintFlagsEveryForbidRow(t *testing.T) {
 // binary): an unloadable pattern is an error, not a clean run.
 func TestLintErrorOnBadPattern(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := Lint(&out, "../..", []string{"./does-not-exist/..."}, all.Analyzers()); err == nil {
+	if _, err := lint(&out, "../..", []string{"./does-not-exist/..."}, all.Analyzers()); err == nil {
 		t.Fatal("expected error for nonexistent package pattern")
 	}
 }
@@ -327,9 +338,7 @@ func Sloppy() int {
 		t.Fatalf("run: %v", err)
 	}
 	var text, sarif bytes.Buffer
-	for _, d := range res.Diags {
-		fmt.Fprintf(&text, "%s: [%s] %s\n", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
+	writeDiags(&text, res)
 	if err := WriteSARIF(&sarif, res.Fset, all.Analyzers(), res.Diags); err != nil {
 		t.Fatalf("write sarif: %v", err)
 	}

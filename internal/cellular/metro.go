@@ -3,7 +3,6 @@ package cellular
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -45,19 +44,6 @@ type MetroUser struct {
 	// Zero values mean the session covers the whole trial — Start 0 is
 	// present from the beginning, Stop 0 never departs.
 	Start, Stop time.Duration
-}
-
-// SectorAt returns the sector serving the user at time t under the
-// handover schedule.
-func (u *MetroUser) SectorAt(t time.Duration) int {
-	s := u.Home
-	for _, h := range u.Handovers {
-		if h.At > t {
-			break
-		}
-		s = h.To
-	}
-	return s
 }
 
 // MetroSector is one cell site: its channel model configuration, seeded so
@@ -224,48 +210,4 @@ func (m *Metro) UsersBySector() [][]int {
 		by[u.Home] = append(by[u.Home], i)
 	}
 	return by
-}
-
-// Validate checks the invariants consumers rely on; NewMetro output always
-// passes, and hand-built topologies can self-check before simulation.
-func (m *Metro) Validate() error {
-	if len(m.Sectors) == 0 {
-		return fmt.Errorf("cellular: metro has no sectors")
-	}
-	if m.NeighborDelay <= 0 {
-		return fmt.Errorf("cellular: metro neighbor delay %v must be positive (zero-delay inter-cell links cannot be synchronized)", m.NeighborDelay)
-	}
-	for i, s := range m.Sectors {
-		if s.ID != i {
-			return fmt.Errorf("cellular: sector %d has ID %d", i, s.ID)
-		}
-	}
-	for _, u := range m.Users {
-		if u.Home < 0 || u.Home >= len(m.Sectors) {
-			return fmt.Errorf("cellular: user %d homed on unknown sector %d", u.ID, u.Home)
-		}
-		if u.Start < 0 {
-			return fmt.Errorf("cellular: user %d has negative session start %v", u.ID, u.Start)
-		}
-		if u.Stop != 0 && u.Stop <= u.Start {
-			return fmt.Errorf("cellular: user %d session stop %v not after start %v", u.ID, u.Stop, u.Start)
-		}
-		if !sort.SliceIsSorted(u.Handovers, func(a, b int) bool { return u.Handovers[a].At < u.Handovers[b].At }) {
-			return fmt.Errorf("cellular: user %d handover schedule not sorted", u.ID)
-		}
-		cur := u.Home
-		for i, h := range u.Handovers {
-			if h.To < 0 || h.To >= len(m.Sectors) {
-				return fmt.Errorf("cellular: user %d handover %d targets unknown sector %d", u.ID, i, h.To)
-			}
-			if h.To == cur {
-				return fmt.Errorf("cellular: user %d handover %d is a self-handover to sector %d", u.ID, i, h.To)
-			}
-			if h.Stall <= 0 {
-				return fmt.Errorf("cellular: user %d handover %d has non-positive stall %v", u.ID, i, h.Stall)
-			}
-			cur = h.To
-		}
-	}
-	return nil
 }

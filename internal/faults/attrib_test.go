@@ -32,22 +32,15 @@ func TestFaultAttributionIdentity(t *testing.T) {
 		rate := 1 + rng.Float64()*30
 		prop := time.Duration(rng.Intn(40)) * time.Millisecond
 		specs := randomSpecs(rng, stop)
-		d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
+		var agg stats.Attribution
+		for i := range specs {
+			specs[i].Attrib = &agg
+		}
+		netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
 			return faults.Wrap(sim, plan, seed+7, dst, func(fdst netsim.Receiver) netsim.Link {
 				return netsim.NewFixedLink(sim, q, rate, prop, fdst, seed+100)
 			})
 		}, 1400, specs)
-		var agg stats.Attribution
-		for _, c := range d.CBRs {
-			if c != nil {
-				c.SetAttribution(&agg)
-			}
-		}
-		for _, s := range d.Sources {
-			if s != nil {
-				s.SetAttribution(&agg)
-			}
-		}
 
 		// Quiescence: past the flows, the last timed event, and any pending
 		// reorder delay.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/tcp"
 	"repro/internal/verus"
 )
@@ -99,6 +100,8 @@ func TestChaosRecoveryRebuildsVerus(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := verus.New(verus.ResilientConfig())
+	reg := obs.NewRegistry()
+	v.Observe(obs.NewObserver(nil, reg), 0, 0)
 	sim := netsim.NewSim()
 	q := netsim.NewDropTail(256 * 1400)
 	d := netsim.NewDumbbell(sim, func(dst netsim.Receiver) netsim.Link {
@@ -111,7 +114,7 @@ func TestChaosRecoveryRebuildsVerus(t *testing.T) {
 	if _, _, timeouts, _ := v.Stats(); timeouts == 0 {
 		t.Fatal("tunnel outages produced no Verus timeout; the scenario is too weak to test recovery")
 	}
-	if _, relearns := v.RecoveryStats(); relearns == 0 {
+	if reg.Counter(obs.Labeled("verus_relearns_total", "flow", "0", "run", "0")).Value() == 0 {
 		t.Error("consecutive blackout timeouts never triggered a profile relearn")
 	}
 	m := d.Metrics[0]

@@ -117,11 +117,6 @@ type Plan struct {
 	ReorderDelay time.Duration
 }
 
-// IsZero reports whether the plan injects nothing.
-func (p *Plan) IsZero() bool {
-	return p == nil || (len(p.Events) == 0 && !p.stochastic())
-}
-
 // stochastic reports whether the plan takes any per-packet draw.
 func (p *Plan) stochastic() bool {
 	return p.Loss != nil || p.CorruptProb != 0 || p.DupProb != 0 || p.ReorderProb != 0

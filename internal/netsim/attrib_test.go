@@ -90,19 +90,17 @@ func TestSnapshotPacketRoundTripsAttribution(t *testing.T) {
 // negative components — with nonzero serialization and propagation charged.
 func TestSinkAttribIdentityEndToEnd(t *testing.T) {
 	sim := NewSim()
-	d := NewDumbbell(sim, func(dst Receiver) Link {
+	var agg stats.Attribution
+	NewDumbbell(sim, func(dst Receiver) Link {
 		// Shallow lossy queue: drops, dup-acks, and retransmissions exercise
 		// the ledger beyond the happy path.
 		l := NewFixedLink(sim, NewDropTail(64_000), 6, 15*time.Millisecond, dst, 7)
 		l.SetLossProb(0.02)
 		return l
 	}, 1400, []FlowSpec{
-		{Ctrl: &fixedWindow{w: 12}, AckDelay: 10 * time.Millisecond},
-		{CBRMbps: 2},
+		{Ctrl: &fixedWindow{w: 12}, AckDelay: 10 * time.Millisecond, Attrib: &agg},
+		{CBRMbps: 2, Attrib: &agg},
 	})
-	var agg stats.Attribution
-	d.Sources[0].SetAttribution(&agg)
-	d.CBRs[1].SetAttribution(&agg)
 	sim.Run(5 * time.Second)
 
 	if agg.Count == 0 {
@@ -130,11 +128,10 @@ func TestSinkAttribIdentityEndToEnd(t *testing.T) {
 // exactly zero allocations per packet.
 func TestAttribPathZeroAllocs(t *testing.T) {
 	sim := NewSim()
-	d := NewDumbbell(sim, func(dst Receiver) Link {
-		return NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, dst, 1)
-	}, 1400, []FlowSpec{{CBRMbps: 60}})
 	var agg stats.Attribution
-	d.CBRs[0].SetAttribution(&agg)
+	NewDumbbell(sim, func(dst Receiver) Link {
+		return NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, dst, 1)
+	}, 1400, []FlowSpec{{CBRMbps: 60, Attrib: &agg}})
 	sim.Run(200 * time.Millisecond) // warm heap, ring, and pool
 	next := sim.Now()
 	allocs := testing.AllocsPerRun(100, func() {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/snap"
-	"repro/internal/stats"
 )
 
 // CBR is a constant-bit-rate sender with an optional ON/OFF duty cycle — the
@@ -67,9 +66,6 @@ func NewCBR(sim *Sim, flow int, link Link, mtu int, rateMbps float64,
 // halt ends the flow; it is the registered form of the old stop closure.
 func (c *CBR) halt() { c.stopped = true }
 
-// Metrics returns the flow's metric sink.
-func (c *CBR) Metrics() *FlowMetrics { return c.metrics }
-
 // Sink returns the flow's receiver, to be registered with the link
 // dispatcher.
 func (c *CBR) Sink() Receiver { return c.sink }
@@ -78,10 +74,6 @@ func (c *CBR) Sink() Receiver { return c.sink }
 func (c *CBR) Instrument(o *obs.Observer, run int64) {
 	c.sink.obs = newSinkObs(o, run)
 }
-
-// SetAttribution points the flow's sink at a shared attribution aggregate,
-// as on Source.
-func (c *CBR) SetAttribution(a *stats.Attribution) { c.sink.attrib = a }
 
 func (c *CBR) run() {
 	if c.stopped {

@@ -408,19 +408,19 @@ func TestREDIdleDecayAfterUpstreamOutage(t *testing.T) {
 			q.Dequeue(now)
 		}
 	}
-	if q.AvgBytes() < float64(q.MinBytes) {
-		t.Skipf("average %f never crossed min threshold; test setup too weak", q.AvgBytes())
+	if q.avg < float64(q.MinBytes) {
+		t.Skipf("average %f never crossed min threshold; test setup too weak", q.avg)
 	}
 	for q.Len() > 0 {
 		q.Dequeue(now)
 	}
-	peak := q.AvgBytes()
+	peak := q.avg
 	// A 10 s starvation gap (outage upstream), then traffic resumes.
 	now += 10 * time.Second
 	if !q.Enqueue(&Packet{Bytes: 1400}, now) {
 		t.Fatal("first post-outage packet dropped; idle decay failed")
 	}
-	if got := q.AvgBytes(); got >= peak {
+	if got := q.avg; got >= peak {
 		t.Fatalf("average did not decay across the idle gap: %f → %f", peak, got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/snap"
+	"repro/internal/stats"
 )
 
 // Dispatcher routes packets leaving the shared bottleneck to per-flow sinks.
@@ -40,6 +41,9 @@ type FlowSpec struct {
 	Start, Stop time.Duration
 	// MTU overrides the dumbbell's default packet size when positive.
 	MTU int
+	// Attrib, when non-nil, receives each delivered packet's delay
+	// attribution, as Source.SetAttribution arranges.
+	Attrib *stats.Attribution
 }
 
 // Dumbbell is the canonical topology of both the paper's OPNET evaluation
@@ -72,6 +76,7 @@ func NewDumbbell(sim *Sim, makeLink func(dst Receiver) Link, defaultMTU int, spe
 		}
 		if spec.Ctrl != nil {
 			src, m := NewSource(sim, i, spec.Ctrl, d.Link, mtu, spec.AckDelay, spec.Start, spec.Stop)
+			src.sink.attrib = spec.Attrib
 			d.Dispatcher.Register(i, src.Sink())
 			d.Sources = append(d.Sources, src)
 			d.CBRs = append(d.CBRs, nil)
@@ -79,6 +84,7 @@ func NewDumbbell(sim *Sim, makeLink func(dst Receiver) Link, defaultMTU int, spe
 			continue
 		}
 		cbr, m := NewCBR(sim, i, d.Link, mtu, spec.CBRMbps, spec.Start, spec.Stop, spec.OnFor, spec.OffFor)
+		cbr.sink.attrib = spec.Attrib
 		d.Dispatcher.Register(i, cbr.Sink())
 		d.Sources = append(d.Sources, nil)
 		d.CBRs = append(d.CBRs, cbr)

@@ -471,9 +471,6 @@ func (s *Source) Stop() {
 	s.rtoTimer.stopped = true
 }
 
-// Metrics returns the flow's metric sink.
-func (s *Source) Metrics() *FlowMetrics { return s.metrics }
-
 // Sink returns the flow's receiver, to be registered with the link
 // dispatcher.
 func (s *Source) Sink() Receiver { return s.sink }

@@ -164,9 +164,6 @@ func (l *FixedLink) SetRateMbps(m float64) {
 	l.rateBps = m * 1e6
 }
 
-// RateMbps returns the current capacity.
-func (l *FixedLink) RateMbps() float64 { return l.rateBps / 1e6 }
-
 // Send implements Link.
 func (l *FixedLink) Send(p *Packet) {
 	if !l.ingress(p) {

@@ -64,8 +64,8 @@ func TestFixedLinkRateChange(t *testing.T) {
 	if dst.times[1] != want {
 		t.Fatalf("second delivery %v, want %v", dst.times[1], want)
 	}
-	if l.RateMbps() != 80 {
-		t.Fatalf("RateMbps = %v", l.RateMbps())
+	if l.rateBps != 80e6 {
+		t.Fatalf("rate = %v bit/s", l.rateBps)
 	}
 }
 

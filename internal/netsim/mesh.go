@@ -83,13 +83,10 @@ func NewMesh(n int, lookahead time.Duration) *Mesh {
 	}
 	m := &Mesh{cells: make([]*Sim, n), lookahead: lookahead}
 	for i := range m.cells {
-		m.cells[i] = &Sim{id: uint32(i), mesh: m}
+		m.cells[i] = &Sim{id: uint32(i)}
 	}
 	return m
 }
-
-// Cells returns the number of cells.
-func (m *Mesh) Cells() int { return len(m.cells) }
 
 // Cell returns cell i's simulator. Entities owned by cell i must be
 // constructed against this Sim and touched only from its timeline.
@@ -492,10 +489,3 @@ func (mo *meshObs) sync(m *Mesh) {
 	mo.misses.Add(int64(pool.Allocated - mo.lastPool.Allocated))
 	mo.lastPool = pool
 }
-
-// CellID returns this simulator's cell index within its mesh (0 when
-// standalone).
-func (s *Sim) CellID() int { return int(s.id) }
-
-// Mesh returns the mesh this simulator belongs to, or nil when standalone.
-func (s *Sim) Mesh() *Mesh { return s.mesh }

@@ -438,7 +438,7 @@ func TestMeshWindowStats(t *testing.T) {
 			c, sim, dst := c, m.Cell(c), m.Cell((c+1)%m.Cells())
 			free := ReceiverFunc(func(p *Packet) { dst.FreePacket(p) })
 			sim.Every(time.Duration(100+10*c)*time.Microsecond, func() {
-				m.SendPacket(c, dst.CellID(), time.Millisecond, free, sim.NewPacket(c, 0, 1400, sim.Now(), 0))
+				m.SendPacket(c, int(dst.id), time.Millisecond, free, sim.NewPacket(c, 0, 1400, sim.Now(), 0))
 			})
 		}
 		for _, until := range []time.Duration{20 * time.Millisecond, 50 * time.Millisecond} {

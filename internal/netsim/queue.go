@@ -309,9 +309,6 @@ func (q *RED) Len() int { return q.ring.n }
 // Bytes implements Queue.
 func (q *RED) Bytes() int { return q.bytes }
 
-// AvgBytes returns RED's smoothed queue-size estimate.
-func (q *RED) AvgBytes() float64 { return q.avg }
-
 // walk visits the ring's packets in FIFO order. A load rematerializes them
 // into a ring the rebuild left empty and returns their total size.
 func (r *pktRing) walk(w snap.Walker) (bytes int) {

@@ -116,11 +116,11 @@ func TestREDAverageDecaysWhenIdle(t *testing.T) {
 	// Drain fully, then come back much later: the average must have decayed.
 	for q.Dequeue(now) != nil {
 	}
-	before := q.AvgBytes()
+	before := q.avg
 	now += 10 * time.Second
 	q.Enqueue(pkt(0, 9999, 1000), now)
-	if q.AvgBytes() >= before {
-		t.Fatalf("average did not decay across idle: %v -> %v", before, q.AvgBytes())
+	if q.avg >= before {
+		t.Fatalf("average did not decay across idle: %v -> %v", before, q.avg)
 	}
 }
 

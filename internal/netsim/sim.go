@@ -164,11 +164,10 @@ type Sim struct {
 	minLane *lane
 	minAt   time.Duration
 	minSeq  uint64
-	// id and mesh are set when this Sim is one cell of a Mesh (see mesh.go).
-	// A standalone Sim has id 0 and a nil mesh; every code path below then
-	// behaves exactly as it did before meshes existed.
-	id   uint32
-	mesh *Mesh
+	// id is set when this Sim is one cell of a Mesh (see mesh.go). A
+	// standalone Sim has id 0; every code path below then behaves exactly
+	// as it did before meshes existed.
+	id uint32
 	// outbox buffers cross-cell messages originated by this cell while the
 	// mesh is executing a sharded window; the coordinator drains it at the
 	// next barrier. Only the goroutine executing this cell appends to it.

@@ -46,9 +46,9 @@ func TestKindMetaComplete(t *testing.T) {
 				break
 			}
 		}
-		got, ok := KindByName(meta.name)
+		got, ok := kindByName[meta.name]
 		if !ok || got != k {
-			t.Errorf("KindByName(%q) = %v, %v; want %v, true", meta.name, got, ok, k)
+			t.Errorf("kindByName[%q] = %v, %v; want %v, true", meta.name, got, ok, k)
 		}
 		if s := k.String(); s != meta.name {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, s, meta.name)

@@ -114,12 +114,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// KindByName resolves a dotted kind name; ok is false for unknown names.
-func KindByName(name string) (Kind, bool) {
-	k, ok := kindByName[name]
-	return k, ok
-}
-
 // Event is one structured trace record. It is a flat value — no pointers,
 // no interfaces — so emitting one allocates nothing and the ring buffer is
 // a single contiguous slab.

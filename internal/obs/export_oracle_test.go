@@ -83,7 +83,7 @@ func refReadJSONL(r io.Reader) ([]Event, error) {
 		if err := dec.Decode(&je); err != nil {
 			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
 		}
-		k, ok := KindByName(je.Kind)
+		k, ok := kindByName[je.Kind]
 		if !ok {
 			return nil, fmt.Errorf("obs: jsonl line %d: unknown event kind %q", line, je.Kind)
 		}

@@ -92,7 +92,7 @@ func TestLocalHoldsUntilPublished(t *testing.T) {
 	if n := o.Tracer().Emitted(); n != 0 {
 		t.Fatalf("tracer holds %d events before the batch filled, want 0", n)
 	}
-	if n := h.Count(); n != 0 {
+	if n := histCount(h); n != 0 {
 		t.Fatalf("shared histogram counts %d before Flush, want 0", n)
 	}
 	if n := o.Counter("n_total").Value(); n != LocalBatch-1 {
@@ -107,7 +107,7 @@ func TestLocalHoldsUntilPublished(t *testing.T) {
 	if n := o.Tracer().Emitted(); n != LocalBatch+1 {
 		t.Fatalf("tracer holds %d events after Flush, want %d", n, LocalBatch+1)
 	}
-	if n, s := h.Count(), h.Sum(); n != LocalBatch-1 || s != 0.25*(LocalBatch-1) {
+	if n, s := histCount(h), h.Sum(); n != LocalBatch-1 || s != 0.25*(LocalBatch-1) {
 		t.Fatalf("shared histogram after Flush: count %d, sum %v, want %d and %v", n, s, LocalBatch-1, 0.25*(LocalBatch-1))
 	}
 
@@ -145,7 +145,7 @@ func TestConcurrentLocalsAreExact(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := shared.Count(); n != workers*per {
+	if n := histCount(shared); n != workers*per {
 		t.Fatalf("histogram count = %d, want %d", n, workers*per)
 	}
 	if got, want := shared.Sum(), float64(workers*per)*0.5; got != want {

@@ -196,25 +196,10 @@ func (h *Histogram) setFlags(f uint32) {
 	}
 }
 
-// Count returns the number of observations: the sum of the buckets. On a
-// Local's shadow, Count and Sum read the shared histogram: every flushed
-// observation, from every front.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	if h.local.shared != nil {
-		h = h.local.shared
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of observations (fixed-point accumulated): NaN or
-// ±Inf from the first observation that a float sum would turn into one.
+// ±Inf from the first observation that a float sum would turn into one. On
+// a Local's shadow it reads the shared histogram: every flushed
+// observation, from every front.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0

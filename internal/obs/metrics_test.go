@@ -8,6 +8,22 @@ import (
 	"testing"
 )
 
+// histCount returns the number of observations: the sum of the buckets.
+// On a Local's shadow it reads the shared histogram, as Sum does.
+func histCount(h *Histogram) int64 {
+	if h == nil {
+		return 0
+	}
+	if h.local.shared != nil {
+		h = h.local.shared
+	}
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total")
@@ -63,8 +79,8 @@ func TestHistogramBucketsAndFixedPointSum(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if histCount(h) != 5 {
+		t.Fatalf("count = %d, want 5", histCount(h))
 	}
 	if got, want := h.Sum(), 52.65; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %v, want %v", got, want)
@@ -100,8 +116,8 @@ func TestHistogramBucketsAndFixedPointSum(t *testing.T) {
 				t.Fatalf("Observe(%v): bucket %d holds %d, want the one observation in bucket %d", v, i, got, wantBucket)
 			}
 		}
-		if h.Count() != 1 {
-			t.Fatalf("Observe(%v): Count() = %d, want 1", v, h.Count())
+		if histCount(h) != 1 {
+			t.Fatalf("Observe(%v): count = %d, want 1", v, histCount(h))
 		}
 	}
 
@@ -143,8 +159,8 @@ func TestHistogramBucketsAndFixedPointSum(t *testing.T) {
 			if got := h.Sum(); !same(got) {
 				t.Errorf("%s: Sum() = %v, want %v", name, got, tc.want)
 			}
-			if h.Count() != int64(len(tc.obs)) {
-				t.Errorf("%s: Count() = %d, want %d", name, h.Count(), len(tc.obs))
+			if histCount(h) != int64(len(tc.obs)) {
+				t.Errorf("%s: count = %d, want %d", name, histCount(h), len(tc.obs))
 			}
 			var b bytes.Buffer
 			if err := WritePrometheus(&b, o.Registry()); err != nil {
@@ -208,13 +224,13 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	if histCount(h) != workers*per {
+		t.Fatalf("histogram count = %d, want %d", histCount(h), workers*per)
 	}
-	// Count() is the sum of the buckets, which is what the exposition
+	// histCount is the sum of the buckets, which is what the exposition
 	// writes as the +Inf bucket.
-	if smp := r.Snapshot()[1]; smp.Count != h.Count() || smp.Buckets[0] != h.Count() {
-		t.Fatalf("snapshot count = %d, buckets %v, want Count() = %d in both", smp.Count, smp.Buckets, h.Count())
+	if smp := r.Snapshot()[1]; smp.Count != histCount(h) || smp.Buckets[0] != histCount(h) {
+		t.Fatalf("snapshot count = %d, buckets %v, want count = %d in both", smp.Count, smp.Buckets, histCount(h))
 	}
 	// Fixed-point accumulation: the sum is exact regardless of interleaving.
 	if got, want := h.Sum(), float64(workers*per)*0.5; got != want {

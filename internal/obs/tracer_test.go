@@ -141,12 +141,12 @@ func TestKindNames(t *testing.T) {
 		if name == "" {
 			t.Fatalf("kind %d has no name", k)
 		}
-		back, ok := KindByName(name)
+		back, ok := kindByName[name]
 		if !ok || back != k {
-			t.Fatalf("KindByName(%q) = %v, %v; want %v, true", name, back, ok, k)
+			t.Fatalf("kindByName[%q] = %v, %v; want %v, true", name, back, ok, k)
 		}
 	}
-	if _, ok := KindByName("no.such.kind"); ok {
-		t.Fatal("KindByName accepted an unknown name")
+	if _, ok := kindByName["no.such.kind"]; ok {
+		t.Fatal("kindByName accepted an unknown name")
 	}
 }

@@ -56,9 +56,6 @@ func (s *Source) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// Draws returns the number of state advances since the last seed.
-func (s *Source) Draws() uint64 { return s.draws }
-
 // Walk visits the stream position (seed, draws). A load reseeds and
 // fast-forwards to it: each Int63 and Uint64 call advances the generator
 // exactly one step, so replaying with Uint64 reproduces the state no matter

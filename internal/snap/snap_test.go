@@ -322,7 +322,7 @@ func TestSourceSnapshotRestore(t *testing.T) {
 			t.Fatalf("restored stream diverged at draw %d: %v vs %v", i, a, b)
 		}
 	}
-	if src.Draws() != src2.Draws() {
-		t.Errorf("draw counters diverged: %d vs %d", src.Draws(), src2.Draws())
+	if src.draws != src2.draws {
+		t.Errorf("draw counters diverged: %d vs %d", src.draws, src2.draws)
 	}
 }

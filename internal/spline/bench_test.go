@@ -28,10 +28,10 @@ func benchSpline(n int) *Spline {
 // predicted.
 func BenchmarkEval(b *testing.B) {
 	s := benchSpline(256)
-	span := s.MaxX() - s.MinX()
+	span := s.MaxX() - s.xs[0]
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		x := s.MinX() + span*float64(i%97)/97
+		x := s.xs[0] + span*float64(i%97)/97
 		sink += s.Eval(x)
 	}
 	_ = sink

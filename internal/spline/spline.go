@@ -192,17 +192,8 @@ func (s *Spline) computeSegments() {
 	s.slopeHi = (s.ys[n-1]-s.ys[n-2])/hn + hn/6*(s.m[n-2]+2*s.m[n-1])
 }
 
-// MinX returns the smallest knot x.
-func (s *Spline) MinX() float64 { return s.xs[0] }
-
 // MaxX returns the largest knot x.
 func (s *Spline) MaxX() float64 { return s.xs[len(s.xs)-1] }
-
-// NumKnots returns the number of distinct knots.
-func (s *Spline) NumKnots() int { return len(s.xs) }
-
-// Ready reports whether the spline has been fitted (false for a zero value).
-func (s *Spline) Ready() bool { return len(s.xs) >= 2 }
 
 // searchSegment returns the index i of the segment [xs[i], xs[i+1]] that
 // evaluates x, for xs[0] < x < xs[n-1]. Segments are left-closed: an x
@@ -226,7 +217,7 @@ func (s *Spline) evalSegment(i int, x float64) float64 {
 	return s.ys[i] + dx*(s.b[i]+dx*(s.c[i]+dx*s.d[i]))
 }
 
-// Eval evaluates the spline at x. Outside [MinX, MaxX] the spline is
+// Eval evaluates the spline at x. Outside the knots the spline is
 // extended linearly with the slope at the nearest endpoint.
 func (s *Spline) Eval(x float64) float64 {
 	n := len(s.xs)
@@ -245,9 +236,11 @@ func (s *Spline) Eval(x float64) float64 {
 // search, call or bounds-checked load. A point elsewhere moves the cursor one
 // segment at a time, right or left; only the first interior point seeks by
 // binary search. A monotone scan in either direction is therefore
-// O(n + steps) rather than O(steps·log n), and results equal Eval for any
-// input order. The zero Evaluator is not usable; obtain one from
-// Spline.Evaluator. It is invalidated by a refit.
+// O(n + steps) rather than O(steps·log n), and Seek then At equals Eval for
+// any input order. Go inlines each of the two but not their sum, so a hot
+// loop spells the pair out and pays a call only when the piece changes. The
+// zero Evaluator is not usable; obtain one from Spline.Evaluator. It is
+// invalidated by a refit.
 type Evaluator struct {
 	s   *Spline
 	seg int // segment to walk from, or -1 before any point has been placed
@@ -261,14 +254,6 @@ type Evaluator struct {
 
 // Evaluator returns a fresh, unpositioned cursor.
 func (s *Spline) Evaluator() Evaluator { return Evaluator{s: s, seg: -1, from: 1, to: 0} }
-
-// Eval evaluates the spline at x, identical in value to Spline.Eval. It is
-// Seek then At. Go inlines each of those two but not their sum, so a hot loop
-// spells the pair out and pays a call only when the piece changes.
-func (e *Evaluator) Eval(x float64) float64 {
-	e.Seek(x)
-	return e.At(x)
-}
 
 // Seek places the cursor on the piece that holds x; it costs two comparisons
 // when the cursor is already there.

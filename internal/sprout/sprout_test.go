@@ -82,10 +82,19 @@ func TestBeliefTracksArrivalRate(t *testing.T) {
 		saturatedAcks(s, 10)
 		s.Tick(0)
 	}
-	got := s.BeliefMeanMbps()
+	got := beliefMeanMbps(s)
 	if math.Abs(got-5.6) > 2 {
 		t.Fatalf("belief mean = %.2f Mbps, want ≈5.6", got)
 	}
+}
+
+// beliefMeanMbps returns the mean of s's rate belief in Mbps.
+func beliefMeanMbps(s *Sprout) float64 {
+	var mean float64
+	for i, p := range s.belief {
+		mean += s.lambda(i) * p
+	}
+	return mean * float64(s.cfg.PacketBytes) * 8 / s.cfg.Tick.Seconds() / 1e6
 }
 
 func TestForecastCautious(t *testing.T) {
@@ -98,11 +107,11 @@ func TestForecastCautious(t *testing.T) {
 	}
 	// 5-tick horizon at ~10 pkt/tick would be 50 if we used the mean; the
 	// 5th-percentile forecast must be meaningfully below that.
-	if s.Window() >= 50 {
-		t.Fatalf("window = %d; forecast not cautious", s.Window())
+	if s.window >= 50 {
+		t.Fatalf("window = %d; forecast not cautious", s.window)
 	}
-	if s.Window() < 5 {
-		t.Fatalf("window = %d; forecast collapsed", s.Window())
+	if s.window < 5 {
+		t.Fatalf("window = %d; forecast collapsed", s.window)
 	}
 }
 
@@ -111,8 +120,8 @@ func TestWindowNeverBelowOne(t *testing.T) {
 	for tick := 0; tick < 100; tick++ {
 		s.Tick(0) // zero arrivals throughout
 	}
-	if s.Window() < 1 {
-		t.Fatalf("window = %d; must keep probing", s.Window())
+	if s.window < 1 {
+		t.Fatalf("window = %d; must keep probing", s.window)
 	}
 }
 
@@ -124,14 +133,14 @@ func TestTimeoutResetsBelief(t *testing.T) {
 		saturatedAcks(s, 20)
 		s.Tick(0)
 	}
-	before := s.BeliefMeanMbps()
+	before := beliefMeanMbps(s)
 	s.OnTimeout(0)
-	after := s.BeliefMeanMbps()
+	after := beliefMeanMbps(s)
 	if after >= before {
 		t.Fatalf("belief mean %v -> %v; reset should spread it to uniform", before, after)
 	}
-	if s.Window() != 1 {
-		t.Fatalf("window after timeout = %d, want 1", s.Window())
+	if s.window != 1 {
+		t.Fatalf("window after timeout = %d, want 1", s.window)
 	}
 }
 
@@ -147,11 +156,11 @@ func TestRateCapped(t *testing.T) {
 	}
 	capPktPerTick := cfg.MaxRateMbps * 1e6 / 8 / float64(cfg.PacketBytes) * cfg.Tick.Seconds()
 	maxWindow := int(capPktPerTick)*cfg.HorizonTicks + 1
-	if s.Window() > maxWindow {
-		t.Fatalf("window %d exceeds the 18 Mbps cap (max %d)", s.Window(), maxWindow)
+	if s.window > maxWindow {
+		t.Fatalf("window %d exceeds the 18 Mbps cap (max %d)", s.window, maxWindow)
 	}
 	// The belief mean must saturate near the cap, not beyond it.
-	if got := s.BeliefMeanMbps(); got > cfg.MaxRateMbps+1 {
+	if got := beliefMeanMbps(s); got > cfg.MaxRateMbps+1 {
 		t.Fatalf("belief mean %.1f Mbps beyond cap", got)
 	}
 }
@@ -325,8 +334,8 @@ func driveBoth(t *testing.T, cfg Config, seed int64, baseRTT time.Duration, tick
 		}
 		got.Tick(now)
 		want.Tick(now)
-		if got.Window() != want.Window() {
-			t.Fatalf("tick %d: window %d, reference %d", tick, got.Window(), want.Window())
+		if got.window != want.window {
+			t.Fatalf("tick %d: window %d, reference %d", tick, got.window, want.window)
 		}
 		var total float64
 		for i, p := range got.belief {
@@ -638,8 +647,8 @@ func (p *oraclePair) step(t testing.TB, st tickStep) {
 	}
 	p.depths[min(depth, len(p.depths)-1)]++
 	p.deeper += depth - 1
-	if p.got.Window() != p.want.Window() {
-		t.Fatalf("tick %d (%+v): window %d, reference %d", p.tick, st, p.got.Window(), p.want.Window())
+	if p.got.window != p.want.window {
+		t.Fatalf("tick %d (%+v): window %d, reference %d", p.tick, st, p.got.window, p.want.window)
 	}
 	if i := firstBitDiff(p.got.belief, p.want.belief); i >= 0 {
 		t.Fatalf("tick %d (%+v): belief[%d] = %v, reference %v", p.tick, st, i, p.got.belief[i], p.want.belief[i])
@@ -904,8 +913,8 @@ func TestSnapshotDropsLookAhead(t *testing.T) {
 			now += orig.cfg.Tick
 			st.apply(orig, now, orig.Tick)
 			st.apply(resumed, now, resumed.Tick)
-			if orig.Window() != resumed.Window() {
-				t.Fatalf("n=%d, %d ticks on: window %d, resumed %d", n, k+1, orig.Window(), resumed.Window())
+			if orig.window != resumed.window {
+				t.Fatalf("n=%d, %d ticks on: window %d, resumed %d", n, k+1, orig.window, resumed.window)
 			}
 			if i := firstBitDiff(orig.belief, resumed.belief); i >= 0 {
 				t.Fatalf("n=%d, %d ticks on: belief[%d] = %v, resumed %v", n, k+1, i, orig.belief[i], resumed.belief[i])
@@ -937,7 +946,7 @@ func TestNewConcurrentSharesTables(t *testing.T) {
 		for _, st := range steps {
 			now += cfg.Tick
 			st.apply(s, now, s.Tick)
-			windows = append(windows, s.Window())
+			windows = append(windows, s.window)
 		}
 		return s, windows
 	}

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // LogHistogram bins positive samples into logarithmically spaced buckets and
 // reports an empirical PDF, matching the log-log burst-size and inter-arrival
@@ -47,9 +43,6 @@ func (h *LogHistogram) Add(v float64) {
 	h.counts[k]++
 }
 
-// Total returns the number of samples recorded, including underflow.
-func (h *LogHistogram) Total() int { return h.total }
-
 // BucketEdge returns the left edge of bucket k.
 func (h *LogHistogram) BucketEdge(k int) float64 {
 	return h.minEdge * math.Pow(h.base, float64(k))
@@ -72,16 +65,4 @@ func (h *LogHistogram) PDF() (centers, densities []float64) {
 		densities = append(densities, float64(c)/float64(h.total)/(hi-lo))
 	}
 	return centers, densities
-}
-
-// String renders the non-empty buckets as "edge: fraction" lines.
-func (h *LogHistogram) String() string {
-	var b strings.Builder
-	for k, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%10.4g: %.4g\n", h.BucketEdge(k), float64(c)/float64(h.total))
-	}
-	return b.String()
 }

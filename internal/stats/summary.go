@@ -8,20 +8,20 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
 )
 
-// Summary accumulates samples and reports mean, standard deviation, min, max,
-// and percentiles. A percentile query selects the one or two order statistics
-// it reads, permuting the samples in place; nothing is cached between
-// queries.
+// Summary accumulates samples and reports mean, min, max and percentiles. A
+// percentile query selects the one or two order statistics it reads,
+// permuting the samples in place; nothing is cached between queries.
 type Summary struct {
 	samples []float64
 	sum     float64
-	sumSq   float64
+	// sumSq is read by nothing but the snapshot walk; it stays so that
+	// snapshot format v3 keeps its layout.
+	sumSq float64
 }
 
 // NewSummary returns an empty Summary with capacity hint n.
@@ -57,21 +57,6 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(len(s.samples))
-}
-
-// Stddev returns the population standard deviation, or 0 with fewer than two
-// samples.
-func (s *Summary) Stddev() float64 {
-	n := float64(len(s.samples))
-	if n < 2 {
-		return 0
-	}
-	mean := s.sum / n
-	v := s.sumSq/n - mean*mean
-	if v < 0 { // guard tiny negative from rounding
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // Min returns the smallest sample, or +Inf with no samples. A NaN sample
@@ -147,12 +132,6 @@ func (s *Summary) Percentile(p float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Summary) Median() float64 { return s.Percentile(50) }
-
-// String renders a one-line summary.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Median(), s.Percentile(95), s.Max())
-}
 
 // nansFirst moves every NaN in a to the front and returns how many there are.
 func nansFirst(a []float64) int {

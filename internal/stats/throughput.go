@@ -32,12 +32,6 @@ func (s *ThroughputSeries) Add(t time.Duration, n int) {
 	s.bytes[w] += int64(n)
 }
 
-// Window returns the configured window size.
-func (s *ThroughputSeries) Window() time.Duration { return s.window }
-
-// NumWindows returns the number of windows spanned so far.
-func (s *ThroughputSeries) NumWindows() int { return len(s.bytes) }
-
 // Mbps returns per-window throughput in megabits per second.
 func (s *ThroughputSeries) Mbps() []float64 {
 	out := make([]float64, len(s.bytes))
@@ -46,19 +40,6 @@ func (s *ThroughputSeries) Mbps() []float64 {
 		out[i] = float64(b) * 8 / secs / 1e6
 	}
 	return out
-}
-
-// MeanMbps returns the average throughput across all complete windows, or 0
-// if nothing was recorded.
-func (s *ThroughputSeries) MeanMbps() float64 {
-	if len(s.bytes) == 0 {
-		return 0
-	}
-	var total int64
-	for _, b := range s.bytes {
-		total += b
-	}
-	return float64(total) * 8 / (float64(len(s.bytes)) * s.window.Seconds()) / 1e6
 }
 
 // TotalBytes returns the total bytes recorded.

@@ -44,6 +44,3 @@ func (s *WindowedMean) Means() []float64 {
 	}
 	return out
 }
-
-// NumWindows returns the number of windows spanned so far.
-func (s *WindowedMean) NumWindows() int { return len(s.sums) }

@@ -31,9 +31,6 @@ func NewNewReno() *NewReno { return &NewReno{newWindow()} }
 // Name implements cc.Controller.
 func (t *NewReno) Name() string { return "newreno" }
 
-// InSlowStart reports whether the window is below ssthresh.
-func (t *NewReno) InSlowStart() bool { return t.cwnd < t.ssthresh }
-
 // OnAck implements cc.Controller.
 func (t *NewReno) OnAck(now time.Duration, ack cc.AckSample) {
 	if t.recovering(ack.Seq) {

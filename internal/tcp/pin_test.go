@@ -34,16 +34,16 @@ func TestTCPModelsPinned(t *testing.T) {
 		ctrl interface {
 			cc.Controller
 			snap.Walkable
-			Cwnd() float64
 		}
+		cwnd       func() float64
 		ssthresh   func() float64
 		inRecovery func() bool
 		slowStart  func() bool // Vegas only
 		want       string
 	}{
-		{"newreno", n, func() float64 { return n.ssthresh }, func() bool { return n.inRecovery }, nil, newrenoPinDigest},
-		{"cubic", c, func() float64 { return c.ssthresh }, func() bool { return c.inRecovery }, nil, cubicPinDigest},
-		{"vegas", v, func() float64 { return v.ssthresh }, func() bool { return v.inRecovery }, func() bool { return v.slowStart }, vegasPinDigest},
+		{"newreno", n, func() float64 { return n.cwnd }, func() float64 { return n.ssthresh }, func() bool { return n.inRecovery }, nil, newrenoPinDigest},
+		{"cubic", c, func() float64 { return c.cwnd }, func() float64 { return c.ssthresh }, func() bool { return c.inRecovery }, nil, cubicPinDigest},
+		{"vegas", v, func() float64 { return v.cwnd }, func() float64 { return v.ssthresh }, func() bool { return v.inRecovery }, func() bool { return v.slowStart }, vegasPinDigest},
 	}
 	for _, m := range models {
 		t.Run(m.name, func(t *testing.T) {
@@ -97,7 +97,7 @@ func TestTCPModelsPinned(t *testing.T) {
 					timeouts++
 				}
 				inflight = int(nextSeq - 1 - ackedTo)
-				put(math.Float64bits(m.ctrl.Cwnd()))
+				put(math.Float64bits(m.cwnd()))
 				put(math.Float64bits(m.ssthresh()))
 				put(uint64(int64(m.ctrl.Allowance(now, inflight))))
 				put(uint64(int64(m.ctrl.SendTag())))

@@ -15,16 +15,16 @@ func ackAt(seq int64, rtt time.Duration) cc.AckSample {
 
 func TestNewRenoSlowStartDoubles(t *testing.T) {
 	c := NewNewReno()
-	w0 := c.Cwnd()
+	w0 := c.cwnd
 	// Acking a full window in slow start adds one per ack.
 	for i := int64(0); i < 10; i++ {
 		c.OnSend(0, i, 0)
 		c.OnAck(0, ackAt(i, 50*time.Millisecond))
 	}
-	if got := c.Cwnd(); got != w0+10 {
+	if got := c.cwnd; got != w0+10 {
 		t.Fatalf("cwnd = %v, want %v", got, w0+10)
 	}
-	if !c.InSlowStart() {
+	if c.cwnd >= c.ssthresh {
 		t.Fatal("should be in slow start with huge ssthresh")
 	}
 }
@@ -38,7 +38,7 @@ func TestNewRenoCongestionAvoidanceLinear(t *testing.T) {
 		c.OnSend(0, i, 0)
 		c.OnAck(0, ackAt(i, 50*time.Millisecond))
 	}
-	if got := c.Cwnd(); math.Abs(got-11) > 0.2 {
+	if got := c.cwnd; math.Abs(got-11) > 0.2 {
 		t.Fatalf("cwnd after one CA window = %v, want ≈11", got)
 	}
 }
@@ -49,22 +49,22 @@ func TestNewRenoLossHalves(t *testing.T) {
 	c.ssthresh = 5
 	c.OnSend(0, 100, 0)
 	c.OnLoss(0, cc.LossEvent{Seq: 50})
-	if got := c.Cwnd(); got != 10 {
+	if got := c.cwnd; got != 10 {
 		t.Fatalf("cwnd after loss = %v, want 10", got)
 	}
 	// Second loss in the same window: no further reduction.
 	c.OnLoss(0, cc.LossEvent{Seq: 51})
-	if got := c.Cwnd(); got != 10 {
+	if got := c.cwnd; got != 10 {
 		t.Fatalf("cwnd after in-window loss = %v, want 10", got)
 	}
 	// No growth while recovering.
 	c.OnAck(0, ackAt(60, 50*time.Millisecond))
-	if c.Cwnd() != 10 {
+	if c.cwnd != 10 {
 		t.Fatal("grew during recovery")
 	}
 	// Ack beyond the recovery point resumes growth.
 	c.OnAck(0, ackAt(101, 50*time.Millisecond))
-	if c.Cwnd() <= 10 {
+	if c.cwnd <= 10 {
 		t.Fatal("did not resume growth after recovery")
 	}
 }
@@ -73,13 +73,13 @@ func TestNewRenoTimeout(t *testing.T) {
 	c := NewNewReno()
 	c.cwnd = 16
 	c.OnTimeout(0)
-	if c.Cwnd() != 1 {
-		t.Fatalf("cwnd after RTO = %v, want 1", c.Cwnd())
+	if c.cwnd != 1 {
+		t.Fatalf("cwnd after RTO = %v, want 1", c.cwnd)
 	}
 	if c.ssthresh != 8 {
 		t.Fatalf("ssthresh = %v, want 8", c.ssthresh)
 	}
-	if !c.InSlowStart() {
+	if c.cwnd >= c.ssthresh {
 		t.Fatal("should slow-start after RTO")
 	}
 }
@@ -101,22 +101,22 @@ func TestCubicSlowStartThenCubicGrowth(t *testing.T) {
 	c.ssthresh = 10
 	now := time.Duration(0)
 	seq := int64(0)
-	for c.Cwnd() < 10 {
+	for c.cwnd < 10 {
 		c.OnSend(now, seq, 0)
 		c.OnAck(now, ackAt(seq, 40*time.Millisecond))
 		seq++
 		now += 4 * time.Millisecond
 	}
 	// In congestion avoidance now; growth should continue over time.
-	w := c.Cwnd()
+	w := c.cwnd
 	for i := 0; i < 500; i++ {
 		c.OnSend(now, seq, 0)
 		c.OnAck(now, ackAt(seq, 40*time.Millisecond))
 		seq++
 		now += 4 * time.Millisecond
 	}
-	if c.Cwnd() <= w {
-		t.Fatalf("cubic did not grow: %v -> %v", w, c.Cwnd())
+	if c.cwnd <= w {
+		t.Fatalf("cubic did not grow: %v -> %v", w, c.cwnd)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestCubicLossBeta(t *testing.T) {
 	c.ssthresh = 10
 	c.OnSend(0, 1000, 0)
 	c.OnLoss(0, cc.LossEvent{Seq: 500})
-	if got := c.Cwnd(); math.Abs(got-70) > 0.5 {
+	if got := c.cwnd; math.Abs(got-70) > 0.5 {
 		t.Fatalf("cwnd after loss = %v, want 70 (β=0.7)", got)
 	}
 	if c.wMax != 100 {
@@ -160,7 +160,7 @@ func TestCubicConcaveThenConvex(t *testing.T) {
 			kDur = time.Duration(c.k * float64(time.Second))
 		}
 		if atK == 0 && now >= kDur {
-			atK = c.Cwnd()
+			atK = c.cwnd
 		}
 		if now >= kDur+5*time.Second {
 			break
@@ -170,7 +170,7 @@ func TestCubicConcaveThenConvex(t *testing.T) {
 	if math.Abs(atK-1000) > 100 {
 		t.Fatalf("cwnd at K = %v, want ≈1000 (K=%v)", atK, kDur)
 	}
-	if c.Cwnd() <= atK {
+	if c.cwnd <= atK {
 		t.Fatal("no convex growth past wMax")
 	}
 }
@@ -179,8 +179,8 @@ func TestCubicTimeout(t *testing.T) {
 	c := NewCubic()
 	c.cwnd = 50
 	c.OnTimeout(0)
-	if c.Cwnd() != 1 {
-		t.Fatalf("cwnd = %v, want 1", c.Cwnd())
+	if c.cwnd != 1 {
+		t.Fatalf("cwnd = %v, want 1", c.cwnd)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestVegasDecreasesOnRisingRTT(t *testing.T) {
 	v.baseRTT = 20 * time.Millisecond
 	seq := int64(0)
 	// Several RTT rounds at high RTT → diff = 20*(60-20)/60 ≈ 13 > β.
-	w0 := v.Cwnd()
+	w0 := v.cwnd
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 5; i++ {
 			v.OnSend(0, seq, 0)
@@ -218,8 +218,8 @@ func TestVegasDecreasesOnRisingRTT(t *testing.T) {
 			seq++
 		}
 	}
-	if v.Cwnd() >= w0 {
-		t.Fatalf("vegas did not back off: %v -> %v", w0, v.Cwnd())
+	if v.cwnd >= w0 {
+		t.Fatalf("vegas did not back off: %v -> %v", w0, v.cwnd)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestVegasIncreasesWhenBelowAlpha(t *testing.T) {
 	v.cwnd = 10
 	v.baseRTT = 50 * time.Millisecond
 	seq := int64(0)
-	w0 := v.Cwnd()
+	w0 := v.cwnd
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 5; i++ {
 			v.OnSend(0, seq, 0)
@@ -238,8 +238,8 @@ func TestVegasIncreasesWhenBelowAlpha(t *testing.T) {
 			seq++
 		}
 	}
-	if v.Cwnd() <= w0 {
-		t.Fatalf("vegas did not grow: %v -> %v", w0, v.Cwnd())
+	if v.cwnd <= w0 {
+		t.Fatalf("vegas did not grow: %v -> %v", w0, v.cwnd)
 	}
 }
 
@@ -248,8 +248,8 @@ func TestVegasLossHalves(t *testing.T) {
 	v.cwnd = 30
 	v.OnSend(0, 5, 0)
 	v.OnLoss(0, cc.LossEvent{})
-	if v.Cwnd() != 15 {
-		t.Fatalf("cwnd = %v, want 15", v.Cwnd())
+	if v.cwnd != 15 {
+		t.Fatalf("cwnd = %v, want 15", v.cwnd)
 	}
 }
 

@@ -22,9 +22,6 @@ func newWindow() window {
 	return window{cwnd: 2, ssthresh: 1 << 30, recoverSeq: -1}
 }
 
-// Cwnd returns the current congestion window in packets.
-func (w *window) Cwnd() float64 { return w.cwnd }
-
 // TickInterval implements cc.Controller (ack-clocked).
 func (w *window) TickInterval() time.Duration { return 0 }
 

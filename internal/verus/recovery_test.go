@@ -142,14 +142,14 @@ func TestTimeoutEpochFiltersStaleAcks(t *testing.T) {
 	if v.dMin != dMinBefore {
 		t.Fatal("stale ack moved D_min")
 	}
-	if stale, _ := v.RecoveryStats(); stale != 1 {
+	if stale := v.staleAcks.Value(); stale != 1 {
 		t.Fatalf("staleAcks = %d, want 1", stale)
 	}
 
 	// A very small RTT also filters: what matters is the send time, not
 	// the delay magnitude. Sent at 10.05 − 0.2 = 9.85 s < 10 s.
 	v.OnAck(at+50*time.Millisecond, cc.AckSample{RTT: 200 * time.Millisecond, SentWindow: 2, Bytes: 1400})
-	if stale, _ := v.RecoveryStats(); stale != 2 {
+	if stale := v.staleAcks.Value(); stale != 2 {
 		t.Fatalf("staleAcks = %d, want 2", stale)
 	}
 
@@ -159,7 +159,7 @@ func TestTimeoutEpochFiltersStaleAcks(t *testing.T) {
 	if v.ssW != ssWBefore+1 {
 		t.Fatal("fresh ack did not advance slow start")
 	}
-	if stale, _ := v.RecoveryStats(); stale != 2 {
+	if stale := v.staleAcks.Value(); stale != 2 {
 		t.Fatal("fresh ack was filtered")
 	}
 
@@ -186,7 +186,7 @@ func TestRelearnAfterConsecutiveTimeouts(t *testing.T) {
 	}
 
 	v.OnTimeout(5 * time.Second)
-	if _, relearns := v.RecoveryStats(); relearns != 0 {
+	if relearns := v.relearns.Value(); relearns != 0 {
 		t.Fatal("single timeout triggered a relearn; threshold is 2")
 	}
 	if v.profile.numPoints() == 0 {
@@ -196,13 +196,13 @@ func TestRelearnAfterConsecutiveTimeouts(t *testing.T) {
 	// An ack (fresh: sent after the RTO) resets the consecutive count.
 	v.OnAck(6*time.Second, cc.AckSample{RTT: 20 * time.Millisecond, SentWindow: 2, Bytes: 1400})
 	v.OnTimeout(7 * time.Second)
-	if _, relearns := v.RecoveryStats(); relearns != 0 {
+	if relearns := v.relearns.Value(); relearns != 0 {
 		t.Fatal("ack-separated timeouts triggered a relearn")
 	}
 
 	// Second consecutive RTO: blackout. Everything resets.
 	v.OnTimeout(8 * time.Second)
-	if _, relearns := v.RecoveryStats(); relearns != 1 {
+	if relearns := v.relearns.Value(); relearns != 1 {
 		t.Fatal("two consecutive timeouts did not trigger a relearn")
 	}
 	if v.profile.numPoints() != 0 || v.profile.ready() {
@@ -233,7 +233,7 @@ func TestRelearnAfterConsecutiveTimeouts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vOff.OnTimeout(time.Duration(10+i) * time.Second)
 	}
-	if _, relearns := vOff.RecoveryStats(); relearns != 0 {
+	if relearns := vOff.relearns.Value(); relearns != 0 {
 		t.Fatal("DefaultConfig relearned; recovery behaviors must be opt-in")
 	}
 	if vOff.profile.numPoints() == 0 {

@@ -247,8 +247,8 @@ type Verus struct {
 	timeoutOpen    bool          // a timeout epoch is open
 
 	// Telemetry. Counters are obs instruments so Observe can register them
-	// with a metrics registry without copying; Stats/RecoveryStats remain
-	// thin adapters reading the same instruments.
+	// with a metrics registry without copying; Stats remains a thin
+	// adapter reading the same instruments.
 	epochs    obs.Counter
 	losses    obs.Counter
 	timeouts  obs.Counter
@@ -302,9 +302,6 @@ func New(cfg Config) *Verus {
 // Name implements cc.Controller.
 func (v *Verus) Name() string { return fmt.Sprintf("verus(R=%g)", v.cfg.R) }
 
-// State returns the current phase name (for instrumentation).
-func (v *Verus) State() string { return v.st.String() }
-
 // Window returns the current sending window estimate in packets.
 func (v *Verus) Window() float64 {
 	if v.st == stateSlowStart {
@@ -312,12 +309,6 @@ func (v *Verus) Window() float64 {
 	}
 	return v.w
 }
-
-// DelayTarget returns D_est in seconds (0 before slow start exits).
-func (v *Verus) DelayTarget() float64 { return v.dEst }
-
-// MinDelay returns D_min in seconds (+Inf before the first ack).
-func (v *Verus) MinDelay() float64 { return v.dMin }
 
 // TickInterval implements cc.Controller: Verus is epoch-driven.
 func (v *Verus) TickInterval() time.Duration { return v.cfg.Epoch }
@@ -723,14 +714,6 @@ func (v *Verus) ProfileSnapshot() (windows []int, pointDelays []float64, curve [
 // counters Observe registers with a metrics registry.
 func (v *Verus) Stats() (epochs, losses, timeouts, refits int64) {
 	return v.epochs.Value(), v.losses.Value(), v.timeouts.Value(), v.refits.Value()
-}
-
-// RecoveryStats returns the §4.2 recovery-path counters: acks discarded by
-// the timeout-epoch filter and full profile re-learns after consecutive
-// timeouts. Both stay zero under DefaultConfig. Like Stats, it reads the
-// registry-visible instruments.
-func (v *Verus) RecoveryStats() (staleAcks, relearns int64) {
-	return v.staleAcks.Value(), v.relearns.Value()
 }
 
 // Observe implements obs.Observable: it attaches the observer for event

@@ -64,8 +64,8 @@ func TestNameIncludesR(t *testing.T) {
 
 func TestSlowStartGrowsPerAck(t *testing.T) {
 	v := New(DefaultConfig())
-	if v.State() != "slow-start" {
-		t.Fatalf("initial state %q", v.State())
+	if v.st.String() != "slow-start" {
+		t.Fatalf("initial state %q", v.st.String())
 	}
 	if got := v.Allowance(0, 0); got != 1 {
 		t.Fatalf("initial allowance = %d, want 1", got)
@@ -77,7 +77,7 @@ func TestSlowStartGrowsPerAck(t *testing.T) {
 	if got := v.Allowance(0, 0); got != 11 {
 		t.Fatalf("allowance after 10 acks = %d, want 11", got)
 	}
-	if v.State() != "slow-start" {
+	if v.st.String() != "slow-start" {
 		t.Fatal("should still be in slow start at low delay")
 	}
 }
@@ -88,15 +88,15 @@ func TestSlowStartExitsOnDelayThreshold(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ack(v, 20*time.Millisecond, 2+i)
 	}
-	if v.State() != "slow-start" {
+	if v.st.String() != "slow-start" {
 		t.Fatal("exited too early")
 	}
 	ack(v, 200*time.Millisecond, 8) // > 15 × 10 ms
-	if v.State() != "normal" {
-		t.Fatalf("state = %q after threshold delay, want normal", v.State())
+	if v.st.String() != "normal" {
+		t.Fatalf("state = %q after threshold delay, want normal", v.st.String())
 	}
-	if v.DelayTarget() < 0.01 {
-		t.Fatalf("delay target %v not anchored", v.DelayTarget())
+	if v.dEst < 0.01 {
+		t.Fatalf("delay target %v not anchored", v.dEst)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestSlowStartExitBuildsProfile(t *testing.T) {
 		ack(v, msd(10+float64(i)*2), i)
 	}
 	ack(v, msd(200), 31)
-	if v.State() != "normal" {
-		t.Fatalf("state = %q", v.State())
+	if v.st.String() != "normal" {
+		t.Fatalf("state = %q", v.st.String())
 	}
 	wins, pts, curve := v.ProfileSnapshot()
 	if len(wins) < 20 || len(pts) != len(wins) {
@@ -121,12 +121,12 @@ func TestSlowStartExitBuildsProfile(t *testing.T) {
 
 func TestEquation4RatioCaseDecrements(t *testing.T) {
 	v := primedVerus(t)
-	before := v.DelayTarget()
+	before := v.dEst
 	// Feed an epoch whose delay ratio exceeds R: dMin 10 ms, delays 100 ms.
 	ack(v, 100*time.Millisecond, 10)
 	v.Tick(0)
-	if v.DelayTarget() >= before {
-		t.Fatalf("target should fall in ratio case: %v -> %v", before, v.DelayTarget())
+	if v.dEst >= before {
+		t.Fatalf("target should fall in ratio case: %v -> %v", before, v.dEst)
 	}
 }
 
@@ -139,10 +139,10 @@ func TestEquation4DeltaPositiveDecrementsByDelta1(t *testing.T) {
 		ack(v, 15*time.Millisecond, 10)
 		v.Tick(0)
 	}
-	before := v.DelayTarget()
+	before := v.dEst
 	ack(v, 30*time.Millisecond, 10) // ΔD > 0
 	v.Tick(0)
-	got := before - v.DelayTarget()
+	got := before - v.dEst
 	want := cfg.Delta1.Seconds()
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("ΔD>0 decrement = %v, want δ1 = %v", got, want)
@@ -158,10 +158,10 @@ func TestEquation4ImprovingChannelIncrements(t *testing.T) {
 		ack(v, msd(40), 10)
 		v.Tick(0)
 	}
-	before := v.DelayTarget()
+	before := v.dEst
 	ack(v, msd(20), 10)
 	v.Tick(0)
-	got := v.DelayTarget() - before
+	got := v.dEst - before
 	if math.Abs(got-cfg.Delta2.Seconds()) > 1e-9 {
 		t.Fatalf("increment = %v, want δ2 = %v", got, cfg.Delta2.Seconds())
 	}
@@ -173,8 +173,8 @@ func TestTargetNeverFallsBelowDMin(t *testing.T) {
 		ack(v, 100*time.Millisecond, 10) // ratio case forever
 		v.Tick(0)
 	}
-	if v.DelayTarget() < v.MinDelay()-1e-12 {
-		t.Fatalf("target %v below dMin %v", v.DelayTarget(), v.MinDelay())
+	if v.dEst < v.dMin-1e-12 {
+		t.Fatalf("target %v below dMin %v", v.dEst, v.dMin)
 	}
 }
 
@@ -184,20 +184,20 @@ func TestTargetCappedNearRTimesDMin(t *testing.T) {
 		ack(v, msd(10), 10) // steadily low delay → increments
 		v.Tick(0)
 	}
-	ceiling := v.cfg.R*v.MinDelay() + v.cfg.Delta2.Seconds()
-	if v.DelayTarget() > ceiling+1e-12 {
-		t.Fatalf("target %v exceeds ceiling %v", v.DelayTarget(), ceiling)
+	ceiling := v.cfg.R*v.dMin + v.cfg.Delta2.Seconds()
+	if v.dEst > ceiling+1e-12 {
+		t.Fatalf("target %v exceeds ceiling %v", v.dEst, ceiling)
 	}
 }
 
 func TestNoSampleEpochLeavesTargetAlone(t *testing.T) {
 	v := primedVerus(t)
-	before := v.DelayTarget()
+	before := v.dEst
 	for i := 0; i < 10; i++ {
 		v.Tick(0) // no acks in between
 	}
-	if v.DelayTarget() != before {
-		t.Fatalf("target moved without samples: %v -> %v", before, v.DelayTarget())
+	if v.dEst != before {
+		t.Fatalf("target moved without samples: %v -> %v", before, v.dEst)
 	}
 }
 
@@ -260,8 +260,8 @@ func TestInflightCapBindsDuringStall(t *testing.T) {
 func TestLossMultiplicativeDecrease(t *testing.T) {
 	v := primedVerus(t)
 	v.OnLoss(0, cc.LossEvent{SentWindow: 40})
-	if v.State() != "loss-recovery" {
-		t.Fatalf("state = %q", v.State())
+	if v.st.String() != "loss-recovery" {
+		t.Fatalf("state = %q", v.st.String())
 	}
 	if got := v.Window(); math.Abs(got-20) > 1 {
 		t.Fatalf("window after loss = %v, want M·W_loss = 20", got)
@@ -299,7 +299,7 @@ func TestRecoveryGrowsOnePerWindow(t *testing.T) {
 	if got := v.Window(); math.Abs(got-(w+1/w)) > 1e-9 {
 		t.Fatalf("recovery growth: %v -> %v, want +1/W", w, got)
 	}
-	if v.State() != "loss-recovery" {
+	if v.st.String() != "loss-recovery" {
 		t.Fatal("old-tag ack should not end recovery")
 	}
 }
@@ -308,8 +308,8 @@ func TestRecoveryExitsOnPostLossAck(t *testing.T) {
 	v := primedVerus(t)
 	v.OnLoss(0, cc.LossEvent{SentWindow: 40})
 	ack(v, msd(20), int(v.Window())) // tag ≤ current window
-	if v.State() != "normal" {
-		t.Fatalf("state = %q after post-loss ack", v.State())
+	if v.st.String() != "normal" {
+		t.Fatalf("state = %q after post-loss ack", v.st.String())
 	}
 }
 
@@ -327,8 +327,8 @@ func TestProfileFrozenDuringRecovery(t *testing.T) {
 func TestTimeoutReentersSlowStart(t *testing.T) {
 	v := primedVerus(t)
 	v.OnTimeout(0)
-	if v.State() != "slow-start" {
-		t.Fatalf("state = %q after timeout", v.State())
+	if v.st.String() != "slow-start" {
+		t.Fatalf("state = %q after timeout", v.st.String())
 	}
 	if got := v.Allowance(0, 0); got != 1 {
 		t.Fatalf("allowance after timeout = %d, want 1", got)
@@ -392,11 +392,11 @@ func TestWindowRespondsToChannel(t *testing.T) {
 		return msd(10 + w) // 10 ms base + 1 ms per window unit
 	}
 	// Slow start with realistic feedback until exit.
-	for i := 1; v.State() == "slow-start" && i < 10000; i++ {
+	for i := 1; v.st.String() == "slow-start" && i < 10000; i++ {
 		w := v.Window()
 		v.OnAck(0, cc.AckSample{RTT: delayFor(w), SentWindow: int(w)})
 	}
-	if v.State() != "normal" {
+	if v.st.String() != "normal" {
 		t.Fatalf("slow start never exited (delay threshold 15×10 ms at W≈140)")
 	}
 	// Run epochs with feedback.
@@ -425,8 +425,8 @@ func primedVerusCfg(t *testing.T, cfg Config) *Verus {
 	}
 	// Trip the slow-start exit.
 	ack(v, msd(10*cfg.SlowStartExitN+5), 41)
-	if v.State() != "normal" {
-		t.Fatalf("priming failed: state %q", v.State())
+	if v.st.String() != "normal" {
+		t.Fatalf("priming failed: state %q", v.st.String())
 	}
 	// Pull srtt down toward 20 ms, then run one epoch so no samples are
 	// pending and the target has been through Eq. 4 once.
