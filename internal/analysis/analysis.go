@@ -23,7 +23,7 @@
 // claim holds at this site. The reason is mandatory: a suppression without a
 // justification is itself reported as a violation, as is a directive naming
 // an unknown analyzer or claim ("directive"), and so is a well-formed
-// directive that suppressed nothing ("unusedsuppress"). See DESIGN.md §9
+// directive that suppressed nothing ("unusedsuppress"). See DESIGN.md §12
 // for the grammar and the review bar for each claim.
 package analysis
 

@@ -6,7 +6,7 @@
 // between barriers, so a direct cross-cell touch is a data race and a
 // serial≡sharded divergence — the exact class of bug the
 // executor-equivalence harness exists to catch at runtime, promoted here
-// to a compile-time check (DESIGN.md §14).
+// to a compile-time check (DESIGN.md §12).
 //
 // # What it proves
 //
@@ -15,8 +15,9 @@
 // variable assigned `mesh.Cell(3)` has origin cell 3; copies propagate
 // the origin; joining paths that disagree, reassignment, or a
 // non-constant cell index degrade the origin to unknown. A function
-// literal passed to a scheduling method (Schedule, Every) of a Sim with
-// known origin N is a worker context for cell N: any reference inside it
+// literal passed to a scheduling method (Schedule, Every, ScheduleTracked,
+// RegisterFunc) of a Sim with known origin N is a worker context for cell
+// N: any reference inside it
 // to a Sim variable whose origin is a *known, different* cell M is
 // reported.
 //
@@ -50,11 +51,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // schedulingMethods are the Sim methods whose func-literal argument runs
-// inside that Sim's shard. SchedulePacket and SchedulePacketAfter take a
-// Receiver, never a func literal, so they cannot match.
+// inside that Sim's shard: ScheduleTracked and RegisterFunc are how the
+// metro harness and the fault layer register checkpointable callbacks.
+// SchedulePacket and SchedulePacketAfter take a Receiver, never a func
+// literal, so they cannot match.
 var schedulingMethods = map[string]bool{
-	"Schedule": true,
-	"Every":    true,
+	"Schedule":        true,
+	"Every":           true,
+	"ScheduleTracked": true,
+	"RegisterFunc":    true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -30,3 +30,23 @@ func CopiedOrigin(m *Mesh) {
 		alias.Schedule(9, func() {}) // want `touches cell 1`
 	})
 }
+
+// TrackedCrossTouch registers a checkpointable handover callback on cell 0
+// that reads cell 1's clock: the same race through ScheduleTracked.
+func TrackedCrossTouch(m *Mesh) {
+	home := m.Cell(0)
+	serving := m.Cell(1)
+	home.ScheduleTracked(5, func() {
+		_ = serving.Now() // want `touches cell 1`
+	})
+}
+
+// RegisteredCrossTouch registers a fault-window callback on cell 0 that
+// schedules work on cell 1 directly.
+func RegisteredCrossTouch(m *Mesh) {
+	a := m.Cell(0)
+	b := m.Cell(1)
+	_ = a.RegisterFunc(func() {
+		b.Schedule(1, func() {}) // want `touches cell 1`
+	})
+}

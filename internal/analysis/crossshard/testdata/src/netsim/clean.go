@@ -42,3 +42,15 @@ func JoinDegrades(m *Mesh, flip bool) {
 		_ = target.Now()
 	})
 }
+
+// TrackedSameCell registers checkpointable callbacks that touch only the
+// cell they were registered on.
+func TrackedSameCell(m *Mesh) {
+	sim := m.Cell(2)
+	sim.ScheduleTracked(5, func() {
+		_ = sim.Now()
+	})
+	_ = sim.RegisterFunc(func() {
+		sim.Schedule(1, func() {})
+	})
+}

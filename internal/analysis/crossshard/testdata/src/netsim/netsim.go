@@ -12,6 +12,17 @@ type Sim struct{ now int64 }
 // Schedule runs fn inside this cell's shard at the given virtual time.
 func (s *Sim) Schedule(at int64, fn func()) {}
 
+// ScheduleTracked runs fn inside this cell's shard at the given virtual
+// time, through a checkpointable registered callback.
+func (s *Sim) ScheduleTracked(at int64, fn func()) {}
+
+// Receiver mirrors the event-target interface.
+type Receiver interface{ Receive(p *Packet) }
+
+// RegisterFunc registers fn as a checkpointable callback of this cell;
+// the receiver it returns runs fn inside this cell's shard.
+func (s *Sim) RegisterFunc(fn func()) Receiver { return nil }
+
 // Now returns the cell's virtual clock.
 func (s *Sim) Now() int64 { return s.now }
 

@@ -1,7 +1,7 @@
 // Package flow builds function-level control-flow graphs from go/ast
 // bodies and runs forward-dataflow fixpoints over them — the engine that
 // graduates the verus-lint suite from syntactic AST walks to path-aware
-// verification (DESIGN.md §14). It stays inside the repository's
+// verification (DESIGN.md §12). It stays inside the repository's
 // stdlib-only constraint: no x/tools, no SSA; blocks carry the original
 // ast nodes so analyzers keep working against go/types information.
 //

@@ -3,9 +3,7 @@
 //
 // Go randomizes map iteration order per run, so any map range in a
 // simulation package is a determinism hazard unless the loop body provably
-// cannot observe the order. PR 1's one run-to-run nondeterminism bug was
-// exactly this shape (stale-point aging in verus/profile.go); this analyzer
-// rejects the pattern statically.
+// cannot observe the order; this analyzer rejects the pattern statically.
 //
 // A range over a map is accepted when the loop body is a commutative,
 // float-free accumulation: every statement is an integer increment,

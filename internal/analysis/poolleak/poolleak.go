@@ -2,11 +2,11 @@
 // control-flow path: a packet checked out with Sim.NewPacket or
 // Sim.ClonePacket must, on every path from the allocation to the
 // function's return, either be released with FreePacket or handed to a
-// call that takes custody of it. PR 7's runtime accounting
+// call that takes custody of it. The pool's runtime accounting
 // (PoolStats.Live, -tags pooldebug poisoning) only catches a leak on
 // paths a test actually executes; this analyzer walks the CFG
 // (analysis/flow) and a forward may-own dataflow instead, so the
-// guarantee holds at compile time (DESIGN.md §14).
+// guarantee holds at compile time (DESIGN.md §12).
 //
 // # Custody model
 //

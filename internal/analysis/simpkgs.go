@@ -5,7 +5,7 @@ import (
 	"regexp"
 )
 
-// The determinism contract (DESIGN.md §7-9) applies to the packages that run
+// The determinism contract (DESIGN.md §12, §13) applies to the packages that run
 // inside a netsim.Sim event loop: everything a simulated experiment
 // executes must be a pure function of its derived seed. The analyzers match
 // packages by path segment so the same rules apply to the repository's
@@ -29,7 +29,7 @@ func PathRe(alts string) *regexp.Regexp {
 var (
 	simPkgRe = PathRe(SimPkgs)
 	// netsimPkgRe matches the simulator core package, whose Packet type is
-	// pooled (DESIGN.md §13).
+	// pooled (DESIGN.md §8).
 	netsimPkgRe = PathRe("netsim")
 )
 

@@ -22,7 +22,7 @@ const DefaultNeighborDelay = 3 * time.Millisecond
 
 // Handover is one scheduled inter-cell handover for a user: at At the user
 // re-homes to sector To, and deliveries freeze for Stall while the target
-// cell takes over (the stall-then-burst signature PR 4's fault layer models
+// cell takes over (the stall-then-burst signature faults.Handover models
 // on a single link).
 type Handover struct {
 	At    time.Duration

@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Checkpoint/resume for the metro sweep (DESIGN.md §15). A checkpoint file
+// Checkpoint/resume for the metro sweep (DESIGN.md §10). A checkpoint file
 // is one snap container holding: a config echo (cross-checked on resume — a
 // snapshot must only ever be overlaid onto the topology it was taken from),
 // the sweep points already completed, the in-flight trial's job index and

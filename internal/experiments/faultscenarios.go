@@ -12,7 +12,7 @@ import (
 	"repro/internal/verus"
 )
 
-// This harness is the ISSUE 4 chaos evaluation: each canned fault plan
+// This harness is the chaos evaluation: each canned fault plan
 // (internal/faults) is run against the hardened Verus, stock Verus, and the
 // TCP baselines over a trace-driven cell, and the table reports what the
 // outage/handover/loss train cost each protocol and how quickly it came

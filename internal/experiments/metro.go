@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The Metro harness is the ISSUE 6 city-scale experiment: N cell sectors on
+// The Metro harness is the city-scale experiment: N cell sectors on
 // a sharded netsim.Mesh, M concurrent flows spread across them, swept over
 // flow counts in the thousands for each contender protocol. Each sector is
 // an independent trace-driven cell (its own cellular fading, queue, and
@@ -60,7 +60,7 @@ type MetroOptions struct {
 	// CheckpointPath at every CheckpointEvery of virtual time — each write
 	// lands at a mesh lookahead barrier, where the executors are quiescent.
 	// Requires CheckpointPath. The segmented runs render byte-identically to
-	// an uncheckpointed sweep (the PR 6 segmentation property).
+	// an uncheckpointed sweep (TestMetroCheckpointResumeEquivalence).
 	CheckpointEvery time.Duration
 	// CheckpointPath is the snapshot file; each write atomically replaces it.
 	CheckpointPath string
@@ -216,7 +216,7 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 // without boxing per-packet closures (the pooled zero-alloc path). They are
 // pointer types, not ReceiverFunc closures, because checkpointing requires
 // comparable receivers: a pending delivery serializes as the receiver's
-// registry id (DESIGN.md §15).
+// registry id (DESIGN.md §10).
 
 // metroHomeRecv hands a packet to its flow's sink on the home timeline,
 // honoring any active handover stall by deferring to the release instant

@@ -12,7 +12,7 @@ import "math/rand"
 // auditable here and in the seed-derivation scheme above it. The underlying
 // generator is math/rand's seeded source — byte-compatible with the
 // rand.New(rand.NewSource(seed)) calls it replaces, which is what keeps the
-// golden digests of DESIGN.md §8 unchanged.
+// golden digests of DESIGN.md §13 unchanged.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }

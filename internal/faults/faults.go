@@ -12,7 +12,7 @@
 // rand.Rand seeded by the caller, which in the experiments harness is a
 // runner.DeriveSeed product — so serial and -parallel N runs of a fault
 // scenario are byte-identical, the same contract the rest of the simulator
-// honors (DESIGN.md §7, §10).
+// honors (DESIGN.md §9, §13).
 //
 // The fault layer never hides bytes: every packet it removes, delays, or
 // copies is accounted in Counters, and the netsim conservation identity

@@ -13,7 +13,7 @@ import (
 
 // Mesh partitions a simulation into per-cell event heaps with deterministic
 // conservative synchronization, the substrate for multi-cell "metro"
-// topologies (DESIGN.md §12). Each cell is an ordinary *Sim — links, queues,
+// topologies (DESIGN.md §7). Each cell is an ordinary *Sim — links, queues,
 // and flows are built against it exactly as against a standalone simulator —
 // and cross-cell interactions travel over lookahead channels: SendPacket
 // schedules a delivery in another cell's timeline at least `lookahead` in
@@ -303,8 +303,8 @@ func (m *Mesh) RunSharded(until time.Duration, shards int) {
 // waits for its peer to finish a busy cell — the wait that made a channel
 // barrier cost as much as the work it fenced. Because every poll yields, a
 // waiter never keeps a processor from a goroutine with work to do, whether
-// workers outnumber processors or the collector wants one. Throughput is flat
-// from 2⁸ to 2¹² (DESIGN.md §12).
+// workers outnumber processors or the collector wants one. Throughput on the
+// metro_sharded workload is flat from 2⁸ to 2¹².
 const barrierSpin = 1 << 9
 
 // parker is one goroutine's seat at the window barrier. Its owner awaits a

@@ -11,10 +11,10 @@ import (
 // train with synthetic per-event protocol work, and every fifth event sends
 // a pooled packet to the next cell over the mesh. Cross-cell traffic rides
 // SendPacket — receiver + pooled packet, no closures — so the steady state
-// exercises the PR 7 zero-alloc path end to end. With phased set, cell c does
+// exercises the pooled zero-alloc path end to end. With phased set, cell c does
 // its per-event work only in windows w with w%4 == c%4, so cells {0,4},
 // {1,5}, {2,6} and {3,7} are busy in turn — the shape of a metro sweep, whose
-// controllers tick at a phase set by the sector number (DESIGN.md §12).
+// controllers tick at a phase set by the sector number (DESIGN.md §7).
 func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 	const (
 		cells     = 8

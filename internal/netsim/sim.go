@@ -77,12 +77,6 @@ func orderKey(cell uint32, seq uint64) uint64 {
 	return uint64(cell)<<cellSeqBits | seq
 }
 
-// orderKeyParts splits a composite order key back into (cell, seq) — the
-// inverse of orderKey, used by introspection and the fuzz harness.
-func orderKeyParts(key uint64) (cell uint32, seq uint64) {
-	return uint32(key >> cellSeqBits), key & cellSeqMask
-}
-
 // timer is the state of one recurring registration: a receiver that runs fn
 // and re-arms itself one interval on, claiming a fresh order key after fn
 // returns, so one timer serves the registration's lifetime. A component

@@ -12,7 +12,7 @@ import (
 )
 
 // Checkpoint equivalence and pool-conservation properties on the dumbbell
-// topology (DESIGN.md §15): a restore overlaid on a deterministic rebuild
+// topology (DESIGN.md §10): a restore overlaid on a deterministic rebuild
 // must conserve the packet-pool accounting exactly and continue to the same
 // final state a never-interrupted run reaches.
 

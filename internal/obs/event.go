@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Kind identifies the typed event an Event carries. The set covers the
-// instrumentation points of ISSUE 5: Verus control-loop transitions, netsim
-// packet life cycle, fault-plan activations, and transport liveness.
+// Kind identifies the typed event an Event carries. The set covers Verus
+// control-loop transitions, the netsim packet life cycle and its delay
+// attribution, fault-plan activations, checkpoints and transport liveness.
 type Kind uint8
 
 const (

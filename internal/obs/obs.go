@@ -15,7 +15,7 @@
 //
 // Cost contract: the disabled path is a nil check. Instrumented code holds a
 // *Observer and guards every instrumentation point with `if o != nil`,
-// mirroring the PR 4 egress fast path; with no observer attached the epoch
+// like the fault layer's egress fast path; with no observer attached the epoch
 // hot path pays one predictable branch and zero allocations. Enabled, a run
 // that records from one goroutine does so through a Local (Observer.Local):
 // an event is one copy into the Local's batch, and each full batch one lock
@@ -28,7 +28,7 @@
 // observation two atomic adds. The exporters append their bytes by hand and
 // the JSONL reader is one pass over a fixed grammar (see ReadJSONL), so
 // neither allocates per event; the AllocsPerRun tests pin all of it, and
-// DESIGN.md §11 has the numbers.
+// the package benchmarks (BenchmarkLocalEmit, BenchmarkWriteJSONL, …) time it.
 package obs
 
 // Observer bundles the event tracer and the metrics registry handed to

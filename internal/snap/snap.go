@@ -1,6 +1,6 @@
 // Package snap is the checkpoint codec for the simulator: a deterministic,
 // length-prefixed binary format with a version header and a CRC-32 trailer
-// (DESIGN.md §15).
+// (DESIGN.md §10).
 //
 // The format is deliberately dumb. Every value is written little-endian at a
 // fixed width (or with an explicit u32 length prefix for strings and lists),
@@ -54,7 +54,7 @@ const Magic = "VSNP"
 // Version 2: packets and flow metrics carry delay-attribution state, and
 // metro trials carry per-cell attribution aggregates. Version 3: flow
 // metrics, attribution aggregates, summaries, in-flight entries and Sprout
-// controllers carry only state a run reads (DESIGN.md §15).
+// controllers carry only state a run reads.
 const Version uint32 = 3
 
 // ErrTruncated reports a payload that ended mid-value.

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Delay attribution (DESIGN.md §16): every delivered packet's one-way delay
+// Delay attribution (DESIGN.md §11): every delivered packet's one-way delay
 // decomposes into the exhaustive component set below. The components are
 // accumulated as integer nanoseconds along the packet's lifecycle (netsim
 // stamps the transitions), so their sum telescopes exactly — in integer

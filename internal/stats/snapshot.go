@@ -6,7 +6,7 @@ import (
 	"repro/internal/snap"
 )
 
-// Checkpoint support (DESIGN.md §15). Accumulators checkpoint their running
+// Checkpoint support (DESIGN.md §10). Accumulators checkpoint their running
 // state bit-exactly: float sums are stored as IEEE-754 bit patterns, never
 // recomputed from samples — re-summing in a different order would drift the
 // low bits and move a golden digest. Sample order is preserved verbatim too:

@@ -2,7 +2,7 @@ package tcp
 
 import "repro/internal/snap"
 
-// Checkpoint support (DESIGN.md §15): each controller's walk visits exactly
+// Checkpoint support (DESIGN.md §10): each controller's walk visits exactly
 // its mutable fields, the shared window's among them, in a fixed order that
 // checkpoint files depend on. Parameters are compile-time constants here, so
 // there is nothing to cross-check against the rebuild.

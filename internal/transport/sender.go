@@ -58,8 +58,7 @@ func DefaultSenderConfig() SenderConfig {
 const housekeep = 5 * time.Millisecond
 
 // ErrHandshakeFailed is wrapped by Dial when the receiver never answers the
-// control-channel handshake within the retry budget. Before PR 4 this
-// condition produced a "connected" sender that wedged silently forever.
+// control-channel handshake within the retry budget.
 var ErrHandshakeFailed = errors.New("transport: handshake failed")
 
 // SenderStats summarizes a sender's run.

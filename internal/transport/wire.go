@@ -21,11 +21,11 @@ const (
 	typeData = 0x01
 	typeAck  = 0x02
 	typeFin  = 0x03
-	// typeSyn/typeSynAck are the control-channel handshake (PR 4): Dial
-	// probes the receiver with typeSyn and waits for the echoed typeSynAck
-	// before starting the data flow, retrying with jittered exponential
-	// backoff. Before this existed, a dead or unreachable receiver wedged
-	// the sender forever with no error.
+	// typeSyn/typeSynAck are the control-channel handshake: Dial probes the
+	// receiver with typeSyn and waits for the echoed typeSynAck before
+	// starting the data flow, retrying with jittered exponential backoff, so
+	// a dead or unreachable receiver fails Dial instead of wedging the
+	// sender (TestDialDeadReceiverFailsFast).
 	typeSyn    = 0x04
 	typeSynAck = 0x05
 )

@@ -89,8 +89,8 @@ type Config struct {
 	// intervening ack — the signature of a blackout (§4.2). Every knot and
 	// the D_min floor describe the pre-outage bearer; re-learning from
 	// scratch beats reading windows off a curve for a channel that no
-	// longer exists. 0 (the default) keeps the pre-PR-4 behavior: the
-	// profile survives timeouts.
+	// longer exists. 0 (the default) keeps the profile across timeouts;
+	// TestRelearnAfterConsecutiveTimeouts pins the wipe.
 	RelearnTimeouts int
 	// TimeoutEpochs, when set, opens a timeout epoch at each RTO: acks
 	// inferred to have been sent before the most recent timeout (send time
@@ -99,7 +99,7 @@ type Config struct {
 	// ghosts — packets queued before the stall whose delays say nothing
 	// about the recovered channel — and without the epoch check they both
 	// poison the profile and double-drive the restarted slow start. Off by
-	// default (pre-PR-4 behavior).
+	// default; TestTimeoutEpochFiltersStaleAcks pins the filter.
 	TimeoutEpochs bool
 }
 
