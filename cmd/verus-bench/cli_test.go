@@ -138,10 +138,10 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"checkpoint-every-without-checkpoint", []string{"-quick", "-metro", "-checkpoint-every", "2s"}},
 		{"shards-below-range", []string{"-metro", "-shards", "-2"}},
 		{"churn-above-range", []string{"-metro", "-churn", "1.5"}},
+		{"churn-nan", []string{"-metro", "-churn", "NaN"}},
 		{"unknown-only", []string{"-only", "fig99"}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := runBench(t, tc.args...)
 			if code != 2 {

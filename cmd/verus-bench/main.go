@@ -249,7 +249,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "verus-bench: -shards must be >= -1 (got %d)\n", *shardsFlag)
 		os.Exit(2)
 	}
-	if *churnFlag != -1 && (*churnFlag < 0 || *churnFlag > 1) {
+	if *churnFlag != -1 && !(*churnFlag >= 0 && *churnFlag <= 1) { // NaN fails too
 		fmt.Fprintf(os.Stderr, "verus-bench: -churn must be in [0,1] or -1 for the default (got %v)\n", *churnFlag)
 		os.Exit(2)
 	}

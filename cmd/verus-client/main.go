@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-report %v: must be positive", *report))
 	}
 
-	cfg := transport.DefaultSenderConfig()
+	var cfg transport.SenderConfig
 	if *debugAddr != "" {
 		registry := obs.NewRegistry()
 		// Dial registers the sender's counters and attaches the controller

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/experiments"
 )
@@ -199,6 +202,102 @@ func TestDesignCitesNoChangeNumbers(t *testing.T) {
 	for _, m := range regexp.MustCompile(`\bPRs? ?#?\d+|\bPR-\d+`).FindAllString(readRepoFile(t, "DESIGN.md"), -1) {
 		t.Errorf("DESIGN.md cites %q; name the mechanism or the test instead", m)
 	}
+}
+
+// TestDesignReferencesNameHeadings keeps references into DESIGN.md valid
+// when its sections are renumbered. A reference is the document's name, a
+// space and "§" followed by the name of one of its "## N. <heading>" lines
+// (the heading up to any parenthesis), and more sections may follow as
+// ", §<name>". A section number in place of the name fails, and so does
+// text that starts no heading. Inside DESIGN.md a bare "§" followed by a
+// letter is such a reference too; "§" and a number there is the paper's
+// section. Code, the CI workflow and the documents that describe the code
+// are read; CHANGES.md and ROADMAP.md record history and are not.
+func TestDesignReferencesNameHeadings(t *testing.T) {
+	design := readRepoFile(t, "DESIGN.md")
+	var headings []string
+	for _, m := range regexp.MustCompile(`(?m)^## \d+\. ([^(\n]+?)(?: \(.*)?$`).FindAllStringSubmatch(design, -1) {
+		headings = append(headings, m[1])
+	}
+	if len(headings) == 0 {
+		t.Fatal("DESIGN.md has no numbered headings")
+	}
+	// Longest first, so a heading is never cut short by another it starts
+	// with.
+	sort.Slice(headings, func(i, j int) bool { return len(headings[i]) > len(headings[j]) })
+	files := []string{"README.md", "EXPERIMENTS.md", "bench/README.md", ".github/workflows/ci.yml"}
+	repoWalk(t, func(rel string) {
+		if strings.HasSuffix(rel, ".go") {
+			files = append(files, rel)
+		}
+	})
+	refs := 0
+	check := func(rel, text string, pos int) {
+		refs++
+		if err := designRefChain(text[pos:], headings); err != "" {
+			t.Errorf("%s:%d: %s", rel, strings.Count(text[:pos], "\n")+1, err)
+		}
+	}
+	refRe := regexp.MustCompile(`DESIGN\.md \x{a7}`)
+	for _, rel := range files {
+		text := readRepoFile(t, rel)
+		for _, loc := range refRe.FindAllStringIndex(text, -1) {
+			check(rel, text, loc[1])
+		}
+	}
+	for _, loc := range regexp.MustCompile(`\x{a7}\pL`).FindAllStringIndex(design, -1) {
+		if !strings.HasSuffix(design[:loc[0]], ", ") {
+			check("DESIGN.md", design, loc[0]+len("§"))
+		}
+	}
+	if refs == 0 {
+		t.Fatal("found no DESIGN.md section reference")
+	}
+}
+
+// designRefChain checks the section names that follow a reference's "§":
+// one heading, then optionally ", §" and another, and so on. It returns
+// what is wrong, or "".
+func designRefChain(rest string, headings []string) string {
+	for {
+		if rest != "" && rest[0] >= '0' && rest[0] <= '9' {
+			return "numbered DESIGN.md section reference; name the heading instead"
+		}
+		name := ""
+		for _, h := range headings {
+			if strings.HasPrefix(rest, h) && !startsWithWordChar(rest[len(h):]) {
+				name = h
+				break
+			}
+		}
+		if name == "" {
+			return fmt.Sprintf("DESIGN.md section reference %q names no heading", firstWords(rest))
+		}
+		rest = rest[len(name):]
+		if !strings.HasPrefix(rest, ", §") {
+			return ""
+		}
+		rest = rest[len(", §"):]
+	}
+}
+
+// startsWithWordChar reports whether s begins with a letter or digit, which
+// would make a heading matched just before it a prefix of a longer word.
+func startsWithWordChar(s string) bool {
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// firstWords returns the start of s up to its first line break, at most 30
+// bytes, for a diagnostic.
+func firstWords(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		s = s[:i]
+	}
+	if len(s) > 30 {
+		s = s[:30]
+	}
+	return s
 }
 
 // TestCIRunPatternsMatchTests keeps CI's selective steps from going

@@ -1,5 +1,5 @@
 // Command verus-lint statically enforces the repository's determinism,
-// purity, and ownership contracts (DESIGN.md §12). It runs the
+// purity, and ownership contracts (DESIGN.md §Lint). It runs the
 // internal/analysis suite — crossshard, floatorder, maprange,
 // nofaultsinprod, noglobalrand, nowalltime, poolleak; floatorder,
 // nofaultsinprod, noglobalrand and nowalltime are the rows of one

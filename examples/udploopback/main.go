@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("receiver on %s\n", r.Addr())
 
 	v := verus.New(verus.DefaultConfig())
-	s, err := transport.Dial(r.Addr().String(), v, transport.DefaultSenderConfig())
+	s, err := transport.Dial(r.Addr().String(), v, transport.SenderConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

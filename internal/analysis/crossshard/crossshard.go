@@ -6,7 +6,7 @@
 // between barriers, so a direct cross-cell touch is a data race and a
 // serial≡sharded divergence — the exact class of bug the
 // executor-equivalence harness exists to catch at runtime, promoted here
-// to a compile-time check (DESIGN.md §12).
+// to a compile-time check (DESIGN.md §Lint).
 //
 // # What it proves
 //

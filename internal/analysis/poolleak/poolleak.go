@@ -6,7 +6,7 @@
 // (PoolStats.Live, -tags pooldebug poisoning) only catches a leak on
 // paths a test actually executes; this analyzer walks the CFG
 // (analysis/flow) and a forward may-own dataflow instead, so the
-// guarantee holds at compile time (DESIGN.md §12).
+// guarantee holds at compile time (DESIGN.md §Lint).
 //
 // # Custody model
 //

@@ -5,12 +5,12 @@ import (
 	"regexp"
 )
 
-// The determinism contract (DESIGN.md §12, §13) applies to the packages that run
-// inside a netsim.Sim event loop: everything a simulated experiment
-// executes must be a pure function of its derived seed. The analyzers match
-// packages by path segment so the same rules apply to the repository's
-// import paths (repro/internal/netsim) and to analysistest fixtures
-// (plain "netsim").
+// The determinism contract (DESIGN.md §Lint, §Experiments) applies to the
+// packages that run inside a netsim.Sim event loop: everything a simulated
+// experiment executes must be a pure function of its derived seed. The
+// analyzers match packages by path segment so the same rules apply to the
+// repository's import paths (repro/internal/netsim) and to analysistest
+// fixtures (plain "netsim").
 
 // SimPkgs names the simulation packages as path segments: the simulator
 // core, the channel models, every controller, the fault-injection layer,
@@ -29,7 +29,7 @@ func PathRe(alts string) *regexp.Regexp {
 var (
 	simPkgRe = PathRe(SimPkgs)
 	// netsimPkgRe matches the simulator core package, whose Packet type is
-	// pooled (DESIGN.md §8).
+	// pooled (DESIGN.md §Pool).
 	netsimPkgRe = PathRe("netsim")
 )
 

@@ -11,14 +11,15 @@ import (
 // user calls home, which §5.3 scenario drives their channel and mobility,
 // and a deterministic inter-cell handover schedule derived from that
 // scenario's HandoverEvery/HandoverStall. The experiments harness maps each
-// sector onto one cell of a netsim.Mesh (NeighborDelay becomes the mesh
+// sector onto one cell of a netsim.Mesh (NeighborDelay is the mesh
 // lookahead) and replays the handover schedules as user re-homing plus
 // delivery stalls.
 
-// DefaultNeighborDelay is the inter-sector propagation delay assumed when a
-// MetroConfig leaves NeighborDelay zero — the order of an LTE X2 backhaul
-// hop between neighboring eNodeBs.
-const DefaultNeighborDelay = 3 * time.Millisecond
+// NeighborDelay is the inter-sector propagation delay — the order of an LTE
+// X2 backhaul hop between neighboring eNodeBs, and the conservative
+// lookahead of the mesh a topology is simulated on. It is positive: a
+// zero-delay inter-cell link cannot be conservatively synchronized.
+const NeighborDelay = 3 * time.Millisecond
 
 // Handover is one scheduled inter-cell handover for a user: at At the user
 // re-homes to sector To, and deliveries freeze for Stall while the target
@@ -57,9 +58,6 @@ type MetroSector struct {
 type Metro struct {
 	Sectors []MetroSector
 	Users   []MetroUser
-	// NeighborDelay is the inter-sector propagation delay — the conservative
-	// lookahead of the mesh the topology is simulated on.
-	NeighborDelay time.Duration
 }
 
 // MetroConfig parameterizes NewMetro.
@@ -72,10 +70,6 @@ type MetroConfig struct {
 	// MeanMbps overrides each sector's default aggregate mean rate when
 	// positive.
 	MeanMbps float64
-	// NeighborDelay is the inter-sector propagation delay; zero selects
-	// DefaultNeighborDelay. It must be positive after defaulting: a
-	// zero-delay inter-cell link cannot be conservatively synchronized.
-	NeighborDelay time.Duration
 	// Horizon bounds the generated handover schedules (default 60 s).
 	Horizon time.Duration
 	// HandoverScale multiplies the scenarios' handover spacing; zero means
@@ -102,12 +96,6 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("cellular: metro needs at least one user, got %d", cfg.Users)
 	}
-	if cfg.NeighborDelay == 0 {
-		cfg.NeighborDelay = DefaultNeighborDelay
-	}
-	if cfg.NeighborDelay < 0 {
-		return nil, fmt.Errorf("cellular: negative neighbor delay %v", cfg.NeighborDelay)
-	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 60 * time.Second
 	}
@@ -120,11 +108,11 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 	if cfg.HandoverScale < 0 {
 		return nil, fmt.Errorf("cellular: negative handover scale %g", cfg.HandoverScale)
 	}
-	if cfg.ChurnFrac < 0 || cfg.ChurnFrac > 1 {
+	if !(cfg.ChurnFrac >= 0 && cfg.ChurnFrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("cellular: churn fraction %g outside [0, 1]", cfg.ChurnFrac)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Metro{NeighborDelay: cfg.NeighborDelay}
+	m := &Metro{}
 	for s := 0; s < cfg.Sectors; s++ {
 		m.Sectors = append(m.Sectors, MetroSector{
 			ID: s,

@@ -2,6 +2,7 @@ package cellular
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -40,9 +41,6 @@ func TestNewMetroShape(t *testing.T) {
 	}
 	if len(m.Sectors) != 4 || len(m.Users) != 50 {
 		t.Fatalf("got %d sectors / %d users, want 4 / 50", len(m.Sectors), len(m.Users))
-	}
-	if m.NeighborDelay != DefaultNeighborDelay {
-		t.Errorf("neighbor delay %v, want default %v", m.NeighborDelay, DefaultNeighborDelay)
 	}
 	for i, u := range m.Users {
 		if u.Home != i%4 {
@@ -149,7 +147,8 @@ func TestNewMetroRejections(t *testing.T) {
 		{"zero-sectors", MetroConfig{Sectors: 0, Users: 1}},
 		{"negative-sectors", MetroConfig{Sectors: -2, Users: 1}},
 		{"zero-users", MetroConfig{Sectors: 1, Users: 0}},
-		{"negative-delay", MetroConfig{Sectors: 1, Users: 1, NeighborDelay: -time.Millisecond}},
+		{"churn-above-one", MetroConfig{Sectors: 1, Users: 1, ChurnFrac: 2}},
+		{"churn-nan", MetroConfig{Sectors: 1, Users: 1, ChurnFrac: math.NaN()}},
 		{"negative-horizon", MetroConfig{Sectors: 1, Users: 1, Horizon: -time.Second}},
 	}
 	for _, c := range cases {
@@ -170,11 +169,6 @@ func TestMetroValidateCatchesCorruption(t *testing.T) {
 	if err := validateMetro(m); err == nil {
 		t.Fatal("out-of-range home sector accepted")
 	}
-	m.Users[0].Home = 0
-	m.NeighborDelay = 0
-	if err := validateMetro(m); err == nil {
-		t.Fatal("zero neighbor delay accepted")
-	}
 }
 
 // validateMetro checks the invariants consumers rely on; NewMetro output
@@ -182,9 +176,6 @@ func TestMetroValidateCatchesCorruption(t *testing.T) {
 func validateMetro(m *Metro) error {
 	if len(m.Sectors) == 0 {
 		return fmt.Errorf("cellular: metro has no sectors")
-	}
-	if m.NeighborDelay <= 0 {
-		return fmt.Errorf("cellular: metro neighbor delay %v must be positive (zero-delay inter-cell links cannot be synchronized)", m.NeighborDelay)
 	}
 	for i, s := range m.Sectors {
 		if s.ID != i {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Checkpoint/resume for the metro sweep (DESIGN.md §10). A checkpoint file
+// Checkpoint/resume for the metro sweep (DESIGN.md §Checkpoint). A checkpoint file
 // is one snap container holding: a config echo (cross-checked on resume — a
 // snapshot must only ever be overlaid onto the topology it was taken from),
 // the sweep points already completed, the in-flight trial's job index and
@@ -74,9 +74,10 @@ const cfgMismatch = "experiments: checkpoint was taken under a different metro c
 // walkMetroConfig visits the config echo. The snapshot fixes the topology:
 // the echoed Shards and ChurnFrac load into *opts rather than being
 // cross-checked, so a resume never has to restate them (the CLI rejects
-// -shards/-churn alongside -resume for the same reason). Everything else —
-// sectors, flow counts, duration, tech, handover scale, seed — is
-// identity-critical and must match exactly.
+// -shards/-churn alongside -resume for the same reason). Adopted from the
+// file, they are range-checked here as Metro checks them from a caller.
+// Everything else — sectors, flow counts, duration, tech, handover scale,
+// seed — is identity-critical and must match exactly.
 func walkMetroConfig(w snap.Walker, opts *MetroOptions) {
 	w.Tag("metro")
 	w.SameInt(opts.Sectors, cfgMismatch+"sectors")
@@ -90,6 +91,14 @@ func walkMetroConfig(w snap.Walker, opts *MetroOptions) {
 	w.SameF64(opts.HandoverScale, cfgMismatch+"handover scale")
 	w.F64(&opts.ChurnFrac)
 	w.SameI64(opts.Seed, cfgMismatch+"seed")
+	if !w.Loading() || w.Err() != nil {
+		return
+	}
+	if opts.Shards < 0 {
+		w.Fail(fmt.Errorf("experiments: checkpoint echoes shard count %d below 0", opts.Shards))
+	} else if !(opts.ChurnFrac >= 0 && opts.ChurnFrac <= 1) {
+		w.Fail(fmt.Errorf("experiments: checkpoint echoes churn fraction %v outside [0, 1]", opts.ChurnFrac))
+	}
 }
 
 // walkMetroSweep visits everything a checkpoint file holds ahead of the trial

@@ -73,7 +73,6 @@ func TestMetroCheckpointResumeEquivalence(t *testing.T) {
 		{"sharded4-churn", 4, 0.5, 500 * time.Millisecond, 1},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			opts := ckptOpts(tc.shards, tc.churn)
 			straight, err := Metro(opts)
@@ -346,6 +345,27 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 	hostileCells := hostile("hostile-cells", 1, 20_000_000)
 	hostileCellsMax := hostile("hostile-cells-max", 1, math.MaxUint32)
 
+	// echo writes a checkpoint through walkMetroSweep whose config echo
+	// carries a Shards or ChurnFrac no sweep accepts. A resume adopts both
+	// from the file, so the load itself must refuse them.
+	echo := func(name string, mut func(*MetroOptions)) string {
+		o := opts
+		mut(&o)
+		var done []MetroPoint
+		job, barrier := 0, 500*time.Millisecond
+		h := snap.NewEncoder()
+		walkMetroSweep(snap.Save(h), &o, &done, &job, &barrier)
+		path := filepath.Join(dir, name+".bin")
+		if err := snap.WriteFile(path, h, snap.Version); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	churnHigh := echo("churn-high", func(o *MetroOptions) { o.ChurnFrac = 2 })
+	churnNeg := echo("churn-neg", func(o *MetroOptions) { o.ChurnFrac = -1 })
+	churnNaN := echo("churn-nan", func(o *MetroOptions) { o.ChurnFrac = math.NaN() })
+	shardsNeg := echo("shards-neg", func(o *MetroOptions) { o.Shards = -1 })
+
 	cases := []struct {
 		name string
 		mut  func(*MetroOptions)
@@ -355,6 +375,10 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 		{"hostile-points-count-maxuint32", func(o *MetroOptions) { o.ResumeFrom = hostilePointsMax }, "completed points"},
 		{"hostile-cellattrib-count", func(o *MetroOptions) { o.ResumeFrom = hostileCells }, "attribution cells"},
 		{"hostile-cellattrib-count-maxuint32", func(o *MetroOptions) { o.ResumeFrom = hostileCellsMax }, "attribution cells"},
+		{"hostile-echo-churn-2", func(o *MetroOptions) { o.ResumeFrom = churnHigh }, "churn fraction"},
+		{"hostile-echo-churn-neg", func(o *MetroOptions) { o.ResumeFrom = churnNeg }, "churn fraction"},
+		{"hostile-echo-churn-nan", func(o *MetroOptions) { o.ResumeFrom = churnNaN }, "churn fraction"},
+		{"hostile-echo-shards-neg", func(o *MetroOptions) { o.ResumeFrom = shardsNeg }, "shard count"},
 		{"truncated", func(o *MetroOptions) { o.ResumeFrom = truncated }, ""},
 		{"corrupted", func(o *MetroOptions) { o.ResumeFrom = corruptedPath }, ""},
 		{"garbage", func(o *MetroOptions) { o.ResumeFrom = garbage }, ""},
@@ -365,7 +389,6 @@ func TestMetroCheckpointFailClosed(t *testing.T) {
 		{"config-mismatch-sectors", func(o *MetroOptions) { o.ResumeFrom = copies[0]; o.Sectors = 8 }, "different metro configuration"},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			o := ckptOpts(4, 0)
 			tc.mut(&o)

@@ -9,8 +9,9 @@ import (
 )
 
 // These tests run scaled-down versions of each harness and assert the
-// paper's qualitative claims — the "shape" targets of DESIGN.md §13. They are
-// the regression net for the reproduction itself.
+// paper's qualitative claims — the "shape" targets of
+// DESIGN.md §Experiments. They are the regression net for the reproduction
+// itself.
 
 func TestFigure1BurstsVisible(t *testing.T) {
 	r := Figure1(1)

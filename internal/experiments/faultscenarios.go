@@ -88,7 +88,6 @@ func FaultScenario(name string, opts MacroOptions) (FaultScenarioResult, error) 
 	var jobs []runner.Job[RunResult]
 	for pi, mk := range protos {
 		for rep := 0; rep < opts.Reps; rep++ {
-			mk := mk
 			jobs = append(jobs, runner.Job[RunResult]{
 				Key: int64(100*pi + rep),
 				Run: func(seed int64) RunResult {

@@ -4,7 +4,7 @@
 // (cellular channel model, network simulator, protocol implementations),
 // runs it, and renders the same rows or series the paper reports. Figures is
 // the one table of them, read by cmd/verus-bench and the golden tests at
-// each Scale; DESIGN.md §13 indexes it and EXPERIMENTS.md records
+// each Scale; DESIGN.md §Experiments indexes it and EXPERIMENTS.md records
 // paper-vs-measured outcomes.
 //
 // Every harness is deterministic given its options (seeded randomness only).

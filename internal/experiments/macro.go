@@ -79,7 +79,6 @@ func macroSweep(opts MacroOptions, protos []Maker) (tech []string, points [][]Pr
 	for ci, cell := range cells {
 		for pi, mk := range protos {
 			for rep := 0; rep < opts.Reps; rep++ {
-				cell, mk := cell, mk
 				jobs = append(jobs, runner.Job[RunResult]{
 					Key: int64(1000*ci + 100*pi + rep),
 					Run: func(seed int64) RunResult {
@@ -201,7 +200,6 @@ func Figure10(opts MacroOptions) Figure10Result {
 	var jobs []runner.Job[RunResult]
 	for si, sc := range scenarios {
 		for pi, mk := range protos {
-			sc, mk := sc, mk
 			jobs = append(jobs, runner.Job[RunResult]{
 				Key: int64(1000*si + 100*pi),
 				Run: func(seed int64) RunResult {
@@ -287,7 +285,6 @@ func Table1(opts MacroOptions) Table1Result {
 	for _, users := range out.Users {
 		for pi, mk := range makers {
 			for si, sc := range scenarios {
-				users, mk, sc := users, mk, sc
 				jobs = append(jobs, runner.Job[float64]{
 					Key: int64(10000*users + 100*pi + si),
 					Run: func(seed int64) float64 {

@@ -183,7 +183,7 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 			return MetroResult{}, fmt.Errorf("experiments: metro flow count %d must be positive", n)
 		}
 	}
-	if opts.ChurnFrac < 0 || opts.ChurnFrac > 1 {
+	if !(opts.ChurnFrac >= 0 && opts.ChurnFrac <= 1) { // NaN fails too
 		return MetroResult{}, fmt.Errorf("experiments: metro churn fraction %v outside [0, 1]", opts.ChurnFrac)
 	}
 	if opts.CheckpointEvery < 0 {
@@ -216,7 +216,7 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 // without boxing per-packet closures (the pooled zero-alloc path). They are
 // pointer types, not ReceiverFunc closures, because checkpointing requires
 // comparable receivers: a pending delivery serializes as the receiver's
-// registry id (DESIGN.md §10).
+// registry id (DESIGN.md §Checkpoint).
 
 // metroHomeRecv hands a packet to its flow's sink on the home timeline,
 // honoring any active handover stall by deferring to the release instant
@@ -325,7 +325,7 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 	if err != nil {
 		panic(err) // options were validated; a failure here is a harness bug
 	}
-	mesh := netsim.NewMesh(opts.Sectors, topo.NeighborDelay)
+	mesh := netsim.NewMesh(opts.Sectors, cellular.NeighborDelay)
 	mesh.Instrument(opts.Obs, seed)
 
 	m := &metroSim{
@@ -355,13 +355,13 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 		mesh.Cell(s).RegisterReceiver(home[s])
 	}
 	for s := 0; s < opts.Sectors; s++ {
-		bounce[s] = &metroBounce{s: s, mesh: mesh, delay: topo.NeighborDelay,
+		bounce[s] = &metroBounce{s: s, mesh: mesh, delay: cellular.NeighborDelay,
 			states: m.states, home: home}
 		mesh.Cell(s).RegisterReceiver(bounce[s])
 	}
 	for s := 0; s < opts.Sectors; s++ {
 		sim := mesh.Cell(s)
-		recv := &metroLinkRecv{s: s, sim: sim, mesh: mesh, delay: topo.NeighborDelay,
+		recv := &metroLinkRecv{s: s, sim: sim, mesh: mesh, delay: cellular.NeighborDelay,
 			states: m.states, home: home, bounce: bounce}
 		sim.RegisterReceiver(recv)
 		model := cellular.NewModel(topo.Sectors[s].Channel)
@@ -397,7 +397,6 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 			m.sources[u.ID] = src
 			m.metrics[u.ID] = fm
 			for _, h := range u.Handovers {
-				h := h
 				home := u.Home
 				sim.ScheduleTracked(h.At, func() {
 					st.cur = h.To

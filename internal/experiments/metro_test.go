@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestMetroChurnEquivalence(t *testing.T) {
 }
 
 func TestMetroRejectsBadChurn(t *testing.T) {
-	for _, c := range []float64{-0.1, 1.5} {
+	for _, c := range []float64{-0.1, 1.5, math.NaN()} {
 		o := metroTestOptions(0)
 		o.ChurnFrac = c
 		if _, err := Metro(o); err == nil {

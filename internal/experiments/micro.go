@@ -76,7 +76,6 @@ func Figure11(opts MicroOptions, scenarioII bool) Figure11Result {
 	}
 	var jobs []runner.Job[trial]
 	for _, mk := range makers {
-		mk := mk
 		jobs = append(jobs, runner.Job[trial]{
 			// Every protocol shares key 0: the identical derived seed means
 			// each one replays the identical parameter path.
@@ -329,7 +328,6 @@ func Figure15(opts MicroOptions) Figure15Result {
 	var jobs []runner.Job[RunResult]
 	for si, sc := range scenarios {
 		for _, mk := range []Maker{VerusMaker(2), VerusStaticMaker(2)} {
-			sc, mk := sc, mk
 			jobs = append(jobs, runner.Job[RunResult]{
 				// Both variants share the scenario's key: the ablation needs
 				// the static profile to face the identical channel.

@@ -161,7 +161,6 @@ func Sensitivity(d time.Duration, seed int64, parallel int, o *obs.Observer) Sen
 	}
 	var jobs []runner.Job[SensitivityRow]
 	for _, st := range settings {
-		st := st
 		jobs = append(jobs, runner.Job[SensitivityRow]{
 			Key: 0,
 			Run: func(trialSeed int64) SensitivityRow {

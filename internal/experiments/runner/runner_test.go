@@ -44,7 +44,6 @@ func TestMapOrderAndSeeds(t *testing.T) {
 		p := New(workers)
 		jobs := make([]Job[string], 100)
 		for i := range jobs {
-			i := i
 			jobs[i] = Job[string]{
 				Key: int64(i * 3),
 				Run: func(seed int64) string { return fmt.Sprintf("%d:%d", i, seed) },
@@ -110,7 +109,6 @@ func TestMapRunsEachJobOnce(t *testing.T) {
 	counts := make([]int, 200)
 	jobs := make([]Job[int], len(counts))
 	for i := range jobs {
-		i := i
 		jobs[i] = Job[int]{Key: int64(i), Run: func(int64) int {
 			mu.Lock()
 			counts[i]++
@@ -134,7 +132,6 @@ func TestMapPropagatesPanic(t *testing.T) {
 	}()
 	jobs := make([]Job[int], 16)
 	for i := range jobs {
-		i := i
 		jobs[i] = Job[int]{Key: int64(i), Run: func(int64) int {
 			if i == 7 {
 				panic("boom")

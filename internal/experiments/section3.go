@@ -104,7 +104,6 @@ func Figure2(d time.Duration, seed int64, parallel int) Figure2Result {
 	}
 	var jobs []runner.Job[burstPDFs]
 	for i, c := range configs {
-		c := c
 		jobs = append(jobs, runner.Job[burstPDFs]{
 			Key: int64(i),
 			Run: func(trialSeed int64) burstPDFs {
@@ -188,7 +187,6 @@ func Figure3(seed int64, parallel int, o *obs.Observer) Figure3Result {
 	type onOff struct{ onMs, offMs float64 }
 	var jobs []runner.Job[onOff]
 	for i, rate := range out.Rates {
-		rate := rate
 		jobs = append(jobs, runner.Job[onOff]{
 			Key: int64(i),
 			Run: func(trialSeed int64) onOff {

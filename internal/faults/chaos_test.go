@@ -41,7 +41,6 @@ func TestChaosLivenessSweep(t *testing.T) {
 	ctrls := chaosControllers()
 	for _, plan := range faults.Names() {
 		for _, ctrlName := range names {
-			plan, ctrlName := plan, ctrlName
 			t.Run(plan+"/"+ctrlName, func(t *testing.T) {
 				t.Parallel()
 				p, err := faults.ByName(plan, runFor)

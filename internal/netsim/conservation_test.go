@@ -255,7 +255,6 @@ func buildConservationMesh(rng *rand.Rand, m *Mesh, stop time.Duration) (
 	links = make([]*FixedLink, n)
 	queues = make([]Queue, n)
 	for i := 0; i < n; i++ {
-		i := i
 		sim := m.Cell(i)
 		queues[i] = randomQueue(rng)
 		rate := 2 + rng.Float64()*20

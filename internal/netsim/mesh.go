@@ -13,7 +13,7 @@ import (
 
 // Mesh partitions a simulation into per-cell event heaps with deterministic
 // conservative synchronization, the substrate for multi-cell "metro"
-// topologies (DESIGN.md §7). Each cell is an ordinary *Sim — links, queues,
+// topologies (DESIGN.md §Mesh). Each cell is an ordinary *Sim — links, queues,
 // and flows are built against it exactly as against a standalone simulator —
 // and cross-cell interactions travel over lookahead channels: SendPacket
 // schedules a delivery in another cell's timeline at least `lookahead` in

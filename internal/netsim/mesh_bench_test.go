@@ -14,7 +14,7 @@ import (
 // exercises the pooled zero-alloc path end to end. With phased set, cell c does
 // its per-event work only in windows w with w%4 == c%4, so cells {0,4},
 // {1,5}, {2,6} and {3,7} are busy in turn — the shape of a metro sweep, whose
-// controllers tick at a phase set by the sector number (DESIGN.md §7).
+// controllers tick at a phase set by the sector number (DESIGN.md §Mesh).
 func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 	const (
 		cells     = 8
@@ -32,7 +32,6 @@ func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 		// into the receiving cell's pool (ownership migrates with the packet).
 		recvs := make([]ReceiverFunc, cells)
 		for c := 0; c < cells; c++ {
-			c := c
 			sim := m.Cell(c)
 			recvs[c] = func(p *Packet) {
 				counts[c]++
@@ -40,7 +39,6 @@ func runMeshWorkload(b *testing.B, shards, work int, phased bool) {
 			}
 		}
 		for c := 0; c < cells; c++ {
-			c := c
 			sim := m.Cell(c)
 			var step func()
 			step = func() {
@@ -97,10 +95,8 @@ func BenchmarkMeshSharded(b *testing.B) {
 		work   int
 		phased bool
 	}{{"light", 32, false}, {"heavy", 2048, false}, {"phased", 2048, true}} {
-		w := w
 		b.Run(w.name+"/single-heap", func(b *testing.B) { runMeshWorkload(b, 0, w.work, w.phased) })
 		for _, shards := range []int{1, 2, 4, 8} {
-			shards := shards
 			b.Run(fmt.Sprintf("%s/shards-%d", w.name, shards), func(b *testing.B) { runMeshWorkload(b, shards, w.work, w.phased) })
 		}
 	}

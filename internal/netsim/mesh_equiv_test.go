@@ -97,7 +97,6 @@ func buildEquivTopology(rng *rand.Rand, m *Mesh, stop time.Duration) []*equivCel
 		fwdDelay[i] = m.Lookahead() + time.Duration(rng.Int63n(int64(5*time.Millisecond)))
 	}
 	for i := 0; i < n; i++ {
-		i := i
 		ec := &equivCell{}
 		cells[i] = ec
 		sim := m.Cell(i)
@@ -196,7 +195,6 @@ var equivGolden = map[int64]string{
 
 func TestMeshEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			ref := runEquivTrial(seed, func(m *Mesh, until time.Duration) { m.RunSingle(until) })
 			t.Logf("seed %d digest %s", seed, ref)
@@ -243,7 +241,6 @@ func TestMeshEquivalenceFlowStats(t *testing.T) {
 	}
 	ref := collect(func(m *Mesh, until time.Duration) { m.RunSingle(until) })
 	for _, shards := range []int{1, 4} {
-		shards := shards
 		if got := collect(func(m *Mesh, until time.Duration) { m.RunSharded(until, shards) }); got != ref {
 			t.Errorf("sharded-%d flow stats diverge:\nref:\n%s\ngot:\n%s", shards, ref, got)
 		}

@@ -46,7 +46,6 @@ func TestMeshClaimingOracle(t *testing.T) {
 		single, _ := runOracleTrial(seed, func(m *Mesh, until time.Duration) { m.RunSingle(until) })
 		var n uint64
 		for _, shards := range []int{1, 2, 3, 8} {
-			shards := shards
 			ref, _ := runOracleTrial(seed, func(m *Mesh, until time.Duration) { m.ReferenceRunSharded(until, shards) })
 			var got oracleOutcome
 			got, n = runOracleTrial(seed, func(m *Mesh, until time.Duration) { m.RunSharded(until, shards) })

@@ -188,7 +188,6 @@ func executors(c meshCase) map[string]func(m *Mesh) {
 		"single": func(m *Mesh) { m.RunSingle(c.until) },
 	}
 	for _, k := range []int{1, 2, 3, 4, 8, 16} {
-		k := k
 		ex[fmt.Sprintf("sharded-%d", k)] = func(m *Mesh) { m.RunSharded(c.until, k) }
 	}
 	ex["sharded-4-split"] = func(m *Mesh) {
@@ -208,7 +207,6 @@ func executors(c meshCase) map[string]func(m *Mesh) {
 
 func TestMeshExecutorEquivalence(t *testing.T) {
 	for _, c := range meshCases() {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			ref := runMeshCase(c, func(m *Mesh) { m.RunSingle(c.until) })
 			if total := len(ref.logs[0]); c.cells > 0 && total == 0 && c.name != "fan-out-idle" {
@@ -391,7 +389,6 @@ func TestRunShardedOversubscribed(t *testing.T) {
 	ref.RunSingle(segments * segment)
 
 	for _, procs := range []int{1, 2} {
-		procs := procs
 		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			m, fired := build()

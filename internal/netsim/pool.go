@@ -2,7 +2,7 @@ package netsim
 
 import "time"
 
-// Packet pooling (DESIGN.md §8): the steady-state hot path must not touch
+// Packet pooling (DESIGN.md §Pool): the steady-state hot path must not touch
 // the allocator, so every Packet is recycled through a per-Sim free list
 // instead of being garbage. Ownership follows the timeline, not the
 // allocation site: a packet is always released into the pool of the Sim

@@ -26,7 +26,7 @@ type Packet struct {
 	// Window is the controller's SendTag at transmission time (Verus W_i).
 	Window int
 
-	// Delay attribution (DESIGN.md §11): the lifecycle stamps ride inside the
+	// Delay attribution (DESIGN.md §Obs): the lifecycle stamps ride inside the
 	// pooled packet so the decomposition costs no allocation. comps accumulate
 	// closed intervals per component; mark is the open interval's start and
 	// pend the component it will be charged to. NewPacket opens the first

@@ -25,7 +25,6 @@ func TestSimFIFOAmongSimultaneous(t *testing.T) {
 	s := NewSim()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		s.Schedule(time.Millisecond, func() { order = append(order, i) })
 	}
 	s.Run(time.Second)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Checkpoint/restore for the simulation core (DESIGN.md §10).
+// Checkpoint/restore for the simulation core (DESIGN.md §Checkpoint).
 //
 // The event heap holds receivers — components, callbacks, timers — which no
 // codec can serialize. The snapshot subsystem therefore uses a

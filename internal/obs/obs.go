@@ -3,7 +3,7 @@
 // trace_event, Prometheus text exposition) shared by the simulator, the
 // Verus controller, the fault layer, and the real-UDP transport.
 //
-// Determinism contract (DESIGN.md §11): observability is strictly
+// Determinism contract (DESIGN.md §Obs): observability is strictly
 // passive. Nothing in this package reads the wall clock — every Event is
 // stamped by its producer with virtual time (netsim.Sim time, or the
 // transport Clock's offset) — nothing draws randomness, and nothing feeds

@@ -1,6 +1,6 @@
 // Package snap is the checkpoint codec for the simulator: a deterministic,
 // length-prefixed binary format with a version header and a CRC-32 trailer
-// (DESIGN.md §10).
+// (DESIGN.md §Checkpoint).
 //
 // The format is deliberately dumb. Every value is written little-endian at a
 // fixed width (or with an explicit u32 length prefix for strings and lists),

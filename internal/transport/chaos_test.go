@@ -51,7 +51,7 @@ func TestProxyOutageRecovery(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.DefaultSenderConfig())
+	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProxyBlackoutStallReport(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.DefaultSenderConfig())
+	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +134,7 @@ func TestProxyHandshakeThroughBlackout(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	cfg := transport.DefaultSenderConfig()
-	cfg.HandshakeTimeout = 800 * time.Millisecond
-	cfg.HandshakeAttempts = 3
+	cfg := transport.SenderConfig{HandshakeTimeout: 800 * time.Millisecond, HandshakeAttempts: 3}
 	s, err := transport.Dial(proxy.Addr(), verus.New(verus.DefaultConfig()), cfg)
 	if err == nil {
 		s.Close()
@@ -174,7 +172,7 @@ func TestProxyLossBurstsDeliver(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.DefaultSenderConfig())
+	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

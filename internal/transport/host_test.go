@@ -78,14 +78,13 @@ func TestSenderMatchesSimHost(t *testing.T) {
 	const w = 8
 	epoch := time.Unix(0, 0)
 	clk := &fakeClock{now: epoch}
-	cfg := DefaultSenderConfig()
 	sc, hc := &recCtrl{w: w}, &recCtrl{w: w}
-	s := &Sender{cfg: cfg, conn: conn, ctrl: sc, clock: clk, start: epoch,
+	s := &Sender{conn: conn, ctrl: sc, clock: clk, start: epoch,
 		rtt: stats.NewSummary(64), errCh: make(chan error, 8), host: netsim.NewHost(sc, 0)}
 	h := netsim.NewHost(hc, 0)
 	// The simulator acks with the delivered packet itself, so the size the
 	// controller hears is the data packet's.
-	pktBytes := headerSize + cfg.PayloadBytes
+	pktBytes := headerSize + payloadBytes
 
 	// Each step moves both hosts to the same instant and delivers one event
 	// the way the Sender's event loop does: a matched ack sends what the

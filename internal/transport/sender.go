@@ -17,9 +17,6 @@ import (
 
 // SenderConfig configures a Sender.
 type SenderConfig struct {
-	// PayloadBytes is the data payload per packet; the wire adds the
-	// header. The paper uses an MTU of 1400 bytes.
-	PayloadBytes int
 	// Flow tags packets of this sender (0-255).
 	Flow byte
 	// Clock supplies timestamps and the event-loop ticker. nil selects
@@ -40,18 +37,14 @@ type SenderConfig struct {
 	// pure function of configuration. 0 selects a fixed default seed.
 	HandshakeSeed int64
 	// Obs attaches the observability layer: handshake/RTO/stall trace
-	// events and registry-backed counters. nil (the default) keeps the
-	// sender on its disabled nil-check fast path.
+	// events and registry-backed counters, under run "0". nil (the
+	// default) keeps the sender on its disabled nil-check fast path.
 	Obs *obs.Observer
-	// ObsRun labels this sender's metric series and trace events when Obs
-	// is set, so concurrent runs sharing one observer stay distinct.
-	ObsRun int64
 }
 
-// DefaultSenderConfig returns the paper's packet size.
-func DefaultSenderConfig() SenderConfig {
-	return SenderConfig{PayloadBytes: 1400 - headerSize}
-}
+// payloadBytes is the data payload per packet: the wire adds the header to
+// make the paper's 1400-byte packets.
+const payloadBytes = 1400 - headerSize
 
 // housekeep is the event loop's period when the controller is purely
 // ack-clocked: how often the retransmission timeout is checked.
@@ -131,9 +124,6 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = 1400 - headerSize
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = SystemClock()
 	}
@@ -161,7 +151,7 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 	s.rtt = stats.NewSummary(1024)
 	if s.obs != nil {
 		label := func(name string) string {
-			return obs.Labeled(name, "flow", strconv.Itoa(int(cfg.Flow)), "run", strconv.FormatInt(cfg.ObsRun, 10))
+			return obs.Labeled(name, "flow", strconv.Itoa(int(cfg.Flow)), "run", "0")
 		}
 		s.obs.RegisterCounter(label("transport_sent_total"), &s.ctrs.sent)
 		s.obs.RegisterCounter(label("transport_acked_total"), &s.ctrs.acked)
@@ -170,7 +160,7 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 		s.obs.RegisterCounter(label("transport_handshake_retries_total"), &s.ctrs.handshakeRetries)
 		s.obs.RegisterCounter(label("transport_stalls_total"), &s.ctrs.stalls)
 		if v, ok := ctrl.(obs.Observable); ok {
-			v.Observe(s.obs, cfg.ObsRun, int(cfg.Flow))
+			v.Observe(s.obs, 0, int(cfg.Flow))
 		}
 	}
 	if cfg.HandshakeTimeout > 0 {
@@ -251,8 +241,7 @@ func (s *Sender) emitHandshake(phase string, attempt int) {
 	if s.obs == nil {
 		return
 	}
-	s.obs.Emit(&obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow),
-		Run: s.cfg.ObsRun, Str: phase, V0: float64(attempt)})
+	s.obs.Emit(&obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow), Str: phase, V0: float64(attempt)})
 }
 
 // sleepUntilNextAttempt burns the current backoff interval (with jitter)
@@ -377,7 +366,7 @@ func (s *Sender) run() {
 func (s *Sender) trySend() {
 	now := s.now()
 	n := s.host.Allowance(now)
-	buf := make([]byte, 0, headerSize+s.cfg.PayloadBytes)
+	buf := make([]byte, 0, headerSize+payloadBytes)
 	for i := 0; i < n; i++ {
 		window := s.ctrl.SendTag()
 		h := Header{
@@ -386,10 +375,10 @@ func (s *Sender) trySend() {
 			Seq:       s.host.NextSeq(),
 			SentNanos: s.clock.Now().UnixNano(),
 			Window:    uint32(window),
-			Length:    uint16(s.cfg.PayloadBytes),
+			Length:    uint16(payloadBytes),
 		}
 		buf = h.Marshal(buf[:0])
-		buf = append(buf, make([]byte, s.cfg.PayloadBytes)...)
+		buf = append(buf, make([]byte, payloadBytes)...)
 		if _, err := s.conn.Write(buf); err != nil {
 			s.pushErr(fmt.Errorf("transport: send of seq %d failed: %w", h.Seq, err))
 			return
@@ -403,7 +392,7 @@ func (s *Sender) trySend() {
 // packet in flight, sends what the controller now allows. The ack echoes only
 // a header, so the size reported is that of the data packet it acknowledges.
 func (s *Sender) handleAck(h Header) {
-	rtt, losses, ok := s.host.Ack(s.now(), h.Seq, headerSize+s.cfg.PayloadBytes)
+	rtt, losses, ok := s.host.Ack(s.now(), h.Seq, headerSize+payloadBytes)
 	if !ok {
 		return
 	}
@@ -429,10 +418,9 @@ func (s *Sender) checkTimers(now time.Duration) {
 	}
 	if s.obs != nil {
 		s.obs.Emit(&obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
-			Run: s.cfg.ObsRun, V0: float64(backoff), V1: next.Seconds()})
+			V0: float64(backoff), V1: next.Seconds()})
 		if openStall {
-			s.obs.Emit(&obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow),
-				Run: s.cfg.ObsRun, V0: float64(backoff)})
+			s.obs.Emit(&obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow), V0: float64(backoff)})
 		}
 	}
 	if openStall {

@@ -69,7 +69,7 @@ func TestLoopbackVerusTransfer(t *testing.T) {
 	}
 	defer r.Close()
 
-	s, err := Dial(r.Addr().String(), verus.New(verus.DefaultConfig()), DefaultSenderConfig())
+	s, err := Dial(r.Addr().String(), verus.New(verus.DefaultConfig()), SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLoopbackNewRenoTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	s, err := Dial(r.Addr().String(), tcp.NewNewReno(), DefaultSenderConfig())
+	s, err := Dial(r.Addr().String(), tcp.NewNewReno(), SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReceiverDoubleCloseSafe(t *testing.T) {
 }
 
 func TestDialBadAddress(t *testing.T) {
-	if _, err := Dial("not-an-address:xyz", tcp.NewNewReno(), DefaultSenderConfig()); err == nil {
+	if _, err := Dial("not-an-address:xyz", tcp.NewNewReno(), SenderConfig{}); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }
@@ -146,9 +146,7 @@ func TestDialDeadReceiverFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dead.Close()
-	cfg := DefaultSenderConfig()
-	cfg.HandshakeTimeout = 700 * time.Millisecond
-	cfg.HandshakeAttempts = 3
+	cfg := SenderConfig{HandshakeTimeout: 700 * time.Millisecond, HandshakeAttempts: 3}
 	start := time.Now()
 	s, err := Dial(dead.LocalAddr().String(), tcp.NewNewReno(), cfg)
 	if err == nil {
@@ -172,8 +170,7 @@ func TestDialHandshakeDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dead.Close()
-	cfg := DefaultSenderConfig()
-	cfg.HandshakeTimeout = -1
+	cfg := SenderConfig{HandshakeTimeout: -1}
 	s, err := Dial(dead.LocalAddr().String(), tcp.NewNewReno(), cfg)
 	if err != nil {
 		t.Fatalf("handshake-disabled dial failed: %v", err)
@@ -189,7 +186,7 @@ func TestHandshakeCountsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	s, err := Dial(r.Addr().String(), tcp.NewNewReno(), DefaultSenderConfig())
+	s, err := Dial(r.Addr().String(), tcp.NewNewReno(), SenderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +200,7 @@ func TestHandshakeCountsRetries(t *testing.T) {
 }
 
 func TestSenderConfigDefaults(t *testing.T) {
-	cfg := DefaultSenderConfig()
-	if cfg.PayloadBytes+headerSize != 1400 {
-		t.Fatalf("payload %d + header %d != 1400", cfg.PayloadBytes, headerSize)
+	if payloadBytes+headerSize != 1400 {
+		t.Fatalf("payload %d + header %d != 1400", payloadBytes, headerSize)
 	}
 }

@@ -30,8 +30,6 @@ import (
 // Sorted order also makes determinism structural: there is no map iteration
 // anywhere, so no randomized-order hazard to defend against.
 type delayProfile struct {
-	alpha float64
-
 	// Parallel knot arrays, sorted by wins ascending. wins are distinct.
 	wins   []int
 	delays []float64
@@ -47,8 +45,8 @@ type delayProfile struct {
 	xs, ys []float64
 }
 
-func newDelayProfile(alpha float64) *delayProfile {
-	return &delayProfile{alpha: alpha}
+func newDelayProfile() *delayProfile {
+	return &delayProfile{}
 }
 
 // numPoints returns the current knot count.
@@ -77,7 +75,7 @@ func (p *delayProfile) update(w int, delay float64, now int64) {
 	}
 	i := sort.SearchInts(p.wins, w)
 	if i < len(p.wins) && p.wins[i] == w {
-		p.delays[i] = p.alpha*p.delays[i] + (1-p.alpha)*delay
+		p.delays[i] = alphaProfile*p.delays[i] + (1-alphaProfile)*delay
 		p.stamps[i] = now
 	} else {
 		p.wins = append(p.wins, 0)

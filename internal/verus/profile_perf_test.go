@@ -138,7 +138,7 @@ func (p *refProfile) lookup(target, hi float64) (w float64, found bool) {
 func TestProfileMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		p := newDelayProfile(0.875)
+		p := newDelayProfile()
 		p.staleAfter = 40
 		ref := newRefProfile(0.875)
 		ref.staleAfter = 40
@@ -240,7 +240,7 @@ func TestProfileLookupZeroAllocs(t *testing.T) {
 // is stale, and the two lowest-window knots are the survivors (deletion
 // scans ascending).
 func TestProfileStaleAgingFloor(t *testing.T) {
-	p := newDelayProfile(0.875)
+	p := newDelayProfile()
 	p.staleAfter = 5
 	for w := 1; w <= 10; w++ {
 		p.update(w, float64(w)*0.01, 1)
@@ -314,7 +314,7 @@ func referenceLookup(p *delayProfile, scratch *[]float64, target, hi float64) (w
 // oracleProfile builds one seeded profile for the lookup oracle: a random
 // subset of the windows 1..span as knots, under one of six delay shapes.
 func oracleProfile(rng *rand.Rand, shape, span int) *delayProfile {
-	p := newDelayProfile(0.875)
+	p := newDelayProfile()
 	knots := 2 + rng.Intn(min(span-1, 300))
 	level := 0.01 + rng.Float64()*0.1
 	for _, i := range rng.Perm(span)[:knots] {

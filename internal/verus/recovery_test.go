@@ -20,7 +20,7 @@ func toNormal(t *testing.T, v *Verus) {
 	for i := 1; i <= 20; i++ {
 		ack(v, msd(10+float64(i%3)), i)
 	}
-	ack(v, msd(10*float64(v.cfg.SlowStartExitN)+50), 21)
+	ack(v, msd(10*float64(slowStartExitN)+50), 21)
 	if v.st != stateNormal {
 		t.Fatalf("setup: state = %v after delay spike, want normal", v.st)
 	}
@@ -119,14 +119,14 @@ func TestTimeoutEntersCappedSlowStart(t *testing.T) {
 	}
 }
 
-// TestTimeoutEpochFiltersStaleAcks pins the TimeoutEpochs behavior: after an
+// TestTimeoutEpochFiltersStaleAcks pins Resilient's timeout epochs: after an
 // RTO, acks for packets sent before the timeout (burst-released ghosts) are
 // discarded — they touch neither the slow-start clock, D_min, nor the
 // profile — while a fresh ack closes the epoch and is processed normally.
 func TestTimeoutEpochFiltersStaleAcks(t *testing.T) {
-	cfg := ResilientConfig()
-	cfg.RelearnTimeouts = 0 // isolate the epoch filter
-	v := New(cfg)
+	// One timeout stays below relearnTimeouts, so the epoch filter is all
+	// that acts.
+	v := New(ResilientConfig())
 	toNormal(t, v)
 	at := 10 * time.Second
 	v.OnTimeout(at)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/snap"
 )
 
-// Checkpoint support (DESIGN.md §10). The controller's walk visits every
+// Checkpoint support (DESIGN.md §Checkpoint). The controller's walk visits every
 // mutable field of the state machine plus the delay profile; configuration and
 // the derived tick divisors are rebuilt. Infinities (the unprimed D_min, the
 // unset ssthresh cap) round-trip bit-exactly through the F64 codec.

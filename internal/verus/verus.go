@@ -31,7 +31,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Config holds the protocol parameters. Defaults follow §5.3 of the paper.
+// Config holds the protocol parameters that callers vary: the §5.3
+// sensitivity study's ε, refit interval and δ1/δ2, §6's R, Fig. 15's static
+// profile and the fault scenarios' recovery hardening. Defaults follow §5.3
+// of the paper; the parameters no caller varies are the constants below.
 type Config struct {
 	// Epoch is ε, the interval at which Verus re-estimates how many packets
 	// to send. The paper finds 5 ms tracks fast fading well.
@@ -49,59 +52,64 @@ type Config struct {
 	// R is the maximum tolerable ratio D_max/D_min; it tunes the
 	// throughput/delay trade-off (2, 4, or 6 in the paper's evaluation).
 	R float64
-	// AlphaMaxDelay is the EWMA history weight for the per-epoch maximum
-	// delay (Eq. 2's α).
-	AlphaMaxDelay float64
-	// AlphaProfile is the EWMA history weight for delay-profile point
-	// updates (§5.1).
-	AlphaProfile float64
-	// SlowStartExitN ends slow start when the observed delay exceeds
-	// N × D_min (the paper suggests N = 15).
-	SlowStartExitN float64
-	// MultDecrease is M in Eq. 6, the multiplicative decrease applied to
-	// the window of the lost packet. The paper does not publish a value;
-	// 0.5 (TCP-like) is the default here.
-	MultDecrease float64
-	// MaxWindow is a safety cap on the sending window, in packets.
-	MaxWindow int
-	// GrowthCap bounds how far a profile lookup may grow the window in one
-	// epoch, as a multiplicative factor on the current window. Exploration
-	// beyond the observed range rides the spline's linear extrapolation;
-	// compounding per 5 ms epoch, even 3%% covers two decades per second,
-	// while keeping the overshoot within one feedback delay small.
-	GrowthCap float64
-	// InflightCap bounds outstanding packets at InflightCap × W so that a
-	// stalled channel cannot accumulate unbounded in-flight data before the
-	// RTO fires.
-	InflightCap float64
-	// DMinWindow is the rolling horizon over which the minimum delay D_min
-	// is tracked. A finite horizon lets the floor rise when the network's
-	// delay floor rises (competing traffic, path change).
-	DMinWindow time.Duration
-	// ProfileStaleAfter drops delay-profile points that have not been
-	// refreshed within this horizon (see delayProfile). 0 disables aging.
-	ProfileStaleAfter time.Duration
 	// StaticProfile freezes the delay profile after its first
 	// interpolation — the ablation of paper Fig. 15.
 	StaticProfile bool
-	// RelearnTimeouts, when positive, discards the learned delay profile
-	// and delay floor after this many consecutive timeouts with no
-	// intervening ack — the signature of a blackout (§4.2). Every knot and
-	// the D_min floor describe the pre-outage bearer; re-learning from
-	// scratch beats reading windows off a curve for a channel that no
-	// longer exists. 0 (the default) keeps the profile across timeouts;
-	// TestRelearnAfterConsecutiveTimeouts pins the wipe.
-	RelearnTimeouts int
-	// TimeoutEpochs, when set, opens a timeout epoch at each RTO: acks
-	// inferred to have been sent before the most recent timeout (send time
-	// ≈ now − RTT) are discarded rather than folded into the estimators.
-	// After an outage or handover the network bursts out exactly such
-	// ghosts — packets queued before the stall whose delays say nothing
-	// about the recovered channel — and without the epoch check they both
-	// poison the profile and double-drive the restarted slow start. Off by
-	// default; TestTimeoutEpochFiltersStaleAcks pins the filter.
-	TimeoutEpochs bool
+	// Resilient turns on the two §4.2 recovery behaviors. Timeout epochs:
+	// each RTO opens an epoch in which acks inferred to have been sent
+	// before the most recent timeout (send time ≈ now − RTT) are discarded
+	// rather than folded into the estimators. After an outage or handover
+	// the network bursts out exactly such ghosts — packets queued before
+	// the stall whose delays say nothing about the recovered channel — and
+	// without the epoch check they both poison the profile and
+	// double-drive the restarted slow start. Re-learning: relearnTimeouts
+	// consecutive timeouts with no intervening ack — the signature of a
+	// blackout — discard the learned delay profile and delay floor. Every
+	// knot and the D_min floor describe the pre-outage bearer; re-learning
+	// from scratch beats reading windows off a curve for a channel that no
+	// longer exists. Off by default; TestTimeoutEpochFiltersStaleAcks and
+	// TestRelearnAfterConsecutiveTimeouts pin the two.
+	Resilient bool
 }
+
+// Parameters no caller varies.
+const (
+	// alphaMaxDelay is the EWMA history weight for the per-epoch maximum
+	// delay (Eq. 2's α).
+	alphaMaxDelay = 0.875
+	// alphaProfile is the EWMA history weight for delay-profile point
+	// updates (§5.1).
+	alphaProfile = 0.875
+	// slowStartExitN ends slow start when the observed delay exceeds
+	// N × D_min (the paper suggests N = 15).
+	slowStartExitN = 15
+	// multDecrease is M in Eq. 6, the multiplicative decrease applied to
+	// the window of the lost packet. The paper does not publish a value;
+	// 0.5 (TCP-like) is used here.
+	multDecrease = 0.5
+	// maxWindow is a safety cap on the sending window, in packets.
+	maxWindow = 100_000
+	// growthCap bounds how far a profile lookup may grow the window in one
+	// epoch, as a multiplicative factor on the current window. Exploration
+	// beyond the observed range rides the spline's linear extrapolation;
+	// compounding per 5 ms epoch, even 3% covers two decades per second,
+	// while keeping the overshoot within one feedback delay small.
+	growthCap = 1.03
+	// inflightCap bounds outstanding packets at inflightCap × W so that a
+	// stalled channel cannot accumulate unbounded in-flight data before the
+	// RTO fires.
+	inflightCap = 1.25
+	// dMinWindow is the rolling horizon over which the minimum delay D_min
+	// is tracked. A finite horizon lets the floor rise when the network's
+	// delay floor rises (competing traffic, path change).
+	dMinWindow = 120 * time.Second
+	// profileStaleAfter drops delay-profile points that have not been
+	// refreshed within this horizon (see delayProfile).
+	profileStaleAfter = 10 * time.Second
+	// relearnTimeouts is how many consecutive timeouts a Resilient
+	// controller takes for a blackout (§4.2).
+	relearnTimeouts = 2
+)
 
 // DefaultConfig returns the paper's parameter settings with R = 2 (the value
 // the paper uses "unless otherwise stated").
@@ -112,15 +120,6 @@ func DefaultConfig() Config {
 		Delta1:             time.Millisecond,
 		Delta2:             2 * time.Millisecond,
 		R:                  2,
-		AlphaMaxDelay:      0.875,
-		AlphaProfile:       0.875,
-		SlowStartExitN:     15,
-		MultDecrease:       0.5,
-		MaxWindow:          100_000,
-		GrowthCap:          1.03,
-		InflightCap:        1.25,
-		DMinWindow:         120 * time.Second,
-		ProfileStaleAfter:  10 * time.Second,
 	}
 }
 
@@ -130,8 +129,7 @@ func DefaultConfig() Config {
 // the chaos suite run.
 func ResilientConfig() Config {
 	cfg := DefaultConfig()
-	cfg.RelearnTimeouts = 2
-	cfg.TimeoutEpochs = true
+	cfg.Resilient = true
 	return cfg
 }
 
@@ -148,24 +146,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("verus: δ1 (%v) must not exceed δ2 (%v), per §5.3", c.Delta1, c.Delta2)
 	case c.R <= 1:
 		return fmt.Errorf("verus: R must exceed 1, got %v", c.R)
-	case c.AlphaMaxDelay <= 0 || c.AlphaMaxDelay > 1:
-		return fmt.Errorf("verus: αₘₐₓ must be in (0,1], got %v", c.AlphaMaxDelay)
-	case c.AlphaProfile <= 0 || c.AlphaProfile > 1:
-		return fmt.Errorf("verus: α_profile must be in (0,1], got %v", c.AlphaProfile)
-	case c.SlowStartExitN <= 1:
-		return fmt.Errorf("verus: slow-start exit multiple must exceed 1")
-	case c.MultDecrease <= 0 || c.MultDecrease >= 1:
-		return fmt.Errorf("verus: multiplicative decrease must be in (0,1), got %v", c.MultDecrease)
-	case c.MaxWindow < 1:
-		return fmt.Errorf("verus: max window must be >= 1")
-	case c.GrowthCap <= 1:
-		return fmt.Errorf("verus: growth cap must exceed 1")
-	case c.InflightCap < 1:
-		return fmt.Errorf("verus: inflight cap must be >= 1")
-	case c.DMinWindow < 2*c.Epoch:
-		return fmt.Errorf("verus: D_min window must cover at least two epochs")
-	case c.RelearnTimeouts < 0:
-		return fmt.Errorf("verus: relearn-timeouts threshold must be >= 0, got %d", c.RelearnTimeouts)
+	case dMinWindow < 2*c.Epoch:
+		return fmt.Errorf("verus: D_min window %v must cover at least two epochs of %v", dMinWindow, c.Epoch)
 	}
 	return nil
 }
@@ -241,7 +223,7 @@ type Verus struct {
 	// delay-profile points for staleness aging.
 	epochNow int64
 
-	// Timeout-epoch recovery state (§4.2, RelearnTimeouts/TimeoutEpochs).
+	// Timeout-epoch recovery state (§4.2, Resilient).
 	consecTimeouts int           // RTOs since the last fresh ack
 	timeoutAt      time.Duration // when the open timeout epoch began
 	timeoutOpen    bool          // a timeout epoch is open
@@ -277,13 +259,13 @@ func New(cfg Config) *Verus {
 	v := &Verus{
 		cfg:           cfg,
 		st:            stateSlowStart,
-		profile:       newDelayProfile(cfg.AlphaProfile),
+		profile:       newDelayProfile(),
 		ssW:           1,
 		ssCap:         math.Inf(1),
 		w:             1,
 		dMin:          math.Inf(1),
 		ticksPerRefit: int(cfg.ProfileUpdateEvery / cfg.Epoch),
-		ticksPerDMin:  int(cfg.DMinWindow / (2 * cfg.Epoch)),
+		ticksPerDMin:  int(dMinWindow / (2 * cfg.Epoch)),
 	}
 	if v.ticksPerRefit < 1 {
 		v.ticksPerRefit = 1
@@ -293,9 +275,7 @@ func New(cfg Config) *Verus {
 	}
 	v.dMinBuckets[0] = math.Inf(1)
 	v.dMinBuckets[1] = math.Inf(1)
-	if cfg.ProfileStaleAfter > 0 {
-		v.profile.staleAfter = int64(cfg.ProfileStaleAfter / cfg.Epoch)
-	}
+	v.profile.staleAfter = int64(profileStaleAfter / cfg.Epoch)
 	return v
 }
 
@@ -326,7 +306,7 @@ func (v *Verus) OnAck(now time.Duration, ack cc.AckSample) {
 	// estimators, or the profile poisons all three, and letting it clock
 	// the restarted slow start double-counts data the timeout already wrote
 	// off.
-	if v.cfg.TimeoutEpochs && v.timeoutOpen {
+	if v.cfg.Resilient && v.timeoutOpen {
 		if now-ack.RTT < v.timeoutAt {
 			v.staleAcks.Inc()
 			return
@@ -365,13 +345,13 @@ func (v *Verus) OnAck(now time.Duration, ack cc.AckSample) {
 	switch v.st {
 	case stateSlowStart:
 		v.ssW++
-		exceedsDelay := v.dMin > 0 && !math.IsInf(v.dMin, 1) && d > v.cfg.SlowStartExitN*v.dMin
+		exceedsDelay := v.dMin > 0 && !math.IsInf(v.dMin, 1) && d > slowStartExitN*v.dMin
 		if exceedsDelay || v.ssW >= v.ssCap {
 			v.exitSlowStart(now, d)
 		}
 	case stateRecovery:
 		// TCP-like additive growth while recovering: W += 1/W per ack.
-		if v.w < float64(v.cfg.MaxWindow) {
+		if v.w < float64(maxWindow) {
 			v.w += 1 / math.Max(v.w, 1)
 		}
 		// Exit once packets sent after the decrease are being acked.
@@ -445,7 +425,7 @@ func (v *Verus) OnLoss(now time.Duration, loss cc.LossEvent) {
 	if wLoss <= 0 {
 		wLoss = v.Window()
 	}
-	v.w = math.Max(1, v.cfg.MultDecrease*wLoss)
+	v.w = math.Max(1, multDecrease*wLoss)
 	v.wLossExit = int(v.w + 0.5)
 	v.st = stateRecovery
 	v.quota = 0
@@ -459,13 +439,13 @@ func (v *Verus) OnLoss(now time.Duration, loss cc.LossEvent) {
 func (v *Verus) OnTimeout(now time.Duration) {
 	v.timeouts.Inc()
 	v.consecTimeouts++
-	if v.cfg.TimeoutEpochs {
+	if v.cfg.Resilient {
 		v.timeoutAt = now
 		v.timeoutOpen = true
 	}
 	// Restarted slow starts must not blast exponentially back into a loaded
 	// network: like TCP's ssthresh, exit at half the pre-timeout window.
-	v.ssCap = math.Max(2, v.cfg.MultDecrease*v.Window())
+	v.ssCap = math.Max(2, multDecrease*v.Window())
 	v.st = stateSlowStart
 	v.ssW = 1
 	v.w = 1
@@ -475,12 +455,12 @@ func (v *Verus) OnTimeout(now time.Duration) {
 	if v.o != nil {
 		v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusTimeout, Flow: v.obsFlow, Run: v.obsRun,
 			V0: float64(v.consecTimeouts), V1: v.ssCap})
-		if v.cfg.TimeoutEpochs {
+		if v.cfg.Resilient {
 			v.o.Emit(&obs.Event{At: now, Kind: obs.KindVerusTimeoutEpoch, Flow: v.obsFlow, Run: v.obsRun,
 				Str: "open", V0: float64(v.staleAcks.Value())})
 		}
 	}
-	if v.cfg.RelearnTimeouts > 0 && v.consecTimeouts >= v.cfg.RelearnTimeouts {
+	if v.cfg.Resilient && v.consecTimeouts >= relearnTimeouts {
 		v.relearn(now)
 	}
 }
@@ -555,7 +535,7 @@ func (v *Verus) Tick(now time.Duration) {
 	// alone rather than inventing an ΔD of zero and growing blindly.
 	if v.haveSample {
 		if v.dMaxPrimed {
-			v.dMax = v.cfg.AlphaMaxDelay*v.dMax + (1-v.cfg.AlphaMaxDelay)*v.epochMax
+			v.dMax = alphaMaxDelay*v.dMax + (1-alphaMaxDelay)*v.epochMax
 		} else {
 			v.dMax = v.epochMax
 			v.dMaxPrimed = true
@@ -570,7 +550,7 @@ func (v *Verus) Tick(now time.Duration) {
 	// Window Estimator: W_{i+1} from the delay profile (Eq. 1/Fig. 5), then
 	// the epoch send quota S_{i+1} (Eq. 5).
 	if v.profile.ready() {
-		hi := math.Max(v.w*v.cfg.GrowthCap+1, 8)
+		hi := math.Max(v.w*growthCap+1, 8)
 		// Between refits the curve is stale: bound total exploration since
 		// the last refit, or compounding would outrun the re-interpolation
 		// feedback by orders of magnitude. Range growth forces refits (see
@@ -578,7 +558,7 @@ func (v *Verus) Tick(now time.Duration) {
 		if v.wAtRefit > 0 {
 			hi = math.Min(hi, math.Max(2*v.wAtRefit, 8))
 		}
-		hi = math.Min(hi, float64(v.cfg.MaxWindow))
+		hi = math.Min(hi, float64(maxWindow))
 		wNext, _ := v.profile.lookup(v.dEst, hi)
 		v.setQuota(wNext)
 	} else {
@@ -664,7 +644,7 @@ func (v *Verus) Allowance(now time.Duration, inflight int) int {
 		return int(v.w) - inflight
 	default:
 		q := int(v.quota)
-		cap := int(v.cfg.InflightCap*v.w) - inflight
+		cap := int(inflightCap*v.w) - inflight
 		if cap < 0 {
 			cap = 0
 		}

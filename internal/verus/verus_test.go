@@ -2,6 +2,7 @@ package verus
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,28 +20,26 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	mutations := []func(*Config){
-		func(c *Config) { c.Epoch = 0 },
-		func(c *Config) { c.ProfileUpdateEvery = c.Epoch / 2 },
-		func(c *Config) { c.Delta1 = 0 },
-		func(c *Config) { c.Delta2 = 0 },
-		func(c *Config) { c.Delta1 = 3 * time.Millisecond }, // δ1 > δ2
-		func(c *Config) { c.R = 1 },
-		func(c *Config) { c.AlphaMaxDelay = 0 },
-		func(c *Config) { c.AlphaMaxDelay = 1.5 },
-		func(c *Config) { c.AlphaProfile = -1 },
-		func(c *Config) { c.SlowStartExitN = 1 },
-		func(c *Config) { c.MultDecrease = 0 },
-		func(c *Config) { c.MultDecrease = 1 },
-		func(c *Config) { c.MaxWindow = 0 },
-		func(c *Config) { c.GrowthCap = 1 },
-		func(c *Config) { c.InflightCap = 0.5 },
+	// Each mutation breaks one rule; want is a substring of that rule's own
+	// error, so a mutation cannot pass on an earlier check.
+	mutations := []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Epoch = 0 }, "epoch must be positive"},
+		{func(c *Config) { c.ProfileUpdateEvery = c.Epoch / 2 }, "shorter than epoch"},
+		{func(c *Config) { c.Delta1 = 0 }, "deltas must be positive"},
+		{func(c *Config) { c.Delta2 = 0 }, "deltas must be positive"},
+		{func(c *Config) { c.Delta1 = 3 * time.Millisecond }, "must not exceed δ2"},
+		{func(c *Config) { c.R = 1 }, "R must exceed 1"},
+		{func(c *Config) { c.Epoch, c.ProfileUpdateEvery = 61*time.Second, 61*time.Second }, "D_min window"},
 	}
-	for i, mut := range mutations {
+	for i, m := range mutations {
 		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+		m.mut(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), m.want) {
+			t.Errorf("mutation %d: Validate() = %v, want an error containing %q", i, err, m.want)
 		}
 	}
 }
@@ -251,7 +250,7 @@ func TestInflightCapBindsDuringStall(t *testing.T) {
 	v := primedVerus(t)
 	ack(v, msd(20), 10)
 	v.Tick(0)
-	huge := int(v.cfg.InflightCap*v.w) + 50
+	huge := int(inflightCap*v.w) + 50
 	if got := v.Allowance(0, huge); got != 0 {
 		t.Fatalf("allowance with %d inflight = %d, want 0", huge, got)
 	}
@@ -424,7 +423,7 @@ func primedVerusCfg(t *testing.T, cfg Config) *Verus {
 		ack(v, msd(10+float64(i)/2), i)
 	}
 	// Trip the slow-start exit.
-	ack(v, msd(10*cfg.SlowStartExitN+5), 41)
+	ack(v, msd(10*slowStartExitN+5), 41)
 	if v.st.String() != "normal" {
 		t.Fatalf("priming failed: state %q", v.st.String())
 	}
