@@ -45,11 +45,11 @@ var (
 )
 
 var rules = []rule{
-	// Simulation time flows from netsim.Sim and transport time from the
-	// Clock interface, so every run replays its seed exactly; one host-clock
-	// read or timer makes output depend on machine load. Types and constants
-	// of package time (time.Duration, time.Millisecond) stay legal. The
-	// real-UDP transport's host clock carries the real-time claim.
+	// Simulation time flows from netsim.Sim, so every run replays its seed
+	// exactly; one host-clock read or timer makes output depend on machine
+	// load. Types and constants of package time (time.Duration,
+	// time.Millisecond) stay legal. The real-UDP transport reads the host
+	// clock in internal/transport/clock.go alone, under the real-time claim.
 	{
 		name:   "nowalltime",
 		claim:  "real-time",
@@ -57,7 +57,7 @@ var rules = []rule{
 		in:     analysis.PathRe(analysis.SimPkgs + "|transport"),
 		pkg:    regexp.MustCompile(`^time$`),
 		funcs:  set("Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTicker", "NewTimer"),
-		format: "time.%[2]s reads the host clock; simulation code must take time from netsim.Sim (or the transport Clock)",
+		format: "time.%[2]s reads the host clock; simulation code must take time from netsim.Sim",
 	},
 	// Every RNG must be a pure function of a seed the experiment runner
 	// derives (runner.DeriveSeed). The top-level math/rand functions draw

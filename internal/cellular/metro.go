@@ -2,6 +2,7 @@ package cellular
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -75,6 +76,7 @@ type MetroConfig struct {
 	// HandoverScale multiplies the scenarios' handover spacing; zero means
 	// 1.0 (natural cadence) and values in (0, 1) compress it so short trials
 	// still exercise inter-cell mobility. Stall durations are unaffected.
+	// NewMetro rejects a scale that is NaN or outside [0, MaxHandoverScale].
 	HandoverScale float64
 	// ChurnFrac is the fraction of users that churn: instead of being
 	// present for the whole trial they arrive mid-run and/or depart early
@@ -86,6 +88,12 @@ type MetroConfig struct {
 	// handover times — a pure function of the configuration.
 	Seed int64
 }
+
+// MaxHandoverScale is the largest MetroConfig.HandoverScale. It keeps the
+// longest scaled spacing, CampusPedestrian's 90 s × scale, small enough that
+// a handover step (every/2 + Int63n(every) < 1.5 × every) fits in half a
+// Duration, so neither the step nor the time it is added to overflows.
+const MaxHandoverScale = math.MaxInt64 / 2 / (1.5 * float64(90*time.Second))
 
 // NewMetro generates a topology. All randomness is drawn from cfg.Seed in a
 // fixed order, so equal configs yield deeply equal topologies.
@@ -105,8 +113,8 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 	if cfg.HandoverScale == 0 {
 		cfg.HandoverScale = 1
 	}
-	if cfg.HandoverScale < 0 {
-		return nil, fmt.Errorf("cellular: negative handover scale %g", cfg.HandoverScale)
+	if !(cfg.HandoverScale >= 0 && cfg.HandoverScale <= MaxHandoverScale) { // NaN fails too
+		return nil, fmt.Errorf("cellular: handover scale %g outside [0, %g]", cfg.HandoverScale, MaxHandoverScale)
 	}
 	if !(cfg.ChurnFrac >= 0 && cfg.ChurnFrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("cellular: churn fraction %g outside [0, 1]", cfg.ChurnFrac)

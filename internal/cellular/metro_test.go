@@ -150,6 +150,10 @@ func TestNewMetroRejections(t *testing.T) {
 		{"churn-above-one", MetroConfig{Sectors: 1, Users: 1, ChurnFrac: 2}},
 		{"churn-nan", MetroConfig{Sectors: 1, Users: 1, ChurnFrac: math.NaN()}},
 		{"negative-horizon", MetroConfig{Sectors: 1, Users: 1, Horizon: -time.Second}},
+		{"handover-negative", MetroConfig{Sectors: 1, Users: 1, HandoverScale: -1}},
+		{"handover-nan", MetroConfig{Sectors: 1, Users: 1, HandoverScale: math.NaN()}},
+		{"handover-inf", MetroConfig{Sectors: 1, Users: 1, HandoverScale: math.Inf(1)}},
+		{"handover-huge", MetroConfig{Sectors: 1, Users: 1, HandoverScale: 1e300}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -186,6 +186,9 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 	if !(opts.ChurnFrac >= 0 && opts.ChurnFrac <= 1) { // NaN fails too
 		return MetroResult{}, fmt.Errorf("experiments: metro churn fraction %v outside [0, 1]", opts.ChurnFrac)
 	}
+	if !(opts.HandoverScale >= 0 && opts.HandoverScale <= cellular.MaxHandoverScale) { // NaN fails too
+		return MetroResult{}, fmt.Errorf("experiments: metro handover scale %v outside [0, %v]", opts.HandoverScale, cellular.MaxHandoverScale)
+	}
 	if opts.CheckpointEvery < 0 {
 		return MetroResult{}, fmt.Errorf("experiments: metro checkpoint interval %v must not be negative", opts.CheckpointEvery)
 	}

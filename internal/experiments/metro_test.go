@@ -113,6 +113,16 @@ func TestMetroRejectsBadChurn(t *testing.T) {
 	}
 }
 
+func TestMetroRejectsBadHandoverScale(t *testing.T) {
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1), 1e300} {
+		o := metroTestOptions(0)
+		o.HandoverScale = c
+		if _, err := Metro(o); err == nil {
+			t.Errorf("handover scale %v accepted", c)
+		}
+	}
+}
+
 // TestMetroShardStress is the CI metro-smoke workload: a larger topology run
 // sharded at 4 and at 8 so the race detector (CI runs this test under -race)
 // sweeps the worker handoff paths under real contention, and serial trial

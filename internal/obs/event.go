@@ -118,8 +118,8 @@ func (k Kind) String() string {
 // no interfaces — so emitting one allocates nothing and the ring buffer is
 // a single contiguous slab.
 //
-// At is virtual time: simulation time in sim packages, the Clock offset
-// since transport start on the real-UDP path. Seq is the tracer-assigned
+// At is simulation time in sim packages and the host time since Dial on
+// the real-UDP path. Seq is the tracer-assigned
 // emission sequence (a total order even when At ties). Run labels the trial
 // (harnesses pass the derived per-trial seed) and Flow the flow index. Str
 // and V0..V5 are kind-specific; see the Kind constants.

@@ -5,8 +5,8 @@
 //
 // Determinism contract (DESIGN.md §Obs): observability is strictly
 // passive. Nothing in this package reads the wall clock — every Event is
-// stamped by its producer with virtual time (netsim.Sim time, or the
-// transport Clock's offset) — nothing draws randomness, and nothing feeds
+// stamped by its producer (netsim.Sim time, or on the real-UDP path the
+// host time since Dial) — nothing draws randomness, and nothing feeds
 // back into protocol arithmetic, so enabling tracing and metrics cannot
 // move a single golden digest. The registry avoids the two float-determinism
 // hazards the analyzer suite rejects: snapshots iterate sorted names (never

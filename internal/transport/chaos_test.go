@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/verus"
 )
@@ -15,7 +16,8 @@ import (
 // the faults.Proxy. These tests are the -race half of the chaos suite — the
 // netsim sweep proves controller liveness, this one proves the transport's
 // goroutines (read loop, event loop, proxy relays) survive outages without
-// deadlocking and report degradation instead of wedging silently.
+// deadlocking and report degradation instead of wedging silently. They run
+// on the host clock in real time, so each waits out its plan's outage.
 
 // closeWithin fails the test if fn does not return within d — the deadlock
 // detector for Close paths.
@@ -72,13 +74,16 @@ func TestProxyOutageRecovery(t *testing.T) {
 
 // TestProxyBlackoutStallReport pins graceful degradation: when the path
 // goes dark mid-flow, the sender must count a stall and say so on Errors()
-// while continuing to probe — and must still close cleanly.
+// while continuing to probe — and must still close cleanly. Both ends carry
+// an observer, whose series and events must tell the same story.
 func TestProxyBlackoutStallReport(t *testing.T) {
 	r, err := transport.NewReceiver("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	o := obs.NewObserver(obs.NewTracer(0), obs.NewRegistry())
+	r.Observe(o, 0, 0)
 
 	start := time.Now()
 	plan := &faults.Plan{
@@ -91,7 +96,7 @@ func TestProxyBlackoutStallReport(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.SenderConfig{})
+	s, err := transport.Dial(proxy.Addr(), verus.New(verus.ResilientConfig()), transport.SenderConfig{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +116,34 @@ func TestProxyBlackoutStallReport(t *testing.T) {
 		t.Fatal("Stalls counter still zero after a stall report")
 	}
 	closeWithin(t, "sender close", 5*time.Second, s.Close)
+
+	reg := o.Registry()
+	series := func(name string, kv ...string) int64 {
+		return reg.Counter(obs.Labeled(name, kv...)).Value()
+	}
+	if n := series("transport_stalls_total", "flow", "0", "run", "0"); n < 1 {
+		t.Errorf("transport_stalls_total = %d, want >= 1", n)
+	}
+	if n := series("transport_timeouts_total", "flow", "0", "run", "0"); n < 3 {
+		t.Errorf("transport_timeouts_total = %d, want >= 3", n)
+	}
+	if n := series("transport_rx_packets_total", "run", "0"); n == 0 {
+		t.Error("transport_rx_packets_total is 0")
+	}
+	var handshakeOK, rtos, stalls int
+	for _, e := range o.Tracer().Snapshot() {
+		switch {
+		case e.Kind == obs.KindHandshake && e.Str == "ok":
+			handshakeOK++
+		case e.Kind == obs.KindRTO:
+			rtos++
+		case e.Kind == obs.KindStall:
+			stalls++
+		}
+	}
+	if handshakeOK != 1 || rtos < 3 || stalls != 1 {
+		t.Errorf("traced %d handshake ok, %d RTO and %d stall events; want 1, >= 3 and 1", handshakeOK, rtos, stalls)
+	}
 }
 
 // TestProxyHandshakeThroughBlackout pins the Dial retry path against a dead

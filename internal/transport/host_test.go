@@ -50,14 +50,7 @@ func (c *recCtrl) OnSend(now time.Duration, seq int64, inflight int) {
 	c.calls = append(c.calls, recCall{kind: 's', now: now, seq: seq, inflight: inflight})
 }
 
-// fakeClock is a Clock the test sets by hand. The test calls the event
-// loop's methods itself, so nothing asks it for a ticker.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time                 { return c.now }
-func (c *fakeClock) NewTicker(time.Duration) Ticker { panic("fakeClock: no event loop runs") }
-
-// TestSenderMatchesSimHost drives a Sender's loop methods and a bare
+// TestSenderMatchesSimHost drives a Sender's loop steps and a bare
 // netsim.Host, which is what the simulator's Source runs, through one
 // scripted sequence, and requires the same calls into the controller,
 // argument for argument. The script covers in-order and reordered acks, a
@@ -76,17 +69,15 @@ func TestSenderMatchesSimHost(t *testing.T) {
 	defer conn.Close()
 
 	const w = 8
-	epoch := time.Unix(0, 0)
-	clk := &fakeClock{now: epoch}
 	sc, hc := &recCtrl{w: w}, &recCtrl{w: w}
-	s := &Sender{conn: conn, ctrl: sc, clock: clk, start: epoch,
+	s := &Sender{conn: conn, ctrl: sc, start: time.Unix(0, 0),
 		rtt: stats.NewSummary(64), errCh: make(chan error, 8), host: netsim.NewHost(sc, 0)}
 	h := netsim.NewHost(hc, 0)
 	// The simulator acks with the delivered packet itself, so the size the
 	// controller hears is the data packet's.
 	pktBytes := headerSize + payloadBytes
 
-	// Each step moves both hosts to the same instant and delivers one event
+	// Each step hands both hosts the same instant and delivers one event
 	// the way the Sender's event loop does: a matched ack sends what the
 	// controller then allows, as the Source's does, and a tick checks the
 	// timeout and sends.
@@ -95,27 +86,22 @@ func TestSenderMatchesSimHost(t *testing.T) {
 			h.Sent(now, hc.SendTag())
 		}
 	}
-	set := func(ms int) time.Duration {
-		now := time.Duration(ms) * time.Millisecond
-		clk.now = epoch.Add(now)
-		return now
-	}
 	ack := func(ms int, seq int64) {
-		now := set(ms)
-		s.handleAck(Header{Type: typeAck, Seq: seq})
+		now := time.Duration(ms) * time.Millisecond
+		s.handleAck(now, Header{Type: typeAck, Seq: seq})
 		if _, _, ok := h.Ack(now, seq, pktBytes); ok {
 			hostSend(now)
 		}
 	}
 	tick := func(ms int) {
-		now := set(ms)
+		now := time.Duration(ms) * time.Millisecond
 		s.checkTimers(now)
-		s.trySend()
+		s.trySend(now)
 		h.CheckTimeout(now)
 		hostSend(now)
 	}
 
-	s.trySend() // seqs 0-7
+	s.trySend(0) // seqs 0-7
 	hostSend(0)
 	ack(10, 0)
 	ack(11, 1)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"time"
@@ -9,7 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ReceiverStats summarizes what a receiver observed.
+// ReceiverStats summarizes what a receiver observed. UniquePackets counts
+// distinct (sender address and port, sequence number) pairs.
 type ReceiverStats struct {
 	Packets       int64
 	Bytes         int64
@@ -40,29 +42,27 @@ type receiverCounters struct {
 // window tag) for every packet, from which the sender derives delay
 // measurements.
 type Receiver struct {
-	conn  *net.UDPConn
-	clock Clock
-
+	conn *net.UDPConn
 	ctrs receiverCounters
-	obs  *obs.Observer // nil unless Observe attached one
 
 	mu     sync.Mutex
 	first  time.Time
 	last   time.Time
-	seen   map[int64]struct{}
+	seen   map[packetID]struct{}
 	closed bool
 	done   chan struct{}
 }
 
-// NewReceiver starts a receiver listening on addr (e.g. "127.0.0.1:0"),
-// stamping arrivals with the system clock (the real-UDP path).
-func NewReceiver(addr string) (*Receiver, error) {
-	return NewReceiverWithClock(addr, SystemClock())
+// packetID names a data packet: every sender numbers its packets from 0, so
+// a sequence number is unique only together with the peer that sent it.
+type packetID struct {
+	peer netip.AddrPort
+	seq  int64
 }
 
-// NewReceiverWithClock starts a receiver whose arrival timestamps come from
-// the given clock; inject a SimClock to run on netsim virtual time.
-func NewReceiverWithClock(addr string, clock Clock) (*Receiver, error) {
+// NewReceiver starts a receiver listening on addr (e.g. "127.0.0.1:0"),
+// stamping arrivals with the host clock.
+func NewReceiver(addr string) (*Receiver, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -71,14 +71,10 @@ func NewReceiverWithClock(addr string, clock Clock) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if clock == nil {
-		clock = SystemClock()
-	}
 	r := &Receiver{
-		conn:  conn,
-		clock: clock,
-		seen:  make(map[int64]struct{}),
-		done:  make(chan struct{}),
+		conn: conn,
+		seen: make(map[packetID]struct{}),
+		done: make(chan struct{}),
 	}
 	go r.loop()
 	return r, nil
@@ -110,7 +106,6 @@ func (r *Receiver) Observe(o *obs.Observer, run int64, _ int) {
 	if o == nil {
 		return
 	}
-	r.obs = o
 	label := func(name string) string {
 		return obs.Labeled(name, "run", strconv.FormatInt(run, 10))
 	}
@@ -139,7 +134,7 @@ func (r *Receiver) loop() {
 	buf := make([]byte, maxPacket)
 	ackBuf := make([]byte, 0, headerSize)
 	for {
-		n, peer, err := r.conn.ReadFromUDP(buf)
+		n, peer, err := r.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
@@ -154,22 +149,23 @@ func (r *Receiver) loop() {
 			r.ctrs.syns.Inc()
 			synAck := Header{Type: typeSynAck, Flow: h.Flow, SentNanos: h.SentNanos, Window: h.Window}
 			ackBuf = synAck.Marshal(ackBuf[:0])
-			_, _ = r.conn.WriteToUDP(ackBuf, peer)
+			_, _ = r.conn.WriteToUDPAddrPort(ackBuf, peer)
 			continue
 		}
 		if h.Type != typeData {
 			continue
 		}
-		now := r.clock.Now()
+		t := now()
 		r.ctrs.packets.Inc()
 		r.ctrs.bytes.Add(int64(n))
 		r.mu.Lock()
 		if r.first.IsZero() {
-			r.first = now
+			r.first = t
 		}
-		r.last = now
-		if _, dup := r.seen[h.Seq]; !dup {
-			r.seen[h.Seq] = struct{}{}
+		r.last = t
+		id := packetID{peer, h.Seq}
+		if _, dup := r.seen[id]; !dup {
+			r.seen[id] = struct{}{}
 			r.ctrs.unique.Inc()
 		}
 		r.mu.Unlock()
@@ -177,6 +173,6 @@ func (r *Receiver) loop() {
 		ack := Header{Type: typeAck, Flow: h.Flow, Seq: h.Seq, SentNanos: h.SentNanos, Window: h.Window}
 		ackBuf = ack.Marshal(ackBuf[:0])
 		// Best-effort: a lost ack is handled by the sender's loss logic.
-		_, _ = r.conn.WriteToUDP(ackBuf, peer)
+		_, _ = r.conn.WriteToUDPAddrPort(ackBuf, peer)
 	}
 }

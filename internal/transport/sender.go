@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -17,30 +16,23 @@ import (
 
 // SenderConfig configures a Sender.
 type SenderConfig struct {
-	// Flow tags packets of this sender (0-255).
-	Flow byte
-	// Clock supplies timestamps and the event-loop ticker. nil selects
-	// SystemClock (the real-UDP path); simulated transports inject a
-	// SimClock so the sender runs on netsim virtual time.
-	Clock Clock
 	// HandshakeTimeout bounds the total time Dial spends probing the
-	// receiver before giving up with ErrHandshakeFailed. 0 selects the
-	// 3-second default; a negative value skips the handshake entirely
-	// (required when injecting a virtual Clock: the handshake arms real
-	// socket deadlines, which need a wall-backed clock).
+	// receiver before giving up with ErrHandshakeFailed. A value <= 0
+	// selects the 3-second default.
 	HandshakeTimeout time.Duration
 	// HandshakeAttempts bounds the number of SYN probes within the
-	// timeout. Each attempt waits with exponential backoff plus jitter
-	// drawn from HandshakeSeed. 0 selects the default of 5.
+	// timeout. Each attempt waits with exponential backoff plus jitter.
+	// A value <= 0 selects the default of 5.
 	HandshakeAttempts int
-	// HandshakeSeed seeds the backoff-jitter RNG, keeping retry timing a
-	// pure function of configuration. 0 selects a fixed default seed.
-	HandshakeSeed int64
 	// Obs attaches the observability layer: handshake/RTO/stall trace
 	// events and registry-backed counters, under run "0". nil (the
 	// default) keeps the sender on its disabled nil-check fast path.
 	Obs *obs.Observer
 }
+
+// handshakeSeed seeds the handshake's backoff jitter, so retry timing is a
+// pure function of the configuration.
+const handshakeSeed = 1
 
 // payloadBytes is the data payload per packet: the wire adds the header to
 // make the paper's 1400-byte packets.
@@ -81,17 +73,16 @@ type senderCounters struct {
 // netsim.Host, the same one the simulator's Source runs; the Sender adds the
 // wire, the handshake, its counters and stall reports. All controller
 // interaction happens on the internal event-loop goroutine, matching the
-// single-threaded contract of cc.Controller.
+// single-threaded contract of cc.Controller. A Sender is flow 0: on the
+// wire, in its stall reports and in its series' flow="0" label.
 type Sender struct {
-	cfg   SenderConfig
-	conn  *net.UDPConn
-	ctrl  cc.Controller
-	clock Clock
+	cfg  SenderConfig
+	conn *net.UDPConn
+	ctrl cc.Controller
 
-	start time.Time
+	start time.Time // host time at Dial; the loop steps take time since it
 
 	ctrs senderCounters
-	obs  *obs.Observer // nil unless cfg.Obs was set
 
 	mu  sync.Mutex
 	rtt *stats.Summary
@@ -124,50 +115,40 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = SystemClock()
-	}
-	if cfg.HandshakeTimeout == 0 {
+	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 3 * time.Second
 	}
 	if cfg.HandshakeAttempts <= 0 {
 		cfg.HandshakeAttempts = 5
 	}
-	if cfg.HandshakeSeed == 0 {
-		cfg.HandshakeSeed = 1
-	}
 	s := &Sender{
 		cfg:    cfg,
 		conn:   conn,
 		ctrl:   ctrl,
-		clock:  cfg.Clock,
-		start:  cfg.Clock.Now(),
-		obs:    cfg.Obs,
+		start:  now(),
+		rtt:    stats.NewSummary(1024),
 		ackCh:  make(chan Header, 1024),
 		errCh:  make(chan error, 8),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}
-	s.rtt = stats.NewSummary(1024)
-	if s.obs != nil {
+	if o := cfg.Obs; o != nil {
 		label := func(name string) string {
-			return obs.Labeled(name, "flow", strconv.Itoa(int(cfg.Flow)), "run", "0")
+			return obs.Labeled(name, "flow", "0", "run", "0")
 		}
-		s.obs.RegisterCounter(label("transport_sent_total"), &s.ctrs.sent)
-		s.obs.RegisterCounter(label("transport_acked_total"), &s.ctrs.acked)
-		s.obs.RegisterCounter(label("transport_losses_total"), &s.ctrs.losses)
-		s.obs.RegisterCounter(label("transport_timeouts_total"), &s.ctrs.timeouts)
-		s.obs.RegisterCounter(label("transport_handshake_retries_total"), &s.ctrs.handshakeRetries)
-		s.obs.RegisterCounter(label("transport_stalls_total"), &s.ctrs.stalls)
+		o.RegisterCounter(label("transport_sent_total"), &s.ctrs.sent)
+		o.RegisterCounter(label("transport_acked_total"), &s.ctrs.acked)
+		o.RegisterCounter(label("transport_losses_total"), &s.ctrs.losses)
+		o.RegisterCounter(label("transport_timeouts_total"), &s.ctrs.timeouts)
+		o.RegisterCounter(label("transport_handshake_retries_total"), &s.ctrs.handshakeRetries)
+		o.RegisterCounter(label("transport_stalls_total"), &s.ctrs.stalls)
 		if v, ok := ctrl.(obs.Observable); ok {
-			v.Observe(s.obs, 0, int(cfg.Flow))
+			v.Observe(o, 0, 0)
 		}
 	}
-	if cfg.HandshakeTimeout > 0 {
-		if err := s.handshake(); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err := s.handshake(); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	go s.readLoop()
 	go s.run()
@@ -180,88 +161,58 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 // attempt budget and a total deadline. Runs before the read/event loops
 // start, so it owns the socket.
 func (s *Sender) handshake() error {
-	rng := rand.New(rand.NewSource(s.cfg.HandshakeSeed))
-	deadline := s.clock.Now().Add(s.cfg.HandshakeTimeout)
+	rng := rand.New(rand.NewSource(handshakeSeed))
+	deadline := now().Add(s.cfg.HandshakeTimeout)
 	buf := make([]byte, maxPacket)
 	synBuf := make([]byte, 0, headerSize)
 	wait := 100 * time.Millisecond
 	var attempts int
 	for attempts = 0; attempts < s.cfg.HandshakeAttempts; attempts++ {
-		now := s.clock.Now()
-		if !now.Before(deadline) {
+		t := now()
+		if !t.Before(deadline) {
 			break
 		}
 		if attempts > 0 {
 			s.ctrs.handshakeRetries.Inc()
 		}
 		s.emitHandshake("probe", attempts+1)
-		syn := Header{Type: typeSyn, Flow: s.cfg.Flow, SentNanos: now.UnixNano()}
-		synBuf = syn.Marshal(synBuf[:0])
-		if _, err := s.conn.Write(synBuf); err != nil {
-			// Likely ICMP unreachable surfaced on the connected socket;
-			// back off and retry within the budget like any lost probe.
-			s.sleepUntilNextAttempt(&wait, rng, deadline)
-			continue
-		}
+		synBuf = Header{Type: typeSyn, SentNanos: t.UnixNano()}.Marshal(synBuf[:0])
+		// A failed write (likely an ICMP unreachable surfaced on the
+		// connected socket) waits out its attempt like a lost probe.
+		_, _ = s.conn.Write(synBuf)
 		jitter := time.Duration(float64(wait) * 0.25 * (rng.Float64()*2 - 1))
-		attemptDeadline := now.Add(wait + jitter)
+		attemptDeadline := t.Add(wait + jitter)
 		if attemptDeadline.After(deadline) {
 			attemptDeadline = deadline
 		}
 		s.conn.SetReadDeadline(attemptDeadline)
-		got := false
 		for {
 			n, err := s.conn.Read(buf)
 			if err != nil {
 				break // attempt deadline, or unreachable; retry
 			}
 			if h, err := ParseHeader(buf[:n]); err == nil && h.Type == typeSynAck {
-				got = true
-				break
+				s.conn.SetReadDeadline(time.Time{})
+				s.emitHandshake("ok", attempts+1)
+				return nil
 			}
 			// Anything else (stray data, corrupt datagram) is ignored.
-		}
-		if got {
-			s.conn.SetReadDeadline(time.Time{})
-			s.emitHandshake("ok", attempts+1)
-			return nil
 		}
 		wait *= 2
 	}
 	s.conn.SetReadDeadline(time.Time{})
 	s.emitHandshake("fail", attempts)
 	return fmt.Errorf("%w: no answer from %v after %d probes over %v",
-		ErrHandshakeFailed, s.conn.RemoteAddr(), attempts, s.clock.Now().Sub(s.start))
+		ErrHandshakeFailed, s.conn.RemoteAddr(), attempts, s.elapsed())
 }
 
 // emitHandshake records a control-channel handshake phase when tracing is
-// attached. At is the Clock offset since the sender started — the
-// transport's virtual time axis.
+// attached. At is the time since Dial, the sender's time axis.
 func (s *Sender) emitHandshake(phase string, attempt int) {
-	if s.obs == nil {
+	if s.cfg.Obs == nil {
 		return
 	}
-	s.obs.Emit(&obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow), Str: phase, V0: float64(attempt)})
-}
-
-// sleepUntilNextAttempt burns the current backoff interval (with jitter)
-// when the probe could not even be written, without exceeding the deadline.
-// It waits on the socket (which has a read deadline set) rather than the
-// scheduler, keeping the clock the single time source.
-func (s *Sender) sleepUntilNextAttempt(wait *time.Duration, rng *rand.Rand, deadline time.Time) {
-	jitter := time.Duration(float64(*wait) * 0.25 * (rng.Float64()*2 - 1))
-	until := s.clock.Now().Add(*wait + jitter)
-	if until.After(deadline) {
-		until = deadline
-	}
-	s.conn.SetReadDeadline(until)
-	buf := make([]byte, maxPacket)
-	for {
-		if _, err := s.conn.Read(buf); err != nil {
-			break
-		}
-	}
-	*wait *= 2
+	s.cfg.Obs.Emit(&obs.Event{At: s.elapsed(), Kind: obs.KindHandshake, Str: phase, V0: float64(attempt)})
 }
 
 // Errors exposes the sender's graceful-degradation reports: handshake-level
@@ -309,8 +260,6 @@ func (s *Sender) Close() error {
 	return s.conn.Close()
 }
 
-func (s *Sender) now() time.Duration { return s.clock.Now().Sub(s.start) }
-
 func (s *Sender) readLoop() {
 	buf := make([]byte, maxPacket)
 	for {
@@ -335,45 +284,16 @@ func (s *Sender) readLoop() {
 	}
 }
 
-func (s *Sender) run() {
-	defer close(s.doneCh)
-	interval := s.ctrl.TickInterval()
-	hasTick := interval > 0
-	if !hasTick {
-		interval = housekeep
-	}
-	ticker := s.clock.NewTicker(interval)
-	defer ticker.Stop()
-	s.host = netsim.NewHost(s.ctrl, s.now())
-	s.trySend()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case h := <-s.ackCh:
-			s.handleAck(h)
-		case <-ticker.C():
-			now := s.now()
-			if hasTick {
-				s.ctrl.Tick(now)
-			}
-			s.checkTimers(now)
-			s.trySend()
-		}
-	}
-}
-
-func (s *Sender) trySend() {
-	now := s.now()
+// trySend sends what the controller allows at now.
+func (s *Sender) trySend(now time.Duration) {
 	n := s.host.Allowance(now)
 	buf := make([]byte, 0, headerSize+payloadBytes)
 	for i := 0; i < n; i++ {
 		window := s.ctrl.SendTag()
 		h := Header{
 			Type:      typeData,
-			Flow:      s.cfg.Flow,
 			Seq:       s.host.NextSeq(),
-			SentNanos: s.clock.Now().UnixNano(),
+			SentNanos: s.start.Add(now).UnixNano(),
 			Window:    uint32(window),
 			Length:    uint16(payloadBytes),
 		}
@@ -391,8 +311,8 @@ func (s *Sender) trySend() {
 // handleAck feeds an acknowledgement to the host and, when it matched a
 // packet in flight, sends what the controller now allows. The ack echoes only
 // a header, so the size reported is that of the data packet it acknowledges.
-func (s *Sender) handleAck(h Header) {
-	rtt, losses, ok := s.host.Ack(s.now(), h.Seq, headerSize+payloadBytes)
+func (s *Sender) handleAck(now time.Duration, h Header) {
+	rtt, losses, ok := s.host.Ack(now, h.Seq, headerSize+payloadBytes)
 	if !ok {
 		return
 	}
@@ -402,9 +322,11 @@ func (s *Sender) handleAck(h Header) {
 	s.mu.Lock()
 	s.rtt.Add(rtt.Seconds())
 	s.mu.Unlock()
-	s.trySend()
+	s.trySend(now)
 }
 
+// checkTimers fires the retransmission timeout if it has run out by now, and
+// opens a stall episode after stallReportAfter of them in a row.
 func (s *Sender) checkTimers(now time.Duration) {
 	if !s.host.CheckTimeout(now) {
 		return
@@ -416,18 +338,17 @@ func (s *Sender) checkTimers(now time.Duration) {
 		s.stalled = true
 		s.ctrs.stalls.Inc()
 	}
-	if s.obs != nil {
-		s.obs.Emit(&obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
-			V0: float64(backoff), V1: next.Seconds()})
+	if o := s.cfg.Obs; o != nil {
+		o.Emit(&obs.Event{At: now, Kind: obs.KindRTO, V0: float64(backoff), V1: next.Seconds()})
 		if openStall {
-			s.obs.Emit(&obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow), V0: float64(backoff)})
+			o.Emit(&obs.Event{At: now, Kind: obs.KindStall, V0: float64(backoff)})
 		}
 	}
 	if openStall {
 		// Graceful degradation instead of a silent wedge: the sender keeps
 		// probing (the RTO backoff continues), but the application learns
 		// the path is dark and can decide to tear down.
-		s.pushErr(fmt.Errorf("transport: flow %d stalled: no ack progress through %d consecutive RTOs (next backoff %v); still probing",
-			s.cfg.Flow, backoff, next))
+		s.pushErr(fmt.Errorf("transport: flow 0 stalled: no ack progress through %d consecutive RTOs (next backoff %v); still probing",
+			backoff, next))
 	}
 }

@@ -117,6 +117,43 @@ func TestLoopbackNewRenoTransfer(t *testing.T) {
 	}
 }
 
+// TestReceiverCountsPacketsPerPeer runs two senders to one receiver, one
+// after the other. Both number their packets from 0, so the receiver must
+// tell them apart by peer: every sequence number a sender had acked reached
+// the receiver at least once from that sender.
+func TestReceiverCountsPacketsPerPeer(t *testing.T) {
+	r, err := NewReceiver("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var acked int64
+	var prev *Sender
+	for i := 0; i < 2; i++ {
+		s, err := Dial(r.Addr().String(), tcp.NewNewReno(), SenderConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first sender closes only once the second has dialed, so the
+		// two never share a local port.
+		if prev != nil {
+			if err := prev.Close(); err != nil {
+				t.Fatal(err)
+			}
+			acked += prev.Stats().Acked
+		}
+		prev = s
+		time.Sleep(400 * time.Millisecond)
+	}
+	if err := prev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	acked += prev.Stats().Acked
+	if u := r.Stats().UniquePackets; u < acked {
+		t.Fatalf("receiver counted %d unique packets; the two senders had %d acked", u, acked)
+	}
+}
+
 func TestReceiverDoubleCloseSafe(t *testing.T) {
 	r, err := NewReceiver("127.0.0.1:0")
 	if err != nil {
@@ -159,23 +196,6 @@ func TestDialDeadReceiverFailsFast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("handshake took %v; the retry budget must bound it", elapsed)
 	}
-}
-
-// TestDialHandshakeDisabled pins the opt-out: a negative HandshakeTimeout
-// skips probing entirely (the pre-PR-4 behavior, needed under virtual
-// clocks).
-func TestDialHandshakeDisabled(t *testing.T) {
-	dead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dead.Close()
-	cfg := SenderConfig{HandshakeTimeout: -1}
-	s, err := Dial(dead.LocalAddr().String(), tcp.NewNewReno(), cfg)
-	if err != nil {
-		t.Fatalf("handshake-disabled dial failed: %v", err)
-	}
-	s.Close()
 }
 
 // TestHandshakeCountsRetries checks the receiver answers SYNs and that a
