@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -245,4 +246,81 @@ func TestMeshEquivalenceFlowStats(t *testing.T) {
 			t.Errorf("sharded-%d flow stats diverge:\nref:\n%s\ngot:\n%s", shards, ref, got)
 		}
 	}
+}
+
+// oracleOutcome is what every executor must agree on: the state digest of
+// runEquivTrial and each cell's pool custody (packets allocated and not yet
+// freed); and, for RunSharded, the window count and the count the grid gives.
+type oracleOutcome struct {
+	digest        string
+	live          []int64
+	windows, grid uint64
+}
+
+// runOracleTrial runs the seed's random topology with exec in three
+// segments, as a checkpointing sweep does. events is what WindowStats
+// counted.
+func runOracleTrial(seed int64, exec func(m *Mesh, until time.Duration)) (o oracleOutcome, events uint64) {
+	o.digest = runEquivTrial(seed, func(m *Mesh, until time.Duration) {
+		ends := []time.Duration{until / 3, until/3 + time.Millisecond, until}
+		for _, end := range ends {
+			exec(m, end)
+		}
+		o.windows, o.grid = m.Windows(), gridWindows(m.Lookahead(), ends)
+		events, _ = m.WindowStats()
+		for i := 0; i < m.Cells(); i++ {
+			o.live = append(o.live, m.Cell(i).PoolStats().Live())
+		}
+	})
+	return o, events
+}
+
+// gridWindows is the number of windows RunSharded runs when called with each
+// of ends in turn from time 0: from clock c to end e, one per multiple of
+// lookahead in (c, e) and one that closes at e, and then one inclusive pass
+// at e.
+func gridWindows(lookahead time.Duration, ends []time.Duration) (n uint64) {
+	var clock time.Duration
+	for _, end := range ends {
+		if clock < end {
+			n += uint64((end+lookahead-1)/lookahead - clock/lookahead)
+			clock = end
+		}
+		n++
+	}
+	return n
+}
+
+// TestMeshClaimingOracle drives the single-heap reference and the claiming
+// executor over as many random topologies as it takes for RunSharded to have
+// run 10⁵ events at every one of 1, 2, 3 and 8 shards. Digest and pool
+// custody must agree with RunSingle's, and the window count must be the same
+// at every shard count and equal to the count the grid gives (RunSingle has
+// no windows).
+func TestMeshClaimingOracle(t *testing.T) {
+	var events uint64
+	seeds := 0
+	for seed := int64(100); events < 100_000; seed++ {
+		single, _ := runOracleTrial(seed, func(m *Mesh, until time.Duration) { m.RunSingle(until) })
+		var first oracleOutcome
+		var n uint64
+		for i, shards := range []int{1, 2, 3, 8} {
+			var got oracleOutcome
+			got, n = runOracleTrial(seed, func(m *Mesh, until time.Duration) { m.RunSharded(until, shards) })
+			if got.digest != single.digest || !reflect.DeepEqual(got.live, single.live) {
+				t.Fatalf("seed %d shards %d: claiming executor %+v, single heap %+v", seed, shards, got, single)
+			}
+			if i == 0 {
+				first = got
+			} else if got.windows != first.windows {
+				t.Fatalf("seed %d: %d windows at %d shards, %d at 1", seed, got.windows, shards, first.windows)
+			}
+			if got.windows != got.grid {
+				t.Fatalf("seed %d shards %d: %d windows, the grid gives %d", seed, shards, got.windows, got.grid)
+			}
+		}
+		events += n
+		seeds++
+	}
+	t.Logf("%d events per executor and shard count over %d topologies", events, seeds)
 }

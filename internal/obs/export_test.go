@@ -262,19 +262,21 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
+// promRejects are expositions ParsePrometheus must reject.
+var promRejects = []struct{ name, in string }{
+	{"value without TYPE", "orphan_total 3\n"},
+	{"malformed comment", "# NOPE x y\n"},
+	{"bad value", "# TYPE a gauge\na zero\n"},
+	{"trailing timestamp", "# TYPE a gauge\na 1 1234567\n"},
+	{"duplicate series", "# TYPE a gauge\na 1\na 2\n"},
+	{"duplicate TYPE", "# TYPE a gauge\n# TYPE a gauge\n"},
+	{"unterminated labels", "# TYPE a counter\na{x=\"1 2\n"},
+	{"unquoted label", "# TYPE a counter\na{x=1} 2\n"},
+	{"bad metric name", "# TYPE a counter\n1a 2\n"},
+}
+
 func TestParsePrometheusStrict(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"value without TYPE", "orphan_total 3\n"},
-		{"malformed comment", "# NOPE x y\n"},
-		{"bad value", "# TYPE a gauge\na zero\n"},
-		{"trailing timestamp", "# TYPE a gauge\na 1 1234567\n"},
-		{"duplicate series", "# TYPE a gauge\na 1\na 2\n"},
-		{"duplicate TYPE", "# TYPE a gauge\n# TYPE a gauge\n"},
-		{"unterminated labels", "# TYPE a counter\na{x=\"1 2\n"},
-		{"unquoted label", "# TYPE a counter\na{x=1} 2\n"},
-		{"bad metric name", "# TYPE a counter\n1a 2\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range promRejects {
 		if _, err := ParsePrometheus(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: ParsePrometheus accepted %q", tc.name, tc.in)
 		}

@@ -200,16 +200,21 @@ func TestSproutMissesCapacityAboveCap(t *testing.T) {
 	}
 }
 
-// reference is the forecaster as it stood before the folded stencil: the same
-// controller state and observe step, with the scatter-form diffuse and the
-// allocating forecast below in place of the shipped ones. It is the oracle
-// the equivalence tests hold the shipped kernel to.
+// reference is Tick as it stood before the look-ahead, with the observe,
+// poissonSurvival, forecast and percentileLambda it called, all verbatim:
+// every tick diffuses the belief, and forecast diffuses a copy of it whole
+// once per level. It runs its own controller, so next and ahead below are its
+// own scratch. Its diffusion kernel is the one thing that varies: the shipped
+// diffuse, which the look-ahead left alone and under which the tick gates
+// require Tick's bits, or, with scatter, the kernel the stencil replaced,
+// under which the stencil gates require beliefs within 1e-12.
 type reference struct {
-	*Sprout   // its own controller, so s.next below is its own scratch
-	sigmaBins float64
+	*Sprout
+	scatter   bool
+	sigmaBins float64 // the scatter kernel's σ, in bins
 }
 
-func newReference(cfg Config) *reference {
+func referenceFor(cfg Config, scatter bool) *reference {
 	s := New(cfg)
 	sigmaPkts := cfg.SigmaMbpsPerSqrtSec * 1e6 / 8 / float64(cfg.PacketBytes) *
 		cfg.Tick.Seconds() * math.Sqrt(cfg.Tick.Seconds())
@@ -217,16 +222,25 @@ func newReference(cfg Config) *reference {
 	if sigmaBins < 0.5 {
 		sigmaBins = 0.5
 	}
-	return &reference{Sprout: s, sigmaBins: sigmaBins}
+	return &reference{Sprout: s, scatter: scatter, sigmaBins: sigmaBins}
 }
 
-// Tick shadows (*Sprout).Tick step for step.
-func (s *reference) Tick(time.Duration) {
-	s.referenceDiffuse(s.belief)
-	s.observe(s.arrivals, s.saturatedTick())
+// referenceTick shadows (*Sprout).Tick step for step.
+func (s *reference) referenceTick(time.Duration) {
+	s.evolve(s.belief)
+	s.referenceObserve(s.arrivals, s.saturatedTick())
 	s.arrivals = 0
 	s.rttSumTick, s.rttCntTick = 0, 0
-	s.window = s.referenceForecast()
+	s.window = s.referenceWholeForecast()
+}
+
+// evolve diffuses dist in place by one tick through the reference's kernel.
+func (s *reference) evolve(dist []float64) {
+	if s.scatter {
+		s.referenceDiffuse(dist)
+	} else {
+		s.diffuse(dist, dist)
+	}
 }
 
 // referenceDiffuse is the pre-stencil diffuse, verbatim: the kernel rebuilt
@@ -273,19 +287,77 @@ func (s *reference) referenceDiffuse(dist []float64) {
 	}
 }
 
-// referenceForecast is the pre-stencil forecast, verbatim.
-func (s *reference) referenceForecast() int {
+func (s *reference) referenceObserve(k int, saturated bool) {
+	var total float64
+	if saturated {
+		lgk, _ := math.Lgamma(float64(k) + 1)
+		for i := range s.belief {
+			lam := s.lambda(i)
+			var like float64
+			if lam <= 0 {
+				if k == 0 {
+					like = 1
+				} else {
+					like = 1e-12
+				}
+			} else {
+				like = math.Exp(float64(k)*math.Log(lam) - lam - lgk)
+			}
+			s.belief[i] *= like
+			total += s.belief[i]
+		}
+	} else {
+		for i := range s.belief {
+			like := referencePoissonSurvival(s.lambda(i), k)
+			s.belief[i] *= like
+			total += s.belief[i]
+		}
+	}
+	if total <= 0 || math.IsNaN(total) {
+		s.resetBelief()
+		return
+	}
+	for i := range s.belief {
+		s.belief[i] /= total
+	}
+}
+
+// referencePoissonSurvival returns P(Poisson(lam) >= k).
+func referencePoissonSurvival(lam float64, k int) float64 {
+	if k <= 0 {
+		return 1
+	}
+	if lam <= 0 {
+		return 1e-12
+	}
+	// 1 - CDF(k-1), computed with an iterative pmf.
+	pmf := math.Exp(-lam)
+	cdf := pmf
+	for j := 1; j < k; j++ {
+		pmf *= lam / float64(j)
+		cdf += pmf
+	}
+	surv := 1 - cdf
+	if surv < 1e-12 {
+		surv = 1e-12
+	}
+	return surv
+}
+
+func (s *reference) referenceWholeForecast() int {
+	// Effective horizon in (possibly fractional) ticks: one RTT's worth of
+	// deliveries, never more than the delay-control horizon.
 	eff := float64(s.cfg.HorizonTicks)
 	if s.srtt > 0 {
 		if rttTicks := s.srtt.Seconds() / s.cfg.Tick.Seconds(); rttTicks < eff {
 			eff = rttTicks
 		}
 	}
-	dist := make([]float64, len(s.belief))
+	dist := s.ahead
 	copy(dist, s.belief)
 	var cum float64
 	for h := 0; eff > 0; h++ {
-		s.referenceDiffuse(dist)
+		s.evolve(dist)
 		p := s.percentileLambda(dist, s.cfg.Percentile)
 		if eff >= 1 {
 			cum += p
@@ -302,55 +374,176 @@ func (s *reference) referenceForecast() int {
 	return w
 }
 
-// driveBoth runs the shipped controller and the reference through the same
-// seeded sequence of ticks — idle, censored (RTTs at the floor), saturated
-// (RTTs showing queueing) and the occasional OnTimeout reset, around a base
-// RTT of baseRTT — and requires, after every tick, the same window, beliefs
-// within 1e-12 of each other, and a shipped belief that is a distribution.
-func driveBoth(t *testing.T, cfg Config, seed int64, baseRTT time.Duration, ticks int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	got, want := New(cfg), newReference(cfg)
-	perTick := int(cfg.MaxRateMbps*1e6/8/float64(cfg.PacketBytes)*cfg.Tick.Seconds()) + 1
-	var now time.Duration
-	for tick := 0; tick < ticks; tick++ {
-		now += cfg.Tick
-		acks, rtt := 0, baseRTT
-		switch mode := rng.Intn(100); {
-		case mode < 2:
-			got.OnTimeout(now)
-			want.OnTimeout(now)
-		case mode < 25: // idle
-		case mode < 60: // censored
-			acks = 1 + rng.Intn(perTick)
-		default: // saturated
-			acks = 1 + rng.Intn(2*perTick)
-			rtt = 2*baseRTT + 5*time.Millisecond
-		}
-		for i := 0; i < acks; i++ {
-			ack := cc.AckSample{RTT: rtt + time.Duration(rng.Intn(1000))*time.Microsecond}
-			got.OnAck(now, ack)
-			want.OnAck(now, ack)
-		}
-		got.Tick(now)
-		want.Tick(now)
-		if got.window != want.window {
-			t.Fatalf("tick %d: window %d, reference %d", tick, got.window, want.window)
-		}
-		var total float64
-		for i, p := range got.belief {
-			if !(p >= 0) {
-				t.Fatalf("tick %d: belief[%d] = %v", tick, i, p)
-			}
-			if d := math.Abs(p - want.belief[i]); !(d <= 1e-12) {
-				t.Fatalf("tick %d: belief[%d] = %v, reference %v (off by %g)", tick, i, p, want.belief[i], d)
-			}
-			total += p
-		}
-		if math.Abs(total-1) > 1e-12 {
-			t.Fatalf("tick %d: belief sums to %v", tick, total)
+// percentileLambda returns the p-th percentile of λ under dist.
+func (s *reference) percentileLambda(dist []float64, p float64) float64 {
+	target := p / 100
+	var acc float64
+	for i, q := range dist {
+		acc += q
+		if acc >= target {
+			return s.lambda(i)
 		}
 	}
+	return s.lambda(len(dist) - 1)
+}
+
+// tickStep is what one tick feeds a controller: an OnTimeout first if set,
+// then acks acknowledgements of the given RTT (0: no RTT sample), the i-th
+// of them late by jitter[i] where jitter has one, then Tick.
+type tickStep struct {
+	timeout bool
+	acks    int
+	rtt     time.Duration
+	jitter  []time.Duration
+}
+
+func (st tickStep) apply(s *Sprout, now time.Duration, tick func(time.Duration)) {
+	if st.timeout {
+		s.OnTimeout(now)
+	}
+	for i := 0; i < st.acks; i++ {
+		rtt := st.rtt
+		if i < len(st.jitter) {
+			rtt += st.jitter[i]
+		}
+		s.OnAck(now, cc.AckSample{RTT: rtt})
+	}
+	tick(now)
+}
+
+// oraclePair is a controller run by Tick beside the reference.
+type oraclePair struct {
+	got  *Sprout
+	want *reference
+	now  time.Duration
+	tick int
+	// swaps counts the ticks that took the look-ahead for their belief
+	// instead of diffusing; depths[h] the ticks whose forecast was h levels
+	// deep, deeper the levels below the first over all ticks, and fractional
+	// the ticks that scaled the last level.
+	swaps, fractional, deeper int
+	depths                    [9]int
+	// sc counts the searches got's forecast made and the running sums they
+	// evaluated.
+	sc searchCount
+}
+
+func newOraclePair(cfg Config, scatter bool) *oraclePair {
+	return &oraclePair{got: New(cfg), want: referenceFor(cfg, scatter)}
+}
+
+// step feeds both controllers one tick and requires the same window, a
+// shipped belief that is a distribution, and the reference's belief: bit for
+// bit under the shipped kernel, within 1e-12 under the scatter kernel.
+func (p *oraclePair) step(t testing.TB, st tickStep) {
+	t.Helper()
+	p.now += p.got.cfg.Tick
+	p.tick++
+	ahead := &p.got.ahead[0]
+	st.apply(p.got, p.now, func(time.Duration) { p.got.tick(&p.sc) })
+	st.apply(p.want.Sprout, p.now, p.want.referenceTick)
+	if &p.got.belief[0] == ahead {
+		p.swaps++
+	}
+	depth := p.got.cfg.HorizonTicks
+	if eff := p.got.srtt.Seconds() / p.got.cfg.Tick.Seconds(); p.got.srtt > 0 && eff < float64(depth) {
+		depth = int(math.Ceil(eff))
+		if eff != math.Floor(eff) {
+			p.fractional++
+		}
+	}
+	p.depths[min(depth, len(p.depths)-1)]++
+	p.deeper += depth - 1
+	if p.got.window != p.want.window {
+		t.Fatalf("tick %d (%+v): window %d, reference %d", p.tick, st, p.got.window, p.want.window)
+	}
+	var total float64
+	for i, q := range p.got.belief {
+		w := p.want.belief[i]
+		if !(q >= 0) {
+			t.Fatalf("tick %d (%+v): belief[%d] = %v", p.tick, st, i, q)
+		}
+		if math.Float64bits(q) != math.Float64bits(w) && !(p.want.scatter && math.Abs(q-w) <= 1e-12) {
+			t.Fatalf("tick %d (%+v): belief[%d] = %v, reference %v (off by %g)", p.tick, st, i, q, w, q-w)
+		}
+		total += q
+	}
+	if math.Abs(total-1) > 1e-12 {
+		t.Fatalf("tick %d (%+v): belief sums to %v", p.tick, st, total)
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in any bit, or
+// -1 if there is none.
+func firstBitDiff(a, b []float64) int {
+	for i, q := range a {
+		if math.Float64bits(q) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// seededSteps draws ticks in streaks of one kind — idle, censored (RTTs at the
+// floor baseRTT) or saturated (RTTs showing queueing) — of 1 to 40 ticks, 0 to
+// 30 acks a tick, with an OnTimeout on about one tick in 200 wherever it
+// falls, mid-streak included.
+func seededSteps(rng *rand.Rand, baseRTT time.Duration, ticks int, step func(tickStep)) {
+	for done := 0; done < ticks; {
+		kind := rng.Intn(3)
+		for streak := 1 + rng.Intn(40); streak > 0 && done < ticks; streak-- {
+			st := tickStep{timeout: rng.Intn(200) == 0}
+			switch kind {
+			case 1:
+				st.acks, st.rtt = rng.Intn(31), baseRTT+time.Duration(rng.Intn(1000))*time.Microsecond
+			case 2:
+				st.acks, st.rtt = rng.Intn(31), 2*baseRTT+5*time.Millisecond+time.Duration(rng.Intn(1000))*time.Microsecond
+			}
+			step(st)
+			done++
+		}
+	}
+}
+
+// stencilSteps draws the stencil gates' ticks independently of each other:
+// an OnTimeout with no acks on about one tick in 50, else idle, censored (up
+// to the per-tick rate cap in acks, RTTs at the floor baseRTT) or saturated
+// (up to twice the cap, RTTs showing queueing), each ack late by its own
+// jitter of under 1 ms.
+func stencilSteps(rng *rand.Rand, cfg Config, baseRTT time.Duration, ticks int, step func(tickStep)) {
+	perTick := int(cfg.MaxRateMbps*1e6/8/float64(cfg.PacketBytes)*cfg.Tick.Seconds()) + 1
+	for tick := 0; tick < ticks; tick++ {
+		var st tickStep
+		switch mode := rng.Intn(100); {
+		case mode < 2:
+			st.timeout = true
+		case mode < 25: // idle
+		case mode < 60: // censored
+			st.acks, st.rtt = 1+rng.Intn(perTick), baseRTT
+		default: // saturated
+			st.acks, st.rtt = 1+rng.Intn(2*perTick), 2*baseRTT+5*time.Millisecond
+		}
+		for i := 0; i < st.acks; i++ {
+			st.jitter = append(st.jitter, time.Duration(rng.Intn(1000))*time.Microsecond)
+		}
+		step(st)
+	}
+}
+
+// kernelShapes are the Bins × σ pairs that take the stencil's bounds through
+// every shape: kernels far narrower than the belief, kernels whose
+// 2·radius+1 taps exceed Bins (so no bin has a full stencil), and a radius
+// beyond Bins itself.
+var kernelShapes = []struct {
+	bins  int
+	sigma float64
+}{
+	{8, 200},
+	{8, 0.5}, {8, 5}, {8, 40},
+	{16, 0.5}, {16, 5}, {16, 40},
+	{31, 0.5}, {31, 5}, {31, 40},
+	{128, 0.5}, {128, 5}, {128, 40},
+	{257, 0.5}, {257, 5}, {257, 40},
 }
 
 // TestStencilMatchesReference is the old-vs-new gate for the forecast kernel:
@@ -358,29 +551,21 @@ func driveBoth(t *testing.T, cfg Config, seed int64, baseRTT time.Duration, tick
 // (fractional forecast horizon), the rest with srtt spanning several ticks.
 func TestStencilMatchesReference(t *testing.T) {
 	for seed, baseRTT := range []time.Duration{4 * time.Millisecond, 45 * time.Millisecond, 150 * time.Millisecond} {
-		driveBoth(t, DefaultConfig(), int64(seed+1), baseRTT, 4000)
+		cfg := DefaultConfig()
+		p := newOraclePair(cfg, true)
+		stencilSteps(rand.New(rand.NewSource(int64(seed+1))), cfg, baseRTT, 4000, func(st tickStep) { p.step(t, st) })
 	}
 }
 
-// TestStencilNarrowAndWide covers every shape the stencil's bounds take:
-// kernels far narrower than the belief, kernels whose 2·radius+1 taps exceed
-// Bins (so no bin has a full stencil), and a radius beyond Bins itself.
+// TestStencilNarrowAndWide holds the stencil to the scatter kernel at every
+// shape of kernelShapes.
 func TestStencilNarrowAndWide(t *testing.T) {
-	type shape struct {
-		bins  int
-		sigma float64
-	}
-	shapes := []shape{{8, 200}}
-	for _, bins := range []int{8, 16, 31, 128, 257} {
-		for _, sigma := range []float64{0.5, 5, 40} {
-			shapes = append(shapes, shape{bins, sigma})
-		}
-	}
-	for i, sh := range shapes {
+	for i, sh := range kernelShapes {
 		t.Run(fmt.Sprintf("bins%d_sigma%g", sh.bins, sh.sigma), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Bins, cfg.SigmaMbpsPerSqrtSec = sh.bins, sh.sigma
-			driveBoth(t, cfg, int64(100+i), 30*time.Millisecond, 300)
+			p := newOraclePair(cfg, true)
+			stencilSteps(rand.New(rand.NewSource(int64(100+i))), cfg, 30*time.Millisecond, 300, func(st tickStep) { p.step(t, st) })
 		})
 	}
 }
@@ -475,220 +660,8 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	}
 }
 
-// referenceTick is Tick as it stood before the look-ahead, with the observe,
-// poissonSurvival, forecast and percentileLambda it called, all verbatim (the
-// old dist field is ahead now; diffuse is the shipped one, which that change
-// left alone): every tick diffuses the belief, and forecast diffuses a copy of
-// it whole once per level. It is the oracle Tick is held to, bit for bit.
-func (s *Sprout) referenceTick(now time.Duration) {
-	s.diffuse(s.belief, s.belief)
-	s.referenceObserve(s.arrivals, s.saturatedTick())
-	s.arrivals = 0
-	s.rttSumTick, s.rttCntTick = 0, 0
-	s.window = s.referenceWholeForecast()
-}
-
-func (s *Sprout) referenceObserve(k int, saturated bool) {
-	var total float64
-	if saturated {
-		lgk, _ := math.Lgamma(float64(k) + 1)
-		for i := range s.belief {
-			lam := s.lambda(i)
-			var like float64
-			if lam <= 0 {
-				if k == 0 {
-					like = 1
-				} else {
-					like = 1e-12
-				}
-			} else {
-				like = math.Exp(float64(k)*math.Log(lam) - lam - lgk)
-			}
-			s.belief[i] *= like
-			total += s.belief[i]
-		}
-	} else {
-		for i := range s.belief {
-			like := referencePoissonSurvival(s.lambda(i), k)
-			s.belief[i] *= like
-			total += s.belief[i]
-		}
-	}
-	if total <= 0 || math.IsNaN(total) {
-		s.resetBelief()
-		return
-	}
-	for i := range s.belief {
-		s.belief[i] /= total
-	}
-}
-
-// referencePoissonSurvival returns P(Poisson(lam) >= k).
-func referencePoissonSurvival(lam float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if lam <= 0 {
-		return 1e-12
-	}
-	// 1 - CDF(k-1), computed with an iterative pmf.
-	pmf := math.Exp(-lam)
-	cdf := pmf
-	for j := 1; j < k; j++ {
-		pmf *= lam / float64(j)
-		cdf += pmf
-	}
-	surv := 1 - cdf
-	if surv < 1e-12 {
-		surv = 1e-12
-	}
-	return surv
-}
-
-func (s *Sprout) referenceWholeForecast() int {
-	// Effective horizon in (possibly fractional) ticks: one RTT's worth of
-	// deliveries, never more than the delay-control horizon.
-	eff := float64(s.cfg.HorizonTicks)
-	if s.srtt > 0 {
-		if rttTicks := s.srtt.Seconds() / s.cfg.Tick.Seconds(); rttTicks < eff {
-			eff = rttTicks
-		}
-	}
-	dist := s.ahead
-	copy(dist, s.belief)
-	var cum float64
-	for h := 0; eff > 0; h++ {
-		s.diffuse(dist, dist)
-		p := s.percentileLambda(dist, s.cfg.Percentile)
-		if eff >= 1 {
-			cum += p
-			eff--
-		} else {
-			cum += p * eff
-			eff = 0
-		}
-	}
-	w := int(cum)
-	if w < 1 {
-		w = 1 // always keep probing minimally
-	}
-	return w
-}
-
-// percentileLambda returns the p-th percentile of λ under dist.
-func (s *Sprout) percentileLambda(dist []float64, p float64) float64 {
-	target := p / 100
-	var acc float64
-	for i, q := range dist {
-		acc += q
-		if acc >= target {
-			return s.lambda(i)
-		}
-	}
-	return s.lambda(len(dist) - 1)
-}
-
-// tickStep is what one tick feeds a controller: an OnTimeout first if set,
-// then acks acknowledgements of the given RTT (0: no RTT sample), then Tick.
-type tickStep struct {
-	timeout bool
-	acks    int
-	rtt     time.Duration
-}
-
-func (st tickStep) apply(s *Sprout, now time.Duration, tick func(time.Duration)) {
-	if st.timeout {
-		s.OnTimeout(now)
-	}
-	for i := 0; i < st.acks; i++ {
-		s.OnAck(now, cc.AckSample{RTT: st.rtt})
-	}
-	tick(now)
-}
-
-// oraclePair is a controller run by Tick beside one run by referenceTick.
-type oraclePair struct {
-	got, want *Sprout
-	now       time.Duration
-	tick      int
-	// swaps counts the ticks that took the look-ahead for their belief
-	// instead of diffusing; depths[h] the ticks whose forecast was h levels
-	// deep, deeper the levels below the first over all ticks, and fractional
-	// the ticks that scaled the last level.
-	swaps, fractional, deeper int
-	depths                    [9]int
-	// sc counts the searches got's forecast made and the running sums they
-	// evaluated.
-	sc searchCount
-}
-
-func newOraclePair(cfg Config) *oraclePair {
-	return &oraclePair{got: New(cfg), want: New(cfg)}
-}
-
-// step feeds both controllers one tick and requires the same window and the
-// same belief, bit for bit.
-func (p *oraclePair) step(t testing.TB, st tickStep) {
-	t.Helper()
-	p.now += p.got.cfg.Tick
-	p.tick++
-	ahead := &p.got.ahead[0]
-	st.apply(p.got, p.now, func(time.Duration) { p.got.tick(&p.sc) })
-	st.apply(p.want, p.now, p.want.referenceTick)
-	if &p.got.belief[0] == ahead {
-		p.swaps++
-	}
-	depth := p.got.cfg.HorizonTicks
-	if eff := p.got.srtt.Seconds() / p.got.cfg.Tick.Seconds(); p.got.srtt > 0 && eff < float64(depth) {
-		depth = int(math.Ceil(eff))
-		if eff != math.Floor(eff) {
-			p.fractional++
-		}
-	}
-	p.depths[min(depth, len(p.depths)-1)]++
-	p.deeper += depth - 1
-	if p.got.window != p.want.window {
-		t.Fatalf("tick %d (%+v): window %d, reference %d", p.tick, st, p.got.window, p.want.window)
-	}
-	if i := firstBitDiff(p.got.belief, p.want.belief); i >= 0 {
-		t.Fatalf("tick %d (%+v): belief[%d] = %v, reference %v", p.tick, st, i, p.got.belief[i], p.want.belief[i])
-	}
-}
-
-// firstBitDiff returns the first index at which a and b differ in any bit, or
-// -1 if there is none.
-func firstBitDiff(a, b []float64) int {
-	for i, q := range a {
-		if math.Float64bits(q) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// seededSteps draws ticks in streaks of one kind — idle, censored (RTTs at the
-// floor baseRTT) or saturated (RTTs showing queueing) — of 1 to 40 ticks, 0 to
-// 30 acks a tick, with an OnTimeout on about one tick in 200 wherever it
-// falls, mid-streak included.
-func seededSteps(rng *rand.Rand, baseRTT time.Duration, ticks int, step func(tickStep)) {
-	for done := 0; done < ticks; {
-		kind := rng.Intn(3)
-		for streak := 1 + rng.Intn(40); streak > 0 && done < ticks; streak-- {
-			st := tickStep{timeout: rng.Intn(200) == 0}
-			switch kind {
-			case 1:
-				st.acks, st.rtt = rng.Intn(31), baseRTT+time.Duration(rng.Intn(1000))*time.Microsecond
-			case 2:
-				st.acks, st.rtt = rng.Intn(31), 2*baseRTT+5*time.Millisecond+time.Duration(rng.Intn(1000))*time.Microsecond
-			}
-			step(st)
-			done++
-		}
-	}
-}
-
 // searchGuard requires that the pair's forecasts searched once per level
-// below the first, where referenceTick diffuses a whole level, and evaluated
+// below the first, where the reference diffuses a whole level, and evaluated
 // at most maxEvals running sums per search on average, where a scan from bin
 // 0 would evaluate one per bin up to the percentile; it returns that mean.
 func (p *oraclePair) searchGuard(t testing.TB, maxEvals float64) float64 {
@@ -716,7 +689,7 @@ func TestTickMatchesReference(t *testing.T) {
 	var depths [9]int
 	var all oraclePair // the searches and levels of every run
 	for seed, baseRTT := range []time.Duration{4, 12, 18, 25, 35, 50, 70, 150} {
-		p := newOraclePair(cfg)
+		p := newOraclePair(cfg, false)
 		seededSteps(rand.New(rand.NewSource(int64(seed+1))), baseRTT*time.Millisecond, 25000, func(st tickStep) { p.step(t, st) })
 		swaps, fractional, ticks = swaps+p.swaps, fractional+p.fractional, ticks+p.tick
 		all.deeper, all.sc.searches, all.sc.evals = all.deeper+p.deeper, all.sc.searches+p.sc.searches, all.sc.evals+p.sc.evals
@@ -745,24 +718,14 @@ func TestTickMatchesReference(t *testing.T) {
 	t.Logf("%d deeper levels searched, %.2f running sums each", all.sc.searches, all.searchGuard(t, 4))
 }
 
-// TestTickMatchesReferenceShapes holds Tick to referenceTick at each Bins × σ
-// shape of TestStencilNarrowAndWide — kernels wider than the belief among
-// them, where a row of the tables reaches past both ends — at the default
-// five-tick horizon, and then at horizons of 1 (no deeper level, no rows), 2
-// and 8 ticks over a base RTT of 100 ms, which forecasts 5 to 8 levels deep.
+// TestTickMatchesReferenceShapes holds Tick to the reference at each shape of
+// kernelShapes — kernels wider than the belief among them, where a row of the
+// tables reaches past both ends — at the default five-tick horizon, and then
+// at horizons of 1 (no deeper level, no rows), 2 and 8 ticks over a base RTT
+// of 100 ms, which forecasts 5 to 8 levels deep.
 func TestTickMatchesReferenceShapes(t *testing.T) {
-	type shape struct {
-		bins  int
-		sigma float64
-	}
-	shapes := []shape{{8, 200}}
-	for _, bins := range []int{8, 16, 31, 128, 257} {
-		for _, sigma := range []float64{0.5, 5, 40} {
-			shapes = append(shapes, shape{bins, sigma})
-		}
-	}
 	for _, horizon := range []int{5, 1, 2, 8} {
-		for i, sh := range shapes {
+		for i, sh := range kernelShapes {
 			name, baseRTT := fmt.Sprintf("bins%d_sigma%g", sh.bins, sh.sigma), 50*time.Millisecond
 			if horizon != 5 {
 				name, baseRTT = fmt.Sprintf("%s_horizon%d", name, horizon), 100*time.Millisecond
@@ -770,7 +733,7 @@ func TestTickMatchesReferenceShapes(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Bins, cfg.SigmaMbpsPerSqrtSec, cfg.HorizonTicks = sh.bins, sh.sigma, horizon
-				p := newOraclePair(cfg)
+				p := newOraclePair(cfg, false)
 				seededSteps(rand.New(rand.NewSource(int64(100+i))), baseRTT, 300, func(st tickStep) { p.step(t, st) })
 				if p.swaps < 280 {
 					t.Errorf("%d of 300 ticks swapped the look-ahead in", p.swaps)
@@ -855,7 +818,7 @@ func TestObservePastTheTables(t *testing.T) {
 	rows := int(cfg.likeRows())
 	for _, k := range []int{rows - 1, rows, rows + 7, 400} {
 		for _, saturated := range []bool{false, true} {
-			got, want := New(cfg), New(cfg)
+			got, want := New(cfg), referenceFor(cfg, false)
 			copy(got.belief, base.belief)
 			copy(want.belief, base.belief)
 			got.observe(k, saturated)
@@ -985,11 +948,11 @@ func TestNewConcurrentSharesTables(t *testing.T) {
 
 // FuzzTickMatchesReference reads two bytes per tick — ack count in the low
 // five bits and an OnTimeout flag in the top bit of the first, the acks' RTT in
-// milliseconds in the second — and holds Tick to referenceTick on them. The seed
+// milliseconds in the second — and holds Tick to the reference on them. The seed
 // corpus is testdata/fuzz/FuzzTickMatchesReference.
 func FuzzTickMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := newOraclePair(DefaultConfig())
+		p := newOraclePair(DefaultConfig(), false)
 		for ; len(data) >= 2; data = data[2:] {
 			p.step(t, tickStep{
 				timeout: data[0]&0x80 != 0,

@@ -11,7 +11,10 @@ import (
 )
 
 // ReceiverStats summarizes what a receiver observed. UniquePackets counts
-// distinct (sender address and port, sequence number) pairs.
+// distinct (sender address and port, sequence number) pairs within a window
+// of W = 4096 sequence numbers per peer: a packet whose number is W or more
+// below the highest its peer has sent counts as a duplicate, so the receiver
+// keeps 512 bytes of bitmap per peer however many packets arrive.
 type ReceiverStats struct {
 	Packets       int64
 	Bytes         int64
@@ -45,19 +48,70 @@ type Receiver struct {
 	conn *net.UDPConn
 	ctrs receiverCounters
 
-	mu     sync.Mutex
-	first  time.Time
-	last   time.Time
-	seen   map[packetID]struct{}
+	mu    sync.Mutex
+	first time.Time
+	last  time.Time
+	// seen holds each peer's recent sequence numbers: every sender numbers
+	// its packets from 0, so a number is unique only together with its peer.
+	seen   map[netip.AddrPort]*seqWindow
 	closed bool
 	done   chan struct{}
 }
 
-// packetID names a data packet: every sender numbers its packets from 0, so
-// a sequence number is unique only together with the peer that sent it.
-type packetID struct {
-	peer netip.AddrPort
-	seq  int64
+// dupWindow is how many of a peer's sequence numbers, its highest included,
+// the receiver remembers. The sender numbers every transmission afresh, so
+// only reordering in the network brings a number in late; 4096 packets is
+// 0.5 s at 100 Mbps of 1500-byte packets.
+const dupWindow = 4096
+
+// seqWindow is one peer's duplicate filter: the highest sequence number seen
+// and a bitmap of the dupWindow numbers ending at it, number s at bit
+// s mod dupWindow.
+type seqWindow struct {
+	top  int64
+	bits [dupWindow / 64]uint64
+}
+
+// slot returns the word and mask of seq's bit. Negative numbers wrap like
+// any others: uint64 keeps consecutive numbers in consecutive bits.
+func slot(seq int64) (int, uint64) {
+	u := uint64(seq) % dupWindow
+	return int(u / 64), 1 << (u % 64)
+}
+
+// first records seq and reports whether it is new: above top, or less than
+// dupWindow below it and not seen before. Distances are taken in uint64, so
+// no pair of int64 numbers overflows.
+func (w *seqWindow) first(seq int64) bool {
+	i, m := slot(seq)
+	switch {
+	case seq > w.top:
+		if uint64(seq)-uint64(w.top) >= dupWindow {
+			w.bits = [dupWindow / 64]uint64{}
+		} else {
+			// The bits of top+1 .. seq-1 still hold numbers dupWindow lower.
+			for s := w.top + 1; s < seq; s++ {
+				j, n := slot(s)
+				w.bits[j] &^= n
+			}
+		}
+		w.top = seq
+	case uint64(w.top)-uint64(seq) >= dupWindow || w.bits[i]&m != 0:
+		return false
+	}
+	w.bits[i] |= m
+	return true
+}
+
+// countFirst reports whether peer's packet seq arrives for the first time,
+// and records it. The caller holds r.mu.
+func (r *Receiver) countFirst(peer netip.AddrPort, seq int64) bool {
+	w := r.seen[peer]
+	if w == nil {
+		w = &seqWindow{top: seq}
+		r.seen[peer] = w
+	}
+	return w.first(seq)
 }
 
 // NewReceiver starts a receiver listening on addr (e.g. "127.0.0.1:0"),
@@ -73,7 +127,7 @@ func NewReceiver(addr string) (*Receiver, error) {
 	}
 	r := &Receiver{
 		conn: conn,
-		seen: make(map[packetID]struct{}),
+		seen: make(map[netip.AddrPort]*seqWindow),
 		done: make(chan struct{}),
 	}
 	go r.loop()
@@ -163,9 +217,7 @@ func (r *Receiver) loop() {
 			r.first = t
 		}
 		r.last = t
-		id := packetID{peer, h.Seq}
-		if _, dup := r.seen[id]; !dup {
-			r.seen[id] = struct{}{}
+		if r.countFirst(peer, h.Seq) {
 			r.ctrs.unique.Inc()
 		}
 		r.mu.Unlock()

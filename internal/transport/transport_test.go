@@ -2,7 +2,10 @@ package transport
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"net"
+	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,6 +155,109 @@ func TestReceiverCountsPacketsPerPeer(t *testing.T) {
 	if u := r.Stats().UniquePackets; u < acked {
 		t.Fatalf("receiver counted %d unique packets; the two senders had %d acked", u, acked)
 	}
+}
+
+// TestReceiverDuplicateWindow drives the receiver's counting step with 10⁶
+// sequence numbers from one peer and requires the unique count of a map
+// model of the rule ReceiverStats states: a number is new unless it was seen
+// before or lies dupWindow or more below the highest seen. It requires too
+// that the peer's state is one fixed-size window that counting never grows.
+func TestReceiverDuplicateWindow(t *testing.T) {
+	r := &Receiver{seen: make(map[netip.AddrPort]*seqWindow)}
+	peer := netip.MustParseAddrPort("192.0.2.1:4000")
+	seen := make(map[int64]bool)
+	top := int64(math.MinInt64)
+	var got, want, late, stale int
+	for _, seq := range duplicateDrive(rand.New(rand.NewSource(1)), 1_000_000) {
+		below := seq < top && top >= math.MinInt64+dupWindow && seq <= top-dupWindow
+		isNew := !seen[seq] && !below
+		if isNew {
+			want++
+			if seq < top {
+				late++
+			}
+		} else if below && !seen[seq] {
+			stale++
+		}
+		seen[seq] = true
+		top = max(top, seq)
+		if r.countFirst(peer, seq) {
+			got++
+		}
+	}
+	if got != want {
+		t.Fatalf("counted %d unique packets, the map model %d", got, want)
+	}
+	// No vacuous pass: late first arrivals inside the window, numbers never
+	// seen but below it, and duplicates all occurred.
+	if late < 10_000 || stale < 10_000 || 1_000_000-want-stale < 10_000 {
+		t.Errorf("%d unique, %d of them late; %d unseen below the window", want, late, stale)
+	}
+	if top != math.MaxInt64 {
+		t.Errorf("the drive topped out at %d", top)
+	}
+	t.Logf("%d unique, %d of them late; %d unseen below the window", want, late, stale)
+	if len(r.seen) != 1 {
+		t.Fatalf("%d peers' state for one peer", len(r.seen))
+	}
+	next := top
+	if n := testing.AllocsPerRun(1000, func() { r.countFirst(peer, next); next -= 3 }); n != 0 {
+		t.Errorf("counting a known peer's packet allocated %v times", n)
+	}
+}
+
+// duplicateDrive returns n sequence numbers from one peer, starting below
+// zero so that runs cross it: runs in order, blocks shuffled within
+// dupWindow, repeats of recent numbers reaching past the window, forward
+// jumps of dupWindow−1, dupWindow, dupWindow+1 and more followed by some of
+// the numbers they skipped, and math.MinInt64 and numbers just either side
+// of the window's floor. The last fortieth runs up to math.MaxInt64 and then
+// draws arbitrary int64 values.
+func duplicateDrive(rng *rand.Rand, n int) []int64 {
+	seqs := make([]int64, 0, n)
+	next := int64(-300_000)
+	for len(seqs) < n-n/40 {
+		switch rng.Intn(5) {
+		case 0:
+			for k := 1 + rng.Intn(2000); k > 0; k-- {
+				seqs = append(seqs, next)
+				next++
+			}
+		case 1:
+			size := 2 + rng.Intn(dupWindow)
+			for _, i := range rng.Perm(size) {
+				seqs = append(seqs, next+int64(i))
+			}
+			next += int64(size)
+		case 2:
+			for k := 1 + rng.Intn(200); k > 0; k-- {
+				seqs = append(seqs, next-1-rng.Int63n(2*dupWindow))
+			}
+		case 3:
+			jump := []int64{dupWindow - 1, dupWindow, dupWindow + 1, dupWindow + rng.Int63n(1<<20)}[rng.Intn(4)]
+			next += jump
+			seqs = append(seqs, next)
+			for k := rng.Intn(300); k > 0; k-- {
+				seqs = append(seqs, next-1-rng.Int63n(jump))
+			}
+			next++
+		case 4:
+			seqs = append(seqs, math.MinInt64, next-1-dupWindow, next-dupWindow, next-dupWindow+1)
+		}
+	}
+	for s := int64(math.MaxInt64 - 2*dupWindow); ; s++ {
+		seqs = append(seqs, s)
+		if rng.Intn(4) == 0 {
+			seqs = append(seqs, s-rng.Int63n(2*dupWindow))
+		}
+		if s == math.MaxInt64 {
+			break
+		}
+	}
+	for len(seqs) < n {
+		seqs = append(seqs, int64(rng.Uint64()), math.MaxInt64-rng.Int63n(2*dupWindow))
+	}
+	return seqs[:n]
 }
 
 func TestReceiverDoubleCloseSafe(t *testing.T) {

@@ -87,8 +87,14 @@ func (p *refProfile) refit(now int64) {
 	p.dirty = false
 }
 
-func (p *refProfile) lookup(target, hi float64) (w float64, found bool) {
-	if p.spl == nil {
+// forwardScan is the lookup the top-down scan replaced, verbatim but for
+// taking the curve and maxW as arguments and walking the grid with the
+// cursor, which TestEvaluatorMatchesEval holds to Eval bit for bit: evaluate
+// the grid upward, keep the last window whose delay meets the target, and
+// with none the smallest window of least delay inside the observed range. A
+// nil spl is an unfitted profile.
+func forwardScan(spl *spline.Spline, maxW int, target, hi float64) (w float64, found bool) {
+	if spl == nil {
 		return 1, false
 	}
 	if hi < 1 {
@@ -104,15 +110,17 @@ func (p *refProfile) lookup(target, hi float64) (w float64, found bool) {
 	best := 1.0
 	argmin := 1.0
 	minDelay := math.Inf(1)
-	argminCeil := float64(p.maxW)
+	argminCeil := float64(maxW)
 	if argminCeil < 1 {
 		argminCeil = 1
 	}
-	dAtMaxW := p.spl.Eval(argminCeil)
+	dAtMaxW := spl.Eval(argminCeil)
 	step := (hi - 1) / float64(steps-1)
+	ev := spl.Evaluator()
 	for k := 0; k < steps; k++ {
 		x := 1 + float64(k)*step
-		d := p.spl.Eval(x)
+		ev.Seek(x)
+		d := ev.At(x)
 		if x > argminCeil && d < dAtMaxW {
 			d = dAtMaxW
 		}
@@ -171,7 +179,7 @@ func TestProfileMatchesReference(t *testing.T) {
 				target := 0.01 + rng.Float64()*0.25
 				hi := 1 + rng.Float64()*300
 				gw, gf := p.lookup(target, hi)
-				ww, wf := ref.lookup(target, hi)
+				ww, wf := forwardScan(ref.spl, ref.maxW, target, hi)
 				if gw != ww || gf != wf {
 					t.Fatalf("trial %d step %d: lookup(%v,%v) = (%v,%v), reference (%v,%v)",
 						trial, step, target, hi, gw, gf, ww, wf)
@@ -259,58 +267,6 @@ func TestProfileStaleAgingFloor(t *testing.T) {
 	}
 }
 
-// referenceLookup is the forward-grid lookup that the top-down scan replaced,
-// verbatim but for the grid scratch, which was a field of the profile:
-// evaluate the whole grid with EvalGrid, walk it upward, keep the last hit.
-func referenceLookup(p *delayProfile, scratch *[]float64, target, hi float64) (w float64, found bool) {
-	if !p.splReady {
-		return 1, false
-	}
-	if hi < 1 {
-		hi = 1
-	}
-	steps := int(hi) * 2
-	if steps < 64 {
-		steps = 64
-	}
-	if steps > 4096 {
-		steps = 4096
-	}
-	best := 1.0
-	argmin := 1.0
-	minDelay := math.Inf(1)
-	argminCeil := float64(p.maxW)
-	if argminCeil < 1 {
-		argminCeil = 1
-	}
-	dAtMaxW := p.spl.Eval(argminCeil)
-	step := (hi - 1) / float64(steps-1)
-	if cap(*scratch) < steps {
-		*scratch = make([]float64, steps)
-	}
-	grid := (*scratch)[:steps]
-	p.spl.EvalGrid(1, step, grid)
-	for k := 0; k < steps; k++ {
-		x := 1 + float64(k)*step
-		d := grid[k]
-		if x > argminCeil && d < dAtMaxW {
-			d = dAtMaxW
-		}
-		if d <= target {
-			best = x
-			found = true
-		}
-		if x <= argminCeil && d < minDelay {
-			minDelay = d
-			argmin = x
-		}
-	}
-	if !found {
-		return argmin, false
-	}
-	return best, true
-}
-
 // oracleProfile builds one seeded profile for the lookup oracle: a random
 // subset of the windows 1..span as knots, under one of six delay shapes.
 func oracleProfile(rng *rand.Rand, shape, span int) *delayProfile {
@@ -347,20 +303,21 @@ func oracleProfile(rng *rand.Rand, shape, span int) *delayProfile {
 	return p
 }
 
-// TestLookupMatchesForwardScan drives the top-down lookup and the forward-grid
-// reference over more than 10⁵ seeded (profile, target, hi) triples and
+// TestLookupMatchesForwardScan drives the top-down lookup and forwardScan over more than 10⁵ seeded (profile, target, hi) triples and
 // requires the same (w, found) bits. It counts the corners it is meant to
 // cover, so that a generator change cannot drop one silently, and it guards
 // the point of the change: on at least nine found lookups in ten the scan
 // must have stopped before evaluating the whole grid.
 func TestLookupMatchesForwardScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var scratch []float64
 	var triples, found, foundEarly, missTies, topHits, tailClamped, hiBelowOne, atFloor, atCeiling int
 	for trial := 0; trial < 300; trial++ {
 		shape := trial % 6
 		span := []int{2, 5, 16, 40, 150, 600, 3000}[trial%7]
 		p := oracleProfile(rng, shape, span)
+		if !p.ready() {
+			t.Fatalf("trial %d: the profile has no curve", trial)
+		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, d := range p.delays {
 			lo, hi = math.Min(lo, d), math.Max(hi, d)
@@ -399,7 +356,7 @@ func TestLookupMatchesForwardScan(t *testing.T) {
 				top = 1 + rng.Float64()*maxW*1.2
 			}
 			gw, gf, evals := p.scan(target, top)
-			ww, wf := referenceLookup(p, &scratch, target, top)
+			ww, wf := forwardScan(&p.spl, p.maxW, target, top)
 			if math.Float64bits(gw) != math.Float64bits(ww) || gf != wf {
 				t.Fatalf("trial %d (shape %d, %d knots, maxW %d): lookup(%v, %v) = (%v, %v), forward scan (%v, %v)",
 					trial, shape, p.numPoints(), p.maxW, target, top, gw, gf, ww, wf)
