@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -97,5 +98,5 @@ func wellFormedScriptPayload() []byte {
 	for _, op := range visitScript {
 		op.run(w)
 	}
-	return e.buf
+	return bytes.Join(e.parts(), nil)
 }

@@ -62,10 +62,21 @@ var ErrTruncated = errors.New("snap: truncated snapshot")
 
 // Encoder accumulates the payload a Save walk writes. The zero value is ready
 // to use.
+//
+// The payload is a list of blocks, so growing never copies what has been
+// written. The first block is blockMin bytes; each later one is sized to the
+// payload before it, so capacity doubles per block. Reset keeps every block
+// for the next snapshot, and WriteFile streams them as they are.
 type Encoder struct {
-	buf []byte
-	err error
+	buf    []byte   // the open block
+	blocks [][]byte // every block, in payload order; buf is blocks[open] as written so far
+	open   int
+	n      int // payload bytes in blocks[:open]
+	err    error
 }
+
+// blockMin is the size of an encoder's first block.
+const blockMin = 64 << 10
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
@@ -74,6 +85,9 @@ func NewEncoder() *Encoder { return &Encoder{} }
 func (e *Encoder) Fail(err error) {
 	if e.err == nil && err != nil {
 		e.err = err
+		// No room left in the open block sends every later write down the
+		// cold path, which drops it. Reset restores the block's capacity.
+		e.buf = e.buf[:len(e.buf):len(e.buf)]
 	}
 }
 
@@ -81,40 +95,78 @@ func (e *Encoder) Fail(err error) {
 func (e *Encoder) Err() error { return e.err }
 
 // Len returns the current payload size in bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int { return e.n + len(e.buf) }
 
 // Reset empties the encoder for the next snapshot: the payload is truncated,
-// the sticky error cleared, and the buffer's capacity kept, so a sweep that
-// snapshots at every barrier grows its buffer once rather than once per
-// snapshot.
+// the sticky error cleared, and the blocks kept, so a sweep that snapshots
+// at every barrier allocates only when a snapshot outgrows every earlier one.
 func (e *Encoder) Reset() {
+	e.open, e.n = 0, 0
+	if len(e.blocks) > 0 {
+		e.buf = e.blocks[0]
+	}
 	e.buf = e.buf[:0]
 	e.err = nil
 }
 
+// room is the writes' cold path, kept out of line so that they inline into
+// the walker's visits. It refuses a write to a failed encoder; otherwise it
+// closes the open block and opens the next with room for k bytes: the block
+// a Reset left there if it is large enough, else a new one sized to the
+// payload so far.
+//
+//go:noinline
+func (e *Encoder) room(k int) bool {
+	if e.err != nil {
+		return false
+	}
+	if len(e.blocks) > 0 {
+		e.blocks[e.open] = e.buf
+		e.n += len(e.buf)
+		e.open++
+	}
+	if e.open == len(e.blocks) {
+		e.blocks = append(e.blocks, nil)
+	}
+	if cap(e.blocks[e.open]) < k {
+		e.blocks[e.open] = make([]byte, 0, max(e.n, k, blockMin))
+	}
+	e.buf = e.blocks[e.open][:0]
+	return true
+}
+
+// parts returns the payload's blocks in order.
+func (e *Encoder) parts() [][]byte {
+	if len(e.blocks) == 0 {
+		return nil
+	}
+	e.blocks[e.open] = e.buf
+	return e.blocks[:e.open+1]
+}
+
 // put8, put32 and put64 append one little-endian value, and raw appends
 // bytes as they are. Like every write, they do nothing once the encoder has
-// failed.
+// failed: Fail leaves them no room, and room refuses them.
 func (e *Encoder) put8(v uint8) {
-	if e.err == nil {
+	if cap(e.buf)-len(e.buf) >= 1 || e.room(1) {
 		e.buf = append(e.buf, v)
 	}
 }
 
 func (e *Encoder) put32(v uint32) {
-	if e.err == nil {
+	if cap(e.buf)-len(e.buf) >= 4 || e.room(4) {
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 	}
 }
 
 func (e *Encoder) put64(v uint64) {
-	if e.err == nil {
+	if cap(e.buf)-len(e.buf) >= 8 || e.room(8) {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
 }
 
 func (e *Encoder) raw(s string) {
-	if e.err == nil {
+	if cap(e.buf)-len(e.buf) >= len(s) || e.room(len(s)) {
 		e.buf = append(e.buf, s...)
 	}
 }
@@ -127,12 +179,16 @@ const (
 )
 
 // frame is the one definition of the container format: it returns the header
-// and trailer that turn payload into a complete snapshot. The CRC runs over
-// header then payload, which is what Decode recomputes over the file body.
-func frame(version uint32, payload []byte) (hdr [headerLen]byte, trailer [trailerLen]byte) {
+// and trailer that turn the payload, given as its blocks in order, into a
+// complete snapshot. The CRC runs over header then payload, which is what
+// Decode recomputes over the file body.
+func frame(version uint32, payload [][]byte) (hdr [headerLen]byte, trailer [trailerLen]byte) {
 	copy(hdr[:], Magic)
 	binary.LittleEndian.PutUint32(hdr[len(Magic):], version)
-	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	crc := crc32.ChecksumIEEE(hdr[:])
+	for _, b := range payload {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+	}
 	binary.LittleEndian.PutUint32(trailer[:], crc)
 	return hdr, trailer
 }
@@ -144,10 +200,13 @@ func (e *Encoder) Encode(version uint32) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	hdr, trailer := frame(version, e.buf)
-	out := make([]byte, 0, headerLen+len(e.buf)+trailerLen)
+	parts := e.parts()
+	hdr, trailer := frame(version, parts)
+	out := make([]byte, 0, headerLen+e.Len()+trailerLen)
 	out = append(out, hdr[:]...)
-	out = append(out, e.buf...)
+	for _, b := range parts {
+		out = append(out, b...)
+	}
 	out = append(out, trailer[:]...)
 	return out, nil
 }
@@ -260,26 +319,33 @@ func (d *Decoder) count(elemSize int, elem string) int {
 // land in a temp file in the destination directory, which is fsynced and
 // renamed over path. A crash mid-write leaves the previous complete
 // checkpoint in place, never a torn file. The framing is streamed — header,
-// the encoder's own buffer, trailer — so the file holds exactly the bytes
+// the encoder's own blocks, trailer — so the file holds exactly the bytes
 // Encode returns without a second copy of the payload being built.
 func WriteFile(path string, e *Encoder, version uint32) error {
 	if e.err != nil {
 		return e.err
 	}
-	hdr, trailer := frame(version, e.buf)
+	parts := e.parts()
+	hdr, trailer := frame(version, parts)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	for _, part := range [][]byte{hdr[:], e.buf, trailer[:]} {
-		if _, err := tmp.Write(part); err != nil {
-			tmp.Close()
-			return err
+	_, err = tmp.Write(hdr[:])
+	for _, b := range parts {
+		if err == nil {
+			_, err = tmp.Write(b)
 		}
 	}
-	if err := tmp.Sync(); err != nil {
+	if err == nil {
+		_, err = tmp.Write(trailer[:])
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}

@@ -142,8 +142,8 @@ func TestWalkerMatchesEncoderLayout(t *testing.T) {
 		"0000000000010000", // SameI64 1<<40
 		"000000000000e0bf", // SameF64 -0.5
 	)
-	if e.Err() != nil || !bytes.Equal(e.buf, want) {
-		t.Fatalf("walker wrote (err %v)\n%x\nwant\n%x", e.Err(), e.buf, want)
+	if got := bytes.Join(e.parts(), nil); e.Err() != nil || !bytes.Equal(got, want) {
+		t.Fatalf("walker wrote (err %v)\n%x\nwant\n%x", e.Err(), got, want)
 	}
 }
 

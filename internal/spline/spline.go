@@ -104,10 +104,12 @@ func (s *Spline) refitSorted(x, y []float64) {
 }
 
 // growFloats returns a slice of length n, reusing buf's storage when it is
-// large enough.
+// large enough. A new slice at least doubles the capacity, so a profile that
+// gains knots one at a time reallocates O(log n) times, not n times. What buf
+// held is not carried over: every caller overwrites the slice.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, max(2*cap(buf), n))
 	}
 	return buf[:n]
 }

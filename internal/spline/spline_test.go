@@ -2,6 +2,7 @@ package spline
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -353,4 +354,32 @@ func TestRefitSortedZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("RefitSorted with warm buffers: %v allocs/run, want 0", allocs)
 	}
+}
+
+// TestRefitGrowthIsGeometric refits one spline through a knot set that gains
+// one knot at a time, as a delay profile does, and counts the allocations:
+// each of the spline's buffers may regrow O(log n) times, not once per knot.
+func TestRefitGrowthIsGeometric(t *testing.T) {
+	const n = 1024
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+		ys[i] = float64(i%7) + 1
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		var s Spline
+		for k := 2; k <= n; k++ {
+			if err := s.RefitSorted(xs[:k], ys[:k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// Eight buffers (the knots, m, the solve's workspace and the four
+	// coefficient rows), each regrown at most once per doubling, and append's
+	// gentler steps for the knots past 256.
+	if limit := 8*bits.Len(n) + 16; allocs > float64(limit) {
+		t.Fatalf("%d refits from 2 to %d knots allocated %v times, want at most %d", n-1, n, allocs, limit)
+	}
+	t.Logf("%d refits from 2 to %d knots allocated %v times", n-1, n, allocs)
 }

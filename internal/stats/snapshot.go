@@ -13,10 +13,22 @@ import (
 // Summary.Percentile permutes the samples in place, so the in-memory order at
 // snapshot time is observable in the next snapshot's bytes.
 
-// Walk visits the summary's samples and running moments.
+// Walk visits the summary's samples and running moments. The samples are one
+// counted list in logical order, however many segments hold them: a save
+// walks the segments without joining them, and a load fills one segment.
 func (s *Summary) Walk(w snap.Walker) {
 	w.Tag("summary")
-	w.F64s(&s.samples)
+	if w.Loading() {
+		w.F64s(&s.samples)
+		s.full = nil
+	} else {
+		w.Len(s.N())
+		s.eachSegment(func(seg []float64) {
+			for i := range seg {
+				w.F64(&seg[i])
+			}
+		})
+	}
 	w.F64(&s.sum)
 	w.F64(&s.sumSq)
 }
@@ -29,14 +41,35 @@ func (s *ThroughputSeries) Walk(w snap.Walker) {
 }
 
 // Walk visits the per-window sums and counts; the window size is
-// configuration.
+// configuration. The wire holds every window's sum, then every window's
+// count, as two counted lists. A load sizes the windows by the sums, whose
+// count F64s has checked against the payload, and requires as many counts.
 func (s *WindowedMean) Walk(w snap.Walker) {
 	w.Tag("wmean")
 	w.SameDur(s.window, "stats: windowed-mean window")
-	w.F64s(&s.sums)
-	w.I64s(&s.counts)
-	if w.Loading() && w.Err() == nil && len(s.sums) != len(s.counts) {
-		w.Fail(fmt.Errorf("stats: windowed-mean snapshot has %d sums but %d counts", len(s.sums), len(s.counts)))
+	if !w.Loading() {
+		w.Len(len(s.cells))
+		for i := range s.cells {
+			w.F64(&s.cells[i].sum)
+		}
+		w.Len(len(s.cells))
+		for i := range s.cells {
+			w.I64(&s.cells[i].n)
+		}
+		return
+	}
+	var sums []float64
+	w.F64s(&sums)
+	if n := w.Len(0); w.Err() == nil && n != len(sums) {
+		w.Fail(fmt.Errorf("stats: windowed-mean snapshot has %d sums but %d counts", len(sums), n))
+	}
+	if w.Err() != nil {
+		return
+	}
+	s.cells = make([]meanCell, len(sums))
+	for i, v := range sums {
+		s.cells[i].sum = v
+		w.I64(&s.cells[i].n)
 	}
 }
 

@@ -16,13 +16,37 @@ import (
 // Summary accumulates samples and reports mean, min, max and percentiles. A
 // percentile query selects the one or two order statistics it reads,
 // permuting the samples in place; nothing is cached between queries.
+//
+// Samples are kept in segments, so recording never copies what it has kept.
+// Up to segmentMin samples they are one slice that grows by append. Once that
+// slice is full at segmentMin or more, it is set aside as it is and a new
+// segment is opened, sized to half the total so far (segmentMin at least).
+// Past a few segments, what a Summary holds stays within 1.5 times its
+// samples, and what it has allocated within that plus the fixed cost of the
+// appends below segmentMin. A percentile query joins the segments into one
+// slice before it selects; every other read walks them in order.
 type Summary struct {
-	samples []float64
+	samples []float64 // the open segment: the newest samples, in order
+	full    *segments // the segments before samples; nil while there are none
 	sum     float64
 	// sumSq is read by nothing but the snapshot walk; it stays so that
 	// snapshot format v3 keeps its layout.
 	sumSq float64
 }
+
+// segments are a Summary's closed segments, oldest first, and how many
+// samples they hold.
+type segments struct {
+	segs [][]float64
+	n    int
+}
+
+// segmentMin is the smallest full slice that Add sets aside rather than
+// regrows, and the smallest segment it opens. Below it a Summary allocates as
+// a plain append does, which covers a metro flow's few hundred samples.
+// Append's first capacity at or above 3072 is 3408, so segments hold 3408,
+// 3072, 3240, 4860, ... samples, each half the total before it.
+const segmentMin = 3072
 
 // NewSummary returns an empty Summary with capacity hint n.
 func NewSummary(n int) *Summary {
@@ -31,61 +55,132 @@ func NewSummary(n int) *Summary {
 
 // Add records one sample.
 func (s *Summary) Add(v float64) {
+	if len(s.samples) == cap(s.samples) && cap(s.samples) >= segmentMin {
+		s.openSegment(1)
+	}
 	s.samples = append(s.samples, v)
 	s.sum += v
 	s.sumSq += v * v
+}
+
+// openSegment sets the open segment aside and opens one sized to half the
+// total so far, and to at least segmentMin and k. It runs once per 1.5-fold
+// growth of the sample count.
+func (s *Summary) openSegment(k int) {
+	if s.full == nil {
+		s.full = &segments{}
+	}
+	s.full.segs = append(s.full.segs, s.samples)
+	s.full.n += len(s.samples)
+	s.samples = make([]float64, 0, max(s.full.n/2, segmentMin, k))
+}
+
+// extend appends vs to the samples in order: it fills the open segment, then
+// regrows it as append does below segmentMin or opens one more segment for
+// the rest. It leaves the moments to its caller.
+func (s *Summary) extend(vs []float64) {
+	k := min(len(vs), cap(s.samples)-len(s.samples))
+	s.samples = append(s.samples, vs[:k]...)
+	if vs = vs[k:]; len(vs) == 0 {
+		return
+	}
+	if cap(s.samples) < segmentMin {
+		s.samples = append(s.samples, vs...)
+		return
+	}
+	s.openSegment(len(vs))
+	s.samples = append(s.samples, vs...)
+}
+
+// eachSegment calls f on every segment, oldest first: the segments s holds
+// when it is called, so that f may add to s.
+func (s *Summary) eachSegment(f func([]float64)) {
+	open := s.samples
+	if s.full != nil {
+		for _, seg := range s.full.segs {
+			f(seg)
+		}
+	}
+	f(open)
+}
+
+// join makes samples the one segment, in order.
+func (s *Summary) join() {
+	if s.full == nil {
+		return
+	}
+	all := make([]float64, 0, s.N())
+	s.eachSegment(func(seg []float64) { all = append(all, seg...) })
+	s.samples, s.full = all, nil
 }
 
 // Merge folds every sample of o into s, leaving o untouched. The metro
 // harness uses it to build aggregate delay distributions across thousands of
 // per-flow summaries.
 func (s *Summary) Merge(o *Summary) {
-	if o == nil || len(o.samples) == 0 {
+	if o == nil || o.N() == 0 {
 		return
 	}
-	s.samples = append(s.samples, o.samples...)
+	o.eachSegment(s.extend)
 	s.sum += o.sum
 	s.sumSq += o.sumSq
 }
 
 // N returns the number of samples recorded.
-func (s *Summary) N() int { return len(s.samples) }
+func (s *Summary) N() int {
+	if s.full == nil {
+		return len(s.samples)
+	}
+	return s.full.n + len(s.samples)
+}
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (s *Summary) Mean() float64 {
-	if len(s.samples) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.samples))
+	return s.sum / float64(s.N())
+}
+
+// first returns the oldest sample; s holds at least one.
+func (s *Summary) first() float64 {
+	if s.full != nil {
+		return s.full.segs[0][0]
+	}
+	return s.samples[0]
 }
 
 // Min returns the smallest sample, or +Inf with no samples. A NaN sample
 // orders below every number, as in sort.Float64s, so any NaN makes Min NaN.
 func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
+	if s.N() == 0 {
 		return math.Inf(1)
 	}
-	m := s.samples[0]
-	for _, v := range s.samples[1:] {
-		if v < m || v != v {
-			m = v
+	m := s.first()
+	s.eachSegment(func(seg []float64) {
+		for _, v := range seg {
+			if v < m || v != v {
+				m = v
+			}
 		}
-	}
+	})
 	return m
 }
 
 // Max returns the largest sample, or -Inf with no samples. NaN samples order
 // below every number, so Max is NaN only when every sample is.
 func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
+	if s.N() == 0 {
 		return math.Inf(-1)
 	}
-	m := s.samples[0]
-	for _, v := range s.samples[1:] {
-		if v > m || m != m {
-			m = v
+	m := s.first()
+	s.eachSegment(func(seg []float64) {
+		for _, v := range seg {
+			if v > m || m != m {
+				m = v
+			}
 		}
-	}
+	})
 	return m
 }
 
@@ -96,9 +191,10 @@ func (s *Summary) Max() float64 {
 // lower rank's order statistic at its sorted position with nothing larger to
 // its left and nothing smaller to its right, so the upper rank is the minimum
 // of what lies to the right. Order statistics do not depend on how they were
-// found, so the result is the one a full sort gives, bit for bit.
+// found, so the result is the one a full sort gives, bit for bit. Selection
+// needs one slice, so the first query joins the segments.
 func (s *Summary) Percentile(p float64) float64 {
-	n := len(s.samples)
+	n := s.N()
 	if n == 0 {
 		return 0
 	}
@@ -108,6 +204,7 @@ func (s *Summary) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.Max()
 	}
+	s.join()
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))

@@ -7,8 +7,14 @@ import "time"
 // any other time series of averages.
 type WindowedMean struct {
 	window time.Duration
-	sums   []float64
-	counts []int64
+	cells  []meanCell
+}
+
+// meanCell is one window's sum of samples and their count. A window's two
+// numbers share one slice, so a series grows one buffer, not two.
+type meanCell struct {
+	sum float64
+	n   int64
 }
 
 // NewWindowedMean returns a series with the given window size.
@@ -25,21 +31,20 @@ func (s *WindowedMean) Add(t time.Duration, v float64) {
 		return
 	}
 	w := int(t / s.window)
-	for len(s.sums) <= w {
-		s.sums = append(s.sums, 0)
-		s.counts = append(s.counts, 0)
+	for len(s.cells) <= w {
+		s.cells = append(s.cells, meanCell{})
 	}
-	s.sums[w] += v
-	s.counts[w]++
+	s.cells[w].sum += v
+	s.cells[w].n++
 }
 
 // Means returns the per-window means; windows with no samples are NaN-free
 // zeros.
 func (s *WindowedMean) Means() []float64 {
-	out := make([]float64, len(s.sums))
-	for i := range s.sums {
-		if s.counts[i] > 0 {
-			out[i] = s.sums[i] / float64(s.counts[i])
+	out := make([]float64, len(s.cells))
+	for i, c := range s.cells {
+		if c.n > 0 {
+			out[i] = c.sum / float64(c.n)
 		}
 	}
 	return out

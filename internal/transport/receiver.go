@@ -14,7 +14,9 @@ import (
 // distinct (sender address and port, sequence number) pairs within a window
 // of W = 4096 sequence numbers per peer: a packet whose number is W or more
 // below the highest its peer has sent counts as a duplicate, so the receiver
-// keeps 512 bytes of bitmap per peer however many packets arrive.
+// keeps 512 bytes of bitmap per peer however many packets arrive. It keeps
+// them for the 256 most recently active peers; a peer it dropped starts
+// afresh, so a number that peer sent before it was dropped counts again.
 type ReceiverStats struct {
 	Packets       int64
 	Bytes         int64
@@ -53,9 +55,12 @@ type Receiver struct {
 	last  time.Time
 	// seen holds each peer's recent sequence numbers: every sender numbers
 	// its packets from 0, so a number is unique only together with its peer.
-	seen   map[netip.AddrPort]*seqWindow
-	closed bool
-	done   chan struct{}
+	// It holds at most maxPeers peers; arrivals counts the data packets
+	// counted so far, the clock by which the least recently active is found.
+	seen     map[netip.AddrPort]*seqWindow
+	arrivals int64
+	closed   bool
+	done     chan struct{}
 }
 
 // dupWindow is how many of a peer's sequence numbers, its highest included,
@@ -64,11 +69,19 @@ type Receiver struct {
 // 0.5 s at 100 Mbps of 1500-byte packets.
 const dupWindow = 4096
 
+// maxPeers bounds the peers a receiver keeps a duplicate filter for. Every
+// verus-client run dials from a new port, so without a bound a long-running
+// server would keep one filter for every run it ever served. A new peer past
+// the bound takes over the filter of the least recently active one.
+const maxPeers = 256
+
 // seqWindow is one peer's duplicate filter: the highest sequence number seen
 // and a bitmap of the dupWindow numbers ending at it, number s at bit
-// s mod dupWindow.
+// s mod dupWindow. last is the receiver's arrivals count at the peer's latest
+// packet.
 type seqWindow struct {
 	top  int64
+	last int64
 	bits [dupWindow / 64]uint64
 }
 
@@ -106,12 +119,32 @@ func (w *seqWindow) first(seq int64) bool {
 // countFirst reports whether peer's packet seq arrives for the first time,
 // and records it. The caller holds r.mu.
 func (r *Receiver) countFirst(peer netip.AddrPort, seq int64) bool {
+	r.arrivals++
 	w := r.seen[peer]
 	if w == nil {
-		w = &seqWindow{top: seq}
+		w = r.newWindow()
+		*w = seqWindow{top: seq}
 		r.seen[peer] = w
 	}
+	w.last = r.arrivals
 	return w.first(seq)
+}
+
+// newWindow returns a filter for a new peer: a fresh one below maxPeers
+// peers, else the one of the least recently active peer, which it forgets.
+func (r *Receiver) newWindow() *seqWindow {
+	if len(r.seen) < maxPeers {
+		return &seqWindow{}
+	}
+	var idle netip.AddrPort
+	var w *seqWindow
+	for p, pw := range r.seen {
+		if w == nil || pw.last < w.last {
+			idle, w = p, pw
+		}
+	}
+	delete(r.seen, idle)
+	return w
 }
 
 // NewReceiver starts a receiver listening on addr (e.g. "127.0.0.1:0"),

@@ -206,6 +206,68 @@ func TestReceiverDuplicateWindow(t *testing.T) {
 	}
 }
 
+// TestReceiverBoundsPeers dials, uses and closes more senders than maxPeers,
+// one after another, while one long-lived peer sends between them. The
+// receiver must keep state for at most maxPeers peers, and the long-lived
+// peer, never the least recently active, must still have its duplicates
+// dropped.
+func TestReceiverBoundsPeers(t *testing.T) {
+	r, err := NewReceiver("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	raddr := r.Addr().(*net.UDPAddr)
+	dial := func() *net.UDPConn {
+		c, err := net.DialUDP("udp", nil, raddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// send delivers one data packet and waits for its ack, so the receiver
+	// has counted it before send returns.
+	ack := make([]byte, maxPacket)
+	send := func(c *net.UDPConn, seq int64) {
+		t.Helper()
+		if _, err := c.Write(Header{Type: typeData, Seq: seq}.Marshal(nil)); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active := dial()
+	defer active.Close()
+	send(active, 0)
+	// The kernel may hand a closed sender's port to a later one; dial until
+	// maxPeers+50 distinct ports have come and gone.
+	ports := make(map[string]bool)
+	for i := 1; len(ports) < maxPeers+50; i++ {
+		if i > 4*maxPeers {
+			t.Fatalf("only %d distinct sender ports in %d dials", len(ports), i)
+		}
+		c := dial()
+		ports[c.LocalAddr().String()] = true
+		send(c, 0)
+		c.Close()
+		send(active, int64(i))
+	}
+	r.mu.Lock()
+	peers := len(r.seen)
+	r.mu.Unlock()
+	if peers > maxPeers {
+		t.Fatalf("receiver keeps state for %d peers, the bound is %d", peers, maxPeers)
+	}
+	before := r.Stats().UniquePackets
+	send(active, 0)
+	send(active, 1)
+	if u := r.Stats().UniquePackets; u != before {
+		t.Fatalf("the active peer's duplicates counted as %d new packets", u-before)
+	}
+}
+
 // duplicateDrive returns n sequence numbers from one peer, starting below
 // zero so that runs cross it: runs in order, blocks shuffled within
 // dupWindow, repeats of recent numbers reaching past the window, forward
