@@ -120,7 +120,7 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 		return nil, fmt.Errorf("cellular: churn fraction %g outside [0, 1]", cfg.ChurnFrac)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Metro{}
+	m := &Metro{Sectors: make([]MetroSector, 0, cfg.Sectors), Users: make([]MetroUser, 0, cfg.Users)}
 	for s := 0; s < cfg.Sectors; s++ {
 		m.Sectors = append(m.Sectors, MetroSector{
 			ID: s,
@@ -133,13 +133,20 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 		})
 	}
 	scs := Scenarios()
+	// Every user's handover train is appended to one shared slice. Until the
+	// last is drawn a user's Handovers only carries its train's length; the
+	// trains are then carved from the final slice, each capped at its own
+	// end so that no train can append into its neighbour's.
+	var trains []Handover
 	for u := 0; u < cfg.Users; u++ {
 		user := MetroUser{
 			ID:       u,
 			Home:     u % cfg.Sectors,
 			Scenario: scs[rng.Intn(len(scs))],
 		}
-		user.Handovers = handoverSchedule(rng, user.Scenario, user.Home, cfg.Sectors, cfg.Horizon, cfg.HandoverScale)
+		n := len(trains)
+		trains = handoverSchedule(rng, trains, user.Scenario, user.Home, cfg.Sectors, cfg.Horizon, cfg.HandoverScale)
+		user.Handovers = trains[n:]
 		// Churn draws come strictly after the per-user scenario and handover
 		// draws, and only when churn is enabled: a ChurnFrac-zero config
 		// consumes the exact RNG stream it always did.
@@ -147,6 +154,16 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 			user.Start, user.Stop = churnWindow(rng, cfg.Horizon)
 		}
 		m.Users = append(m.Users, user)
+	}
+	off := 0
+	for i := range m.Users {
+		u := &m.Users[i]
+		if n := len(u.Handovers); n > 0 {
+			u.Handovers = trains[off : off+n : off+n]
+			off += n
+		} else {
+			u.Handovers = nil
+		}
 	}
 	return m, nil
 }
@@ -166,20 +183,20 @@ func churnWindow(rng *rand.Rand, horizon time.Duration) (start, stop time.Durati
 	return start, stop
 }
 
-// handoverSchedule rolls a user's handover train out to the horizon: events
-// spaced around the scenario's HandoverEvery (±50% jitter), each moving to a
-// uniformly chosen different sector with a stall jittered ±30% around
-// HandoverStall. Stationary scenarios (HandoverEvery == 0) never hand over;
-// single-sector metros have nowhere to go.
-func handoverSchedule(rng *rand.Rand, sc Scenario, home, sectors int, horizon time.Duration, scale float64) []Handover {
+// handoverSchedule rolls a user's handover train out to the horizon,
+// appending it to hs: events spaced around the scenario's HandoverEvery
+// (±50% jitter), each moving to a uniformly chosen different sector with a
+// stall jittered ±30% around HandoverStall. Stationary scenarios
+// (HandoverEvery == 0) never hand over; single-sector metros have nowhere to
+// go.
+func handoverSchedule(rng *rand.Rand, hs []Handover, sc Scenario, home, sectors int, horizon time.Duration, scale float64) []Handover {
 	if sc.HandoverEvery <= 0 || sectors < 2 {
-		return nil
+		return hs
 	}
 	every := time.Duration(float64(sc.HandoverEvery) * scale)
 	if every <= 0 {
 		every = time.Millisecond
 	}
-	var hs []Handover
 	cur := home
 	at := time.Duration(0)
 	for {
@@ -199,9 +216,18 @@ func handoverSchedule(rng *rand.Rand, sc Scenario, home, sectors int, horizon ti
 }
 
 // UsersBySector groups user indices by home sector, in user order — the
-// iteration shape the harness builds per-cell flows from.
+// iteration shape the harness builds per-cell flows from. The groups are
+// carved from one slice, each capped at its own end.
 func (m *Metro) UsersBySector() [][]int {
 	by := make([][]int, len(m.Sectors))
+	counts := make([]int, len(m.Sectors))
+	for _, u := range m.Users {
+		counts[u.Home]++
+	}
+	all := make([]int, len(m.Users))
+	for s, n := range counts {
+		by[s], all = all[:0:n], all[n:]
+	}
 	for i, u := range m.Users {
 		by[u.Home] = append(by[u.Home], i)
 	}

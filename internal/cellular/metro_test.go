@@ -127,6 +127,47 @@ func TestHandoverSchedules(t *testing.T) {
 	}
 }
 
+// TestMetroSlicesAreCapped checks the slices NewMetro and UsersBySector carve
+// from one shared array: each handover train and each sector's user list
+// ends at its own capacity, so an append to one copies instead of writing
+// into its neighbour's.
+func TestMetroSlicesAreCapped(t *testing.T) {
+	m, err := NewMetro(MetroConfig{Sectors: 5, Users: 300, Seed: 4, Horizon: 3 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trains := 0
+	for i := range m.Users {
+		u := &m.Users[i]
+		if len(u.Handovers) == 0 {
+			continue
+		}
+		trains++
+		if cap(u.Handovers) != len(u.Handovers) {
+			t.Fatalf("user %d: handover train of %d has capacity %d", u.ID, len(u.Handovers), cap(u.Handovers))
+		}
+	}
+	if trains < 2 {
+		t.Fatalf("degenerate draw: %d users hand over", trains)
+	}
+	by := m.UsersBySector()
+	total := 0
+	for s, users := range by {
+		total += len(users)
+		if cap(users) != len(users) {
+			t.Fatalf("sector %d: %d users in a list of capacity %d", s, len(users), cap(users))
+		}
+		for _, i := range users {
+			if m.Users[i].Home != s {
+				t.Fatalf("sector %d lists user %d, homed on %d", s, i, m.Users[i].Home)
+			}
+		}
+	}
+	if total != len(m.Users) {
+		t.Fatalf("sector lists hold %d users, want %d", total, len(m.Users))
+	}
+}
+
 func TestNewMetroSingleSectorHasNoHandovers(t *testing.T) {
 	m, err := NewMetro(MetroConfig{Sectors: 1, Users: 40, Seed: 5})
 	if err != nil {

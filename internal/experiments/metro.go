@@ -124,7 +124,9 @@ func metroSectorMbps(tech cellular.Tech) float64 {
 
 // metroUserState is the home-cell routing state for one user. Every field is
 // read and written only from the user's home-cell timeline, so sharded
-// execution needs no synchronization.
+// execution needs no synchronization. A trial holds every user's state in
+// one slice, indexed by flow id: the routing receivers and the handover
+// callbacks point into it, so the states cost one allocation, not one each.
 type metroUserState struct {
 	home       int
 	cur        int
@@ -226,12 +228,12 @@ func Metro(opts MetroOptions) (MetroResult, error) {
 // (the stall-then-burst delivery signature).
 type metroHomeRecv struct {
 	sim    *netsim.Sim
-	states []*metroUserState
+	states []metroUserState
 }
 
 // Receive implements netsim.Receiver.
 func (r *metroHomeRecv) Receive(p *netsim.Packet) {
-	st := r.states[p.Flow]
+	st := &r.states[p.Flow]
 	if now := r.sim.Now(); now < st.stallUntil {
 		// The handover stall defers delivery; the wait is fault hold time,
 		// closed by the sink at the release instant.
@@ -249,13 +251,13 @@ type metroBounce struct {
 	s      int
 	mesh   *netsim.Mesh
 	delay  time.Duration
-	states []*metroUserState
+	states []metroUserState
 	home   []*metroHomeRecv
 }
 
 // Receive implements netsim.Receiver.
 func (b *metroBounce) Receive(p *netsim.Packet) {
-	st := b.states[p.Flow]
+	st := &b.states[p.Flow]
 	b.mesh.SendPacket(b.s, st.home, b.delay, b.home[st.home], p)
 }
 
@@ -268,14 +270,14 @@ type metroLinkRecv struct {
 	sim    *netsim.Sim
 	mesh   *netsim.Mesh
 	delay  time.Duration
-	states []*metroUserState
+	states []metroUserState
 	home   []*metroHomeRecv
 	bounce []*metroBounce
 }
 
 // Receive implements netsim.Receiver.
 func (r *metroLinkRecv) Receive(p *netsim.Packet) {
-	st := r.states[p.Flow]
+	st := &r.states[p.Flow]
 	if st.cur == r.s {
 		r.home[r.s].Receive(p)
 		return
@@ -297,7 +299,7 @@ type metroSim struct {
 	seed            int64
 	topo            *cellular.Metro
 	mesh            *netsim.Mesh
-	states          []*metroUserState
+	states          []metroUserState
 	metrics         []*netsim.FlowMetrics
 	sources         []*netsim.Source
 	handoversByCell []int64
@@ -338,7 +340,7 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 		seed:    seed,
 		topo:    topo,
 		mesh:    mesh,
-		states:  make([]*metroUserState, flows),
+		states:  make([]metroUserState, flows),
 		metrics: make([]*netsim.FlowMetrics, flows),
 		sources: make([]*netsim.Source, flows),
 		// Handover counts are kept per home cell — each slot is written only
@@ -377,8 +379,8 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 		for _, ui := range users {
 			u := topo.Users[ui]
 			sim := mesh.Cell(u.Home)
-			st := &metroUserState{home: u.Home, cur: u.Home}
-			m.states[u.ID] = st
+			st := &m.states[u.ID]
+			*st = metroUserState{home: u.Home, cur: u.Home}
 			ctrl := mk.New()
 			observe(opts.Obs, ctrl, seed, u.ID)
 			// Stagger starts so thousands of flows do not slow-start in
@@ -469,7 +471,7 @@ func (m *metroSim) Walk(w snap.Walker) {
 		l.Walk(w)
 	}
 	for id := 0; id < m.flows && w.Err() == nil; id++ {
-		st := m.states[id]
+		st := &m.states[id]
 		w.Int(&st.cur)
 		w.Dur(&st.stallUntil)
 		if w.Loading() && w.Err() == nil && (st.cur < 0 || st.cur >= m.opts.Sectors) {

@@ -173,3 +173,26 @@ func TestQuickMetroOptionsShape(t *testing.T) {
 		t.Errorf("default profile drifted: %+v", d)
 	}
 }
+
+// TestMetroBuildAllocs pins what building a metro trial allocates per flow,
+// at the benchmark's shape: 1000 flows over 8 sectors for 1.5 s, a third of
+// them churning, handovers compressed 50×. Per flow that is the Source, its
+// delay samples, the controller (and Sprout's one belief buffer) and, for a
+// mobile user, each handover's callback; the user states, the handover
+// trains and the per-sector user lists are one slice each. The counts are
+// 4.85 for Verus, 4.86 for Cubic and 5.86 for Sprout (11.16, 10.16 and 13.17 when
+// every user state, sink, metrics block and event was an object of its own);
+// the ceilings leave 10 % headroom.
+func TestMetroBuildAllocs(t *testing.T) {
+	opts := DefaultMetroOptions()
+	opts.Sectors, opts.Duration, opts.ChurnFrac, opts.HandoverScale = 8, 1500*time.Millisecond, 0.3, 0.02
+	const flows = 1000
+	ceiling := map[string]float64{"Verus (R=6)": 5.35, "TCP Cubic": 5.35, "Sprout": 6.45}
+	for _, mk := range metroProtocols() {
+		perFlow := testing.AllocsPerRun(1, func() { metroBuild(opts, mk, flows, 42) }) / flows
+		t.Logf("%s: %.2f allocs per flow", mk.Name, perFlow)
+		if c, ok := ceiling[mk.Name]; !ok || perFlow > c {
+			t.Errorf("%s: metroBuild allocates %.2f times per flow, ceiling %v", mk.Name, perFlow, c)
+		}
+	}
+}

@@ -11,13 +11,16 @@ import (
 // traffic generator behind the paper's §3 measurements (a UDP tool sending
 // at fixed intervals) and the competing-traffic experiment of Fig. 3 (a
 // second user "set to operate in ON/OFF periods of one minute intervals").
+//
+// A CBR is one block, laid out like a Source: its Sink, metrics and events
+// are held by value, and the events reach run and halt through the named
+// types cbrRun and cbrHalt.
 type CBR struct {
 	sim     *Sim
 	flow    int
 	link    Link
 	mtu     int
 	metrics *FlowMetrics
-	sink    *Sink
 
 	interval time.Duration
 	onFor    time.Duration // 0 = always on
@@ -27,7 +30,21 @@ type CBR struct {
 	// runCB is the one self-rescheduling send event and haltCB the stop
 	// event, both registered so pending ones checkpoint.
 	runCB, haltCB callback
+	sink          Sink
+	blk           flowMetricsBlock
 }
+
+// The CBR's events, each a Receiver that runs one CBR method.
+type (
+	cbrRun  CBR
+	cbrHalt CBR
+)
+
+// Receive implements Receiver: the send event.
+func (c *cbrRun) Receive(*Packet) { (*CBR)(c).run() }
+
+// Receive implements Receiver: the stop event.
+func (c *cbrHalt) Receive(*Packet) { (*CBR)(c).halt() }
 
 // NewCBR creates a constant-rate flow of rateMbps using mtu-sized packets,
 // starting at `start` and stopping at `stop` (0 = forever). When onFor and
@@ -41,26 +58,25 @@ func NewCBR(sim *Sim, flow int, link Link, mtu int, rateMbps float64,
 	if mtu <= 0 {
 		panic("netsim: MTU must be positive")
 	}
-	m := NewFlowMetrics(flow)
 	c := &CBR{
 		sim:      sim,
 		flow:     flow,
 		link:     link,
 		mtu:      mtu,
-		metrics:  m,
 		interval: time.Duration(float64(mtu*8) / (rateMbps * 1e6) * float64(time.Second)),
 		onFor:    onFor,
 		offFor:   offFor,
 	}
-	c.sink = &Sink{sim: sim, metrics: m} // no src: CBR needs no ACKs
-	sim.RegisterReceiver(c.sink)
-	sim.register(&c.runCB, c.run)
+	c.metrics = c.blk.init(flow)
+	c.sink = Sink{sim: sim, metrics: c.metrics} // no src: CBR needs no ACKs
+	sim.RegisterReceiver(&c.sink)
+	sim.register(&c.runCB, (*cbrRun)(c))
 	sim.SchedulePacket(start, &c.runCB, nil)
 	if stop > 0 {
-		sim.register(&c.haltCB, c.halt)
+		sim.register(&c.haltCB, (*cbrHalt)(c))
 		sim.SchedulePacket(stop, &c.haltCB, nil)
 	}
-	return c, m
+	return c, c.metrics
 }
 
 // halt ends the flow; it is the registered form of the old stop closure.
@@ -68,7 +84,7 @@ func (c *CBR) halt() { c.stopped = true }
 
 // Sink returns the flow's receiver, to be registered with the link
 // dispatcher.
-func (c *CBR) Sink() Receiver { return c.sink }
+func (c *CBR) Sink() Receiver { return &c.sink }
 
 // Instrument attaches an observer to the flow's sink, as on Source.
 func (c *CBR) Instrument(o *obs.Observer, run int64) {

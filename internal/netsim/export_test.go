@@ -8,3 +8,7 @@ func (m *Mesh) Cells() int { return len(m.cells) }
 func orderKeyParts(key uint64) (cell uint32, seq uint64) {
 	return uint32(key >> cellSeqBits), key & cellSeqMask
 }
+
+// newFlowMetrics returns zeroed metrics for a flow in a block of their own,
+// for tests that assemble a Source field by field.
+func newFlowMetrics(flow int) *FlowMetrics { return new(flowMetricsBlock).init(flow) }

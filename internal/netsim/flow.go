@@ -27,7 +27,8 @@ type FlowMetrics struct {
 }
 
 // flowMetricsBlock is a flow's metrics and the three series they point at,
-// laid out as one object so a flow's metrics cost one allocation, not four.
+// laid out as one object so a flow's metrics cost no allocation of their own:
+// a Source or a CBR holds its block by value.
 type flowMetricsBlock struct {
 	m   FlowMetrics
 	tp  stats.ThroughputSeries
@@ -35,12 +36,10 @@ type flowMetricsBlock struct {
 	dot stats.WindowedMean
 }
 
-// NewFlowMetrics returns zeroed metrics for a flow: one allocation for the
-// metrics and their series, one for the delay summary's sample buffer. The
-// constructors inline, so copying their results into the block allocates
-// nothing of its own (TestNewFlowMetricsAllocs pins the two).
-func NewFlowMetrics(flow int) *FlowMetrics {
-	b := &flowMetricsBlock{}
+// init sets b to zeroed metrics for a flow and returns them. The one
+// allocation is the delay summary's sample buffer: the constructors inline,
+// so copying their results into the block allocates nothing of its own.
+func (b *flowMetricsBlock) init(flow int) *FlowMetrics {
 	b.tp = *stats.NewThroughputSeries(time.Second)
 	// A modest capacity hint: at 100k-flow metro scale each flow sees few
 	// packets, and Summary grows on demand anyway — a large hint here
@@ -392,6 +391,12 @@ func (h *Host) walk(w snap.Walker, flow int) {
 
 // Source is a full-buffer sender in the simulation: a Host driven by the
 // simulator's timers, sending on a link and acked by its Sink.
+//
+// A Source is one block: it holds its Sink, its metrics, its timers and its
+// start and stop events by value, and registers itself with each event
+// through a pointer conversion to a named type (sourceStart, sourceStop,
+// sourceTick, sourceRTO) whose Receive calls the matching method, so no
+// event boxes a method value.
 type Source struct {
 	Host
 	sim  *Sim
@@ -406,12 +411,33 @@ type Source struct {
 	// tickTimer and rtoTimer are the controller tick and the RTO poll, armed
 	// in place when start fires.
 	tickTimer, rtoTimer timer
-	sink                *Sink
 	// startCB and stopCB are the registered start and stop events. The
 	// timers armed when start fires derive their ids from startCB's
 	// construction-order id (see snapshot.go).
 	startCB, stopCB callback
+	sink            Sink
+	blk             flowMetricsBlock
 }
+
+// The Source's events, each a Receiver that runs one Source method.
+type (
+	sourceStart Source
+	sourceStop  Source
+	sourceTick  Source
+	sourceRTO   Source
+)
+
+// Receive implements Receiver: the start event.
+func (s *sourceStart) Receive(*Packet) { (*Source)(s).start() }
+
+// Receive implements Receiver: the stop event.
+func (s *sourceStop) Receive(*Packet) { (*Source)(s).Stop() }
+
+// Receive implements Receiver: the controller tick.
+func (s *sourceTick) Receive(*Packet) { (*Source)(s).onTick() }
+
+// Receive implements Receiver: the RTO poll.
+func (s *sourceRTO) Receive(*Packet) { (*Source)(s).checkRTO() }
 
 // Derived-id slots for the timers a Source arms mid-run.
 const (
@@ -422,24 +448,25 @@ const (
 // NewSource wires a controller into the simulation. The flow starts sending
 // at `start` and stops at `stop` (0 = run forever). ackDelay is the
 // reverse-path one-way delay, which together with the link's forward
-// propagation delay forms the flow's base RTT.
+// propagation delay forms the flow's base RTT. It allocates the Source and
+// the delay summary's sample buffer, nothing else (TestNewSourceAllocs).
 func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 	ackDelay, start, stop time.Duration) (*Source, *FlowMetrics) {
 	if mtu <= 0 {
 		panic("netsim: MTU must be positive")
 	}
-	m := NewFlowMetrics(flow)
-	s := &Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu, metrics: m}
-	s.sink = &Sink{sim: sim, metrics: m, ackDelay: ackDelay, src: s}
-	sim.register(&s.startCB, s.start)
+	s := &Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu}
+	s.metrics = s.blk.init(flow)
+	s.sink = Sink{sim: sim, metrics: s.metrics, ackDelay: ackDelay, src: s}
+	sim.register(&s.startCB, (*sourceStart)(s))
 	sim.RegisterReceiver(s)
-	sim.RegisterReceiver(s.sink)
+	sim.RegisterReceiver(&s.sink)
 	sim.SchedulePacket(start, &s.startCB, nil)
 	if stop > 0 {
-		sim.register(&s.stopCB, s.Stop)
+		sim.register(&s.stopCB, (*sourceStop)(s))
 		sim.SchedulePacket(stop, &s.stopCB, nil)
 	}
-	return s, m
+	return s, s.metrics
 }
 
 // start begins transmission: it arms the controller tick and RTO timers under
@@ -449,9 +476,9 @@ func (s *Source) start() {
 	s.started = true
 	s.lastProg = s.sim.Now()
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.sim.arm(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, s.onTick)
+		s.sim.arm(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, (*sourceTick)(s))
 	}
-	s.sim.arm(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
+	s.sim.arm(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, (*sourceRTO)(s))
 	s.trySend()
 }
 
@@ -473,7 +500,7 @@ func (s *Source) Stop() {
 
 // Sink returns the flow's receiver, to be registered with the link
 // dispatcher.
-func (s *Source) Sink() Receiver { return s.sink }
+func (s *Source) Sink() Receiver { return &s.sink }
 
 // Instrument attaches an observer to the flow's sink: each delivery emits a
 // net.attrib event carrying the packet's delay decomposition and feeds the
@@ -545,10 +572,10 @@ func (m *FlowMetrics) Walk(w snap.Walker) {
 
 // walkSender visits the sender protocol state: the host's, then the
 // Source's own flags.
-func (s *Source) walkSender(w snap.Walker) {
-	s.Host.walk(w, s.flow)
-	w.Bool(&s.stopped)
-	w.Bool(&s.started)
+func walkSender(w snap.Walker, h *Host, stopped, started *bool, flow int) {
+	h.walk(w, flow)
+	w.Bool(stopped)
+	w.Bool(started)
 }
 
 // Walk implements snap.Walkable: sender protocol state, the flow's metrics,
@@ -570,15 +597,17 @@ func (s *Source) Walk(w snap.Walker) {
 		return
 	}
 	if w.Loading() {
-		tmp := *s
-		tmp.inflight = scoreboard{}
-		tmp.walkSender(w)
+		tmp := struct {
+			h                Host
+			stopped, started bool
+		}{h: Host{ctrl: s.ctrl}}
+		walkSender(w, &tmp.h, &tmp.stopped, &tmp.started, s.flow)
 		if w.Err() != nil {
 			return
 		}
-		*s = tmp
+		s.Host, s.stopped, s.started = tmp.h, tmp.stopped, tmp.started
 	} else {
-		s.walkSender(w)
+		walkSender(w, &s.Host, &s.stopped, &s.started, s.flow)
 	}
 	s.metrics.Walk(w)
 	cs.Walk(w)
@@ -586,7 +615,7 @@ func (s *Source) Walk(w snap.Walker) {
 		return
 	}
 	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.sim.restoreTimer(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, s.onTick, s.stopped)
+		s.sim.restoreTimer(&s.tickTimer, derivedID(s.startCB.id, slotSourceTick), iv, (*sourceTick)(s), s.stopped)
 	}
-	s.sim.restoreTimer(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
+	s.sim.restoreTimer(&s.rtoTimer, derivedID(s.startCB.id, slotSourceRTO), 10*time.Millisecond, (*sourceRTO)(s), s.stopped)
 }

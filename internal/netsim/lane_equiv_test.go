@@ -205,7 +205,7 @@ func (m *laneModel) addTimer(interval time.Duration) {
 	lt := &laneTimer{m: m, label: laneTimerLabel - int64(len(m.timers)), id: -1 - int64(len(m.timers)), interval: interval}
 	m.timers = append(m.timers, lt)
 	if m.tagged {
-		m.s.arm(&lt.tm, lt.id, interval, lt.tick)
+		m.s.arm(&lt.tm, lt.id, interval, thunk(lt.tick))
 		lt.stop = func() { lt.tm.stopped = true }
 	} else {
 		lt.stop = m.s.Every(interval, lt.tick)
@@ -298,7 +298,7 @@ func (m *laneModel) checkpoint() {
 	m.build()
 	m.s.WalkState(snap.Load(d))
 	for _, lt := range m.timers {
-		m.s.restoreTimer(&lt.tm, lt.id, lt.interval, lt.tick, lt.stopped)
+		m.s.restoreTimer(&lt.tm, lt.id, lt.interval, thunk(lt.tick), lt.stopped)
 	}
 	m.s.WalkHeap(snap.Load(d))
 	if err := d.Err(); err != nil {

@@ -133,6 +133,12 @@ type FixedLink struct {
 	served  callback
 }
 
+// fixedLinkServed is the FixedLink's serialization-complete event.
+type fixedLinkServed FixedLink
+
+// Receive implements Receiver.
+func (l *fixedLinkServed) Receive(*Packet) { (*FixedLink)(l).onServed() }
+
 // NewFixedLink returns a link serving q at rateMbps with the given one-way
 // propagation delay, delivering to dst.
 func NewFixedLink(sim *Sim, q Queue, rateMbps float64, prop time.Duration, dst Receiver, seed int64) *FixedLink {
@@ -151,7 +157,7 @@ func NewFixedLink(sim *Sim, q Queue, rateMbps float64, prop time.Duration, dst R
 		},
 		rateBps: rateMbps * 1e6,
 	}
-	sim.register(&l.served, l.onServed)
+	sim.register(&l.served, (*fixedLinkServed)(l))
 	return l
 }
 
@@ -222,6 +228,12 @@ type TraceLink struct {
 	WastedBytes int64
 }
 
+// traceLinkOp is the TraceLink's delivery-opportunity event.
+type traceLinkOp TraceLink
+
+// Receive implements Receiver.
+func (l *traceLinkOp) Receive(*Packet) { (*TraceLink)(l).runOp() }
+
 // NewTraceLink returns a link that replays tr. When loop is true the trace
 // repeats indefinitely; otherwise the channel goes silent when the trace
 // ends.
@@ -242,7 +254,7 @@ func NewTraceLink(sim *Sim, q Queue, tr *trace.Trace, prop time.Duration, dst Re
 		tr:   tr,
 		loop: loop,
 	}
-	sim.register(&l.op, l.runOp)
+	sim.register(&l.op, (*traceLinkOp)(l))
 	l.scheduleOp(0, 0)
 	return l
 }

@@ -224,8 +224,8 @@ func runScoreboardTrial(t *testing.T, seed int64, acks int) (delivered int, m *F
 	sim := NewSim()
 	newCtrl, refCtrl := &recCtrl{w: 1}, &recCtrl{w: 1}
 	newLink, refLink := &sinkholeLink{sim: sim}, &sinkholeLink{sim: sim}
-	src := &Source{Host: Host{ctrl: newCtrl}, sim: sim, link: newLink, mtu: scoreboardMTU, metrics: NewFlowMetrics(0), started: true}
-	ref := &refSource{Source: Source{Host: Host{ctrl: refCtrl}, sim: sim, link: refLink, mtu: scoreboardMTU, metrics: NewFlowMetrics(0), started: true}}
+	src := &Source{Host: Host{ctrl: newCtrl}, sim: sim, link: newLink, mtu: scoreboardMTU, metrics: newFlowMetrics(0), started: true}
+	ref := &refSource{Source: Source{Host: Host{ctrl: refCtrl}, sim: sim, link: refLink, mtu: scoreboardMTU, metrics: newFlowMetrics(0), started: true}}
 
 	step := 0
 	compare := func(what string) {
@@ -379,7 +379,7 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	}
 	encode := func(inflight []refOutstanding) *snap.Decoder {
 		donor := &refSource{
-			Source:   Source{Host: Host{ctrl: &recCtrl{w: 4}, nextSeq: nextSeq, srtt: 20 * time.Millisecond}, metrics: NewFlowMetrics(0)},
+			Source:   Source{Host: Host{ctrl: &recCtrl{w: 4}, nextSeq: nextSeq, srtt: 20 * time.Millisecond}, metrics: newFlowMetrics(0)},
 			inflight: inflight,
 		}
 		e := snap.NewEncoder()
@@ -388,7 +388,7 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	}
 	// target is a sender mid-flight, so an overwrite by a rejected snapshot shows.
 	target := func() *Source {
-		s := &Source{Host: Host{ctrl: &recCtrl{}, nextSeq: 77, srtt: time.Second}, sim: NewSim(), metrics: NewFlowMetrics(0)}
+		s := &Source{Host: Host{ctrl: &recCtrl{}, nextSeq: 77, srtt: time.Second}, sim: NewSim(), metrics: newFlowMetrics(0)}
 		s.inflight.push(outstanding{seq: 70})
 		return s
 	}

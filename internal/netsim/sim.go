@@ -43,16 +43,19 @@ type thunk func()
 func (f thunk) Receive(*Packet) { f() }
 
 // callback is a long-lived callback registered under id, so a pending event
-// that fires it checkpoints (see snapshot.go). Its owner embeds it, or
-// RegisterFunc carves it from the registry's arena, and the registry keeps a
-// pointer to it: registering boxes nothing.
+// that fires it checkpoints (see snapshot.go); firing it delivers nil to r.
+// Its owner embeds it and passes itself as r through a pointer conversion to
+// a named type (a Source's start is a *sourceStart), or RegisterFunc carves
+// it from the registry's arena with a thunk as r. The registry keeps a
+// pointer to the callback, and r is pointer-shaped: registering boxes
+// nothing.
 type callback struct {
-	fn func()
+	r  Receiver
 	id int64
 }
 
 // Receive implements Receiver.
-func (c *callback) Receive(*Packet) { c.fn() }
+func (c *callback) Receive(*Packet) { c.r.Receive(nil) }
 
 // cellSeqBits is the width of the cell-local counter inside a composite
 // order key: 2^44 ≈ 1.7e13 events per cell before overflow, with the
@@ -77,17 +80,18 @@ func orderKey(cell uint32, seq uint64) uint64 {
 	return uint64(cell)<<cellSeqBits | seq
 }
 
-// timer is the state of one recurring registration: a receiver that runs fn
-// and re-arms itself one interval on, claiming a fresh order key after fn
-// returns, so one timer serves the registration's lifetime. A component
-// holds its timers by value and arms them in place (arm), so arming
-// allocates nothing; Every allocates one for callers that own none. id is
+// timer is the state of one recurring registration: a receiver that
+// delivers nil to r and re-arms itself one interval on, claiming a fresh
+// order key after r returns, so one timer serves the registration's
+// lifetime. A component holds its timers by value and arms them in place
+// (arm) with a typed conversion of itself as r, so arming allocates nothing;
+// Every allocates one, with a thunk as r, for callers that own none. id is
 // its registry id (zero for Every, which cannot be checkpointed). Setting
 // stopped ends the registration: a pending tick drains without firing.
 type timer struct {
 	s        *Sim
 	interval time.Duration
-	fn       func()
+	r        Receiver
 	stopped  bool
 	id       int64
 }
@@ -97,7 +101,7 @@ func (t *timer) Receive(*Packet) {
 	if t.stopped {
 		return
 	}
-	t.fn()
+	t.r.Receive(nil)
 	if !t.stopped {
 		t.s.pushFixed(t.interval, event{at: t.s.now + t.interval, seq: t.s.nextKey(), r: t})
 	}
@@ -365,19 +369,20 @@ func (s *Sim) Schedule(at time.Duration, fn func()) { s.SchedulePacket(at, thunk
 // steady-state ticking allocates nothing.
 func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
 	t := &timer{}
-	s.arm(t, 0, interval, fn)
+	s.arm(t, 0, interval, thunk(fn))
 	return func() { t.stopped = true }
 }
 
 // arm starts the caller-owned timer t, overwriting whatever it held: its
-// first tick is one interval from now. A nonzero id registers t in this
-// Sim's snapshot registry, making its pending tick serializable; zero leaves
-// it unregistered. t must not move while it is armed.
-func (s *Sim) arm(t *timer, id int64, interval time.Duration, fn func()) {
+// first tick, a delivery of nil to r, is one interval from now. A nonzero id
+// registers t in this Sim's snapshot registry, making its pending tick
+// serializable; zero leaves it unregistered. t must not move while it is
+// armed.
+func (s *Sim) arm(t *timer, id int64, interval time.Duration, r Receiver) {
 	if interval <= 0 {
 		panic("netsim: Every interval must be positive")
 	}
-	*t = timer{s: s, interval: interval, fn: fn, id: id}
+	*t = timer{s: s, interval: interval, r: r, id: id}
 	if id != 0 {
 		s.reg.add(id, t)
 	}

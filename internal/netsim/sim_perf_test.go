@@ -185,7 +185,7 @@ func TestFixedDelayHopZeroAllocs(t *testing.T) {
 func TestSourceAckZeroAllocs(t *testing.T) {
 	sim := NewSim()
 	link := &sinkholeLink{sim: sim}
-	src := &Source{Host: Host{ctrl: &fixedWindow{w: 4096}}, sim: sim, link: link, mtu: 1400, metrics: NewFlowMetrics(0), started: true}
+	src := &Source{Host: Host{ctrl: &fixedWindow{w: 4096}}, sim: sim, link: link, mtu: 1400, metrics: newFlowMetrics(0), started: true}
 	src.trySend()
 	next := int64(0)
 	ackOnce := func() {
@@ -233,49 +233,69 @@ func TestRegisteredCallbackZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestArmTimersAllocs pins the Source's timers inside their owner: starting
-// a flow arms its tick and RTO timers in place, so the only allocations left
-// are the two method values the timers call. The registry map and the lanes
-// are sized beforehand, so their amortized growth stays out of the count.
-func TestArmTimersAllocs(t *testing.T) {
+// TestNewSourceAllocs pins a flow's sender at two allocations, the Source
+// and its delay summary's sample buffer: the Source holds its sink, metrics,
+// timers and events by value and registers itself through typed receivers,
+// so no event boxes a method value (the count was 6 when it did). Firing the
+// flow's first events allocates nothing: start arms the tick and RTO timers
+// in place, and a tick and an RTO poll reach the Source through the same
+// receivers. The registry maps, the heap and the lanes are sized beforehand,
+// so their amortized growth stays out of the counts.
+func TestNewSourceAllocs(t *testing.T) {
 	const runs = 100
 	sim := NewSim()
 	sim.reg.recvs = make(map[int64]Receiver, 8*(runs+1))
+	sim.reg.recvIDs = make(map[Receiver]int64, 4*(runs+1))
+	sim.events = make([]event, 0, 4*(runs+1))
 	for _, iv := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond} {
-		for i := 0; i <= runs; i++ {
+		for i := 0; i <= 2*runs+1; i++ {
 			sim.Every(iv, func() {})() // open and size the lane, then stop
 		}
 	}
 	sim.Run(time.Second)
 	link := NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, ReceiverFunc(sim.FreePacket), 1)
+	ctrls := make([]fixedWindow, runs+1)
 	srcs := make([]*Source, runs+1)
-	for i := range srcs {
-		// Window zero: start arms the timers and sends nothing.
-		srcs[i], _ = NewSource(sim, i, &fixedWindow{tick: 5 * time.Millisecond}, link, 1400, time.Millisecond, time.Hour, 0)
-	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		srcs[next].start()
+		// Window zero: start arms the timers and sends nothing.
+		ctrls[next].tick = 5 * time.Millisecond
+		srcs[next], _ = NewSource(sim, next, &ctrls[next], link, 1400, time.Millisecond, time.Hour, 2*time.Hour)
 		next++
 	})
 	if allocs > 2 {
-		t.Errorf("arming a Source's two timers: %v allocs, want at most its 2 method values", allocs)
+		t.Errorf("NewSource: %v allocs, want at most 2 (the Source and the delay summary's buffer)", allocs)
 	}
-	if n := sim.Pending(); n < 2*(runs+1) {
+	next = 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		s := srcs[next]
+		s.startCB.Receive(nil)
+		s.tickTimer.Receive(nil)
+		s.rtoTimer.Receive(nil)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("firing a Source's start, tick and RTO poll: %v allocs, want 0", allocs)
+	}
+	if n := sim.Pending(); n < 6*(runs+1) {
 		t.Fatalf("%d events pending after %d starts; the timers did not arm", n, runs+1)
+	}
+	if ctrls[0].ticks != 1 {
+		t.Fatalf("controller ticked %d times, want 1", ctrls[0].ticks)
 	}
 }
 
-// flowMetricsSink keeps NewFlowMetrics' result on the heap under AllocsPerRun.
+// flowMetricsSink keeps newFlowMetrics' result on the heap under AllocsPerRun.
 var flowMetricsSink *FlowMetrics
 
 // TestNewFlowMetricsAllocs pins a flow's metrics at two allocations: the
 // block holding the metrics and their three series, and the delay summary's
-// sample buffer.
+// sample buffer. A Source or a CBR holds the block by value and pays only
+// the buffer.
 func TestNewFlowMetricsAllocs(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() { flowMetricsSink = NewFlowMetrics(1) })
+	allocs := testing.AllocsPerRun(100, func() { flowMetricsSink = newFlowMetrics(1) })
 	if allocs > 2 {
-		t.Errorf("NewFlowMetrics: %v allocs, want at most 2", allocs)
+		t.Errorf("newFlowMetrics: %v allocs, want at most 2", allocs)
 	}
 }
 
@@ -283,7 +303,9 @@ func TestNewFlowMetricsAllocs(t *testing.T) {
 // allocates, so a registered callback cannot quietly turn back into a box of
 // its own per registration, nor a flow's metrics into one object per series.
 // The count was 17 before callbacks were embedded in their owners, 15 before
-// a flow's metrics became one block, and is 12 now; the ceiling is 13.
+// a flow's metrics became one block, 12 before events reached their owners
+// through typed receivers and a Source became one block, and is 7 now; the
+// ceiling is 8.
 func TestConstructionAllocCeiling(t *testing.T) {
 	sim := NewSim()
 	q := NewDropTail(1 << 20)
@@ -292,7 +314,7 @@ func TestConstructionAllocCeiling(t *testing.T) {
 		link := NewFixedLink(sim, q, 100, time.Millisecond, release, 1)
 		NewSource(sim, 1, &fixedWindow{w: 4}, link, 1400, time.Millisecond, time.Second, 2*time.Second)
 	})
-	if allocs > 13 {
-		t.Errorf("NewFixedLink + NewSource: %v allocs, ceiling 13", allocs)
+	if allocs > 8 {
+		t.Errorf("NewFixedLink + NewSource: %v allocs, ceiling 8", allocs)
 	}
 }

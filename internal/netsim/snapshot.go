@@ -93,11 +93,12 @@ func (s *Sim) RegisterReceiver(r Receiver) int64 {
 	return id
 }
 
-// register binds the callback c, embedded in its long-lived owner, to fn
-// under a fresh construction-order id. The registry keeps c itself, so
-// registering allocates nothing beyond fn.
-func (s *Sim) register(c *callback, fn func()) {
-	c.fn, c.id = fn, s.nextID()
+// register binds the callback c, embedded in its long-lived owner, to r
+// under a fresh construction-order id: firing c delivers nil to r. The owner
+// passes a typed conversion of itself as r, and the registry keeps c itself,
+// so registering allocates nothing.
+func (s *Sim) register(c *callback, r Receiver) {
+	c.r, c.id = r, s.nextID()
 	s.reg.add(c.id, c)
 }
 
@@ -105,8 +106,9 @@ func (s *Sim) register(c *callback, fn func()) {
 // and returns it as a Receiver: SchedulePacket(at, r, nil) then schedules it
 // checkpointably. Call it once per callback at construction time and keep
 // the receiver — each call draws a fresh id. The callback comes from a
-// per-Sim arena, so a call allocates nothing beyond fn: ScheduleTracked
-// registers one per metro handover, where a box each would show.
+// per-Sim arena and holds fn as a thunk, which is pointer-shaped, so a call
+// allocates nothing beyond fn: ScheduleTracked registers one per metro
+// handover, where a box each would show.
 func (s *Sim) RegisterFunc(fn func()) Receiver {
 	r := &s.reg
 	if len(r.cbs) == cap(r.cbs) {
@@ -114,7 +116,7 @@ func (s *Sim) RegisterFunc(fn func()) Receiver {
 	}
 	r.cbs = r.cbs[:len(r.cbs)+1]
 	c := &r.cbs[len(r.cbs)-1]
-	s.register(c, fn)
+	s.register(c, thunk(fn))
 	return c
 }
 
@@ -129,8 +131,8 @@ func (s *Sim) ScheduleTracked(at time.Duration, fn func()) {
 // restoreTimer re-creates a component's timer t in place during a load: t is
 // registered under id so the heap load can resolve pending tick events, but
 // nothing is pushed — the pending tick, if any, arrives with the heap.
-func (s *Sim) restoreTimer(t *timer, id int64, interval time.Duration, fn func(), stopped bool) {
-	*t = timer{s: s, interval: interval, fn: fn, stopped: stopped, id: id}
+func (s *Sim) restoreTimer(t *timer, id int64, interval time.Duration, r Receiver, stopped bool) {
+	*t = timer{s: s, interval: interval, r: r, stopped: stopped, id: id}
 	s.reg.add(id, t)
 }
 

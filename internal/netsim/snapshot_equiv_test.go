@@ -220,7 +220,7 @@ func TestHeapLoadRejectsKindMismatch(t *testing.T) {
 		recvID = s.RegisterReceiver(&collector{sim: s})
 		cbID = s.RegisterFunc(func() {}).(*callback).id
 		timerID = derivedID(cbID, 1)
-		s.restoreTimer(&timer{}, timerID, time.Millisecond, func() {}, false)
+		s.restoreTimer(&timer{}, timerID, time.Millisecond, thunk(func() {}), false)
 		return s, recvID, cbID, timerID
 	}
 	load := func(kind uint8, id int64) (*Sim, error) {

@@ -10,8 +10,8 @@
 // cubic coefficients are precomputed at fit time, a cursor-style Evaluator
 // steps the segment index incrementally across a monotone scan in either
 // direction (O(n + steps) instead of O(steps·log n)), and RefitSorted
-// rebuilds a spline in place with zero allocations once its buffers are
-// warm. Every coefficient is computed with the exact floating-point
+// rebuilds a spline in place with zero allocations once its one backing
+// array is warm. Every coefficient is computed with the exact floating-point
 // expressions the original per-call Eval used, so evaluation results are
 // bit-identical to the naive formulation (the equivalence tests pin this).
 package spline
@@ -35,15 +35,20 @@ type Spline struct {
 	// Precomputed per-segment cubic coefficients (len n-1). The value on
 	// segment i at x is ys[i] + dx*(b[i] + dx*(c[i] + dx*d[i])) with
 	// dx = ((x-xs[i])/h[i])*h[i] — the same operation sequence as computing
-	// the coefficients inline at every call, hoisted to fit time.
+	// the coefficients inline at every call, hoisted to fit time. Before
+	// that, the tridiagonal solve uses the four rows as its workspace.
 	h, b, c, d []float64
 
 	// Endpoint slopes for linear extrapolation beyond the knot range.
 	slopeLo, slopeHi float64
 
-	// Tridiagonal-solve workspace, reused across refits.
-	scratch []float64
+	// buf backs the seven slices above: one region of cap(buf)/rows floats
+	// each, so a refit that outgrows it allocates once, not once per slice.
+	buf []float64
 }
+
+// rows is the number of regions carved from a spline's backing array.
+const rows = 7
 
 // ErrTooFewPoints is returned when fewer than two distinct x values are
 // provided.
@@ -67,9 +72,10 @@ func Fit(xs, ys []float64) (*Spline, error) {
 
 // RefitSorted refits the spline in place through points whose x values are
 // strictly increasing (the delay profiler's knot store maintains exactly
-// that invariant). All internal buffers are reused, so a refit at or below
-// the high-water-mark point count performs no allocation. The fitted curve
-// is identical — bit for bit — to Fit on the same points.
+// that invariant). The backing array is reused, so a refit at or below the
+// high-water-mark point count performs no allocation, and one above it
+// allocates once. The fitted curve is identical — bit for bit — to Fit on
+// the same points.
 func (s *Spline) RefitSorted(xs, ys []float64) error {
 	if len(xs) != len(ys) {
 		return errors.New("spline: xs and ys length mismatch")
@@ -82,36 +88,39 @@ func (s *Spline) RefitSorted(xs, ys []float64) error {
 			return errors.New("spline: RefitSorted requires strictly increasing x")
 		}
 	}
-	s.xs = append(s.xs[:0], xs...)
-	s.ys = append(s.ys[:0], ys...)
-	s.refitSorted(s.xs, s.ys)
+	s.refitSorted(xs, ys)
 	return nil
 }
 
-// refitSorted installs the (sorted, distinct) knots and computes the solve
-// plus all per-segment coefficients. The slices are adopted, not copied.
+// refitSorted copies in the (sorted, distinct) knots and computes the solve
+// plus all per-segment coefficients.
 func (s *Spline) refitSorted(x, y []float64) {
 	n := len(x)
-	s.xs, s.ys = x, y
-	s.m = growFloats(s.m, n)
-	for i := range s.m {
-		s.m[i] = 0
-	}
+	s.carve(n)
+	copy(s.xs, x)
+	copy(s.ys, y)
+	clear(s.m)
 	if n > 2 {
 		s.solveNatural()
 	}
 	s.computeSegments()
 }
 
-// growFloats returns a slice of length n, reusing buf's storage when it is
-// large enough. A new slice at least doubles the capacity, so a profile that
-// gains knots one at a time reallocates O(log n) times, not n times. What buf
-// held is not carried over: every caller overwrites the slice.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n, max(2*cap(buf), n))
+// carve cuts the knot rows (xs, ys, m) at length n and the segment rows
+// (h, b, c, d) at n-1 from the backing array, each region capped at its own
+// end. A backing too small for n knots is replaced by one for at least twice
+// as many, so a profile that gains knots one at a time reallocates O(log n)
+// times. What the old backing held is not carried over: a refit overwrites
+// every row.
+func (s *Spline) carve(n int) {
+	k := cap(s.buf) / rows
+	if k < n {
+		k = max(2*k, n)
+		s.buf = make([]float64, rows*k)
 	}
-	return buf[:n]
+	region := func(i, l int) []float64 { return s.buf[i*k : i*k+l : (i+1)*k] }
+	s.xs, s.ys, s.m = region(0, n), region(1, n), region(2, n)
+	s.h, s.b, s.c, s.d = region(3, n-1), region(4, n-1), region(5, n-1), region(6, n-1)
 }
 
 // dedupe sorts points by x and averages the y values of duplicate x.
@@ -138,17 +147,15 @@ func dedupe(xs, ys []float64) (x, y []float64) {
 
 // solveNatural fills s.m with the second derivatives of the natural cubic
 // spline through the knots via the standard tridiagonal (Thomas) solve. The
-// a/b/c/d bands live in s.scratch; every entry the elimination reads is
-// written by the setup loop first, so stale scratch contents are harmless.
+// a/b/c/d bands live in the four coefficient rows, which computeSegments
+// overwrites afterwards; the bands use indices 1..n-2, within the rows'
+// n-1, and every entry the elimination reads is written by the setup loop
+// first, so stale contents are harmless.
 func (s *Spline) solveNatural() {
 	x, y, m := s.xs, s.ys, s.m
 	n := len(x)
-	s.scratch = growFloats(s.scratch, 4*n)
 	// Subdiagonal a, diagonal b, superdiagonal c, rhs d — for interior knots.
-	a := s.scratch[0:n]
-	b := s.scratch[n : 2*n]
-	c := s.scratch[2*n : 3*n]
-	d := s.scratch[3*n : 4*n]
+	a, b, c, d := s.h, s.b, s.c, s.d
 	for i := 1; i < n-1; i++ {
 		h0 := x[i] - x[i-1]
 		h1 := x[i+1] - x[i]
@@ -174,10 +181,6 @@ func (s *Spline) solveNatural() {
 // and slopeAt used per call.
 func (s *Spline) computeSegments() {
 	n := len(s.xs)
-	s.h = growFloats(s.h, n-1)
-	s.b = growFloats(s.b, n-1)
-	s.c = growFloats(s.c, n-1)
-	s.d = growFloats(s.d, n-1)
 	for i := 0; i < n-1; i++ {
 		h := s.xs[i+1] - s.xs[i]
 		s.h[i] = h

@@ -277,11 +277,15 @@ func New(cfg Config) *Sprout {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	// The three rows share one buffer, each capped at its own end. With the
+	// tables shared per Config, a controller is two allocations.
+	n := cfg.Bins
+	buf := make([]float64, 3*n)
 	s := &Sprout{
 		tables: tablesFor(cfg),
-		belief: make([]float64, cfg.Bins),
-		next:   make([]float64, cfg.Bins),
-		ahead:  make([]float64, cfg.Bins),
+		belief: buf[:n:n],
+		next:   buf[n : 2*n : 2*n],
+		ahead:  buf[2*n:],
 	}
 	s.resetBelief()
 	// A modest initial window lets the first ticks gather observations.

@@ -941,8 +941,8 @@ func TestNewConcurrentSharesTables(t *testing.T) {
 	if second := New(DefaultConfig()); second.tables != first.tables {
 		t.Errorf("two controllers of one Config hold different tables")
 	}
-	if n := testing.AllocsPerRun(100, func() { New(DefaultConfig()) }); n > 4 {
-		t.Errorf("New: %v allocs/run after the first controller, want at most 4 (struct, belief, two buffers)", n)
+	if n := testing.AllocsPerRun(100, func() { New(DefaultConfig()) }); n > 2 {
+		t.Errorf("New: %v allocs/run after the first controller, want at most 2 (the struct and the one buffer its three rows share)", n)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // benchProfile builds a delay profile with n knots at windows 1..n, refit
 // and ready for lookups — the steady state of a long-running flow.
 func benchProfile(n int) *delayProfile {
-	p := newDelayProfile()
+	p := &delayProfile{}
 	for w := 1; w <= n; w++ {
 		p.update(w, 0.02+0.0004*math.Pow(float64(w), 1.3), 1)
 	}

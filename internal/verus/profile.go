@@ -45,10 +45,6 @@ type delayProfile struct {
 	xs, ys []float64
 }
 
-func newDelayProfile() *delayProfile {
-	return &delayProfile{}
-}
-
 // numPoints returns the current knot count.
 func (p *delayProfile) numPoints() int { return len(p.wins) }
 

@@ -146,7 +146,7 @@ func forwardScan(spl *spline.Spline, maxW int, target, hi float64) (w float64, f
 func TestProfileMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		p := newDelayProfile()
+		p := &delayProfile{}
 		p.staleAfter = 40
 		ref := newRefProfile(0.875)
 		ref.staleAfter = 40
@@ -248,7 +248,7 @@ func TestProfileLookupZeroAllocs(t *testing.T) {
 // is stale, and the two lowest-window knots are the survivors (deletion
 // scans ascending).
 func TestProfileStaleAgingFloor(t *testing.T) {
-	p := newDelayProfile()
+	p := &delayProfile{}
 	p.staleAfter = 5
 	for w := 1; w <= 10; w++ {
 		p.update(w, float64(w)*0.01, 1)
@@ -270,7 +270,7 @@ func TestProfileStaleAgingFloor(t *testing.T) {
 // oracleProfile builds one seeded profile for the lookup oracle: a random
 // subset of the windows 1..span as knots, under one of six delay shapes.
 func oracleProfile(rng *rand.Rand, shape, span int) *delayProfile {
-	p := newDelayProfile()
+	p := &delayProfile{}
 	knots := 2 + rng.Intn(min(span-1, 300))
 	level := 0.01 + rng.Float64()*0.1
 	for _, i := range rng.Perm(span)[:knots] {

@@ -178,7 +178,7 @@ type Verus struct {
 	cfg Config
 
 	st      state
-	profile *delayProfile
+	profile delayProfile
 
 	// Delay estimator state (Eq. 2/3). Delays in seconds.
 	epochMax   float64 // max delay observed in the current epoch
@@ -259,7 +259,6 @@ func New(cfg Config) *Verus {
 	v := &Verus{
 		cfg:           cfg,
 		st:            stateSlowStart,
-		profile:       newDelayProfile(),
 		ssW:           1,
 		ssCap:         math.Inf(1),
 		w:             1,
