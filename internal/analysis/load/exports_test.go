@@ -24,7 +24,6 @@ var testOnlyAllowed = map[string]string{
 	"repro/internal/cellular.Tech.String":           "fmt calls it: trace names and the metro render format a Tech with %s",
 	"repro/internal/cellular.Operator.String":       "fmt calls it: trace names format an Operator with %s",
 	"repro/internal/faults.EventKind.String":        "fmt calls it: Plan.Validate formats an event's Kind with %s",
-	"repro/internal/obs.MetricKind.String":          "fmt calls it: the Prometheus writer prints the TYPE keyword with %s",
 }
 
 // TestNoTestOnlyExports fails, by name, on every exported function or

@@ -442,8 +442,9 @@ func (m *Mesh) Instrument(o *obs.Observer, run int64) {
 		m.obs = nil
 		return
 	}
+	runID := strconv.FormatInt(run, 10)
 	label := func(name string) string {
-		return obs.Labeled(name, "run", strconv.FormatInt(run, 10))
+		return obs.Labeled(name, "run", runID)
 	}
 	m.obs = &meshObs{
 		cross:   o.Counter(label("netsim_mesh_cross_total")),

@@ -32,8 +32,9 @@ func newLinkObs(o *obs.Observer, run int64) *linkObs {
 	if o == nil {
 		return nil
 	}
+	runID := strconv.FormatInt(run, 10)
 	label := func(name string) string {
-		return obs.Labeled(name, "run", strconv.FormatInt(run, 10))
+		return obs.Labeled(name, "run", runID)
 	}
 	return &linkObs{
 		o:         o,

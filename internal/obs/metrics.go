@@ -358,6 +358,15 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	sort.Strings(names)
 	out := make([]Sample, 0, len(names))
+	// Every histogram's bounds and buckets are carved from these two, so a
+	// snapshot allocates the same number of times however many it holds.
+	nb := 0
+	for _, name := range names {
+		if s := r.series[name]; s.kind == KindHistogram {
+			nb += len(s.his.bounds)
+		}
+	}
+	bounds, buckets := make([]float64, nb), make([]int64, nb)
 	for _, name := range names {
 		s := r.series[name]
 		smp := Sample{Name: name, Kind: s.kind}
@@ -369,8 +378,10 @@ func (r *Registry) Snapshot() []Sample {
 		case KindHistogram:
 			h := s.his
 			smp.Sum = h.Sum()
-			smp.BucketBounds = append([]float64(nil), h.bounds...)
-			smp.Buckets = make([]int64, len(h.bounds))
+			k := len(h.bounds)
+			smp.BucketBounds, bounds = bounds[:k:k], bounds[k:]
+			smp.Buckets, buckets = buckets[:k:k], buckets[k:]
+			copy(smp.BucketBounds, h.bounds)
 			var cum int64
 			for i := range h.bounds {
 				cum += h.counts[i].Load()
@@ -385,7 +396,8 @@ func (r *Registry) Snapshot() []Sample {
 
 // Labeled builds a full series name "name{k1=\"v1\",k2=\"v2\"}" from
 // alternating key/value pairs. Label values are escaped per the Prometheus
-// text format. No pairs returns name unchanged.
+// text format. No pairs returns name unchanged. The name is built in one
+// allocation unless a value needs escaping.
 func Labeled(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
@@ -393,7 +405,13 @@ func Labeled(name string, kv ...string) string {
 	if len(kv)%2 != 0 {
 		panic("obs: Labeled requires alternating key/value pairs")
 	}
+	// Besides its key and value, each pair takes `="`, `"` and a ',' or '}'.
+	n := len(name) + 1 + 2*len(kv)
+	for _, s := range kv {
+		n += len(s)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i := 0; i < len(kv); i += 2 {
@@ -402,19 +420,19 @@ func Labeled(name string, kv ...string) string {
 		}
 		b.WriteString(kv[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(kv[i+1]))
+		writeLabelValue(&b, kv[i+1])
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
+// writeLabelValue writes v escaped per the Prometheus text format.
+func writeLabelValue(b *strings.Builder, v string) {
 	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+		b.WriteString(v)
+		return
 	}
-	var b strings.Builder
 	for _, r := range v {
 		switch r {
 		case '\\':
@@ -427,5 +445,4 @@ func escapeLabel(v string) string {
 			b.WriteRune(r)
 		}
 	}
-	return b.String()
 }

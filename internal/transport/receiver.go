@@ -193,8 +193,9 @@ func (r *Receiver) Observe(o *obs.Observer, run int64, _ int) {
 	if o == nil {
 		return
 	}
+	runID := strconv.FormatInt(run, 10)
 	label := func(name string) string {
-		return obs.Labeled(name, "run", strconv.FormatInt(run, 10))
+		return obs.Labeled(name, "run", runID)
 	}
 	o.RegisterCounter(label("transport_rx_packets_total"), &r.ctrs.packets)
 	o.RegisterCounter(label("transport_rx_bytes_total"), &r.ctrs.bytes)

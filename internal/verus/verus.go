@@ -706,8 +706,9 @@ func (v *Verus) Observe(o *obs.Observer, run int64, flow int) {
 	v.o = o
 	v.obsRun = run
 	v.obsFlow = int32(flow)
+	flowID, runID := strconv.Itoa(flow), strconv.FormatInt(run, 10)
 	label := func(name string) string {
-		return obs.Labeled(name, "flow", strconv.Itoa(flow), "run", strconv.FormatInt(run, 10))
+		return obs.Labeled(name, "flow", flowID, "run", runID)
 	}
 	o.RegisterCounter(label("verus_epochs_total"), &v.epochs)
 	o.RegisterCounter(label("verus_losses_total"), &v.losses)
