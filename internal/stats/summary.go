@@ -23,8 +23,10 @@ import (
 // segment is opened, sized to half the total so far (segmentMin at least).
 // Past a few segments, what a Summary holds stays within 1.5 times its
 // samples, and what it has allocated within that plus the fixed cost of the
-// appends below segmentMin. A percentile query joins the segments into one
-// slice before it selects; every other read walks them in order.
+// appends below segmentMin. Every read walks the segments in order, and a
+// percentile query selects across them where they are: positions run from
+// the oldest segment's first sample to the open segment's last, and no query
+// joins the segments or allocates.
 type Summary struct {
 	samples []float64 // the open segment: the newest samples, in order
 	full    *segments // the segments before samples; nil while there are none
@@ -104,16 +106,6 @@ func (s *Summary) eachSegment(f func([]float64)) {
 	f(open)
 }
 
-// join makes samples the one segment, in order.
-func (s *Summary) join() {
-	if s.full == nil {
-		return
-	}
-	all := make([]float64, 0, s.N())
-	s.eachSegment(func(seg []float64) { all = append(all, seg...) })
-	s.samples, s.full = all, nil
-}
-
 // Merge folds every sample of o into s, leaving o untouched. The metro
 // harness uses it to build aggregate delay distributions across thousands of
 // per-flow summaries.
@@ -185,103 +177,172 @@ func (s *Summary) Max() float64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It returns 0 with no samples.
+// interpolation between closest ranks. It returns 0 with no samples, and NaN
+// for a NaN p.
 //
 // The two ranks are found by selection, not by sorting: selectNth places the
-// lower rank's order statistic at its sorted position with nothing larger to
-// its left and nothing smaller to its right, so the upper rank is the minimum
-// of what lies to the right. Order statistics do not depend on how they were
-// found, so the result is the one a full sort gives, bit for bit. Selection
-// needs one slice, so the first query joins the segments.
+// lower rank's order statistic at its sorted position with nothing larger
+// before it and nothing smaller after it, so the upper rank is the minimum of
+// what follows. Order statistics do not depend on how they were found, so the
+// result is the one a full sort gives, bit for bit. The query permutes the
+// samples where they are, across segments, and allocates nothing.
 func (s *Summary) Percentile(p float64) float64 {
 	n := s.N()
-	if n == 0 {
+	switch {
+	case n == 0:
 		return 0
-	}
-	if p <= 0 {
+	case p != p:
+		return math.NaN()
+	case p <= 0:
 		return s.Min()
-	}
-	if p >= 100 {
+	case p >= 100:
 		return s.Max()
 	}
-	s.join()
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	// NaNs go first, where sort.Float64s puts them, and the selection kernel
 	// compares numbers only. A rank inside the NaN prefix is already in place.
-	nans := nansFirst(s.samples)
-	if lo >= nans {
-		selectNth(s.samples[nans:], lo-nans)
+	if nans := s.nansFirst(); lo >= nans {
+		s.selectNth(nans, lo)
 	}
+	vLo := *s.at(lo)
 	if lo == hi {
-		return s.samples[lo]
+		return vLo
 	}
-	vHi := s.samples[hi]
-	for _, v := range s.samples[hi+1:] {
-		if v < vHi {
-			vHi = v
+	vHi := *s.at(hi)
+	for i := hi + 1; i < n; {
+		run := s.run(i, n)
+		for _, v := range run {
+			if v < vHi {
+				vHi = v
+			}
 		}
+		i += len(run)
 	}
 	frac := rank - float64(lo)
-	return s.samples[lo]*(1-frac) + vHi*frac
+	return vLo*(1-frac) + vHi*frac
 }
 
 // Median returns the 50th percentile.
 func (s *Summary) Median() float64 { return s.Percentile(50) }
 
-// nansFirst moves every NaN in a to the front and returns how many there are.
-func nansFirst(a []float64) int {
-	n := 0
-	for i, v := range a {
-		if v != v {
-			a[i], a[n] = a[n], v
-			n++
+// A cursor is a window on the segment that holds some position of a
+// Summary's samples taken in logical order, oldest segment first: position i,
+// for off <= i < off+len(seg), is seg[i-off].
+type cursor struct {
+	seg []float64
+	off int
+}
+
+// cursorAt returns the cursor on the segment holding position i, which must
+// be below N.
+func (s *Summary) cursorAt(i int) cursor {
+	off := 0
+	if s.full != nil {
+		if i >= s.full.n {
+			return cursor{s.samples, s.full.n}
 		}
+		for _, seg := range s.full.segs {
+			if i < off+len(seg) {
+				return cursor{seg, off}
+			}
+			off += len(seg)
+		}
+	}
+	return cursor{s.samples, off}
+}
+
+// up returns the first position from i on, within c's segment, whose sample
+// is not below pivot, or the position just past the segment. It and down
+// inline, so a scan steps element by element as it would in one slice and
+// looks up a cursor only where it crosses into the next segment.
+func (c cursor) up(i int, pivot float64) int {
+	d := uint(i - c.off)
+	for d < uint(len(c.seg)) && c.seg[d] < pivot {
+		d++
+	}
+	return c.off + int(d)
+}
+
+// down returns the last position up to i, within c's segment, whose sample
+// is not above pivot, or the position just before the segment.
+func (c cursor) down(i int, pivot float64) int {
+	d := i - c.off
+	for uint(d) < uint(len(c.seg)) && c.seg[d] > pivot {
+		d--
+	}
+	return c.off + d
+}
+
+// at returns the sample at position i.
+func (s *Summary) at(i int) *float64 {
+	c := s.cursorAt(i)
+	return &c.seg[i-c.off]
+}
+
+// run returns the samples from position i up to end, or as many of them as
+// the segment holding i has.
+func (s *Summary) run(i, end int) []float64 {
+	c := s.cursorAt(i)
+	return c.seg[i-c.off : min(len(c.seg), end-c.off)]
+}
+
+// nansFirst moves every NaN to the front and returns how many there are.
+func (s *Summary) nansFirst() int {
+	n, total := 0, s.N()
+	for i := 0; i < total; {
+		run := s.run(i, total)
+		for k, v := range run {
+			if v != v {
+				w := s.at(n)
+				run[k], *w = *w, v
+				n++
+			}
+		}
+		i += len(run)
 	}
 	return n
 }
 
-// selectNth permutes a, which must hold no NaN, so that a[k] is the element a
-// full sort would put there, with a[:k] <= a[k] <= a[k+1:]. It is an
+// selectNth permutes the samples from position l on, which must hold no NaN,
+// so that position k holds what a full sort of them would put there, with
+// nothing larger before it and nothing smaller after it. It is an
 // introselect: quickselect on a median-of-three pivot, an insertion sort once
 // the live range is small, and, after 2*ceil(log2 n) partitions that failed
 // to shrink the range geometrically, a sort of what is left — so that no
 // input costs more than the full sort this replaces. It reports whether that
-// fallback ran.
-func selectNth(a []float64, k int) (fellBack bool) {
-	l, r := 0, len(a)-1
-	for depth := 2 * bits.Len(uint(len(a)-1)); r-l >= 12; depth-- {
+// fallback ran, the only path that allocates.
+//
+// Positions run across segments: the pivot's three candidates are found by
+// position, and the two scans of each partition walk cursors that step from
+// one segment into the next. The swaps are those the same selection makes on
+// one slice, in the same order.
+func (s *Summary) selectNth(l, k int) (fellBack bool) {
+	r := s.N() - 1
+	for depth := 2 * bits.Len(uint(r-l)); r-l >= 12; depth-- {
 		if depth == 0 {
-			sort.Float64s(a[l : r+1])
+			a := s.gather(make([]float64, 0, r+1-l), l, r+1)
+			sort.Float64s(a)
+			s.scatter(l, a)
 			return true
 		}
 		// Median of a[l], a[mid], a[r] goes to a[l+1] as the pivot, with the
 		// other two left as sentinels at both ends of the scan.
-		mid := int(uint(l+r) >> 1)
-		a[mid], a[l+1] = a[l+1], a[mid]
-		if a[l] > a[r] {
-			a[l], a[r] = a[r], a[l]
+		al, al1, amid, ar := s.at(l), s.at(l+1), s.at(int(uint(l+r)>>1)), s.at(r)
+		*amid, *al1 = *al1, *amid
+		if *al > *ar {
+			*al, *ar = *ar, *al
 		}
-		if a[l+1] > a[r] {
-			a[l+1], a[r] = a[r], a[l+1]
+		if *al1 > *ar {
+			*al1, *ar = *ar, *al1
 		}
-		if a[l] > a[l+1] {
-			a[l], a[l+1] = a[l+1], a[l]
+		if *al > *al1 {
+			*al, *al1 = *al1, *al
 		}
-		pivot := a[l+1]
-		i, j := l+1, r
-		for {
-			for i++; a[i] < pivot; i++ {
-			}
-			for j--; a[j] > pivot; j-- {
-			}
-			if j < i {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
-		a[l+1], a[j] = a[j], pivot
+		pivot := *al1
+		i, j := s.partition(l+1, r, pivot)
+		*al1, *s.at(j) = *s.at(j), pivot
 		if j >= k {
 			r = j - 1
 		}
@@ -289,13 +350,55 @@ func selectNth(a []float64, k int) (fellBack bool) {
 			l = i
 		}
 		if k < l || r < k {
-			return false // a[k] equals the pivot and is in place
+			return false // position k equals the pivot and is in place
 		}
 	}
-	for i := l + 1; i <= r; i++ {
-		for j := i; j > l && a[j] < a[j-1]; j-- {
+	// At most 12 samples are left: insertion-sort a copy and write it back.
+	var buf [12]float64
+	a := s.gather(buf[:0], l, r+1)
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
+	s.scatter(l, a)
 	return false
+}
+
+// partition is selectNth's Hoare partition of positions i to j around pivot,
+// which sits at i with a sample no larger before it and none smaller at j as
+// sentinels. The two scans walk a cursor each, and partition returns where
+// they crossed.
+func (s *Summary) partition(i, j int, pivot float64) (int, int) {
+	ic, jc := s.cursorAt(i), s.cursorAt(j)
+	for {
+		for i = ic.up(i+1, pivot); i == ic.off+len(ic.seg); i = ic.up(i, pivot) {
+			ic = s.cursorAt(i)
+		}
+		for j = jc.down(j-1, pivot); j < jc.off; j = jc.down(j, pivot) {
+			jc = s.cursorAt(j)
+		}
+		if j < i {
+			return i, j
+		}
+		ic.seg[i-ic.off], jc.seg[j-jc.off] = jc.seg[j-jc.off], ic.seg[i-ic.off]
+	}
+}
+
+// gather appends the samples at positions l up to end to dst.
+func (s *Summary) gather(dst []float64, l, end int) []float64 {
+	for i := l; i < end; {
+		run := s.run(i, end)
+		dst = append(dst, run...)
+		i += len(run)
+	}
+	return dst
+}
+
+// scatter writes src over the samples from position l on.
+func (s *Summary) scatter(l int, src []float64) {
+	for len(src) > 0 {
+		n := copy(s.run(l, l+len(src)), src)
+		l, src = l+n, src[n:]
+	}
 }

@@ -301,7 +301,7 @@ func TestSelectNthDepthLimit(t *testing.T) {
 	for _, n := range []int{64, 1000, 100000} {
 		a := medianOfThreeKiller(n)
 		k := n * 95 / 100
-		if !selectNth(a, k) {
+		if !oneSegment(a).selectNth(0, k) {
 			t.Errorf("killer n=%d: the depth limit was not reached", n)
 		}
 		if a[k] != float64(k+1) {
@@ -321,11 +321,15 @@ func TestSelectNthDepthLimit(t *testing.T) {
 				a[i] = float64(rng.Intn(1 + n/8))
 			}
 		}
-		if selectNth(a, rng.Intn(n)) {
+		if oneSegment(a).selectNth(0, rng.Intn(n)) {
 			t.Fatalf("trial %d: random input of %d samples fell back to the sort", trial, n)
 		}
 	}
 }
+
+// oneSegment returns a Summary whose one segment is a, so that selection
+// permutes a itself.
+func oneSegment(a []float64) *Summary { return &Summary{samples: a} }
 
 // checkSelectNth runs selectNth on a copy of a and requires the postcondition
 // Percentile relies on: rank k holds what a sort puts there, nothing larger
@@ -335,7 +339,7 @@ func checkSelectNth(t *testing.T, a []float64, k int) {
 	got := append([]float64(nil), a...)
 	want := append([]float64(nil), a...)
 	sort.Float64s(want)
-	selectNth(got, k)
+	oneSegment(got).selectNth(0, k)
 	if got[k] != want[k] {
 		t.Fatalf("rank %d of %d = %v, sorted has %v", k, len(a), got[k], want[k])
 	}
@@ -362,7 +366,7 @@ func TestSelectNthEveryRank(t *testing.T) {
 		for _, shape := range oracleShapes {
 			a := make([]float64, n)
 			shape.fill(rng, a)
-			if a = a[nansFirst(a):]; len(a) == 0 {
+			if a = a[oneSegment(a).nansFirst():]; len(a) == 0 {
 				continue
 			}
 			for k := range a {
@@ -398,8 +402,41 @@ func fuzzSamples(mode uint8, data []byte) []float64 {
 	return a
 }
 
+// splitAt returns a Summary holding a copy of a in up to four segments, cut
+// where the three bytes of cuts scale into a. Cuts at either end or at the
+// same place are dropped, so that every segment holds a sample, as Add's do.
+func splitAt(a []float64, cuts uint32) *Summary {
+	var at []int
+	for b := 0; b < 3; b++ {
+		at = append(at, int(cuts>>(8*b)&0xff)*len(a)/0x100)
+	}
+	sort.Ints(at)
+	s := &Summary{full: &segments{}}
+	for _, c := range at {
+		if c > s.full.n {
+			s.full.segs = append(s.full.segs, append([]float64(nil), a[s.full.n:c]...))
+			s.full.n = c
+		}
+	}
+	s.samples = append([]float64(nil), a[s.full.n:]...)
+	if s.full.n == 0 {
+		s.full = nil
+	}
+	return s
+}
+
+// samplesOf returns s's samples in logical order.
+func samplesOf(s *Summary) []float64 {
+	var all []float64
+	s.eachSegment(func(seg []float64) { all = append(all, seg...) })
+	return all
+}
+
 // FuzzSelectNth checks selectNth's postcondition on the NaN-free samples and
-// Percentile, Min and Max against the sort reference on all of them.
+// Percentile, Min and Max against the sort reference on all of them. It also
+// cuts the samples into segments and requires that selection across them,
+// and the queries, give the bits and leave the order that the one-segment
+// Summary does, so that scans and swaps across a segment boundary are fuzzed.
 func FuzzSelectNth(f *testing.F) {
 	// The other shapes are in testdata/fuzz/FuzzSelectNth. The killer is built
 	// here so that it follows selectNth's pivot rule if that ever changes.
@@ -408,14 +445,14 @@ func FuzzSelectNth(f *testing.F) {
 	for i, v := range killer {
 		seed[i] = byte(v)
 	}
-	f.Add(uint8(0), seed, uint16(190))
-	f.Fuzz(func(t *testing.T, mode uint8, data []byte, k uint16) {
+	f.Add(uint8(0), seed, uint16(190), uint32(0x00c04010))
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte, k uint16, cuts uint32) {
 		a := fuzzSamples(mode, data)
 		if len(a) == 0 {
 			return
 		}
 		numbers := append([]float64(nil), a...)
-		numbers = numbers[nansFirst(numbers):]
+		numbers = numbers[oneSegment(numbers).nansFirst():]
 		if len(numbers) > 0 {
 			checkSelectNth(t, numbers, int(k)%len(numbers))
 		}
@@ -425,6 +462,35 @@ func FuzzSelectNth(f *testing.F) {
 		sp.percentile(float64(int(k)%len(a)) / float64(len(a)) * 100)
 		sp.minMax()
 		sp.percentile(95)
+
+		whole, split := oneSegment(append([]float64(nil), a...)), splitAt(a, cuts)
+		same := func(what string) {
+			t.Helper()
+			w, s := samplesOf(whole), samplesOf(split)
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(s[i]) {
+					t.Fatalf("%s: position %d of %d holds %v in one segment, %v in segments cut at %#x", what, i, len(w), w[i], s[i], cuts)
+				}
+			}
+		}
+		nans := whole.nansFirst()
+		if got := split.nansFirst(); got != nans {
+			t.Fatalf("nansFirst = %d in segments, %d in one", got, nans)
+		}
+		same("nansFirst")
+		if nans < len(a) {
+			r := nans + int(k)%(len(a)-nans)
+			if w, s := whole.selectNth(nans, r), split.selectNth(nans, r); w != s {
+				t.Fatalf("selectNth fell back %v in one segment, %v in segments", w, s)
+			}
+			same("selectNth")
+		}
+		for _, p := range []float64{float64(k) / math.MaxUint16 * 100, 95, 50} {
+			if w, s := whole.Percentile(p), split.Percentile(p); math.Float64bits(w) != math.Float64bits(s) {
+				t.Fatalf("Percentile(%v) = %v in segments, %v in one", p, s, w)
+			}
+			same("Percentile")
+		}
 	})
 }
 

@@ -155,9 +155,9 @@ func TestSummarySegmentsMatchContiguous(t *testing.T) {
 	var ops, segmented, savedSegs, mergedSegs int
 	for trial := 0; trial < 24; trial++ {
 		target := segmentMin/2 + rng.Intn([]int{12, 24, 48}[trial%3]*segmentMin)
-		// A query joins the segments and a reload leaves one, so a third of
-		// the trials query and save often, a third seldom and a third only at
-		// the end, when many segments have piled up.
+		// A reload leaves one segment, so a third of the trials query and
+		// save often, a third seldom and a third only at the end, when many
+		// segments have piled up.
 		queries, saves := []int{45, 2, 0}[trial%3], []int{10, 2, 0}[trial%3]
 		sp := &segmentedPair{t: t, got: NewSummary(0), want: NewSummary(room), room: room}
 		for sp.want.N() < target {
@@ -200,26 +200,31 @@ func TestSummarySegmentsMatchContiguous(t *testing.T) {
 	t.Logf("%d operations bit-identical; %d queries, %d saves and %d merge sources met several segments", ops, segmented, savedSegs, mergedSegs)
 }
 
-// TestSummaryAddAllocBytes pins what recording costs. It Adds 10⁶ samples
-// to an empty Summary and checks each time a segment opens, where what is
-// held and what was allocated peak against the samples kept, from 10⁴ on, and
-// at 10⁵. The capacity held is at most 1.5 times the samples. The bytes
+// TestSummaryAddAllocBytes pins what recording and querying cost. It Adds
+// 10⁶ samples to an empty Summary and checks each time a segment opens, where
+// what is held and what was allocated peak against the samples kept, from
+// 10⁴ on, and at 10⁵. Each check first asks one Percentile, so that its cost
+// counts too. The capacity held is at most 1.5 times the samples. The bytes
 // allocated are at most 1.5 times the sample bytes plus 160 KB: the 60 KB of
 // slices that append discards below segmentMin, and the page rounding of each
 // large segment. At 10⁵ they are at most 1.6 times the sample bytes. A
-// Summary that regrew one slice by append allocated 5.1 times at 10⁵.
+// Summary that regrew one slice by append allocated 5.1 times at 10⁵, and one
+// whose queries joined its segments into a fresh slice 3.2 times at its first
+// check. The first check over budget ends the run: each Add after a join
+// finds the joined slice full and opens a segment, so every Add would check.
 func TestSummaryAddAllocBytes(t *testing.T) {
 	const n, fixed = 1_000_000, 160 << 10
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	s := NewSummary(0)
-	var over []string
+	var over string
 	checked := 0
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= n && over == ""; i++ {
 		s.Add(float64(i))
 		if i < 10_000 || len(s.samples) != 1 && i != 100_000 {
 			continue
 		}
+		s.Percentile(95)
 		runtime.ReadMemStats(&m1)
 		checked++
 		held := cap(s.samples)
@@ -230,20 +235,55 @@ func TestSummaryAddAllocBytes(t *testing.T) {
 		}
 		got := m1.TotalAlloc - m0.TotalAlloc
 		if held > i*3/2 || got > uint64(12*i+fixed) || i == 100_000 && float64(got) > 1.6*8*float64(i) {
-			over = append(over, fmt.Sprintf("n=%d holds %.3fx, allocated %d B (%.3fx)",
-				i, float64(held)/float64(i), got, float64(got)/float64(8*i)))
+			over = fmt.Sprintf("n=%d holds %.3fx, allocated %d B (%.3fx)",
+				i, float64(held)/float64(i), got, float64(got)/float64(8*i))
 		}
 		if i == 100_000 {
-			t.Logf("%d Adds allocated %d bytes, %.2fx the sample bytes", i, got, float64(got)/float64(8*i))
+			t.Logf("%d Adds and %d queries allocated %d bytes, %.2fx the sample bytes", i, checked, got, float64(got)/float64(8*i))
 		}
+	}
+	if over != "" {
+		t.Fatalf("over 1.5x held, 1.5x + %d B allocated, or 1.6x at 10^5: %s", fixed, over)
 	}
 	if s.N() != n {
 		t.Fatalf("N = %d", s.N())
 	}
-	if len(over) > 0 {
-		t.Fatalf("over 1.5x held, 1.5x + %d B allocated, or 1.6x at 10^5: %v", fixed, over)
-	}
 	if checked < 10 {
 		t.Fatalf("only %d checks between 10^4 and 10^6 samples; segments went unopened", checked)
+	}
+}
+
+// TestPercentileAllocs pins that a percentile query allocates nothing: on 10⁵
+// samples grown by Add, which hold several segments, and on 10⁵ presized into
+// one. The grown Summary must still hold its segments after the queries, so
+// that a query which joined them, and allocated only the first time, fails
+// here too.
+func TestPercentileAllocs(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(43))
+	grown, presized := NewSummary(0), NewSummary(n)
+	for range n {
+		v := 0.02 + rng.ExpFloat64()*0.01
+		grown.Add(v)
+		presized.Add(v)
+	}
+	if grown.full == nil || len(grown.full.segs) < 2 {
+		t.Fatal("10^5 Adds left fewer than three segments")
+	}
+	for _, c := range []struct {
+		name string
+		s    *Summary
+	}{{"grown", grown}, {"presized", presized}} {
+		q := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			c.s.Percentile(metroQuantiles[1+q%7])
+			q++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a query on %d samples allocated %v times, want 0", c.name, n, allocs)
+		}
+	}
+	if grown.full == nil {
+		t.Fatal("a query joined the grown Summary's segments")
 	}
 }

@@ -73,6 +73,27 @@ func TestSummaryPercentileInterpolation(t *testing.T) {
 	}
 }
 
+// TestSummaryPercentileNaNRank: a NaN percentile has no rank, so the query
+// answers NaN and leaves the samples as they were, where int(math.Floor(NaN))
+// used to index the samples and panic.
+func TestSummaryPercentileNaNRank(t *testing.T) {
+	s := NewSummary(0)
+	for i := 0; i < 10; i++ {
+		s.Add(float64(10 - i))
+	}
+	if got := s.Percentile(math.NaN()); !math.IsNaN(got) {
+		t.Fatalf("Percentile(NaN) = %v, want NaN", got)
+	}
+	for i, v := range s.samples {
+		if v != float64(10-i) {
+			t.Fatalf("Percentile(NaN) moved sample %d to %v", i, v)
+		}
+	}
+	if got := NewSummary(0).Percentile(math.NaN()); got != 0 {
+		t.Fatalf("Percentile(NaN) with no samples = %v, want 0", got)
+	}
+}
+
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestSummaryPercentileMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
