@@ -125,8 +125,8 @@ func metroSectorMbps(tech cellular.Tech) float64 {
 // metroUserState is the home-cell routing state for one user. Every field is
 // read and written only from the user's home-cell timeline, so sharded
 // execution needs no synchronization. A trial holds every user's state in
-// one slice, indexed by flow id: the routing receivers and the handover
-// callbacks point into it, so the states cost one allocation, not one each.
+// one slice, indexed by flow id: the routing receivers and the handovers
+// point into it, so the states cost one allocation, not one each.
 type metroUserState struct {
 	home       int
 	cur        int
@@ -288,6 +288,22 @@ func (r *metroLinkRecv) Receive(p *netsim.Packet) {
 	r.mesh.SendPacket(r.s, st.cur, r.delay, r.bounce[st.cur], p)
 }
 
+// metroHandover moves its user to the handover's target sector and opens its
+// stall, and counts it in the home cell's slot; it runs on the home-cell
+// timeline, which owns both.
+type metroHandover struct {
+	st    *metroUserState
+	h     cellular.Handover
+	count *int64
+}
+
+// Receive implements netsim.Receiver.
+func (o *metroHandover) Receive(*netsim.Packet) {
+	o.st.cur = o.h.To
+	o.st.stallUntil = o.h.At + o.h.Stall
+	*o.count++
+}
+
 // metroSim is one fully built metro trial: the mesh, the per-sector
 // bottlenecks, and the per-user flow state. Splitting construction from
 // execution is what checkpointing needs — a restore re-runs metroBuild (same
@@ -353,6 +369,11 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 	for s := 0; s < opts.Sectors; s++ {
 		m.attrib[s] = new(stats.Attribution)
 	}
+	nHandovers := 0
+	for _, u := range topo.Users {
+		nHandovers += len(u.Handovers)
+	}
+	handovers := make([]metroHandover, 0, nHandovers)
 	home := make([]*metroHomeRecv, opts.Sectors)
 	bounce := make([]*metroBounce, opts.Sectors)
 	for s := 0; s < opts.Sectors; s++ {
@@ -402,12 +423,8 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 			m.sources[u.ID] = src
 			m.metrics[u.ID] = fm
 			for _, h := range u.Handovers {
-				home := u.Home
-				sim.ScheduleTracked(h.At, func() {
-					st.cur = h.To
-					st.stallUntil = h.At + h.Stall
-					m.handoversByCell[home]++
-				})
+				handovers = append(handovers, metroHandover{st: st, h: h, count: &m.handoversByCell[u.Home]})
+				sim.ScheduleCallback(h.At, &handovers[len(handovers)-1])
 			}
 		}
 	}

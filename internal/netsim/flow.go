@@ -26,25 +26,29 @@ type FlowMetrics struct {
 	Sent, Received, LossDetected, Timeouts int64
 }
 
-// flowMetricsBlock is a flow's metrics and the three series they point at,
-// laid out as one object so a flow's metrics cost no allocation of their own:
-// a Source or a CBR holds its block by value.
+// flowMetricsBlock is a flow's metrics, the three series they point at and
+// the delay summary's first samples, laid out as one object so a flow's
+// metrics cost no allocation of their own: a Source or a CBR holds its block
+// by value.
 type flowMetricsBlock struct {
 	m   FlowMetrics
 	tp  stats.ThroughputSeries
 	d   stats.Summary
 	dot stats.WindowedMean
+	// dbuf holds the delay summary's first samples; the one past them moves
+	// the summary to a buffer of its own. It is kept modest: at 100k-flow
+	// metro scale each flow sees few packets, and a large one multiplies into
+	// hundreds of MB of idle memory.
+	dbuf [64]float64
 }
 
-// init sets b to zeroed metrics for a flow and returns them. The one
-// allocation is the delay summary's sample buffer: the constructors inline,
-// so copying their results into the block allocates nothing of its own.
+// init sets b to zeroed metrics for a flow and returns them. The block must
+// not move afterwards, since the delay summary records into its dbuf. The
+// constructors inline, so copying their results into the block allocates
+// nothing.
 func (b *flowMetricsBlock) init(flow int) *FlowMetrics {
 	b.tp = *stats.NewThroughputSeries(time.Second)
-	// A modest capacity hint: at 100k-flow metro scale each flow sees few
-	// packets, and Summary grows on demand anyway — a large hint here
-	// multiplies into hundreds of MB of idle preallocation.
-	b.d = *stats.NewSummary(64)
+	b.d = *stats.NewSummaryIn(b.dbuf[:])
 	b.dot = *stats.NewWindowedMean(time.Second)
 	b.m = FlowMetrics{Flow: flow, Throughput: &b.tp, Delay: &b.d, DelayOverTime: &b.dot}
 	return &b.m
@@ -445,17 +449,25 @@ const (
 	slotSourceRTO  = 2
 )
 
+// sourceChunkMax caps the Sources one chunk of a Sim's source arena holds:
+// at 1040 bytes each on 64-bit platforms, a Sim leaves at most ≈65 KB of it
+// unused.
+const sourceChunkMax = 64
+
 // NewSource wires a controller into the simulation. The flow starts sending
 // at `start` and stops at `stop` (0 = run forever). ackDelay is the
 // reverse-path one-way delay, which together with the link's forward
-// propagation delay forms the flow's base RTT. It allocates the Source and
-// the delay summary's sample buffer, nothing else (TestNewSourceAllocs).
+// propagation delay forms the flow's base RTT. The Source is carved from the
+// Sim's source arena, whose chunks double from one Source up to
+// sourceChunkMax, so building many flows on one Sim allocates once per chunk
+// and nothing per flow (TestNewSourceAllocs).
 func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 	ackDelay, start, stop time.Duration) (*Source, *FlowMetrics) {
 	if mtu <= 0 {
 		panic("netsim: MTU must be positive")
 	}
-	s := &Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu}
+	s := carve(&sim.srcs, 1, sourceChunkMax)
+	*s = Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu}
 	s.metrics = s.blk.init(flow)
 	s.sink = Sink{sim: sim, metrics: s.metrics, ackDelay: ackDelay, src: s}
 	sim.register(&s.startCB, (*sourceStart)(s))

@@ -178,6 +178,23 @@ type Sim struct {
 	// snapshot.go). It is touched at construction and restore time only —
 	// never on the event hot path.
 	reg simRegistry
+	// srcs is the arena NewSource carves this Sim's Sources from.
+	srcs []Source
+}
+
+// carve returns a zeroed element from the open chunk of arena, opening a new
+// chunk when it is full. Carved elements are registered by address, so a
+// full chunk is replaced, never grown: nothing carved ever moves. Chunks
+// double from first elements up to limit, which bounds what an arena leaves
+// unused.
+func carve[T any](arena *[]T, first, limit int) *T {
+	a := *arena
+	if len(a) == cap(a) {
+		a = make([]T, 0, min(max(first, 2*cap(a)), limit))
+	}
+	a = a[:len(a)+1]
+	*arena = a
+	return &a[len(a)-1]
 }
 
 // NewSim returns an empty simulation at time zero.

@@ -37,13 +37,21 @@ import (
 // collide. recvIDs is the reverse map for packet receivers only; a callback
 // or timer carries its own id.
 type simRegistry struct {
-	nextID  int64
-	recvs   map[int64]Receiver
+	nextID int64
+	// recvs[id-1] is the receiver registered under counter-drawn id: those
+	// ids are drawn dense from 1, each registered as it is drawn, and the
+	// slice starts at 16. derived holds the receivers registered under
+	// derived ids.
+	recvs   []Receiver
+	derived map[int64]Receiver
 	recvIDs map[Receiver]int64
-	// cbs is the arena RegisterFunc carves callbacks from. A registered
-	// callback must not move, so a full chunk is replaced, never grown.
+	// cbs is the arena registered callbacks are carved from (see carve).
 	cbs []callback
 }
+
+// callbackChunkMax caps the callbacks one chunk of the registry's arena
+// holds.
+const callbackChunkMax = 4096
 
 // derivedID composes an owner's construction-time id with a fixed slot into
 // a mid-run-safe registry id. Derived ids are negative; counter-drawn ids
@@ -56,13 +64,38 @@ func derivedID(owner, slot int64) int64 {
 }
 
 func (r *simRegistry) add(id int64, rcv Receiver) {
-	if r.recvs == nil {
-		r.recvs = make(map[int64]Receiver)
-	}
-	if _, dup := r.recvs[id]; dup {
+	if _, dup := r.lookup(id); dup {
 		panic(fmt.Sprintf("netsim: duplicate registration id %d", id))
 	}
-	r.recvs[id] = rcv
+	if id < 0 {
+		if r.derived == nil {
+			// Derived ids arrive once construction is done: a Source draws
+			// three or four ids and derives two, so half the drawn ids is
+			// room for them all without a rehash.
+			r.derived = make(map[int64]Receiver, len(r.recvs)/2)
+		}
+		r.derived[id] = rcv
+		return
+	}
+	if r.recvs == nil {
+		r.recvs = make([]Receiver, 0, 16)
+	}
+	for int64(len(r.recvs)) < id {
+		r.recvs = append(r.recvs, nil)
+	}
+	r.recvs[id-1] = rcv
+}
+
+// lookup returns the receiver registered under id, and whether there is one.
+func (r *simRegistry) lookup(id int64) (Receiver, bool) {
+	if id < 0 {
+		rcv, ok := r.derived[id]
+		return rcv, ok
+	}
+	if id == 0 || id > int64(len(r.recvs)) || r.recvs[id-1] == nil {
+		return nil, false
+	}
+	return r.recvs[id-1], true
 }
 
 // nextID draws the next construction-order id. Draw ids only during
@@ -105,28 +138,34 @@ func (s *Sim) register(c *callback, r Receiver) {
 // RegisterFunc registers a long-lived callback under a construction-order id
 // and returns it as a Receiver: SchedulePacket(at, r, nil) then schedules it
 // checkpointably. Call it once per callback at construction time and keep
-// the receiver — each call draws a fresh id. The callback comes from a
-// per-Sim arena and holds fn as a thunk, which is pointer-shaped, so a call
-// allocates nothing beyond fn: ScheduleTracked registers one per metro
-// handover, where a box each would show.
-func (s *Sim) RegisterFunc(fn func()) Receiver {
-	r := &s.reg
-	if len(r.cbs) == cap(r.cbs) {
-		r.cbs = make([]callback, 0, max(16, 2*cap(r.cbs)))
-	}
-	r.cbs = r.cbs[:len(r.cbs)+1]
-	c := &r.cbs[len(r.cbs)-1]
-	s.register(c, thunk(fn))
+// the receiver — each call draws a fresh id. The callback holds fn as a
+// thunk, which is pointer-shaped, so a call allocates nothing beyond fn.
+func (s *Sim) RegisterFunc(fn func()) Receiver { return s.registerCallback(thunk(fn)) }
+
+// registerCallback carves a callback from the registry's arena and binds it
+// to r under a fresh construction-order id.
+func (s *Sim) registerCallback(r Receiver) *callback {
+	c := carve(&s.reg.cbs, 16, callbackChunkMax)
+	s.register(c, r)
 	return c
 }
 
-// ScheduleTracked is Schedule for setup-time one-shot closures that must
-// survive a checkpoint: the closure is registered under a fresh
-// construction-order id and scheduled as that callback. Key claiming is
-// identical to Schedule.
-func (s *Sim) ScheduleTracked(at time.Duration, fn func()) {
-	s.SchedulePacket(at, s.RegisterFunc(fn), nil)
+// ScheduleCallback schedules a setup-time one-shot delivery of nil to r at
+// the absolute time at, as a callback that survives a checkpoint: the
+// callback is carved from the registry's arena, registered under a fresh
+// construction-order id and scheduled as SchedulePacket schedules it. The
+// registry names the callback, not r, so r need not be comparable; a pointer
+// (or a func-typed receiver) is pointer-shaped, so holding it boxes nothing
+// and a call allocates nothing beyond r and the arena's chunks. The metro
+// harness schedules every handover this way.
+func (s *Sim) ScheduleCallback(at time.Duration, r Receiver) {
+	s.SchedulePacket(at, s.registerCallback(r), nil)
 }
+
+// ScheduleTracked is Schedule for setup-time one-shot closures that must
+// survive a checkpoint: ScheduleCallback with the closure as a thunk. Key
+// claiming is identical to Schedule.
+func (s *Sim) ScheduleTracked(at time.Duration, fn func()) { s.ScheduleCallback(at, thunk(fn)) }
 
 // restoreTimer re-creates a component's timer t in place during a load: t is
 // registered under id so the heap load can resolve pending tick events, but
@@ -272,7 +311,7 @@ func (s *Sim) loadHeap(w snap.Walker, n int) {
 			w.Fail(fmt.Errorf("netsim: heap holds an event at %v, before the restored clock %v", ev.at, s.now))
 			return
 		}
-		r, ok := s.reg.recvs[id]
+		r, ok := s.reg.lookup(id)
 		t, isTimer := r.(*timer)
 		_, isCallback := r.(*callback)
 		switch kind {

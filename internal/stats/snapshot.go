@@ -2,6 +2,8 @@ package stats
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/snap"
 )
@@ -15,7 +17,10 @@ import (
 
 // Walk visits the summary's samples and running moments. The samples are one
 // counted list in logical order, however many segments hold them: a save
-// walks the segments without joining them, and a load fills one segment.
+// walks the segments without joining them, and a load fills one segment. A
+// load fails on a NaN sample beside a sum that is a number, which no run
+// produces and which would let a query skip moving the NaN out of selection's
+// way.
 func (s *Summary) Walk(w snap.Walker) {
 	w.Tag("summary")
 	if w.Loading() {
@@ -31,6 +36,9 @@ func (s *Summary) Walk(w snap.Walker) {
 	}
 	w.F64(&s.sum)
 	w.F64(&s.sumSq)
+	if w.Loading() && w.Err() == nil && s.sum == s.sum && slices.ContainsFunc(s.samples, math.IsNaN) {
+		w.Fail(fmt.Errorf("stats: summary snapshot holds a NaN sample beside the sum %v", s.sum))
+	}
 }
 
 // Walk visits the per-window byte totals; the window size is configuration.

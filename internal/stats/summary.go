@@ -30,7 +30,10 @@ import (
 type Summary struct {
 	samples []float64 // the open segment: the newest samples, in order
 	full    *segments // the segments before samples; nil while there are none
-	sum     float64
+	// sum is the running sum of the samples, and of every merged Summary's.
+	// A NaN absorbs every addition, so a Summary whose sum is a number holds
+	// no NaN, and a query skips moving NaNs (see Percentile).
+	sum float64
 	// sumSq is read by nothing but the snapshot walk; it stays so that
 	// snapshot format v3 keeps its layout.
 	sumSq float64
@@ -53,6 +56,15 @@ const segmentMin = 3072
 // NewSummary returns an empty Summary with capacity hint n.
 func NewSummary(n int) *Summary {
 	return &Summary{samples: make([]float64, 0, n)}
+}
+
+// NewSummaryIn returns an empty Summary that records its first len(buf)
+// samples in buf, which the caller owns and must not move or reuse while the
+// Summary lives. The buffer is capped at its own end, so the sample after
+// those moves the samples to a slice of the Summary's own, as it would from
+// NewSummary(len(buf)): a flow's metrics hold their first samples inline.
+func NewSummaryIn(buf []float64) *Summary {
+	return &Summary{samples: buf[:0:len(buf)]}
 }
 
 // Add records one sample.
@@ -203,7 +215,13 @@ func (s *Summary) Percentile(p float64) float64 {
 	hi := int(math.Ceil(rank))
 	// NaNs go first, where sort.Float64s puts them, and the selection kernel
 	// compares numbers only. A rank inside the NaN prefix is already in place.
-	if nans := s.nansFirst(); lo >= nans {
+	// Only a NaN sum can mean a NaN sample (see sum); one that +Inf and -Inf
+	// made costs the pass and nothing more.
+	nans := 0
+	if s.sum != s.sum {
+		nans = s.nansFirst()
+	}
+	if lo >= nans {
 		s.selectNth(nans, lo)
 	}
 	vLo := *s.at(lo)

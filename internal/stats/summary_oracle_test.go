@@ -3,9 +3,11 @@ package stats
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/snap"
@@ -240,42 +242,26 @@ func (sp *summaryPair) minMax() {
 // TestSummaryMatchesSortReference drives selection-based and sort-based
 // summaries through more than 10⁵ identical seeded queries — every shape at
 // sizes 1 to 10⁵, Add and Merge interleaved between queries, the metro's
-// quantiles repeated on one Summary — and requires bit-identical answers. So
-// that the pass cannot be vacuous it also requires that a query left some
-// large Summary unsorted: selection ran, not a sort.
+// quantiles repeated on one Summary — and requires bit-identical answers.
+// Each NaN-bearing shape runs twice more on a NaN-free start whose first NaN
+// arrives after queries have run, once by Add and once by Merge, and is saved
+// and loaded before its last round, so that a query that skips moving the
+// NaNs first on a Summary that holds some gives a wrong answer here. So that the pass
+// cannot be vacuous it also requires that a query left some large Summary
+// unsorted: selection ran, not a sort.
 func TestSummaryMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	queries, leftUnsorted := 0, 0
 	run := func(n, rounds, perRound int) {
 		for _, shape := range oracleShapes {
-			a := make([]float64, n)
-			shape.fill(rng, a)
-			sp := &summaryPair{t: t, name: shape.name, got: NewSummary(0), want: &refSummary{}}
-			sp.add(a)
-			for round := 0; round < rounds; round++ {
-				for _, p := range metroQuantiles {
-					sp.percentile(p)
+			// arrive -1 runs the shape as it is; 0 and 1 are the round whose
+			// Add, or Merge, brings a NaN-free start its first NaN.
+			for arrive := -1; arrive < 2; arrive++ {
+				if arrive >= 0 && !strings.Contains(shape.name, "nan") {
+					continue
 				}
-				for q := 0; q < perRound; q++ {
-					sp.percentile(rng.Float64() * 100)
-				}
-				sp.minMax()
-				if n >= 1000 && !sort.Float64sAreSorted(sp.got.samples) {
-					leftUnsorted++
-				}
-				// Grow by about a tenth, in the shape's own values, by Add
-				// and by Merge in turn.
-				extra := make([]float64, 1+n/10)
-				shape.fill(rng, extra)
-				if round%2 == 0 {
-					sp.add(extra)
-				} else {
-					sp.merge(extra)
-				}
+				runShape(t, rng, shape.name, shape.fill, arrive, n, rounds, perRound, &queries, &leftUnsorted)
 			}
-			sp.check("sum", sp.got.sum, sp.want.sum)
-			sp.check("sumSq", sp.got.sumSq, sp.want.sumSq)
-			queries += sp.queries
 		}
 	}
 	for n := 1; n <= 64; n++ {
@@ -293,6 +279,59 @@ func TestSummaryMatchesSortReference(t *testing.T) {
 		t.Fatal("every large Summary was fully sorted after its queries: selection did not run")
 	}
 	t.Logf("%d queries bit-identical; %d rounds left a large Summary unsorted", queries, leftUnsorted)
+}
+
+// runShape is one TestSummaryMatchesSortReference case: n samples of the
+// shape, then rounds of queries, each round growing the pair by about a tenth
+// in the shape's own values. With arrive >= 0 the samples are NaN-free until
+// round arrive, whose first added value is a NaN, and the Summary is reloaded
+// from a snapshot before its last round.
+func runShape(t *testing.T, rng *rand.Rand, name string, fill func(*rand.Rand, []float64), arrive, n, rounds, perRound int, queries, leftUnsorted *int) {
+	late := arrive >= 0
+	a := make([]float64, n)
+	if late {
+		name += fmt.Sprintf("/first-nan-in-round-%d", arrive)
+		oracleShapes[0].fill(rng, a)
+	} else {
+		fill(rng, a)
+	}
+	sp := &summaryPair{t: t, name: name, got: NewSummary(0), want: &refSummary{}}
+	sp.add(a)
+	for round := 0; round < rounds; round++ {
+		if late && round == rounds-1 {
+			sp.got = loadSummary(t, saveSummary(t, sp.got))
+		}
+		for _, p := range metroQuantiles {
+			sp.percentile(p)
+		}
+		for q := 0; q < perRound; q++ {
+			sp.percentile(rng.Float64() * 100)
+		}
+		sp.minMax()
+		if n >= 1000 && !sort.Float64sAreSorted(sp.got.samples) {
+			*leftUnsorted++
+		}
+		// Grow by about a tenth, in the shape's own values, by Add and by
+		// Merge in turn.
+		extra := make([]float64, 1+n/10)
+		switch {
+		case round < arrive:
+			oracleShapes[0].fill(rng, extra)
+		case round == arrive:
+			fill(rng, extra)
+			extra[0] = math.NaN()
+		default:
+			fill(rng, extra)
+		}
+		if round%2 == 0 {
+			sp.add(extra)
+		} else {
+			sp.merge(extra)
+		}
+	}
+	sp.check("sum", sp.got.sum, sp.want.sum)
+	sp.check("sumSq", sp.got.sumSq, sp.want.sumSq)
+	*queries += sp.queries
 }
 
 // TestSelectNthDepthLimit is the guard on introselect's fallback: the killer
@@ -328,8 +367,17 @@ func TestSelectNthDepthLimit(t *testing.T) {
 }
 
 // oneSegment returns a Summary whose one segment is a, so that selection
-// permutes a itself.
-func oneSegment(a []float64) *Summary { return &Summary{samples: a} }
+// permutes a itself. Its sum is a's, so a query moves any NaN in a first.
+func oneSegment(a []float64) *Summary { return &Summary{samples: a, sum: sumOf(a)} }
+
+// sumOf returns the sum of a, NaN if a holds a NaN.
+func sumOf(a []float64) float64 {
+	sum := 0.0
+	for _, v := range a {
+		sum += v
+	}
+	return sum
+}
 
 // checkSelectNth runs selectNth on a copy of a and requires the postcondition
 // Percentile relies on: rank k holds what a sort puts there, nothing larger
@@ -419,6 +467,7 @@ func splitAt(a []float64, cuts uint32) *Summary {
 		}
 	}
 	s.samples = append([]float64(nil), a[s.full.n:]...)
+	s.sum = sumOf(a)
 	if s.full.n == 0 {
 		s.full = nil
 	}
@@ -522,7 +571,8 @@ func loadSummary(t *testing.T, blob []byte) *Summary {
 
 // TestSummaryWalkRoundTrip: save → load → save is byte-identical, the wire
 // layout is the samples and the two running moments, nothing more, and the
-// order a query has permuted the samples into travels with the snapshot.
+// order a query has permuted the samples into travels with the snapshot. A
+// load refuses a NaN sample beside a sum that is a number.
 func TestSummaryWalkRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	orig := NewSummary(0)
@@ -557,5 +607,30 @@ func TestSummaryWalkRoundTrip(t *testing.T) {
 	}
 	if v := got.Percentile(95); v != p95 || got.N() != orig.N() || got.Mean() != orig.Mean() {
 		t.Fatalf("loaded summary reads p95=%v n=%d mean=%v, saved one %v %d %v", v, got.N(), got.Mean(), p95, orig.N(), orig.Mean())
+	}
+
+	// A NaN sample loads beside a NaN sum, as every run leaves it, and fails
+	// beside a sum that is a number.
+	for _, sum := range []float64{math.NaN(), 3} {
+		e := snap.NewEncoder()
+		w := snap.Save(e)
+		w.Tag("summary")
+		samples := []float64{1, math.NaN(), 2}
+		w.F64s(&samples)
+		w.F64(&sum)
+		w.F64(&sum)
+		blob, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := snap.Decode(blob, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w = snap.Load(d)
+		NewSummary(0).Walk(w)
+		if failed := w.Err() != nil; failed != (sum == sum) {
+			t.Errorf("a NaN sample beside the sum %v: load error %v", sum, w.Err())
+		}
 	}
 }
