@@ -3,8 +3,8 @@
 // reports. Use -quick for a reduced-scale pass (seconds per experiment) or
 // the default full scale (the paper's durations; minutes in total).
 //
-// Independent trials (reps × protocols × cells × scenarios) run on a worker
-// pool sized by -parallel; output is byte-identical at every setting, and
+// Independent trials (scenarios × protocols × reps) run on a worker pool
+// sized by -parallel; output is byte-identical at every setting, and
 // -parallel 1 reproduces the serial path.
 //
 // Performance is measured by the committed benchmark (bash bench/run.sh),

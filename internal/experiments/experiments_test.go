@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/faults"
 )
 
 // These tests run scaled-down versions of each harness and assert the
@@ -350,4 +351,43 @@ func TestRendersNonEmpty(t *testing.T) {
 			t.Errorf("render too short: %q", s)
 		}
 	}
+}
+
+// TestZeroRepsRunsOnce checks that a zero MacroOptions.Reps runs one
+// repetition, as Metro defaults its zero options, instead of averaging over
+// none and rendering NaN in every cell.
+func TestZeroRepsRunsOnce(t *testing.T) {
+	render := func(reps int) string {
+		opts := MacroOptions{Duration: 2 * time.Second, Reps: reps, Seed: 1, Parallel: 1}
+		s := Figure8(opts).Render() + Figure9(opts).Render() + Table1(opts).Render()
+		opts.Duration = 8 * time.Second // the tunnel plan's outages overlap below ≈5.7 s
+		for _, name := range faults.Names() {
+			r, err := FaultScenario(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s += r.Render()
+		}
+		return s
+	}
+	zero, one := render(0), render(1)
+	if strings.Contains(zero, "NaN") {
+		t.Errorf("zero-Reps render contains NaN:\n%s", zero)
+	}
+	if zero != one {
+		t.Errorf("zero-Reps render differs from Reps 1:\n%s\nwant:\n%s", zero, one)
+	}
+}
+
+// TestRepsPastKeySpacePanics checks that more repetitions than the sweep
+// key's slots per protocol panic with the limit instead of sharing a seed
+// with the next protocol's first repetition.
+func TestRepsPastKeySpacePanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "limit of 100") {
+			t.Errorf("Reps 101 recovered %q, want a panic naming the limit of 100", msg)
+		}
+	}()
+	Figure8(MacroOptions{Duration: time.Second, Reps: maxReps + 1, Seed: 1})
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cellular"
-	"repro/internal/experiments/runner"
 	"repro/internal/faults"
 	"repro/internal/verus"
 )
@@ -16,8 +15,8 @@ import (
 // (internal/faults) is run against the hardened Verus, stock Verus, and the
 // TCP baselines over a trace-driven cell, and the table reports what the
 // outage/handover/loss train cost each protocol and how quickly it came
-// back. Trials run through runner.Map like every other harness, so serial
-// and parallel renders are byte-identical.
+// back. Trials run through sweep, the seed plan of Figs. 8–10, on
+// runner.Map, so serial and parallel renders are byte-identical.
 
 // VerusResilientMaker returns Verus with the §4.2 recovery extensions
 // (timeout-epoch ack filtering and post-outage profile relearning) enabled.
@@ -85,33 +84,21 @@ func FaultScenario(name string, opts MacroOptions) (FaultScenarioResult, error) 
 	}
 	mobility := faultMobility(name)
 	protos := faultProtocols()
-	var jobs []runner.Job[RunResult]
-	for pi, mk := range protos {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, runner.Job[RunResult]{
-				Key: int64(100*pi + rep),
-				Run: func(seed int64) RunResult {
-					tr := cellTrace(cellular.Tech3G, mobility, 25, opts.Duration, seed)
-					return TraceRun{
-						Trace: tr, Maker: mk, Flows: 4,
-						Duration: opts.Duration, Seed: seed, Faults: plan,
-						Obs: opts.Obs,
-					}.Run()
-				},
-			})
-		}
-	}
-	results := runner.Map(opts.pool(), opts.Seed, jobs)
-	k := 0
-	for _, mk := range protos {
+	results := sweep(opts, []int64{0}, protos, opts.reps(), func(_ int, mk Maker, _ int, seed int64) RunResult {
+		tr := cellTrace(cellular.Tech3G, mobility, 25, opts.Duration, seed)
+		return TraceRun{
+			Trace: tr, Maker: mk, Flows: 4,
+			Duration: opts.Duration, Seed: seed, Faults: plan,
+			Obs: opts.Obs,
+		}.Run()
+	})[0]
+	for p, mk := range protos {
+		reps := results[p]
 		row := FaultRow{Protocol: mk.Name}
+		row.Mbps, row.DelayMean = meanOverReps(reps)
 		var recSum float64
 		recovered := true
-		for rep := 0; rep < opts.Reps; rep++ {
-			res := results[k]
-			k++
-			row.Mbps += res.MeanMbps()
-			row.DelayMean += res.MeanDelay()
+		for _, res := range reps {
 			for _, f := range res.Flows {
 				row.Timeouts += f.Timeouts
 			}
@@ -124,11 +111,8 @@ func FaultScenario(name string, opts MacroOptions) (FaultScenarioResult, error) 
 				recSum += rec
 			}
 		}
-		n := float64(opts.Reps)
-		row.Mbps /= n
-		row.DelayMean /= n
 		if recovered {
-			row.RecoverySec = recSum / n
+			row.RecoverySec = recSum / float64(len(reps))
 		} else {
 			row.RecoverySec = -1
 		}

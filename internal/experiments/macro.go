@@ -14,7 +14,10 @@ import (
 type MacroOptions struct {
 	// Duration per run (paper: 2 minutes).
 	Duration time.Duration
-	// Reps averages over repetitions (paper: 5).
+	// Reps averages over repetitions (paper: 5). Values below 1 run one
+	// repetition, as Metro defaults its zero options; values above 100 panic,
+	// because the sweep key gives each protocol 100 repetition slots. Table 1
+	// averages over min(Reps, 5) scenarios, and Fig. 10 runs once.
 	Reps int
 	Seed int64
 	// Parallel is the trial worker count (0 = GOMAXPROCS, 1 = serial).
@@ -28,6 +31,58 @@ type MacroOptions struct {
 
 // pool returns the trial executor for these options.
 func (o MacroOptions) pool() *runner.Pool { return runner.New(o.Parallel) }
+
+// maxReps is the number of repetition slots sweep's key gives each protocol.
+const maxReps = 100
+
+// reps returns the repetition count of these options: Reps, or 1 when Reps
+// is below 1. It panics above maxReps.
+func (o MacroOptions) reps() int {
+	if o.Reps > maxReps {
+		panic(fmt.Sprintf("experiments: MacroOptions.Reps %d exceeds the limit of %d, past which a repetition shares the next protocol's seed key", o.Reps, maxReps))
+	}
+	return max(o.Reps, 1)
+}
+
+// sweep is the seed plan of the harnesses that put every protocol through
+// the same scenarios: Figs. 8–10, Table 1 and the fault tables. It runs
+// trial once for every (outer o, protocol p, repetition r) triple on the
+// options' worker pool with the key outer[o] + 100·p + r, and returns the
+// results indexed [o][p][r]. reps must not exceed maxReps, and outer keys
+// must lie at least 100·len(protos) apart.
+func sweep[T any](opts MacroOptions, outer []int64, protos []Maker, reps int,
+	trial func(o int, mk Maker, r int, seed int64) T) [][][]T {
+	var jobs []runner.Job[T]
+	for o, key := range outer {
+		for p, mk := range protos {
+			for r := 0; r < reps; r++ {
+				jobs = append(jobs, runner.Job[T]{
+					Key: key + int64(maxReps*p+r),
+					Run: func(seed int64) T { return trial(o, mk, r, seed) },
+				})
+			}
+		}
+	}
+	flat := runner.Map(opts.pool(), opts.Seed, jobs)
+	out := make([][][]T, len(outer))
+	for o := range out {
+		for range protos {
+			out[o], flat = append(out[o], flat[:reps:reps]), flat[reps:]
+		}
+	}
+	return out
+}
+
+// meanOverReps averages one protocol's per-flow mean throughput and delay
+// over its repetitions.
+func meanOverReps(reps []RunResult) (mbps, delay float64) {
+	for _, res := range reps {
+		mbps += res.MeanMbps()
+		delay += res.MeanDelay()
+	}
+	n := float64(len(reps))
+	return mbps / n, delay / n
+}
 
 // bloatBytes sizes the Fig. 8/9 cell buffer. Carriers over-dimension base
 // station buffers (the "bufferbloat" of §2: "multi-second delays"); 8 MB at
@@ -75,44 +130,29 @@ func macroSweep(opts MacroOptions, protos []Maker) (tech []string, points [][]Pr
 		{"3G", cellular.Tech3G, 16},
 		{"LTE", cellular.TechLTE, 40},
 	}
-	var jobs []runner.Job[RunResult]
-	for ci, cell := range cells {
-		for pi, mk := range protos {
-			for rep := 0; rep < opts.Reps; rep++ {
-				jobs = append(jobs, runner.Job[RunResult]{
-					Key: int64(1000*ci + 100*pi + rep),
-					Run: func(seed int64) RunResult {
-						tr := cellTrace(cell.tech, cellular.CityStationary, cell.total, opts.Duration, seed)
-						return TraceRun{
-							Trace: tr, Maker: mk, Flows: 9,
-							Duration: opts.Duration, QueueBytes: bloatBytes, Seed: seed,
-							Obs: opts.Obs,
-						}.Run()
-					},
-				})
-			}
-		}
-	}
-	results := runner.Map(opts.pool(), opts.Seed, jobs)
-	k := 0
-	for _, cell := range cells {
+	results := sweep(opts, []int64{0, 1000}, protos, opts.reps(), func(c int, mk Maker, _ int, seed int64) RunResult {
+		tr := cellTrace(cells[c].tech, cellular.CityStationary, cells[c].total, opts.Duration, seed)
+		return TraceRun{
+			Trace: tr, Maker: mk, Flows: 9,
+			Duration: opts.Duration, QueueBytes: bloatBytes, Seed: seed,
+			Obs: opts.Obs,
+		}.Run()
+	})
+	for c, cell := range cells {
 		var row []ProtocolPoint
-		for _, mk := range protos {
-			var mbps, delay, p95 float64
-			for rep := 0; rep < opts.Reps; rep++ {
-				res := results[k]
-				k++
-				mbps += res.MeanMbps()
-				delay += res.MeanDelay()
+		for p, mk := range protos {
+			reps := results[c][p]
+			mbps, delay := meanOverReps(reps)
+			var p95 float64
+			for _, res := range reps {
 				var pp float64
 				for _, f := range res.Flows {
 					pp += f.DelayP95
 				}
 				p95 += pp / float64(len(res.Flows))
 			}
-			n := float64(opts.Reps)
 			row = append(row, ProtocolPoint{
-				Protocol: mk.Name, Mbps: mbps / n, DelaySec: delay / n, DelayP95: p95 / n,
+				Protocol: mk.Name, Mbps: mbps, DelaySec: delay, DelayP95: p95 / float64(len(reps)),
 			})
 		}
 		tech = append(tech, cell.name)
@@ -176,9 +216,8 @@ func (r Figure9Result) Render() string {
 type Figure10Result struct {
 	Scenarios []string
 	// PerFlow[s][p] lists the per-flow points of protocol p in scenario s.
-	PerFlow   [][][]ProtocolPoint
-	Summary   [][]ProtocolPoint
-	Protocols []string
+	PerFlow [][][]ProtocolPoint
+	Summary [][]ProtocolPoint
 }
 
 // figure10Protocols are the trace-driven contenders.
@@ -193,35 +232,21 @@ func Figure10(opts MacroOptions) Figure10Result {
 	scenarios := []cellular.Scenario{
 		cellular.CampusPedestrian, cellular.CityDriving, cellular.HighwayDriving,
 	}
-	for _, mk := range figure10Protocols() {
-		out.Protocols = append(out.Protocols, mk.Name)
-	}
 	protos := figure10Protocols()
-	var jobs []runner.Job[RunResult]
-	for si, sc := range scenarios {
-		for pi, mk := range protos {
-			jobs = append(jobs, runner.Job[RunResult]{
-				Key: int64(1000*si + 100*pi),
-				Run: func(seed int64) RunResult {
-					tr := cellTrace(cellular.Tech3G, sc, 25, opts.Duration, seed)
-					return TraceRun{
-						Trace: tr, Maker: mk, Flows: 10,
-						Duration: opts.Duration, UseRED: true, Seed: seed,
-						Obs: opts.Obs,
-					}.Run()
-				},
-			})
-		}
-	}
-	results := runner.Map(opts.pool(), opts.Seed, jobs)
-	k := 0
-	for _, sc := range scenarios {
+	results := sweep(opts, []int64{0, 1000, 2000}, protos, 1, func(s int, mk Maker, _ int, seed int64) RunResult {
+		tr := cellTrace(cellular.Tech3G, scenarios[s], 25, opts.Duration, seed)
+		return TraceRun{
+			Trace: tr, Maker: mk, Flows: 10,
+			Duration: opts.Duration, UseRED: true, Seed: seed,
+			Obs: opts.Obs,
+		}.Run()
+	})
+	for s, sc := range scenarios {
 		out.Scenarios = append(out.Scenarios, sc.Name)
 		var perFlow [][]ProtocolPoint
 		var summary []ProtocolPoint
-		for _, mk := range protos {
-			res := results[k]
-			k++
+		for p, mk := range protos {
+			res := results[s][p][0]
 			var pts []ProtocolPoint
 			for _, f := range res.Flows {
 				pts = append(pts, ProtocolPoint{Protocol: mk.Name, Mbps: f.Mbps, DelaySec: f.DelayMean})
@@ -278,39 +303,27 @@ func Table1(opts MacroOptions) Table1Result {
 		out.Protocols = append(out.Protocols, m.Name)
 	}
 	scenarios := table1Scenarios()
-	if opts.Reps < len(scenarios) {
-		scenarios = scenarios[:opts.Reps]
-	}
-	var jobs []runner.Job[float64]
+	var outer []int64
 	for _, users := range out.Users {
-		for pi, mk := range makers {
-			for si, sc := range scenarios {
-				jobs = append(jobs, runner.Job[float64]{
-					Key: int64(10000*users + 100*pi + si),
-					Run: func(seed int64) float64 {
-						tr := cellTrace(cellular.Tech3G, sc, 25, opts.Duration, seed)
-						res := TraceRun{
-							Trace: tr, Maker: mk, Flows: users,
-							Duration: opts.Duration, UseRED: true, Seed: seed,
-							Obs: opts.Obs,
-						}.Run()
-						return stats.WindowedJain(res.PerSecondMbps)
-					},
-				})
-			}
-		}
+		outer = append(outer, int64(10000*users))
 	}
-	results := runner.Map(opts.pool(), opts.Seed, jobs)
-	k := 0
-	for range out.Users {
+	results := sweep(opts, outer, makers, min(opts.reps(), len(scenarios)), func(u int, mk Maker, s int, seed int64) float64 {
+		tr := cellTrace(cellular.Tech3G, scenarios[s], 25, opts.Duration, seed)
+		res := TraceRun{
+			Trace: tr, Maker: mk, Flows: out.Users[u],
+			Duration: opts.Duration, UseRED: true, Seed: seed,
+			Obs: opts.Obs,
+		}.Run()
+		return stats.WindowedJain(res.PerSecondMbps)
+	})
+	for u := range out.Users {
 		row := make([]float64, len(makers))
-		for pi := range makers {
+		for p, perScenario := range results[u] {
 			var acc float64
-			for range scenarios {
-				acc += results[k]
-				k++
+			for _, jain := range perScenario {
+				acc += jain
 			}
-			row[pi] = acc / float64(len(scenarios))
+			row[p] = acc / float64(len(perScenario))
 		}
 		out.Index = append(out.Index, row)
 	}

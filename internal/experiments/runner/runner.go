@@ -49,8 +49,8 @@ func (p *Pool) Workers() int {
 // distinct keys; trials that must replay an identical random environment
 // (e.g. every protocol facing the same Fig. 11 parameter path) share one.
 type Job[T any] struct {
-	// Key identifies the trial within its harness (e.g. an encoding of
-	// cell/protocol/repetition indices).
+	// Key identifies the trial within its harness (e.g. the scenario ×
+	// protocol × rep harnesses' scenarioKey + 100·protocol + repetition).
 	Key int64
 	// Run executes the trial with its derived seed and returns its result.
 	Run func(seed int64) T
