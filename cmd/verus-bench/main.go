@@ -63,6 +63,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,8 +92,8 @@ func parseFaults(s string) ([]string, error) {
 	case "all":
 		return faults.Names(), nil
 	}
-	if _, err := faults.ByName(s, time.Second); err != nil {
-		return nil, err
+	if !slices.Contains(faults.Names(), s) {
+		return nil, fmt.Errorf("unknown fault scenario %q (valid: %v)", s, faults.Names())
 	}
 	return []string{s}, nil
 }

@@ -379,6 +379,22 @@ func TestZeroRepsRunsOnce(t *testing.T) {
 	}
 }
 
+// TestShortTunnelOutageErrors checks that a run too short for the tunnel
+// plan's two outages to fit apart is refused by FaultScenario with the
+// plan's validation error, before any trial runs, instead of panicking in
+// faults.Wrap inside one.
+func TestShortTunnelOutageErrors(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("FaultScenario panicked: %v", r)
+		}
+	}()
+	_, err := FaultScenario(faults.ScenarioTunnelOutage, MacroOptions{Duration: 2 * time.Second, Reps: 1})
+	if err == nil || !strings.Contains(err.Error(), "overlaps") {
+		t.Errorf("a 2 s tunnel-outage run returned error %v, want the outages' overlap", err)
+	}
+}
+
 // TestRepsPastKeySpacePanics checks that more repetitions than the sweep
 // key's slots per protocol panic with the limit instead of sharing a seed
 // with the next protocol's first repetition.

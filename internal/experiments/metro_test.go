@@ -199,3 +199,26 @@ func TestMetroBuildAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMetroTrialAllocs pins what a whole metro trial allocates per flow —
+// build, run and collect — at TestMetroBuildAllocs' shape, the benchmark's.
+// Past the build that is each flow's growth while it runs: the delay
+// profile's knots past its first eight and the spline's rows, Sprout's
+// forecasts, in-flight rings past their first sixteen entries, delay samples
+// past their first 64, and the collect's merge. The counts are 3.69 for
+// Verus, 2.55 for Cubic and 3.61 for Sprout (13.40, 5.05 and 7.12 when the
+// profile's knots, the 1 s windows and the in-flight ring grew from empty);
+// the ceilings leave 10 % headroom.
+func TestMetroTrialAllocs(t *testing.T) {
+	opts := DefaultMetroOptions()
+	opts.Sectors, opts.Duration, opts.ChurnFrac, opts.HandoverScale = 8, 1500*time.Millisecond, 0.3, 0.02
+	const flows = 1000
+	ceiling := map[string]float64{"Verus (R=6)": 4.06, "TCP Cubic": 2.81, "Sprout": 3.97}
+	for _, mk := range metroProtocols() {
+		perFlow := testing.AllocsPerRun(1, func() { metroTrial(opts, mk, flows, 42) }) / flows
+		t.Logf("%s: %.2f allocs per flow", mk.Name, perFlow)
+		if c, ok := ceiling[mk.Name]; !ok || perFlow > c {
+			t.Errorf("%s: a metro trial allocates %.2f times per flow, ceiling %v", mk.Name, perFlow, c)
+		}
+	}
+}

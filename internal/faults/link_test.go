@@ -335,6 +335,16 @@ func TestCannedScenarios(t *testing.T) {
 	if _, err := faults.ByName("no-such-plan", d); err == nil {
 		t.Error("unknown scenario name did not error")
 	}
+	// Below ≈5.7 s the tunnel's two outages overlap: ByName returns the
+	// plan's validation error rather than a plan Wrap would panic on.
+	for _, short := range []time.Duration{time.Second, 2 * time.Second, 5500 * time.Millisecond} {
+		if p, err := faults.ByName(faults.ScenarioTunnelOutage, short); err == nil || p != nil {
+			t.Errorf("tunnel-outage over %v: plan %v, error %v; want no plan and the overlap error", short, p, err)
+		}
+	}
+	if _, err := faults.ByName(faults.ScenarioTunnelOutage, 6*time.Second); err != nil {
+		t.Errorf("tunnel-outage over 6s: %v", err)
+	}
 	// The handover train derives from scenario mobility parameters; a
 	// stationary scenario must produce no events.
 	if p, _ := faults.ByName(faults.ScenarioHighwayHandover, d); len(p.Events) == 0 {

@@ -25,19 +25,26 @@ func Names() []string {
 	return []string{ScenarioTunnelOutage, ScenarioHighwayHandover, ScenarioCityLoss}
 }
 
-// ByName builds the canned plan for a run of duration d. Unknown names
-// return an error listing the valid ones.
+// ByName builds the canned plan for a run of duration d and validates it.
+// Unknown names return an error listing the valid ones; a run too short for
+// the plan's events to fit without overlapping (tunnel-outage below ≈5.7 s)
+// returns Validate's error, where Wrap would panic inside the trial.
 func ByName(name string, d time.Duration) (*Plan, error) {
+	var p *Plan
 	switch name {
 	case ScenarioTunnelOutage:
-		return TunnelOutage(d), nil
+		p = TunnelOutage(d)
 	case ScenarioHighwayHandover:
-		return HandoverTrain(cellular.HighwayDriving, d), nil
+		p = HandoverTrain(cellular.HighwayDriving, d)
 	case ScenarioCityLoss:
-		return CityDrive(d), nil
+		p = CityDrive(d)
 	default:
 		return nil, fmt.Errorf("faults: unknown scenario %q (valid: %v)", name, Names())
 	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("faults: scenario %q over %v: %w", name, d, err)
+	}
+	return p, nil
 }
 
 // TunnelOutage models a drive through two tunnels: a short blackout at 30%

@@ -137,17 +137,26 @@ func (b *scoreboard) at(i int) *outstanding {
 	return &b.buf[(b.head+i)&(len(b.buf)-1)]
 }
 
+// firstRing is the length of a scoreboard's first ring: a Source's, which it
+// holds inline, or the one a Host without a ring allocates on its first send.
+const firstRing = 16
+
 // push appends o at the tail, doubling the ring when full.
 func (b *scoreboard) push(o outstanding) {
 	if b.n == len(b.buf) {
-		buf := make([]outstanding, max(16, 2*len(b.buf)))
-		for i := 0; i < b.n; i++ {
-			buf[i] = *b.at(i)
-		}
-		b.buf, b.head = buf, 0
+		b.rehome(make([]outstanding, max(firstRing, 2*len(b.buf))))
 	}
 	b.n++
 	*b.at(b.n - 1) = o
+}
+
+// rehome moves the entries, in order, to the front of buf, a ring of
+// power-of-two length that holds them.
+func (b *scoreboard) rehome(buf []outstanding) {
+	for i := 0; i < b.n; i++ {
+		buf[i] = *b.at(i)
+	}
+	b.buf, b.head = buf, 0
 }
 
 // closeGap removes entries [lo, hi) by sliding the lo entries before them up
@@ -421,6 +430,9 @@ type Source struct {
 	startCB, stopCB callback
 	sink            Sink
 	blk             flowMetricsBlock
+	// ring is the in-flight scoreboard's first ring, so a flow's first
+	// window costs no allocation; a larger window doubles it onto the heap.
+	ring [firstRing]outstanding
 }
 
 // The Source's events, each a Receiver that runs one Source method.
@@ -450,8 +462,9 @@ const (
 )
 
 // sourceChunkMax caps the Sources one chunk of a Sim's source arena holds:
-// at 1040 bytes each on 64-bit platforms, a Sim leaves at most ≈65 KB of it
-// unused.
+// at 1640 bytes each on 64-bit platforms (1032 before the in-flight ring and
+// the series' first windows moved inside), a Sim leaves at most ≈105 KB of
+// it unused.
 const sourceChunkMax = 64
 
 // NewSource wires a controller into the simulation. The flow starts sending
@@ -468,6 +481,7 @@ func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 	}
 	s := carve(&sim.srcs, 1, sourceChunkMax)
 	*s = Source{Host: Host{ctrl: ctrl}, sim: sim, flow: flow, link: link, mtu: mtu}
+	s.inflight.buf = s.ring[:]
 	s.metrics = s.blk.init(flow)
 	s.sink = Sink{sim: sim, metrics: s.metrics, ackDelay: ackDelay, src: s}
 	sim.register(&s.startCB, (*sourceStart)(s))
@@ -597,7 +611,8 @@ func walkSender(w snap.Walker, h *Host, stopped, started *bool, flow int) {
 //
 // A load walks the sender state into a scratch copy with a ring of its own
 // and commits it only once it decoded whole and valid, so a rejected snapshot
-// leaves the sender as it was. If the checkpoint was taken after the flow
+// leaves the sender as it was; a window the Source's inline ring holds moves
+// back onto it. If the checkpoint was taken after the flow
 // started, the tick and RTO timers are then re-registered under their derived
 // ids (carrying the stopped flag) so the heap restore can resolve their
 // pending tick events.
@@ -618,6 +633,9 @@ func (s *Source) Walk(w snap.Walker) {
 			return
 		}
 		s.Host, s.stopped, s.started = tmp.h, tmp.stopped, tmp.started
+		if s.inflight.n <= len(s.ring) {
+			s.inflight.rehome(s.ring[:])
+		}
 	} else {
 		walkSender(w, &s.Host, &s.stopped, &s.started, s.flow)
 	}

@@ -405,6 +405,9 @@ func TestSourceRestoreRejectsHostileSnapshot(t *testing.T) {
 	if s.nextSeq != nextSeq || s.inflight.n != len(valid) || s.inflight.at(1).seq != 5 || s.inflight.at(1).ackedAfter != 1 {
 		t.Fatalf("valid snapshot not applied: %+v", s.inflight)
 	}
+	if &s.inflight.buf[0] != &s.ring[0] {
+		t.Errorf("a restored window of %d left the Source's own ring", s.inflight.n)
+	}
 
 	for name, inflight := range map[string][]refOutstanding{
 		"descending seqs":                   {{seq: 5}, {seq: 3}},

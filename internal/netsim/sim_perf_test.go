@@ -293,6 +293,42 @@ func TestNewSourceAllocs(t *testing.T) {
 	}
 }
 
+// TestSourceFirstRingAllocs pins a fresh Source's first window of in-flight
+// sends at no allocation: NewSource points the scoreboard at the ring the
+// Source holds, so the first firstRing sends record into it (each one
+// allocated a 16-entry ring on the heap when the scoreboard started empty).
+// The next send doubles the ring onto the heap, as before.
+func TestSourceFirstRingAllocs(t *testing.T) {
+	const runs = 10
+	sim := NewSim()
+	link := NewFixedLink(sim, NewDropTail(1<<20), 100, time.Millisecond, ReceiverFunc(sim.FreePacket), 1)
+	srcs := make([]*Source, runs+1)
+	for i := range srcs {
+		srcs[i], _ = NewSource(sim, i, &fixedWindow{w: 2 * firstRing}, link, 1400, time.Millisecond, time.Hour, 0)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := srcs[next]
+		next++
+		for i := 0; i < firstRing; i++ {
+			s.Sent(time.Duration(i)*time.Millisecond, 2*firstRing)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a fresh Source's first %d sends: %v allocs, want 0", firstRing, allocs)
+	}
+	for i, s := range srcs {
+		if s.inflight.n != firstRing || &s.inflight.buf[0] != &s.ring[0] {
+			t.Fatalf("Source %d: %d in flight, ring inline %v; want %d in its own ring", i, s.inflight.n, &s.inflight.buf[0] == &s.ring[0], firstRing)
+		}
+	}
+	s := srcs[0]
+	s.Sent(time.Second, 2*firstRing)
+	if len(s.inflight.buf) != 2*firstRing || &s.inflight.buf[0] == &s.ring[0] || s.inflight.at(firstRing).seq != firstRing {
+		t.Errorf("send %d: ring of %d, want the inline ring doubled to %d on the heap", firstRing+1, len(s.inflight.buf), 2*firstRing)
+	}
+}
+
 // TestSourceArenaKeepsAddresses builds 1000 Sources on one Sim, across many
 // chunks of its source arena, and requires that none moved: every returned
 // pointer still holds its own flow, metrics and sink, and the registry

@@ -42,16 +42,21 @@ func (s *Summary) Walk(w snap.Walker) {
 }
 
 // Walk visits the per-window byte totals; the window size is configuration.
+// A load decodes into the inline windows when they hold the count.
 func (s *ThroughputSeries) Walk(w snap.Walker) {
 	w.Tag("tput")
 	w.SameDur(s.window, "stats: throughput window")
+	if w.Loading() && s.bytes == nil {
+		s.bytes = s.first[:0]
+	}
 	w.I64s(&s.bytes)
 }
 
 // Walk visits the per-window sums and counts; the window size is
 // configuration. The wire holds every window's sum, then every window's
 // count, as two counted lists. A load sizes the windows by the sums, whose
-// count F64s has checked against the payload, and requires as many counts.
+// count F64s has checked against the payload, and requires as many counts;
+// the windows decode into the inline ones when they hold the count.
 func (s *WindowedMean) Walk(w snap.Walker) {
 	w.Tag("wmean")
 	w.SameDur(s.window, "stats: windowed-mean window")
@@ -74,7 +79,10 @@ func (s *WindowedMean) Walk(w snap.Walker) {
 	if w.Err() != nil {
 		return
 	}
-	s.cells = make([]meanCell, len(sums))
+	if s.cells == nil {
+		s.cells = s.first[:0]
+	}
+	s.cells = slices.Grow(s.cells[:0], len(sums))[:len(sums)]
 	for i, v := range sums {
 		s.cells[i].sum = v
 		w.I64(&s.cells[i].n)

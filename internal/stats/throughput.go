@@ -6,10 +6,18 @@ import "time"
 // windows and reports per-window throughput in bits per second. It backs the
 // windowed-throughput plots (Fig. 4, 11-14) and the 1-second fairness windows
 // of Table 1.
+//
+// The first windows are held inline: bytes points at first from the first
+// Add or load on, and grows past it by append. A series may be copied until
+// then (a constructor's result into a block that holds it), never after.
 type ThroughputSeries struct {
 	window time.Duration
 	bytes  []int64
+	first  [firstWindows]int64
 }
+
+// firstWindows is how many windows a series holds before it allocates.
+const firstWindows = 4
 
 // NewThroughputSeries returns a series with the given window size.
 func NewThroughputSeries(window time.Duration) *ThroughputSeries {
@@ -26,6 +34,9 @@ func (s *ThroughputSeries) Add(t time.Duration, n int) {
 		return
 	}
 	w := int(t / s.window)
+	if s.bytes == nil {
+		s.bytes = s.first[:0]
+	}
 	for len(s.bytes) <= w {
 		s.bytes = append(s.bytes, 0)
 	}

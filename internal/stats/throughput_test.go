@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/snap"
 )
 
 func TestThroughputSeriesWindows(t *testing.T) {
@@ -78,4 +82,93 @@ func TestThroughputSeriesInvalidWindowPanics(t *testing.T) {
 		}
 	}()
 	NewThroughputSeries(0)
+}
+
+// TestSeriesFirstWindowsAllocs: a fresh ThroughputSeries' and WindowedMean's
+// first firstWindows windows, opened in any order, allocate nothing — they
+// are the series' own inline windows (grown from empty they cost three
+// allocations per series) — and the window past them spills by append, one
+// allocation per series.
+func TestSeriesFirstWindowsAllocs(t *testing.T) {
+	const runs = 10
+	tps := make([]*ThroughputSeries, runs+1)
+	wms := make([]*WindowedMean, runs+1)
+	for i := range tps {
+		tps[i], wms[i] = NewThroughputSeries(time.Second), NewWindowedMean(time.Second)
+	}
+	at := [...]time.Duration{1200 * time.Millisecond, 0, 3900 * time.Millisecond, 2 * time.Second}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tp, wm := tps[next], wms[next]
+		next++
+		for _, when := range at {
+			tp.Add(when, 1400)
+			wm.Add(when, 0.05)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a fresh pair of series' first %d windows: %v allocs, want 0", len(at), allocs)
+	}
+	for i := range tps {
+		if len(tps[i].bytes) != len(at) || len(wms[i].cells) != len(at) || tps[i].TotalBytes() != 1400*int64(len(at)) {
+			t.Fatalf("series %d: %d and %d windows, %d bytes; want %d windows of 1400", i, len(tps[i].bytes), len(wms[i].cells), tps[i].TotalBytes(), len(at))
+		}
+	}
+	next = 0
+	spill := testing.AllocsPerRun(runs, func() {
+		tps[next].Add(4*time.Second, 1400)
+		wms[next].Add(4*time.Second, 0.05)
+		next++
+	})
+	if spill != 2 {
+		t.Errorf("the window past %d: %v allocs for the pair, want 2", len(at), spill)
+	}
+}
+
+// TestSeriesWalkRoundTrip: save → load → save is byte-equal for a
+// ThroughputSeries and a WindowedMean with 2 windows (inline) and with 9
+// (spilled), and the loaded series report what the saved ones do.
+func TestSeriesWalkRoundTrip(t *testing.T) {
+	save := func(w snap.Walkable) []byte {
+		e := snap.NewEncoder()
+		w.Walk(snap.Save(e))
+		blob, err := e.Encode(snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	load := func(w snap.Walkable, blob []byte) {
+		d, err := snap.Decode(blob, snap.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Walk(snap.Load(d))
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, windows := range []int{2, 9} {
+		tp, wm := NewThroughputSeries(time.Second), NewWindowedMean(time.Second)
+		for i := 0; i < windows; i++ {
+			at := time.Duration(i)*time.Second + 300*time.Millisecond
+			tp.Add(at, 1000+i)
+			wm.Add(at, 0.01*float64(i+1))
+			wm.Add(at, 0.3)
+		}
+		tpBlob, wmBlob := save(tp), save(wm)
+		tp2, wm2 := NewThroughputSeries(time.Second), NewWindowedMean(time.Second)
+		load(tp2, tpBlob)
+		load(wm2, wmBlob)
+		if !bytes.Equal(save(tp2), tpBlob) || !bytes.Equal(save(wm2), wmBlob) {
+			t.Fatalf("%d windows: save → load → save differs", windows)
+		}
+		if !slices.Equal(tp2.Mbps(), tp.Mbps()) || !slices.Equal(wm2.Means(), wm.Means()) {
+			t.Fatalf("%d windows: the loaded series report differently", windows)
+		}
+		inline := windows <= firstWindows
+		if (&tp2.bytes[0] == &tp2.first[0]) != inline || (&wm2.cells[0] == &wm2.first[0]) != inline {
+			t.Errorf("%d windows: loaded into the inline windows %v and %v, want %v", windows, &tp2.bytes[0] == &tp2.first[0], &wm2.cells[0] == &wm2.first[0], inline)
+		}
+	}
 }

@@ -5,9 +5,14 @@ import "time"
 // WindowedMean accumulates (time, value) samples into fixed windows and
 // reports the per-window mean — used for delay-over-time plots (Fig. 11) and
 // any other time series of averages.
+//
+// Like ThroughputSeries, it holds its first windows inline: cells points at
+// first from the first Add or load on, so a series may be copied until then,
+// never after.
 type WindowedMean struct {
 	window time.Duration
 	cells  []meanCell
+	first  [firstWindows]meanCell
 }
 
 // meanCell is one window's sum of samples and their count. A window's two
@@ -31,6 +36,9 @@ func (s *WindowedMean) Add(t time.Duration, v float64) {
 		return
 	}
 	w := int(t / s.window)
+	if s.cells == nil {
+		s.cells = s.first[:0]
+	}
 	for len(s.cells) <= w {
 		s.cells = append(s.cells, meanCell{})
 	}

@@ -2,7 +2,6 @@ package verus
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/spline"
 )
@@ -21,19 +20,22 @@ import (
 // a newly fast channel; dropping them hands that region back to the spline's
 // extrapolation, which is the mechanism Verus uses to explore anyway.
 //
-// The knot store is three parallel slices sorted by window (wins ascending,
-// delays/stamps aligned), not a map: update is a binary search plus an
-// in-place EWMA fold (allocation-free in steady state, when the window has
-// been seen before), stale aging is a single compaction pass, and refit
-// reads the knots off in order with no sort and no per-refit allocation —
-// the xs/ys scratch and the spline's own buffers are reused across refits.
+// The knot store is one slice of knots sorted by window, not a map: update
+// is a binary search plus an in-place EWMA fold (allocation-free in steady
+// state, when the window has been seen before), stale aging is a single
+// compaction pass, and refit writes the knots in order straight into the
+// spline's own knot rows, with no sort and no scratch copy. The first eight
+// knots live in the profile itself, so a young profile allocates nothing;
+// past them the slice grows by append. The spline's knot rows are then the
+// record of the last fit, which a checkpoint saves (snapshot.go).
 // Sorted order also makes determinism structural: there is no map iteration
 // anywhere, so no randomized-order hazard to defend against.
+//
+// The knot slice points into the profile from its first knot on, so a
+// profile must not be copied after its first update; a Verus holds its
+// profile by value and New allocates it once.
 type delayProfile struct {
-	// Parallel knot arrays, sorted by wins ascending. wins are distinct.
-	wins   []int
-	delays []float64
-	stamps []int64 // epoch counter of each knot's last update
+	knots []knot // sorted by w ascending; w distinct
 
 	maxW       int
 	spl        spline.Spline // refitted in place; valid once splReady
@@ -41,22 +43,27 @@ type delayProfile struct {
 	dirty      bool
 	staleAfter int64 // epochs; 0 disables aging
 
-	// Refit scratch, reused across refits.
-	xs, ys []float64
+	first [8]knot // the first knots' storage
+}
+
+// knot is one point of the profile: the EWMA delay observed at window w and
+// the epoch of its last update.
+type knot struct {
+	w     int
+	d     float64
+	stamp int64
 }
 
 // numPoints returns the current knot count.
-func (p *delayProfile) numPoints() int { return len(p.wins) }
+func (p *delayProfile) numPoints() int { return len(p.knots) }
 
 // reset discards every knot and the fitted curve, returning the profile to
 // its just-constructed state (§4.2 recovery: after a blackout the learned
 // window→delay relationship describes a bearer that no longer exists, so
-// re-learning from scratch beats trusting stale knots). Scratch buffers are
-// kept so the rebuild does not re-allocate.
+// re-learning from scratch beats trusting stale knots). The knot storage and
+// the spline's rows are kept, so the rebuild does not re-allocate.
 func (p *delayProfile) reset() {
-	p.wins = p.wins[:0]
-	p.delays = p.delays[:0]
-	p.stamps = p.stamps[:0]
+	p.knots = p.knots[:0]
 	p.maxW = 0
 	p.splReady = false
 	p.dirty = false
@@ -69,20 +76,21 @@ func (p *delayProfile) update(w int, delay float64, now int64) {
 	if w < 1 || delay <= 0 {
 		return
 	}
-	i := sort.SearchInts(p.wins, w)
-	if i < len(p.wins) && p.wins[i] == w {
-		p.delays[i] = alphaProfile*p.delays[i] + (1-alphaProfile)*delay
-		p.stamps[i] = now
+	lo, hi := 0, len(p.knots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.knots[m].w < w {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(p.knots) && p.knots[lo].w == w {
+		k := &p.knots[lo]
+		k.d = alphaProfile*k.d + (1-alphaProfile)*delay
+		k.stamp = now
 	} else {
-		p.wins = append(p.wins, 0)
-		copy(p.wins[i+1:], p.wins[i:])
-		p.wins[i] = w
-		p.delays = append(p.delays, 0)
-		copy(p.delays[i+1:], p.delays[i:])
-		p.delays[i] = delay
-		p.stamps = append(p.stamps, 0)
-		copy(p.stamps[i+1:], p.stamps[i:])
-		p.stamps[i] = now
+		p.insert(lo, knot{w: w, d: delay, stamp: now})
 	}
 	if w > p.maxW {
 		p.maxW = w
@@ -90,51 +98,55 @@ func (p *delayProfile) update(w int, delay float64, now int64) {
 	p.dirty = true
 }
 
+// insert puts k at index i, shifting the tail; the first insert moves the
+// slice onto the profile's own storage.
+func (p *delayProfile) insert(i int, k knot) {
+	if p.knots == nil {
+		p.knots = p.first[:0]
+	}
+	p.knots = append(p.knots, knot{})
+	copy(p.knots[i+1:], p.knots[i:])
+	p.knots[i] = k
+}
+
 // refit ages out stale points and re-interpolates the spline. It is a no-op
 // while fewer than two points exist or nothing changed. With warm buffers
 // (knot count at or below its high-water mark) it performs no allocation.
 func (p *delayProfile) refit(now int64) {
-	if p.staleAfter > 0 && len(p.wins) > 2 {
+	if p.staleAfter > 0 && len(p.knots) > 2 {
 		// Compact stale knots in ascending window order, but never below two
 		// survivors: the floor is checked before each drop, so when only two
 		// knots remain every later knot is kept — the same semantics as the
 		// pre-compaction implementation, which deleted from a sorted stale
 		// list and stopped at the floor.
-		n := len(p.wins)
+		n := len(p.knots)
 		kept, removed := 0, 0
 		for i := 0; i < n; i++ {
-			if now-p.stamps[i] > p.staleAfter && n-removed > 2 {
+			if now-p.knots[i].stamp > p.staleAfter && n-removed > 2 {
 				removed++
 				continue
 			}
-			p.wins[kept] = p.wins[i]
-			p.delays[kept] = p.delays[i]
-			p.stamps[kept] = p.stamps[i]
+			p.knots[kept] = p.knots[i]
 			kept++
 		}
 		if removed > 0 {
-			p.wins = p.wins[:kept]
-			p.delays = p.delays[:kept]
-			p.stamps = p.stamps[:kept]
+			p.knots = p.knots[:kept]
 			p.dirty = true
 		}
 		p.maxW = 0
-		if len(p.wins) > 0 {
-			p.maxW = p.wins[len(p.wins)-1]
+		if len(p.knots) > 0 {
+			p.maxW = p.knots[len(p.knots)-1].w
 		}
 	}
-	if !p.dirty || len(p.wins) < 2 {
+	if !p.dirty || len(p.knots) < 2 {
 		return
 	}
-	p.xs = p.xs[:0]
-	p.ys = p.ys[:0]
-	for i, w := range p.wins {
-		p.xs = append(p.xs, float64(w))
-		p.ys = append(p.ys, p.delays[i])
-	}
-	if err := p.spl.RefitSorted(p.xs, p.ys); err == nil {
-		p.splReady = true
-	}
+	err := p.spl.RefitRows(len(p.knots), func(xs, ys []float64) {
+		for i, k := range p.knots {
+			xs[i], ys[i] = float64(k.w), k.d
+		}
+	})
+	p.splReady = err == nil
 	p.dirty = false
 }
 
@@ -244,7 +256,13 @@ func (p *delayProfile) delayAt(w float64) float64 {
 
 // snapshotPoints returns a copy of the profile's raw points sorted by window.
 func (p *delayProfile) snapshotPoints() (windows []int, delays []float64) {
-	windows = append([]int(nil), p.wins...)
-	delays = append([]float64(nil), p.delays...)
+	if len(p.knots) == 0 {
+		return nil, nil
+	}
+	windows = make([]int, len(p.knots))
+	delays = make([]float64, len(p.knots))
+	for i, k := range p.knots {
+		windows[i], delays[i] = k.w, k.d
+	}
 	return windows, delays
 }

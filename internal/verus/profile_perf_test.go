@@ -211,8 +211,39 @@ func TestProfileUpdateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestProfileRefitZeroAllocs asserts a warm refit — scratch buffers and
-// spline buffers at their high-water mark — never allocates, including the
+// TestProfileFirstKnotsAllocs asserts a fresh profile's first eight
+// distinct windows allocate nothing, inserted in any order: the knots start
+// on the profile's own storage (three slices growing from empty allocated
+// twelve times over the same eight). The ninth knot moves them to the heap.
+func TestProfileFirstKnotsAllocs(t *testing.T) {
+	const runs = 10
+	order := [...]int{5, 1, 8, 3, 7, 2, 6, 4}
+	ps := make([]delayProfile, runs+1)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := &ps[next]
+		next++
+		for i, w := range order {
+			p.update(w, 0.01*float64(w), int64(i))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a fresh profile's first %d windows: %v allocs, want 0", len(order), allocs)
+	}
+	for i := range ps {
+		if wins, _ := ps[i].snapshotPoints(); len(wins) != len(order) || wins[0] != 1 || wins[len(wins)-1] != 8 {
+			t.Fatalf("profile %d holds windows %v, want 1..8", i, wins)
+		}
+	}
+	p := &ps[0]
+	p.update(9, 0.09, 9)
+	if &p.knots[0] == &p.first[0] || p.numPoints() != 9 {
+		t.Errorf("a ninth knot left %d knots on the inline storage", p.numPoints())
+	}
+}
+
+// TestProfileRefitZeroAllocs asserts a warm refit — knot and spline
+// buffers at their high-water mark — never allocates, including the
 // stale-aging compaction pass.
 func TestProfileRefitZeroAllocs(t *testing.T) {
 	p := benchProfile(128)
@@ -319,8 +350,8 @@ func TestLookupMatchesForwardScan(t *testing.T) {
 			t.Fatalf("trial %d: the profile has no curve", trial)
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, d := range p.delays {
-			lo, hi = math.Min(lo, d), math.Max(hi, d)
+		for _, k := range p.knots {
+			lo, hi = math.Min(lo, k.d), math.Max(hi, k.d)
 		}
 		maxW := float64(p.maxW)
 		fallingTail := p.spl.Eval(maxW+10) < p.spl.Eval(maxW)
@@ -334,7 +365,7 @@ func TestLookupMatchesForwardScan(t *testing.T) {
 			case 2:
 				target = 10 // above it: the hit is the top grid point
 			case 3:
-				target = p.delays[rng.Intn(len(p.delays))] // equality at a knot
+				target = p.knots[rng.Intn(len(p.knots))].d // equality at a knot
 			case 4:
 				target = p.spl.Eval(maxW) // equality with the tail clamp
 			default:
