@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -270,12 +271,13 @@ func cursorEval(e *Evaluator, x float64) float64 {
 	return e.At(x)
 }
 
-// TestRefitSortedMatchesFit pins that the in-place refit path produces
-// bit-identical curves to a fresh Fit, across successive refits reusing the
-// same buffers (growing and shrinking the knot count).
+// TestRefitSortedMatchesFit pins that the in-place refit paths, RefitSorted
+// and RefitRows, produce bit-identical curves to a fresh Fit, across
+// successive refits reusing the same buffers (growing and shrinking the knot
+// count), and that RefitRows leaves its inputs as the knot rows.
 func TestRefitSortedMatchesFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var s Spline
+	var s, r Spline
 	if len(s.xs) >= 2 {
 		t.Fatal("zero Spline reports Ready")
 	}
@@ -292,6 +294,12 @@ func TestRefitSortedMatchesFit(t *testing.T) {
 		if err := s.RefitSorted(xs, ys); err != nil {
 			t.Fatal(err)
 		}
+		if err := r.RefitRows(k, func(rx, ry []float64) { copy(rx, xs); copy(ry, ys) }); err != nil {
+			t.Fatal(err)
+		}
+		if rx, ry := r.Knots(); !slices.Equal(rx, xs) || !slices.Equal(ry, ys) {
+			t.Fatalf("trial %d: RefitRows' knot rows are not its inputs", trial)
+		}
 		ref, err := Fit(xs, ys)
 		if err != nil {
 			t.Fatal(err)
@@ -301,6 +309,9 @@ func TestRefitSortedMatchesFit(t *testing.T) {
 			xq := lo + (hi-lo)*float64(g)/199
 			if got, want := s.Eval(xq), ref.Eval(xq); got != want {
 				t.Fatalf("trial %d: refit Eval(%v) = %v, Fit Eval = %v", trial, xq, got, want)
+			}
+			if got, want := r.Eval(xq), ref.Eval(xq); got != want {
+				t.Fatalf("trial %d: RefitRows Eval(%v) = %v, Fit Eval = %v", trial, xq, got, want)
 			}
 		}
 	}
@@ -330,6 +341,12 @@ func TestRefitSortedErrors(t *testing.T) {
 	if got := s.Eval(0.5); got != 1 {
 		t.Errorf("state clobbered by failed refit: Eval(0.5) = %v, want 1", got)
 	}
+	if err := s.RefitRows(1, func(xs, ys []float64) { t.Error("one knot filled") }); err != ErrTooFewPoints {
+		t.Errorf("RefitRows of one knot: got %v, want ErrTooFewPoints", err)
+	}
+	if err := s.RefitRows(3, func(xs, ys []float64) { copy(xs, []float64{1, 3, 3}) }); err == nil {
+		t.Error("RefitRows with non-increasing x should error")
+	}
 }
 
 // TestRefitSortedZeroAllocs asserts the steady-state refit path allocates
@@ -350,9 +367,12 @@ func TestRefitSortedZeroAllocs(t *testing.T) {
 		if err := s.RefitSorted(xs, ys); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.RefitRows(n, func(rx, ry []float64) { copy(rx, xs); copy(ry, ys) }); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("RefitSorted with warm buffers: %v allocs/run, want 0", allocs)
+		t.Errorf("RefitSorted and RefitRows with warm buffers: %v allocs/run, want 0", allocs)
 	}
 }
 
