@@ -1,11 +1,11 @@
 // Command verus-lint statically enforces the repository's determinism,
 // purity, and ownership contracts (DESIGN.md §Lint). It runs the
-// internal/analysis suite — crossshard, floatorder, maprange,
-// nofaultsinprod, noglobalrand, nowalltime, poolleak; floatorder,
-// nofaultsinprod, noglobalrand and nowalltime are the rows of one
-// forbidden-API table (internal/analysis/forbid) — over the given package
-// patterns and exits non-zero on any violation. The list above mirrors
-// all.Analyzers(); TestDocCommentListsAllAnalyzers keeps it honest.
+// internal/analysis suite — floatorder, maprange, nofaultsinprod,
+// noglobalrand, nowalltime, poolleak; floatorder, nofaultsinprod,
+// noglobalrand and nowalltime are the rows of one forbidden-API table
+// (internal/analysis/forbid) — over the given package patterns and exits
+// non-zero on any violation. The list above mirrors analyzers();
+// TestDocCommentListsAllAnalyzers keeps it honest.
 //
 // Each package is loaded once and checked by analysis.Run: the analyzers
 // run serially, in order, then every //lint: directive is audited once. A
@@ -31,12 +31,23 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/all"
+	"repro/internal/analysis/forbid"
 	"repro/internal/analysis/load"
+	"repro/internal/analysis/maprange"
+	"repro/internal/analysis/poolleak"
 )
+
+// analyzers returns the full suite sorted by name, so the binary and its
+// tests run the identical set.
+func analyzers() []*analysis.Analyzer {
+	as := append(forbid.Analyzers(), maprange.Analyzer, poolleak.Analyzer)
+	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
+	return as
+}
 
 func main() {
 	dir := flag.String("C", ".", "directory to resolve package patterns in")
@@ -46,7 +57,7 @@ func main() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "usage: verus-lint [-C dir] [-sarif file] [-timing] [packages...]\n\n")
 		fmt.Fprintf(out, "Analyzers:\n")
-		for _, a := range all.Analyzers() {
+		for _, a := range analyzers() {
 			fmt.Fprintf(out, "  %-14s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(out, "Directive audit (after the analyzers, per package):\n")
@@ -60,7 +71,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := Run(*dir, patterns, all.Analyzers())
+	res, err := Run(*dir, patterns, analyzers())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verus-lint: %v\n", err)
 		os.Exit(2)
@@ -114,7 +125,7 @@ func emitSARIF(path string, res *Result) error {
 		defer f.Close()
 		w = f
 	}
-	return WriteSARIF(w, res.Fset, all.Analyzers(), res.Diags)
+	return WriteSARIF(w, res.Fset, analyzers(), res.Diags)
 }
 
 // AnalyzerTiming is one analyzer's wall time across every package.

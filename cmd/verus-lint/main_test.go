@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/all"
 )
 
 // lint runs the suite and prints its diagnostics to w as the binary does,
@@ -29,7 +28,7 @@ func lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Anal
 // is therefore a reviewed //lint: directive with a justification.
 func TestRepoIsLintClean(t *testing.T) {
 	var out bytes.Buffer
-	count, err := lint(&out, "../..", []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, "../..", []string{"./..."}, analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -67,7 +66,7 @@ import "math/rand"
 func Draw() float64 { return rand.Float64() }
 `)
 	var out bytes.Buffer
-	count, err := lint(&out, dir, []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, dir, []string{"./..."}, analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -106,7 +105,7 @@ func TestLintFlagsEveryForbidRow(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	count, err := lint(&out, dir, []string{"./..."}, all.Analyzers())
+	count, err := lint(&out, dir, []string{"./..."}, analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -130,7 +129,7 @@ func TestLintFlagsEveryForbidRow(t *testing.T) {
 // binary): an unloadable pattern is an error, not a clean run.
 func TestLintErrorOnBadPattern(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := lint(&out, "../..", []string{"./does-not-exist/..."}, all.Analyzers()); err == nil {
+	if _, err := lint(&out, "../..", []string{"./does-not-exist/..."}, analyzers()); err == nil {
 		t.Fatal("expected error for nonexistent package pattern")
 	}
 }
@@ -139,11 +138,11 @@ func TestLintErrorOnBadPattern(t *testing.T) {
 // suite order, so -timing and the CI job summary can print them without
 // re-deriving the suite.
 func TestRunReportsTiming(t *testing.T) {
-	res, err := Run("../..", []string{"./internal/analysis/load"}, all.Analyzers())
+	res, err := Run("../..", []string{"./internal/analysis/load"}, analyzers())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	suite := all.Analyzers()
+	suite := analyzers()
 	if len(res.Timing) != len(suite) {
 		t.Fatalf("timing entries = %d, want %d", len(res.Timing), len(suite))
 	}
@@ -170,12 +169,12 @@ func TestSARIFOutput(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "netsim", "clock.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(dir, []string{"./..."}, all.Analyzers())
+	res, err := Run(dir, []string{"./..."}, analyzers())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, res.Fset, all.Analyzers(), res.Diags); err != nil {
+	if err := WriteSARIF(&buf, res.Fset, analyzers(), res.Diags); err != nil {
 		t.Fatalf("write sarif: %v", err)
 	}
 	var log sarifLog
@@ -186,7 +185,7 @@ func TestSARIFOutput(t *testing.T) {
 		t.Fatalf("version=%q runs=%d, want 2.1.0 with one run", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if got, want := len(run.Tool.Driver.Rules), len(all.Analyzers())+2; got != want {
+	if got, want := len(run.Tool.Driver.Rules), len(analyzers())+2; got != want {
 		t.Errorf("rules = %d, want %d (suite + unusedsuppress + directive)", got, want)
 	}
 	if len(run.Results) != 1 {
@@ -217,7 +216,7 @@ func TestExitCodeClassification(t *testing.T) {
 }
 
 // TestDocCommentListsAllAnalyzers keeps the package doc comment in sync
-// with all.Analyzers(): the comment's analyzer list is regenerated by
+// with analyzers(): the comment's analyzer list is regenerated by
 // hand whenever the suite changes, and this test is what notices a stale
 // one (the bug this suite's own history includes).
 func TestDocCommentListsAllAnalyzers(t *testing.T) {
@@ -226,9 +225,9 @@ func TestDocCommentListsAllAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := string(src[:bytes.Index(src, []byte("package main"))])
-	for _, a := range all.Analyzers() {
+	for _, a := range analyzers() {
 		if !strings.Contains(doc, a.Name) {
-			t.Errorf("main.go doc comment does not mention analyzer %q; regenerate the list from all.Analyzers()", a.Name)
+			t.Errorf("main.go doc comment does not mention analyzer %q; regenerate the list from analyzers()", a.Name)
 		}
 	}
 	if !strings.Contains(doc, "directive") {
@@ -237,7 +236,7 @@ func TestDocCommentListsAllAnalyzers(t *testing.T) {
 }
 
 // TestDesignAnalyzerTable keeps the analyzer table of DESIGN.md's Lint
-// section in sync with all.Analyzers(): every row whose first cell is one
+// section in sync with analyzers(): every row whose first cell is one
 // backticked name names an analyzer, and every analyzer has exactly one such
 // row. The forbid table's own row ("the `forbid` table") introduces its rows
 // and is not one.
@@ -254,14 +253,14 @@ func TestDesignAnalyzerTable(t *testing.T) {
 			rows[name]++
 		}
 	}
-	for _, a := range all.Analyzers() {
+	for _, a := range analyzers() {
 		if n := rows[a.Name]; n != 1 {
 			t.Errorf("DESIGN.md's Lint table has %d rows for analyzer %q, want 1", n, a.Name)
 		}
 		delete(rows, a.Name)
 	}
 	for name := range rows {
-		t.Errorf("DESIGN.md's Lint table has a row for %q, which all.Analyzers() does not register", name)
+		t.Errorf("DESIGN.md's Lint table has a row for %q, which analyzers() does not register", name)
 	}
 }
 
@@ -282,24 +281,6 @@ func TestLintOutputPinned(t *testing.T) {
 		"netsim/fma.go":       "package netsim\n\nimport \"math\"\n\nfunc Fused(a, b, c float64) float64 { return math.FMA(a, b, c) }\n",
 		"netsim/order.go":     "package netsim\n\nfunc Keys(m map[int]int) []int {\n\tvar out []int\n\tfor k := range m {\n\t\tout = append(out, k)\n\t}\n\treturn out\n}\n",
 		"netsim/packet.go":    "package netsim\n\ntype Packet struct{ Seq int64 }\n\nfunc Bare() *Packet { return &Packet{} }\n\nfunc Pooled() *Packet {\n\t//lint:poolleak pool-internal -- the scratch pool's one bare allocation\n\treturn &Packet{Seq: 1}\n}\n",
-		"netsim/mesh.go": `package netsim
-
-type Sim struct{ now int64 }
-
-func (s *Sim) Schedule(at int64, fn func()) {}
-
-type Mesh struct{ cells []*Sim }
-
-func (m *Mesh) Cell(i int) *Sim { return m.cells[i] }
-
-func CrossTouch(m *Mesh) {
-	a := m.Cell(0)
-	b := m.Cell(1)
-	a.Schedule(5, func() {
-		b.Schedule(1, func() {})
-	})
-}
-`,
 		"netsim/directives.go": `package netsim
 
 func Settled() int {
@@ -322,13 +303,13 @@ func Sloppy() int {
 			t.Fatal(err)
 		}
 	}
-	res, err := Run(dir, []string{"./..."}, all.Analyzers())
+	res, err := Run(dir, []string{"./..."}, analyzers())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var text, sarif bytes.Buffer
 	writeDiags(&text, res)
-	if err := WriteSARIF(&sarif, res.Fset, all.Analyzers(), res.Diags); err != nil {
+	if err := WriteSARIF(&sarif, res.Fset, analyzers(), res.Diags); err != nil {
 		t.Fatalf("write sarif: %v", err)
 	}
 	for _, c := range []struct {

@@ -5,7 +5,7 @@
 // Why not the real thing: the module is intentionally stdlib-only, and the
 // x/tools framework is a large dependency for a suite this size: a table of
 // forbidden imports and functions (package forbid), a map-range check and
-// two dataflow checks over a small CFG engine (package flow). The subset
+// one dataflow check over a small CFG engine (package flow). The subset
 // here keeps the same shape — an Analyzer with a Run function over a Pass
 // carrying parsed files and type information — so the analyzers port to
 // the upstream framework mechanically if the project ever takes the

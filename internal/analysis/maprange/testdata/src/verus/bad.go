@@ -1,5 +1,5 @@
-// Package verus is a maprange fixture: a simulation package where map
-// iteration must be provably order-insensitive.
+// Package verus is a maprange fixture: a simulation package where a map
+// range must sort what it collects before anything reads it.
 package verus
 
 import "sort"
@@ -36,10 +36,11 @@ func FirstOver(m map[int]int, cut int) int {
 	return -1
 }
 
-// Count is the accepted shape: a commutative, float-free accumulation.
+// Count is a commutative, float-free accumulation; the analyzer does not
+// try to prove that, so it is flagged like any other body.
 func Count(m map[int]float64, cut float64) int {
 	var n int
-	for _, v := range m {
+	for _, v := range m { // want `map iteration order is randomized`
 		if v < 0 {
 			continue
 		}
@@ -50,11 +51,11 @@ func Count(m map[int]float64, cut float64) int {
 	return n
 }
 
-// Flags is also accepted: commutative bitwise accumulation under if/else.
+// Flags is a commutative bitwise accumulation under if/else, flagged too.
 func Flags(m map[int]uint64) uint64 {
 	var bits uint64
 	var evens int
-	for k, v := range m {
+	for k, v := range m { // want `map iteration order is randomized`
 		if k%2 == 0 {
 			evens++
 		} else {
@@ -77,4 +78,30 @@ func SortedSum(m map[int]float64) float64 {
 		sum += m[k]
 	}
 	return sum
+}
+
+// LeakBeforeSort reads the collected slice before sorting it, so the
+// first key is whichever the map visited first.
+func LeakBeforeSort(m map[int]int) (int, []int) {
+	var keys []int
+	for k := range m { // want `map iteration order is randomized`
+		keys = append(keys, k)
+	}
+	first := keys[0]
+	sort.Ints(keys)
+	return first, keys
+}
+
+// Shadowed sorts a different slice of the same name; the collected one is
+// returned in map order.
+func Shadowed(m map[int]int) []int {
+	var keys []int
+	for k := range m { // want `map iteration order is randomized`
+		keys = append(keys, k)
+	}
+	if len(m) > 1 {
+		keys := []int{2, 1}
+		sort.Ints(keys)
+	}
+	return keys
 }

@@ -50,7 +50,8 @@
 // can never be recycled, drifts the pool's leak accounting, and escapes
 // the -tags pooldebug poison bookkeeping. Every such literal in a
 // simulation package is flagged, and so are the two builtins that make
-// packets without a literal, `new(Packet)` and `make([]Packet, n)`. The
+// packets without a literal, `new(Packet)` and `make([]Packet, n)`, and a
+// `var` with no initializer whose type is Packet or an array of it. The
 // sanctioned exceptions are the pool's own growth path (its slab) and the
 // checkpoint's rematerialization, which carry:
 //
@@ -70,7 +71,7 @@ import (
 // Analyzer is the poolleak pass.
 var Analyzer = &analysis.Analyzer{
 	Name:   "poolleak",
-	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal, new or make outside the pool",
+	Doc:    "packets from Sim.NewPacket/ClonePacket must reach FreePacket or an ownership-transfer call on every path to return, and no netsim.Packet may be built by composite literal, new, make or var declaration outside the pool",
 	Claims: []string{"released-elsewhere", "pool-internal"},
 	Run:    run,
 }
@@ -105,6 +106,10 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				if name := bareAlloc(pass, n); name != "" {
 					pass.Reportf(n.Pos(), bareMsg, name)
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil && len(n.Values) == 0 && isNetsimPacket(arrayElem(pass.TypesInfo.TypeOf(n.Type))) {
+					pass.Reportf(n.Pos(), bareMsg, "var declaration")
 				}
 			}
 			return true
@@ -407,8 +412,31 @@ func isSource(info *types.Info, call *ast.CallExpr) bool {
 	return ok && isNetsimPacket(ptr.Elem())
 }
 
+// netsimPkgRe matches the simulator core package, whose Packet type is
+// pooled (DESIGN.md §Pool).
+var netsimPkgRe = analysis.PathRe("netsim")
+
 // isNetsimPacket reports whether t is the pooled Packet type.
-func isNetsimPacket(t types.Type) bool { return analysis.IsNetsimType(t, "Packet") }
+func isNetsimPacket(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Packet" && obj.Pkg() != nil && netsimPkgRe.MatchString(obj.Pkg().Path())
+}
+
+// arrayElem strips every array level off t: a [4]Packet holds packets by
+// value as a Packet does.
+func arrayElem(t types.Type) types.Type {
+	for {
+		a, ok := t.(*types.Array)
+		if !ok {
+			return t
+		}
+		t = a.Elem()
+	}
+}
 
 func calleeName(call *ast.CallExpr) string {
 	switch f := call.Fun.(type) {

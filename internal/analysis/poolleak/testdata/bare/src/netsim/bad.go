@@ -27,3 +27,13 @@ func BareSend(flow int, seq int64) *Packet {
 func ValueCopy(seq int64) Packet {
 	return Packet{Seq: seq} // want `bypasses the packet pool`
 }
+
+// Zero declares packets by value with no literal at all; each is as far
+// outside the pool as a literal would be.
+func Zero(seq int64) int64 {
+	var p Packet     // want `var declaration bypasses the packet pool`
+	var ps [4]Packet // want `var declaration bypasses the packet pool`
+	p.Seq = seq
+	ps[0] = p
+	return ps[0].Seq
+}

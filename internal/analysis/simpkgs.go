@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/types"
-	"regexp"
-)
+import "regexp"
 
 // The determinism contract (DESIGN.md §Lint, §Experiments) applies to the
 // packages that run inside a netsim.Sim event loop: everything a simulated
@@ -26,24 +23,8 @@ func PathRe(alts string) *regexp.Regexp {
 	return regexp.MustCompile(`(^|/)(` + alts + `)(/|$)`)
 }
 
-var (
-	simPkgRe = PathRe(SimPkgs)
-	// netsimPkgRe matches the simulator core package, whose Packet type is
-	// pooled (DESIGN.md §Pool).
-	netsimPkgRe = PathRe("netsim")
-)
+var simPkgRe = PathRe(SimPkgs)
 
 // IsSimPackage reports whether the import path is under the simulation
 // determinism contract.
 func IsSimPackage(path string) bool { return simPkgRe.MatchString(path) }
-
-// IsNetsimType reports whether t is the named type called name that the
-// simulator core defines, such as its Sim or its pooled Packet.
-func IsNetsimType(t types.Type, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && netsimPkgRe.MatchString(obj.Pkg().Path())
-}
