@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/cellular"
 	"repro/internal/faults"
 	"repro/internal/verus"
@@ -21,14 +20,9 @@ import (
 // VerusResilientMaker returns Verus with the §4.2 recovery extensions
 // (timeout-epoch ack filtering and post-outage profile relearning) enabled.
 func VerusResilientMaker(r float64) Maker {
-	return Maker{
-		Name: fmt.Sprintf("Verus (R=%g) resilient", r),
-		New: func() cc.Controller {
-			cfg := verus.ResilientConfig()
-			cfg.R = r
-			return verus.New(cfg)
-		},
-	}
+	cfg := verus.ResilientConfig()
+	cfg.R = r
+	return verusMaker(fmt.Sprintf("Verus (R=%g) resilient", r), cfg)
 }
 
 // faultProtocols are the chaos contenders: the recovery-enabled Verus, the

@@ -30,55 +30,67 @@ import (
 // MTU is the paper's packet size.
 const MTU = 1400
 
-// Maker constructs a fresh controller per flow.
+// Maker constructs fresh controllers: New one per flow, NewN n at once for a
+// trial that builds all its flows together. Every Maker comes from slabMaker,
+// so the two build the same controllers.
 type Maker struct {
 	Name string
 	New  func() cc.Controller
+	NewN func(n int) []cc.Controller
+}
+
+// slabMaker returns the Maker named name whose controllers come from slab, a
+// package's constructor of n controllers in one slice: New is element 0 of a
+// slab of one, and NewN hands out each element of a slab of n by address.
+func slabMaker[T any, P interface {
+	*T
+	cc.Controller
+}](name string, slab func(n int) []T) Maker {
+	return Maker{
+		Name: name,
+		New:  func() cc.Controller { return P(&slab(1)[0]) },
+		NewN: func(n int) []cc.Controller {
+			cs, ctrls := slab(n), make([]cc.Controller, n)
+			for i := range cs {
+				ctrls[i] = P(&cs[i])
+			}
+			return ctrls
+		},
+	}
+}
+
+// verusMaker returns the Maker named name for Verus under cfg.
+func verusMaker(name string, cfg verus.Config) Maker {
+	return slabMaker[verus.Verus](name, func(n int) []verus.Verus { return verus.NewN(cfg, n) })
 }
 
 // VerusMaker returns a Maker for Verus with the given R.
 func VerusMaker(r float64) Maker {
-	return Maker{
-		Name: fmt.Sprintf("Verus (R=%g)", r),
-		New: func() cc.Controller {
-			cfg := verus.DefaultConfig()
-			cfg.R = r
-			return verus.New(cfg)
-		},
-	}
+	cfg := verus.DefaultConfig()
+	cfg.R = r
+	return verusMaker(fmt.Sprintf("Verus (R=%g)", r), cfg)
 }
 
 // VerusStaticMaker returns Verus with a frozen delay profile (Fig. 15).
 func VerusStaticMaker(r float64) Maker {
-	return Maker{
-		Name: fmt.Sprintf("Verus (R=%g) static", r),
-		New: func() cc.Controller {
-			cfg := verus.DefaultConfig()
-			cfg.R = r
-			cfg.StaticProfile = true
-			return verus.New(cfg)
-		},
-	}
+	cfg := verus.DefaultConfig()
+	cfg.R = r
+	cfg.StaticProfile = true
+	return verusMaker(fmt.Sprintf("Verus (R=%g) static", r), cfg)
 }
 
 // CubicMaker returns a Maker for TCP Cubic.
-func CubicMaker() Maker {
-	return Maker{Name: "TCP Cubic", New: func() cc.Controller { return tcp.NewCubic() }}
-}
+func CubicMaker() Maker { return slabMaker("TCP Cubic", tcp.NewCubics) }
 
 // NewRenoMaker returns a Maker for TCP NewReno.
-func NewRenoMaker() Maker {
-	return Maker{Name: "TCP NewReno", New: func() cc.Controller { return tcp.NewNewReno() }}
-}
+func NewRenoMaker() Maker { return slabMaker("TCP NewReno", tcp.NewNewRenos) }
 
 // VegasMaker returns a Maker for TCP Vegas.
-func VegasMaker() Maker {
-	return Maker{Name: "TCP Vegas", New: func() cc.Controller { return tcp.NewVegas() }}
-}
+func VegasMaker() Maker { return slabMaker("TCP Vegas", tcp.NewVegases) }
 
 // SproutMaker returns a Maker for the Sprout-like forecaster.
 func SproutMaker() Maker {
-	return Maker{Name: "Sprout", New: func() cc.Controller { return sprout.New(sprout.DefaultConfig()) }}
+	return slabMaker("Sprout", func(n int) []sprout.Sprout { return sprout.NewN(sprout.DefaultConfig(), n) })
 }
 
 // FlowResult summarizes one flow of one run.

@@ -396,13 +396,14 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 			10*time.Millisecond, recv, true, topo.Sectors[s].Channel.Seed+1)
 		m.links[s].Instrument(opts.Obs, seed)
 	}
+	ctrls := mk.NewN(flows)
 	for _, users := range topo.UsersBySector() {
 		for _, ui := range users {
 			u := topo.Users[ui]
 			sim := mesh.Cell(u.Home)
 			st := &m.states[u.ID]
 			*st = metroUserState{home: u.Home, cur: u.Home}
-			ctrl := mk.New()
+			ctrl := ctrls[u.ID]
 			observe(opts.Obs, ctrl, seed, u.ID)
 			// Stagger starts so thousands of flows do not slow-start in
 			// lockstep; the phase is a pure function of the user id. Churning

@@ -176,21 +176,22 @@ func TestQuickMetroOptionsShape(t *testing.T) {
 
 // TestMetroBuildAllocs pins what building a metro trial allocates per flow,
 // at the benchmark's shape: 1000 flows over 8 sectors for 1.5 s, a third of
-// them churning, handovers compressed 50×. Per flow that is the controller
-// (and Sprout's one belief buffer) and a share of what grows with the flow
-// count: the registry, the event heap, the Sim's source and callback arenas.
-// The Sources with their first delay samples, the user states, the handover
+// them churning, handovers compressed 50×. Per flow that is a share of what
+// grows with the flow count: the registry, the event heap, the Sim's source
+// and callback arenas. The controllers (with Sprout's belief rows), the
+// Sources with their first delay samples, the user states, the handover
 // receivers, the handover trains and the per-sector user lists are one
-// slice or a few chunks each. The counts are 1.59 for Verus and Cubic and
-// 2.60 for Sprout (4.85, 4.86 and 5.86 when each Source, its sample buffer
-// and each handover's callback were objects of their own and the registry a
-// map, and 11.16, 10.16 and 13.17 when every user state, sink, metrics block
-// and event was too); the ceilings leave 10 % headroom.
+// slice or a few chunks each. The counts are 0.60 for Verus, 0.59 for Cubic
+// and 0.62 for Sprout (1.59, 1.59 and 2.60 when each controller was built on
+// its own, 4.85, 4.86 and 5.86 when each Source, its sample buffer and each
+// handover's callback were objects of their own too and the registry a map,
+// and 11.16, 10.16 and 13.17 when every user state, sink, metrics block and
+// event was too); the ceilings leave 10 % headroom.
 func TestMetroBuildAllocs(t *testing.T) {
 	opts := DefaultMetroOptions()
 	opts.Sectors, opts.Duration, opts.ChurnFrac, opts.HandoverScale = 8, 1500*time.Millisecond, 0.3, 0.02
 	const flows = 1000
-	ceiling := map[string]float64{"Verus (R=6)": 1.75, "TCP Cubic": 1.75, "Sprout": 2.86}
+	ceiling := map[string]float64{"Verus (R=6)": 0.66, "TCP Cubic": 0.65, "Sprout": 0.68}
 	for _, mk := range metroProtocols() {
 		perFlow := testing.AllocsPerRun(1, func() { metroBuild(opts, mk, flows, 42) }) / flows
 		t.Logf("%s: %.2f allocs per flow", mk.Name, perFlow)
@@ -203,17 +204,18 @@ func TestMetroBuildAllocs(t *testing.T) {
 // TestMetroTrialAllocs pins what a whole metro trial allocates per flow —
 // build, run and collect — at TestMetroBuildAllocs' shape, the benchmark's.
 // Past the build that is each flow's growth while it runs: the delay
-// profile's knots past its first eight and the spline's rows, Sprout's
-// forecasts, in-flight rings past their first sixteen entries, delay samples
-// past their first 64, and the collect's merge. The counts are 3.69 for
-// Verus, 2.55 for Cubic and 3.61 for Sprout (13.40, 5.05 and 7.12 when the
-// profile's knots, the 1 s windows and the in-flight ring grew from empty);
-// the ceilings leave 10 % headroom.
+// profile's knots and the spline's rows past their first eight knots,
+// in-flight rings past their first sixteen entries, delay samples past their
+// first 64, and the collect's merge. The counts are 2.19 for Verus, 1.55 for
+// Cubic and 1.63 for Sprout (3.69, 2.55 and 3.61 when each controller was
+// built on its own and the spline's rows started on the heap, 13.40, 5.05
+// and 7.12 when the profile's knots, the 1 s windows and the in-flight ring
+// also grew from empty); the ceilings leave 10 % headroom.
 func TestMetroTrialAllocs(t *testing.T) {
 	opts := DefaultMetroOptions()
 	opts.Sectors, opts.Duration, opts.ChurnFrac, opts.HandoverScale = 8, 1500*time.Millisecond, 0.3, 0.02
 	const flows = 1000
-	ceiling := map[string]float64{"Verus (R=6)": 4.06, "TCP Cubic": 2.81, "Sprout": 3.97}
+	ceiling := map[string]float64{"Verus (R=6)": 2.41, "TCP Cubic": 1.71, "Sprout": 1.79}
 	for _, mk := range metroProtocols() {
 		perFlow := testing.AllocsPerRun(1, func() { metroTrial(opts, mk, flows, 42) }) / flows
 		t.Logf("%s: %.2f allocs per flow", mk.Name, perFlow)

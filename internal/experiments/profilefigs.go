@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/cellular"
 	"repro/internal/experiments/runner"
 	"repro/internal/netsim"
@@ -166,7 +165,7 @@ func Sensitivity(d time.Duration, seed int64, parallel int, o *obs.Observer) Sen
 			Run: func(trialSeed int64) SensitivityRow {
 				cfg := verus.DefaultConfig()
 				st.mut(&cfg)
-				mk := Maker{Name: "verus", New: func() cc.Controller { return verus.New(cfg) }}
+				mk := verusMaker("verus", cfg)
 				res := TraceRun{Trace: tr, Maker: mk, Flows: 1, Duration: d,
 					QueueBytes: 2_000_000, Seed: trialSeed, Obs: o}.Run()
 				return SensitivityRow{st.param, st.value, res.MeanMbps(), res.MeanDelay() * 1000}

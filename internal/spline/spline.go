@@ -12,9 +12,11 @@
 // direction (O(n + steps) instead of O(steps·log n)), and RefitSorted
 // rebuilds a spline in place with zero allocations once its one backing
 // array is warm (RefitRows does the same through knot rows its caller
-// fills, so the caller needs no copy of its own). Every coefficient is computed with the exact floating-point
-// expressions the original per-call Eval used, so evaluation results are
-// bit-identical to the naive formulation (the equivalence tests pin this).
+// fills, so the caller needs no copy of its own; Reserve lets the caller
+// supply that first backing from storage of its own). Every coefficient is
+// computed with the exact floating-point expressions the original per-call
+// Eval used, so evaluation results are bit-identical to the naive
+// formulation (the equivalence tests pin this).
 package spline
 
 import (
@@ -109,6 +111,19 @@ func (s *Spline) RefitRows(n int, fill func(xs, ys []float64)) error {
 	}
 	s.solve()
 	return nil
+}
+
+// Reserve hands the spline buf as its backing array when buf is larger than
+// the backing it has. A spline carves seven rows per knot, so a buf of 7·k
+// floats lets refits of up to k knots carve their rows from it and allocate
+// nothing; past k the backing doubles onto the heap as usual, and a later
+// Reserve of the same buf changes nothing. The spline keeps buf: its owner
+// must not write it, nor move or copy it, while the spline may still be
+// refitted or evaluated.
+func (s *Spline) Reserve(buf []float64) {
+	if cap(buf) > cap(s.buf) {
+		s.buf = buf
+	}
 }
 
 // increasing reports whether xs is strictly increasing.

@@ -376,6 +376,43 @@ func TestRefitSortedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestReserve refits a spline with a reserved backing of eight knots' rows
+// through 2 to 8 knots with no allocation and its rows on that backing; the
+// ninth knot moves the rows to the heap, and reserving the same array again
+// leaves them there.
+func TestReserve(t *testing.T) {
+	xs, ys := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, []float64{3, 1, 4, 1, 5, 9, 2, 6, 5}
+	var buf [rows * 8]float64
+	var s Spline
+	s.Reserve(buf[:])
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := 2; k <= 8; k++ {
+			if err := s.RefitSorted(xs[:k], ys[:k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if kx, _ := s.Knots(); allocs != 0 || &kx[0] != &buf[0] {
+		t.Fatalf("refits up to 8 knots on a reserved backing: %v allocs, rows on it %v; want 0 and true", allocs, &kx[0] == &buf[0])
+	}
+	if err := s.RefitSorted(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	s.Reserve(buf[:])
+	if kx, _ := s.Knots(); len(kx) != 9 || &kx[0] == &buf[0] {
+		t.Fatalf("a fit of 9 knots is on the reserved backing of 8")
+	}
+	want, err := Fit(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0.5; x < 10; x += 0.25 {
+		if got, w := s.Eval(x), want.Eval(x); got != w {
+			t.Fatalf("Eval(%v) = %v, Fit's %v", x, got, w)
+		}
+	}
+}
+
 // TestRefitGrowthIsGeometric refits one spline through a knot set that gains
 // one knot at a time, as a delay profile does, and counts the allocations:
 // the spline's one backing array may regrow O(log n) times, not once per

@@ -28,8 +28,18 @@ type Cubic struct {
 
 var _ cc.Controller = (*Cubic)(nil)
 
-// NewCubic returns a Cubic controller with initial window 2.
-func NewCubic() *Cubic { return &Cubic{window: newWindow()} }
+// NewCubic returns a Cubic controller with initial window 2: element 0 of a
+// NewCubics slab of one.
+func NewCubic() *Cubic { return &NewCubics(1)[0] }
+
+// NewCubics returns n Cubic controllers with initial window 2 in one slice.
+func NewCubics(n int) []Cubic {
+	cs := make([]Cubic, n)
+	for i := range cs {
+		cs[i].window = newWindow()
+	}
+	return cs
+}
 
 // Name implements cc.Controller.
 func (t *Cubic) Name() string { return "cubic" }

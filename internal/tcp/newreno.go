@@ -25,8 +25,19 @@ type NewReno struct{ window }
 
 var _ cc.Controller = (*NewReno)(nil)
 
-// NewNewReno returns a NewReno controller with initial window 2.
-func NewNewReno() *NewReno { return &NewReno{newWindow()} }
+// NewNewReno returns a NewReno controller with initial window 2: element 0
+// of a NewNewRenos slab of one.
+func NewNewReno() *NewReno { return &NewNewRenos(1)[0] }
+
+// NewNewRenos returns n NewReno controllers with initial window 2 in one
+// slice.
+func NewNewRenos(n int) []NewReno {
+	rs := make([]NewReno, n)
+	for i := range rs {
+		rs[i].window = newWindow()
+	}
+	return rs
+}
 
 // Name implements cc.Controller.
 func (t *NewReno) Name() string { return "newreno" }

@@ -34,8 +34,19 @@ type Vegas struct {
 
 var _ cc.Controller = (*Vegas)(nil)
 
-// NewVegas returns a Vegas controller with initial window 2.
-func NewVegas() *Vegas { return &Vegas{window: newWindow(), slowStart: true} }
+// NewVegas returns a Vegas controller with initial window 2: element 0 of a
+// NewVegases slab of one.
+func NewVegas() *Vegas { return &NewVegases(1)[0] }
+
+// NewVegases returns n Vegas controllers with initial window 2, in slow
+// start, in one slice.
+func NewVegases(n int) []Vegas {
+	vs := make([]Vegas, n)
+	for i := range vs {
+		vs[i].window, vs[i].slowStart = newWindow(), true
+	}
+	return vs
+}
 
 // Name implements cc.Controller.
 func (t *Vegas) Name() string { return "vegas" }

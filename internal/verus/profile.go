@@ -31,9 +31,10 @@ import (
 // Sorted order also makes determinism structural: there is no map iteration
 // anywhere, so no randomized-order hazard to defend against.
 //
-// The knot slice points into the profile from its first knot on, so a
-// profile must not be copied after its first update; a Verus holds its
-// profile by value and New allocates it once.
+// The knot slice points into the profile from its first knot on, and the
+// spline's backing from its first fit on, so a profile must not be copied
+// after its first update; a Verus holds its profile by value and never moves
+// (NewN builds each one in place).
 type delayProfile struct {
 	knots []knot // sorted by w ascending; w distinct
 
@@ -43,8 +44,16 @@ type delayProfile struct {
 	dirty      bool
 	staleAfter int64 // epochs; 0 disables aging
 
-	first [8]knot // the first knots' storage
+	first [firstKnots]knot // the first knots' storage
+	// firstRows backs the spline's seven rows per knot while it fits at most
+	// firstKnots knots (spline.Reserve); past that the spline's backing
+	// doubles onto the heap. Like first, it pins the profile in place.
+	firstRows [7 * firstKnots]float64
 }
+
+// firstKnots is how many knots, and how many knots' spline rows, a profile
+// holds in itself.
+const firstKnots = 8
 
 // knot is one point of the profile: the EWMA delay observed at window w and
 // the epoch of its last update.
@@ -141,6 +150,7 @@ func (p *delayProfile) refit(now int64) {
 	if !p.dirty || len(p.knots) < 2 {
 		return
 	}
+	p.spl.Reserve(p.firstRows[:])
 	err := p.spl.RefitRows(len(p.knots), func(xs, ys []float64) {
 		for i, k := range p.knots {
 			xs[i], ys[i] = float64(k.w), k.d

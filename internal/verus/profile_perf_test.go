@@ -242,6 +242,38 @@ func TestProfileFirstKnotsAllocs(t *testing.T) {
 	}
 }
 
+// TestProfileFirstRefitsAllocs asserts a fresh profile's refits allocate
+// nothing while it holds at most eight knots, refitted after every new one:
+// the spline carves its rows from the profile's own firstRows (a backing of
+// its own allocated three times over the same refits, at 2, 3 and 5 knots).
+// The refit after the ninth knot moves the backing to the heap.
+func TestProfileFirstRefitsAllocs(t *testing.T) {
+	const runs = 10
+	order := [...]int{5, 1, 8, 3, 7, 2, 6, 4}
+	ps := make([]delayProfile, runs+1)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := &ps[next]
+		next++
+		for i, w := range order {
+			p.update(w, 0.01*float64(w), int64(i))
+			p.refit(int64(i))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refits of a fresh profile up to %d knots: %v allocs, want 0", len(order), allocs)
+	}
+	p := &ps[0]
+	if xs, _ := p.spl.Knots(); !p.ready() || len(xs) != len(order) || &xs[0] != &p.firstRows[0] {
+		t.Fatalf("the fit of %d knots is not on the profile's own rows", len(order))
+	}
+	p.update(9, 0.09, 9)
+	p.refit(9)
+	if xs, _ := p.spl.Knots(); len(xs) != 9 || &xs[0] == &p.firstRows[0] {
+		t.Errorf("a fit of 9 knots left its rows on the profile's own storage")
+	}
+}
+
 // TestProfileRefitZeroAllocs asserts a warm refit — knot and spline
 // buffers at their high-water mark — never allocates, including the
 // stale-aging compaction pass.

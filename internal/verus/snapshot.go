@@ -58,6 +58,7 @@ func (p *delayProfile) walk(w snap.Walker) {
 	if !w.Loading() || w.Err() != nil {
 		return
 	}
+	p.spl.Reserve(p.firstRows[:])
 	if err := p.spl.RefitSorted(xs, ys); err != nil {
 		w.Fail(fmt.Errorf("verus: re-interpolating checkpointed profile: %w", err))
 		return

@@ -251,31 +251,34 @@ var _ cc.Controller = (*Verus)(nil)
 
 // New returns a Verus controller with the given configuration; it panics on
 // an invalid one (catch with Config.Validate first if the config is
-// user-supplied).
-func New(cfg Config) *Verus {
+// user-supplied). It is element 0 of a NewN slab of one: one allocation.
+func New(cfg Config) *Verus { return &NewN(cfg, 1)[0] }
+
+// NewN returns n Verus controllers with the given configuration, built in
+// place in one slice: the config is validated once and the n controllers are
+// one allocation. A controller must stay where NewN put it, since its delay
+// profile points into it (delayProfile); take each by address, &vs[i]. It
+// panics on an invalid config.
+func NewN(cfg Config, n int) []Verus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	v := &Verus{
-		cfg:           cfg,
-		st:            stateSlowStart,
-		ssW:           1,
-		ssCap:         math.Inf(1),
-		w:             1,
-		dMin:          math.Inf(1),
-		ticksPerRefit: int(cfg.ProfileUpdateEvery / cfg.Epoch),
-		ticksPerDMin:  int(dMinWindow / (2 * cfg.Epoch)),
+	vs := make([]Verus, n)
+	for i := range vs {
+		v := &vs[i]
+		v.cfg = cfg
+		v.st = stateSlowStart
+		v.ssW = 1
+		v.ssCap = math.Inf(1)
+		v.w = 1
+		v.dMin = math.Inf(1)
+		v.ticksPerRefit = max(1, int(cfg.ProfileUpdateEvery/cfg.Epoch))
+		v.ticksPerDMin = max(1, int(dMinWindow/(2*cfg.Epoch)))
+		v.dMinBuckets[0] = math.Inf(1)
+		v.dMinBuckets[1] = math.Inf(1)
+		v.profile.staleAfter = int64(profileStaleAfter / cfg.Epoch)
 	}
-	if v.ticksPerRefit < 1 {
-		v.ticksPerRefit = 1
-	}
-	if v.ticksPerDMin < 1 {
-		v.ticksPerDMin = 1
-	}
-	v.dMinBuckets[0] = math.Inf(1)
-	v.dMinBuckets[1] = math.Inf(1)
-	v.profile.staleAfter = int64(profileStaleAfter / cfg.Epoch)
-	return v
+	return vs
 }
 
 // Name implements cc.Controller.
